@@ -1,33 +1,19 @@
-"""The adaptive frozen-plane layer: hot-first layout + stride autotuner.
+"""The adaptive frozen-plane layer: the hot-first layout.
 
-PR 7 teaches ``freeze()`` two workload-aware tricks (ROADMAP item 3,
-after arXiv 1804.09254 and 2205.08606):
+``freeze(..., layout="hot")`` replays a trace and re-emits the node
+arrays in walk-frequency order, with each dispatch run re-ordered by
+measured *win mass* — the subtree that actually produces the final
+answer is walked first, so §3.5 subtree skipping prunes its siblings
+(after arXiv 1804.09254 and 2205.08606).
 
-* ``layout="hot"`` replays a trace and re-emits the node arrays in
-  walk-frequency order, with each dispatch run re-ordered by measured
-  *win mass* — the subtree that actually produces the final answer is
-  walked first, so §3.5 subtree skipping prunes its siblings;
-* ``autotune(matcher, trace)`` hill-climbs per-top-level-subtrie
-  strides against the trace and emits the ``StridePlan`` that
-  ``freeze(..., plan=...)`` compiles into a variable-stride plane.
+The benchmark workload is the favorable-but-realistic case: a skewed
+Zipf flow population whose heavy hitters match the top of the policy
+(first-match ACLs are written hot-rules-first), over the ternary-heavy
+ClassBench ``fw`` profile.
 
-The benchmark workload is the favorable-but-realistic case for both: a
-skewed Zipf flow population whose heavy hitters match the top of the
-policy (first-match ACLs are written hot-rules-first), over the
-ternary-heavy ClassBench ``fw`` profile.  The second autotune workload
-is the long-key (512-bit) IPv6 policy from ``bench_ipv6_keylen``.
-
-Acceptance bars (CI smoke, ``main(smoke=True)``):
-
-* ``adaptive_hot_layout_speedup`` — hot layout >= 1.1x build-order
-  scalar qps on the skewed zipf trace;
-* ``adaptive_autotune_vs_global`` — the autotuned plan serves the
-  trace at least as fast as the best uniform stride (>= 1.0; exactly
-  1.0 when the tuner concludes the global best uniform stride IS the
-  best plan, which is the common outcome on small policies).
-
-The chosen v4 plan is written to ``BENCH_adaptive_plan.json`` at the
-repo root (uploaded as a CI artifact for inspection).
+Acceptance bar (CI smoke, ``main(smoke=True)``):
+``adaptive_hot_layout_speedup`` — hot layout >= 1.1x build-order
+scalar qps on the skewed zipf trace.
 """
 
 from __future__ import annotations
@@ -40,19 +26,14 @@ from pathlib import Path
 import pytest
 
 from conftest import KEY_LENGTH, run_queries
-from repro.acl.layout import LAYOUT_V6
 from repro.core import PalmtriePlus
-from repro.core.adaptive import autotune
-from repro.core.frozen import FrozenMatcher, freeze
-from repro.workloads.classbench import classbench_acl, classbench_rules, ACL_SEED
-from repro.workloads.traffic import pareto_trace, query_matching_entry
+from repro.core.frozen import freeze
+from repro.workloads.classbench import classbench_acl
+from repro.workloads.traffic import query_matching_entry
 
-#: where main() drops the chosen StridePlan (CI uploads it)
-PLAN_PATH = Path(__file__).resolve().parent.parent / "BENCH_adaptive_plan.json"
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_adaptive.json"
 
 HOT_GATE = 1.1
-AUTOTUNE_GATE = 1.0
 
 
 def topflow_zipf(entries, count: int, flows: int = 32, s: float = 1.2,
@@ -139,58 +120,8 @@ def _measure_hot(rules: int, count: int) -> dict:
     }
 
 
-def _measure_autotune(entries, key_length: int, trace, label: str,
-                      smoke: bool) -> dict:
-    matcher = PalmtriePlus.build(
-        entries, key_length, stride=min(8, key_length)
-    )
-    result = autotune(
-        matcher,
-        trace,
-        max_subtries=4 if smoke else 8,
-        rounds=1 if smoke else 2,
-        sample=128 if smoke else 256,
-        repeats=2 if smoke else 3,
-    )
-    plan = result.plan
-    global_plane = FrozenMatcher.build(
-        entries, key_length, stride=result.global_best_stride
-    )
-    tuned_plane = FrozenMatcher.build(
-        entries, key_length, stride=plan.root_stride, plan=plan
-    )
-    _assert_same_verdicts(global_plane, tuned_plane, trace[:200])
-    if plan.is_uniform and plan.root_stride == result.global_best_stride:
-        # The tuner kept the global best uniform stride: the planes are
-        # identical by construction, so the ratio is exactly 1.0 — no
-        # need to let timer noise smear a tautology.
-        ratio = 1.0
-    else:
-        sample = list(trace[:512])
-        # Scheduler noise only ever slows a run, so a single timed
-        # comparison under-estimates the tuned plane far more often
-        # than it over-estimates; best-of-attempts recovers the true
-        # ratio without lowering the gate (same protocol as
-        # bench_stream.hist_overhead_ratio).
-        ratio = 0.0
-        for _attempt in range(5):
-            t_global = _best(lambda: run_queries(global_plane, sample))
-            t_tuned = _best(lambda: run_queries(tuned_plane, sample))
-            ratio = max(ratio, t_global / t_tuned)
-            if ratio >= AUTOTUNE_GATE:
-                break
-    return {
-        "workload": label,
-        "plan": plan.to_json(),
-        "plan_summary": plan.describe(),
-        "global_best_stride": result.global_best_stride,
-        "evaluations": result.evaluations,
-        "vs_global": ratio,
-    }
-
-
 def main(smoke: bool = False) -> dict[str, float]:
-    """Run the adaptive-layer benchmarks; returns the smoke metrics
+    """Run the adaptive-layer benchmark; returns the smoke metric
     ``benchmarks/run_smokes.py`` records in the perf trajectory."""
     rules = 120 if smoke else 300
     count = 3_000 if smoke else 10_000
@@ -201,56 +132,7 @@ def main(smoke: bool = False) -> dict[str, float]:
         f"({hot['build_ms']:.1f} -> {hot['hot_ms']:.1f} ms, "
         f"{rules} fw rules, {count} zipf queries)"
     )
-
-    # Autotune workload 1: the v4 policy under the same skewed trace.
-    acl = classbench_acl("fw", rules)
-    v4_trace = topflow_zipf(acl.entries, count)
-    tune_v4 = _measure_autotune(acl.entries, KEY_LENGTH, v4_trace, "fw-zipf", smoke)
-    print(
-        f"autotune[v4]: plan [{tune_v4['plan_summary']}] "
-        f"{tune_v4['vs_global']:.3f}x vs global best uniform "
-        f"stride {tune_v4['global_best_stride']} "
-        f"({tune_v4['evaluations']} candidates)"
-    )
-
-    # Autotune workload 2: the 512-bit IPv6 policy + trace from
-    # bench_ipv6_keylen (long keys make stride choice bite hardest).
-    from repro.acl.compiler import compile_acl
-
-    v6 = compile_acl(classbench_rules(ACL_SEED, 120 if smoke else 300),
-                     layout=LAYOUT_V6)
-    v6_trace = pareto_trace(v6.entries, 1_000 if smoke else 5_000)
-    tune_v6 = _measure_autotune(
-        v6.entries, LAYOUT_V6.length, v6_trace, "ipv6-pareto", smoke
-    )
-    print(
-        f"autotune[v6]: plan [{tune_v6['plan_summary']}] "
-        f"{tune_v6['vs_global']:.3f}x vs global best uniform "
-        f"stride {tune_v6['global_best_stride']} "
-        f"({tune_v6['evaluations']} candidates)"
-    )
-
-    autotune_ratio = min(tune_v4["vs_global"], tune_v6["vs_global"])
-    metrics = {
-        "adaptive_hot_layout_speedup": hot["speedup"],
-        "adaptive_autotune_vs_global": autotune_ratio,
-    }
-
-    PLAN_PATH.write_text(
-        json.dumps(
-            {
-                "schema": "palmtrie-repro/adaptive-plan/v1",
-                "workloads": {
-                    "fw-zipf": tune_v4,
-                    "ipv6-pareto": tune_v6,
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    print(f"wrote {PLAN_PATH}")
+    metrics = {"adaptive_hot_layout_speedup": hot["speedup"]}
 
     if smoke:
         if hot["speedup"] < HOT_GATE:
@@ -258,24 +140,11 @@ def main(smoke: bool = False) -> dict[str, float]:
                 f"adaptive regression: hot layout {hot['speedup']:.2f}x "
                 f"< {HOT_GATE}x build-order scalar qps on the zipf trace"
             )
-        if autotune_ratio < AUTOTUNE_GATE:
-            raise SystemExit(
-                f"adaptive regression: autotuned plan {autotune_ratio:.3f}x "
-                f"< {AUTOTUNE_GATE}x the global best uniform stride"
-            )
-        print(
-            f"adaptive smoke benchmark: hot {hot['speedup']:.2f}x, "
-            f"autotune {autotune_ratio:.3f}x vs global best"
-        )
+        print(f"adaptive smoke benchmark: hot {hot['speedup']:.2f}x")
         return metrics
 
     RESULTS_PATH.write_text(
-        json.dumps(
-            {"hot_layout": hot, "autotune": [tune_v4, tune_v6]},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+        json.dumps({"hot_layout": hot}, indent=2, sort_keys=True) + "\n"
     )
     print(f"wrote {RESULTS_PATH}")
     return metrics

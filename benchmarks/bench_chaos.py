@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import os
 import tempfile
-import timeit
 
 from repro.core.plus import PalmtriePlus
 from repro.core.table import build_matcher
 from repro.config import EngineConfig
 from repro.engine import ClassificationEngine
-from repro.obs.timing import clamp_seconds
+from repro.obs.timing import best_of_attempts_ratio
 from repro.resilience import FaultInjector, GuardRail, injected
 from repro.workloads.scenarios import get_scenario, scenario_names
 
@@ -248,8 +247,8 @@ def _degraded_rate_ratio(entries, length, queries, rounds: int = 5) -> float:
     Baseline is an unguarded engine on the interpreted matcher; the
     degraded engine wanted the frozen plane but lost it to injected
     faults (breaker open, long backoff) and serves the same interpreted
-    tier through the guard.  Interleaved min-of-rounds, as in
-    ``bench_engine_cache._metrics_overhead_ratio``.
+    tier through the guard.  One attempt of the shared interleaved
+    estimator (:func:`repro.obs.timing.best_of_attempts_ratio`).
     """
     baseline = ClassificationEngine(
         PalmtriePlus.build(entries, length, stride=8), EngineConfig(cache_size=0)
@@ -266,16 +265,14 @@ def _degraded_rate_ratio(entries, length, queries, rounds: int = 5) -> float:
             degraded.lookup_batch(queries[:BATCH])
     if guard.breaker.state.value != "open":
         raise SystemExit("chaos: degraded engine failed to reach open-breaker state")
-    best_baseline = float("inf")
-    best_degraded = float("inf")
-    for _ in range(rounds):
-        best_baseline = min(
-            best_baseline, timeit.timeit(lambda: baseline.lookup_batch(queries), number=1)
-        )
-        best_degraded = min(
-            best_degraded, timeit.timeit(lambda: degraded.lookup_batch(queries), number=1)
-        )
-    return clamp_seconds(best_baseline) / clamp_seconds(best_degraded)
+    return best_of_attempts_ratio(
+        lambda: baseline.lookup_batch(queries),
+        lambda: degraded.lookup_batch(queries),
+        rounds=rounds,
+        attempts=1,
+        number=1,
+        early_stop=0.0,
+    )
 
 
 FAULT_CLASSES = (

@@ -24,6 +24,7 @@ from repro.bench.harness import clamp_seconds, safe_rate
 from repro.core import PalmtriePlus
 from repro.config import EngineConfig
 from repro.engine import ClassificationEngine
+from repro.obs.timing import best_of_attempts_ratio
 from repro.workloads.traffic import zipf_trace
 
 #: flows in the Zipf population; far fewer than packets, as in real traces
@@ -78,20 +79,13 @@ def _metrics_overhead_ratio(
 ) -> float:
     """Enabled-over-disabled lookup rate on the batched serving path.
 
-    Two warmed engines over identical matchers, timed interleaved
-    (disabled, enabled, disabled, ...) with the minimum kept per side,
-    so CPU-frequency drift and CI noise hit both sides alike.  One
-    interleaved attempt still sits inside the host's multi-second noise
-    phases (+/-5 % between *identical* engines, measured), and noise
-    only ever slows a run — so the estimator keeps the best of up to
-    ``attempts`` independent attempts and stops early once one clears
-    ``early_stop`` (the same protocol as
-    ``bench_stream.hist_overhead_ratio``).  A ratio of 1.0 means
-    instrumentation is free; the enforced budget is 0.98
-    (docs/observability.md).
+    Two warmed engines over identical matchers, timed with
+    :func:`repro.obs.timing.best_of_attempts_ratio` (interleaved arms,
+    best of ``attempts``; one attempt sits inside the host's
+    multi-second noise phases, +/-5 % between *identical* engines,
+    measured).  A ratio of 1.0 means instrumentation is free; the
+    enforced budget is 0.98 (docs/observability.md).
     """
-    import timeit
-
     from repro.core.table import build_matcher
 
     disabled = ClassificationEngine(
@@ -104,24 +98,14 @@ def _metrics_overhead_ratio(
     )
     disabled.lookup_batch(queries)  # warm both caches before timing
     enabled.lookup_batch(queries)
-    best_ratio = 0.0
-    for _attempt in range(attempts):
-        best_disabled = float("inf")
-        best_enabled = float("inf")
-        for _ in range(rounds):
-            best_disabled = min(
-                best_disabled,
-                timeit.timeit(lambda: disabled.lookup_batch(queries), number=3),
-            )
-            best_enabled = min(
-                best_enabled,
-                timeit.timeit(lambda: enabled.lookup_batch(queries), number=3),
-            )
-        ratio = clamp_seconds(best_disabled) / clamp_seconds(best_enabled)
-        best_ratio = max(best_ratio, ratio)
-        if best_ratio >= early_stop:
-            break
-    return best_ratio
+    return best_of_attempts_ratio(
+        lambda: disabled.lookup_batch(queries),
+        lambda: enabled.lookup_batch(queries),
+        rounds=rounds,
+        attempts=attempts,
+        number=3,
+        early_stop=early_stop,
+    )
 
 
 def _guard_overhead_ratio(
@@ -129,13 +113,11 @@ def _guard_overhead_ratio(
 ) -> float:
     """Guarded-over-unguarded lookup rate on the batched serving path.
 
-    Same interleaved best-of-attempts protocol as
-    :func:`_metrics_overhead_ratio`.  The healthy-path cost of the
-    resilience plane is a handful of ``is None`` tests per batch, so
-    the enforced budget is the same 0.98 (docs/resilience.md).
+    Same estimator as :func:`_metrics_overhead_ratio`.  The
+    healthy-path cost of the resilience plane is a handful of
+    ``is None`` tests per batch, so the enforced budget is the same
+    0.98 (docs/resilience.md).
     """
-    import timeit
-
     from repro.core.table import build_matcher
     from repro.resilience.guard import GuardRail
 
@@ -149,23 +131,14 @@ def _guard_overhead_ratio(
     )
     plain.lookup_batch(queries)  # warm both caches before timing
     guarded.lookup_batch(queries)
-    best_ratio = 0.0
-    for _attempt in range(attempts):
-        best_plain = float("inf")
-        best_guarded = float("inf")
-        for _ in range(rounds):
-            best_plain = min(
-                best_plain, timeit.timeit(lambda: plain.lookup_batch(queries), number=10)
-            )
-            best_guarded = min(
-                best_guarded,
-                timeit.timeit(lambda: guarded.lookup_batch(queries), number=10),
-            )
-        ratio = clamp_seconds(best_plain) / clamp_seconds(best_guarded)
-        best_ratio = max(best_ratio, ratio)
-        if best_ratio >= early_stop:
-            break
-    return best_ratio
+    return best_of_attempts_ratio(
+        lambda: plain.lookup_batch(queries),
+        lambda: guarded.lookup_batch(queries),
+        rounds=rounds,
+        attempts=attempts,
+        number=10,
+        early_stop=early_stop,
+    )
 
 
 def main(smoke: bool = False) -> dict[str, float]:

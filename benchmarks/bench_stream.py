@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.bench.harness import clamp_seconds, safe_rate
+from repro.bench.harness import safe_rate
 from repro.config import EngineConfig
 from repro.core.table import build_matcher
 from repro.engine import ClassificationEngine
+from repro.obs.timing import best_of_attempts_ratio
 from repro.stream import DROPPED, ScenarioSource, StreamPipeline, TraceSource, batch_replay
 from repro.workloads import churn_applier, scenario_names, zipf_trace
 from repro.workloads.scenarios import all_scenarios, get_scenario
@@ -97,24 +98,16 @@ def hist_overhead_ratio(
 
     Both pipelines drive the *same* warmed engine over the same
     flow-diverse zipf trace (2048 flows against a 256-entry result
-    cache, so the matcher does representative per-packet work).  One
-    attempt times the two interleaved (order alternating per round)
-    and takes the ratio of per-side minimums.
-
-    A single attempt is not trustworthy: on a shared box the noise
-    floor is +/-5 % *between identical pipelines* (measured), swamping
-    a 2 % budget.  But noise only ever slows a run, so an attempt's
-    ratio under-estimates the true ratio far more often than it
-    over-estimates — the pyperf-style fix is best-of-``attempts``:
-    independent attempts, keep the max, stop early once one clears
-    ``early_stop``.  A pipeline that truly busts the budget (the
+    cache, so the matcher does representative per-packet work), timed
+    with :func:`repro.obs.timing.best_of_attempts_ratio`.  A single
+    attempt is not trustworthy: on a shared box the noise floor is
+    +/-5 % *between identical pipelines* (measured), swamping a 2 %
+    budget.  A pipeline that truly busts the budget (the
     pre-amortisation implementation measured 0.60-0.92x here) never
     produces a clean attempt; a compliant one almost always does
     within a few tries.  1.0 means the latency histograms are free;
     the budget is >= 0.98.
     """
-    import timeit
-
     from repro.workloads.campus import campus_acl
 
     acl = campus_acl(2)
@@ -128,29 +121,14 @@ def hist_overhead_ratio(
     source = TraceSource(queries, length, burst_size=64)
     plain = StreamPipeline(engine, histograms=False)
     instrumented = StreamPipeline(engine, histograms=True)
-    time_plain = lambda: plain.run(source)  # noqa: E731
-    time_inst = lambda: instrumented.run(source)  # noqa: E731
-
-    best_ratio = 0.0
-    for _attempt in range(attempts):
-        best_plain = float("inf")
-        best_instrumented = float("inf")
-        for round_index in range(rounds):
-            if round_index % 2 == 0:
-                best_plain = min(best_plain, timeit.timeit(time_plain, number=4))
-                best_instrumented = min(
-                    best_instrumented, timeit.timeit(time_inst, number=4)
-                )
-            else:
-                best_instrumented = min(
-                    best_instrumented, timeit.timeit(time_inst, number=4)
-                )
-                best_plain = min(best_plain, timeit.timeit(time_plain, number=4))
-        ratio = clamp_seconds(best_plain) / clamp_seconds(best_instrumented)
-        best_ratio = max(best_ratio, ratio)
-        if best_ratio >= early_stop:
-            break
-    return best_ratio
+    return best_of_attempts_ratio(
+        lambda: plain.run(source),
+        lambda: instrumented.run(source),
+        rounds=rounds,
+        attempts=attempts,
+        number=4,
+        early_stop=early_stop,
+    )
 
 
 def run_scenario(

@@ -42,7 +42,6 @@ from .core import (
     BasicPalmtrie,
     FrozenMatcher,
     FrozenPoptrie,
-    LearnedMatcher,
     LookupStats,
     MultibitPalmtrie,
     PalmtriePlus,
@@ -101,7 +100,6 @@ __all__ = [
     "FrozenPoptrie",
     "LAYOUT_V4",
     "LAYOUT_V6",
-    "LearnedMatcher",
     "LookupStats",
     "MATCHER_KINDS",
     "MultibitPalmtrie",

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..acl.compiler import CompiledAcl
 from ..acl.rule import Action
-from ..config import _UNSET, EngineConfig, fold_legacy_kwargs
+from ..config import DEFAULT_CONFIG, EngineConfig
 from ..core.plus import PalmtriePlus
 from ..core.table import TernaryMatcher
 from ..engine import ClassificationEngine
@@ -81,24 +81,12 @@ class StatefulFirewall:
         closing_timeout: float = 10.0,
         max_connections: int = 1_000_000,
         config: Optional[EngineConfig] = None,
-        *,
-        cache_size: Union[int, object] = _UNSET,
-        auto_freeze: Union[bool, object] = _UNSET,
-        metrics: object = _UNSET,
-        resilience: object = _UNSET,
     ) -> None:
         if idle_timeout <= 0 or closing_timeout <= 0:
             raise ValueError("timeouts must be positive")
         if max_connections <= 0:
             raise ValueError("max_connections must be positive")
-        config = fold_legacy_kwargs(
-            config,
-            owner="StatefulFirewall",
-            cache_size=cache_size,
-            auto_freeze=auto_freeze,
-            metrics=metrics,
-            resilience=resilience,
-        )
+        config = config if config is not None else DEFAULT_CONFIG
         self.acl = acl
         self.config = config
         self.engine = ClassificationEngine.from_config(

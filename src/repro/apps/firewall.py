@@ -10,12 +10,12 @@ source-trie updates + recompilation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ..acl.compiler import CompiledAcl, compile_acl
 from ..acl.parser import parse_acl
 from ..acl.rule import AclRule, Action
-from ..config import _UNSET, EngineConfig, fold_legacy_kwargs
+from ..config import DEFAULT_CONFIG, EngineConfig
 from ..core.plus import PalmtriePlus
 from ..engine import ClassificationEngine
 from ..packet.codec import PacketDecodeError, decode_packet
@@ -43,19 +43,8 @@ class Firewall:
         *,
         stride: Optional[int] = None,
         default_action: Action = Action.DENY,
-        cache_size: Union[int, object] = _UNSET,
-        auto_freeze: Union[bool, object] = _UNSET,
-        metrics: object = _UNSET,
-        resilience: object = _UNSET,
     ) -> None:
-        config = fold_legacy_kwargs(
-            config,
-            owner="Firewall",
-            cache_size=cache_size,
-            auto_freeze=auto_freeze,
-            metrics=metrics,
-            resilience=resilience,
-        )
+        config = config if config is not None else DEFAULT_CONFIG
         if stride is not None:
             config = config.replace(stride=stride)
         self.acl = acl

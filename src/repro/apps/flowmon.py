@@ -15,9 +15,9 @@ Palmtrie+ is the default, and the classes are arbitrary rule values
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Iterable, Iterator, Optional
 
-from ..config import _UNSET, EngineConfig, fold_legacy_kwargs
+from ..config import DEFAULT_CONFIG, EngineConfig
 from ..core.plus import PalmtriePlus
 from ..core.table import TernaryEntry, TernaryMatcher
 from ..engine import ClassificationEngine
@@ -76,22 +76,10 @@ class FlowMonitor:
         idle_timeout: float = 60.0,
         default_class: Any = None,
         config: Optional[EngineConfig] = None,
-        *,
-        cache_size: Union[int, object] = _UNSET,
-        auto_freeze: Union[bool, object] = _UNSET,
-        metrics: object = _UNSET,
-        resilience: object = _UNSET,
     ) -> None:
         if idle_timeout <= 0:
             raise ValueError(f"idle timeout must be positive, got {idle_timeout}")
-        config = fold_legacy_kwargs(
-            config,
-            owner="FlowMonitor",
-            cache_size=cache_size,
-            auto_freeze=auto_freeze,
-            metrics=metrics,
-            resilience=resilience,
-        )
+        config = config if config is not None else DEFAULT_CONFIG
         entries = list(entries)
         self.config = config
         self.engine = ClassificationEngine.from_config(

@@ -19,11 +19,11 @@ tracking, no ARP — next hops are port indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from ..acl.compiler import CompiledAcl
 from ..acl.rule import Action
-from ..config import _UNSET, EngineConfig, fold_legacy_kwargs
+from ..config import DEFAULT_CONFIG, EngineConfig
 from ..core.plus import PalmtriePlus
 from ..core.poptrie import Poptrie
 from ..core.table import TernaryMatcher
@@ -68,22 +68,10 @@ class L3Forwarder:
         matcher: Optional[TernaryMatcher] = None,
         default_action: Action = Action.DENY,
         config: Optional[EngineConfig] = None,
-        *,
-        cache_size: Union[int, object] = _UNSET,
-        auto_freeze: Union[bool, object] = _UNSET,
-        metrics: object = _UNSET,
-        resilience: object = _UNSET,
     ) -> None:
         """``routes`` are ``(prefix_bits, prefix_len, out_port)`` over the
         destination address; ``acl`` decides permit/deny first."""
-        config = fold_legacy_kwargs(
-            config,
-            owner="L3Forwarder",
-            cache_size=cache_size,
-            auto_freeze=auto_freeze,
-            metrics=metrics,
-            resilience=resilience,
-        )
+        config = config if config is not None else DEFAULT_CONFIG
         self.acl = acl
         self.config = config
         self.engine = ClassificationEngine.from_config(

@@ -53,7 +53,7 @@ class TcamModel(TernaryMatcher):
     Entries occupy TCAM slots in priority order (highest first), the
     way a router driver programs them; lookup scans in slot order and
     returns the first hit — semantically identical to the hardware's
-    parallel compare + priority encoder.  ``lookup_counted`` charges
+    parallel compare + priority encoder.  ``profile_lookup`` charges
     exactly one "visit" per lookup: the single-cycle hardware model.
     """
 

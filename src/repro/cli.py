@@ -166,7 +166,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .config import EngineConfig
-    from .core.serialize import save_frozen, save_learned, save_plus
+    from .core.serialize import save_frozen, save_plus
     from .core.table import build_matcher
 
     rules = _load_rules(args.acl)
@@ -184,25 +184,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                f"(-{100 * compression_ratio(entries, squeezed):.0f} %)"
         entries = squeezed
 
-    # The adaptive knobs only exist on the frozen plane.
-    wants_learned = args.matcher == "learned"
-    wants_frozen = (
-        args.matcher == "frozen"
-        or args.frozen
-        or args.layout != "build"
-        or args.autotune
-    )
-    if wants_learned and wants_frozen:
-        print(
-            "error: --matcher learned cannot combine with the frozen-plane "
-            "knobs (--frozen/--layout/--autotune)",
-            file=sys.stderr,
-        )
-        return 2
+    # The layout knob only exists on the frozen plane.
+    wants_frozen = args.matcher == "frozen" or args.frozen or args.layout != "build"
     trace_queries: Optional[list] = None
-    if args.autotune and not args.trace:
-        print("error: --autotune requires --trace WORKLOAD", file=sys.stderr)
-        return 2
     if args.trace:
         from .workloads.io import load_trace
 
@@ -219,61 +203,23 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             )
             return 2
 
-    plan = None
-    if args.autotune:
-        from .core.adaptive import autotune
-
-        probe = PalmtriePlus.build(entries, key_length, stride=args.stride)
-        result = autotune(probe, trace_queries)
-        plan = result.plan
-        print(
-            f"autotune: {plan.describe()} "
-            f"(global best uniform stride {result.global_best_stride}, "
-            f"{result.evaluations} candidates timed)",
-            file=sys.stderr,
-        )
-        if args.plan_out:
-            import json
-
-            with open(args.plan_out, "w") as handle:
-                json.dump(plan.to_json(), handle, indent=2)
-                handle.write("\n")
-            print(f"wrote stride plan to {args.plan_out}", file=sys.stderr)
-
     # One uniform build path: every constructor knob rides on the
     # config (build_matcher forwards the knobs each kind declares).
     matcher_kwargs = {}
     if args.layout == "hot" and trace_queries:
         matcher_kwargs["layout_trace"] = trace_queries
-    if wants_learned:
-        kind = "learned"
-    elif wants_frozen:
-        kind = "frozen"
-    else:
-        kind = "palmtrie-plus"
     config = EngineConfig(
-        matcher=kind,
+        matcher="frozen" if wants_frozen else "palmtrie-plus",
         stride=args.stride,
         frozen_layout=args.layout,
-        stride_plan=plan,
         matcher_kwargs=matcher_kwargs,
     )
     matcher = build_matcher(config, entries, key_length)
-    if wants_learned:
-        written = save_learned(matcher, args.output)
-        form = "learned table"
-        report = matcher.model_report()
-        note += (
-            f", {report['isets']} iSets covering "
-            f"{100 * report['coverage_ratio']:.0f} % of rules"
-        )
-    elif wants_frozen:
+    if wants_frozen:
         written = save_frozen(matcher, args.output)
         form = "frozen table"
         if args.layout == "hot":
             note += ", hot layout"
-        if plan is not None:
-            note += f", plan [{plan.describe()}]"
     else:
         written = save_plus(matcher, args.output)
         form = "table"
@@ -286,7 +232,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from .core.frozen import FrozenMatcher
-    from .core.learned import LearnedMatcher
     from .core.plus import PalmtriePlus as _Plus
 
     magic = _sniff_magic(args.policy)
@@ -304,27 +249,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         internals, leaves = matcher.node_count()
         print(f"  nodes:      {internals} internal, {leaves} leaves")
         print(f"  layout:     {matcher.layout_applied}")
-        plan = matcher.plan
-        if plan is None:
-            print(f"  stride:     {matcher.stride} (uniform)")
-        else:
-            print(f"  stride:     plan [{plan.describe()}]")
-            for slot, s in plan.subtrie_strides:
-                print(f"              slot {slot} -> stride {s}")
-    elif isinstance(matcher, LearnedMatcher):
-        report = matcher.model_report()
-        print(f"  stride:     {matcher.stride} (remainder)")
-        print(
-            f"  models:     {report['isets']} iSets "
-            f"({report['submodels']} submodels), sizes {report['iset_sizes']}"
-        )
-        print(
-            f"  coverage:   {report['iset_rules']} rules learned, "
-            f"{report['remainder_rules']} in the remainder "
-            f"({100 * report['coverage_ratio']:.1f} % learned)"
-        )
-        print(f"  max error:  {report['max_error']:.3f} (probe window half-width)")
-        print(f"  training:   {report['train_seconds_total'] * 1e3:.1f} ms")
+        print(f"  stride:     {matcher.stride} (uniform)")
     elif isinstance(matcher, _Plus):
         print(f"  stride:     {matcher.stride} (uniform)")
     return 0
@@ -415,7 +340,6 @@ def _read_queries(input_path: str, layout, expected_length: int) -> Optional[lis
 _POLICY_MAGICS = {
     b"PLM+": "Palmtrie+ table",
     b"PLMF": "frozen plane",
-    b"PLML": "learned table",
 }
 
 
@@ -433,13 +357,9 @@ def _load_binary_policy(path: str, magic: bytes):
     """A matcher from a compiled ``.plm``/``.plmf`` file, or None with a
     one-line error + re-compile hint on stderr (never a traceback) —
     corrupt and truncated tables must fail closed at the CLI edge."""
-    from .core.serialize import FormatError, load_frozen, load_learned, load_plus
+    from .core.serialize import FormatError, load_frozen, load_plus
 
-    loader = {
-        b"PLM+": load_plus,
-        b"PLMF": load_frozen,
-        b"PLML": load_learned,
-    }[magic]
+    loader = {b"PLM+": load_plus, b"PLMF": load_frozen}[magic]
     try:
         return loader(path)
     except FormatError as exc:
@@ -1247,11 +1167,10 @@ def build_parser() -> argparse.ArgumentParser:
              "mutable Palmtrie+ table",
     )
     p_compile.add_argument(
-        "--matcher", choices=("palmtrie-plus", "frozen", "learned"),
+        "--matcher", choices=("palmtrie-plus", "frozen"),
         default=None,
-        help="table form to emit: palmtrie-plus (default), frozen "
-             "(same as --frozen), or learned (RQ-RMI range models + "
-             "remainder, .plml)",
+        help="table form to emit: palmtrie-plus (default) or frozen "
+             "(same as --frozen)",
     )
     p_compile.add_argument(
         "--layout", choices=("build", "hot"), default="build",
@@ -1259,24 +1178,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(walk-frequency order from --trace; implies --frozen)",
     )
     p_compile.add_argument(
-        "--autotune", action="store_true",
-        help="search per-subtrie strides against --trace and compile the "
-             "winning StridePlan into the plane (implies --frozen)",
-    )
-    p_compile.add_argument(
         "--trace", metavar="PATH",
         help="binary workload trace (palmtrie-repro generate --trace) "
-             "driving --autotune scoring and the --layout hot frequency pass",
-    )
-    p_compile.add_argument(
-        "--plan-out", metavar="PATH",
-        help="also write the autotuned StridePlan as JSON to PATH",
+             "driving the --layout hot frequency pass",
     )
     p_compile.set_defaults(func=_cmd_compile)
 
     p_inspect = sub.add_parser(
         "inspect",
-        help="describe a compiled .plm/.plmf policy: geometry, layout, plan",
+        help="describe a compiled .plm/.plmf policy: geometry, layout",
     )
     p_inspect.add_argument("policy", help="a compiled .plm or .plmf file")
     p_inspect.set_defaults(func=_cmd_inspect)

@@ -17,37 +17,15 @@ that sprawl with one typed, validated value object:
   surface);
 * :func:`serve` — the one-call facade: ACL text (or parsed rules, or an
   already-compiled ACL) plus a config in, a serving engine out.
-
-The legacy keyword knobs keep working on ``ClassificationEngine`` and
-the four apps through a shim that folds them into an
-:class:`EngineConfig` and emits :class:`DeprecationWarning`
-(``docs/api.md`` has the migration table); CI runs the test suite with
-``-W error::DeprecationWarning`` so deprecated call sites cannot creep
-back into this repo.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Type, Union
 
 __all__ = ["EngineConfig", "serve", "DEFAULT_CONFIG"]
-
-#: sentinel distinguishing "knob not passed" from an explicit None
-_UNSET: Any = object()
-
-#: the engine knobs the legacy keyword shim accepts, in signature order
-LEGACY_ENGINE_KNOBS = (
-    "cache_size",
-    "auto_freeze",
-    "invalidation_threshold",
-    "metrics",
-    "resilience",
-    "shards",
-)
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -87,10 +65,6 @@ class EngineConfig:
     #: re-emits nodes in walk-frequency order (PR 7; needs a trace or
     #: sampled traffic to order by — "build" otherwise)
     frozen_layout: str = "build"
-    #: per-subtrie stride plan consumed by the frozen plane (a
-    #: :class:`repro.core.frozen.StridePlan`, usually from
-    #: :func:`repro.core.adaptive.autotune`; None = uniform ``stride``)
-    stride_plan: Optional[Any] = None
     #: worker processes of the sharded data plane (0 = in-process)
     shards: int = 0
     #: seconds a shard worker may take to answer one burst before it is
@@ -142,13 +116,6 @@ class EngineConfig:
             raise ValueError(
                 f"frozen_layout must be 'build' or 'hot', got {self.frozen_layout!r}"
             )
-        if self.stride_plan is not None:
-            from .core.frozen import StridePlan
-
-            if not isinstance(self.stride_plan, StridePlan):
-                raise TypeError(
-                    f"stride_plan must be a StridePlan, got {self.stride_plan!r}"
-                )
 
     # -- derivation ------------------------------------------------------
 
@@ -183,50 +150,17 @@ class EngineConfig:
             and getattr(cls, "accepts_stride", False)
         ):
             kwargs["stride"] = self.stride
-        if getattr(cls, "accepts_layout", False):
-            if self.frozen_layout != "build" and "layout" not in kwargs:
-                kwargs["layout"] = self.frozen_layout
-            if self.stride_plan is not None and "plan" not in kwargs:
-                kwargs["plan"] = self.stride_plan
+        if (
+            self.frozen_layout != "build"
+            and "layout" not in kwargs
+            and getattr(cls, "accepts_layout", False)
+        ):
+            kwargs["layout"] = self.frozen_layout
         return kwargs
 
 
 #: the all-defaults config (module-level so callers can compare against it)
 DEFAULT_CONFIG = EngineConfig()
-
-
-def fold_legacy_kwargs(
-    config: Optional[EngineConfig],
-    *,
-    owner: str,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> EngineConfig:
-    """Fold deprecated keyword knobs into an :class:`EngineConfig`.
-
-    ``legacy`` maps knob name -> value, where the module sentinel
-    ``_UNSET`` means "not passed".  Passing any knob emits one
-    :class:`DeprecationWarning` naming ``owner`` (the call surface being
-    migrated); combining legacy knobs with an explicit ``config`` is an
-    error — the caller cannot mean both.
-    """
-    passed = {name: value for name, value in legacy.items() if value is not _UNSET}
-    if not passed:
-        return config if config is not None else DEFAULT_CONFIG
-    if config is not None:
-        raise TypeError(
-            f"{owner}: pass EngineConfig or legacy keyword knobs, not both "
-            f"(got config= and {sorted(passed)})"
-        )
-    warnings.warn(
-        f"{owner}: the {', '.join(sorted(passed))} keyword knob"
-        f"{'s are' if len(passed) > 1 else ' is'} deprecated; pass "
-        f"config=EngineConfig({', '.join(f'{k}=...' for k in sorted(passed))}) "
-        "instead (docs/api.md has the migration table)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return DEFAULT_CONFIG.replace(**passed)
 
 
 def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:

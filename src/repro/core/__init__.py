@@ -5,7 +5,6 @@ from .basic import BasicPalmtrie
 from .categories import CategorizedEntry, CategorizedTable
 from .frozen import FrozenMatcher, FrozenPoptrie, freeze
 from .introspect import TrieShape, to_dot, trie_shape
-from .learned import LearnedMatcher
 from .multibit import MultibitPalmtrie
 from .patricia import PatriciaTrie
 from .pipeline import PipelinedLookup, PipelineStats
@@ -14,16 +13,12 @@ from .poptrie import Poptrie
 from .radix import RadixTree
 from .serialize import (
     deserialize_frozen,
-    deserialize_learned,
     deserialize_plus,
     load_frozen,
-    load_learned,
     load_plus,
     save_frozen,
-    save_learned,
     save_plus,
     serialize_frozen,
-    serialize_learned,
     serialize_plus,
 )
 from .table import LookupStats, TernaryEntry, TernaryMatcher, build_matcher
@@ -36,7 +31,6 @@ __all__ = [
     "CategorizedTable",
     "FrozenMatcher",
     "FrozenPoptrie",
-    "LearnedMatcher",
     "LookupStats",
     "MultibitPalmtrie",
     "PalmtriePlus",
@@ -51,18 +45,14 @@ __all__ = [
     "TrieShape",
     "build_matcher",
     "deserialize_frozen",
-    "deserialize_learned",
     "deserialize_plus",
     "extract_chunk",
     "freeze",
     "load_frozen",
-    "load_learned",
     "load_plus",
     "save_frozen",
-    "save_learned",
     "save_plus",
     "serialize_frozen",
-    "serialize_learned",
     "serialize_plus",
     "to_dot",
     "trie_shape",

@@ -1,200 +1,25 @@
-"""Adaptive layer: structure switching (§5) and frozen-plane tuning.
+"""Adaptive layer: structure switching (§5).
 
-Two kinds of adaptivity live here:
-
-* :class:`AdaptiveMatcher` — the paper's §5 policy: sorted lists win on
-  tiny ACLs, Palmtrie with a low branching order on medium ones, and
-  Palmtrie+ with a high branching order on large ones, with hysteresis
-  so flapping at the thresholds is avoided.
-
-* :func:`autotune` — the offline per-subtrie stride tuner for the
-  frozen plane (PR 7).  Given a built matcher and a workload trace it
-  first sweeps uniform candidate strides, then hill-climbs per
-  top-level-subtrie overrides, scoring each candidate by real lookup
-  timings over the trace plus a node-bytes regularizer.  The winner is
-  returned as a :class:`~repro.core.frozen.StridePlan` that
-  ``freeze(matcher, plan=...)`` (or ``EngineConfig(stride_plan=...)``)
-  consumes to build a variable-stride plane.  Walk-frequency capture
-  for the companion hot-first layout lives on the frozen plane itself
-  (``freeze(..., layout="hot", trace=...)`` replays a trace;
-  without one the plane orders by its sampled batch queries).
+:class:`AdaptiveMatcher` is the paper's §5 policy: sorted lists win on
+tiny ACLs, Palmtrie with a low branching order on medium ones, and
+Palmtrie+ with a high branching order on large ones, with hysteresis so
+flapping at the thresholds is avoided.  Workload-aware tuning of the
+frozen plane is its hot-first layout
+(``freeze(..., layout="hot", trace=...)``), which lives on the plane
+itself.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..baselines.sorted_list import SortedListMatcher
-from .frozen import FrozenMatcher, StridePlan, _plan_key_path, _root_slot
 from .multibit import MultibitPalmtrie
 from .plus import PalmtriePlus
 from .table import TernaryEntry, TernaryMatcher
 from .ternary import TernaryKey
 
-__all__ = ["AdaptiveMatcher", "AutotuneResult", "StridePlan", "autotune"]
-
-
-@dataclass(frozen=True)
-class AutotuneResult:
-    """What :func:`autotune` found.
-
-    ``plan`` is what ships; when no per-subtrie override beat the best
-    uniform stride it degenerates to the uniform plan
-    (``plan.is_uniform``), so consumers can treat "tuned" and
-    "global-best uniform" as one code path.
-    """
-
-    #: the winning plan (consume with ``freeze(matcher, plan=...)``)
-    plan: StridePlan
-    #: regularized score of ``plan`` (lower is better)
-    score: float
-    #: best *uniform* stride from the phase-1 sweep
-    global_best_stride: int
-    #: regularized score of the best uniform stride
-    global_score: float
-    #: candidate planes built and timed
-    evaluations: int = 0
-    #: (candidate description, score) per evaluation, in search order
-    history: tuple = field(default_factory=tuple)
-
-
-def _score_plane(
-    plane: FrozenMatcher,
-    sample: Sequence[int],
-    repeats: int,
-    bytes_weight: float,
-) -> float:
-    """Best-of-``repeats`` wall time over ``sample``, regularized by the
-    plane's node-byte footprint (``bytes_weight`` per MiB) so a stride
-    that wins by microseconds cannot buy the win with megabytes."""
-    lookup = plane.lookup
-    for query in sample:  # warm: first walk pays dispatch-cache misses
-        lookup(query)
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        for query in sample:
-            lookup(query)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best * (1.0 + bytes_weight * plane.memory_bytes() / (1 << 20))
-
-
-def autotune(
-    matcher: Any,
-    trace: Sequence[int],
-    *,
-    candidate_strides: Sequence[int] = (2, 4, 6, 8),
-    max_subtries: int = 8,
-    rounds: int = 2,
-    bytes_weight: float = 0.05,
-    sample: int = 256,
-    repeats: int = 3,
-    margin: float = 0.03,
-) -> AutotuneResult:
-    """Search per-top-level-subtrie strides against a workload trace.
-
-    Phase 1 sweeps ``candidate_strides`` as uniform planes and keeps the
-    best (the "global best" the CI gate compares against).  Phase 2
-    hill-climbs: the top-level subtries holding the most entries (at
-    most ``max_subtries``) each try the other candidate strides, and an
-    override is kept only when it beats the incumbent score by
-    ``margin`` — strict improvement, so the final plan never scores
-    worse than the global best uniform stride it started from.
-
-    Scoring builds the candidate frozen plane and times real scalar
-    lookups over (the first ``sample`` queries of) ``trace``,
-    best-of-``repeats``, times a ``bytes_weight``-per-MiB node-bytes
-    regularizer.  The tuner is offline — seconds of work, run it at
-    compile time (``palmtrie-repro compile --autotune --trace ...``),
-    not in the serving path.
-    """
-    if not trace:
-        raise ValueError("autotune needs a non-empty workload trace")
-    entries = list(matcher.entries())
-    if not entries:
-        raise ValueError("autotune needs a built matcher with entries")
-    key_length = matcher.key_length
-    sample_queries = list(trace[: max(1, sample)])
-    strides = sorted(
-        {s for s in candidate_strides if 1 <= s <= min(16, key_length)}
-    )
-    if not strides:
-        raise ValueError(
-            f"no candidate stride fits key length {key_length}: {candidate_strides}"
-        )
-
-    history: list[tuple[str, float]] = []
-    evaluations = 0
-
-    def score_plan(plan: Optional[StridePlan], stride: int) -> float:
-        nonlocal evaluations
-        plane = FrozenMatcher.build(entries, key_length, stride=stride, plan=plan)
-        evaluations += 1
-        return _score_plane(plane, sample_queries, repeats, bytes_weight)
-
-    # Phase 1: uniform sweep.
-    global_best_stride = strides[0]
-    global_score = float("inf")
-    for s in strides:
-        value = score_plan(None, s)
-        history.append((f"uniform:{s}", value))
-        if value < global_score:
-            global_score, global_best_stride = value, s
-
-    root = global_best_stride
-    best_plan = StridePlan(root, root)
-    best_score = global_score
-
-    # Phase 2: greedy per-subtrie overrides, largest subtries first.
-    base_plan = StridePlan(root, root)
-    occupancy: dict[int, int] = {}
-    for entry in entries:
-        steps = _plan_key_path(entry.key, base_plan)
-        if steps:
-            slot = _root_slot(steps[0], root)
-            occupancy[slot] = occupancy.get(slot, 0) + 1
-    ranked = sorted(occupancy, key=lambda slot: (-occupancy[slot], slot))
-    ranked = ranked[: max(0, max_subtries)]
-
-    for _ in range(max(1, rounds)):
-        improved = False
-        for slot in ranked:
-            current = best_plan.stride_for(slot)
-            for s in strides:
-                if s == current:
-                    continue
-                overrides = dict(best_plan.subtrie_strides)
-                overrides[slot] = s
-                candidate = StridePlan(
-                    root,
-                    root,
-                    tuple(sorted(overrides.items())),
-                )
-                value = score_plan(candidate, root)
-                history.append((f"slot:{slot}->{s}", value))
-                if value < best_score * (1.0 - margin):
-                    best_score, best_plan = value, candidate
-                    improved = True
-        if not improved:
-            break
-
-    # Drop overrides that match the default: canonical form.
-    kept = tuple(
-        (slot, s) for slot, s in best_plan.subtrie_strides if s != root
-    )
-    best_plan = StridePlan(root, root, kept)
-    return AutotuneResult(
-        plan=best_plan,
-        score=best_score,
-        global_best_stride=global_best_stride,
-        global_score=global_score,
-        evaluations=evaluations,
-        history=tuple(history),
-    )
+__all__ = ["AdaptiveMatcher"]
 
 
 class AdaptiveMatcher(TernaryMatcher):

@@ -47,15 +47,12 @@ source until the first mutation.
 
 from __future__ import annotations
 
-import struct
 import time
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .multibit import EXACT, TERNARY, MultibitPalmtrie, PathStep
-from .multibit import _Internal as _MbInternal
+from .multibit import MultibitPalmtrie
 from .multibit import _Leaf as _MbLeaf
 from .plus import PalmtriePlus, _PlusLeaf
 from .poptrie import Poptrie, _PoptrieNode
@@ -67,7 +64,7 @@ try:  # optional fast path, shared with repro.baselines.vectorized
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
 
-__all__ = ["FrozenMatcher", "FrozenPoptrie", "StridePlan", "freeze"]
+__all__ = ["FrozenMatcher", "FrozenPoptrie", "freeze"]
 
 _LANE_BITS = 64
 _LANE_MASK = (1 << _LANE_BITS) - 1
@@ -92,10 +89,9 @@ def _ternary_slots(stride: int) -> list[tuple[int, ...]]:
     tries): ``slots[i][l]`` is the don't-care slot for the length-l
     prefix of chunk ``i``.
 
-    Bounded LRU memo: with per-subtrie strides a long-lived server can
-    touch many stride values over its lifetime, and a stride-16 table
-    alone is 64 Ki tuples — the cache keeps the hottest few and exposes
-    the :func:`functools.lru_cache` surface (``cache_clear()`` /
+    Bounded LRU memo: a stride-16 table alone is 64 Ki tuples, so the
+    cache keeps the hottest few and exposes the
+    :func:`functools.lru_cache` surface (``cache_clear()`` /
     ``cache_info()``) so operators can drop the tables outright.
     """
     return [
@@ -109,250 +105,6 @@ def _iter_set_bits(bitmap: int) -> Iterator[int]:
         low = bitmap & -bitmap
         yield low.bit_length() - 1
         bitmap ^= low
-
-
-# ----------------------------------------------------------------------
-# Per-subtrie stride plans (the autotuner's output, consumed by freeze)
-# ----------------------------------------------------------------------
-
-_PLAN_HEADER = struct.Struct("<BBH")  # root stride, default stride, override count
-_PLAN_OVERRIDE = struct.Struct("<IB")  # top-level slot, stride
-
-
-@dataclass(frozen=True)
-class StridePlan:
-    """Variable-stride compilation plan for a frozen plane.
-
-    The root node consumes ``root_stride`` bits; each *top-level
-    subtrie* (one root slot in the unified slot space below) is built
-    with its own stride — ``default_stride`` unless overridden.  Slot
-    numbering: an exact chunk value ``c`` is slot ``c``; a ternary slot
-    ``h`` (the §3.4 don't-care index) is slot ``2**root_stride + h``,
-    so slots run ``0 .. 2**(root_stride+1) - 2``.
-
-    Plans come from :func:`repro.core.adaptive.autotune` (or are written
-    by hand), are consumed by :func:`freeze` /
-    :class:`FrozenMatcher`, and persist inside PLMF v2 images.
-    """
-
-    root_stride: int
-    default_stride: int
-    #: ((slot, stride), ...) overrides, kept sorted by slot
-    subtrie_strides: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        for name in ("root_stride", "default_stride"):
-            value = getattr(self, name)
-            if not 1 <= value <= 16:
-                raise ValueError(f"{name} must be in 1..16, got {value}")
-        overrides = tuple(sorted((int(s), int(k)) for s, k in self.subtrie_strides))
-        slot_limit = (1 << (self.root_stride + 1)) - 1
-        seen: set[int] = set()
-        for slot, stride in overrides:
-            if not 0 <= slot < slot_limit:
-                raise ValueError(
-                    f"subtrie slot {slot} out of range for root stride "
-                    f"{self.root_stride} (limit {slot_limit})"
-                )
-            if not 1 <= stride <= 16:
-                raise ValueError(f"subtrie stride must be in 1..16, got {stride}")
-            if slot in seen:
-                raise ValueError(f"duplicate subtrie slot {slot}")
-            seen.add(slot)
-        object.__setattr__(self, "subtrie_strides", overrides)
-        object.__setattr__(self, "_stride_map", dict(overrides))
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when the plan degenerates to one global stride."""
-        strides = {s for _, s in self.subtrie_strides}
-        strides.add(self.default_stride)
-        return strides == {self.root_stride}
-
-    def stride_for(self, slot: int) -> int:
-        """The stride of the subtrie under root ``slot``."""
-        return self._stride_map.get(slot, self.default_stride)  # type: ignore[attr-defined]
-
-    def validate(self, key_length: int) -> None:
-        """Check the plan fits keys of ``key_length`` bits."""
-        if key_length < self.root_stride:
-            raise ValueError(
-                f"root stride {self.root_stride} exceeds key length {key_length}"
-            )
-
-    def describe(self) -> str:
-        """Short human-readable summary (report()/CLI inspect)."""
-        return (
-            f"root={self.root_stride} default={self.default_stride} "
-            f"overrides={len(self.subtrie_strides)}"
-        )
-
-    # -- codecs ---------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        parts = [
-            _PLAN_HEADER.pack(self.root_stride, self.default_stride, len(self.subtrie_strides))
-        ]
-        parts.extend(_PLAN_OVERRIDE.pack(slot, stride) for slot, stride in self.subtrie_strides)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "StridePlan":
-        """Decode; raises ValueError on any malformation (the PLMF
-        reader's ``_guarded_decode`` turns that into FormatError)."""
-        if len(blob) < _PLAN_HEADER.size:
-            raise ValueError("truncated stride plan")
-        root, default, count = _PLAN_HEADER.unpack_from(blob)
-        need = _PLAN_HEADER.size + count * _PLAN_OVERRIDE.size
-        if len(blob) != need:
-            raise ValueError(f"stride plan length {len(blob)} != expected {need}")
-        overrides = tuple(
-            _PLAN_OVERRIDE.unpack_from(blob, _PLAN_HEADER.size + i * _PLAN_OVERRIDE.size)
-            for i in range(count)
-        )
-        return cls(root, default, overrides)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "root_stride": self.root_stride,
-            "default_stride": self.default_stride,
-            "subtrie_strides": [list(pair) for pair in self.subtrie_strides],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "StridePlan":
-        return cls(
-            int(doc["root_stride"]),
-            int(doc["default_stride"]),
-            tuple((int(s), int(k)) for s, k in doc.get("subtrie_strides", [])),
-        )
-
-
-def _plan_key_path(key: TernaryKey, plan: StridePlan) -> list[PathStep]:
-    """:func:`repro.core.multibit.key_path` under a variable-stride plan.
-
-    Step 0 consumes ``plan.root_stride`` bits; the step-0 branch picks
-    the subtrie, whose stride applies to every later step.  Two keys
-    sharing a step prefix therefore agree on every later chunk
-    boundary, which is what the split logic in :class:`_PlanTrie`
-    requires.
-    """
-    length = key.length
-    stride = plan.root_stride
-    if length < stride:
-        raise ValueError(f"key length {length} shorter than root stride {stride}")
-    data = key.data
-    mask = key.mask
-    steps: list[PathStep] = []
-    bit = length - stride
-    while True:
-        chunk_mask = (1 << stride) - 1
-        if bit >= 0:
-            chunk_data = (data >> bit) & chunk_mask
-            chunk_wild = (mask >> bit) & chunk_mask
-        else:
-            chunk_data = (data << -bit) & chunk_mask
-            chunk_wild = (mask << -bit) & chunk_mask
-        if chunk_wild == 0:
-            step: PathStep = (bit, EXACT, chunk_data)
-            done = bit <= 0
-            floor = bit
-        else:
-            star = chunk_wild.bit_length() - 1  # chunk-relative msb '*'
-            prefix_len = stride - 1 - star
-            prefix = chunk_data >> (star + 1)
-            step = (bit, TERNARY, (1 << prefix_len) + prefix - 1)
-            star_abs = bit + star
-            done = star_abs <= 0
-            floor = star_abs
-        steps.append(step)
-        if done:
-            return steps
-        if len(steps) == 1:
-            stride = plan.stride_for(_root_slot(step, plan.root_stride))
-        bit = floor - stride
-
-
-def _root_slot(step: PathStep, root_stride: int) -> int:
-    """A step-0 branch mapped into the plan's unified slot space."""
-    _, kind, index = step
-    return index if kind == EXACT else (1 << root_stride) + index
-
-
-class _VarInternal(_MbInternal):
-    """An internal node that remembers its own stride (plan tries)."""
-
-    __slots__ = ("stride",)
-
-    def __init__(self, bit: int, stride: int) -> None:
-        super().__init__(bit, stride)
-        self.stride = stride
-
-
-class _PlanTrie:
-    """Freeze-time-only variable-stride Palmtrie (no lookup surface).
-
-    Structurally a :class:`~repro.core.multibit.MultibitPalmtrie` whose
-    chunk width varies per subtree, built fresh from the source's
-    entries on every refreeze that carries a non-uniform
-    :class:`StridePlan`.  Only the pieces the freeze compiler walks
-    exist: ``_root``, ``descendants``/``ternaries``/``max_priority``
-    per node, and :class:`~repro.core.multibit._Leaf` leaves.
-    """
-
-    def __init__(self, key_length: int, plan: StridePlan) -> None:
-        plan.validate(key_length)
-        self.key_length = key_length
-        self.plan = plan
-        self._root = _VarInternal(key_length - plan.root_stride, plan.root_stride)
-
-    def insert(self, entry: TernaryEntry) -> None:
-        # The mirror of MultibitPalmtrie.insert over _plan_key_path:
-        # splits always happen at step j >= 1, inside one subtrie, so
-        # every spliced node takes that subtrie's stride.
-        key = entry.key
-        plan = self.plan
-        steps = _plan_key_path(key, plan)
-        sub_stride = plan.stride_for(_root_slot(steps[0], plan.root_stride))
-        node: _VarInternal = self._root
-        i = 0
-        while True:
-            node.max_priority = max(node.max_priority, entry.priority)
-            bit, kind, index = steps[i]
-            child = node.get(kind, index)
-            if child is None:
-                node.set(kind, index, _MbLeaf(entry))
-                break
-            if isinstance(child, _MbLeaf):
-                if child.key == key:
-                    child.add(entry)
-                    break
-                other = _plan_key_path(child.key, plan)
-                j = i + 1
-                while steps[j] == other[j]:
-                    j += 1
-                split = _VarInternal(steps[j][0], sub_stride)
-                split.max_priority = max(child.max_priority, entry.priority)
-                split.rep_steps = other
-                split.set(steps[j][1], steps[j][2], _MbLeaf(entry))
-                split.set(other[j][1], other[j][2], child)
-                node.set(kind, index, split)
-                break
-            rep = child.rep_steps
-            j = i + 1
-            while rep[j][0] > child.bit and steps[j] == rep[j]:
-                j += 1
-            if steps[j][0] == child.bit == rep[j][0]:
-                node = child
-                i = j
-                continue
-            split = _VarInternal(steps[j][0], sub_stride)
-            split.max_priority = max(child.max_priority, entry.priority)
-            split.rep_steps = rep
-            split.set(steps[j][1], steps[j][2], _MbLeaf(entry))
-            split.set(rep[j][1], rep[j][2], child)
-            node.set(kind, index, split)
-            break
 
 
 class FrozenMatcher(TernaryMatcher):
@@ -385,18 +137,11 @@ class FrozenMatcher(TernaryMatcher):
 
     # Adaptive-layer defaults, class-level so planes constructed via
     # ``__new__`` (deserialize, from_matcher) read as plain build-order
-    # uniform planes until told otherwise.
+    # planes until told otherwise.
     #: requested node layout ("build" or "hot"); applied on refreeze
     layout = "build"
     #: the layout the live arrays were actually emitted with
     layout_applied = "build"
-    #: the :class:`StridePlan` compiled into the live arrays, or None
-    _plan: Optional[StridePlan] = None
-    #: per-internal-node strides (array('B')/view) when the plan is
-    #: non-uniform, else None
-    _node_strides: Optional[Any] = None
-    #: per-internal-node dispatch row offsets, paired with _node_strides
-    _disp_base: Optional[Any] = None
     #: explicit workload trace for the hot layout's frequency pass
     _layout_trace: Optional[list[int]] = None
     #: passive reservoir of batch queries (hot layout only, bounded)
@@ -408,7 +153,6 @@ class FrozenMatcher(TernaryMatcher):
         stride: int = 8,
         subtree_skipping: bool = True,
         layout: str = "build",
-        plan: Optional[StridePlan] = None,
         layout_trace: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__(key_length)
@@ -416,7 +160,7 @@ class FrozenMatcher(TernaryMatcher):
             raise ValueError(f"stride must be in 1..30, got {stride}")
         self.stride = stride
         self.subtree_skipping = subtree_skipping
-        self._init_adaptive(layout, plan, layout_trace)
+        self._init_adaptive(layout, layout_trace)
         self._source: Optional[TernaryMatcher] = MultibitPalmtrie(
             key_length, stride=stride, subtree_skipping=subtree_skipping
         )
@@ -430,19 +174,13 @@ class FrozenMatcher(TernaryMatcher):
     def _init_adaptive(
         self,
         layout: str,
-        plan: Optional[StridePlan],
         layout_trace: Optional[Sequence[int]],
     ) -> None:
-        """Validate and store the layout/plan knobs (shared by the
+        """Validate and store the layout knobs (shared by the
         constructor paths)."""
         if layout not in _LAYOUTS:
             raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
-        if plan is not None:
-            if not isinstance(plan, StridePlan):
-                raise TypeError(f"plan must be a StridePlan, got {type(plan).__name__}")
-            plan.validate(self.key_length)
         self.layout = layout
-        self._plan = plan
         self._layout_trace = list(layout_trace) if layout_trace else None
         self._query_samples = [] if layout == "hot" else None
 
@@ -469,7 +207,6 @@ class FrozenMatcher(TernaryMatcher):
         source: TernaryMatcher,
         *,
         layout: str = "build",
-        plan: Optional[StridePlan] = None,
         layout_trace: Optional[Sequence[int]] = None,
     ) -> "FrozenMatcher":
         """Compile an existing built trie (the :func:`freeze` entry point)."""
@@ -482,7 +219,7 @@ class FrozenMatcher(TernaryMatcher):
         TernaryMatcher.__init__(frozen, source.key_length)
         frozen.stride = source.stride
         frozen.subtree_skipping = source.subtree_skipping
-        frozen._init_adaptive(layout, plan, layout_trace)
+        frozen._init_adaptive(layout, layout_trace)
         frozen._source = source
         frozen._pending_entries = None
         frozen._dirty = True
@@ -545,39 +282,11 @@ class FrozenMatcher(TernaryMatcher):
         """Recompile the arrays from the source trie."""
         freeze_start = time.perf_counter()
         source = self._hydrate_source()
-        plan = self._plan
-        emission: Any = source
-        strided = False
-        if plan is not None:
-            # A uniform plan is exactly one global stride: compile it on
-            # the fast uniform path (and reuse the source outright when
-            # its stride already matches).  Only non-uniform plans pay
-            # for the variable-stride plan trie.
-            self.stride = plan.root_stride
-            if plan.is_uniform:
-                if not (
-                    isinstance(source, (MultibitPalmtrie, PalmtriePlus))
-                    and source.stride == plan.root_stride
-                ):
-                    rebuilt = MultibitPalmtrie(
-                        self.key_length,
-                        stride=plan.root_stride,
-                        subtree_skipping=self.subtree_skipping,
-                    )
-                    for entry in source.entries():  # type: ignore[attr-defined]
-                        rebuilt.insert(entry)
-                    emission = rebuilt
-            else:
-                plant = _PlanTrie(self.key_length, plan)
-                for entry in source.entries():  # type: ignore[attr-defined]
-                    plant.insert(entry)
-                emission = plant
-                strided = True
-        if isinstance(emission, PalmtriePlus):
-            if emission._dirty:
-                emission.compile()
-            root: Any = emission._root
-            plus_nodes = emission._nodes
+        if isinstance(source, PalmtriePlus):
+            if source._dirty:
+                source.compile()
+            root: Any = source._root
+            plus_nodes = source._nodes
 
             def successors(node: Any) -> tuple[dict[int, Any], dict[int, Any]]:
                 exact = {
@@ -593,7 +302,7 @@ class FrozenMatcher(TernaryMatcher):
             def is_leaf(node: Any) -> bool:
                 return type(node) is _PlusLeaf
         else:
-            root = emission._root
+            root = source._root  # type: ignore[attr-defined]
 
             def successors(node: Any) -> tuple[dict[int, Any], dict[int, Any]]:
                 exact = {i: c for i, c in enumerate(node.descendants) if c is not None}
@@ -623,7 +332,7 @@ class FrozenMatcher(TernaryMatcher):
             order.extend(ternary.values())
 
         hot = self.layout == "hot"
-        self._emit(internals, leaves, kids, strided, hot)
+        self._emit(internals, leaves, kids, hot)
         if hot and len(internals) + len(leaves) > 2:
             # Frequency pass: replay a bounded trace over the freshly
             # emitted arrays, then re-emit with nodes renumbered in
@@ -652,7 +361,7 @@ class FrozenMatcher(TernaryMatcher):
                 )
                 internals = [internals[0]] + [internals[x] for x in iorder]
                 leaves = [leaves[j] for j in lorder]
-                self._emit(internals, leaves, kids, strided, hot, win_mass=mass)
+                self._emit(internals, leaves, kids, hot, win_mass=mass)
         self.layout_applied = "hot" if hot else "build"
         self._dirty = False
         self._freeze_count += 1
@@ -664,15 +373,13 @@ class FrozenMatcher(TernaryMatcher):
         internals: list[Any],
         leaves: list[Any],
         kids: dict[int, tuple[dict[int, Any], dict[int, Any]]],
-        strided: bool,
         hot: bool,
         win_mass: Optional[dict[int, int]] = None,
     ) -> None:
         """Pass 2: emit the flat arrays for one node ordering.
 
-        A pure function of the node lists (plus the per-node strides
-        they carry when ``strided``): the hot layout simply reorders the
-        lists and calls this again, and every dispatch/push/leaf index
+        A pure function of the node lists: the hot layout simply
+        reorders the lists and calls this again, and every dispatch/push/leaf index
         comes out remapped automatically.  ``win_mass`` (hot layout,
         second pass) maps ``id(node)`` to the trace-measured frequency
         of the answer living under that node; runs are ordered by it so
@@ -690,18 +397,7 @@ class FrozenMatcher(TernaryMatcher):
             for leaf in leaves:
                 mass_arr[ids[id(leaf)]] = win_mass.get(id(leaf), 0)
 
-        if strided:
-            node_strides = [node.stride for node in internals]
-            disp_base: Optional[list[int]] = []
-            total = 0
-            for s in node_strides:
-                disp_base.append(total)
-                total += 1 << s
-            dispatch = array("I", bytes(4 * total))
-        else:
-            node_strides = None
-            disp_base = None
-            dispatch = array("I", bytes(4 * (first_leaf << stride)))
+        dispatch = array("I", bytes(4 * (first_leaf << stride)))
 
         bit_arr = array("i", bytes(4 * first_leaf))
         maxp_arr = array("q", bytes(8 * (first_leaf + len(leaves))))
@@ -715,12 +411,11 @@ class FrozenMatcher(TernaryMatcher):
 
         push: list[int] = []
         run_pool: dict[tuple[int, ...], int] = {}
+        slots_of = _ternary_slots(stride)
         for x, node in enumerate(internals):
-            s = node_strides[x] if strided else stride
-            slots_of = _ternary_slots(s)
-            base_slot = disp_base[x] if strided else x << stride
+            base_slot = x << stride
             exact, ternary = kids[id(node)]
-            for chunk in range(1 << s):
+            for chunk in range(1 << stride):
                 run: list[int] = []
                 child = exact.get(chunk)
                 if child is not None:
@@ -784,15 +479,11 @@ class FrozenMatcher(TernaryMatcher):
         self._leaf_entry_count = entry_count
         self._entry_table = entry_table
         self._first_leaf = first_leaf
-        self._node_strides = array("B", node_strides) if strided else None
-        self._disp_base = array("Q", disp_base) if strided else None
         # Hot mirrors for the scalar interpreter loop: indexing an
         # ``array`` boxes a fresh int on every access; these lists hold
         # the already-boxed values, and one attribute load + unpack per
         # lookup replaces a dozen.  The NumPy batch path reads the array
-        # buffers zero-copy instead (see _numpy_views).  The last two
-        # members are the variable-stride dispatch geometry (None for
-        # uniform planes, whose loops keep the global stride/mask).
+        # buffers zero-copy instead (see _numpy_views).
         self._hot = (
             list(maxp_arr),
             list(bit_arr),
@@ -805,8 +496,6 @@ class FrozenMatcher(TernaryMatcher):
             stride,
             (1 << stride) - 1,
             self.subtree_skipping,
-            list(disp_base) if strided else None,
-            [(1 << s) - 1 for s in node_strides] if strided else None,
         )
         self._np_cache: Optional[dict[str, Any]] = None
 
@@ -818,7 +507,7 @@ class FrozenMatcher(TernaryMatcher):
         each query's multiplicity in the trace."""
         (
             maxp, bits, dispatch, push, data, care, _best_of,
-            first_leaf, stride, chunk_mask, skipping, dbase, nmask,
+            first_leaf, stride, chunk_mask, skipping,
         ) = self._hot
         freq: dict[int, int] = {}
         for q in trace:
@@ -850,19 +539,14 @@ class FrozenMatcher(TernaryMatcher):
                         win_leaf[g] = j
                 continue
             b = bits[x]
-            if dbase is None:
-                base_slot = x << stride
-                cm = chunk_mask
-            else:
-                base_slot = dbase[x]
-                cm = nmask[x]
+            base_slot = x << stride
             buckets: dict[int, list[int]] = {}
             if b >= 0:
                 for g in group:
-                    buckets.setdefault((unique[g] >> b) & cm, []).append(g)
+                    buckets.setdefault((unique[g] >> b) & chunk_mask, []).append(g)
             else:
                 for g in group:
-                    buckets.setdefault((unique[g] << -b) & cm, []).append(g)
+                    buckets.setdefault((unique[g] << -b) & chunk_mask, []).append(g)
             for chunk, bucket in buckets.items():
                 packed = dispatch[base_slot + chunk]
                 c = packed & _COUNT_MASK
@@ -889,12 +573,10 @@ class FrozenMatcher(TernaryMatcher):
             injector.check("frozen_walk")
         (
             maxp, bits, dispatch, push, data, care, best_of,
-            first_leaf, stride, chunk_mask, skipping, dbase, nmask,
+            first_leaf, stride, chunk_mask, skipping,
         ) = self._hot
         if first_leaf == 0 and not data:
             return None
-        if dbase is not None:
-            return self._lookup_strided(query)
         count_mask = _COUNT_MASK
         count_bits = _COUNT_BITS
         result: Optional[TernaryEntry] = None
@@ -934,55 +616,13 @@ class FrozenMatcher(TernaryMatcher):
                 extend(push[base : base + c - 1])
         return result
 
-    def _lookup_strided(self, query: int) -> Optional[TernaryEntry]:
-        """The scalar loop for variable-stride planes: identical walk,
-        with the dispatch row base and chunk mask read per node."""
-        (
-            maxp, bits, dispatch, push, data, care, best_of,
-            first_leaf, _stride, _chunk_mask, skipping, dbase, nmask,
-        ) = self._hot
-        count_mask = _COUNT_MASK
-        count_bits = _COUNT_BITS
-        result: Optional[TernaryEntry] = None
-        result_priority = -1
-        stack = [0]
-        pop = stack.pop
-        extend = stack.extend
-        while stack:
-            x = pop()
-            while True:
-                mp = maxp[x]
-                if skipping and result_priority > mp:
-                    break
-                if x >= first_leaf:
-                    j = x - first_leaf
-                    if query & care[j] == data[j] and mp > result_priority:
-                        result = best_of[j]
-                        result_priority = mp
-                    break
-                b = bits[x]
-                if b >= 0:
-                    packed = dispatch[dbase[x] + ((query >> b) & nmask[x])]
-                else:
-                    packed = dispatch[dbase[x] + ((query << -b) & nmask[x])]
-                c = packed & count_mask
-                if c == 1:
-                    x = packed >> count_bits
-                    continue
-                if c == 0:
-                    break
-                base = packed >> count_bits
-                x = push[base + c - 1]
-                extend(push[base : base + c - 1])
-        return result
-
     def lookup_all(self, query: int) -> list[TernaryEntry]:
         """All matching entries, highest priority first (no skipping)."""
         if self._dirty:
             self._refreeze()
         (
             _maxp, bits, dispatch, push, data, care, _best_of,
-            first_leaf, stride, chunk_mask, _skipping, dbase, nmask,
+            first_leaf, stride, chunk_mask, _skipping,
         ) = self._hot
         entry_base = self._leaf_entry_base
         entry_count = self._leaf_entry_count
@@ -998,16 +638,11 @@ class FrozenMatcher(TernaryMatcher):
                     matches.extend(entry_table[base : base + entry_count[j]])
                 continue
             b = bits[x]
-            if dbase is None:
-                base_slot = x << stride
-                cm = chunk_mask
-            else:
-                base_slot = dbase[x]
-                cm = nmask[x]
+            base_slot = x << stride
             if b >= 0:
-                s = base_slot + ((query >> b) & cm)
+                s = base_slot + ((query >> b) & chunk_mask)
             else:
-                s = base_slot + ((query << -b) & cm)
+                s = base_slot + ((query << -b) & chunk_mask)
             packed = dispatch[s]
             c = packed & _COUNT_MASK
             if c == 1:
@@ -1024,7 +659,7 @@ class FrozenMatcher(TernaryMatcher):
             self._refreeze()
         (
             maxp, bits, dispatch, push, data, care, best_of,
-            first_leaf, stride, chunk_mask, skipping, dbase, nmask,
+            first_leaf, stride, chunk_mask, skipping,
         ) = self._hot
         result: Optional[TernaryEntry] = None
         result_priority = -1
@@ -1044,16 +679,11 @@ class FrozenMatcher(TernaryMatcher):
                     result_priority = mp
                 continue
             b = bits[x]
-            if dbase is None:
-                base_slot = x << stride
-                cm = chunk_mask
-            else:
-                base_slot = dbase[x]
-                cm = nmask[x]
+            base_slot = x << stride
             if b >= 0:
-                s = base_slot + ((query >> b) & cm)
+                s = base_slot + ((query >> b) & chunk_mask)
             else:
-                s = base_slot + ((query << -b) & cm)
+                s = base_slot + ((query << -b) & chunk_mask)
             packed = dispatch[s]
             c = packed & _COUNT_MASK
             if c == 1:
@@ -1118,7 +748,7 @@ class FrozenMatcher(TernaryMatcher):
         best_priority = [-1] * len(unique)
         (
             maxp, bits, dispatch, push, data, care, best_of,
-            first_leaf, stride, chunk_mask, skipping, dbase, nmask,
+            first_leaf, stride, chunk_mask, skipping,
         ) = self._hot
         visits = 0
         stack: list[tuple[int, list[int]]] = [(0, list(range(len(unique))))]
@@ -1140,19 +770,14 @@ class FrozenMatcher(TernaryMatcher):
                         best_priority[g] = mp
                 continue
             b = bits[x]
-            if dbase is None:
-                base_slot = x << stride
-                cm = chunk_mask
-            else:
-                base_slot = dbase[x]
-                cm = nmask[x]
+            base_slot = x << stride
             buckets: dict[int, list[int]] = {}
             if b >= 0:
                 for g in group:
-                    buckets.setdefault((unique[g] >> b) & cm, []).append(g)
+                    buckets.setdefault((unique[g] >> b) & chunk_mask, []).append(g)
             else:
                 for g in group:
-                    buckets.setdefault((unique[g] << -b) & cm, []).append(g)
+                    buckets.setdefault((unique[g] << -b) & chunk_mask, []).append(g)
             for chunk, bucket in buckets.items():
                 packed = dispatch[base_slot + chunk]
                 c = packed & _COUNT_MASK
@@ -1182,17 +807,6 @@ class FrozenMatcher(TernaryMatcher):
                     data_lanes[j, lane] = (d >> (_LANE_BITS * lane)) & _LANE_MASK
                     care_lanes[j, lane] = (cm >> (_LANE_BITS * lane)) & _LANE_MASK
             packed = _np.frombuffer(self._dispatch, dtype=_np.uint32).astype(_np.int64)
-            if self._disp_base is not None:
-                disp_base = _np.frombuffer(self._disp_base, dtype=_np.uint64).astype(
-                    _np.int64
-                )
-                strides = _np.frombuffer(self._node_strides, dtype=_np.uint8).astype(
-                    _np.uint64
-                )
-                nmask = (_np.uint64(1) << strides) - _np.uint64(1)
-            else:
-                disp_base = None
-                nmask = None
             cache = {
                 "lanes": lanes,
                 "maxp": _np.frombuffer(self._maxp, dtype=_np.int64),
@@ -1202,8 +816,6 @@ class FrozenMatcher(TernaryMatcher):
                 "push": _np.frombuffer(self._push, dtype=_np.uint64).astype(_np.int64),
                 "data_lanes": data_lanes,
                 "care_lanes": care_lanes,
-                "disp_base": disp_base,
-                "nmask": nmask,
             }
             self._np_cache = cache
         return cache
@@ -1220,8 +832,6 @@ class FrozenMatcher(TernaryMatcher):
         push = views["push"]
         data_lanes = views["data_lanes"]
         care_lanes = views["care_lanes"]
-        disp_base = views["disp_base"]
-        nmask = views["nmask"]
         first_leaf = self._first_leaf
         stride = self.stride
         chunk_mask = np.uint64((1 << stride) - 1)
@@ -1270,9 +880,6 @@ class FrozenMatcher(TernaryMatcher):
             if not nodes.size:
                 break
             b = bit[nodes]
-            # Per-node chunk masks when the plane is variable-stride;
-            # one scalar mask otherwise.
-            cmv = chunk_mask if nmask is None else nmask[nodes]
             chunk = np.zeros(nodes.size, dtype=np.uint64)
             pos = b >= 0
             if pos.any():
@@ -1289,17 +896,12 @@ class FrozenMatcher(TernaryMatcher):
                     << ((np.uint64(_LANE_BITS) - shift) % np.uint64(_LANE_BITS)),
                     np.uint64(0),
                 )
-                chunk[pos] = (low | high) & (cmv if nmask is None else cmv[pos])
+                chunk[pos] = (low | high) & chunk_mask
             neg = ~pos
             if neg.any():
                 shift = (-b[neg]).astype(np.uint64)
-                chunk[neg] = (qlanes[qidx[neg], 0] << shift) & (
-                    cmv if nmask is None else cmv[neg]
-                )
-            if disp_base is None:
-                slots = (nodes << np.int64(stride)) + chunk.astype(np.int64)
-            else:
-                slots = disp_base[nodes] + chunk.astype(np.int64)
+                chunk[neg] = (qlanes[qidx[neg], 0] << shift) & chunk_mask
+            slots = (nodes << np.int64(stride)) + chunk.astype(np.int64)
             packed_counts = succ_count[slots]
             packed_bases = succ_base[slots]
             # count == 1 words carry the target id directly; count > 1
@@ -1356,11 +958,6 @@ class FrozenMatcher(TernaryMatcher):
         """How many times the plane has been (re)compiled."""
         return self._freeze_count
 
-    @property
-    def plan(self) -> Optional[StridePlan]:
-        """The :class:`StridePlan` this plane compiles with (or None)."""
-        return self._plan
-
     def memory_bytes(self) -> int:
         """The flat plane's true footprint: the array buffers as
         allocated, plus the modeled leaf-key words (2L bits each) and
@@ -1378,11 +975,6 @@ class FrozenMatcher(TernaryMatcher):
             + len(self._leaf_entry_base) * self._leaf_entry_base.itemsize
             + len(self._leaf_entry_count) * self._leaf_entry_count.itemsize
         )
-        if self._node_strides is not None:
-            buffers += (
-                len(self._node_strides) * self._node_strides.itemsize
-                + len(self._disp_base) * self._disp_base.itemsize
-            )
         key_bytes = 2 * ((self.key_length + 7) // 8)
         return buffers + len(self._leaf_best) * key_bytes + len(self._entry_table) * 12
 
@@ -1448,7 +1040,6 @@ def freeze(
     matcher: Any,
     *,
     layout: Optional[str] = None,
-    plan: Optional[StridePlan] = None,
     trace: Optional[Sequence[int]] = None,
 ) -> Any:
     """Compile a built matcher into its frozen struct-of-arrays plane.
@@ -1458,13 +1049,12 @@ def freeze(
     * :class:`Poptrie` → :class:`FrozenPoptrie` (the LPM surface; the
       adaptive knobs below do not apply);
     * an already-frozen matcher is re-frozen only if its source has
-      pending updates or the requested layout/plan differs, then
+      pending updates or the requested layout differs, then
       returned as-is.
 
     ``layout`` picks the node layout (``"build"`` or ``"hot"``; None
-    keeps an existing frozen matcher's choice), ``plan`` a
-    :class:`StridePlan` for variable-stride compilation, and ``trace``
-    an optional query workload replayed by the hot layout's frequency
+    keeps an existing frozen matcher's choice) and ``trace`` an
+    optional query workload replayed by the hot layout's frequency
     pass.
     """
     if isinstance(matcher, FrozenMatcher):
@@ -1473,12 +1063,6 @@ def freeze(
                 raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
             matcher.layout = layout
             matcher._query_samples = [] if layout == "hot" else None
-            matcher._dirty = True
-        if plan is not None and plan != matcher._plan:
-            if not isinstance(plan, StridePlan):
-                raise TypeError(f"plan must be a StridePlan, got {type(plan).__name__}")
-            plan.validate(matcher.key_length)
-            matcher._plan = plan
             matcher._dirty = True
         if trace is not None:
             matcher._layout_trace = list(trace)
@@ -1490,5 +1074,5 @@ def freeze(
     if isinstance(matcher, Poptrie):
         return FrozenPoptrie(matcher)
     return FrozenMatcher.from_matcher(
-        matcher, layout=layout or "build", plan=plan, layout_trace=trace
+        matcher, layout=layout or "build", layout_trace=trace
     )

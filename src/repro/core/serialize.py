@@ -56,10 +56,6 @@ __all__ = [
     "deserialize_frozen",
     "save_frozen",
     "load_frozen",
-    "serialize_learned",
-    "deserialize_learned",
-    "save_learned",
-    "load_learned",
     "FormatError",
 ]
 
@@ -77,12 +73,13 @@ FROZEN_VERSION = 2
 _FROZEN_HEADER = struct.Struct("<4sHBBIIIIII")
 
 #: v2 extension, immediately after the header: layout u8 (0 = build
-#: order, 1 = hot/frequency order), plan u8 (0 = none, 1 = uniform
-#: StridePlan, 2 = variable StridePlan + per-node stride section),
-#: reserved u16 (must be 0), plan-blob length u32.
+#: order, 1 = hot/frequency order), plan u8, reserved u16 (must be 0),
+#: plan-blob length u32.  Plan code 0 (no plan, empty blob) is the only
+#: one written or accepted; codes 1 and 2 marked the retired
+#: per-subtrie stride plans and fail closed on load.
 _FROZEN_EXT = struct.Struct("<BBHI")
 
-_PLAN_NONE, _PLAN_UNIFORM, _PLAN_VARIABLE = 0, 1, 2
+_RETIRED_PLAN_CODES = (1, 2)
 
 
 class FormatError(ValueError):
@@ -338,16 +335,14 @@ def _typed_view(typecode: str, section: memoryview) -> Any:
 def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
     """Pack a frozen plane's arrays into the ``PLMF`` v2 wire form.
 
-    After the header comes the v2 extension (layout byte, plan byte,
-    reserved, plan-blob length) and the :class:`StridePlan` blob when
-    one is compiled in.  Section order after that: bit i32[I],
-    max_priority i64[I+L], per-internal strides u8[I] (variable-stride
-    planes only), dispatch u32 (``I << stride`` words, or the sum of
-    the per-node row widths), push u64[P], leaf keys (data ‖ care, each
+    After the header comes the v2 extension (layout byte, plan byte 0,
+    reserved, plan-blob length 0).  Section order after that: bit
+    i32[I], max_priority i64[I+L], dispatch u32 (``I << stride``
+    words), push u64[P], leaf keys (data ‖ care, each
     ``ceil(key_length / 8)`` bytes, L times), entry base u64[L], entry
     count u64[L], entry blob (as in ``PLM+``: priority i32, value
-    length u16, value bytes per entry).  v1 images (no extension, one
-    global stride, build-order layout) still load.
+    length u16, value bytes per entry).  v1 images (no extension,
+    build-order layout) still load.
     """
     from .frozen import FrozenMatcher
 
@@ -369,14 +364,6 @@ def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
         entry_blob += struct.pack("<iH", entry.priority, len(value))
         entry_blob += value
 
-    plan = matcher._plan
-    if plan is None:
-        plan_code, plan_blob = _PLAN_NONE, b""
-    else:
-        plan_code = _PLAN_UNIFORM if plan.is_uniform else _PLAN_VARIABLE
-        plan_blob = plan.to_bytes()
-    strided = matcher._node_strides is not None
-
     header = _FROZEN_HEADER.pack(
         FROZEN_MAGIC,
         FROZEN_VERSION,
@@ -389,20 +376,13 @@ def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
         len(matcher._entry_table),
         len(entry_blob),
     )
-    ext = _FROZEN_EXT.pack(
-        1 if matcher.layout_applied == "hot" else 0,
-        plan_code,
-        0,
-        len(plan_blob),
-    )
+    ext = _FROZEN_EXT.pack(1 if matcher.layout_applied == "hot" else 0, 0, 0, 0)
     return b"".join(
         (
             header,
             ext,
-            plan_blob,
             _array_bytes(matcher._bit),
             _array_bytes(matcher._maxp),
-            bytes(matcher._node_strides) if strided else b"",
             _array_bytes(matcher._dispatch),
             _array_bytes(matcher._push),
             bytes(key_blob),
@@ -431,7 +411,7 @@ def deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatche
 
 
 def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatcher":
-    from .frozen import _COUNT_BITS, _COUNT_MASK, FrozenMatcher, StridePlan
+    from .frozen import _COUNT_BITS, _COUNT_MASK, FrozenMatcher
 
     data = memoryview(data)
     if data.format != "B":  # normalize exotic buffers to a byte view
@@ -461,8 +441,6 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
 
     cursor = _FROZEN_HEADER.size
     layout_code = 0
-    plan_code = _PLAN_NONE
-    plan = None
     if version >= 2:
         if len(data) < cursor + _FROZEN_EXT.size:
             raise FormatError("truncated extension")
@@ -470,55 +448,20 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
         cursor += _FROZEN_EXT.size
         if layout_code not in (0, 1) or reserved:
             raise FormatError("corrupt extension fields")
-        if plan_code not in (_PLAN_NONE, _PLAN_UNIFORM, _PLAN_VARIABLE):
+        if plan_code in _RETIRED_PLAN_CODES:
+            raise FormatError(
+                f"per-subtrie stride plans (plan code {plan_code}) are no longer "
+                "supported; recompile the ACL with --stride"
+            )
+        if plan_code:
             raise FormatError(f"unknown plan code {plan_code}")
-        if plan_code == _PLAN_NONE:
-            if plan_len:
-                raise FormatError("plan bytes without a plan code")
-        else:
-            if len(data) < cursor + plan_len:
-                raise FormatError("truncated stride plan")
-            plan = StridePlan.from_bytes(bytes(data[cursor : cursor + plan_len]))
-            cursor += plan_len
-            plan.validate(key_length)
-            if plan.is_uniform != (plan_code == _PLAN_UNIFORM):
-                raise FormatError("plan code inconsistent with plan contents")
-            if plan.root_stride != stride:
-                raise FormatError("plan root stride inconsistent with header")
-
-    # Sections up to the dispatch table have sizes known from the
-    # header alone; the dispatch size of a variable-stride image
-    # depends on the per-node stride section, so sizing is incremental.
-    strides_size = first_leaf if plan_code == _PLAN_VARIABLE else 0
-    if len(data) < cursor + 4 * first_leaf + 8 * node_count + strides_size:
-        raise FormatError("size mismatch: truncated node sections")
-    bit_arr = _typed_view("i", data[cursor : cursor + 4 * first_leaf])
-    cursor += 4 * first_leaf
-    maxp_arr = _typed_view("q", data[cursor : cursor + 8 * node_count])
-    cursor += 8 * node_count
-    if strides_size:
-        node_strides = _typed_view("B", data[cursor : cursor + strides_size])
-        cursor += strides_size
-        disp_words = 0
-        disp_base_list: list[int] = []
-        max_node_stride = 1
-        for s in node_strides:
-            if not 1 <= s <= 16:
-                raise FormatError(f"per-node stride {s} out of range")
-            disp_base_list.append(disp_words)
-            disp_words += 1 << s
-            if s > max_node_stride:
-                max_node_stride = s
-        if first_leaf and node_strides[0] != plan.root_stride:
-            raise FormatError("root node stride inconsistent with plan")
-    else:
-        node_strides = None
-        disp_base_list = []
-        disp_words = first_leaf << stride
-        max_node_stride = stride
+        if plan_len:
+            raise FormatError("plan bytes without a plan code")
 
     sizes = (
-        4 * disp_words,               # dispatch
+        4 * first_leaf,               # bit
+        8 * node_count,               # max_priority
+        4 * (first_leaf << stride),   # dispatch
         8 * push_len,                 # push
         2 * key_bytes * leaf_count,   # leaf keys
         8 * leaf_count,               # entry base
@@ -534,16 +477,18 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     for size in sizes:
         sections.append(data[cursor : cursor + size])
         cursor += size
-    dispatch = _typed_view("I", sections[0])
-    push = _typed_view("Q", sections[1])
-    entry_base = _typed_view("Q", sections[3])
-    entry_count_arr = _typed_view("Q", sections[4])
+    bit_arr = _typed_view("i", sections[0])
+    maxp_arr = _typed_view("q", sections[1])
+    dispatch = _typed_view("I", sections[2])
+    push = _typed_view("Q", sections[3])
+    entry_base = _typed_view("Q", sections[5])
+    entry_count_arr = _typed_view("Q", sections[6])
 
     # A corrupted chunk shift turns ``query << -b`` in the walk into a
     # gigabyte-sized big-int allocation; reject shifts outside what the
     # freezer can emit (length - stride down to -(stride - 1)).
     for b in bit_arr:
-        if not -max_node_stride < b <= key_length:
+        if not -stride < b <= key_length:
             raise FormatError(f"chunk shift {b} out of range")
     for target in push:
         if target >= node_count:
@@ -556,7 +501,7 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
         elif c == 1:
             if packed >> _COUNT_BITS >= node_count:
                 raise FormatError("dispatch target out of range")
-        elif c > max_node_stride + 1 or (packed >> _COUNT_BITS) + c > push_len:
+        elif c > stride + 1 or (packed >> _COUNT_BITS) + c > push_len:
             raise FormatError("dispatch run out of range")
 
     # Range checks alone cannot catch a dispatch word that points back
@@ -566,13 +511,8 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     if first_leaf:
 
         def _internal_successors(x: int):
-            if node_strides is not None:
-                row_base = disp_base_list[x]
-                row_len = 1 << node_strides[x]
-            else:
-                row_base = x << stride
-                row_len = 1 << stride
-            for word in dispatch[row_base : row_base + row_len]:
+            row_base = x << stride
+            for word in dispatch[row_base : row_base + (1 << stride)]:
                 run = word & _COUNT_MASK
                 if run == 1:
                     succ = word >> _COUNT_BITS
@@ -600,7 +540,7 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
                 colors[node] = 2
                 dfs.pop()
 
-    key_view = sections[2]
+    key_view = sections[4]
     leaf_data: list[int] = []
     leaf_care: list[int] = []
     for j in range(leaf_count):
@@ -610,7 +550,7 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
             int.from_bytes(key_view[base + key_bytes : base + 2 * key_bytes], "little")
         )
 
-    blob = sections[5]
+    blob = sections[7]
     running_base = 0
     for j in range(leaf_count):
         count = entry_count_arr[j]
@@ -681,15 +621,8 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     frozen._first_leaf = first_leaf
     frozen.layout = "hot" if layout_code else "build"
     frozen.layout_applied = frozen.layout
-    frozen._plan = plan
     frozen._layout_trace = None
     frozen._query_samples = [] if layout_code else None
-    if node_strides is not None:
-        frozen._node_strides = array("B", node_strides)
-        frozen._disp_base = array("Q", disp_base_list)
-    else:
-        frozen._node_strides = None
-        frozen._disp_base = None
     frozen._hot = (
         list(maxp_arr),
         list(bit_arr),
@@ -702,8 +635,6 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
         stride,
         (1 << stride) - 1,
         frozen.subtree_skipping,
-        disp_base_list if node_strides is not None else None,
-        [(1 << s) - 1 for s in node_strides] if node_strides is not None else None,
     )
     frozen._np_cache = None
     return frozen
@@ -723,149 +654,6 @@ def load_frozen(path_or_file: str | os.PathLike | BinaryIO) -> "TernaryMatcher":
         with open(path_or_file, "rb") as handle:
             return deserialize_frozen(handle.read())
     return deserialize_frozen(path_or_file.read())
-
-
-LEARNED_MAGIC = b"PLML"
-LEARNED_VERSION = 1
-
-#: magic, version u16, stride u8, reserved u8 (must be 0), key_length
-#: u32, max_isets u16, min_iset_size u16, submodels-per-iset u16
-#: (0 = auto), reserved u16 (must be 0), entry count u32, entry-blob
-#: length u32.
-_LEARNED_HEADER = struct.Struct("<4sHBBIHHHHII")
-
-
-def serialize_learned(matcher: "TernaryMatcher") -> bytes:
-    """Pack a learned table into the ``PLML`` wire form.
-
-    Models are *not* shipped: the wire format carries the rule set and
-    the training knobs, and :func:`deserialize_learned` retrains at load
-    time — training is deterministic (same entries + knobs → same iSets
-    and submodels) and costs one pass, so the format stays small and
-    can never disagree with the code that validates predictions.
-
-    Entry blob, per entry: key data ‖ mask (each ``ceil(key_length/8)``
-    bytes, little-endian), priority i32, value length u16, value bytes
-    (the ``PLM+`` portable value subset).
-    """
-    from .learned import LearnedMatcher
-
-    if not isinstance(matcher, LearnedMatcher):
-        raise FormatError(f"expected LearnedMatcher, got {type(matcher).__name__}")
-    key_bytes = (matcher.key_length + 7) // 8
-    entry_blob = bytearray()
-    count = 0
-    for entry in matcher.entries():
-        value = _encode_value(entry.value)
-        entry_blob += entry.key.data.to_bytes(key_bytes, "little")
-        entry_blob += entry.key.mask.to_bytes(key_bytes, "little")
-        entry_blob += struct.pack("<iH", entry.priority, len(value))
-        entry_blob += value
-        count += 1
-    header = _LEARNED_HEADER.pack(
-        LEARNED_MAGIC,
-        LEARNED_VERSION,
-        matcher.stride,
-        0,
-        matcher.key_length,
-        matcher.max_isets,
-        matcher.min_iset_size,
-        matcher.submodels_per_iset or 0,
-        0,
-        count,
-        len(entry_blob),
-    )
-    return header + bytes(entry_blob)
-
-
-def deserialize_learned(data: bytes) -> "TernaryMatcher":
-    """Rebuild (retrain) a learned table from its ``PLML`` form.
-
-    Any corruption raises :class:`FormatError`.
-    """
-    return _guarded_decode(data, _deserialize_learned)
-
-
-def _deserialize_learned(data: bytes) -> "TernaryMatcher":
-    from .learned import LearnedMatcher
-
-    if len(data) < _LEARNED_HEADER.size:
-        raise FormatError("truncated header")
-    (
-        magic,
-        version,
-        stride,
-        reserved_a,
-        key_length,
-        max_isets,
-        min_iset_size,
-        submodels,
-        reserved_b,
-        count,
-        blob_len,
-    ) = _LEARNED_HEADER.unpack_from(data)
-    if magic != LEARNED_MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != LEARNED_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    if reserved_a or reserved_b:
-        raise FormatError("reserved fields must be zero")
-    if not 1 <= stride <= 16 or key_length <= 0 or min_iset_size < 1:
-        raise FormatError("corrupt geometry fields")
-    if len(data) != _LEARNED_HEADER.size + blob_len:
-        raise FormatError(
-            f"size mismatch: expected {_LEARNED_HEADER.size + blob_len} bytes,"
-            f" got {len(data)}"
-        )
-    key_bytes = (key_length + 7) // 8
-    key_space = (1 << key_length) - 1
-    blob = data[_LEARNED_HEADER.size:]
-    entries: list[TernaryEntry] = []
-    cursor = 0
-    for _ in range(count):
-        if cursor + 2 * key_bytes + 6 > len(blob):
-            raise FormatError("entry blob overrun")
-        key_data = int.from_bytes(blob[cursor : cursor + key_bytes], "little")
-        cursor += key_bytes
-        key_mask = int.from_bytes(blob[cursor : cursor + key_bytes], "little")
-        cursor += key_bytes
-        priority, value_len = struct.unpack_from("<iH", blob, cursor)
-        cursor += 6
-        if cursor + value_len > len(blob):
-            raise FormatError("entry blob overrun")
-        if key_data > key_space or key_mask > key_space or key_data & key_mask:
-            raise FormatError("key fields out of range")
-        value = _decode_value(blob[cursor : cursor + value_len])
-        cursor += value_len
-        entries.append(
-            TernaryEntry(TernaryKey(key_data, key_mask, key_length), value, priority)
-        )
-    if cursor != len(blob):
-        raise FormatError("trailing bytes in entry blob")
-    return LearnedMatcher.build(
-        entries,
-        key_length,
-        stride=stride,
-        max_isets=max_isets,
-        min_iset_size=min_iset_size,
-        submodels_per_iset=submodels or None,
-    )
-
-
-def save_learned(matcher: "TernaryMatcher", path: str) -> int:
-    """Serialize a learned table to a file; returns the bytes written."""
-    data = serialize_learned(matcher)
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)
-
-
-def load_learned(path_or_file: str | os.PathLike | BinaryIO) -> "TernaryMatcher":
-    """Load (and retrain) a table written by :func:`save_learned`."""
-    if isinstance(path_or_file, (str, os.PathLike)):
-        with open(path_or_file, "rb") as handle:
-            return deserialize_learned(handle.read())
-    return deserialize_learned(path_or_file.read())
 
 
 def save_plus(matcher: PalmtriePlus, path: str) -> int:

@@ -13,7 +13,6 @@ benchmarks and differential tests.
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Type, Union
 
@@ -199,22 +198,6 @@ class TernaryMatcher(abc.ABC):
         """
         return self.lookup(query), 1, 1
 
-    def lookup_counted(self, query: int) -> Optional[TernaryEntry]:
-        """Deprecated shim for :meth:`profile_lookup`.
-
-        Kept so existing callers keep working; new code should call
-        ``profile_lookup`` (or run through
-        :class:`repro.engine.ClassificationEngine`, which folds cache
-        counters into the same :class:`LookupStats`).
-        """
-        warnings.warn(
-            f"{type(self).__name__}.lookup_counted() is deprecated; use "
-            "profile_lookup() or repro.engine.ClassificationEngine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.profile_lookup(query)
-
     # -- introspection ----------------------------------------------------
 
     @abc.abstractmethod
@@ -260,7 +243,6 @@ def matcher_kinds() -> dict[str, Type[TernaryMatcher]]:
         from .adaptive import AdaptiveMatcher
         from .basic import BasicPalmtrie
         from .frozen import FrozenMatcher
-        from .learned import LearnedMatcher
         from .multibit import MultibitPalmtrie
         from .plus import PalmtriePlus
 
@@ -275,7 +257,6 @@ def matcher_kinds() -> dict[str, Type[TernaryMatcher]]:
             "adaptive": AdaptiveMatcher,
             "tcam": TcamModel,
             "vectorized": VectorizedMatcher,
-            "learned": LearnedMatcher,
         }
     return dict(_KINDS_CACHE)
 
@@ -292,8 +273,7 @@ def build_matcher(
     ``sorted-list``, ``palmtrie-basic``, ``palmtrie`` (multi-bit; pass
     ``stride=k``), ``palmtrie-plus`` (pass ``stride=k``), ``frozen``
     (struct-of-arrays compiled plane; pass ``stride=k``), ``dpdk-acl``,
-    ``efficuts``, ``adaptive``, ``tcam``, ``vectorized``, ``learned``
-    (RQ-RMI range models + remainder trie; pass ``stride=k``) — a
+    ``efficuts``, ``adaptive``, ``tcam``, ``vectorized`` — a
     :class:`TernaryMatcher` subclass itself, or an
     :class:`~repro.config.EngineConfig`, whose ``matcher`` / ``stride``
     / ``matcher_kwargs`` fields pick the class and its constructor

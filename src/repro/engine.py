@@ -71,7 +71,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
-from .config import _UNSET, EngineConfig, fold_legacy_kwargs
+from .config import DEFAULT_CONFIG, EngineConfig
 from .core.table import LookupStats, TernaryEntry, TernaryMatcher
 from .core.ternary import TernaryKey
 from .obs.metrics import MetricsRegistry, geometric_buckets
@@ -382,35 +382,6 @@ class _EngineInstruments:
                 "frozen_freeze_seconds_total",
                 "Seconds spent in the frozen-plane freeze compiler.",
             ).set_total(freeze_seconds)
-        # Learned-tier model quality (the "learned" matcher kind).
-        model_report = getattr(engine.matcher, "model_report", None)
-        if callable(model_report):
-            model = model_report()
-            registry.gauge(
-                "learned_isets", "Trained iSet range models currently serving."
-            ).set(model["isets"])
-            registry.gauge(
-                "learned_coverage_ratio",
-                "Fraction of rules answered by a trained model (rest: remainder).",
-            ).set(model["coverage_ratio"])
-            registry.gauge(
-                "learned_max_error",
-                "Worst tracked prediction error across all submodels.",
-            ).set(model["max_error"])
-            counter(
-                "learned_predictions_total", "Model predictions issued."
-            ).set_total(model["predictions"])
-            counter(
-                "learned_mispredicts_total",
-                "Predictions recovered via the ±error probe window.",
-            ).set_total(model["mispredicts"])
-            counter(
-                "learned_window_misses_total",
-                "Probe windows containing no matching range.",
-            ).set_total(model["window_misses"])
-            counter(
-                "learned_trainings_total", "Model (re)training passes."
-            ).set_total(model["trainings"])
         registry.gauge(
             "engine_epoch", "Policy epoch (bumped on every replace_matcher)."
         ).set(engine.epoch)
@@ -477,12 +448,9 @@ class ClassificationEngine:
 
         engine = ClassificationEngine(matcher, EngineConfig(cache_size=1024))
 
-    (The pre-config keyword knobs — ``cache_size``, ``auto_freeze``,
-    ``invalidation_threshold``, ``metrics``, ``resilience`` — still
-    work through a shim that emits :class:`DeprecationWarning`; see
-    docs/api.md for the migration table.  :meth:`from_config` builds
-    the engine a config describes, returning the multi-process
-    :class:`~repro.shard.ShardedEngine` when ``config.shards > 0``.)
+    (:meth:`from_config` builds the engine a config describes,
+    returning the multi-process :class:`~repro.shard.ShardedEngine`
+    when ``config.shards > 0``.)
 
     ``cache_size`` is the LRU capacity in distinct binary queries
     (0 disables caching; batching still applies).  ``matcher`` is any
@@ -516,22 +484,8 @@ class ClassificationEngine:
         self,
         matcher: Union[TernaryMatcher, Any],
         config: Optional[EngineConfig] = None,
-        *,
-        cache_size: Any = _UNSET,
-        auto_freeze: Any = _UNSET,
-        invalidation_threshold: Any = _UNSET,
-        metrics: Any = _UNSET,
-        resilience: Any = _UNSET,
     ) -> None:
-        config = fold_legacy_kwargs(
-            config,
-            owner="ClassificationEngine",
-            cache_size=cache_size,
-            auto_freeze=auto_freeze,
-            invalidation_threshold=invalidation_threshold,
-            metrics=metrics,
-            resilience=resilience,
-        )
+        config = config if config is not None else DEFAULT_CONFIG
         if not callable(getattr(matcher, "lookup", None)):
             raise TypeError(f"{matcher!r} has no lookup(); not a matcher")
         #: the EngineConfig this engine was constructed from
@@ -719,16 +673,14 @@ class ClassificationEngine:
                 return self._matcher
             from .core.frozen import freeze
 
-            # Non-default adaptive knobs only: freeze(layout=None)
-            # leaves a pre-tuned FrozenMatcher's own layout/plan alone.
-            adaptive_kwargs: dict[str, Any] = {}
-            if self.config.frozen_layout != "build":
-                adaptive_kwargs["layout"] = self.config.frozen_layout
-            if self.config.stride_plan is not None:
-                adaptive_kwargs["plan"] = self.config.stride_plan
+            # Non-default layout only: freeze(layout=None) leaves a
+            # pre-built FrozenMatcher's own layout alone.
+            layout = self.config.frozen_layout
             start = time.perf_counter()
             try:
-                self._plane = freeze(self._matcher, **adaptive_kwargs)
+                self._plane = freeze(
+                    self._matcher, layout=None if layout == "build" else layout
+                )
             except TypeError:
                 # Not a freezable structure; remember and stop trying.
                 self._unfreezable = True
@@ -1359,11 +1311,6 @@ class ClassificationEngine:
             "auto_freeze": self.auto_freeze,
             "frozen_plane_active": self._plane is not None,
             "frozen_layout": self.config.frozen_layout,
-            "stride_plan": (
-                None
-                if self.config.stride_plan is None
-                else self.config.stride_plan.describe()
-            ),
             "plane_layout": getattr(self._plane, "layout_applied", None),
             "freezes": self.freezes,
             "updates_applied": self.updates_applied,
@@ -1385,10 +1332,6 @@ class ClassificationEngine:
         guard = self._guard
         if guard is not None:
             summary["resilience"] = guard.report()
-        model_report = getattr(self.matcher, "model_report", None)
-        if callable(model_report):
-            # the learned tier: iSet count, coverage, mispredict counters
-            summary["learned"] = model_report()
         latency = self.latency_summary()
         if latency is not None:
             summary["latency"] = latency

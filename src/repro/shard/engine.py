@@ -168,31 +168,24 @@ class ShardedEngine:
     def _make_plane(self) -> FrozenMatcher:
         matcher = self._inner.matcher
         layout = self.config.frozen_layout
-        plan = self.config.stride_plan
         if isinstance(matcher, FrozenMatcher):
             from ..core.frozen import freeze
 
-            # freeze() folds the config's adaptive knobs in (no-ops
-            # when they match what the plane was compiled with) and
-            # refreezes a dirty plane.
-            kwargs: dict[str, Any] = {}
-            if layout != "build":
-                kwargs["layout"] = layout
-            if plan is not None:
-                kwargs["plan"] = plan
-            plane = freeze(matcher, **kwargs)
+            # freeze() folds the config's layout in (a no-op when it
+            # matches what the plane was compiled with) and refreezes a
+            # dirty plane.
+            plane = freeze(matcher, layout=None if layout == "build" else layout)
             if plane._dirty:
                 plane._refreeze()
             return plane
         if isinstance(matcher, (MultibitPalmtrie, PalmtriePlus)):
-            return FrozenMatcher.from_matcher(matcher, layout=layout, plan=plan)
+            return FrozenMatcher.from_matcher(matcher, layout=layout)
         # Any other matcher: rebuild a frozen plane from its entries.
         return FrozenMatcher.build(
             list(matcher.entries()),
             matcher.key_length,
             stride=self.config.stride or 8,
             layout=layout,
-            plan=plan,
         )
 
     def _republish(self, force: bool = False) -> None:

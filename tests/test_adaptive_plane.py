@@ -1,15 +1,13 @@
-"""The adaptive frozen-plane layer: hot layout, stride plans, autotune.
+"""The adaptive frozen-plane layer: the hot-first layout.
 
 The load-bearing property is again differential: the hot-first layout
-and a variable-stride :class:`StridePlan` are *representation* choices,
-so a plane built under any layout/plan combination must return
-verdict-identical answers to every other matcher kind over the same
-table — including after a PLMF v2 save/load round trip and inside a
-:class:`ShardedEngine`.  On top of that: plan validation and codecs,
-corrupt-plan images fail closed as :class:`FormatError`, the ternary
-slot cache stays bounded, the config knobs validate, ``report()``
-surfaces the adaptive state, and :func:`autotune` returns a plan that
-never loses to the best uniform stride it swept.
+is a *representation* choice, so a plane built under either layout
+must return verdict-identical answers to every other matcher kind over
+the same table — including after a PLMF v2 save/load round trip and
+inside a :class:`ShardedEngine`.  On top of that: corrupt extensions
+and the retired stride-plan codes fail closed as :class:`FormatError`,
+the ternary slot cache stays bounded, the config knobs validate, and
+``report()`` surfaces the adaptive state.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import assert_same_result, oracle_lookup, random_entries, table1_entries
 
 from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, build_matcher
-from repro.core.adaptive import AutotuneResult, autotune
-from repro.core.frozen import FrozenMatcher, StridePlan, _ternary_slots, freeze
+from repro.core.frozen import FrozenMatcher, _ternary_slots, freeze
 from repro.core.plus import PalmtriePlus
 from repro.core.serialize import (
     _FROZEN_EXT,
@@ -60,87 +57,17 @@ def _trace(entries, count: int, seed: int = 7) -> list[int]:
     return queries
 
 
-PLAN_A = StridePlan(4, 4, ((0, 2), (3, 8), (17, 6)))
-PLAN_B = StridePlan(8, 6, ((1, 3),))
-
-
 # ----------------------------------------------------------------------
-# StridePlan validation and codecs
-# ----------------------------------------------------------------------
-
-class TestStridePlan:
-    def test_slot_semantics(self):
-        assert PLAN_A.stride_for(0) == 2
-        assert PLAN_A.stride_for(3) == 8
-        assert PLAN_A.stride_for(17) == 6
-        assert PLAN_A.stride_for(5) == 4
-        assert not PLAN_A.is_uniform
-        assert StridePlan(4, 4).is_uniform
-        assert StridePlan(4, 4, ((2, 4),)).is_uniform
-        assert not StridePlan(4, 6).is_uniform
-
-    def test_overrides_sorted_and_canonical(self):
-        plan = StridePlan(4, 4, ((9, 2), (1, 3)))
-        assert plan.subtrie_strides == ((1, 3), (9, 2))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(root_stride=0, default_stride=4),
-            dict(root_stride=17, default_stride=4),
-            dict(root_stride=4, default_stride=0),
-            dict(root_stride=4, default_stride=4, subtrie_strides=((31, 4),)),
-            dict(root_stride=4, default_stride=4, subtrie_strides=((0, 0),)),
-            dict(root_stride=4, default_stride=4, subtrie_strides=((0, 17),)),
-            dict(root_stride=4, default_stride=4, subtrie_strides=((0, 2), (0, 3))),
-        ],
-    )
-    def test_rejects_malformed(self, kwargs):
-        with pytest.raises(ValueError):
-            StridePlan(**kwargs)
-
-    def test_validate_against_key_length(self):
-        PLAN_B.validate(512)
-        with pytest.raises(ValueError):
-            PLAN_B.validate(4)
-
-    @pytest.mark.parametrize("plan", [PLAN_A, PLAN_B, StridePlan(8, 8)])
-    def test_bytes_roundtrip(self, plan):
-        assert StridePlan.from_bytes(plan.to_bytes()) == plan
-
-    @pytest.mark.parametrize("plan", [PLAN_A, StridePlan(6, 6)])
-    def test_json_roundtrip(self, plan):
-        assert StridePlan.from_json(plan.to_json()) == plan
-
-    def test_from_bytes_rejects_malformed(self):
-        good = PLAN_A.to_bytes()
-        for blob in (b"", good[:-1], good + b"\0", b"\x00" * len(good)):
-            with pytest.raises(ValueError):
-                StridePlan.from_bytes(blob)
-
-    def test_describe(self):
-        assert PLAN_A.describe() == "root=4 default=4 overrides=3"
-
-
-# ----------------------------------------------------------------------
-# Differential: any layout/plan must be verdict-invariant
+# Differential: either layout must be verdict-invariant
 # ----------------------------------------------------------------------
 
 def _variants(entries, trace):
-    """Frozen planes of the same table under every adaptive knob."""
-    plan = StridePlan(4, 6, ((0, 2), (16, 8)))
+    """Frozen planes of the same table under both node layouts."""
     return {
         "build": FrozenMatcher.build(entries, KEY_LENGTH, stride=4),
         "hot": freeze(
             PalmtriePlus.build(entries, KEY_LENGTH, stride=4),
             layout="hot",
-            trace=trace,
-        ),
-        "plan": FrozenMatcher.build(entries, KEY_LENGTH, stride=4, plan=plan),
-        "hot+plan": freeze(
-            PalmtriePlus.build(entries, KEY_LENGTH, stride=4),
-            layout="hot",
-            plan=plan,
             trace=trace,
         ),
     }
@@ -169,20 +96,14 @@ class TestLayoutPlanInvariance:
         seed=st.integers(0, 10_000),
         count=st.integers(1, 40),
         layout=st.sampled_from(["build", "hot"]),
-        root=st.sampled_from([2, 4, 8]),
-        override_stride=st.sampled_from([1, 3, 6]),
+        stride=st.sampled_from([1, 2, 4, 6, 8]),
     )
-    def test_property_verdicts_match_oracle(
-        self, seed, count, layout, root, override_stride
-    ):
+    def test_property_verdicts_match_oracle(self, seed, count, layout, stride):
         entries = _unique_priorities(random_entries(count, KEY_LENGTH, seed=seed))
         trace = _trace(entries, 60, seed=seed)
-        slot_limit = (1 << (root + 1)) - 1
-        plan = StridePlan(root, root, ((seed % slot_limit, override_stride),))
         plane = freeze(
-            PalmtriePlus.build(entries, KEY_LENGTH, stride=8),
+            PalmtriePlus.build(entries, KEY_LENGTH, stride=stride),
             layout=layout,
-            plan=plan,
             trace=trace if layout == "hot" else None,
         )
         for query in trace:
@@ -203,8 +124,8 @@ class TestLayoutPlanInvariance:
 
 
 # ----------------------------------------------------------------------
-# PLMF v2: permuted and variable-stride images round-trip; corruption
-# fails closed
+# PLMF v2: permuted images round-trip; corruption and retired plan
+# codes fail closed
 # ----------------------------------------------------------------------
 
 class TestPlmfV2:
@@ -218,7 +139,6 @@ class TestPlmfV2:
         for label, plane in variants.items():
             restored = deserialize_frozen(serialize_frozen(plane))
             assert restored.layout_applied == plane.layout_applied, label
-            assert restored._plan == plane._plan, label
             assert restored.node_count() == plane.node_count(), label
             for query in trace:
                 assert_same_result(plane.lookup(query), restored.lookup(query))
@@ -243,7 +163,6 @@ class TestPlmfV2:
         v1[4:6] = (1).to_bytes(2, "little")
         restored = deserialize_frozen(bytes(v1))
         assert restored.layout_applied == "build"
-        assert restored._plan is None
         for query in _queries(200, seed=2):
             assert_same_result(plane.lookup(query), restored.lookup(query))
 
@@ -253,18 +172,16 @@ class TestPlmfV2:
         with pytest.raises(FormatError):
             deserialize_frozen(bytes(data))
 
-    def test_corrupt_stride_plan_fuzz(self):
-        """Bit-flips anywhere in the extension + plan region must fail
-        closed as FormatError, never load a lying plan or crash with an
-        internal exception type."""
+    def test_corrupt_extension_fuzz(self):
+        """Bit-flips anywhere in the extension must fail closed as
+        FormatError, never load a lying image or crash with an internal
+        exception type."""
         entries = _unique_priorities(random_entries(50, KEY_LENGTH, seed=33))
-        plan = StridePlan(4, 6, ((2, 3), (16, 8)))
-        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=4, plan=plan)
+        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=4)
         data = serialize_frozen(plane)
         h = _FROZEN_HEADER.size
-        plan_len = len(plan.to_bytes())
         rng = random.Random(99)
-        region = range(h, h + _FROZEN_EXT.size + plan_len)
+        region = range(h, h + _FROZEN_EXT.size)
         queries = _queries(50, seed=4)
         survived = 0
         for _ in range(120):
@@ -275,22 +192,34 @@ class TestPlmfV2:
                 restored = deserialize_frozen(bytes(mutated))
             except FormatError:
                 continue
-            # A flip that still decodes must not change any verdict
-            # (e.g. a bit restored to its own value elsewhere is
-            # impossible here, but reserved-adjacent flips could pass).
+            # A flip that still decodes (the layout byte turning 0 into
+            # 1 only relabels the node order) must not change any verdict.
             survived += 1
             for query in queries:
                 assert_same_result(plane.lookup(query), restored.lookup(query))
         assert survived < 120, "every corruption slipped through undetected"
 
-    def test_truncated_plan_blob_rejected(self):
-        plan = StridePlan(4, 4, ((1, 2),))
-        plane = FrozenMatcher.build(table1_entries(), 8, stride=4, plan=plan)
-        data = serialize_frozen(plane)
-        h = _FROZEN_HEADER.size + _FROZEN_EXT.size
-        truncated = data[:h] + data[h + 5 :]
-        with pytest.raises(FormatError):
-            deserialize_frozen(truncated)
+    @pytest.mark.parametrize("plan_code", [1, 2])
+    def test_retired_plan_codes_fail_closed(self, plan_code):
+        """Plan codes 1/2 marked the retired per-subtrie stride plans;
+        such an image must be refused with a recompile hint, not served."""
+        plane = FrozenMatcher.build(table1_entries(), 8, stride=4)
+        data = bytearray(serialize_frozen(plane))
+        h = _FROZEN_HEADER.size
+        blob = b"\x04\x04\x00\x00"  # a non-empty plan blob after the extension
+        layout, _code, reserved, _length = _FROZEN_EXT.unpack_from(data, h)
+        ext = _FROZEN_EXT.pack(layout, plan_code, reserved, len(blob))
+        image = bytes(data[:h] + ext + blob + data[h + _FROZEN_EXT.size :])
+        with pytest.raises(FormatError, match="--stride"):
+            deserialize_frozen(image)
+
+    def test_plan_bytes_without_plan_code_rejected(self):
+        data = bytearray(serialize_frozen(FrozenMatcher.build(table1_entries(), 8)))
+        h = _FROZEN_HEADER.size
+        layout, code, reserved, _length = _FROZEN_EXT.unpack_from(data, h)
+        data[h : h + _FROZEN_EXT.size] = _FROZEN_EXT.pack(layout, code, reserved, 4)
+        with pytest.raises(FormatError, match="plan bytes"):
+            deserialize_frozen(bytes(data))
 
 
 # ----------------------------------------------------------------------
@@ -321,22 +250,12 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="frozen_layout"):
             EngineConfig(frozen_layout="hottest")
 
-    def test_stride_plan_type_checked(self):
-        EngineConfig(stride_plan=StridePlan(8, 8))
-        with pytest.raises(TypeError, match="stride_plan"):
-            EngineConfig(stride_plan={"root_stride": 8})
-
     def test_build_kwargs_route_by_capability(self):
-        plan = StridePlan(4, 4, ((0, 2),))
-        config = EngineConfig(
-            matcher="frozen", stride=4, frozen_layout="hot", stride_plan=plan
-        )
+        config = EngineConfig(matcher="frozen", stride=4, frozen_layout="hot")
         kwargs = config.build_kwargs(MATCHER_KINDS["frozen"])
-        assert kwargs == {"stride": 4, "layout": "hot", "plan": plan}
-        # Kinds that cannot compile a layout/plan never see the knobs.
-        naive = EngineConfig(
-            matcher="palmtrie", stride=4, frozen_layout="hot", stride_plan=plan
-        )
+        assert kwargs == {"stride": 4, "layout": "hot"}
+        # Kinds that cannot compile a layout never see the knob.
+        naive = EngineConfig(matcher="palmtrie", stride=4, frozen_layout="hot")
         assert naive.build_kwargs(MATCHER_KINDS["palmtrie"]) == {"stride": 4}
 
     def test_capability_flags(self):
@@ -346,24 +265,10 @@ class TestConfigKnobs:
         assert not MATCHER_KINDS["palmtrie"].accepts_layout
         assert not MATCHER_KINDS["sorted-list"].accepts_stride
 
-    def test_build_matcher_compiles_plan(self):
-        entries = _unique_priorities(random_entries(30, KEY_LENGTH, seed=1))
-        plan = StridePlan(4, 6)
-        config = EngineConfig(matcher="frozen", stride=4, stride_plan=plan)
-        matcher = build_matcher(config, entries, KEY_LENGTH)
-        assert isinstance(matcher, FrozenMatcher)
-        assert matcher._plan == plan
-        for query in _queries(100, seed=8):
-            assert_same_result(oracle_lookup(entries, query), matcher.lookup(query))
-
     def test_engine_report_surfaces_adaptive_state(self):
         entries = _unique_priorities(random_entries(30, KEY_LENGTH, seed=2))
-        plan = StridePlan(4, 4, ((0, 2),))
         config = EngineConfig(
-            matcher="palmtrie-plus",
-            auto_freeze=True,
-            frozen_layout="hot",
-            stride_plan=plan,
+            matcher="palmtrie-plus", auto_freeze=True, frozen_layout="hot"
         )
         engine = ClassificationEngine(
             build_matcher(config, entries, KEY_LENGTH), config
@@ -372,56 +277,5 @@ class TestConfigKnobs:
             engine.lookup(query)
         report = engine.report()
         assert report["frozen_layout"] == "hot"
-        assert report["stride_plan"] == plan.describe()
         assert report["plane_layout"] == "hot"
-
-
-# ----------------------------------------------------------------------
-# autotune()
-# ----------------------------------------------------------------------
-
-class TestAutotune:
-    def _workload(self):
-        entries = _unique_priorities(random_entries(60, KEY_LENGTH, seed=17))
-        return entries, _trace(entries, 300)
-
-    def test_returns_valid_plan(self):
-        entries, trace = self._workload()
-        matcher = PalmtriePlus.build(entries, KEY_LENGTH, stride=8)
-        result = autotune(
-            matcher, trace, candidate_strides=(2, 4), max_subtries=2,
-            rounds=1, sample=32, repeats=1,
-        )
-        assert isinstance(result, AutotuneResult)
-        result.plan.validate(KEY_LENGTH)
-        assert result.global_best_stride in (2, 4)
-        assert result.score <= result.global_score
-        assert result.evaluations >= 2
-        assert result.history
-        # Canonical form: no override merely restates the default.
-        assert all(s != result.plan.root_stride
-                   for _, s in result.plan.subtrie_strides)
-
-    def test_tuned_plane_is_verdict_identical(self):
-        entries, trace = self._workload()
-        matcher = PalmtriePlus.build(entries, KEY_LENGTH, stride=8)
-        result = autotune(
-            matcher, trace, candidate_strides=(2, 4), max_subtries=2,
-            rounds=1, sample=32, repeats=1,
-        )
-        plane = FrozenMatcher.build(
-            entries, KEY_LENGTH,
-            stride=result.plan.root_stride, plan=result.plan,
-        )
-        for query in trace[:150]:
-            assert_same_result(oracle_lookup(entries, query), plane.lookup(query))
-
-    def test_rejects_empty_inputs(self):
-        entries, trace = self._workload()
-        matcher = PalmtriePlus.build(entries, KEY_LENGTH, stride=8)
-        with pytest.raises(ValueError, match="trace"):
-            autotune(matcher, [])
-        with pytest.raises(ValueError, match="entries"):
-            autotune(PalmtriePlus(KEY_LENGTH), trace)
-        with pytest.raises(ValueError, match="candidate stride"):
-            autotune(matcher, trace, candidate_strides=(99,))
+        assert "stride_plan" not in report

@@ -1,10 +1,6 @@
-"""The redesigned construction surface: EngineConfig, from_config,
-serve(), and the deprecated-keyword shim.
-
-CI runs this file (like the whole suite) under
-``-W error::DeprecationWarning``; the shim tests therefore catch the
-warning explicitly with ``pytest.warns`` — any *other* code path that
-still feeds legacy knobs fails the run.
+"""The construction surface: EngineConfig, from_config, serve(), and
+the removed surfaces (legacy keyword knobs, the learned kind, stride
+plans) failing loudly.
 """
 
 from __future__ import annotations
@@ -142,69 +138,58 @@ class TestServeFacade:
             serve(12345)
 
 
-class TestDeprecatedKeywordShim:
-    """Legacy keyword knobs still work, with one DeprecationWarning."""
+#: every construction surface that once took legacy keyword knobs,
+#: built from a compiled ACL plus ``**kwargs``
+SURFACES = [
+    pytest.param(
+        lambda acl, **kw: ClassificationEngine(
+            build_matcher("palmtrie-plus", acl.entries, acl.layout.length), **kw
+        ),
+        id="ClassificationEngine",
+    ),
+    pytest.param(lambda acl, **kw: Firewall(acl, **kw), id="Firewall"),
+    pytest.param(
+        lambda acl, **kw: FlowMonitor(acl.entries, acl.layout.length, **kw),
+        id="FlowMonitor",
+    ),
+    pytest.param(
+        lambda acl, **kw: L3Forwarder(acl, [(0x0A, 8, 1)], **kw), id="L3Forwarder"
+    ),
+    pytest.param(lambda acl, **kw: StatefulFirewall(acl, **kw), id="StatefulFirewall"),
+]
 
-    def test_engine_legacy_kwargs_warn_and_apply(self):
-        matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
-        with pytest.warns(DeprecationWarning, match="ClassificationEngine"):
-            engine = ClassificationEngine(matcher, cache_size=9, auto_freeze=True)
-        assert engine.cache.capacity == 9
-        assert engine.config.auto_freeze is True
 
-    def test_engine_rejects_config_plus_legacy(self):
-        matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
-        with pytest.raises(TypeError, match="not both"):
-            ClassificationEngine(matcher, EngineConfig(), cache_size=9)
+class TestRemovedSurfaces:
+    """Removed knobs and kinds fail loudly instead of being ignored."""
 
-    def test_legacy_engine_still_serves_correctly(self):
-        import random
-
-        entries = random_entries(30, KEY_LENGTH, seed=3)
-        matcher = build_matcher("palmtrie-plus", entries, KEY_LENGTH)
-        reference = build_matcher("sorted-list", entries, KEY_LENGTH)
-        with pytest.warns(DeprecationWarning):
-            engine = ClassificationEngine(matcher, cache_size=64)
-        rng = random.Random(41)
-        queries = [rng.getrandbits(KEY_LENGTH) for _ in range(50)]
-        for _ in range(2):  # second pass hits the cache
-            for query, entry in zip(queries, engine.lookup_batch(queries)):
-                expected = reference.lookup(query)
-                if expected is None:
-                    assert entry is None
-                else:
-                    assert entry.value == expected.value
-
-    @pytest.mark.parametrize(
-        "factory, owner",
-        [
-            (lambda acl, **kw: Firewall(acl, **kw), "Firewall"),
-            (
-                lambda acl, **kw: FlowMonitor(acl.entries, acl.layout.length, **kw),
-                "FlowMonitor",
-            ),
-            (
-                lambda acl, **kw: L3Forwarder(acl, [(0x0A, 8, 1)], **kw),
-                "L3Forwarder",
-            ),
-            (lambda acl, **kw: StatefulFirewall(acl, **kw), "StatefulFirewall"),
-        ],
-    )
-    def test_app_legacy_kwargs_warn(self, factory, owner):
+    @pytest.mark.parametrize("factory", SURFACES)
+    def test_legacy_keyword_knob_is_a_type_error(self, factory):
         acl = compile_acl(parse_acl(ACL))
-        with pytest.warns(DeprecationWarning, match=owner):
-            app = factory(acl, cache_size=8)
-        assert app.engine.cache.capacity == 8
-        assert app.config.cache_size == 8
+        with pytest.raises(TypeError, match="cache_size"):
+            factory(acl, cache_size=8)
+        served = factory(acl, config=EngineConfig(cache_size=8))
+        engine = getattr(served, "engine", served)
+        assert engine.cache.capacity == 8
 
-    def test_app_config_path_is_silent(self, recwarn):
-        acl = compile_acl(parse_acl(ACL))
-        for app in (
-            Firewall(acl, EngineConfig(cache_size=8)),
-            FlowMonitor(acl.entries, acl.layout.length,
-                        config=EngineConfig(cache_size=8)),
-            L3Forwarder(acl, [(0x0A, 8, 1)], config=EngineConfig(cache_size=8)),
-            StatefulFirewall(acl, config=EngineConfig(cache_size=8)),
-        ):
-            assert app.engine.cache.capacity == 8
-        assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
+    def test_removed_matcher_kind_lists_survivors(self):
+        from repro import MATCHER_KINDS
+
+        with pytest.raises(ValueError, match="unknown matcher kind 'learned'") as info:
+            serve(ACL, EngineConfig(matcher="learned"))
+        for kind in MATCHER_KINDS:
+            assert repr(kind) in str(info.value)
+
+    def test_manifest_stride_plan_key_fails_at_load(self):
+        from repro.tenant.manifest import parse_manifest
+
+        doc = {
+            "tenants": [
+                {
+                    "name": "a",
+                    "acl": "permit ip any any",
+                    "engine": {"matcher": "frozen", "stride_plan": {"root_stride": 8}},
+                }
+            ]
+        }
+        with pytest.raises(ValueError, match="stride_plan"):
+            parse_manifest(doc)

@@ -40,7 +40,6 @@ class TestRegistry:
         assert set(MATCHER_KINDS) == {
             "sorted-list", "palmtrie-basic", "palmtrie", "palmtrie-plus",
             "frozen", "dpdk-acl", "efficuts", "adaptive", "tcam", "vectorized",
-            "learned",
         }
         for cls in MATCHER_KINDS.values():
             assert isinstance(cls, type)
@@ -509,20 +508,13 @@ class TestUpdatePlane:
 
 
 # ----------------------------------------------------------------------
-# The deprecation shim
+# The instrumented lookup
 # ----------------------------------------------------------------------
 
 class TestDeprecatedShim:
-    def test_lookup_counted_warns_but_works(self):
-        matcher = build_matcher("sorted-list", table1_entries(), 8)
-        matcher.stats.reset()
-        with pytest.warns(DeprecationWarning, match="lookup_counted"):
-            result = matcher.lookup_counted(0b00010101)
-        assert_same_result(oracle_lookup(table1_entries(), 0b00010101), result)
-        assert matcher.stats.lookups == 1
-
     def test_profile_lookup_does_not_warn(self):
         matcher = build_matcher("sorted-list", table1_entries(), 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             matcher.profile_lookup(0b00010101)
+        assert matcher.stats.lookups == 1

@@ -190,8 +190,7 @@ def test_deserialize_frozen_dispatch_cycle_fails_closed():
     header = _FROZEN_HEADER.unpack_from(blob)
     first_leaf, leaf_count = header[5], header[6]
     assert first_leaf > 0, "sample plane must have an internal node"
-    # the sample has no stride plan, so dispatch starts right after the
-    # bit and maxp sections
+    # dispatch starts right after the bit and maxp sections
     dispatch_off = (
         _FROZEN_HEADER.size
         + _FROZEN_EXT.size

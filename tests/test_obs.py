@@ -11,6 +11,7 @@ import importlib.util
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from repro.obs import (
     validate_snapshot,
     write_snapshot,
 )
+from repro.obs.timing import best_of_attempts_ratio
 
 # ----------------------------------------------------------------------
 # Bucket geometry
@@ -361,6 +363,49 @@ class TestCliMetrics:
         assert main(["metrics", acl_path, trace_path, "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert validate_snapshot(document) == []
+
+
+# ----------------------------------------------------------------------
+# The shared A/B timing estimator
+# ----------------------------------------------------------------------
+
+
+def _spin(seconds: float) -> None:
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+
+
+class TestBestOfAttemptsRatio:
+    def _counting(self, seconds: float):
+        calls = []
+
+        def arm():
+            calls.append(1)
+            _spin(seconds)
+
+        return arm, calls
+
+    def test_early_stop_cuts_attempts(self):
+        knobs = dict(rounds=3, attempts=4, number=2)
+        base, base_calls = self._counting(0.0)
+        cand, cand_calls = self._counting(0.0)
+        # A ratio of at least 0 always clears a zero bar: one attempt.
+        best_of_attempts_ratio(base, cand, early_stop=0.0, **knobs)
+        assert len(base_calls) == len(cand_calls) == 3 * 2
+        base, base_calls = self._counting(0.0)
+        cand, cand_calls = self._counting(0.0)
+        # An unreachable bar runs every attempt.
+        best_of_attempts_ratio(base, cand, early_stop=float("inf"), **knobs)
+        assert len(base_calls) == len(cand_calls) == 4 * 3 * 2
+
+    def test_twice_as_slow_arm_reads_below_one(self):
+        base, _ = self._counting(0.001)
+        cand, _ = self._counting(0.002)
+        ratio = best_of_attempts_ratio(
+            base, cand, rounds=3, attempts=2, number=1, early_stop=0.98
+        )
+        assert 0.0 < ratio < 1.0
 
 
 # ----------------------------------------------------------------------

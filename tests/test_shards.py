@@ -142,20 +142,12 @@ class TestShardedDifferential:
             assert sharded.health == "ok"
             assert sharded.shards_alive == 2
 
-    def test_adaptive_layout_and_plan_cross_process(self, policy):
-        """Hot layout + variable StridePlan survive the PLMS hop: the
-        workers serve from planes compiled under both knobs, and the
-        verdicts still match a plain single-process engine."""
-        from repro.core.frozen import StridePlan
-
+    def test_hot_layout_cross_process(self, policy):
+        """The hot layout survives the PLMS hop: the workers serve from
+        hot-ordered planes, and the verdicts still match a plain
+        single-process engine."""
         queries = _trace(4_000, seed=23)
-        plan = StridePlan(8, 6, ((2, 4), (300, 3)))
-        config = EngineConfig(
-            cache_size=0,
-            shards=2,
-            frozen_layout="hot",
-            stride_plan=plan,
-        )
+        config = EngineConfig(cache_size=0, shards=2, frozen_layout="hot")
         matcher_a = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
         matcher_b = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
         single = ClassificationEngine(
