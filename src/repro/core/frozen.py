@@ -28,10 +28,15 @@ emits the whole trie as flat parallel integer arrays:
   ``care`` match words plus a flat, priority-sorted entry list.
 
 ``lookup`` is then an allocation-free iterative loop over integer node
-ids (internals first, leaves above ``first_leaf``), and
-``lookup_batch`` walks the arrays node-major — vectorized across the
-batch with NumPy when it is importable (the same uint64 lane splitting
-as :mod:`repro.baselines.vectorized`), in pure Python otherwise.  The
+ids (internals first, leaves above ``first_leaf``).  ``lookup_batch``
+deduplicates the batch and picks its walk by the number of unique
+queries: below ``_NUMPY_MIN_BATCH`` it runs that same scalar loop once
+per query; from there on, and only when NumPy is importable, it walks
+the arrays node-major, vectorized across the batch (the same uint64
+lane splitting as :mod:`repro.baselines.vectorized`).  The frontier
+walk's fixed cost is some 25 NumPy calls per trie level, which
+bursts of a few dozen queries cannot amortize.  Both walks return the
+entry ``lookup`` returns, equal-priority ties included.  The
 arrays are the canonical plane — what :meth:`memory_bytes` measures and
 :mod:`repro.core.serialize` writes; because indexing an :mod:`array`
 boxes a fresh int on every access, each freeze also keeps plain-list
@@ -78,6 +83,18 @@ _COUNT_MASK = (1 << _COUNT_BITS) - 1
 #: explicit ``layout_trace`` and the passive batch-walk reservoir are
 #: capped here, so a refreeze never replays an unbounded trace)
 _LAYOUT_SAMPLE_CAP = 512
+
+#: unique queries per batch from which the numpy frontier walk beats
+#: walking each query with the scalar loop.  Sweep on a 2-core x86
+#: container (Python 3.11, numpy 2.4), 500-rule ClassBench sets, stride
+#: 8, unique pareto queries; numpy ns / scalar ns per query, median of
+#: 21 interleaved rounds:
+#:
+#:   unique    16    64   128   256   384   512   768  1024  2048
+#:   acl     13.1  3.85  2.43  1.59  1.33  1.21  0.88  0.82  0.63
+#:   fw      10.7  3.33  2.05  1.42  1.13  0.89  0.78  0.76  0.65
+#:   ipc     8.83  2.99  1.84  1.46  0.94  0.97  0.84  0.73  0.62
+_NUMPY_MIN_BATCH = 512
 
 #: layout names accepted by ``freeze(..., layout=)`` / the constructors
 _LAYOUTS = ("build", "hot")
@@ -616,6 +633,65 @@ class FrozenMatcher(TernaryMatcher):
                 extend(push[base : base + c - 1])
         return result
 
+    def _scalar_walk(self, queries: Sequence[int]) -> tuple[list[int], int]:
+        """:meth:`lookup`'s walk over many queries: the winning leaf index
+        of each (-1 where nothing matches) and the (node, query) pairs
+        visited after skipping.
+
+        Batches below ``_NUMPY_MIN_BATCH`` unique queries run here.  It
+        is a copy of ``lookup``'s loop rather than its callee: routing
+        ``lookup`` through this method (a call, a one-tuple, a result
+        list) cost it 10-13% per query on 500-rule acl/fw sets.
+        """
+        (
+            maxp, bits, dispatch, push, data, care, _best_of,
+            first_leaf, stride, chunk_mask, skipping,
+        ) = self._hot
+        count_mask = _COUNT_MASK
+        count_bits = _COUNT_BITS
+        winners: list[int] = []
+        visits = 0
+        # One stack for every query: each walk leaves it empty.
+        stack: list[int] = []
+        pop = stack.pop
+        extend = stack.extend
+        for query in queries:
+            winner = winner_priority = -1
+            x = 0
+            while True:
+                mp = maxp[x]
+                if not (skipping and winner_priority > mp):
+                    visits += 1
+                    if x >= first_leaf:
+                        j = x - first_leaf
+                        if query & care[j] == data[j] and mp > winner_priority:
+                            winner = j
+                            winner_priority = mp
+                    else:
+                        b = bits[x]
+                        if b >= 0:
+                            packed = dispatch[(x << stride) + ((query >> b) & chunk_mask)]
+                        else:
+                            packed = dispatch[(x << stride) + ((query << -b) & chunk_mask)]
+                        c = packed & count_mask
+                        # Follow single-successor chains without touching
+                        # the stack (the dominant dispatch shape).
+                        if c == 1:
+                            x = packed >> count_bits
+                            continue
+                        if c:
+                            # Continue with the run's LAST element (the one
+                            # the LIFO walk would pop first); stack the rest.
+                            base = packed >> count_bits
+                            x = push[base + c - 1]
+                            extend(push[base : base + c - 1])
+                            continue
+                if not stack:
+                    break
+                x = pop()
+            winners.append(winner)
+        return winners, visits
+
     def lookup_all(self, query: int) -> list[TernaryEntry]:
         """All matching entries, highest priority first (no skipping)."""
         if self._dirty:
@@ -694,7 +770,7 @@ class FrozenMatcher(TernaryMatcher):
         return result, visits, comparisons
 
     # ------------------------------------------------------------------
-    # Batched lookup: node-major, vectorized under numpy
+    # Batched lookup: the scalar loop per query, or node-major numpy
     # ------------------------------------------------------------------
 
     def lookup_batch(self, queries: Sequence[int]) -> list[Optional[TernaryEntry]]:
@@ -733,62 +809,15 @@ class FrozenMatcher(TernaryMatcher):
             # queries: the next refreeze replays it as the frequency
             # trace when no explicit layout_trace was given.
             samples.extend(unique[: _LAYOUT_SAMPLE_CAP - len(samples)])
-        if _np is not None:
+        if _np is not None and len(unique) >= _NUMPY_MIN_BATCH:
             best = self._batch_walk_numpy(unique)
         else:
-            best = self._batch_walk_python(unique)
+            best, visits = self._scalar_walk(unique)
+            self.batch_walk_node_visits += visits
         for g, query in enumerate(unique):
             for index in positions[query]:
                 results[index] = best[g]
         return results
-
-    def _batch_walk_python(self, unique: Sequence[int]) -> list[int]:
-        """Grouped node-major walk (the fallback without numpy)."""
-        best = [-1] * len(unique)
-        best_priority = [-1] * len(unique)
-        (
-            maxp, bits, dispatch, push, data, care, best_of,
-            first_leaf, stride, chunk_mask, skipping,
-        ) = self._hot
-        visits = 0
-        stack: list[tuple[int, list[int]]] = [(0, list(range(len(unique))))]
-        while stack:
-            x, group = stack.pop()
-            mp = maxp[x]
-            if skipping:
-                group = [g for g in group if best_priority[g] <= mp]
-                if not group:
-                    continue
-            visits += len(group)
-            if x >= first_leaf:
-                j = x - first_leaf
-                leaf_data = data[j]
-                leaf_care = care[j]
-                for g in group:
-                    if unique[g] & leaf_care == leaf_data and mp > best_priority[g]:
-                        best[g] = j
-                        best_priority[g] = mp
-                continue
-            b = bits[x]
-            base_slot = x << stride
-            buckets: dict[int, list[int]] = {}
-            if b >= 0:
-                for g in group:
-                    buckets.setdefault((unique[g] >> b) & chunk_mask, []).append(g)
-            else:
-                for g in group:
-                    buckets.setdefault((unique[g] << -b) & chunk_mask, []).append(g)
-            for chunk, bucket in buckets.items():
-                packed = dispatch[base_slot + chunk]
-                c = packed & _COUNT_MASK
-                if c == 1:
-                    stack.append((packed >> _COUNT_BITS, bucket))
-                elif c:
-                    base = packed >> _COUNT_BITS
-                    for t in range(base, base + c):
-                        stack.append((push[t], bucket))
-        self.batch_walk_node_visits += visits
-        return best
 
     # -- numpy fast path -------------------------------------------------
 
@@ -847,6 +876,8 @@ class FrozenMatcher(TernaryMatcher):
         best_leaf = np.full(n, -1, dtype=np.int64)
         nodes = np.zeros(n, dtype=np.int64)  # frontier starts at the root
         qidx = np.arange(n, dtype=np.int64)
+        hit_q: list[Any] = []  # (query, priority) of every match that
+        hit_p: list[Any] = []  # reached its query's best so far
         visits = 0
         while nodes.size:
             mp = maxp[nodes]
@@ -866,7 +897,9 @@ class FrozenMatcher(TernaryMatcher):
                 ok = np.ones(lj.size, dtype=bool)
                 for lane in range(lanes):
                     ok &= (qlanes[lq, lane] & care_lanes[lj, lane]) == data_lanes[lj, lane]
-                ok &= mp[leaf_mask] > best_priority[lq]
+                # >= keeps equal-priority matches: they are the ties
+                # the frontier cannot order the way the scalar walk does
+                ok &= mp[leaf_mask] >= best_priority[lq]
                 if ok.any():
                     wq = lq[ok]
                     wp = mp[leaf_mask][ok]
@@ -874,6 +907,8 @@ class FrozenMatcher(TernaryMatcher):
                     np.maximum.at(best_priority, wq, wp)
                     won = wp == best_priority[wq]
                     best_leaf[wq[won]] = wl[won]
+                    hit_q.append(wq)
+                    hit_p.append(wp)
             internal_mask = ~leaf_mask
             nodes = nodes[internal_mask]
             qidx = qidx[internal_mask]
@@ -922,8 +957,23 @@ class FrozenMatcher(TernaryMatcher):
             nodes = np.concatenate(next_nodes)
             qidx = np.concatenate(next_qidx)
 
+        best = best_leaf.tolist()
+        if hit_q:
+            # A query with two matching leaves at its winning priority
+            # is a tie: the frontier visits leaves level by level, the
+            # scalar walk depth-first, so they may pick different
+            # winners.  Re-resolve just those queries depth-first so
+            # every batch size serves the entry ``lookup`` serves.
+            wq = np.concatenate(hit_q)
+            at_best = np.concatenate(hit_p) == best_priority[wq]
+            ties = np.flatnonzero(np.bincount(wq[at_best], minlength=n) > 1).tolist()
+            if ties:
+                fixed, tie_visits = self._scalar_walk([unique[g] for g in ties])
+                for g, leaf in zip(ties, fixed):
+                    best[g] = leaf
+                visits += tie_visits
         self.batch_walk_node_visits += visits
-        return best_leaf.tolist()
+        return best
 
     # ------------------------------------------------------------------
     # Introspection

@@ -7,7 +7,8 @@ ClassBench workloads — same winning entry object, not just the same
 priority — because freezing is a representation change, not an
 algorithm change.  On top of that: the PLMF wire format round-trips,
 corruption is detected, lazy re-freezing after updates stays coherent,
-and both batch walks (numpy and pure-python) agree.
+and both batch walks (per-query scalar and numpy frontier) return the
+entry ``lookup`` returns on either side of the size crossover.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ import pytest
 from helpers import assert_same_result, oracle_lookup, random_entries, table1_entries
 
 from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, build_matcher
-from repro.core.frozen import FrozenMatcher, FrozenPoptrie, freeze
+from repro.core.frozen import (
+    _NUMPY_MIN_BATCH,
+    FrozenMatcher,
+    FrozenPoptrie,
+    _np,
+    freeze,
+)
 from repro.core.multibit import MultibitPalmtrie
 from repro.core.plus import PalmtriePlus
 from repro.core.poptrie import Poptrie
@@ -170,22 +177,85 @@ class TestDifferentialClassBench:
         assert frozen.lookup_batch(queries) == expected
 
 
+def _unique_queries(entries, count: int, seed: int) -> list[int]:
+    """``count`` distinct biased queries (a batch of ``count`` uniques)."""
+    unique: dict[int, None] = {}
+    while len(unique) < count:
+        unique.update(dict.fromkeys(_biased_queries(entries, count, seed=seed)))
+        seed += 1
+    return list(unique)[:count]
+
+
+def _clustered_entries(count: int, key_length: int, seed: int) -> list[TernaryEntry]:
+    """Entries around three shared base keys, differing mostly in their
+    low digits, so the trie grows deep enough for chunks below bit 0
+    (and, over 64 bits, across the uint64 lane boundary)."""
+    rng = random.Random(seed)
+    bases = [[rng.choice("01") for _ in range(key_length)] for _ in range(3)]
+    entries = []
+    for i in range(count):
+        digits = list(rng.choice(bases))
+        for _ in range(rng.randrange(4)):
+            digits[rng.randrange(key_length)] = rng.choice("01*")
+        digits[-3:] = [rng.choice("01*") for _ in range(3)]
+        key = TernaryKey.from_string("".join(digits))
+        entries.append(TernaryEntry(key, i, rng.randrange(1000)))
+    return entries
+
+
+#: plane name -> (entries, key length, stride); each walks a different
+#: corner of the batch walks
+_WALK_PLANES = {
+    # one uint64 lane; 32 % 6 != 0, so deep chunks sit below bit 0
+    "short-key": lambda: (_clustered_entries(60, KEY_LENGTH, seed=7), KEY_LENGTH, 6),
+    # two lanes; the root chunk (bits 62-69) spans the lane boundary and
+    # 70 % 8 != 0 puts deep chunks below bit 0
+    "multi-lane": lambda: (_clustered_entries(60, 70, seed=9), 70, 8),
+    # 40 entries over priorities 0-4: equal-priority overlaps are common,
+    # and on this seed the frontier's level order picks a different
+    # tie winner than the depth-first walk for some queries
+    "ties": lambda: (random_entries(40, 16, seed=11, priority_range=5), 16, 4),
+}
+
+
 class TestBatchPaths:
-    def test_numpy_and_python_walks_agree(self):
-        entries = random_entries(60, KEY_LENGTH, seed=7)
-        frozen = FrozenMatcher.build(entries, KEY_LENGTH, stride=6)
-        queries = _biased_queries(entries, 500, seed=8)
-        via_default = frozen.lookup_batch(queries)
-        # The private walks now speak leaf indices (what the sharded
-        # data plane ships between processes); resolve through
-        # _leaf_best to compare with the entry-level surface.
-        python_only = frozen._batch_walk_python(list(dict.fromkeys(queries)))
-        by_query = dict(zip(dict.fromkeys(queries), python_only))
+    @pytest.mark.skipif(_np is None, reason="the frontier walk needs numpy")
+    @pytest.mark.parametrize(
+        "size", [1, 63, _NUMPY_MIN_BATCH - 1, _NUMPY_MIN_BATCH, 4 * _NUMPY_MIN_BATCH]
+    )
+    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize("plane", sorted(_WALK_PLANES))
+    def test_walks_agree_across_crossover(self, plane, layout, size):
+        entries, key_length, stride = _WALK_PLANES[plane]()
+        queries = _unique_queries(entries, size, seed=8)
+        frozen = FrozenMatcher.build(
+            entries, key_length, stride=stride, layout=layout,
+            layout_trace=queries[:64] if layout == "hot" else None,
+        )
+        if plane != "ties":
+            assert min(frozen._bit) < 0  # the walks shift chunks left
+        scalar, _visits = frozen._scalar_walk(queries)
+        assert frozen._batch_walk_numpy(queries) == scalar
+        assert frozen.lookup_batch_indices(queries) == scalar
         best_of = frozen._leaf_best
-        assert via_default == [
-            best_of[by_query[q]] if by_query[q] >= 0 else None for q in queries
-        ]
-        assert frozen.lookup_batch_indices(queries) == [by_query[q] for q in queries]
+        for query, leaf in zip(queries, scalar):
+            # the very entry lookup serves, tie winner included
+            assert (best_of[leaf] if leaf >= 0 else None) is frozen.lookup(query)
+
+    def test_scalar_batch_counts_the_visits_profile_lookup_counts(self):
+        from repro.workloads.classbench import classbench_acl
+        from repro.workloads.traffic import reverse_byte_scan
+
+        acl = classbench_acl("acl", 120)
+        frozen = freeze(PalmtriePlus.build(acl.entries, acl.layout.length, stride=8))
+        queries = reverse_byte_scan(200, seed=3, start=4096)
+        unique = list(dict.fromkeys(queries))
+        assert len(unique) < _NUMPY_MIN_BATCH  # the scalar walk serves it
+        before = frozen.batch_walk_node_visits
+        frozen.lookup_batch(queries)
+        walked = frozen.batch_walk_node_visits - before
+        assert walked > 0
+        assert walked == sum(frozen._counted_lookup(q)[1] for q in unique)
 
     def test_batch_empty_and_duplicates(self):
         frozen = FrozenMatcher.build(table1_entries(), 8)

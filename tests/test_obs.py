@@ -466,6 +466,7 @@ class TestTrajectoryGate:
         assert {
             "engine_cache_speedup",
             "frozen_batch_speedup",
+            "frozen_burst_speedup",
             "frozen_scalar_speedup",
             "metrics_overhead_ratio",
             "update_batch_speedup",
