@@ -14,6 +14,9 @@ and on a Zipf flow-heavy trace:
 * frozen ``lookup_batch`` over 64-query bursts, the size a serving
   engine hands the plane on a cache miss (these stay below the numpy
   crossover and run the scalar loop once per unique query),
+* the freeze compiler: re-freezing a Palmtrie+ one update after its
+  last freeze (what every auto-freeze refreeze costs) against
+  ``PalmtriePlus.compile`` of the same table,
 
 and records everything in ``BENCH_frozen.json`` at the repo root.
 
@@ -34,6 +37,7 @@ entry point (one profile, small trace).
 from __future__ import annotations
 
 import json
+import time
 import timeit
 from pathlib import Path
 
@@ -103,6 +107,19 @@ def _best(stmt, repeat: int = 3) -> float:
     return min(timeit.repeat(stmt, number=1, repeat=repeat))
 
 
+def _best_after_update(action, plus: PalmtriePlus, entry, rounds: int = 3) -> float:
+    """Best time of ``action`` on ``plus`` one update (a delete or
+    re-insert of ``entry``) after its last freeze or compile."""
+    best = float("inf")
+    for _ in range(rounds):
+        for update in (lambda: plus.delete(entry.key), lambda: plus.insert(entry)):
+            update()
+            start = time.perf_counter()
+            action()
+            best = min(best, time.perf_counter() - start)
+    return best
+
+
 def _measure(entries, queries, stride: int = 8) -> dict:
     interpreted = PalmtriePlus.build(entries, KEY_LENGTH, stride=stride)
     frozen = freeze(interpreted)
@@ -117,6 +134,9 @@ def _measure(entries, queries, stride: int = 8) -> dict:
     # every batch costs without numpy
     unique = list(dict.fromkeys(queries))
     scalar_batch = _best(lambda: frozen._scalar_walk(unique))
+    victim = entries[len(entries) // 2]
+    refreeze = _best_after_update(lambda: freeze(interpreted), interpreted, victim)
+    compile_ = _best_after_update(interpreted.compile, interpreted, victim)
     row = {
         "queries": n,
         "interpreted_scalar_qps": safe_rate(n, interpreted_scalar),
@@ -128,6 +148,9 @@ def _measure(entries, queries, stride: int = 8) -> dict:
         "batch_speedup": clamp_seconds(interpreted_scalar) / clamp_seconds(frozen_batch),
         "burst_speedup": clamp_seconds(interpreted_scalar) / clamp_seconds(frozen_burst),
         "batch_uses_numpy": numpy is not None and len(unique) >= _NUMPY_MIN_BATCH,
+        "refreeze_ms": 1000 * refreeze,
+        "compile_ms": 1000 * compile_,
+        "refreeze_vs_compile": clamp_seconds(compile_) / clamp_seconds(refreeze),
         "frozen_memory_bytes": frozen.memory_bytes(),
         "interpreted_python_bytes": deep_sizeof(interpreted),
     }
@@ -162,7 +185,7 @@ def main(smoke: bool = False) -> dict[str, float]:
     table = Table(
         f"Frozen plane vs interpreted Palmtrie+ ({rules} rules, {count} queries)",
         ["workload", "interpreted", "frozen scalar", "frozen batch",
-         f"frozen {BURST}-burst", "scalar x", "batch x", "burst x"],
+         f"frozen {BURST}-burst", "scalar x", "batch x", "burst x", "refreeze ms"],
     )
     for profile in profiles:
         acl = classbench_acl(profile, rules)
@@ -178,6 +201,7 @@ def main(smoke: bool = False) -> dict[str, float]:
             f"{row['scalar_speedup']:.2f}",
             f"{row['batch_speedup']:.2f}",
             f"{row['burst_speedup']:.2f}",
+            f"{row['refreeze_ms']:.1f}",
         )
 
     # flow-heavy Zipf trace over the last profile's rules
@@ -193,6 +217,7 @@ def main(smoke: bool = False) -> dict[str, float]:
         f"{zipf_row['scalar_speedup']:.2f}",
         f"{zipf_row['batch_speedup']:.2f}",
         f"{zipf_row['burst_speedup']:.2f}",
+        f"{zipf_row['refreeze_ms']:.1f}",
     )
     print(table.render())
 
@@ -201,6 +226,7 @@ def main(smoke: bool = False) -> dict[str, float]:
         "frozen_batch_speedup": table4["batch_speedup"],
         "frozen_scalar_speedup": table4["scalar_speedup"],
         "frozen_burst_speedup": table4["burst_speedup"],
+        "frozen_refreeze_vs_compile": table4["refreeze_vs_compile"],
     }
     if smoke:
         # CI bar: the batch path has several-x margin, so shared-runner
@@ -214,7 +240,9 @@ def main(smoke: bool = False) -> dict[str, float]:
         print(
             f"frozen smoke benchmark: batch {table4['batch_speedup']:.2f}x, "
             f"{BURST}-burst {table4['burst_speedup']:.2f}x, "
-            f"scalar {table4['scalar_speedup']:.2f}x over interpreted"
+            f"scalar {table4['scalar_speedup']:.2f}x over interpreted; "
+            f"refreeze {table4['refreeze_ms']:.1f} ms "
+            f"(compile/refreeze {table4['refreeze_vs_compile']:.2f})"
         )
         return metrics
 

@@ -27,6 +27,19 @@ emits the whole trie as flat parallel integer arrays:
 * a separate *leaf-entry table* — per-leaf precomputed ``data`` /
   ``care`` match words plus a flat, priority-sorted entry list.
 
+The compiler emits a node's dispatch words per don't-care *interval*,
+not per chunk, so its cost follows the children a node has rather
+than its 2^k chunks.  The don't-care child at ternary slot ``h`` has
+prefix length ``p = (h+1).bit_length() - 1`` and value
+``v = h + 1 - 2**p``; it covers exactly the aligned chunk range
+``[v << (k-p), (v+1) << (k-p))``.  One node's ranges nest or are
+disjoint, so cutting ``[0, 2**k)`` at every range bound leaves
+intervals over which the don't-care tail of every run is constant.
+Each interval's word is written with one slice assignment, then the
+chunks that have an exact child are overwritten with ``[exact] +
+tail``.  Multi-child runs are still registered in ascending chunk
+order, so the image is the one the per-chunk loop would emit.
+
 ``lookup`` is then an allocation-free iterative loop over integer node
 ids (internals first, leaves above ``first_leaf``).  ``lookup_batch``
 deduplicates the batch and picks its walk by the number of unique
@@ -47,7 +60,10 @@ A frozen plane is immutable; like Palmtrie+ it retains its mutable
 source, absorbs ``insert``/``delete`` there, and re-freezes lazily on
 the next lookup.  Planes loaded from disk
 (:func:`repro.core.serialize.load_frozen`) defer even building the
-source until the first mutation.
+source until the first mutation.  Freezing a Palmtrie+ with pending
+updates walks its retained Palmtrie_k rather than compiling a
+Palmtrie+ only to discard it; a clean one is walked through its
+compiled nodes, so freezing a loaded table never builds its source.
 """
 
 from __future__ import annotations
@@ -55,6 +71,7 @@ from __future__ import annotations
 import time
 from array import array
 from functools import lru_cache
+from itertools import compress
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .multibit import MultibitPalmtrie
@@ -299,9 +316,15 @@ class FrozenMatcher(TernaryMatcher):
         """Recompile the arrays from the source trie."""
         freeze_start = time.perf_counter()
         source = self._hydrate_source()
+        if isinstance(source, PalmtriePlus) and source._dirty:
+            # Walk the retained Palmtrie_k instead of compiling nodes
+            # only to discard them: compile() numbers nodes in this
+            # same BFS order and copies these leaves' entries, so the
+            # arrays and served entries are identical.  The Palmtrie+
+            # stays dirty and compiles if anything looks up through it.
+            source._hydrate_source()
+            source = source._source
         if isinstance(source, PalmtriePlus):
-            if source._dirty:
-                source.compile()
             root: Any = source._root
             plus_nodes = source._nodes
 
@@ -322,9 +345,14 @@ class FrozenMatcher(TernaryMatcher):
             root = source._root  # type: ignore[attr-defined]
 
             def successors(node: Any) -> tuple[dict[int, Any], dict[int, Any]]:
-                exact = {i: c for i, c in enumerate(node.descendants) if c is not None}
-                ternary = {h: c for h, c in enumerate(node.ternaries) if c is not None}
-                return exact, ternary
+                # compress() keeps the occupied slots (nodes are truthy)
+                # without a Python-level test per slot.
+                exact = node.descendants
+                ternary = node.ternaries
+                return (
+                    {i: exact[i] for i in compress(range(len(exact)), exact)},
+                    {h: ternary[h] for h in compress(range(len(ternary)), ternary)},
+                )
 
             def is_leaf(node: Any) -> bool:
                 return type(node) is _MbLeaf
@@ -428,48 +456,71 @@ class FrozenMatcher(TernaryMatcher):
 
         push: list[int] = []
         run_pool: dict[tuple[int, ...], int] = {}
+
+        def word(run: list[int]) -> int:
+            """The dispatch word for one chunk's survivors (never empty)."""
+            if len(run) == 1:
+                # Single survivor: the dispatch word IS the target.
+                return (run[0] << _COUNT_BITS) | 1
+            if hot:
+                # The LIFO walk pops a run back to front; sorting
+                # ascending puts the most promising subtree first,
+                # so §3.5 skipping prunes its siblings.  "Promising"
+                # = trace-measured win mass when a trace was
+                # replayed, max_priority as the cold-start tiebreak.
+                if mass_arr is not None:
+                    run.sort(key=lambda n: (mass_arr[n], maxp_arr[n]))
+                else:
+                    run.sort(key=maxp_arr.__getitem__)
+            signature = tuple(run)
+            base = run_pool.get(signature)
+            if base is None:
+                base = len(push)
+                push.extend(run)
+                run_pool[signature] = base
+            return (base << _COUNT_BITS) | len(run)
+
         slots_of = _ternary_slots(stride)
+        chunks = 1 << stride
         for x, node in enumerate(internals):
             base_slot = x << stride
             exact, ternary = kids[id(node)]
-            for chunk in range(1 << stride):
-                run: list[int] = []
-                child = exact.get(chunk)
-                if child is not None:
-                    run.append(ids[id(child)])
+            # The don't-care child at slot h (prefix length p, value v)
+            # covers the aligned chunk range [v << (k-p), (v+1) << (k-p)).
+            # One node's ranges nest or are disjoint, so cutting the
+            # chunk space at every range bound leaves intervals over
+            # which the don't-care tail of the run is constant.
+            cuts = {0, chunks}
+            for h in ternary:
+                p = (h + 1).bit_length() - 1
+                shift = stride - p
+                v = h + 1 - (1 << p)
+                cuts.add(v << shift)
+                cuts.add((v + 1) << shift)
+            bounds = sorted(cuts)
+            exact_chunks = iter(exact)  # ascending: insertion order
+            chunk = next(exact_chunks, chunks)
+            for lo, hi in zip(bounds, bounds[1:]):
                 # Push order mirrors the mutable lookups: exact child
                 # first, then don't-care slots from the shortest prefix
                 # up, so the pop order (and therefore which of several
                 # equal-priority winners is reported) is unchanged.
-                for h in slots_of[chunk]:
-                    t = ternary.get(h)
-                    if t is not None:
-                        run.append(ids[id(t)])
-                if not run:
-                    continue
-                if len(run) == 1:
-                    # Single survivor: the dispatch word IS the target.
-                    dispatch[base_slot + chunk] = (run[0] << _COUNT_BITS) | 1
-                    continue
-                if hot:
-                    # The LIFO walk pops a run back to front; sorting
-                    # ascending puts the most promising subtree first,
-                    # so §3.5 skipping prunes its siblings.  "Promising"
-                    # = trace-measured win mass when a trace was
-                    # replayed, max_priority as the cold-start tiebreak.
-                    if mass_arr is not None:
-                        run.sort(
-                            key=lambda n: (mass_arr[n], maxp_arr[n])
-                        )
-                    else:
-                        run.sort(key=maxp_arr.__getitem__)
-                signature = tuple(run)
-                base = run_pool.get(signature)
-                if base is None:
-                    base = len(push)
-                    push.extend(run)
-                    run_pool[signature] = base
-                dispatch[base_slot + chunk] = (base << _COUNT_BITS) | len(run)
+                tail = [ids[id(ternary[h])] for h in slots_of[lo] if h in ternary]
+                # Runs register in ascending chunk order: exact chunks
+                # below the interval's first exact-free chunk, then the
+                # tail's own run there, then the remaining exact chunks.
+                free = lo
+                while chunk == free < hi:
+                    dispatch[base_slot + chunk] = word([ids[id(exact[chunk])]] + tail)
+                    free += 1
+                    chunk = next(exact_chunks, chunks)
+                if tail and free < hi:
+                    dispatch[base_slot + free : base_slot + hi] = array(
+                        "I", [word(list(tail))]
+                    ) * (hi - free)
+                while chunk < hi:
+                    dispatch[base_slot + chunk] = word([ids[id(exact[chunk])]] + tail)
+                    chunk = next(exact_chunks, chunks)
 
         leaf_data: list[int] = []
         leaf_care: list[int] = []

@@ -500,6 +500,9 @@ class ClassificationEngine:
         self.auto_freeze = auto_freeze
         self.invalidation_threshold = invalidation_threshold
         self._plane: Optional[Any] = None
+        #: the hot-layout plane's live query reservoir, kept past the
+        #: plane's drop so the next freeze replays it as its trace
+        self._plane_samples: Optional[list[int]] = None
         self._unfreezable = False
         #: matcher generation the cache contents were filled under
         self._seen_generation: Optional[int] = getattr(matcher, "generation", None)
@@ -679,7 +682,9 @@ class ClassificationEngine:
             start = time.perf_counter()
             try:
                 self._plane = freeze(
-                    self._matcher, layout=None if layout == "build" else layout
+                    self._matcher,
+                    layout=None if layout == "build" else layout,
+                    trace=self._plane_samples or None,
                 )
             except TypeError:
                 # Not a freezable structure; remember and stop trying.
@@ -695,6 +700,12 @@ class ClassificationEngine:
                 guard.breaker.record_failure()
                 return self._matcher
             elapsed = time.perf_counter() - start
+            # A plane built here starts with an empty reservoir, so keep
+            # a handle on it for the next refreeze.  A FrozenMatcher
+            # served as its own plane keeps its reservoir across
+            # refreezes already.
+            if self._plane is not self._matcher:
+                self._plane_samples = getattr(self._plane, "_query_samples", None)
             self.freezes += 1
             self.freeze_seconds_total += elapsed
             self._plane_generation = getattr(self._matcher, "generation", None)
@@ -1138,6 +1149,10 @@ class ClassificationEngine:
         self.epoch += 1
         self._plane = None
         self._plane_generation = None
+        # The samples belong to the old plane's layout history; a
+        # FrozenMatcher swapped in would otherwise be re-frozen (and a
+        # loaded one have its source built) just to take them.
+        self._plane_samples = None
         self._unfreezable = False
         self._reference = None
         self._reference_stamp = None

@@ -14,6 +14,7 @@ entry ``lookup`` returns on either side of the size crossover.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
@@ -21,6 +22,7 @@ from helpers import assert_same_result, oracle_lookup, random_entries, table1_en
 
 from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, build_matcher
 from repro.core.frozen import (
+    _COUNT_BITS,
     _NUMPY_MIN_BATCH,
     FrozenMatcher,
     FrozenPoptrie,
@@ -265,6 +267,169 @@ class TestBatchPaths:
 
 
 # ----------------------------------------------------------------------
+# The dispatch emitter against a per-chunk oracle
+# ----------------------------------------------------------------------
+
+_REAL_EMIT = FrozenMatcher._emit
+
+
+def _per_chunk_emit(self, internals, leaves, kids, hot, win_mass=None):
+    """The oracle: the freeze compiler's emit pass with the dispatch
+    table and push list rebuilt by the direct per-chunk loop.
+
+    For every internal node and every chunk value, the run is the exact
+    child first, then the don't-care children from the shortest prefix
+    up, hot-sorted by (win mass, max_priority) or max_priority alone;
+    single survivors are inlined and multi-child runs are pooled in
+    first-seen order.  The rest of the plane (ids, ``bit``/``maxp``,
+    leaf tables) is what the compiler emits, so the hot layout's second
+    pass replays its trace over the oracle's dispatch table.
+    """
+    _REAL_EMIT(self, internals, leaves, kids, hot, win_mass)
+    stride = self.stride
+    maxp = self._maxp
+    ids = {id(node): x for x, node in enumerate(internals + leaves)}
+    mass = None
+    if hot and win_mass is not None:
+        mass = [0] * len(ids)
+        for node in internals + leaves:
+            mass[ids[id(node)]] = win_mass.get(id(node), 0)
+    dispatch: list[int] = []
+    push: list[int] = []
+    pool: dict[tuple[int, ...], int] = {}
+    for node in internals:
+        exact, ternary = kids[id(node)]
+        for chunk in range(1 << stride):
+            run = [ids[id(exact[chunk])]] if chunk in exact else []
+            for plen in range(stride):
+                slot = (chunk >> (stride - plen)) + (1 << plen) - 1
+                if slot in ternary:
+                    run.append(ids[id(ternary[slot])])
+            if len(run) < 2:
+                dispatch.append((run[0] << _COUNT_BITS) | 1 if run else 0)
+                continue
+            if hot and mass is not None:
+                run.sort(key=lambda n: (mass[n], maxp[n]))
+            elif hot:
+                run.sort(key=lambda n: maxp[n])
+            base = pool.setdefault(tuple(run), len(push))
+            if base == len(push):
+                push.extend(run)
+            dispatch.append((base << _COUNT_BITS) | len(run))
+    self._dispatch = array("I", dispatch)
+    self._push = array("Q", push)
+    self._hot = self._hot[:2] + (dispatch, push) + self._hot[4:]
+    self._np_cache = None
+
+
+def _assert_same_plane(got: FrozenMatcher, want: FrozenMatcher) -> None:
+    for name in (
+        "_bit", "_maxp", "_dispatch", "_push", "_leaf_data", "_leaf_care",
+        "_leaf_entry_base", "_leaf_entry_count", "_first_leaf",
+    ):
+        assert getattr(got, name) == getattr(want, name), name
+    assert all(a is b for a, b in zip(got._entry_table, want._entry_table))
+    assert len(got._entry_table) == len(want._entry_table)
+    assert got._hot[:4] == want._hot[:4]
+    assert serialize_frozen(got) == serialize_frozen(want)
+
+
+def _check_emitter(source, layout, trace, monkeypatch) -> None:
+    got = freeze(source, layout=layout, trace=trace)
+    with monkeypatch.context() as patch:
+        patch.setattr(FrozenMatcher, "_emit", _per_chunk_emit)
+        want = freeze(source, layout=layout, trace=trace)
+    assert got.layout_applied == want.layout_applied == layout
+    _assert_same_plane(got, want)
+
+
+class TestIntervalEmitter:
+    @pytest.mark.parametrize("source_kind", [MultibitPalmtrie, PalmtriePlus])
+    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize("stride", [3, 4, 6, 8, 11])
+    @pytest.mark.parametrize("profile", ["acl", "fw", "ipc"])
+    def test_classbench_matches_per_chunk_oracle(
+        self, profile, stride, layout, source_kind, monkeypatch
+    ):
+        from repro.workloads.classbench import classbench_acl
+        from repro.workloads.traffic import pareto_trace
+
+        acl = classbench_acl(profile, 60 if stride == 11 else 150)
+        source = source_kind.build(acl.entries, acl.layout.length, stride=stride)
+        trace = pareto_trace(acl.entries, 400) if layout == "hot" else None
+        _check_emitter(source, layout, trace, monkeypatch)
+
+    @pytest.mark.parametrize("source_kind", [MultibitPalmtrie, PalmtriePlus])
+    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize(
+        "key_length, stride",
+        # 7 % 3 and 33 % 4 leave a short last chunk; 70 bits is two lanes
+        [(7, 3), (33, 4), (33, 8), (70, 6)],
+    )
+    def test_random_equal_priority_tables_match_oracle(
+        self, key_length, stride, layout, source_kind, monkeypatch
+    ):
+        # four priorities over 60 rules: equal-priority runs are common,
+        # so the stable hot sort's tie order is exercised too
+        entries = random_entries(60, key_length, seed=key_length + stride, priority_range=4)
+        source = source_kind.build(entries, key_length, stride=stride)
+        trace = _biased_queries(entries, 300, seed=5) if layout == "hot" else None
+        _check_emitter(source, layout, trace, monkeypatch)
+
+
+class TestDirtyPalmtriePlusFreeze:
+    """Freezing a dirty Palmtrie+ walks its retained Palmtrie_k instead
+    of compiling nodes only to discard them."""
+
+    def _dirty_plus(self):
+        entries = random_entries(80, KEY_LENGTH, seed=50, priority_range=20)
+        plus = PalmtriePlus.build(entries, KEY_LENGTH, stride=4)
+        assert plus.delete(entries[3].key)
+        plus.insert(TernaryEntry(TernaryKey.from_string("1*" * 16), "new", 7))
+        return entries, plus
+
+    @pytest.mark.parametrize("layout", ["build", "hot"])
+    def test_freeze_skips_the_compile_and_matches_it(self, layout):
+        entries, plus = self._dirty_plus()
+        compiles = plus.compile_count
+        trace = _biased_queries(entries, 200, seed=51) if layout == "hot" else None
+        frozen = freeze(plus, layout=layout, trace=trace)
+        assert plus.compile_count == compiles
+        assert plus._dirty  # compiles lazily if anything looks up through it
+        image = serialize_frozen(frozen)
+        plus.compile()
+        assert serialize_frozen(freeze(plus, layout=layout, trace=trace)) == image
+
+    def test_lookup_serves_the_entries_plus_serves(self):
+        entries, plus = self._dirty_plus()
+        frozen = freeze(plus)
+        queries = _biased_queries(entries, 1000, seed=52)
+        served = [frozen.lookup(q) for q in queries]
+        assert frozen.lookup_batch(queries) == served
+        for query, got in zip(queries, served):
+            assert got is plus.lookup(query)
+
+    def test_plane_refreeze_after_update_does_not_compile(self):
+        entries, plus = self._dirty_plus()
+        frozen = freeze(plus)
+        compiles = plus.compile_count
+        frozen.insert(TernaryEntry(TernaryKey.from_string("0" * KEY_LENGTH), "z", 99))
+        assert frozen.lookup(0).value == "z"
+        assert frozen.freeze_count == 2 and plus.compile_count == compiles
+
+    def test_deferred_source_stays_deferred(self):
+        from repro.core.serialize import deserialize_plus, serialize_plus
+
+        entries = random_entries(40, KEY_LENGTH, seed=53)
+        loaded = deserialize_plus(serialize_plus(PalmtriePlus.build(entries, KEY_LENGTH)))
+        assert loaded._pending_entries is not None
+        frozen = freeze(loaded)
+        assert loaded._pending_entries is not None
+        for query in _biased_queries(entries, 200, seed=54):
+            assert frozen.lookup(query) is loaded.lookup(query)
+
+
+# ----------------------------------------------------------------------
 # Mutability: lazy re-freeze
 # ----------------------------------------------------------------------
 
@@ -403,6 +568,30 @@ class TestEngineAutoFreeze:
         entries = entries[:-1]
         for query, got in zip(queries, engine.lookup_batch(queries)):
             assert_same_result(oracle_lookup(entries, query), got)
+
+    def test_hot_refreeze_replays_the_dropped_planes_samples(self):
+        """Each refreeze builds a new plane with an empty reservoir; the
+        engine hands it the dropped plane's samples as its trace, so
+        the hot layout's frequency pass still runs."""
+        from repro.workloads.classbench import classbench_acl
+        from repro.workloads.traffic import zipf_trace
+
+        acl = classbench_acl("acl", 150)
+        plus = PalmtriePlus.build(acl.entries, acl.layout.length, stride=8)
+        engine = ClassificationEngine(
+            plus, EngineConfig(cache_size=0, auto_freeze=True, frozen_layout="hot")
+        )
+        queries = zipf_trace(acl.entries, 2000, flows=256)
+        for start in range(0, len(queries), 64):
+            engine.lookup_batch(queries[start : start + 64])
+        samples = list(engine._plane._query_samples)
+        assert samples
+        engine.apply_updates([("delete", acl.entries[7].key)])
+        engine.lookup_batch(queries[:64])
+        assert engine.freezes == 2
+        want = freeze(plus, layout="hot", trace=samples)
+        assert serialize_frozen(engine._plane) == serialize_frozen(want)
+        assert serialize_frozen(freeze(plus, layout="hot")) != serialize_frozen(want)
 
     def test_unfreezable_matcher_falls_back(self):
         engine = ClassificationEngine(build_matcher("sorted-list", table1_entries(), 8), EngineConfig(cache_size=4, auto_freeze=True))

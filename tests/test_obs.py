@@ -467,6 +467,7 @@ class TestTrajectoryGate:
             "engine_cache_speedup",
             "frozen_batch_speedup",
             "frozen_burst_speedup",
+            "frozen_refreeze_vs_compile",
             "frozen_scalar_speedup",
             "metrics_overhead_ratio",
             "update_batch_speedup",
