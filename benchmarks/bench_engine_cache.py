@@ -109,14 +109,21 @@ def _metrics_overhead_ratio(
 
 
 def _guard_overhead_ratio(
-    acl, queries, rounds: int = 9, attempts: int = 5, early_stop: float = 0.985
+    acl,
+    queries,
+    shadow_sample: float = 0.0,
+    rounds: int = 9,
+    attempts: int = 5,
+    early_stop: float = 0.985,
 ) -> float:
     """Guarded-over-unguarded lookup rate on the batched serving path.
 
     Same estimator as :func:`_metrics_overhead_ratio`.  The
     healthy-path cost of the resilience plane is a handful of
     ``is None`` tests per batch, so the enforced budget is the same
-    0.98 (docs/resilience.md).
+    0.98 (docs/resilience.md).  With ``shadow_sample`` > 0 the guarded
+    engine also cross-checks that fraction of answers against the
+    linear-scan reference (``guard_shadow_overhead_ratio``).
     """
     from repro.core.table import build_matcher
     from repro.resilience.guard import GuardRail
@@ -127,7 +134,9 @@ def _guard_overhead_ratio(
     )
     guarded = ClassificationEngine(
         build_matcher("palmtrie-plus", acl.entries, KEY_LENGTH),
-        EngineConfig(cache_size=4 * FLOWS, resilience=GuardRail()),
+        EngineConfig(
+            cache_size=4 * FLOWS, resilience=GuardRail(shadow_sample=shadow_sample)
+        ),
     )
     plain.lookup_batch(queries)  # warm both caches before timing
     guarded.lookup_batch(queries)
@@ -199,10 +208,13 @@ def main(smoke: bool = False) -> dict[str, float]:
                 f"{guard:.3f}x the unguarded rate on the healthy path "
                 f"(budget >= 0.98x)"
             )
+        shadow = _guard_overhead_ratio(acl, queries, shadow_sample=0.001)
+        metrics["guard_shadow_overhead_ratio"] = shadow
         print(
             f"engine smoke benchmark: warm cache beats uncached scalar; "
             f"metrics-enabled rate {overhead:.3f}x disabled, guarded rate "
-            f"{guard:.3f}x unguarded (budgets >= 0.98x)"
+            f"{guard:.3f}x unguarded (budgets >= 0.98x); guarded rate with "
+            f"shadow_sample=0.001 {shadow:.3f}x unguarded"
         )
     return metrics
 

@@ -121,6 +121,53 @@ class FlowCache:
             return 1
         return 0
 
+    def probe(
+        self, queries: Sequence[int], out: list
+    ) -> tuple[int, dict[int, list[int]]]:
+        """The batch form of :meth:`get`: write every hit into
+        ``out[i]`` and return ``(hits, misses)``, where ``misses`` maps
+        each distinct missed query to its positions, in first-seen
+        order.  Hits are refreshed in query order, exactly as a
+        :meth:`get` per query would."""
+        cache = self._map
+        get = cache.get
+        touch = cache.move_to_end
+        missing = _MISSING
+        misses: dict[int, list[int]] = {}
+        hits = 0
+        for index, query in enumerate(queries):
+            cached = get(query, missing)
+            if cached is missing:
+                positions = misses.get(query)
+                if positions is None:
+                    misses[query] = [index]
+                else:
+                    positions.append(index)
+            else:
+                touch(query)
+                out[index] = cached
+                hits += 1
+        return hits, misses
+
+    def fill(
+        self, queries: Sequence[int], results: Sequence[Optional[TernaryEntry]]
+    ) -> int:
+        """The batch form of :meth:`put` for distinct queries the cache
+        does not hold (the misses :meth:`probe` just returned): the same
+        rows, order and eviction count as one ``put`` per query.
+        Returns the number of evictions."""
+        if self.capacity == 0:
+            return 0
+        cache = self._map
+        cache.update(zip(queries, results))
+        overflow = len(cache) - self.capacity
+        if overflow <= 0:
+            return 0
+        evict = cache.popitem
+        for _ in range(overflow):
+            evict(last=False)
+        return overflow
+
     def invalidate(self, key: TernaryKey) -> int:
         """Evict every cached query this ternary key matches.
 
@@ -812,17 +859,8 @@ class ClassificationEngine:
         n = len(queries)
         stats.lookups += n
         results: list[Optional[TernaryEntry]] = [None] * n
-        # Partition into cache hits and (deduplicated) misses.
-        miss_positions: dict[int, list[int]] = {}
-        cache_get = self.cache.get
-        hits = 0
-        for index, query in enumerate(queries):
-            cached = cache_get(query)
-            if cached is not _MISSING:
-                results[index] = cached
-                hits += 1
-            else:
-                miss_positions.setdefault(query, []).append(index)
+        # Cache hits land in results; misses come back deduplicated.
+        hits, miss_positions = self.cache.probe(queries, results)
         stats.cache_hits += hits
         stats.cache_misses += n - hits
         if miss_positions:
@@ -836,13 +874,10 @@ class ClassificationEngine:
                     resolved = [target.lookup(query) for query in unique]
             else:
                 resolved = self._guarded_resolve(unique)
-            cache_put = self.cache.put
-            evictions = 0
-            for query, result in zip(unique, resolved):
-                evictions += cache_put(query, result)
-                for index in miss_positions[query]:
+            stats.cache_evictions += self.cache.fill(unique, resolved)
+            for positions, result in zip(miss_positions.values(), resolved):
+                for index in positions:
                     results[index] = result
-            stats.cache_evictions += evictions
         if guard is not None and guard.shadow_sample > 0.0:
             self._shadow_pass(queries, results)
         seconds = time.perf_counter() - start
@@ -954,9 +989,8 @@ class ClassificationEngine:
         hit.  Mismatching positions are corrected in place."""
         guard = self._guard
         checked: dict[int, Optional[TernaryEntry]] = {}
-        for index, query in enumerate(queries):
-            if not guard.shadow_roll():
-                continue
+        for index in guard.shadow_positions(len(queries)):
+            query = queries[index]
             if query in checked:
                 # Same query sampled twice in one burst: reuse the
                 # verified answer (fixes every position of a repaired

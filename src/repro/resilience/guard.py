@@ -35,9 +35,10 @@ knows is in :meth:`report` and mirrored into the engine's
 from __future__ import annotations
 
 import enum
+import math
 import random
 import time
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import FaultInjector
@@ -180,7 +181,11 @@ class GuardRail:
 
     ``shadow_sample`` is the fraction of answers (hits and misses)
     cross-checked against the linear-scan reference — 0.0 disables the
-    shadow entirely, 1.0 verifies every answer.  A mismatch quarantines:
+    shadow entirely, 1.0 verifies every answer.  The sampled answers are
+    an i.i.d. Bernoulli(``shadow_sample``) process over served answers,
+    drawn as geometric gaps: one random draw per *check*, not per
+    answer, and a countdown the scalar and batch paths share.  A
+    mismatch quarantines:
     misses are then resolved by the reference until :meth:`reset` or a
     policy swap, because a lying fast path cannot be trusted twice.
     """
@@ -205,6 +210,8 @@ class GuardRail:
         )
         self.shadow_sample = shadow_sample
         self._shadow_rng = random.Random(shadow_seed)
+        #: answers still to pass before the next sampled one
+        self._shadow_skip = self._shadow_gap()
         self.injector = injector
         self.quarantined = False
         #: where the most recent miss burst was resolved:
@@ -243,12 +250,40 @@ class GuardRail:
 
     # -- shadow verification ---------------------------------------------
 
-    def shadow_roll(self) -> bool:
-        """One sampling decision (shared by scalar and batch paths)."""
+    def _shadow_gap(self) -> int:
+        """Unsampled answers before the next sampled one: a geometric
+        draw, ``floor(ln(1-U) / ln(1-p))``, so each answer is sampled
+        independently with probability ``p``.  No draw at ``p`` 0 or 1."""
         sample = self.shadow_sample
-        if sample <= 0.0:
+        if sample <= 0.0 or sample >= 1.0:
+            return 0
+        return int(math.log1p(-self._shadow_rng.random()) / math.log1p(-sample))
+
+    def shadow_roll(self) -> bool:
+        """One sampling decision (the scalar path; shares its countdown
+        with :meth:`shadow_positions`)."""
+        if self.shadow_sample <= 0.0:
             return False
-        return sample >= 1.0 or self._shadow_rng.random() < sample
+        if self._shadow_skip:
+            self._shadow_skip -= 1
+            return False
+        self._shadow_skip = self._shadow_gap()
+        return True
+
+    def shadow_positions(self, n: int) -> Sequence[int]:
+        """The sampled positions among the next ``n`` answers, in
+        ascending order (the batch form of :meth:`shadow_roll`)."""
+        if self.shadow_sample <= 0.0:
+            return ()
+        if self.shadow_sample >= 1.0:
+            return range(n)
+        position = self._shadow_skip
+        sampled = []
+        while position < n:
+            sampled.append(position)
+            position += 1 + self._shadow_gap()
+        self._shadow_skip = position - n
+        return sampled
 
     @staticmethod
     def answers_agree(got: Any, expected: Any) -> bool:

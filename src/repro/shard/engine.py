@@ -157,6 +157,8 @@ class ShardedEngine:
         self.respawns = 0
         self.local_fallback_lookups = 0
         self.sharded_batches = 0
+        #: query -> owning shard memo (bounded; see _scatter)
+        self._owner_memo: dict[int, int] = {}
         self._republish(force=True)
         self._shards = [self._spawn(i) for i in range(config.shards)]
         registry = self._inner.metrics
@@ -345,6 +347,31 @@ class ShardedEngine:
             guard.degraded_lookups += len(queries)
         return self._inner.lookup_batch(queries)
 
+    def _scatter(self, queries: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+        """Partition ``queries`` by owning shard: per shard, its queries
+        and their positions in ``queries``.
+
+        The owner comes through a bounded memo: :func:`flow_shard`
+        folds a 128-bit key through two splitmix64 rounds, about a
+        microsecond of Python, and hot flows repeat.  Scan traffic never
+        repeats a query, so the memo is cleared at 65,536 rows instead
+        of growing with the attack (as the stream pipeline's flow-bucket
+        memo is)."""
+        memo = self._owner_memo
+        owner_of = memo.get
+        n = len(self._shards)
+        buckets: list[list[int]] = [[] for _ in range(n)]
+        slots: list[list[int]] = [[] for _ in range(n)]
+        for i, q in enumerate(queries):
+            s = owner_of(q)
+            if s is None:
+                if len(memo) >= 65_536:
+                    memo.clear()
+                s = memo[q] = flow_shard(q, n)
+            buckets[s].append(q)
+            slots[s].append(i)
+        return buckets, slots
+
     def lookup_batch(self, queries: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Flow-hash scatter, worker walk, index gather, local resolve.
 
@@ -357,12 +384,7 @@ class ShardedEngine:
         self._republish()  # catch direct matcher mutations via the stamp
         n = len(self._shards)
         results: list[Optional[TernaryEntry]] = [None] * len(queries)
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        slots: list[list[int]] = [[] for _ in range(n)]
-        for i, q in enumerate(queries):
-            s = flow_shard(q, n)
-            buckets[s].append(q)
-            slots[s].append(i)
+        buckets, slots = self._scatter(queries)
         stamp = self._stamp
         name = self._planes[stamp].name
         pending: list[_ShardHandle] = []
@@ -411,7 +433,7 @@ class ShardedEngine:
         reply with ``{leaf index: occurrences}`` dictionaries the size
         of the rule set, the parent pipelines (partitioning chunk k+1
         while the workers chew chunk k), and per-query parent work is
-        one ``hash`` and one list append.  This is the path
+        one owner-memo probe and two list appends.  This is the path
         ``bench_shards`` measures and ``palmtrie-repro replay
         --shards N`` serves.
         """
@@ -422,12 +444,6 @@ class ShardedEngine:
         totals: Counter = Counter()
         queries = 0
         started = time.perf_counter()
-
-        def partition(chunk: Sequence[int]) -> list[list[int]]:
-            buckets: list[list[int]] = [[] for _ in range(n)]
-            for q in chunk:
-                buckets[flow_shard(q, n)].append(q)
-            return buckets
 
         # Workers count in leaf-index space; a dead shard's bucket is
         # resolved by the inner engine, which speaks entries — so the
@@ -480,13 +496,13 @@ class ShardedEngine:
                 if prepared is not None:
                     dispatch(prepared)
                 queries += len(chunk)
-                prepared = partition(chunk)
+                prepared = self._scatter(chunk)[0]
                 chunk = []
         if chunk:
             if prepared is not None:
                 dispatch(prepared)
             queries += len(chunk)
-            prepared = partition(chunk)
+            prepared = self._scatter(chunk)[0]
         if prepared is not None:
             dispatch(prepared)
         seconds = time.perf_counter() - started

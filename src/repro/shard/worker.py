@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Optional
 
-from ..engine import _MISSING, FlowCache
+from ..engine import FlowCache
 from .plane import attach_plane, detach_plane
 
 __all__ = ["shard_worker_main"]
@@ -79,24 +79,22 @@ class _WorkerState:
     def resolve(self, queries: list[int]) -> tuple[list[int], int]:
         """Leaf indices for ``queries``, cache first, batch-walk the rest."""
         cache = self.cache
-        get = cache.get
-        put = cache.put
         indices = [0] * len(queries)
-        miss_pos: list[int] = []
-        miss_q: list[int] = []
-        for i, q in enumerate(queries):
-            j = get(q)
-            if j is _MISSING:
-                miss_pos.append(i)
-                miss_q.append(q)
-            else:
-                indices[i] = j
-        if miss_q:
-            walked = self.matcher.lookup_batch_indices(miss_q)
-            for i, q, j in zip(miss_pos, miss_q, walked):
-                indices[i] = j
-                put(q, j)
-        hits = len(queries) - len(miss_q)
+        hits, misses = cache.probe(queries, indices)
+        if misses:
+            unique = list(misses)
+            walked = self.matcher.lookup_batch_indices(unique)
+            for positions, j in zip(misses.values(), walked):
+                for i in positions:
+                    indices[i] = j
+            if len(unique) < len(queries) - hits:
+                # A query missed more than once in this burst.  The
+                # cache keeps rows in the order of each query's last
+                # miss, as one put per missed packet would.
+                rows = sorted(zip(unique, walked), key=lambda row: misses[row[0]][-1])
+                unique = [q for q, _ in rows]
+                walked = [j for _, j in rows]
+            cache.fill(unique, walked)
         self.lookups += len(queries)
         self.cache_hits += hits
         self.batches += 1

@@ -57,7 +57,7 @@ from __future__ import annotations
 import operator
 import time
 from collections import deque
-from itertools import groupby
+from itertools import groupby, islice, repeat
 from typing import Any, Callable, Iterable, Optional
 
 from ..obs.metrics import Histogram, MetricsRegistry
@@ -89,8 +89,9 @@ DROPPED = _Dropped()
 #: the admission-overflow policies, in documentation order
 POLICIES = ("block", "drop", "shed")
 
-#: queue items are (query, arrival, index); C-level accessor for the
-#: batched histogram attribution in _serve_batch
+#: queue items are (query, arrival, index); C-level accessors for the
+#: micro-batch gather and the batched histogram attribution in _serve_batch
+_ITEM_QUERY = operator.itemgetter(0)
 _ITEM_ARRIVAL = operator.itemgetter(1)
 
 
@@ -336,8 +337,13 @@ class StreamPipeline:
             n = min(n, limit)
         if n == 0:
             return 0
-        items = [pending.popleft() for _ in range(n)]
-        results = self.engine.lookup_batch([item[0] for item in items])
+        if n == len(pending):
+            items = list(pending)
+            pending.clear()
+        else:
+            popleft = pending.popleft
+            items = [popleft() for _ in range(n)]
+        results = self.engine.lookup_batch(list(map(_ITEM_QUERY, items)))
         done = time.perf_counter()
         self.batches += 1
         self.served += n
@@ -420,28 +426,46 @@ class StreamPipeline:
             if on_burst is not None and on_burst(burst_index):
                 self.churn_transactions += 1
             arrival = time.perf_counter()
-            for query in burst:
-                index = self.offered
-                self.offered += 1
-                if verdicts is not None:
-                    verdicts.append(DROPPED)
-                if len(pending) >= capacity:
+            if not isinstance(burst, (list, tuple)):
+                burst = list(burst)
+            size = len(burst)
+            base = self.offered
+            self.offered += size
+            if verdicts is not None:
+                # Placeholders; service overwrites the admitted ones.
+                verdicts.extend(repeat(DROPPED, size))
+            queries = iter(burst)
+            done = 0
+            while done < size:
+                room = capacity - len(pending)
+                if room <= 0:
+                    if policy == "block":
+                        # Backpressure: serve until there is room.
+                        self.blocked_events += 1
+                        while len(pending) >= capacity:
+                            self._serve_batch()
+                        continue
+                    rest = size - done
                     if policy == "drop":
-                        self.dropped += 1
-                        continue
-                    if policy == "shed":
-                        # Fail closed without touching the matcher: the
-                        # packet is answered "no match" (implicit deny).
-                        self.shed += 1
+                        self.dropped += rest
+                    else:
+                        # shed: fail closed without touching the matcher,
+                        # answered "no match" (implicit deny).
+                        self.shed += rest
                         if verdicts is not None:
-                            verdicts[index] = None
-                        continue
-                    # block: backpressure — serve until there is room.
-                    self.blocked_events += 1
-                    while len(pending) >= capacity:
-                        self._serve_batch()
-                pending.append((query, arrival, index))
-                self.admitted += 1
+                            verdicts[base + done :] = repeat(None, rest)
+                    break
+                take = min(room, size - done)
+                start_index = base + done
+                pending.extend(
+                    zip(
+                        islice(queries, take),
+                        repeat(arrival),
+                        range(start_index, start_index + take),
+                    )
+                )
+                self.admitted += take
+                done += take
             if len(pending) > self.max_backlog:
                 self.max_backlog = len(pending)
             budget = quantum

@@ -15,7 +15,7 @@ admission quotas and the rollout SLO guards::
           shards: 0
         quotas:
           rate: 50000                  # packets/second (null = none)
-          burst: 8192                  # bucket depth (default: rate)
+          burst: 8192                  # bucket depth, >= 1 (default: max(rate, 1))
           memory_bytes: 8000000        # compiled-policy ceiling
         rollout:                       # SLOGuards fields (optional)
           max_shadow_mismatches: 0

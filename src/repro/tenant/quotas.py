@@ -5,11 +5,13 @@ degrade its neighbours, so every tenant carries two quotas enforced at
 the two places resources are actually consumed:
 
 * :class:`TokenBucket` — a classic token-bucket rate limiter checked
-  per packet at lookup admission.  An over-rate packet is **fail-closed
-  denied**: answered ``None`` (the implicit-deny verdict) without ever
-  touching the matcher, exactly the stance the streaming plane's
-  ``shed`` policy takes under overload.  Refill is computed lazily from
-  the clock, so an idle bucket costs nothing.
+  once per burst at lookup admission (:meth:`TokenBucket.take_upto`
+  grants the longest prefix of the burst the bucket covers).  An
+  over-rate packet is **fail-closed denied**: answered ``None`` (the
+  implicit-deny verdict) without ever touching the matcher, exactly the
+  stance the streaming plane's ``shed`` policy takes under overload.
+  Refill is computed lazily from the clock, so an idle bucket costs
+  nothing.
 * :class:`MemoryQuota` — a byte ceiling on the tenant's *compiled
   policy* (``matcher.memory_bytes()``), enforced at build and update
   time — before a new matcher is adopted, never after.  An over-quota
@@ -45,6 +47,9 @@ class TokenBucket:
 
     ``rate=None`` disables the quota (every ``take`` grants).  The
     clock is injectable so tests drive time deterministically.
+    ``burst`` must be at least one token (a bucket that can never hold
+    a whole token would deny every packet forever); it defaults to
+    ``max(rate, 1)``.
     """
 
     __slots__ = ("rate", "burst", "_clock", "_tokens", "_stamp", "granted", "denied")
@@ -57,11 +62,14 @@ class TokenBucket:
     ) -> None:
         if rate is not None and rate <= 0:
             raise ValueError(f"rate must be > 0 or None, got {rate}")
-        if burst is not None and burst <= 0:
-            raise ValueError(f"burst must be > 0 or None, got {burst}")
+        if burst is not None and burst < 1:
+            raise ValueError(f"burst must be >= 1 or None, got {burst}")
         self.rate = rate
-        #: maximum tokens the bucket holds (default: one second of rate)
-        self.burst = burst if burst is not None else (rate if rate is not None else 0.0)
+        #: maximum tokens the bucket holds (default: one second of rate,
+        #: and never less than the one token a packet spends)
+        if burst is None:
+            burst = max(rate, 1.0) if rate is not None else 0.0
+        self.burst = burst
         self._clock = clock
         self._tokens = self.burst
         self._stamp = clock()
@@ -96,6 +104,25 @@ class TokenBucket:
             return True
         self.denied += n
         return False
+
+    def take_upto(self, n: int) -> int:
+        """Grant the longest prefix of ``n`` one-token packets the
+        bucket covers: ``min(n, floor(tokens))`` after one refill.  The
+        other packets are denied (the caller fails them closed).
+
+        Equal to ``n`` calls of ``take(1)`` under a clock that does not
+        move during the call; tokens that accrue meanwhile are granted
+        at the next call.
+        """
+        if self.rate is None:
+            self.granted += n
+            return n
+        self._refill()
+        granted = min(n, int(self._tokens))
+        self._tokens -= granted
+        self.granted += granted
+        self.denied += n - granted
+        return granted
 
     def report(self) -> dict[str, Any]:
         return {

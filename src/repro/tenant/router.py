@@ -127,27 +127,29 @@ class Tenant:
     def lookup_batch(self, queries: Sequence[int]) -> list[Any]:
         """Serve one batch under admission control.
 
-        Each packet spends one rate token; packets the bucket denies
-        are answered ``None`` (fail-closed) without touching any
-        engine.  Admitted packets route through the rollout controller
-        while a canary window is open, the stable engine otherwise.
+        The rate bucket is checked once per burst: it admits the
+        longest prefix it has tokens for, and the denied suffix is
+        answered ``None`` (fail-closed) without touching any engine.
+        Admitted packets route through the rollout controller while a
+        canary window is open, the stable engine otherwise.
         """
-        queries = list(queries)
-        self.lookups += len(queries)
-        admitted: list[int] = []
-        out: list[Any] = [None] * len(queries)
-        for i in range(len(queries)):
-            if self.bucket.take(1):
-                admitted.append(i)
-        if admitted:
-            served = (
-                self.rollout.route_batch([queries[i] for i in admitted])
-                if self.rollout.state == "canary"
-                else self.engine.lookup_batch([queries[i] for i in admitted])
-            )
-            for i, verdict in zip(admitted, served):
-                out[i] = verdict
-        return out
+        if not isinstance(queries, list):
+            queries = list(queries)
+        n = len(queries)
+        self.lookups += n
+        admitted = self.bucket.take_upto(n)
+        if not admitted:
+            return [None] * n
+        if admitted < n:
+            queries = queries[:admitted]
+        served = (
+            self.rollout.route_batch(queries)
+            if self.rollout.state == "canary"
+            else self.engine.lookup_batch(queries)
+        )
+        if admitted < n:
+            served = list(served) + [None] * (n - admitted)
+        return served
 
     def lookup(self, query: int) -> Any:
         return self.lookup_batch([query])[0]

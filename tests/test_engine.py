@@ -20,6 +20,7 @@ from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, FlowCache, 
 from repro.core.plus import PalmtriePlus
 from repro.core.table import TernaryEntry, matcher_kinds
 from repro.core.ternary import TernaryKey
+from repro.engine import _MISSING
 
 KEY_LENGTH = 16
 #: kinds whose insert() raises (build-only structures)
@@ -224,6 +225,87 @@ class TestFlowCache:
         assert cache.invalidate_many(keys) == 2
         assert 0b1000 in cache and len(cache) == 1
         assert cache.invalidate_many([]) == 0
+
+
+def _per_packet_lookup_batch(cache, resolve, queries):
+    """The loop ``ClassificationEngine.lookup_batch`` ran before
+    ``FlowCache.probe``/``fill``: one ``get`` per packet, misses
+    deduplicated in first-seen order, one ``put`` per distinct miss.
+    Kept as the oracle the batch helpers must equal."""
+    results = [None] * len(queries)
+    miss_positions = {}
+    hits = 0
+    for index, query in enumerate(queries):
+        cached = cache.get(query)
+        if cached is not _MISSING:
+            results[index] = cached
+            hits += 1
+        else:
+            miss_positions.setdefault(query, []).append(index)
+    evictions = 0
+    if miss_positions:
+        unique = list(miss_positions)
+        for query, result in zip(unique, resolve(unique)):
+            evictions += cache.put(query, result)
+            for index in miss_positions[query]:
+                results[index] = result
+    return results, hits, evictions
+
+
+def _bursts_with_duplicates(rng, pool, count):
+    """Bursts of 0-300 queries drawn from ``pool`` (so duplicates and
+    repeats across bursts are common), plus one burst of 5,000 distinct
+    fresh queries that overflows a 4,096-row cache on its own."""
+    bursts = [
+        [rng.choice(pool) for _ in range(rng.randrange(301))] for _ in range(count)
+    ]
+    fresh = rng.sample(range(1 << KEY_LENGTH), 5_000)
+    bursts.insert(count // 2, fresh + fresh[:50])
+    return bursts
+
+
+class TestBatchProbeFill:
+    """``FlowCache.probe``/``fill`` against the per-packet get/put loop:
+    same verdicts, rows, LRU order, hits, misses and evictions after
+    every burst."""
+
+    @pytest.mark.parametrize("capacity", [0, 1, 7, 4096])
+    def test_engine_lookup_batch_equals_per_packet_loop(self, capacity):
+        rng = random.Random(capacity)
+        matcher = build_matcher(
+            "palmtrie-plus", random_entries(60, KEY_LENGTH, seed=12), KEY_LENGTH
+        )
+        engine = ClassificationEngine(matcher, EngineConfig(cache_size=capacity))
+        oracle = FlowCache(capacity)
+        hits = misses = evictions = 0
+        pool = rng.sample(range(1 << KEY_LENGTH), 400)
+        for burst in _bursts_with_duplicates(rng, pool, 40):
+            got = engine.lookup_batch(burst)
+            expected, burst_hits, burst_evictions = _per_packet_lookup_batch(
+                oracle, matcher.lookup_batch, burst
+            )
+            hits += burst_hits
+            misses += len(burst) - burst_hits
+            evictions += burst_evictions
+            assert [id(v) for v in got] == [id(v) for v in expected]
+            assert list(engine.cache._map.items()) == list(oracle._map.items())
+            assert engine.stats.cache_hits == hits
+            assert engine.stats.cache_misses == misses
+            assert engine.stats.cache_evictions == evictions
+
+    def test_probe_touches_hits_in_query_order(self):
+        cache = FlowCache(4)
+        for query in (1, 2, 3, 4):
+            cache.put(query, None)
+        out = ["x"] * 5
+        hits, misses = cache.probe([3, 9, 1, 9, 3], out)
+        assert hits == 3
+        assert misses == {9: [1, 3]}
+        assert out == [None, "x", None, "x", None]
+        assert list(cache._map) == [2, 4, 1, 3]
+        # Two fresh rows evict the two least recent.
+        assert cache.fill([9, 8], [None, None]) == 2
+        assert list(cache._map) == [1, 3, 9, 8]
 
 
 # ----------------------------------------------------------------------

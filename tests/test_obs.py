@@ -469,6 +469,7 @@ class TestTrajectoryGate:
             "frozen_burst_speedup",
             "frozen_refreeze_vs_compile",
             "frozen_scalar_speedup",
+            "guard_shadow_overhead_ratio",
             "metrics_overhead_ratio",
             "update_batch_speedup",
         } <= set(metrics)

@@ -318,6 +318,100 @@ class TestShadowVerify:
         assert not GuardRail.answers_agree(a, None)
 
 
+class _CountingRandom:
+    """Wraps a guard's RNG and counts its draws."""
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.rng.random()
+
+
+def _shadowed_engine(sample: float, cache: int = 64):
+    guard = GuardRail(shadow_sample=sample)
+    engine = ClassificationEngine(
+        PalmtriePlus.build(_entries(), KEY_LENGTH, stride=4),
+        EngineConfig(cache_size=cache, resilience=guard),
+    )
+    counter = guard._shadow_rng = _CountingRandom(guard._shadow_rng)
+    return engine, guard, counter
+
+
+class TestShadowSamplingWork:
+    """Deterministic work counts for gap-sampled shadow checks."""
+
+    def test_one_draw_per_check_not_per_answer(self):
+        engine, guard, counter = _shadowed_engine(0.001)
+        engine.lookup_batch(_trace(4096, seed=17))
+        assert counter.draws <= guard.shadow_checks + 1
+        assert guard.shadow_checks < 50
+
+    def test_full_sample_checks_every_answer_without_drawing(self):
+        engine, guard, counter = _shadowed_engine(1.0)
+        burst = _trace(50, seed=18) * 3  # every query three times
+        engine.lookup_batch(burst)
+        engine.lookup(burst[0])
+        assert guard.shadow_checks == len(burst) + 1
+        assert counter.draws == 0
+
+    def test_zero_sample_never_draws(self):
+        guard = GuardRail(shadow_sample=0.0)
+        assert guard._shadow_rng.getstate() == random.Random(2020).getstate()
+        engine, guard, counter = _shadowed_engine(0.0)
+        engine.lookup_batch(_trace(1000, seed=19))
+        for query in _trace(100, seed=20):
+            engine.lookup(query)
+        assert counter.draws == 0
+        assert guard.shadow_checks == 0
+
+    def test_scalar_and_batch_share_one_countdown(self):
+        """The sampled answer positions do not depend on how the answer
+        stream is cut into scalar rolls and bursts."""
+        rng = random.Random(21)
+        total = 20_000
+        whole = GuardRail(shadow_sample=0.01)
+        expected = list(whole.shadow_positions(total))
+        mixed = GuardRail(shadow_sample=0.01)
+        sampled, offset = [], 0
+        while offset < total:
+            if rng.random() < 0.5:
+                if mixed.shadow_roll():
+                    sampled.append(offset)
+                offset += 1
+            else:
+                n = min(rng.randrange(200), total - offset)
+                sampled.extend(offset + i for i in mixed.shadow_positions(n))
+                offset += n
+        assert sampled == expected
+        assert len(expected) > 100
+
+    def test_interleaved_engine_paths_check_the_same_answers(self):
+        queries = _trace(3000, seed=22)
+        batch_only, batch_guard, _ = _shadowed_engine(0.05)
+        for start in range(0, len(queries), 64):
+            batch_only.lookup_batch(queries[start : start + 64])
+        mixed, mixed_guard, _ = _shadowed_engine(0.05)
+        for start in range(0, len(queries), 64):
+            chunk = queries[start : start + 64]
+            if start % 128:
+                mixed.lookup_batch(chunk)
+            else:
+                for query in chunk:
+                    mixed.lookup(query)
+        assert mixed_guard.shadow_checks == batch_guard.shadow_checks > 0
+        assert mixed_guard._shadow_skip == batch_guard._shadow_skip
+
+    def test_check_count_is_binomial(self):
+        """2,000,000 answers at p=0.001: 2,000 checks expected, and the
+        count lands within five standard deviations (about 224)."""
+        guard = GuardRail(shadow_sample=0.001)
+        checks = sum(len(guard.shadow_positions(64)) for _ in range(31_250))
+        assert abs(checks - 2_000) <= 5 * (2_000_000 * 0.001 * 0.999) ** 0.5
+
+
 # ----------------------------------------------------------------------
 # Crash-safe checkpoints
 # ----------------------------------------------------------------------

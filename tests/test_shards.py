@@ -16,6 +16,7 @@ import os
 import random
 import signal
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,8 +27,9 @@ from repro.core.plus import PalmtriePlus
 from repro.core.serialize import serialize_frozen
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
-from repro.engine import ClassificationEngine
+from repro.engine import _MISSING, ClassificationEngine, FlowCache
 from repro.shard import ShardedEngine, attach_plane, detach_plane, flow_shard, publish_plane
+from repro.shard.worker import _WorkerState
 
 KEY_LENGTH = 128
 
@@ -110,6 +112,74 @@ class TestPlane:
             counts[flow_shard(q, 4)] += 1
         mean = len(queries) / 4
         assert max(counts) / mean <= 1.5, counts
+
+
+def _per_packet_resolve(cache, matcher, queries):
+    """The loop ``_WorkerState.resolve`` ran before ``FlowCache.probe``/
+    ``fill``: one ``get`` per packet, the misses walked as they came
+    (duplicates included) and one ``put`` per missed packet.  Kept as
+    the oracle the batch helpers must equal."""
+    indices = [0] * len(queries)
+    miss_pos, miss_q = [], []
+    for i, q in enumerate(queries):
+        j = cache.get(q)
+        if j is _MISSING:
+            miss_pos.append(i)
+            miss_q.append(q)
+        else:
+            indices[i] = j
+    if miss_q:
+        for i, q, j in zip(miss_pos, miss_q, matcher.lookup_batch_indices(miss_q)):
+            indices[i] = j
+            cache.put(q, j)
+    return indices, len(queries) - len(miss_q)
+
+
+class TestWorkerProbeFill:
+    @pytest.mark.parametrize("capacity", [0, 1, 7, 4096])
+    def test_resolve_equals_per_packet_loop(self, policy, capacity):
+        """Same indices, hits, rows and LRU order after every burst,
+        including bursts that miss one query several times and a burst
+        that overflows the cache on its own."""
+        rng = random.Random(capacity)
+        frozen = freeze(PalmtriePlus.build(policy, KEY_LENGTH, stride=8))
+        state = _WorkerState(0, capacity)
+        state.matcher = frozen
+        oracle = FlowCache(capacity)
+        pool = [rng.getrandbits(KEY_LENGTH) for _ in range(400)]
+        bursts = [
+            [rng.choice(pool) for _ in range(rng.randrange(301))] for _ in range(40)
+        ]
+        fresh = [rng.getrandbits(KEY_LENGTH) for _ in range(5_000)]
+        bursts.insert(20, fresh + fresh[:50])
+        hits = 0
+        for burst in bursts:
+            got = state.resolve(burst)
+            expected = _per_packet_resolve(oracle, frozen, burst)
+            assert got == expected
+            hits += expected[1]
+            assert list(state.cache._map.items()) == list(oracle._map.items())
+        assert state.cache_hits == hits
+        assert state.lookups == sum(map(len, bursts))
+
+
+class TestOwnerMemo:
+    def test_scatter_uses_flow_shard_and_keeps_order(self):
+        queries = _trace(3000, seed=41)
+        fake = SimpleNamespace(_owner_memo={}, _shards=[None] * 3)
+        buckets, slots = ShardedEngine._scatter(fake, queries)
+        for s in range(3):
+            assert slots[s] == [i for i, q in enumerate(queries) if flow_shard(q, 3) == s]
+            assert buckets[s] == [queries[i] for i in slots[s]]
+        assert fake._owner_memo == {q: flow_shard(q, 3) for q in queries}
+
+    def test_memo_is_bounded_under_scan_traffic(self):
+        fake = SimpleNamespace(_owner_memo={}, _shards=[None] * 2)
+        scan = list(range(70_000))
+        buckets, _ = ShardedEngine._scatter(fake, scan)
+        assert len(fake._owner_memo) == 70_000 - 65_536
+        assert sorted(buckets[0] + buckets[1]) == scan
+        assert all(flow_shard(q, 2) == 1 for q in buckets[1][:1000])
 
 
 # ----------------------------------------------------------------------

@@ -187,6 +187,117 @@ class TestBackpressureSemantics:
                 assert _signature([verdict]) == _signature([reference[index]])
 
 
+def _per_packet_run(pipe, bursts, collect_verdicts):
+    """The admission loop ``StreamPipeline.run`` ran before bulk
+    admission: one queue append (or drop/shed/block decision) per
+    packet.  Kept as the oracle bulk admission must equal; it drives the
+    pipeline's own service step, so only admission differs."""
+    pipe._reset_counters()
+    verdicts = pipe._verdicts = [] if collect_verdicts else None
+    pending = pipe._pending
+    capacity = pipe.max_inflight
+    quantum = pipe.service_quantum
+    for burst in bursts:
+        arrival = 0.0
+        for query in burst:
+            index = pipe.offered
+            pipe.offered += 1
+            if verdicts is not None:
+                verdicts.append(DROPPED)
+            if len(pending) >= capacity:
+                if pipe.policy == "drop":
+                    pipe.dropped += 1
+                    continue
+                if pipe.policy == "shed":
+                    pipe.shed += 1
+                    if verdicts is not None:
+                        verdicts[index] = None
+                    continue
+                pipe.blocked_events += 1
+                while len(pending) >= capacity:
+                    pipe._serve_batch()
+            pending.append((query, arrival, index))
+            pipe.admitted += 1
+        if len(pending) > pipe.max_backlog:
+            pipe.max_backlog = len(pending)
+        budget = quantum
+        while pending and (budget is None or budget > 0):
+            served = pipe._serve_batch(budget)
+            if budget is not None:
+                budget -= served
+    while pending:
+        pipe._serve_batch()
+    pipe._verdicts = None
+    return verdicts
+
+
+_ADMISSION_COUNTERS = (
+    "offered", "admitted", "served", "dropped", "shed",
+    "blocked_events", "batches", "max_backlog",
+)
+
+
+class TestBulkAdmission:
+    """Bulk admission equals the per-packet loop it replaced: every
+    counter, the verdict stream and the cache state, per policy."""
+
+    def _bursts(self, seed, kind):
+        rng = random.Random(seed)
+        sizes = [rng.choice((0, 1, 3, 7, 10, 11, 25, 40)) for _ in range(30)]
+        queries = _queries(sum(sizes), seed=seed)
+        bursts, start = [], 0
+        for size in sizes:
+            bursts.append(queries[start : start + size])
+            start += size
+        if kind == "generator":
+            return lambda: [(q for q in burst) for burst in bursts]
+        if kind == "tuple":
+            return lambda: [tuple(burst) for burst in bursts]
+        return lambda: bursts
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("quantum", [None, 4])
+    @pytest.mark.parametrize("kind", ["list", "tuple", "generator"])
+    def test_equals_per_packet_admission(self, policy, quantum, kind):
+        bursts = self._bursts(seed=len(policy) * 7 + (quantum or 0), kind=kind)
+        runs = []
+        for bulk in (True, False):
+            engine, _ = _engine(seed=9, cache=16)
+            pipe = StreamPipeline(
+                engine, policy=policy, max_inflight=10, batch_max=3,
+                service_quantum=quantum,
+            )
+            if bulk:
+                report = pipe.run(bursts(), collect_verdicts=True)
+                verdicts = report.verdicts
+            else:
+                verdicts = _per_packet_run(pipe, bursts(), collect_verdicts=True)
+            counters = {name: getattr(pipe, name) for name in _ADMISSION_COUNTERS}
+            runs.append(
+                (
+                    counters,
+                    _signature(verdicts),
+                    list(engine.cache._map),
+                    pipe._latency_hist.count,
+                    pipe._sample_tick,
+                )
+            )
+        assert runs[0] == runs[1]
+        counters = runs[0][0]
+        assert counters["offered"] == counters["admitted"] + counters["dropped"] + counters["shed"]
+        if policy == "block":
+            assert counters["blocked_events"] > 0
+        else:
+            assert counters["dropped"] + counters["shed"] > 0
+
+    def test_report_matches_live_counters(self):
+        engine, _ = _engine(seed=9)
+        pipe = StreamPipeline(engine, policy="shed", max_inflight=10, batch_max=3)
+        report = pipe.run(self._bursts(seed=5, kind="list")())
+        for name in _ADMISSION_COUNTERS:
+            assert getattr(report, name) == getattr(pipe, name)
+
+
 class TestPipelineValidation:
     def test_rejects_unknown_policy(self):
         engine, _ = _engine()

@@ -18,6 +18,7 @@ validation (typos fail loudly), and crash recovery mid-rollout.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -210,6 +211,49 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=-1.0)
 
+    def test_sub_token_rate_still_grants(self):
+        """rate < 1 used to default burst to the rate, so the bucket
+        could never hold the one token a packet spends."""
+        now = [0.0]
+        bucket = TokenBucket(rate=0.5, clock=lambda: now[0])
+        assert bucket.burst == 1.0
+        for _ in range(10):
+            now[0] += 100.0
+            assert bucket.take(1)
+            assert not bucket.take(1)
+        assert bucket.granted == 10
+
+    def test_sub_token_burst_is_rejected(self):
+        with pytest.raises(ValueError, match="burst"):
+            TokenBucket(rate=5.0, burst=0.5)
+
+    def test_take_upto_grants_after_a_refill(self):
+        now = [0.0]
+        bucket = TokenBucket(rate=0.5, clock=lambda: now[0])
+        assert bucket.take_upto(3) == 1
+        assert bucket.take_upto(3) == 0
+        now[0] = 2.0  # one token back at 0.5/s
+        assert bucket.take_upto(3) == 1
+        assert (bucket.granted, bucket.denied) == (2, 7)
+
+    @staticmethod
+    def _per_packet(bucket, n):
+        """``take_upto`` written as the per-packet loop it replaced."""
+        return sum(bucket.take(1) for _ in range(n))
+
+    @pytest.mark.parametrize("rate,burst", [(None, None), (3.0, 10.5), (0.75, 2.25), (1000.0, 64.0)])
+    def test_take_upto_equals_per_packet_takes(self, rate, burst):
+        rng = random.Random(f"{rate}:{burst}")
+        now = [0.0]
+        bulk = TokenBucket(rate=rate, burst=burst, clock=lambda: now[0])
+        loop = TokenBucket(rate=rate, burst=burst, clock=lambda: now[0])
+        for _ in range(300):
+            now[0] += rng.choice((0.0, 0.125, 0.25, 1.5, 3.0))
+            n = rng.randrange(20)
+            assert bulk.take_upto(n) == self._per_packet(loop, n)
+            assert (bulk.granted, bulk.denied) == (loop.granted, loop.denied)
+            assert bulk.tokens == pytest.approx(loop.tokens)
+
 
 class TestMemoryQuota:
     def _matchers(self):
@@ -366,6 +410,24 @@ class TestAdmission:
             assert _metric(doc, "tenant_denied_total", tenant="t", reason="rate") == 84
             assert _metric(doc, "tenant_denied_total", tenant="t", reason="memory") == 0
             assert _metric(doc, "tenant_engine_health", tenant="t", state="ok") == 1.0
+        finally:
+            router.close()
+
+    def test_denied_packets_are_a_suffix_of_the_burst(self):
+        now = [0.0]
+        router = TenantRouter(
+            [TenantSpec(name="t", acl=VICTIM_POLICY, rate=0.5)],
+            clock=lambda: now[0],
+        )
+        try:
+            tenant = router["t"]
+            queries = _trace(tenant, 8)
+            truth = tenant.engine.lookup_batch(queries)
+            assert router.lookup_batch("t", queries) == truth[:1] + [None] * 7
+            assert router.lookup_batch("t", queries) == [None] * 8
+            now[0] = 4.0  # two tokens accrue, but the bucket holds one
+            assert router.lookup_batch("t", queries) == truth[:1] + [None] * 7
+            assert (tenant.bucket.granted, tenant.bucket.denied) == (2, 22)
         finally:
             router.close()
 
