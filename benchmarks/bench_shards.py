@@ -2,14 +2,15 @@
 
 Two claims, two gates:
 
-* **Correctness (always gated)** — a :class:`repro.shard.ShardedEngine`
-  over N worker processes must return *exactly* the verdicts of the
-  single-process :class:`ClassificationEngine` on the same trace,
-  including across a mid-trace transactional policy update (the atomic
-  plane-swap path).  One mismatch fails the smoke.
+* **Correctness (always gated)** — a :class:`ClassificationEngine`
+  whose misses a :class:`repro.shard.ShardedEngine` pool resolves over
+  N worker processes must return *exactly* the verdicts of the
+  in-process engine on the same trace, including across a mid-trace
+  transactional policy update (the atomic plane-swap path).  One
+  mismatch fails the smoke.
 
-* **Scaling (gated only where it can hold)** — the replay fast path
-  must reach at least 3x the single-core rate at 4 workers.  Worker
+* **Scaling (gated only where it can hold)** — the pool's replay path
+  (no flow cache: every query is walked by a worker) must reach at least 3x the single-core rate at 4 workers.  Worker
   parallelism cannot exceed the machine, so this gate arms only when
   ``os.cpu_count() >= 4``; on smaller runners the scaling numbers are
   printed but only the correctness gate applies.  The perf-trajectory
@@ -32,13 +33,12 @@ from repro.core.plus import PalmtriePlus
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
 from repro.engine import ClassificationEngine
-from repro.shard import ShardedEngine
 from repro.workloads.campus import campus_acl
 from repro.workloads.traffic import zipf_trace
 
-#: flows in the Zipf population (shard workers keep private flow caches)
+#: flows in the Zipf population
 FLOWS = 256
-#: replay chunk handed to the partition/dispatch pipeline
+#: replay chunk the pool splits across its workers
 CHUNK = 4096
 #: the scaling gate: sharded replay rate over single-core rate at 4 workers
 SCALING_FLOOR = 3.0
@@ -75,7 +75,7 @@ def _differential(acl, queries) -> int:
         key=TernaryKey.wildcard(KEY_LENGTH), value=-7, priority=1 << 30
     )
     mismatches = 0
-    with ShardedEngine(
+    with ClassificationEngine(
         PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8),
         EngineConfig(cache_size=4 * FLOWS, shards=2),
     ) as sharded:
@@ -93,12 +93,12 @@ def _differential(acl, queries) -> int:
 
 
 def _sharded_replay_qps(acl, queries, workers: int, cache_size: int) -> float:
-    with ShardedEngine(
+    with ClassificationEngine(
         PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8),
         EngineConfig(cache_size=cache_size, shards=workers),
     ) as sharded:
-        sharded.replay(queries[: 4 * CHUNK], chunk_size=CHUNK)  # warm spawn+maps
-        result = sharded.replay(queries, chunk_size=CHUNK)
+        sharded.pool.replay(queries[: 4 * CHUNK], chunk_size=CHUNK)  # warm spawn+maps
+        result = sharded.pool.replay(queries, chunk_size=CHUNK)
     return result["qps"]
 
 

@@ -26,9 +26,9 @@ Subcommands:
     Replay a binary trace or pcap file through an ACL (or a compiled
     ``.plm``/``.plmf`` policy) and report verdicts and the sustained
     lookup rate; ``--metrics-out`` writes a JSON metrics snapshot of
-    the run; ``--shards N`` fans the replay across N worker processes
-    sharing one shared-memory plane; ``--stream`` serves through the
-    bounded-queue pipeline (``--policy``/``--max-inflight``), and
+    the run; ``--shards N`` resolves the cache misses in N worker
+    processes sharing one shared-memory plane; ``--stream`` serves
+    through the bounded-queue pipeline (``--policy``/``--max-inflight``), and
     ``--scenario NAME`` replays a registered attack scenario with its
     rule churn from a seed.
 
@@ -470,9 +470,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         return _run_replay(args, engine, compiled, layout, key_length)
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
 
 
 def _count_stream_verdicts(verdicts, compiled) -> dict[str, int]:
@@ -577,9 +575,7 @@ def _run_scenario_replay(args, config) -> int:
         counts = _count_stream_verdicts(report.verdicts, compiled_scenario.acl)
         _print_stream_summary(args, engine, report, counts)
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
     return 0
 
 
@@ -713,7 +709,6 @@ def _run_replay(args, engine, compiled, layout, key_length) -> int:
             print(
                 f"    shard {worker['shard']:3}  pid {worker['pid']}  "
                 f"{worker['lookups']:8} lookups, "
-                f"{100 * worker['cache_hit_ratio']:.1f} % cache hits, "
                 f"{worker['remaps']} remaps"
             )
     if args.update_rate:
@@ -895,9 +890,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
         shard_summary = engine.report().get("shards") if args.shards else None
         health = engine.health
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
     report = guard.report()
     breaker = report["breaker"]
     print(f"health         {health}")
@@ -1230,7 +1223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=0,
         help="worker processes of the sharded data plane (0 = in-process): "
              "the policy is published once into shared memory and the "
-             "trace is fanned out by flow hash",
+             "flow cache's misses are split across the workers",
     )
     p_replay.add_argument(
         "--update-rate", type=float, default=0.0,

@@ -12,9 +12,9 @@ that sprawl with one typed, validated value object:
   need), validated at construction so a bad value fails where it was
   written, not three layers down;
 * :meth:`ClassificationEngine.from_config` — builds the engine the
-  config describes; with ``shards > 0`` it returns the multi-process
-  :class:`~repro.shard.ShardedEngine` front-end instead (same serving
-  surface);
+  config describes (with ``shards > 0``, one whose cache misses are
+  resolved by a :class:`~repro.shard.ShardedEngine` pool of worker
+  processes);
 * :func:`serve` — the one-call facade: ACL text (or parsed rules, or an
   already-compiled ACL) plus a config in, a serving engine out.
 """
@@ -39,10 +39,13 @@ class EngineConfig:
     :meth:`~repro.engine.ClassificationEngine.from_config`, which
     receives an already-built matcher.
 
-    ``shards = 0`` (the default) serves in-process; ``shards = N`` runs
-    the shared-memory multi-process data plane with N worker processes
-    (:mod:`repro.shard`), which requires a matcher the frozen plane can
-    compile (the Palmtrie family).
+    ``shards = 0`` (the default) serves in-process; ``shards = N``
+    resolves the engine's cache misses in N worker processes over one
+    shared-memory frozen plane (:mod:`repro.shard`), which requires a
+    matcher the frozen plane can compile (the Palmtrie family).  The
+    engine then serves from the frozen plane whatever ``auto_freeze``
+    says, attaches a guard rail, and sizes its one flow cache at
+    ``cache_size × shards`` rows.
     """
 
     #: registry kind (``repro.MATCHER_KINDS``) or matcher class used by
@@ -50,7 +53,8 @@ class EngineConfig:
     matcher: Union[str, Type[Any]] = "palmtrie-plus"
     #: trie stride for kinds that take one (None = the kind's default)
     stride: Optional[int] = None
-    #: LRU flow-cache capacity in distinct queries (0 disables caching)
+    #: LRU flow-cache capacity in distinct queries (0 disables caching),
+    #: per shard when ``shards > 0``
     cache_size: int = 4096
     #: compile and serve from the frozen struct-of-arrays plane
     auto_freeze: bool = False
@@ -65,13 +69,13 @@ class EngineConfig:
     #: re-emits nodes in walk-frequency order (PR 7; needs a trace or
     #: sampled traffic to order by — "build" otherwise)
     frozen_layout: str = "build"
-    #: worker processes of the sharded data plane (0 = in-process)
+    #: worker processes resolving cache misses (0 = in-process)
     shards: int = 0
-    #: seconds a shard worker may take to answer one burst before it is
-    #: declared dead and its traffic degrades to the local fallback
+    #: seconds a shard worker may take to answer one slice before it is
+    #: declared dead and its slice degrades to the parent's plane
     shard_timeout: float = 30.0
     #: consecutive worker respawns per shard before the shard is
-    #: abandoned and served by the local fallback for good
+    #: abandoned and its slices are answered by the parent for good
     shard_max_restarts: int = 3
     #: extra keyword arguments forwarded to the matcher constructor by
     #: the build paths (kind-specific knobs beyond ``stride``)
@@ -171,10 +175,9 @@ def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:
     already-compiled :class:`~repro.acl.compiler.CompiledAcl`, or a
     bare matcher (anything with ``lookup``) to wrap as-is.  The matcher
     kind, stride and every serving knob come from ``config``; the
-    returned engine is a :class:`~repro.engine.ClassificationEngine`,
-    or a :class:`~repro.shard.ShardedEngine` when ``config.shards > 0``
-    — both serve the same ``lookup`` / ``lookup_batch`` / ``report``
-    surface.
+    returned engine is a :class:`~repro.engine.ClassificationEngine`
+    (close it, or use it as a context manager, to stop the shard
+    workers of a ``config.shards > 0`` engine).
 
     >>> engine = serve("permit ip any any", EngineConfig(cache_size=1024))
     """

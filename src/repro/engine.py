@@ -60,6 +60,15 @@ cross-checks answers against that reference, quarantining on mismatch.
 its coherence stamps through crash-safe checksummed files
 (``docs/resilience.md``).
 
+The *shard pool* (``EngineConfig(shards=N)``) is this engine's miss
+resolver, not a second engine: the constructor starts a
+:class:`~repro.shard.ShardedEngine` of N worker processes over the
+frozen plane, and cache misses go to it where an in-process engine
+would walk the plane itself.  The cache, guard, updates, checkpoints
+and metrics above exist once, in this process; the cache holds
+``cache_size × shards`` rows (one worker-cache budget per shard), and
+:meth:`close` (or the context manager) stops the workers.
+
 The apps layer (``Firewall``, ``FlowMonitor``, ``L3Forwarder``,
 ``StatefulFirewall``) classifies through this engine.
 """
@@ -440,6 +449,8 @@ class _EngineInstruments:
             "engine_checkpoint_recoveries_total", "Startup recoveries, by path.",
             labels={"path": "rebuilt"},
         ).set_total(engine.checkpoint_rebuilds)
+        if engine._pool is not None:
+            engine._pool.collect_metrics(registry)
         guard = engine._guard
         health = engine.health
         for state in ("ok", "degraded", "quarantined"):
@@ -495,9 +506,14 @@ class ClassificationEngine:
 
         engine = ClassificationEngine(matcher, EngineConfig(cache_size=1024))
 
-    (:meth:`from_config` builds the engine a config describes,
-    returning the multi-process :class:`~repro.shard.ShardedEngine`
-    when ``config.shards > 0``.)
+    With ``config.shards > 0`` the engine always serves from the
+    frozen plane and resolves its cache misses in a pool of that many
+    worker processes (``engine.pool``, a
+    :class:`~repro.shard.ShardedEngine`); its cache then holds
+    ``cache_size × shards`` rows and a guard rail is always attached,
+    since a dead worker's misses degrade to the parent's plane.  Call
+    :meth:`close` (or use the engine as a context manager) to stop the
+    workers.
 
     ``cache_size`` is the LRU capacity in distinct binary queries
     (0 disables caching; batching still applies).  ``matcher`` is any
@@ -543,8 +559,8 @@ class ClassificationEngine:
         metrics = config.metrics
         resilience = config.resilience
         self._matcher = matcher
-        self.cache = FlowCache(cache_size)
-        self.auto_freeze = auto_freeze
+        self.cache = FlowCache(cache_size * max(1, config.shards))
+        self.auto_freeze = auto_freeze or config.shards > 0
         self.invalidation_threshold = invalidation_threshold
         self._plane: Optional[Any] = None
         #: the hot-layout plane's live query reservoir, kept past the
@@ -560,7 +576,7 @@ class ClassificationEngine:
         #: generation can never revive stale cached state
         self.epoch = 0
         self._guard: Optional[Any] = None
-        if resilience:
+        if resilience or config.shards:
             from .resilience.guard import GuardRail
 
             self._guard = resilience if isinstance(resilience, GuardRail) else GuardRail()
@@ -593,25 +609,20 @@ class ClassificationEngine:
         # MetricsRegistry has len() == 0 and would read as "off".
         if metrics is not None and metrics is not False:
             self.enable_metrics(metrics if isinstance(metrics, MetricsRegistry) else None)
+        self._pool: Optional[Any] = None
+        if config.shards:
+            from .shard import ShardedEngine
+
+            self._pool = ShardedEngine(self)
 
     @classmethod
     def from_config(
         cls, matcher: Union[TernaryMatcher, Any], config: Optional[EngineConfig] = None
-    ) -> Any:
-        """The engine ``config`` describes, over an already-built matcher.
-
-        With ``config.shards == 0`` this is ``cls(matcher, config)``;
-        with ``shards > 0`` it returns the multi-process
-        :class:`~repro.shard.ShardedEngine` front-end instead — the
-        same ``lookup`` / ``lookup_batch`` / ``report`` surface, served
-        by worker processes over a shared-memory frozen plane.
-        """
-        config = config if config is not None else EngineConfig()
-        if config.shards:
-            from .shard import ShardedEngine
-
-            return ShardedEngine(matcher, config)
-        return cls(matcher, config)
+    ) -> "ClassificationEngine":
+        """The engine ``config`` describes, over an already-built matcher:
+        ``cls(matcher, config)``, with its shard pool running when
+        ``config.shards > 0``."""
+        return cls(matcher, config if config is not None else EngineConfig())
 
     # -- metrics ---------------------------------------------------------
 
@@ -668,12 +679,23 @@ class ClassificationEngine:
         return self._guard
 
     @property
+    def pool(self) -> Optional[Any]:
+        """The :class:`~repro.shard.ShardedEngine` resolving this
+        engine's misses, or None when it serves in-process."""
+        return self._pool
+
+    @property
     def health(self) -> str:
         """``ok`` / ``degraded`` / ``quarantined`` (always ``ok`` when
         no guard is attached — an unguarded engine propagates faults
-        instead of degrading)."""
+        instead of degrading).  A shard pool with a worker down reads
+        ``degraded`` unless the guard already says ``quarantined``."""
         guard = self._guard
-        return "ok" if guard is None else guard.health
+        health = "ok" if guard is None else guard.health
+        pool = self._pool
+        if health == "ok" and pool is not None and pool.shards_alive < self.config.shards:
+            return "degraded"
+        return health
 
     def _reference_matcher(self) -> Any:
         """The linear-scan reference tier, rebuilt lazily from the
@@ -708,11 +730,13 @@ class ClassificationEngine:
 
     def _lookup_target(self) -> Any:
         """The object cache misses are resolved against: the frozen
-        plane when ``auto_freeze`` is on and the matcher freezes, the
-        matcher itself otherwise.  With a guard attached, a quarantined
-        engine resolves against the linear-scan reference, an open
-        breaker skips re-freeze attempts until its backoff elapses, and
-        a failing freeze degrades to the matcher instead of raising."""
+        plane when ``auto_freeze`` is on and the matcher freezes — or
+        the shard pool, serving that same plane, when there is one —
+        and the matcher itself otherwise.  With a guard attached, a
+        quarantined engine resolves against the linear-scan reference,
+        an open breaker skips re-freeze attempts until its backoff
+        elapses, and a failing freeze degrades to the matcher instead
+        of raising."""
         guard = self._guard
         if guard is not None and guard.quarantined:
             return self._reference_matcher()
@@ -759,7 +783,11 @@ class ClassificationEngine:
             instruments = self._instruments
             if instruments is not None:
                 instruments.freeze_seconds.observe(elapsed)
-        return self._plane
+        pool = self._pool
+        if pool is None:
+            return self._plane
+        pool.serve(self._plane)
+        return pool
 
     # -- generation coherence -------------------------------------------
 
@@ -925,9 +953,9 @@ class ClassificationEngine:
         wants_frozen = self.auto_freeze and not self._unfreezable
         target = self._lookup_target()
         plane = self._plane
-        if plane is not None and target is plane:
+        if plane is not None and (target is plane or target is self._pool):
             try:
-                resolved = self._raw_resolve(plane, unique)
+                resolved = self._raw_resolve(target, unique)
             except Exception as exc:
                 guard.record_fault(getattr(exc, "site", None) or "frozen_walk", exc)
                 guard.breaker.record_failure()
@@ -1316,6 +1344,20 @@ class ClassificationEngine:
         self.stats.cache_evictions += dropped
         return dropped
 
+    def close(self) -> None:
+        """Stop the shard pool's workers and unlink its shared planes;
+        the engine keeps serving in-process afterwards.  A no-op
+        without a pool, and idempotent."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
+
+    def __enter__(self) -> "ClassificationEngine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     # -- observability ---------------------------------------------------
 
     @property
@@ -1381,6 +1423,8 @@ class ClassificationEngine:
         guard = self._guard
         if guard is not None:
             summary["resilience"] = guard.report()
+        if self._pool is not None:
+            summary["shards"] = self._pool.report()
         latency = self.latency_summary()
         if latency is not None:
             summary["latency"] = latency

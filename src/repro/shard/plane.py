@@ -16,7 +16,7 @@ framing header: magic ``PLMS`` plus the payload length as a u64.
 
 Lifecycle: the *parent* owns every segment — it creates, retires and
 unlinks them as policy updates publish new images (see
-:class:`~repro.shard.engine.ShardedEngine`).  Workers only ever attach.
+:class:`~repro.shard.engine.ShardedEngine`, the shard pool).  Workers only ever attach.
 Because workers are children of the publishing parent, the whole tree
 shares one ``resource_tracker`` process: a worker's attach re-registers
 the same name (an idempotent set-add there), worker exits trigger no
@@ -58,21 +58,12 @@ class PublishedPlane:
     has acknowledged a newer one.
     """
 
-    __slots__ = ("stamp", "shm", "payload_len", "epoch", "generation")
+    __slots__ = ("stamp", "shm", "payload_len")
 
-    def __init__(
-        self,
-        stamp: int,
-        shm: shared_memory.SharedMemory,
-        payload_len: int,
-        epoch: int = 0,
-        generation: int = 0,
-    ) -> None:
+    def __init__(self, stamp: int, shm: shared_memory.SharedMemory, payload_len: int) -> None:
         self.stamp = stamp
         self.shm = shm
         self.payload_len = payload_len
-        self.epoch = epoch
-        self.generation = generation
 
     @property
     def name(self) -> str:
@@ -99,13 +90,7 @@ class PublishedPlane:
             pass
 
 
-def publish_plane(
-    frozen: FrozenMatcher,
-    stamp: int,
-    *,
-    epoch: int = 0,
-    generation: int = 0,
-) -> PublishedPlane:
+def publish_plane(frozen: FrozenMatcher, stamp: int) -> PublishedPlane:
     """Serialize ``frozen`` and place the wire bytes in a new segment."""
     wire = serialize_frozen(frozen)
     shm = shared_memory.SharedMemory(
@@ -113,7 +98,7 @@ def publish_plane(
     )
     _SEGMENT_HEADER.pack_into(shm.buf, 0, SEGMENT_MAGIC, len(wire))
     shm.buf[_SEGMENT_HEADER.size : _SEGMENT_HEADER.size + len(wire)] = wire
-    return PublishedPlane(stamp, shm, len(wire), epoch=epoch, generation=generation)
+    return PublishedPlane(stamp, shm, len(wire))
 
 
 def attach_plane(name: str) -> Tuple[FrozenMatcher, shared_memory.SharedMemory]:

@@ -1,24 +1,24 @@
 """The shard worker: one process, one pipe, one mapped plane.
 
-Each worker owns a private :class:`~repro.engine.FlowCache` keyed by
-query and valued with *leaf indices* into the shared frozen plane —
-entries never cross the process boundary; the parent resolves indices
-against its own copy of the same PLMF image (leaf numbering is a pure
-function of the wire bytes, so the processes agree by construction).
+A worker holds no state beyond its mapping of the shared frozen plane.
+It answers in *leaf indices* into that plane — entries never cross the
+process boundary; the parent resolves indices against its own copy of
+the same PLMF image (leaf numbering is a pure function of the wire
+bytes, so the processes agree by construction).  The flow cache lives
+in the parent engine, so a worker only ever sees cache misses.
 
 The protocol is a tuple per message, strictly request/reply from the
 worker's point of view:
 
 ``("batch", stamp, name, queries)``
-    Resolve ``queries`` (already flow-hash partitioned by the parent)
-    and reply ``("ok", (indices, cache_hits))`` with one leaf index per
-    query, ``-1`` for no match.
+    Walk ``queries`` (one contiguous slice of the parent's misses) and
+    reply ``("ok", indices)`` with one leaf index per query, ``-1`` for
+    no match.
 
 ``("count", stamp, name, queries)``
-    The replay fast path: same resolve, but the reply aggregates to
-    ``("ok", ({leaf_index: occurrences}, cache_hits))`` so a multi-
-    million-packet replay ships back a dict the size of the rule set,
-    not the trace.
+    The replay fast path: same walk, but the reply aggregates to
+    ``("ok", {leaf_index: occurrences})`` so a multi-million-packet
+    replay ships back a dict the size of the rule set, not the trace.
 
 ``("report",)`` / ``("ping", token)`` / ``("stop",)``
     Introspection, liveness and orderly shutdown.
@@ -26,8 +26,7 @@ worker's point of view:
 Every ``batch``/``count`` carries the publisher's ``(stamp, name)`` for
 the plane it must be answered from.  A worker holding an older plane
 **remaps lazily right here** — attach the new segment, drop the old
-mapping, clear the flow cache (indices are only meaningful within one
-image) — which is the worker half of the atomic cross-shard swap:
+mapping — which is the worker half of the atomic cross-shard swap:
 publish new PLMF → bump stamp → workers remap on next touch.
 
 Faults inside a request are reported as ``("err", site, repr)`` and the
@@ -40,28 +39,22 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Optional
 
-from ..engine import FlowCache
 from .plane import attach_plane, detach_plane
 
 __all__ = ["shard_worker_main"]
 
 
 class _WorkerState:
-    """Mutable per-process serving state (plane mapping + flow cache)."""
+    """Mutable per-process serving state (the plane mapping)."""
 
-    __slots__ = (
-        "shard_index", "cache", "stamp", "matcher", "shm",
-        "lookups", "cache_hits", "remaps", "batches",
-    )
+    __slots__ = ("shard_index", "stamp", "matcher", "shm", "lookups", "remaps", "batches")
 
-    def __init__(self, shard_index: int, cache_size: int) -> None:
+    def __init__(self, shard_index: int) -> None:
         self.shard_index = shard_index
-        self.cache = FlowCache(cache_size)
         self.stamp = -1
         self.matcher: Optional[Any] = None
         self.shm: Optional[Any] = None
         self.lookups = 0
-        self.cache_hits = 0
         self.remaps = 0
         self.batches = 0
 
@@ -73,32 +66,13 @@ class _WorkerState:
         self.matcher = None  # drop plane views before closing the mapping
         detach_plane(old_shm)
         self.matcher, self.shm, self.stamp = matcher, shm, stamp
-        self.cache.clear()  # leaf indices do not survive an image swap
         self.remaps += 1
 
-    def resolve(self, queries: list[int]) -> tuple[list[int], int]:
-        """Leaf indices for ``queries``, cache first, batch-walk the rest."""
-        cache = self.cache
-        indices = [0] * len(queries)
-        hits, misses = cache.probe(queries, indices)
-        if misses:
-            unique = list(misses)
-            walked = self.matcher.lookup_batch_indices(unique)
-            for positions, j in zip(misses.values(), walked):
-                for i in positions:
-                    indices[i] = j
-            if len(unique) < len(queries) - hits:
-                # A query missed more than once in this burst.  The
-                # cache keeps rows in the order of each query's last
-                # miss, as one put per missed packet would.
-                rows = sorted(zip(unique, walked), key=lambda row: misses[row[0]][-1])
-                unique = [q for q, _ in rows]
-                walked = [j for _, j in rows]
-            cache.fill(unique, walked)
+    def resolve(self, queries: list[int]) -> list[int]:
+        """Leaf indices for ``queries``, one batch walk."""
         self.lookups += len(queries)
-        self.cache_hits += hits
         self.batches += 1
-        return indices, hits
+        return self.matcher.lookup_batch_indices(queries)
 
     def report(self) -> dict[str, Any]:
         import os
@@ -108,23 +82,16 @@ class _WorkerState:
             "pid": os.getpid(),
             "stamp": self.stamp,
             "lookups": self.lookups,
-            "cache_hits": self.cache_hits,
-            "cache_hit_ratio": self.cache_hits / self.lookups if self.lookups else 0.0,
-            "cache_rows": len(self.cache),
             "remaps": self.remaps,
             "batches": self.batches,
         }
 
 
 def shard_worker_main(
-    conn: Any,
-    shard_index: int,
-    cache_size: int,
-    plane_stamp: int,
-    plane_name: str,
+    conn: Any, shard_index: int, plane_stamp: int, plane_name: str
 ) -> None:
     """Entry point of one worker process (module-level: spawn-picklable)."""
-    state = _WorkerState(shard_index, cache_size)
+    state = _WorkerState(shard_index)
     try:
         state.remap(plane_stamp, plane_name)
     except Exception as exc:  # parent sees the error, then EOF
@@ -147,11 +114,11 @@ def shard_worker_main(
                 if op == "batch" or op == "count":
                     _, stamp, name, queries = msg
                     state.remap(stamp, name)
-                    indices, hits = state.resolve(queries)
+                    indices = state.resolve(queries)
                     if op == "count":
-                        conn.send(("ok", (dict(Counter(indices)), hits)))
+                        conn.send(("ok", dict(Counter(indices))))
                     else:
-                        conn.send(("ok", (indices, hits)))
+                        conn.send(("ok", indices))
                 elif op == "report":
                     conn.send(("ok", state.report()))
                 elif op == "ping":

@@ -165,8 +165,8 @@ class StreamPipeline:
     """Streaming front-end over a classification engine.
 
     ``engine`` is anything serving the engine surface — a
-    :class:`~repro.engine.ClassificationEngine` or the multi-process
-    :class:`~repro.shard.ShardedEngine`.  ``max_inflight`` bounds the
+    :class:`~repro.engine.ClassificationEngine` (sharded or not) or a
+    tenant.  ``max_inflight`` bounds the
     admission queue (the in-flight budget); ``policy`` picks what an
     overflowing arrival gets (see the module docstring);
     ``service_quantum`` caps how many packets are served per arrival

@@ -2,9 +2,8 @@
 
 :class:`TenantRouter` owns one :class:`Tenant` per manifest entry —
 each tenant an independent :class:`~repro.engine.ClassificationEngine`
-(or multi-process :class:`~repro.shard.ShardedEngine`, per its
-``EngineConfig``) with its own admission quotas, last-good checkpoint
-and :class:`~repro.tenant.rollout.RolloutController` — behind one
+(with its own shard pool when its ``EngineConfig`` asks for one), its
+own admission quotas, last-good checkpoint and :class:`~repro.tenant.rollout.RolloutController` — behind one
 ``lookup``/``lookup_batch`` surface keyed by tenant name.
 
 Isolation is the contract the bench gates: a tenant exhausting its
@@ -83,12 +82,7 @@ class Tenant:
         )
         self.key_length = compiled.layout.length
         if recover and last_good is not None:
-            engine_cls: Any = ClassificationEngine
-            if config.shards:
-                from ..shard import ShardedEngine
-
-                engine_cls = ShardedEngine
-            self.engine = engine_cls.from_checkpoint(
+            self.engine = ClassificationEngine.from_checkpoint(
                 last_good, rebuild=self._rebuild, config=config
             )
             # The recovered policy faces the same ceiling a boot-time
@@ -223,9 +217,7 @@ class Tenant:
         }
 
     def close(self) -> None:
-        closer = getattr(self.engine, "close", None)
-        if callable(closer):
-            closer()
+        self.engine.close()
 
 
 class TenantRouter:

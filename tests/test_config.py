@@ -100,17 +100,19 @@ class TestFromConfig:
         assert engine.config == DEFAULT_CONFIG
 
     def test_sharded_front_end(self):
+        """``shards > 0`` is still one ClassificationEngine: its pool
+        resolves the misses, and the cache keeps one worker-cache row
+        budget per shard."""
         from repro.shard import ShardedEngine
 
         matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
-        engine = ClassificationEngine.from_config(
+        with ClassificationEngine.from_config(
             matcher, EngineConfig(cache_size=16, shards=1)
-        )
-        try:
-            assert isinstance(engine, ShardedEngine)
-            assert engine.shards_alive == 1
-        finally:
-            engine.close()
+        ) as engine:
+            assert type(engine) is ClassificationEngine
+            assert isinstance(engine.pool, ShardedEngine)
+            assert engine.pool.shards_alive == 1
+            assert engine.cache.capacity == 16
 
 
 class TestServeFacade:

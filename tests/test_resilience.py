@@ -284,6 +284,49 @@ class TestFaultDifferential:
 # Shadow verification details
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("shards", [0, 2])
+class TestGuardOverShards:
+    """A shard pool only resolves misses, so the guard's shadow pass
+    and its engine-level fault sites cover sharded bursts exactly as
+    they cover in-process ones."""
+
+    def test_every_answer_is_shadow_checked(self, differential, shards):
+        entries, queries, truth = differential
+        n = 4096
+        injector = FaultInjector(seed=3, stall_seconds=0.0)
+        injector.arm("stall", rate=1.0)
+        guard = GuardRail(shadow_sample=1.0, injector=injector)
+        config = EngineConfig(cache_size=256, auto_freeze=True, resilience=guard, shards=shards)
+        with ClassificationEngine(
+            PalmtriePlus.build(entries, KEY_LENGTH, stride=4), config
+        ) as engine:
+            assert (engine.pool is not None) == bool(shards)
+            _assert_verdicts(engine, queries[:n], truth[:n], batch=256)
+            assert guard.shadow_checks == n
+            assert guard.shadow_mismatches == 0
+            assert injector.fired["stall"] == n // 256
+            assert engine.health == "ok"
+
+    def test_poisoned_cache_row_is_repaired_and_quarantines(self, differential, shards):
+        entries, _, _ = differential
+        rng = random.Random(17)
+        flows = [rng.getrandbits(KEY_LENGTH) for _ in range(64)]
+        queries = [rng.choice(flows) for _ in range(2048)]
+        truth = _reference_verdicts(entries, queries)
+        injector = FaultInjector(seed=17)
+        injector.arm("cache", rate=1.0)
+        guard = GuardRail(shadow_sample=1.0, injector=injector)
+        config = EngineConfig(cache_size=256, auto_freeze=True, resilience=guard, shards=shards)
+        with ClassificationEngine(
+            PalmtriePlus.build(entries, KEY_LENGTH, stride=4), config
+        ) as engine:
+            assert (engine.pool is not None) == bool(shards)
+            _assert_verdicts(engine, queries, truth)
+            assert injector.fired["cache"] > 0
+            assert guard.shadow_mismatches > 0
+            assert engine.health == "quarantined"
+
+
 class TestShadowVerify:
     def test_scalar_hit_path_is_checked_and_repaired(self):
         entries = _entries()
@@ -455,6 +498,53 @@ class TestCheckpoints:
         assert engine.checkpoint_restores == 0
         assert engine.last_recovery.error is not None
         _assert_verdicts(engine, queries, truth)
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_from_checkpoint_restores_at_any_shard_count(self, tmp_path, differential, shards):
+        """Startup recovery honours ``config.shards``: the recovered
+        engine runs its pool, serves the checkpointed policy exactly and
+        reports the restore and the recovered epoch."""
+        entries, queries, truth = differential
+        source = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
+        source.replace_matcher(PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
+        path = str(tmp_path / "policy.plmc")
+        source.checkpoint(path)
+
+        def rebuild():
+            # A deliberately wrong policy: taking the rebuild path by
+            # mistake fails the verdict differential loudly.
+            return PalmtriePlus.build(entries[:1], KEY_LENGTH, stride=4)
+
+        config = EngineConfig(cache_size=256, shards=shards)
+        with ClassificationEngine.from_checkpoint(path, rebuild, config=config) as engine:
+            _assert_verdicts(engine, queries, truth)
+            report = engine.report()
+            assert report["checkpoint_restores"] == 1
+            assert report["checkpoint_rebuilds"] == 0
+            assert report["epoch"] == 1
+            assert report.get("shards", {}).get("count", 0) == shards
+            assert engine.health == "ok"
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_from_checkpoint_rebuilds_at_any_shard_count(self, tmp_path, differential, shards):
+        """A garbled checkpoint falls back to ``rebuild`` (counted as a
+        rebuild, not a restore) and the rebuilt policy serves exactly."""
+        entries, queries, truth = differential
+        path = tmp_path / "garbled.plmc"
+        path.write_bytes(b"not a checkpoint")
+        config = EngineConfig(cache_size=256, shards=shards)
+        with ClassificationEngine.from_checkpoint(
+            str(path),
+            rebuild=lambda: PalmtriePlus.build(entries, KEY_LENGTH, stride=4),
+            config=config,
+        ) as engine:
+            _assert_verdicts(engine, queries, truth)
+            report = engine.report()
+            assert report["checkpoint_restores"] == 0
+            assert report["checkpoint_rebuilds"] == 1
+            assert report.get("shards", {}).get("count", 0) == shards
+            assert engine.last_recovery.error is not None
+            assert engine.health == "ok"
 
     def test_missing_checkpoint_rebuilds(self, tmp_path):
         entries = _entries()

@@ -1,10 +1,12 @@
-"""The sharded multi-process data plane (repro.shard).
+"""The shard pool (repro.shard): an engine's misses across processes.
 
 The contract under test is the paper's correctness bar carried across
-process boundaries: a :class:`ShardedEngine` must return exactly the
-verdicts of a single-process :class:`ClassificationEngine` over the
-same rules — through policy updates (atomic cross-shard plane swaps)
-and through worker death (degrade to the local fallback, then respawn).
+process boundaries: a :class:`ClassificationEngine` whose misses a
+:class:`ShardedEngine` pool resolves must return exactly the verdicts
+of an in-process engine over the same rules — through policy updates
+(atomic cross-shard plane swaps) and through worker death (degrade to
+the parent's plane, then respawn).  The surface shared with every other
+engine shape is ``tests/test_conformance.py``'s job.
 
 Everything here runs on one core; the *scaling* claim is
 ``benchmarks/bench_shards.py``'s job.
@@ -16,7 +18,6 @@ import os
 import random
 import signal
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -27,9 +28,8 @@ from repro.core.plus import PalmtriePlus
 from repro.core.serialize import serialize_frozen
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
-from repro.engine import _MISSING, ClassificationEngine, FlowCache
+from repro.engine import ClassificationEngine
 from repro.shard import ShardedEngine, attach_plane, detach_plane, flow_shard, publish_plane
-from repro.shard.worker import _WorkerState
 
 KEY_LENGTH = 128
 
@@ -58,7 +58,7 @@ def policy():
 class TestPlane:
     def test_publish_attach_round_trip(self, policy):
         frozen = freeze(PalmtriePlus.build(policy, KEY_LENGTH, stride=8))
-        plane = publish_plane(frozen, stamp=1, epoch=0, generation=0)
+        plane = publish_plane(frozen, stamp=1)
         try:
             mapped, shm = attach_plane(plane.name)
             try:
@@ -114,72 +114,25 @@ class TestPlane:
         assert max(counts) / mean <= 1.5, counts
 
 
-def _per_packet_resolve(cache, matcher, queries):
-    """The loop ``_WorkerState.resolve`` ran before ``FlowCache.probe``/
-    ``fill``: one ``get`` per packet, the misses walked as they came
-    (duplicates included) and one ``put`` per missed packet.  Kept as
-    the oracle the batch helpers must equal."""
-    indices = [0] * len(queries)
-    miss_pos, miss_q = [], []
-    for i, q in enumerate(queries):
-        j = cache.get(q)
-        if j is _MISSING:
-            miss_pos.append(i)
-            miss_q.append(q)
-        else:
-            indices[i] = j
-    if miss_q:
-        for i, q, j in zip(miss_pos, miss_q, matcher.lookup_batch_indices(miss_q)):
-            indices[i] = j
-            cache.put(q, j)
-    return indices, len(queries) - len(miss_q)
-
-
-class TestWorkerProbeFill:
-    @pytest.mark.parametrize("capacity", [0, 1, 7, 4096])
-    def test_resolve_equals_per_packet_loop(self, policy, capacity):
-        """Same indices, hits, rows and LRU order after every burst,
-        including bursts that miss one query several times and a burst
-        that overflows the cache on its own."""
-        rng = random.Random(capacity)
-        frozen = freeze(PalmtriePlus.build(policy, KEY_LENGTH, stride=8))
-        state = _WorkerState(0, capacity)
-        state.matcher = frozen
-        oracle = FlowCache(capacity)
-        pool = [rng.getrandbits(KEY_LENGTH) for _ in range(400)]
-        bursts = [
-            [rng.choice(pool) for _ in range(rng.randrange(301))] for _ in range(40)
-        ]
-        fresh = [rng.getrandbits(KEY_LENGTH) for _ in range(5_000)]
-        bursts.insert(20, fresh + fresh[:50])
-        hits = 0
-        for burst in bursts:
-            got = state.resolve(burst)
-            expected = _per_packet_resolve(oracle, frozen, burst)
-            assert got == expected
-            hits += expected[1]
-            assert list(state.cache._map.items()) == list(oracle._map.items())
-        assert state.cache_hits == hits
-        assert state.lookups == sum(map(len, bursts))
-
-
-class TestOwnerMemo:
-    def test_scatter_uses_flow_shard_and_keeps_order(self):
-        queries = _trace(3000, seed=41)
-        fake = SimpleNamespace(_owner_memo={}, _shards=[None] * 3)
-        buckets, slots = ShardedEngine._scatter(fake, queries)
-        for s in range(3):
-            assert slots[s] == [i for i, q in enumerate(queries) if flow_shard(q, 3) == s]
-            assert buckets[s] == [queries[i] for i in slots[s]]
-        assert fake._owner_memo == {q: flow_shard(q, 3) for q in queries}
-
-    def test_memo_is_bounded_under_scan_traffic(self):
-        fake = SimpleNamespace(_owner_memo={}, _shards=[None] * 2)
-        scan = list(range(70_000))
-        buckets, _ = ShardedEngine._scatter(fake, scan)
-        assert len(fake._owner_memo) == 70_000 - 65_536
-        assert sorted(buckets[0] + buckets[1]) == scan
-        assert all(flow_shard(q, 2) == 1 for q in buckets[1][:1000])
+class TestMissSlicing:
+    def test_workers_see_only_contiguous_slices_of_the_misses(self, policy):
+        """The engine's cache answers repeats in the parent; the pool
+        splits the burst's distinct misses into one contiguous slice per
+        worker, and the workers keep no cache of their own."""
+        queries = _trace(2000, seed=43)
+        unique = len(set(queries))
+        with ClassificationEngine(
+            PalmtriePlus.build(policy, KEY_LENGTH, stride=8),
+            EngineConfig(cache_size=4096, shards=2),
+        ) as engine:
+            engine.lookup_batch(queries)
+            engine.lookup_batch(queries)  # all hits: nothing crosses IPC
+            workers = engine.report()["shards"]["workers"]
+            assert [w["lookups"] for w in workers] == [(unique + 1) // 2, unique // 2]
+            assert all(w["batches"] == 1 for w in workers)
+            assert not any("cache" in key for w in workers for key in w)
+            assert isinstance(engine.pool, ShardedEngine)
+            assert engine.cache.capacity == 2 * 4096
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +150,7 @@ class TestShardedDifferential:
         override = TernaryEntry(
             key=TernaryKey.wildcard(KEY_LENGTH), value=999, priority=10_000
         )
-        with ShardedEngine(matcher_b, config) as sharded:
+        with ClassificationEngine(matcher_b, config) as sharded:
             half = len(queries) // 2
             assert _values(sharded.lookup_batch(queries[:half])) == \
                 _values(single.lookup_batch(queries[:half]))
@@ -210,7 +163,7 @@ class TestShardedDifferential:
             assert _values(got) == _values(want)
             assert all(e is not None and e.value == 999 for e in got)
             assert sharded.health == "ok"
-            assert sharded.shards_alive == 2
+            assert sharded.pool.shards_alive == 2
 
     def test_hot_layout_cross_process(self, policy):
         """The hot layout survives the PLMS hop: the workers serve from
@@ -223,7 +176,7 @@ class TestShardedDifferential:
         single = ClassificationEngine(
             matcher_a, EngineConfig(cache_size=0)
         )
-        with ShardedEngine(matcher_b, config) as sharded:
+        with ClassificationEngine(matcher_b, config) as sharded:
             assert _values(sharded.lookup_batch(queries)) == \
                 _values(single.lookup_batch(queries))
             assert sharded.health == "ok"
@@ -244,8 +197,8 @@ class TestShardedDifferential:
             else:
                 expected[entry.value] = expected.get(entry.value, 0) + 1
         assert expected, "trace must actually match rules"
-        with ShardedEngine(matcher, EngineConfig(shards=2)) as sharded:
-            result = sharded.replay(queries, chunk_size=512)
+        with ClassificationEngine(matcher, EngineConfig(shards=2)) as sharded:
+            result = sharded.pool.replay(queries, chunk_size=512)
         assert result["queries"] == len(queries)
         assert result["verdicts"] == expected
         assert result["missed"] == misses
@@ -257,82 +210,17 @@ class TestShardedDifferential:
             PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
         )
         queries = _trace(100, seed=13)
-        with ShardedEngine(matcher, EngineConfig(shards=1)) as sharded:
+        with ClassificationEngine(matcher, EngineConfig(shards=1)) as sharded:
             for query in queries:
                 got, want = sharded.lookup(query), reference.lookup(query)
                 assert _values([got]) == _values([want])
             report = sharded.report()
             assert report["shards"]["count"] == 1
             assert report["shards"]["alive"] == 1
-            # the inner-engine surface stays reachable (stats, epoch...)
+            # scalar misses are answered from the parent's plane
+            assert report["shards"]["workers"][0]["lookups"] == 0
             assert sharded.epoch == 0
-            assert sharded.stats.lookups >= len(queries)
-
-
-# ----------------------------------------------------------------------
-# Startup recovery through the sharded facade
-# ----------------------------------------------------------------------
-
-
-class TestShardedCheckpointRecovery:
-    def test_from_checkpoint_matches_in_process_recovery(self, policy, tmp_path):
-        """``ShardedEngine.from_checkpoint`` is the same recovery
-        contract as the in-process engine's, just fronted by workers:
-        verdicts over the restored policy must be a bit-identical
-        differential, and the restore/rebuild provenance counters must
-        survive the facade (they used to be discarded, so a recovered
-        sharded engine reported ``checkpoint_restores == 0``)."""
-        queries = _trace(3000, seed=37)
-        path = str(tmp_path / "policy.plmc")
-        source = ClassificationEngine(
-            PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
-        )
-        source.checkpoint(path)
-
-        def rebuild():
-            # A deliberately wrong fallback policy: if recovery silently
-            # takes the rebuild path, the differential below fails loud.
-            return PalmtriePlus.build(policy[:1], KEY_LENGTH, stride=8)
-
-        single = ClassificationEngine.from_checkpoint(path, rebuild=rebuild)
-        config = EngineConfig(cache_size=256, shards=2)
-        with ShardedEngine.from_checkpoint(
-            path, rebuild=rebuild, config=config
-        ) as sharded:
-            assert _values(sharded.lookup_batch(queries)) == \
-                _values(single.lookup_batch(queries))
-            report = sharded.report()
-            assert report["checkpoint_restores"] == 1
-            assert report["checkpoint_rebuilds"] == 0
-            assert report["shards"]["count"] == 2
-            # delegated surface agrees with the report
-            assert sharded.checkpoint_restores == 1
-            assert sharded.epoch == single.epoch
-            assert sharded.health == "ok"
-
-    def test_from_checkpoint_rebuild_fallback_still_exact(self, policy, tmp_path):
-        """A garbled checkpoint must fall back to ``rebuild`` (counted
-        as a rebuild, not a restore) and the workers must serve the
-        rebuilt policy exactly."""
-        path = tmp_path / "garbled.plmc"
-        path.write_bytes(b"not a checkpoint")
-
-        def rebuild():
-            return PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
-
-        queries = _trace(1000, seed=41)
-        single = ClassificationEngine(
-            PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
-        )
-        with ShardedEngine.from_checkpoint(
-            str(path), rebuild=rebuild, config=EngineConfig(shards=2)
-        ) as sharded:
-            assert _values(sharded.lookup_batch(queries)) == \
-                _values(single.lookup_batch(queries))
-            report = sharded.report()
-            assert report["checkpoint_restores"] == 0
-            assert report["checkpoint_rebuilds"] == 1
-            assert sharded.health == "ok"
+            assert sharded.stats.lookups == len(queries)
 
 
 # ----------------------------------------------------------------------
@@ -348,24 +236,30 @@ class TestWorkerRecovery:
             PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
         )
         config = EngineConfig(cache_size=256, shards=2, shard_timeout=10.0)
-        with ShardedEngine(matcher, config) as sharded:
+        with ClassificationEngine(matcher, config) as sharded:
+            pool = sharded.pool
             third = len(queries) // 3
             assert _values(sharded.lookup_batch(queries[:third])) == \
                 _values(single.lookup_batch(queries[:third]))
 
-            victim = sharded._shards[0]
+            victim = pool._shards[0]
             os.kill(victim.proc.pid, signal.SIGKILL)
             victim.proc.join(timeout=10)
 
-            # the burst straddling the death must still be exact
+            # the burst straddling the death must still be exact; drop
+            # the parent's cache so its misses reach the dead worker
+            sharded.invalidate_all()
             got = sharded.lookup_batch(queries[third : 2 * third])
             want = single.lookup_batch(queries[third : 2 * third])
             assert _values(got) == _values(want)
-            assert sharded.worker_deaths >= 1
+            assert pool.worker_deaths >= 1
+            assert pool.local_fallback_lookups > 0
+            assert sharded.health == "degraded"
             deadline = time.monotonic() + 10.0
-            while sharded.shards_alive < 2 and time.monotonic() < deadline:
+            while pool.shards_alive < 2 and time.monotonic() < deadline:
+                sharded.invalidate_all()
                 sharded.lookup_batch(queries[:64])  # respawn happens lazily
-            assert sharded.shards_alive == 2
+            assert pool.shards_alive == 2
 
             # after recovery, still exact
             assert _values(sharded.lookup_batch(queries[2 * third :])) == \
@@ -384,8 +278,8 @@ class TestWorkerRecovery:
         single = ClassificationEngine(
             PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
         )
-        with ShardedEngine(matcher, EngineConfig(shards=1)) as sharded:
-            handle = sharded._shards[0]
+        with ClassificationEngine(matcher, EngineConfig(shards=1)) as sharded:
+            handle = sharded.pool._shards[0]
             garbage = (
                 42,                       # not a tuple at all
                 (),                       # empty tuple
@@ -403,15 +297,21 @@ class TestWorkerRecovery:
             assert handle.conn.recv() == ("ok", "still-there")
             assert _values(sharded.lookup_batch(queries)) == \
                 _values(single.lookup_batch(queries))
-            assert sharded.shards_alive == 1
+            assert sharded.pool.shards_alive == 1
             assert sharded.health == "ok"
 
     def test_close_is_idempotent_and_kills_workers(self, policy):
         matcher = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
-        sharded = ShardedEngine(matcher, EngineConfig(shards=2))
-        pids = [handle.proc.pid for handle in sharded._shards]
+        sharded = ClassificationEngine(matcher, EngineConfig(shards=2))
+        pids = [handle.proc.pid for handle in sharded.pool._shards]
+        queries = _trace(200, seed=47)
+        want = _values(sharded.lookup_batch(queries))
         sharded.close()
         sharded.close()  # second close is a no-op
+        assert sharded.pool is None
+        # a closed engine keeps serving in-process
+        sharded.invalidate_all()
+        assert _values(sharded.lookup_batch(queries)) == want
         for pid in pids:
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:

@@ -812,16 +812,18 @@ class TestLatencyBaselineEvidence:
 
 
 # ----------------------------------------------------------------------
-# Sharded tenants: the rollout contract over ShardedEngine
+# Sharded tenants: the rollout contract over an engine's shard pool
 # ----------------------------------------------------------------------
 
 
 def _published_is_current(engine) -> bool:
-    """The sharded plane publication matches the inner engine's
-    coherence stamp (i.e. no lazy-republish debt outstanding)."""
-    return engine._published_for == (
-        engine.inner.epoch,
-        getattr(engine.inner.matcher, "generation", 0),
+    """The shard pool serves the plane frozen from the engine's current
+    policy: its last publish is the engine's plane, compiled at the
+    matcher's current generation."""
+    engine.refresh()
+    return (
+        engine.pool._plane is engine._plane
+        and engine._plane_generation == getattr(engine.matcher, "generation", None)
     )
 
 
@@ -834,7 +836,7 @@ class TestShardedRollout:
             roller = router["roller"]
             from repro.shard import ShardedEngine
 
-            assert isinstance(roller.engine, ShardedEngine)
+            assert isinstance(roller.engine.pool, ShardedEngine)
             queries = _trace(roller, 2000, seed=SEED + 3)
             roller.stage_rollout(NEW_POLICY, seed=SEED)
             _drive_rollout(router, "roller", queries)
@@ -864,9 +866,8 @@ class TestShardedRollout:
             roller.stage_rollout(NEW_POLICY, seed=SEED)
             _drive_rollout(router, "roller", queries)
             assert roller.rollout.state == "rolled_back"
-            # restore_last_good force-republished: the shared plane is
-            # already coherent with the restored policy, BEFORE any
-            # further batch triggers a lazy stamp check
+            # the restored policy is what the pool publishes before the
+            # next miss leaves the parent: no worker serves the bad plane
             assert _published_is_current(roller.engine)
 
             old = compile_acl(parse_acl(OLD_POLICY))
