@@ -4,10 +4,11 @@ The paper's update cost model (§3.6, §4.4) is that a Palmtrie+ update
 is a source-trie update plus a recompile; the serving layer adds a
 third cost on top: invalidating the flow cache rows the changed keys
 might re-verdict.  Applied one op at a time, that invalidation is a
-full ternary sweep of the cache *per op*; the engine's
-``apply_updates`` transaction pays it once for the whole batch — and,
-above ``invalidation_threshold`` cached rows, defers it entirely to an
-O(1) generation check at the next lookup.
+full sweep of the cache *per op*; the engine's ``apply_updates``
+transaction pays it once for the whole batch — and, above
+``invalidation_threshold`` cached rows, defers that one sweep (each
+row tested once per distinct care mask among the changed keys) to the
+next lookup.
 
 This benchmark churns a warmed engine at ~1 % of the trace (canary
 rules with exact-match keys, inserted and deleted in pairs) and
@@ -15,8 +16,8 @@ compares
 
 * the per-op path (scalar ``insert``/``delete`` with
   ``invalidation_threshold=None``: every op sweeps the cache), and
-* one ``apply_updates`` transaction (one bulk source pass, deferred
-  invalidation).
+* one ``apply_updates`` transaction (one bulk source pass, the sweep
+  deferred to the next lookup).
 
 The acceptance bar, asserted in ``main(smoke=True)`` (the CI entry
 point): the transactional path applies the same churn at least **5x**
@@ -177,7 +178,7 @@ def main(smoke: bool = False) -> dict[str, float]:
         f"transactional engine: {report['updates_applied']} updates in "
         f"{report['update_batches']} transactions, "
         f"{report['targeted_invalidations']} targeted / "
-        f"{report['lazy_invalidations']} lazy sweeps, "
+        f"{report['lazy_invalidations']} lazy clears, "
         f"generation {report['generation']}"
     )
     if smoke and ratio < 5.0:

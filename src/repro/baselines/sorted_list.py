@@ -40,11 +40,22 @@ class SortedListMatcher(TernaryMatcher):
         self.generation += 1
 
     def delete(self, key: TernaryKey) -> bool:
-        kept = [e for e in self._entries if e.key != key]
-        if len(kept) == len(self._entries):
+        # Remove every entry holding the key, in place: comparing the
+        # plain ints is much cheaper than the dataclass __eq__, and
+        # both lists lose the same positions, so they stay aligned.
+        data, mask = key.data, key.mask
+        entries = self._entries
+        doomed = [
+            position
+            for position, entry in enumerate(entries)
+            if entry.key.data == data and entry.key.mask == mask
+        ]
+        if not doomed:
             return False
-        self._entries = kept
-        self._neg_priorities = [-e.priority for e in kept]
+        neg_priorities = self._neg_priorities
+        for position in reversed(doomed):
+            del entries[position]
+            del neg_priorities[position]
         self.generation += 1
         return True
 

@@ -717,8 +717,10 @@ def _run_replay(args, engine, compiled, layout, key_length) -> int:
             f"{report['update_batches']} transactions "
             f"({report['cache_rows_invalidated']} cache rows invalidated, "
             f"{report['targeted_invalidations']} targeted / "
-            f"{report['lazy_invalidations']} lazy sweeps, "
-            f"generation {report['generation']})"
+            f"{report['lazy_invalidations']} lazy clears, "
+            f"generation {report['generation']}, "
+            f"{report['freezes']} freezes, "
+            f"plane {report['plane_overlay_keys']} keys behind)"
         )
     if args.freeze:
         state = "active" if report["frozen_plane_active"] else "unavailable"

@@ -28,19 +28,25 @@ half of that story:
 
 * :meth:`apply_updates` (and the :meth:`update_batch` context manager)
   applies many inserts/deletes as one transaction — one pass over the
-  source trie, one cache-invalidation sweep, one deferred
-  recompile/re-freeze — where N scalar calls would pay each cost N
-  times;
+  source trie and one changed-key set — where N scalar calls would pay
+  each cost N times;
+* that changed-key set drives every derived layer, because a query's
+  verdict can change only if a changed key matches it: a targeted
+  cache sweep, an in-place update of the guard's linear-scan
+  reference, and a frozen-plane *overlay* — the plane keeps serving,
+  and the misses a changed key matches resolve through the retained
+  Palmtrie_k until the overlay has cost as much as one refreeze (ski
+  rental) and compacts into a fresh freeze;
 * every matcher carries a monotonic ``generation`` counter bumped on
   content changes; the engine stamps the flow cache and frozen plane
   with the generation they were filled under and re-checks it in O(1)
   at the top of every lookup, so results stay coherent even when a
   caller mutates the matcher directly (``engine.matcher.insert(...)``)
   behind the engine's back;
-* above ``invalidation_threshold`` cached rows, the per-update targeted
-  ternary sweep (O(cache) matches per changed key) is replaced by
-  *lazy* invalidation: the engine leaves its generation stamp stale and
-  the next lookup drops the whole cache once;
+* above ``invalidation_threshold`` cached rows, the transaction leaves
+  its sweep pending: the engine leaves its generation stamp stale and
+  the next lookup sweeps the pending keys once; only changes the engine
+  cannot see (direct mutations) clear the whole cache;
 * :meth:`replace_matcher` swaps in a rebuilt policy atomically — new
   matcher, fresh plane, cleared cache — while cumulative lookup
   statistics carry over (the apps' ``replace_policy`` paths route
@@ -81,6 +87,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, EngineConfig
+from .core.multibit import MultibitPalmtrie
+from .core.plus import PalmtriePlus
 from .core.table import LookupStats, TernaryEntry, TernaryMatcher
 from .core.ternary import TernaryKey
 from .obs.metrics import MetricsRegistry, geometric_buckets
@@ -90,6 +98,67 @@ __all__ = ["FlowCache", "BatchReport", "UpdateReport", "ClassificationEngine"]
 
 #: distinguishes "not cached" from a cached no-match (None) result
 _MISSING = object()
+
+#: matchers whose frozen plane is a separate object compiled from a
+#: retained Palmtrie_k, so an update can leave the plane serving behind
+#: a changed-key overlay
+_OVERLAY_SOURCES = (PalmtriePlus, MultibitPalmtrie)
+
+#: distinct care masks past which changed-key groups stop paying: every
+#: row or miss is tested once per group, so beyond this a deferred
+#: cache sweep clears the whole cache and the plane's overlay compacts
+#: (refreezes) instead of testing ever more groups
+_MAX_KEY_GROUPS = 8
+
+
+def group_keys(keys: Iterable[TernaryKey]) -> dict[int, set[int]]:
+    """Fold ternary keys into ``{care: {data, ...}}`` (``care`` is the
+    key's cared-for bits, ``~mask``).  A query matches one of the keys
+    exactly when ``query & care in datas`` for some group, so a cache
+    row or a miss is tested once per distinct mask instead of once per
+    key."""
+    groups: dict[int, set[int]] = {}
+    for key in keys:
+        care = ~key.mask & ((1 << key.length) - 1)
+        datas = groups.get(care)
+        if datas is None:
+            groups[care] = {key.data}
+        else:
+            datas.add(key.data)
+    return groups
+
+
+def _matching(queries: Iterable[int], groups: dict[int, set[int]]) -> list[int]:
+    """Those of the distinct ``queries`` that some group of ``groups``
+    (:func:`group_keys` form) matches: one comprehension per care mask,
+    which beats one ``any()`` generator per query."""
+    if len(groups) == 1:
+        ((care, datas),) = groups.items()
+        return [query for query in queries if query & care in datas]
+    hits: set[int] = set()
+    for care, datas in groups.items():
+        hits.update([query for query in queries if query & care in datas])
+    return list(hits)
+
+
+def _worth_testing(groups: dict[int, set[int]]) -> bool:
+    """False when testing rows or misses against ``groups`` does not
+    pay: an all-wildcard key (care mask 0) matches everything, and past
+    ``_MAX_KEY_GROUPS`` masks the per-query tests add up."""
+    return 0 not in groups and len(groups) <= _MAX_KEY_GROUPS
+
+
+def _merge_groups(
+    into: dict[int, set[int]], groups: dict[int, set[int]]
+) -> dict[int, set[int]]:
+    """Union ``groups`` into ``into`` (both in :func:`group_keys` form)."""
+    for care, datas in groups.items():
+        held = into.get(care)
+        if held is None:
+            into[care] = set(datas)
+        else:
+            held |= datas
+    return into
 
 
 class FlowCache:
@@ -184,31 +253,27 @@ class FlowCache:
         entry with this key is inserted or deleted; untouched queries
         keep their (still-correct) cached verdicts.
         """
-        matches = key.matches
-        stale = [query for query in self._map if matches(query)]
-        for query in stale:
-            del self._map[query]
-        return len(stale)
+        return self.sweep(group_keys((key,)))
 
     def invalidate_many(self, keys: Sequence[TernaryKey]) -> int:
         """Evict every cached query any of these ternary keys matches.
 
-        One sweep over the cache testing all changed keys per row —
-        the batched form of :meth:`invalidate`, so a transaction of N
-        updates pays one cache pass instead of N.
+        One sweep over the cache, testing each row once per distinct
+        care mask (:func:`group_keys`) — the batched form of
+        :meth:`invalidate`, so a transaction of N updates pays one
+        cache pass instead of N.
         """
-        if not keys:
+        return self.sweep(group_keys(keys))
+
+    def sweep(self, groups: dict[int, set[int]]) -> int:
+        """Evict every cached query some changed-key group matches
+        (``query & care in datas``); returns the rows evicted."""
+        if not groups:
             return 0
-        if len(keys) == 1:
-            return self.invalidate(keys[0])
-        matchers = [key.matches for key in keys]
-        stale = [
-            query
-            for query in self._map
-            if any(matches(query) for matches in matchers)
-        ]
+        cache = self._map
+        stale = _matching(cache, groups)
         for query in stale:
-            del self._map[query]
+            del cache[query]
         return len(stale)
 
     def clear(self) -> int:
@@ -391,11 +456,15 @@ class _EngineInstruments:
             "Cache rows dropped because a policy change could re-verdict them.",
         ).set_total(engine.cache_rows_invalidated)
         counter(
-            "engine_invalidations_total", "Cache invalidation sweeps, by strategy.",
+            "engine_invalidations_total",
+            "Cache invalidations, by strategy: targeted changed-key sweeps "
+            "(immediate or deferred) and lazy whole-cache clears.",
             labels={"strategy": "targeted"},
         ).set_total(engine.targeted_invalidations)
         counter(
-            "engine_invalidations_total", "Cache invalidation sweeps, by strategy.",
+            "engine_invalidations_total",
+            "Cache invalidations, by strategy: targeted changed-key sweeps "
+            "(immediate or deferred) and lazy whole-cache clears.",
             labels={"strategy": "lazy"},
         ).set_total(engine.lazy_invalidations)
         counter(
@@ -417,6 +486,11 @@ class _EngineInstruments:
         registry.gauge(
             "engine_frozen_plane_active", "1 while lookups are served from the frozen plane."
         ).set(1 if engine._plane is not None else 0)
+        registry.gauge(
+            "engine_plane_overlay_keys",
+            "Changed keys the frozen plane is behind by (served through "
+            "the retained Palmtrie_k until the next refreeze).",
+        ).set(engine.plane_overlay_keys)
         compile_seconds = getattr(engine.matcher, "compile_seconds_total", None)
         if compile_seconds is not None:
             counter(
@@ -476,6 +550,10 @@ class _EngineInstruments:
             "Misses resolved by the linear-scan reference tier.",
         ).set_total(guard.reference_lookups)
         counter(
+            "engine_reference_rebuilds_total",
+            "Linear-scan reference rebuilds from the matcher's entries.",
+        ).set_total(guard.reference_rebuilds)
+        counter(
             "engine_shadow_checks_total", "Answers cross-checked against the reference."
         ).set_total(guard.shadow_checks)
         counter(
@@ -525,22 +603,23 @@ class ClassificationEngine:
     frozen struct-of-arrays plane (:func:`repro.core.freeze`) once the
     build settles — lazily, on the first cache miss — and serves
     lookups from the plane.  ``insert``/``delete`` still go to the
-    mutable matcher; they drop the plane, which is re-frozen lazily on
-    the next miss, so updates stay cheap and bursts stay fast.
-    Matchers without a frozen form (anything that is not a Palmtrie
-    trie) silently fall back to their own lookups.
+    mutable matcher; the plane keeps serving behind an overlay of the
+    changed keys (a matcher that is its own plane is re-frozen lazily
+    on the next miss instead), so updates stay cheap and bursts stay
+    fast.  Matchers without a frozen form (anything that is not a
+    Palmtrie trie) silently fall back to their own lookups.
 
-    ``invalidation_threshold`` bounds the per-update cache sweep: while
-    the cache holds at most this many rows, an update evicts exactly
-    the rows the changed keys match (a full pass testing each row);
-    above it the engine defers — the next lookup notices the matcher's
-    ``generation`` moved and clears the whole cache once, making each
-    update O(1).  ``None`` disables deferral and always sweeps.  The
+    Every update evicts exactly the cached rows its changed keys match;
+    ``invalidation_threshold`` decides when: while the cache holds at
+    most this many rows, inside the update; above it the engine defers
+    — the next lookup notices the matcher's ``generation`` moved and
+    sweeps the pending keys once.  ``None`` disables deferral.  The
     same generation check also catches *direct* matcher mutations
-    (``engine.matcher.insert(...)``), so stale cached verdicts or a
-    stale frozen plane are never served; matchers without a
-    ``generation`` attribute skip the check and must route updates
-    through the engine.
+    (``engine.matcher.insert(...)``), whose keys the engine does not
+    know: the whole cache is cleared and the plane re-frozen, so stale
+    cached verdicts or a stale frozen plane are never served; matchers
+    without a ``generation`` attribute skip the check and must route
+    updates through the engine.
     """
 
     def __init__(
@@ -569,8 +648,20 @@ class ClassificationEngine:
         self._unfreezable = False
         #: matcher generation the cache contents were filled under
         self._seen_generation: Optional[int] = getattr(matcher, "generation", None)
-        #: matcher generation the frozen plane was compiled from
+        #: changed-key groups (see group_keys) of deferred transactions,
+        #: swept from the cache at the next lookup
+        self._pending: dict[int, set[int]] = {}
+        #: matcher generation the engine has accounted for: the cache
+        #: plus the pending groups are coherent with it
+        self._pending_generation = self._seen_generation
+        #: matcher generation the frozen plane plus its overlay serve
         self._plane_generation: Optional[int] = None
+        #: changed-key groups the frozen plane is behind by; misses they
+        #: match resolve through the retained Palmtrie_k
+        self._overlay: dict[int, set[int]] = {}
+        #: seconds the overlay has cost (group tests plus source
+        #: lookups) since the plane was frozen
+        self._overlay_seconds = 0.0
         #: bumped on every policy swap; stamped alongside the generation
         #: so a replacement matcher with a coincidentally-equal
         #: generation can never revive stale cached state
@@ -700,7 +791,9 @@ class ClassificationEngine:
     def _reference_matcher(self) -> Any:
         """The linear-scan reference tier, rebuilt lazily from the
         matcher's own entries whenever the (epoch, generation) stamp
-        moves.  Raises TypeError when the matcher exposes neither
+        moves past what engine updates patched in place (a policy
+        swap, a mid-transaction fault or a direct matcher mutation).
+        Raises TypeError when the matcher exposes neither
         ``entries()`` nor iteration — no reference tier exists then."""
         stamp = (self.epoch, getattr(self._matcher, "generation", None))
         if self._reference is not None and self._reference_stamp == stamp:
@@ -724,6 +817,8 @@ class ClassificationEngine:
             reference.insert(entry)
         self._reference = reference
         self._reference_stamp = stamp
+        if self._guard is not None:
+            self._guard.reference_rebuilds += 1
         return reference
 
     # -- the frozen lookup plane ----------------------------------------
@@ -780,6 +875,8 @@ class ClassificationEngine:
             self.freezes += 1
             self.freeze_seconds_total += elapsed
             self._plane_generation = getattr(self._matcher, "generation", None)
+            self._overlay = {}
+            self._overlay_seconds = 0.0
             instruments = self._instruments
             if instruments is not None:
                 instruments.freeze_seconds.observe(elapsed)
@@ -791,53 +888,127 @@ class ClassificationEngine:
 
     # -- generation coherence -------------------------------------------
 
-    def _sync(self) -> None:
-        """O(1) staleness check at the top of every lookup path.
+    def _drop_plane(self) -> None:
+        """Forget the frozen plane and its overlay; the next miss
+        refreezes (lazily, through :meth:`_lookup_target`)."""
+        self._plane = None
+        self._overlay = {}
+        self._overlay_seconds = 0.0
 
-        If the matcher's generation moved past the engine's stamp —
-        either a deferred (lazy) invalidation or a caller mutating the
-        matcher directly — drop the cache (and the plane, if it was
-        compiled from an older generation) in one step.
-        """
-        generation = getattr(self.matcher, "generation", None)
-        if generation is None or generation == self._seen_generation:
-            return
+    def _clear_cache(self) -> None:
+        """Drop every cached row (the whole-cache, ``lazy`` strategy)."""
         dropped = self.cache.clear()
         self.stats.cache_evictions += dropped
         self.cache_rows_invalidated += dropped
         self.lazy_invalidations += 1
-        if self._plane is not None and self._plane_generation != generation:
-            self._plane = None
-        self._seen_generation = generation
 
-    def _note_update(self, keys: Sequence[TernaryKey]) -> tuple[int, bool]:
+    def _sweep_cache(self, groups: dict[int, set[int]]) -> int:
+        """Evict the rows the changed-key ``groups`` match (the
+        ``targeted`` strategy); returns the rows evicted."""
+        dropped = self.cache.sweep(groups)
+        self.stats.cache_evictions += dropped
+        self.cache_rows_invalidated += dropped
+        self.targeted_invalidations += 1
+        return dropped
+
+    def _sync(self) -> None:
+        """O(1) staleness check at the top of every lookup path.
+
+        If the matcher's generation moved past the engine's stamp, pay
+        the deferred work in one step: sweep the pending changed-key
+        groups from the cache when the engine made every change since
+        (its own deferred transactions), and otherwise — a caller
+        mutated the matcher directly — clear the cache and drop a plane
+        that no longer serves the current generation.
+        """
+        generation = getattr(self._matcher, "generation", None)
+        if generation is None or generation == self._seen_generation:
+            return
+        pending, self._pending = self._pending, {}
+        if generation == self._pending_generation and _worth_testing(pending):
+            self._sweep_cache(pending)
+        else:
+            # Unknown keys (a direct mutation), or keys not worth
+            # testing row by row: clear.
+            self._clear_cache()
+        if self._plane is not None and self._plane_generation != generation:
+            self._drop_plane()
+        self._seen_generation = self._pending_generation = generation
+
+    def _before_update(self) -> Optional[int]:
+        """The matcher generation a transaction starts from.  A
+        generation the engine has not accounted for means the matcher
+        was mutated directly: sync first, so that change takes the
+        clear-and-refreeze path instead of hiding behind this
+        transaction's keys."""
+        generation = getattr(self._matcher, "generation", None)
+        if generation != self._pending_generation:
+            self._sync()
+        return generation
+
+    def _note_update(
+        self, ops: Sequence[tuple[str, Any]], before: Optional[int]
+    ) -> tuple[int, bool]:
         """Bookkeeping after matcher content changed through the engine.
 
-        Drops the frozen plane (re-frozen lazily on the next miss) and
-        invalidates affected cache rows — targeted while the cache is
-        small, deferred to the next lookup's :meth:`_sync` once it
-        outgrows ``invalidation_threshold``.  Returns ``(rows_evicted,
-        deferred)``.
+        Every derived layer follows the transaction's changed keys
+        instead of rebuilding, since a query's verdict can change only
+        if one of them matches it:
+
+        * the linear-scan reference, when it was current, applies the
+          same ops in place;
+        * a frozen plane separate from the matcher keeps serving, with
+          the keys added to its overlay (misses they match resolve
+          through the retained Palmtrie_k); a matcher that is its own
+          plane, an all-wildcard key or an overlay past
+          ``_MAX_KEY_GROUPS`` masks drops it for the lazy refreeze;
+        * the cache evicts the rows the keys match — now while it holds
+          at most ``invalidation_threshold`` rows, else at the next
+          lookup's :meth:`_sync`.
+
+        Returns ``(rows_evicted, deferred)``.
         """
-        self._plane = None  # re-freeze lazily on the next miss
-        self._reference = None  # rebuilt from entries() on next use
-        generation = getattr(self.matcher, "generation", None)
+        matcher = self._matcher
+        generation = getattr(matcher, "generation", None)
+        groups = group_keys(
+            payload.key if kind == "insert" else payload for kind, payload in ops
+        )
+        reference = self._reference
+        if reference is not None and self._reference_stamp == (self.epoch, before):
+            for kind, payload in ops:
+                if kind == "insert":
+                    reference.insert(payload)
+                else:
+                    reference.delete(payload)
+            self._reference_stamp = (self.epoch, generation)
+        else:
+            self._reference = None  # rebuilt from entries() on next use
+        plane = self._plane
+        if plane is not None:
+            if (
+                plane is not matcher
+                and self._plane_generation == before
+                and isinstance(matcher, _OVERLAY_SOURCES)
+            ):
+                self._plane_generation = generation
+                if not _worth_testing(_merge_groups(self._overlay, groups)):
+                    self._drop_plane()
+            else:
+                self._drop_plane()  # re-freeze lazily on the next miss
+        pending = _merge_groups(self._pending, groups)
+        self._pending_generation = generation
         threshold = self.invalidation_threshold
         if (
             generation is not None
             and threshold is not None
             and len(self.cache) > threshold
         ):
-            # Too many rows to test one by one: leave the generation
-            # stamp stale so the next lookup clears the cache in O(1).
+            # Too many rows to test now: leave the generation stamp
+            # stale and the keys pending, so the next lookup sweeps them.
             return 0, True
-        dropped = self.cache.invalidate_many(keys)
-        self.stats.cache_evictions += dropped
-        self.cache_rows_invalidated += dropped
-        self.targeted_invalidations += 1
-        if generation is not None:
-            self._seen_generation = generation
-        return dropped, False
+        self._pending = {}
+        self._seen_generation = generation
+        return self._sweep_cache(pending), False
 
     # -- lookups --------------------------------------------------------
 
@@ -855,7 +1026,11 @@ class ClassificationEngine:
             return cached
         stats.cache_misses += 1
         if guard is None:
-            result = self._lookup_target().lookup(query)
+            target = self._lookup_target()
+            if self._overlay:
+                result = self._resolve(target, (query,))[0]
+            else:
+                result = target.lookup(query)
         else:
             result = self._guarded_resolve([query])[0]
             if guard.shadow_roll():
@@ -894,12 +1069,7 @@ class ClassificationEngine:
         if miss_positions:
             unique = list(miss_positions)
             if guard is None:
-                target = self._lookup_target()
-                batch = getattr(target, "lookup_batch", None)
-                if batch is not None:
-                    resolved = batch(unique)
-                else:  # duck-typed matcher with only a scalar lookup
-                    resolved = [target.lookup(query) for query in unique]
+                resolved = self._resolve(self._lookup_target(), unique)
             else:
                 resolved = self._guarded_resolve(unique)
             stats.cache_evictions += self.cache.fill(unique, resolved)
@@ -927,7 +1097,7 @@ class ClassificationEngine:
         )
         return results
 
-    # -- guarded resolution (the degradation ladder) ---------------------
+    # -- miss resolution --------------------------------------------------
 
     @staticmethod
     def _raw_resolve(target: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
@@ -936,6 +1106,46 @@ class ClassificationEngine:
             return batch(unique)
         lookup = target.lookup
         return [lookup(query) for query in unique]
+
+    def _resolve(self, target: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
+        """Resolve distinct misses against ``target`` — the one miss
+        path of the scalar lookup, the batch lookup and the guard's
+        frozen rung.  While the plane is behind a changed-key overlay,
+        the misses an overlay group matches resolve through the
+        retained Palmtrie_k the plane was compiled from (so they come
+        back as the same entry objects); every other verdict is the
+        same under the old and the new rules, and ``target`` — the
+        plane, or the shard pool serving it — answers it."""
+        overlay = self._overlay
+        if not overlay:
+            return self._raw_resolve(target, unique)
+        clock = time.perf_counter
+        start = clock()
+        behind = _matching(unique, overlay)
+        cost = clock() - start
+        if not behind:
+            resolved = self._raw_resolve(target, unique)
+        else:
+            fresh = set(behind)
+            rest = [query for query in unique if query not in fresh]
+            answers = dict(zip(rest, self._raw_resolve(target, rest))) if rest else {}
+            matcher = self._matcher
+            source = matcher.source if isinstance(matcher, PalmtriePlus) else matcher
+            # Scalar lookups: the trie's node-major batch walk costs 2-3x
+            # more per query at these few-query sizes.
+            lookup = source.lookup
+            start = clock()
+            answers.update([(query, lookup(query)) for query in behind])
+            cost += clock() - start
+            resolved = [answers[query] for query in unique]
+        # Ski rental: keep paying the overlay until it has cost as much
+        # as one refreeze, then compact (the next miss refreezes).
+        self._overlay_seconds += cost
+        if self._overlay_seconds >= getattr(self._plane, "last_freeze_seconds", 0.0):
+            self._drop_plane()
+        return resolved
+
+    # -- guarded resolution (the degradation ladder) ---------------------
 
     def _guarded_resolve(self, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Resolve misses down the ladder: frozen plane → interpreted
@@ -955,12 +1165,12 @@ class ClassificationEngine:
         plane = self._plane
         if plane is not None and (target is plane or target is self._pool):
             try:
-                resolved = self._raw_resolve(target, unique)
+                resolved = self._resolve(target, unique)
             except Exception as exc:
                 guard.record_fault(getattr(exc, "site", None) or "frozen_walk", exc)
                 guard.breaker.record_failure()
                 # Drop the faulty plane; the breaker paces re-freezes.
-                self._plane = None
+                self._drop_plane()
             else:
                 guard.breaker.record_success()
                 guard.last_plane = "frozen"
@@ -1034,15 +1244,17 @@ class ClassificationEngine:
 
     def insert(self, entry: TernaryEntry) -> None:
         """Insert through to the matcher, evicting affected cache rows."""
-        self.matcher.insert(entry)
+        before = self._before_update()
+        self._matcher.insert(entry)
         self.updates_applied += 1
-        self._note_update((entry.key,))
+        self._note_update((("insert", entry),), before)
 
     def delete(self, key: TernaryKey) -> bool:
-        removed = self.matcher.delete(key)
+        before = self._before_update()
+        removed = self._matcher.delete(key)
         if removed:
             self.updates_applied += 1
-            self._note_update((key,))
+            self._note_update((("delete", key),), before)
         return removed
 
     @staticmethod
@@ -1076,12 +1288,12 @@ class ClassificationEngine:
     def apply_updates(self, ops: Iterable[Any]) -> UpdateReport:
         """Apply many inserts/deletes as one transaction.
 
-        Where N scalar ``insert``/``delete`` calls pay N dirty-marks, N
-        cache sweeps and (under ``auto_freeze``) N plane drops, this
-        applies the whole batch with one pass — through the matcher's
-        ``bulk_update`` when it has one — one cache-invalidation sweep
-        (or one deferred clear), and one plane drop.  The recompile /
-        re-freeze itself stays lazy: the next lookup pays it once.
+        Where N scalar ``insert``/``delete`` calls pay N dirty-marks and
+        N cache sweeps, this applies the whole batch with one pass —
+        through the matcher's ``bulk_update`` when it has one — and one
+        changed-key set, which drives one cache sweep (now, or deferred
+        to the next lookup), the reference's in-place update and the
+        frozen plane's overlay (see :meth:`_note_update`).
 
         ``ops`` accepts ``("insert", entry)`` / ``("delete", key)``
         pairs, bare entries (inserts), and bare keys (deletes).
@@ -1089,6 +1301,7 @@ class ClassificationEngine:
         start = time.perf_counter()
         normalized = [self._normalize_op(op) for op in ops]
         matcher = self._matcher
+        before = self._before_update()
         guard = self._guard
         ops_in: Iterable[tuple[str, Any]] = normalized
         if guard is not None and guard.injector is not None and guard.injector.armed("update"):
@@ -1126,11 +1339,7 @@ class ClassificationEngine:
             # A missed delete cannot have changed any verdict, but with
             # bulk_update we don't know which deletes missed; sweeping
             # its key anyway is harmless (over-eviction, never stale).
-            keys = [
-                payload.key if kind == "insert" else payload
-                for kind, payload in normalized
-            ]
-            rows, deferred = self._note_update(keys)
+            rows, deferred = self._note_update(normalized, before)
         self.update_batches += 1
         report = UpdateReport(
             inserted=inserted,
@@ -1169,14 +1378,14 @@ class ClassificationEngine:
         generation = getattr(matcher, "generation", None)
         if generation is not None:
             matcher.generation = generation + 1
-        self._plane = None
+        self._drop_plane()
         self._plane_generation = None
         self._reference = None
-        dropped = self.cache.clear()
-        self.stats.cache_evictions += dropped
-        self.cache_rows_invalidated += dropped
-        self.lazy_invalidations += 1
-        self._seen_generation = getattr(matcher, "generation", None)
+        self._clear_cache()
+        self._pending = {}
+        self._seen_generation = self._pending_generation = getattr(
+            matcher, "generation", None
+        )
 
     def update_batch(self) -> _UpdateBatch:
         """Transactional recorder::
@@ -1209,7 +1418,7 @@ class ClassificationEngine:
             raise TypeError(f"{matcher!r} has no lookup(); not a matcher")
         self._matcher = matcher
         self.epoch += 1
-        self._plane = None
+        self._drop_plane()
         self._plane_generation = None
         # The samples belong to the old plane's layout history; a
         # FrozenMatcher swapped in would otherwise be re-frozen (and a
@@ -1218,7 +1427,10 @@ class ClassificationEngine:
         self._unfreezable = False
         self._reference = None
         self._reference_stamp = None
-        self._seen_generation = getattr(matcher, "generation", None)
+        self._seen_generation = self._pending_generation = getattr(
+            matcher, "generation", None
+        )
+        self._pending = {}
         dropped = self.cache.clear()
         self.stats.cache_evictions += dropped
         self.cache_rows_invalidated += dropped
@@ -1323,13 +1535,16 @@ class ClassificationEngine:
     def refresh(self) -> None:
         """Eagerly pay the deferred update work.
 
-        Normally a transaction leaves the recompile/re-freeze to the
-        next lookup; call this to perform it now (e.g. before a
+        Normally a transaction leaves its cache sweep to the next
+        lookup and the frozen plane serving behind a changed-key
+        overlay; call this to settle both now (e.g. before a
         latency-sensitive burst): syncs the generation stamp,
-        recompiles a dirty matcher, and re-freezes the plane when
-        ``auto_freeze`` is on.
+        recompiles a dirty matcher, and compacts the overlay — a fresh
+        freeze — when ``auto_freeze`` is on.
         """
         self._sync()
+        if self._overlay:
+            self._drop_plane()
         if getattr(self.matcher, "_dirty", False):
             # Palmtrie+ exposes compile(); the frozen plane re-freezes
             # through the same freeze() path _lookup_target uses.
@@ -1363,6 +1578,12 @@ class ClassificationEngine:
     @property
     def cache_hit_ratio(self) -> float:
         return self.stats.cache_hit_ratio
+
+    @property
+    def plane_overlay_keys(self) -> int:
+        """Changed keys the serving frozen plane is behind by (0 when
+        it is current, or when no plane serves)."""
+        return sum(len(datas) for datas in self._overlay.values())
 
     def queries_per_second(self) -> float:
         """Sustained rate over every ``lookup_batch`` call so far
@@ -1413,6 +1634,7 @@ class ClassificationEngine:
             "invalidation_threshold": self.invalidation_threshold,
             "generation": getattr(self.matcher, "generation", None),
             "plane_generation": self._plane_generation,
+            "plane_overlay_keys": self.plane_overlay_keys,
             "epoch": self.epoch,
             "freeze_seconds_total": self.freeze_seconds_total,
             "metrics_enabled": self._instruments is not None,

@@ -226,6 +226,9 @@ class GuardRail:
         self.shadow_checks = 0
         self.shadow_mismatches = 0
         self.refreeze_faults = 0
+        #: times the linear-scan reference was rebuilt from the
+        #: matcher's entries (engine updates patch it in place instead)
+        self.reference_rebuilds = 0
         self.last_fault: Optional[str] = None
 
     # -- fault accounting ------------------------------------------------
@@ -314,6 +317,7 @@ class GuardRail:
             "faults": dict(self.faults),
             "degraded_lookups": self.degraded_lookups,
             "reference_lookups": self.reference_lookups,
+            "reference_rebuilds": self.reference_rebuilds,
             "shadow_sample": self.shadow_sample,
             "shadow_checks": self.shadow_checks,
             "shadow_mismatches": self.shadow_mismatches,

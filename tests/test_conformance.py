@@ -6,7 +6,8 @@ The same calls — ``lookup``, ``lookup_batch``, ``apply_updates``,
 a two-worker shard pool resolves, and a tenant-wrapped sharded engine,
 and every verdict is checked against the sorted-list oracle.  A
 hypothesis state machine then interleaves bursts, update batches,
-last-good restores and worker SIGKILLs on the first two shapes.
+direct matcher mutations, last-good restores and worker SIGKILLs on the
+first two shapes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis.stateful import (
 
 from repro.baselines.sorted_list import SortedListMatcher
 from repro.config import EngineConfig
+from repro.core.frozen import FrozenMatcher
 from repro.core.table import TernaryEntry, build_matcher
 from repro.core.ternary import TernaryKey
 from repro.engine import ClassificationEngine
@@ -169,17 +171,29 @@ class TestConformance:
 
 
 class EngineMachine(RuleBasedStateMachine):
-    """Bursts, update batches, last-good restores and worker SIGKILLs in
-    any order; every burst must equal the sorted-list oracle."""
+    """Bursts, update batches, direct matcher inserts, last-good restores
+    and worker SIGKILLs in any order; every burst must equal the
+    sorted-list oracle, and an in-process engine must serve the very
+    entry objects a fresh freeze of its matcher would — so a frozen
+    plane serving behind its changed-key overlay is never stale."""
 
     def __init__(self) -> None:
         super().__init__()
         self.engine = None
 
-    @initialize(shards=st.sampled_from([0, 2]))
-    def start(self, shards: int) -> None:
+    @initialize(
+        shards=st.sampled_from([0, 2]),
+        # None sweeps the cache inside each transaction; 0 defers every
+        # sweep to the next lookup.
+        threshold=st.sampled_from([None, 0]),
+    )
+    def start(self, shards: int, threshold) -> None:
         config = EngineConfig(
-            cache_size=64, auto_freeze=True, resilience=True, shards=shards
+            cache_size=64,
+            auto_freeze=True,
+            resilience=True,
+            shards=shards,
+            invalidation_threshold=threshold,
         )
         self.engine = ClassificationEngine(
             build_matcher(config, COMPILED.entries, KEY_LENGTH), config
@@ -190,6 +204,9 @@ class EngineMachine(RuleBasedStateMachine):
         self.last_good = None
         self.serial = 0
         self.flows = zipf_trace(COMPILED.entries, 512, flows=48, seed=shards)
+        #: override key -> the flow it was cut around (which it matches)
+        self.witness: dict = {}
+        self._verify(self.flows[:64])  # warm the cache and freeze the plane
 
     def _burst(self, seed: int, size: int) -> list[int]:
         rng = random.Random(seed)
@@ -200,18 +217,37 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(seed=st.integers(0, 2**16), size=st.integers(1, 300))
     def burst(self, seed: int, size: int) -> None:
-        _check(self.engine, self._burst(seed, size), _oracle(self.entries))
+        self._verify(self._burst(seed, size))
+
+    def _verify(self, queries: list[int]) -> None:
+        got = self.engine.lookup_batch(queries)
+        oracle = _oracle(self.entries)
+        assert [_sig(e) for e in got] == [_sig(oracle.lookup(q)) for q in queries]
         assert self.engine.health in ("ok", "degraded")
+        matcher = self.engine.matcher
+        # A restored checkpoint is a FrozenMatcher: its own plane, with
+        # no overlay to check.
+        if self.shards == 0 and not isinstance(matcher, FrozenMatcher):
+            fresh = FrozenMatcher.from_matcher(matcher).lookup_batch(queries)
+            assert all(a is b for a, b in zip(got, fresh))
+
+    def _fresh_entry(self, rng: random.Random):
+        flow = rng.choice(self.flows)
+        entry = _override(flow, rng.randrange(2, 12), self.serial)
+        self.serial += 1
+        # Fresh keys only: a delete removes every entry with its key.
+        if all(entry.key != e.key for e in self.entries):
+            self.witness[entry.key] = flow
+            return entry
+        return None
 
     @rule(seed=st.integers(0, 2**16), inserts=st.integers(0, 3), deletes=st.integers(0, 2))
     def update(self, seed: int, inserts: int, deletes: int) -> None:
         rng = random.Random(seed)
         ops = []
         for _ in range(inserts):
-            entry = _override(rng.choice(self.flows), rng.randrange(2, 12), self.serial)
-            self.serial += 1
-            # Fresh keys only: a delete removes every entry with its key.
-            if all(entry.key != e.key for e in self.entries):
+            entry = self._fresh_entry(rng)
+            if entry is not None:
                 ops.append(("insert", entry))
                 self.added.append(entry)
                 self.entries.append(entry)
@@ -222,6 +258,34 @@ class EngineMachine(RuleBasedStateMachine):
             self.added.remove(entry)
             self.entries.remove(entry)
         self.engine.apply_updates(ops)
+        # Each changed key's witness flow changes verdict with it: an
+        # engine serving a stale plane or cache row fails right here.
+        witnesses = [
+            self.witness[payload.key if kind == "insert" else payload]
+            for kind, payload in ops
+        ]
+        if witnesses:
+            self._verify(witnesses + self._burst(seed, 32))
+
+    @rule(seed=st.integers(0, 2**16))
+    def direct_insert(self, seed: int) -> None:
+        """Mutate the matcher behind the engine's back: the engine does
+        not know the key, so the next lookup must clear the cache and
+        refreeze the plane."""
+        entry = self._fresh_entry(random.Random(seed))
+        if entry is None:
+            return
+        engine = self.engine
+        plane_was_active = engine.report()["frozen_plane_active"]
+        clears, freezes = engine.lazy_invalidations, engine.freezes
+        engine.matcher.insert(entry)
+        self.added.append(entry)
+        self.entries.append(entry)
+        self.burst(seed, 16)
+        assert engine.lazy_invalidations == clears + 1
+        assert engine.plane_overlay_keys == 0
+        if plane_was_active and engine.health == "ok":
+            assert engine.freezes == freezes + 1
 
     @rule()
     def mark_last_good(self) -> None:

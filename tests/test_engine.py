@@ -17,10 +17,15 @@ import pytest
 from helpers import assert_same_result, oracle_lookup, random_entries, table1_entries
 
 from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, FlowCache, build_matcher
+from repro.baselines.sorted_list import SortedListMatcher
+from repro.core.frozen import FrozenMatcher
+from repro.core.multibit import MultibitPalmtrie
 from repro.core.plus import PalmtriePlus
+from repro.core.serialize import serialize_frozen
+from repro.resilience.guard import GuardRail
 from repro.core.table import TernaryEntry, matcher_kinds
 from repro.core.ternary import TernaryKey
-from repro.engine import _MISSING
+from repro.engine import _MAX_KEY_GROUPS, _MISSING, group_keys
 
 KEY_LENGTH = 16
 #: kinds whose insert() raises (build-only structures)
@@ -225,6 +230,31 @@ class TestFlowCache:
         assert cache.invalidate_many(keys) == 2
         assert 0b1000 in cache and len(cache) == 1
         assert cache.invalidate_many([]) == 0
+
+    def test_group_keys_folds_keys_by_care_mask(self):
+        keys = [
+            TernaryKey.from_string("01**"),
+            TernaryKey.from_string("11**"),
+            TernaryKey.from_string("*1*1"),
+        ]
+        groups = group_keys(keys)
+        assert groups == {0b1100: {0b0100, 0b1100}, 0b0101: {0b0101}}
+        for query in range(16):
+            grouped = any(query & care in datas for care, datas in groups.items())
+            assert grouped == any(key.matches(query) for key in keys)
+
+    def test_sweep_matches_per_key_invalidation(self):
+        rng = random.Random(5)
+        keys = [
+            TernaryKey(rng.getrandbits(KEY_LENGTH), rng.getrandbits(KEY_LENGTH), KEY_LENGTH)
+            for _ in range(6)
+        ]
+        rows = [rng.getrandbits(KEY_LENGTH) for _ in range(300)]
+        cache = FlowCache(len(rows))
+        cache.fill(rows, [None] * len(rows))
+        expected = {q for q in rows if not any(key.matches(q) for key in keys)}
+        assert cache.sweep(group_keys(keys)) == len(set(rows)) - len(expected)
+        assert set(cache._map) == expected
 
 
 def _per_packet_lookup_batch(cache, resolve, queries):
@@ -541,9 +571,14 @@ class TestUpdatePlane:
         engine = ClassificationEngine(build_matcher("palmtrie-plus", entries, KEY_LENGTH), EngineConfig(auto_freeze=True))
         engine.lookup(0)  # freeze the plane
         engine.apply_updates([TernaryEntry(TernaryKey.exact(9, KEY_LENGTH), 1, 1)])
-        assert not engine.report()["frozen_plane_active"]
+        # The update keeps the plane, serving behind a one-key overlay.
+        report = engine.report()
+        assert report["frozen_plane_active"] and report["plane_overlay_keys"] == 1
+        assert engine.freezes == 1
         engine.refresh()
-        assert engine.report()["frozen_plane_active"]
+        report = engine.report()
+        assert report["frozen_plane_active"] and report["plane_overlay_keys"] == 0
+        assert engine.freezes == 2
         assert not engine.matcher._dirty
 
     def test_report_exposes_update_metrics(self):
@@ -587,6 +622,235 @@ class TestUpdatePlane:
         engine.lookup_batch([1])
         engine.elapsed_seconds = 0.0  # force the sub-tick case
         assert engine.queries_per_second() > 0
+
+
+# ----------------------------------------------------------------------
+# Serving updates from one changed-key set: targeted sweeps, an in-place
+# reference and the frozen plane's overlay
+# ----------------------------------------------------------------------
+
+def _prefix_entry(bits: str, value, priority: int) -> TernaryEntry:
+    return TernaryEntry(
+        TernaryKey.from_string(bits + "*" * (KEY_LENGTH - len(bits))), value, priority
+    )
+
+
+def _overlay_engine(config: EngineConfig, matcher_cls=PalmtriePlus):
+    entries = random_entries(40, KEY_LENGTH, seed=51)
+    engine = ClassificationEngine(matcher_cls.build(entries, KEY_LENGTH), config)
+    queries = list(dict.fromkeys(_queries(300, seed=52)))
+    engine.lookup_batch(queries)  # warm the cache, freeze the plane
+    return engine, entries, queries
+
+
+class TestChangedKeyOverlay:
+    @pytest.mark.parametrize("matcher_cls", [PalmtriePlus, MultibitPalmtrie])
+    def test_update_keeps_the_plane_behind_an_overlay(self, matcher_cls):
+        engine, entries, queries = _overlay_engine(
+            EngineConfig(cache_size=0, auto_freeze=True), matcher_cls
+        )
+        plane = engine._plane
+        new = [_prefix_entry("101", "new", 10**6), _prefix_entry("0110", "new2", 10**6 + 1)]
+        engine.apply_updates([("insert", e) for e in new] + [("delete", entries[0].key)])
+        assert engine._plane is plane and engine.freezes == 1
+        report = engine.report()
+        assert report["plane_overlay_keys"] == 3
+        assert report["plane_generation"] == report["generation"]
+        entries = [e for e in entries if e.key != entries[0].key] + new
+        fresh = FrozenMatcher.from_matcher(engine.matcher)
+        batch = engine.lookup_batch(queries)
+        for query, got, want in zip(queries, batch, fresh.lookup_batch(queries)):
+            assert_same_result(oracle_lookup(entries, query), got)
+            assert got is want  # the very entry objects a fresh freeze serves
+        for query in queries[:40]:
+            assert engine.lookup(query) is fresh.lookup(query)
+        assert engine._plane is plane or engine.freezes == 2  # at most a compaction
+
+    def test_refresh_compacts_into_a_fresh_freeze(self):
+        engine, _, queries = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine.apply_updates([_prefix_entry("11", "x", 10**6)])
+        engine.refresh()
+        assert engine.freezes == 2 and engine.plane_overlay_keys == 0
+        fresh = FrozenMatcher.from_matcher(engine.matcher)
+        assert serialize_frozen(engine._plane) == serialize_frozen(fresh)
+
+    def test_overlay_cost_reaching_a_freeze_compacts(self):
+        """Ski rental: once the overlay has cost one refreeze, the plane
+        is dropped and the next miss refreezes."""
+        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine.apply_updates([_prefix_entry("1", "x", 10**6)])
+        assert engine.plane_overlay_keys == 1
+        engine._plane.last_freeze_seconds = 0.0  # any overlay cost now pays a freeze
+        engine.lookup_batch(queries[:8])
+        assert not engine.report()["frozen_plane_active"]
+        engine.lookup_batch(queries[:8])
+        assert engine.freezes == 2 and engine.plane_overlay_keys == 0
+
+    def test_wildcard_or_too_many_masks_drop_the_plane(self):
+        engine, _, _ = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine.apply_updates([TernaryEntry(TernaryKey.wildcard(KEY_LENGTH), "all", -1)])
+        assert not engine.report()["frozen_plane_active"]
+        engine, _, _ = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        # One distinct care mask per prefix length: nine masks.
+        engine.apply_updates(
+            [_prefix_entry("1" * n, n, 10**6 + n) for n in range(1, _MAX_KEY_GROUPS + 2)]
+        )
+        assert not engine.report()["frozen_plane_active"]
+
+    def test_a_frozen_matcher_is_its_own_plane(self):
+        engine, _, queries = _overlay_engine(
+            EngineConfig(cache_size=0, auto_freeze=True), FrozenMatcher
+        )
+        assert engine._plane is engine.matcher
+        engine.apply_updates([_prefix_entry("11", "x", 10**6)])
+        assert engine.plane_overlay_keys == 0
+        assert engine.lookup(int("11" + "0" * (KEY_LENGTH - 2), 2)).value == "x"
+        assert engine.freezes == 2
+
+    def test_direct_mutation_drops_the_overlay_plane(self):
+        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine.apply_updates([_prefix_entry("11", "x", 10**6)])
+        engine.matcher.insert(_prefix_entry("0", "direct", 10**6))  # behind the engine
+        got = engine.lookup(0)
+        assert got.value == "direct"
+        assert engine.freezes == 2 and engine.plane_overlay_keys == 0
+
+
+class TestDeferredSweep:
+    def test_deferred_transaction_sweeps_only_matching_rows(self):
+        engine, entries, queries = _overlay_engine(
+            EngineConfig(cache_size=512, auto_freeze=True, invalidation_threshold=0)
+        )
+        key = _prefix_entry("10", "x", 10**6)
+        rows = set(engine.cache._map)
+        report = engine.apply_updates([key])
+        assert report.deferred_invalidation and report.cache_rows_invalidated == 0
+        engine.lookup_batch([])  # the next lookup pays the sweep
+        kept = {q for q in rows if not key.key.matches(q)}
+        assert set(engine.cache._map) == kept and kept != rows
+        report = engine.report()
+        assert report["lazy_invalidations"] == 0 and report["targeted_invalidations"] == 1
+        assert report["cache_rows_invalidated"] == len(rows) - len(kept)
+
+    def test_too_many_pending_masks_clear_the_cache(self):
+        engine, _, _ = _overlay_engine(
+            EngineConfig(cache_size=512, invalidation_threshold=0)
+        )
+        for n in range(1, _MAX_KEY_GROUPS + 2):  # one transaction per mask
+            assert engine.apply_updates([_prefix_entry("1" * n, n, 10**6 + n)]).deferred_invalidation
+        engine.lookup_batch([])
+        assert len(engine.cache) == 0 and engine.lazy_invalidations == 1
+
+    def test_direct_mutation_after_a_deferred_transaction_clears(self):
+        engine, entries, queries = _overlay_engine(
+            EngineConfig(cache_size=512, invalidation_threshold=0)
+        )
+        engine.apply_updates([_prefix_entry("10", "x", 10**6)])
+        engine.matcher.insert(_prefix_entry("0", "direct", 10**6))
+        engine.lookup_batch([])
+        assert len(engine.cache) == 0 and engine.lazy_invalidations == 1
+        entries = entries + [_prefix_entry("10", "x", 10**6), _prefix_entry("0", "direct", 10**6)]
+        for query, got in zip(queries, engine.lookup_batch(queries)):
+            assert_same_result(oracle_lookup(entries, query), got)
+
+    def test_update_after_a_direct_mutation_clears_first(self):
+        """A transaction must not hide an unknown change behind its
+        own keys: the direct insert's rows go too."""
+        engine, entries, queries = _overlay_engine(
+            EngineConfig(cache_size=512, invalidation_threshold=None)
+        )
+        direct = _prefix_entry("0", "direct", 10**6)
+        engine.matcher.insert(direct)
+        engine.apply_updates([_prefix_entry("11", "x", 10**6 + 1)])
+        assert engine.lazy_invalidations == 1
+        entries = entries + [direct, _prefix_entry("11", "x", 10**6 + 1)]
+        for query, got in zip(queries, engine.lookup_batch(queries)):
+            assert_same_result(oracle_lookup(entries, query), got)
+
+
+class TestReferenceFollowsUpdates:
+    def test_reference_is_patched_in_place(self):
+        engine, entries, queries = _overlay_engine(
+            EngineConfig(cache_size=64, auto_freeze=True, resilience=GuardRail(shadow_sample=1.0))
+        )
+        reference = engine._reference
+        assert reference is not None
+        new = _prefix_entry("01", "x", 10**6)
+        engine.apply_updates([new, ("delete", entries[3].key)])
+        engine.insert(_prefix_entry("001", "y", 10**6 + 1))
+        assert engine.delete(new.key)
+        assert engine._reference is reference
+        engine.lookup_batch(queries)
+        guard = engine.report()["resilience"]
+        assert guard["reference_rebuilds"] == 1 and guard["shadow_mismatches"] == 0
+        rebuilt = SortedListMatcher.build(list(engine.matcher.entries()), KEY_LENGTH)
+        assert [e.priority for e in reference] == [e.priority for e in rebuilt]
+
+    def test_direct_mutation_rebuilds_the_reference(self):
+        engine, _, queries = _overlay_engine(
+            EngineConfig(cache_size=64, resilience=GuardRail(shadow_sample=1.0))
+        )
+        engine.matcher.insert(_prefix_entry("01", "x", 10**6))
+        engine.lookup_batch(queries[:10])
+        assert engine.report()["resilience"]["reference_rebuilds"] == 2
+
+
+class TestServedUpdateGate:
+    """The paper's section 4.4 claim at the serving layer, on counts:
+    32 rotating insert+delete transactions of a top-priority /16 deny
+    over a warm 500-rule engine neither refreeze the plane nor rebuild
+    the reference each time, and each sweeps exactly the cached rows its
+    keys match."""
+
+    def test_transactions_patch_instead_of_rebuilding(self):
+        from repro.acl.compiler import compile_rule
+        from repro.acl.rule import AclRule, Action, Protocol
+        from repro.workloads.classbench import classbench_acl
+        from repro.workloads.traffic import zipf_trace
+
+        acl = classbench_acl("acl", 500)
+        rules = len(acl.entries)
+        engine = ClassificationEngine(
+            PalmtriePlus.build(acl.entries, acl.layout.length),
+            EngineConfig(
+                cache_size=4096,
+                auto_freeze=True,
+                invalidation_threshold=None,
+                resilience=GuardRail(shadow_sample=0.01),
+            ),
+        )
+        trace = zipf_trace(acl.entries, 8192, flows=2048, s=1.0, seed=7)
+        bursts = [trace[i : i + 64] for i in range(0, len(trace), 64)]
+        for burst in bursts[:32]:
+            engine.lookup_batch(burst)
+        guard = engine.report()["resilience"]
+        assert guard["reference_rebuilds"] == 1
+        checks, freezes = guard["shadow_checks"], engine.freezes
+        nets = sorted({rule.dst_prefix[0] >> 16 for rule in acl.rules if rule.dst_prefix[1] >= 16})
+        denies = [
+            compile_rule(
+                AclRule(Action.DENY, Protocol.IP, (0, 0), (net << 16, 16)),
+                value="deny", priority=rules + 1, layout=acl.layout,
+            )[0]
+            for net in nets[:33]
+        ]
+        for index in range(32):
+            ops = [("insert", denies[index + 1])]
+            if index:
+                ops.append(("delete", denies[index].key))
+            keys = [denies[index + 1].key] + ([denies[index].key] if index else [])
+            matched = sum(
+                1 for query in engine.cache._map if any(key.matches(query) for key in keys)
+            )
+            report = engine.apply_updates(ops)
+            assert report.cache_rows_invalidated == matched
+            for burst in bursts[32 + 3 * index : 35 + 3 * index]:
+                engine.lookup_batch(burst)
+        guard = engine.report()["resilience"]
+        assert engine.freezes - freezes < 32
+        assert guard["reference_rebuilds"] == 1
+        assert guard["shadow_checks"] > checks and guard["shadow_mismatches"] == 0
+        assert engine.health == "ok"
 
 
 # ----------------------------------------------------------------------

@@ -587,7 +587,10 @@ class TestEngineAutoFreeze:
         samples = list(engine._plane._query_samples)
         assert samples
         engine.apply_updates([("delete", acl.entries[7].key)])
-        engine.lookup_batch(queries[:64])
+        # The update leaves the plane serving behind its overlay;
+        # refresh() compacts it into a fresh freeze.
+        assert engine.freezes == 1
+        engine.refresh()
         assert engine.freezes == 2
         want = freeze(plus, layout="hot", trace=samples)
         assert serialize_frozen(engine._plane) == serialize_frozen(want)

@@ -45,6 +45,22 @@ class TestMaintenance:
         assert len(matcher) == 8
         assert matcher.lookup(0b01110101).value == 8
 
+    def test_delete_removes_every_entry_holding_the_key(self):
+        matcher = SortedListMatcher(4)
+        shared = TernaryKey.from_string("01**")
+        for value, priority in (("a", 5), ("b", 1), ("c", 9)):
+            matcher.insert(TernaryEntry(shared, value, priority))
+        for value, priority in (("x", 7), ("y", 3)):
+            matcher.insert(TernaryEntry(TernaryKey.from_string("0***"), value, priority))
+        generation = matcher.generation
+        assert matcher.delete(TernaryKey.from_string("01**"))  # an equal, distinct key
+        assert [e.value for e in matcher] == ["x", "y"]
+        assert matcher._neg_priorities == [-e.priority for e in matcher]
+        assert matcher.generation == generation + 1
+        matcher.insert(TernaryEntry(shared, "d", 4))  # bisection still lands right
+        assert [e.value for e in matcher] == ["x", "d", "y"]
+        assert matcher._neg_priorities == [-7, -4, -3]
+
     def test_delete_missing(self):
         matcher = SortedListMatcher.build(table1_entries(), 8)
         assert not matcher.delete(TernaryKey.from_string("00000000"))
