@@ -547,24 +547,43 @@ class FrozenMatcher(TernaryMatcher):
         self._leaf_entry_count = entry_count
         self._entry_table = entry_table
         self._first_leaf = first_leaf
-        # Hot mirrors for the scalar interpreter loop: indexing an
-        # ``array`` boxes a fresh int on every access; these lists hold
-        # the already-boxed values, and one attribute load + unpack per
-        # lookup replaces a dozen.  The NumPy batch path reads the array
-        # buffers zero-copy instead (see _numpy_views).
+        self._build_hot()
+
+    def _build_hot(self) -> None:
+        """Derive the scalar loop's hot mirrors from the canonical arrays.
+
+        Indexing an ``array`` boxes a fresh int on every access; these
+        lists hold the already-boxed values, and one attribute load +
+        unpack per lookup replaces a dozen.  The NumPy batch path reads
+        the array buffers zero-copy instead (see _numpy_views).  Both
+        the freeze compiler and :func:`repro.core.serialize.load_frozen`
+        call this, so a loaded plane carries every mirror a freshly
+        compiled one does.
+
+        ``_node_bits`` is the other mirror: per internal node, the query
+        bits its dispatch reads (its whole chunk), which the masked walk
+        ORs into the bits a query's verdict depends on.  Like ``_hot`` it
+        is derived, never serialized.
+        """
+        stride = self.stride
+        chunk_mask = (1 << stride) - 1
+        bits = list(self._bit)
         self._hot = (
-            list(maxp_arr),
-            list(bit_arr),
-            list(dispatch),
+            list(self._maxp),
+            bits,
+            list(self._dispatch),
             list(self._push),
-            leaf_data,
-            leaf_care,
-            leaf_best,
-            first_leaf,
+            self._leaf_data,
+            self._leaf_care,
+            self._leaf_best,
+            self._first_leaf,
             stride,
-            (1 << stride) - 1,
+            chunk_mask,
             self.subtree_skipping,
         )
+        self._node_bits = [
+            chunk_mask << b if b >= 0 else chunk_mask >> -b for b in bits
+        ]
         self._np_cache: Optional[dict[str, Any]] = None
 
     def _walk_counts(self, trace: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -684,10 +703,19 @@ class FrozenMatcher(TernaryMatcher):
                 extend(push[base : base + c - 1])
         return result
 
-    def _scalar_walk(self, queries: Sequence[int]) -> tuple[list[int], int]:
+    def _scalar_walk(self, queries: Sequence[int]) -> tuple[list[int], list[int], int]:
         """:meth:`lookup`'s walk over many queries: the winning leaf index
-        of each (-1 where nothing matches) and the (node, query) pairs
-        visited after skipping.
+        of each (-1 where nothing matches), the bits each walk examined,
+        and the (node, query) pairs visited after skipping.
+
+        A query's examined-bit mask ``M`` is the union of the chunk
+        (``_node_bits``) of every internal node it visits and the
+        ``care`` word of every leaf it tests while that leaf could still
+        win (``mp > winner_priority``).  Every branch the walk takes
+        reads only bits in ``M``, and a skip decision depends only on
+        earlier outcomes, so any ``q'`` with ``q' & M == q & M`` takes
+        the same walk to the same leaf: ``(q & M, M)`` is a decision
+        region (docs/algorithms.md).
 
         Batches below ``_NUMPY_MIN_BATCH`` unique queries run here.  It
         is a copy of ``lookup``'s loop rather than its callee: routing
@@ -698,9 +726,11 @@ class FrozenMatcher(TernaryMatcher):
             maxp, bits, dispatch, push, data, care, _best_of,
             first_leaf, stride, chunk_mask, skipping,
         ) = self._hot
+        node_bits = self._node_bits
         count_mask = _COUNT_MASK
         count_bits = _COUNT_BITS
         winners: list[int] = []
+        masks: list[int] = []
         visits = 0
         # One stack for every query: each walk leaves it empty.
         stack: list[int] = []
@@ -708,17 +738,22 @@ class FrozenMatcher(TernaryMatcher):
         extend = stack.extend
         for query in queries:
             winner = winner_priority = -1
+            mask = 0
             x = 0
             while True:
                 mp = maxp[x]
                 if not (skipping and winner_priority > mp):
                     visits += 1
                     if x >= first_leaf:
-                        j = x - first_leaf
-                        if query & care[j] == data[j] and mp > winner_priority:
-                            winner = j
-                            winner_priority = mp
+                        if mp > winner_priority:
+                            j = x - first_leaf
+                            leaf_care = care[j]
+                            mask |= leaf_care
+                            if query & leaf_care == data[j]:
+                                winner = j
+                                winner_priority = mp
                     else:
+                        mask |= node_bits[x]
                         b = bits[x]
                         if b >= 0:
                             packed = dispatch[(x << stride) + ((query >> b) & chunk_mask)]
@@ -741,7 +776,8 @@ class FrozenMatcher(TernaryMatcher):
                     break
                 x = pop()
             winners.append(winner)
-        return winners, visits
+            masks.append(mask)
+        return winners, masks, visits
 
     def lookup_all(self, query: int) -> list[TernaryEntry]:
         """All matching entries, highest priority first (no skipping)."""
@@ -824,20 +860,32 @@ class FrozenMatcher(TernaryMatcher):
     # Batched lookup: the scalar loop per query, or node-major numpy
     # ------------------------------------------------------------------
 
-    def lookup_batch(self, queries: Sequence[int]) -> list[Optional[TernaryEntry]]:
-        indices = self.lookup_batch_indices(queries)
+    def lookup_batch(
+        self, queries: Sequence[int], masks: Optional[list[int]] = None
+    ) -> list[Optional[TernaryEntry]]:
+        """The entry :meth:`lookup` returns for each query.
+
+        With ``masks`` (a list), a batch the scalar loop walks also
+        appends each query's examined-bit mask to it, in query order
+        (see :meth:`_scalar_walk`); a batch the NumPy walk takes, or an
+        empty plane, appends nothing.
+        """
+        indices = self.lookup_batch_indices(queries, masks)
         best_of = self._leaf_best
         return [best_of[j] if j >= 0 else None for j in indices]
 
-    def lookup_batch_indices(self, queries: Sequence[int]) -> list[int]:
+    def lookup_batch_indices(
+        self, queries: Sequence[int], masks: Optional[list[int]] = None
+    ) -> list[int]:
         """Winning *leaf indices* for a batch (-1 where nothing matches).
 
-        Same walk as :meth:`lookup_batch`, but the answers are plain
-        ints indexing ``self._leaf_best`` / the per-leaf entry slices.
-        Leaf numbering is a pure function of the frozen image, so two
-        processes holding the same PLMF bytes agree on every index —
-        the sharded data plane ships these across process boundaries
-        and resolves entries locally instead of pickling entry objects.
+        Same walk (and ``masks``) as :meth:`lookup_batch`, but the
+        answers are plain ints indexing ``self._leaf_best`` / the
+        per-leaf entry slices.  Leaf numbering is a pure function of
+        the frozen image, so two processes holding the same PLMF bytes
+        agree on every index — the sharded data plane ships these
+        across process boundaries and resolves entries locally instead
+        of pickling entry objects.
         """
         if self._dirty:
             self._refreeze()
@@ -863,8 +911,14 @@ class FrozenMatcher(TernaryMatcher):
         if _np is not None and len(unique) >= _NUMPY_MIN_BATCH:
             best = self._batch_walk_numpy(unique)
         else:
-            best, visits = self._scalar_walk(unique)
+            best, walked, visits = self._scalar_walk(unique)
             self.batch_walk_node_visits += visits
+            if masks is not None:
+                if len(unique) == len(queries):
+                    masks.extend(walked)
+                else:
+                    by_query = dict(zip(unique, walked))
+                    masks.extend([by_query[query] for query in queries])
         for g, query in enumerate(unique):
             for index in positions[query]:
                 results[index] = best[g]
@@ -1019,7 +1073,7 @@ class FrozenMatcher(TernaryMatcher):
             at_best = np.concatenate(hit_p) == best_priority[wq]
             ties = np.flatnonzero(np.bincount(wq[at_best], minlength=n) > 1).tolist()
             if ties:
-                fixed, tie_visits = self._scalar_walk([unique[g] for g in ties])
+                fixed, _masks, tie_visits = self._scalar_walk([unique[g] for g in ties])
                 for g, leaf in zip(ties, fixed):
                     best[g] = leaf
                 visits += tie_visits

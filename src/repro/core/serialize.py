@@ -623,20 +623,7 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     frozen.layout_applied = frozen.layout
     frozen._layout_trace = None
     frozen._query_samples = [] if layout_code else None
-    frozen._hot = (
-        list(maxp_arr),
-        list(bit_arr),
-        list(dispatch),
-        list(push),
-        leaf_data,
-        leaf_care,
-        leaf_best,
-        first_leaf,
-        stride,
-        (1 << stride) - 1,
-        frozen.subtree_skipping,
-    )
-    frozen._np_cache = None
+    frozen._build_hot()
     return frozen
 
 

@@ -17,6 +17,10 @@ turns any :class:`~repro.core.table.TernaryMatcher` into that shape:
   cached queries whose verdict could have changed (the ones the
   inserted or deleted ternary key matches), so cached results are
   always equal to what the matcher would return;
+* behind the flow cache, a *decision-region tier* (:class:`RegionCache`)
+  answers misses that agree with an earlier walk on every bit that walk
+  examined — the frozen plane reports those bits — so scan traffic,
+  whose queries are unique but whose verdicts are not, skips most walks;
 * hit/miss/eviction counters fold into the shared
   :class:`~repro.core.table.LookupStats`, and per-batch work counts and
   throughput are kept for the benchmark harness and the CLI.
@@ -81,6 +85,7 @@ The apps layer (``Firewall``, ``FlowMonitor``, ``L3Forwarder``,
 
 from __future__ import annotations
 
+import inspect
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -94,7 +99,7 @@ from .core.ternary import TernaryKey
 from .obs.metrics import MetricsRegistry, geometric_buckets
 from .obs.timing import TIMER_RESOLUTION as _TIMER_TICK
 
-__all__ = ["FlowCache", "BatchReport", "UpdateReport", "ClassificationEngine"]
+__all__ = ["FlowCache", "RegionCache", "BatchReport", "UpdateReport", "ClassificationEngine"]
 
 #: distinguishes "not cached" from a cached no-match (None) result
 _MISSING = object()
@@ -109,6 +114,20 @@ _OVERLAY_SOURCES = (PalmtriePlus, MultibitPalmtrie)
 #: cache sweep clears the whole cache and the plane's overlay compacts
 #: (refreezes) instead of testing ever more groups
 _MAX_KEY_GROUPS = 8
+
+#: masks the decision-region tier probes per query, hottest first: on
+#: the ledger's scan the hottest four masks answer nearly every region
+#: hit (docs/algorithms.md)
+_REGION_PROBES = 4
+
+#: a mask is probed only while it can answer at least one in this many
+#: of the queries that reach its probe: a walk costs about a dozen
+#: probes, so a rarer mask costs more in probes than it saves in walks
+_PROBE_PAYOFF = 8
+
+#: walks between re-rankings of the probed masks (a ranking sorts every
+#: mask seen, some 50-110 on the ledger's acl mixes)
+_RERANK_FILLS = 256
 
 
 def group_keys(keys: Iterable[TernaryKey]) -> dict[int, set[int]]:
@@ -146,6 +165,21 @@ def _worth_testing(groups: dict[int, set[int]]) -> bool:
     pay: an all-wildcard key (care mask 0) matches everything, and past
     ``_MAX_KEY_GROUPS`` masks the per-query tests add up."""
     return 0 not in groups and len(groups) <= _MAX_KEY_GROUPS
+
+
+def _reports_masks(plane: Any) -> bool:
+    """Whether ``plane.lookup_batch`` takes a ``masks`` list (the frozen
+    plane's examined-bit report).  A stand-in whose ``lookup_batch``
+    takes only the queries — a subclass, a wrapper, or a test double
+    such as the benchmark self-test's lying plane — is served without
+    the region tier, through the one-argument call it defines."""
+    batch = getattr(plane, "lookup_batch", None)
+    if batch is None:
+        return False
+    try:
+        return "masks" in inspect.signature(batch).parameters
+    except (TypeError, ValueError):
+        return False
 
 
 def _merge_groups(
@@ -287,6 +321,245 @@ class FlowCache:
 
     def __contains__(self, query: int) -> bool:
         return query in self._map
+
+
+class RegionCache:
+    """Decision-region tier: ``{mask: {query & mask: verdict}}``.
+
+    The frozen walk reports, per query, the bits it examined (``mask``);
+    every query that agrees with it on those bits takes the same walk to
+    the same entry, so one row answers a whole region of queries — the
+    megaflow idea of Open vSwitch, applied behind the exact flow cache.
+
+    Rows live only under the probed masks: at most ``_REGION_PROBES``
+    of the hottest, each while it can answer at least one in
+    ``_PROBE_PAYOFF`` of the queries its probe sees.  A lookup probes
+    them hottest first.  A mask's heat counts the walks that reported
+    it plus the queries its rows answered, so a mask that holds no rows
+    still climbs by its walks.  The ranking is redone when an unprobed
+    mask's heat passes the level that would earn it a probe, and every
+    ``_RERANK_FILLS`` walks; a mask that drops out of the ranking drops
+    its rows.
+
+    The periodic ranking also judges the window it closes: a tier that
+    answered fewer exact misses than it walked costs more in probes and
+    fills than it saves, so it resets and sleeps (:meth:`awake`) for
+    ``capacity`` exact misses before it relearns.  A fill that takes
+    the tier past ``capacity`` rows resets it: a region costs one walk
+    to relearn, and a reset keeps eviction deterministic and free of
+    per-row bookkeeping.  Capacity 0 disables the tier.
+    """
+
+    __slots__ = (
+        "capacity", "rows", "hits", "probes", "_tables", "_heat", "_order", "_floor",
+        "_fills", "_projected", "_warm", "_hits_mark", "_asleep",
+    )
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        #: rows held (regions, over every mask)
+        self.rows = 0
+        #: queries answered from a region
+        self.hits = 0
+        #: (mask, query) probes made
+        self.probes = 0
+        #: exact misses left to pass up while the tier sleeps
+        self._asleep = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        #: the probed masks' row tables
+        self._tables: dict[int, dict[int, Optional[TernaryEntry]]] = {}
+        self._heat: dict[int, int] = {}
+        #: ``_tables`` as ``(mask, table)`` pairs, hottest first
+        self._order: list[tuple[int, dict[int, Optional[TernaryEntry]]]] = []
+        #: the heat past which an unprobed mask would earn a probe
+        self._floor = 0
+        #: walks since the last judged window
+        self._fills = 0
+        #: False until the first window after a reset has passed
+        self._warm = False
+        #: ``hits`` when the current window opened
+        self._hits_mark = self.hits
+        #: ``(mask, care)`` -> the changed-key datas projected onto
+        #: ``mask & care`` (see :func:`_intersects`); every change to the
+        #: groups a fill is tested against passes through :meth:`sweep`
+        #: or :meth:`clear`, which drop it
+        self._projected: dict[tuple[int, int], set[int]] = {}
+
+    def probe(self, queries: Sequence[int], answers: dict) -> list[int]:
+        """Write each query a region answers into ``answers`` and return
+        the rest, in order."""
+        rest = list(queries)
+        heat = self._heat
+        missing = _MISSING
+        for mask, table in self._order:
+            get = table.get
+            left = []
+            for query in rest:
+                verdict = get(query & mask, missing)
+                if verdict is missing:
+                    left.append(query)
+                else:
+                    answers[query] = verdict
+            self.probes += len(rest)
+            found = len(rest) - len(left)
+            if found:
+                self.hits += found
+                heat[mask] += found
+            rest = left
+            if not rest:
+                break
+        return rest
+
+    def fill(
+        self,
+        queries: Sequence[int],
+        masks: Sequence[int],
+        verdicts: Sequence[Optional[TernaryEntry]],
+        overlay: dict[int, set[int]],
+    ) -> None:
+        """Count each walked query's mask and store its region under a
+        probed mask.  A region that intersects a changed-key group of
+        ``overlay`` (the plane is behind on those keys) is not stored:
+        some of its queries may have a new verdict."""
+        heat = self._heat
+        tables = self._tables
+        floor = self._floor
+        get = heat.get
+        rank = not heat
+        for mask in masks:
+            held = heat[mask] = get(mask, 0) + 1
+            if held > floor and mask not in tables:
+                rank = True
+        if rank:
+            # Before storing, so a mask that earns its probe keeps the
+            # regions that earned it.
+            self._rank()
+        projected = self._projected
+        rows = self.rows
+        for query, mask, verdict in zip(queries, masks, verdicts):
+            table = tables.get(mask)
+            if table is None:
+                continue
+            region = query & mask
+            if overlay and _intersects(region, mask, overlay, projected):
+                continue
+            if region not in table:
+                rows += 1
+            table[region] = verdict
+        self.rows = rows
+        if rows > self.capacity:
+            self.clear()
+            return
+        self._fills += len(queries)
+        if self._fills >= _RERANK_FILLS:
+            if self._paid():
+                self._rank()
+            else:
+                self.clear()
+                self._asleep = self.capacity
+
+    def _paid(self) -> bool:
+        """Close the window: whether the tier answered at least as many
+        exact misses as it walked.  Below that, probes and fills cost
+        more than the walks they save.  The first window after a reset
+        (cold rows) is not judged."""
+        hits = self.hits - self._hits_mark
+        walks = self._fills
+        self._hits_mark = self.hits
+        self._fills = 0
+        warm, self._warm = self._warm, True
+        return not warm or hits >= walks
+
+    def _rank(self) -> None:
+        heat = self._heat
+        tables = self._tables
+        # A query reaches a mask's probe when every hotter mask missed,
+        # so a mask pays when its heat is a large enough share of the
+        # heat the hotter masks leave over.
+        left = sum(heat.values())
+        hottest = []
+        for mask in sorted(heat, key=heat.__getitem__, reverse=True)[:_REGION_PROBES]:
+            share = heat[mask]
+            if share * _PROBE_PAYOFF < left:
+                break
+            hottest.append(mask)
+            left -= share
+        if len(hottest) < _REGION_PROBES:
+            self._floor = left // _PROBE_PAYOFF
+        else:
+            self._floor = heat[hottest[-1]]
+        for mask in [mask for mask in tables if mask not in hottest]:
+            self.rows -= len(tables.pop(mask))
+        self._order = [(mask, tables.setdefault(mask, {})) for mask in hottest]
+
+    def awake(self, misses: int) -> bool:
+        """Whether the tier serves a burst of ``misses`` exact misses.
+        A tier that did not pay sleeps — no probes, no fills, no rows —
+        for as many exact misses as it can hold rows, then relearns."""
+        if not self._asleep:
+            return True
+        self._asleep = max(0, self._asleep - misses)
+        return False
+
+    @property
+    def asleep(self) -> bool:
+        """True while the tier passes up misses (see :meth:`awake`)."""
+        return self._asleep > 0
+
+    def reset_counters(self) -> None:
+        """Zero ``hits`` and ``probes`` (the engine's ``reset_stats``)."""
+        self.hits = self.probes = self._hits_mark = 0
+
+    def sweep(self, groups: dict[int, set[int]]) -> int:
+        """Drop every region some changed-key group intersects (see
+        :func:`_intersects`); returns the rows dropped."""
+        self._projected = {}
+        dropped = 0
+        for mask, table in self._tables.items():
+            for care, datas in groups.items():
+                shared = mask & care
+                projected = {data & shared for data in datas}
+                stale = [region for region in table if region & shared in projected]
+                for region in stale:
+                    del table[region]
+                dropped += len(stale)
+        self.rows -= dropped
+        return dropped
+
+    def clear(self) -> int:
+        """Drop every region and mask; returns the rows dropped."""
+        dropped = self.rows
+        self.rows = 0
+        self._reset()
+        return dropped
+
+    @property
+    def masks(self) -> int:
+        """Distinct masks ranked since the last reset."""
+        return len(self._heat)
+
+
+def _intersects(
+    region: int,
+    mask: int,
+    groups: dict[int, set[int]],
+    projected: dict[tuple[int, int], set[int]],
+) -> bool:
+    """Whether region ``(region, mask)`` and some ternary key of
+    ``groups`` (:func:`group_keys` form) match a common query: the
+    key's data and the region agree on every bit both care about,
+    ``region & mask & care == data & mask & care``.  ``projected``
+    memoizes each ``(mask, care)`` pair's projected data set."""
+    for care, datas in groups.items():
+        shared = mask & care
+        seen = projected.get((mask, care))
+        if seen is None:
+            seen = projected[(mask, care)] = {data & shared for data in datas}
+        if region & shared in seen:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -486,6 +759,22 @@ class _EngineInstruments:
         registry.gauge(
             "engine_frozen_plane_active", "1 while lookups are served from the frozen plane."
         ).set(1 if engine._plane is not None else 0)
+        counter(
+            "engine_plane_walks_total",
+            "Distinct misses the in-process frozen plane walked.",
+        ).set_total(engine.plane_walks)
+        regions = engine.regions
+        counter(
+            "engine_region_hits_total",
+            "Exact-cache misses answered by the decision-region tier.",
+        ).set_total(regions.hits)
+        registry.gauge(
+            "engine_region_rows", "Decision regions currently held."
+        ).set(regions.rows)
+        registry.gauge(
+            "engine_region_masks",
+            "Distinct examined-bit masks ranked since the region tier's last reset.",
+        ).set(regions.masks)
         registry.gauge(
             "engine_plane_overlay_keys",
             "Changed keys the frozen plane is behind by (served through "
@@ -639,6 +928,12 @@ class ClassificationEngine:
         resilience = config.resilience
         self._matcher = matcher
         self.cache = FlowCache(cache_size * max(1, config.shards))
+        #: decision-region tier behind the cache (in-process planes only)
+        self.regions = RegionCache(4 * self.cache.capacity)
+        #: True while the plane reports examined-bit masks (a FrozenMatcher)
+        self._plane_masks = False
+        #: distinct misses the in-process frozen plane walked
+        self.plane_walks = 0
         self.auto_freeze = auto_freeze or config.shards > 0
         self.invalidation_threshold = invalidation_threshold
         self._plane: Optional[Any] = None
@@ -875,6 +1170,7 @@ class ClassificationEngine:
             self.freezes += 1
             self.freeze_seconds_total += elapsed
             self._plane_generation = getattr(self._matcher, "generation", None)
+            self._plane_masks = _reports_masks(self._plane)
             self._overlay = {}
             self._overlay_seconds = 0.0
             instruments = self._instruments
@@ -889,26 +1185,32 @@ class ClassificationEngine:
     # -- generation coherence -------------------------------------------
 
     def _drop_plane(self) -> None:
-        """Forget the frozen plane and its overlay; the next miss
-        refreezes (lazily, through :meth:`_lookup_target`)."""
+        """Forget the frozen plane, its overlay and the regions walked
+        on it; the next miss refreezes (lazily, through
+        :meth:`_lookup_target`)."""
         self._plane = None
         self._overlay = {}
         self._overlay_seconds = 0.0
+        self.regions.clear()
 
     def _clear_cache(self) -> None:
-        """Drop every cached row (the whole-cache, ``lazy`` strategy)."""
+        """Drop every cached row and region (the whole-cache, ``lazy``
+        strategy)."""
         dropped = self.cache.clear()
         self.stats.cache_evictions += dropped
         self.cache_rows_invalidated += dropped
         self.lazy_invalidations += 1
+        self.regions.clear()
 
     def _sweep_cache(self, groups: dict[int, set[int]]) -> int:
         """Evict the rows the changed-key ``groups`` match (the
-        ``targeted`` strategy); returns the rows evicted."""
+        ``targeted`` strategy), and the regions they intersect; returns
+        the cache rows evicted."""
         dropped = self.cache.sweep(groups)
         self.stats.cache_evictions += dropped
         self.cache_rows_invalidated += dropped
         self.targeted_invalidations += 1
+        self.regions.sweep(groups)
         return dropped
 
     def _sync(self) -> None:
@@ -1056,7 +1358,7 @@ class ClassificationEngine:
                 # stall the burst (the frozen_walk site fires inside
                 # the plane itself).
                 if injector.armed("cache"):
-                    injector.poison_cache(self.cache)
+                    injector.poison_cache(self.cache, regions=self.regions)
                 if injector.armed("stall"):
                     injector.check("stall")
         n = len(queries)
@@ -1110,40 +1412,64 @@ class ClassificationEngine:
     def _resolve(self, target: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Resolve distinct misses against ``target`` — the one miss
         path of the scalar lookup, the batch lookup and the guard's
-        frozen rung.  While the plane is behind a changed-key overlay,
-        the misses an overlay group matches resolve through the
-        retained Palmtrie_k the plane was compiled from (so they come
-        back as the same entry objects); every other verdict is the
-        same under the old and the new rules, and ``target`` — the
-        plane, or the shard pool serving it — answers it."""
+        frozen rung.
+
+        When ``target`` is the in-process frozen plane, the region tier
+        answers first; the plane walks the rest and reports the bits
+        each walk examined, and the tier keeps those regions.  While the
+        plane is behind a changed-key overlay, the misses an overlay
+        group matches resolve through the retained Palmtrie_k the plane
+        was compiled from (so they come back as the same entry objects)
+        and are not kept as regions; every other verdict is the same
+        under the old and the new rules, and ``target`` — the plane, or
+        the shard pool serving it — answers it."""
+        walking = target is self._plane
+        regions = self.regions
+        if not (walking and self._plane_masks and regions.capacity and regions.awake(len(unique))):
+            regions = None
         overlay = self._overlay
-        if not overlay:
+        if regions is None and not overlay:
+            if walking:
+                self.plane_walks += len(unique)
             return self._raw_resolve(target, unique)
-        clock = time.perf_counter
-        start = clock()
-        behind = _matching(unique, overlay)
-        cost = clock() - start
-        if not behind:
-            resolved = self._raw_resolve(target, unique)
-        else:
-            fresh = set(behind)
-            rest = [query for query in unique if query not in fresh]
-            answers = dict(zip(rest, self._raw_resolve(target, rest))) if rest else {}
-            matcher = self._matcher
-            source = matcher.source if isinstance(matcher, PalmtriePlus) else matcher
-            # Scalar lookups: the trie's node-major batch walk costs 2-3x
-            # more per query at these few-query sizes.
-            lookup = source.lookup
+        answers: dict[int, Optional[TernaryEntry]] = {}
+        rest = unique if regions is None else regions.probe(unique, answers)
+        if overlay:
+            clock = time.perf_counter
             start = clock()
-            answers.update([(query, lookup(query)) for query in behind])
-            cost += clock() - start
-            resolved = [answers[query] for query in unique]
-        # Ski rental: keep paying the overlay until it has cost as much
-        # as one refreeze, then compact (the next miss refreezes).
-        self._overlay_seconds += cost
-        if self._overlay_seconds >= getattr(self._plane, "last_freeze_seconds", 0.0):
+            behind = _matching(rest, overlay)
+            if behind:
+                fresh = set(behind)
+                rest = [query for query in rest if query not in fresh]
+                matcher = self._matcher
+                source = matcher.source if isinstance(matcher, PalmtriePlus) else matcher
+                # Scalar lookups: the trie's node-major batch walk costs
+                # 2-3x more per query at these few-query sizes.
+                lookup = source.lookup
+                answers.update([(query, lookup(query)) for query in behind])
+            # Ski rental: keep paying the overlay until it has cost as
+            # much as one refreeze, then compact (the next miss refreezes).
+            self._overlay_seconds += clock() - start
+        verdicts: list[Optional[TernaryEntry]] = []
+        if rest:
+            if walking:
+                self.plane_walks += len(rest)
+            if regions is None:
+                verdicts = self._raw_resolve(target, rest)
+            else:
+                masks: list[int] = []
+                verdicts = target.lookup_batch(rest, masks=masks)
+                # A batch large enough for the NumPy walk reports no masks.
+                if len(masks) == len(rest):
+                    regions.fill(rest, masks, verdicts, overlay)
+        if overlay and self._overlay_seconds >= getattr(
+            self._plane, "last_freeze_seconds", 0.0
+        ):
             self._drop_plane()
-        return resolved
+        if not answers:
+            return verdicts  # every miss was walked, in order
+        answers.update(zip(rest, verdicts))
+        return [answers[query] for query in unique]
 
     # -- guarded resolution (the degradation ladder) ---------------------
 
@@ -1217,6 +1543,9 @@ class ClassificationEngine:
             f"{'no match' if expected is None else f'priority {expected.priority}'}"
         )
         self.cache.put(query, expected)
+        # The region that served the lie may answer a whole range of
+        # queries; nothing walked before the quarantine is trusted.
+        self.regions.clear()
         return expected
 
     def _shadow_pass(
@@ -1554,7 +1883,9 @@ class ClassificationEngine:
         self._lookup_target()
 
     def invalidate_all(self) -> int:
-        """Drop the whole cache (bulk policy swaps, ``replace_policy``)."""
+        """Drop the whole cache and the region tier (bulk policy swaps,
+        ``replace_policy``); returns the cache rows dropped."""
+        self.regions.clear()
         dropped = self.cache.clear()
         self.stats.cache_evictions += dropped
         return dropped
@@ -1635,6 +1966,10 @@ class ClassificationEngine:
             "generation": getattr(self.matcher, "generation", None),
             "plane_generation": self._plane_generation,
             "plane_overlay_keys": self.plane_overlay_keys,
+            "plane_walks": self.plane_walks,
+            "region_hits": self.regions.hits,
+            "region_rows": self.regions.rows,
+            "region_masks": self.regions.masks,
             "epoch": self.epoch,
             "freeze_seconds_total": self.freeze_seconds_total,
             "metrics_enabled": self._instruments is not None,
@@ -1668,6 +2003,8 @@ class ClassificationEngine:
         self.lazy_invalidations = 0
         self.policy_swaps = 0
         self.last_update = None
+        self.plane_walks = 0
+        self.regions.reset_counters()
 
     def __len__(self) -> int:
         return len(self.matcher)

@@ -8,9 +8,9 @@ has:
 * ``frozen_walk`` — raise :class:`InjectedFault` inside the frozen
   plane's ``lookup``/``lookup_batch`` (a compiled-plane bug or a
   corrupted array);
-* ``cache`` — poison live :class:`~repro.engine.FlowCache` rows with
-  wrong verdicts (a memory-corruption stand-in the shadow-verify mode
-  must catch);
+* ``cache`` — poison live :class:`~repro.engine.FlowCache` rows, and
+  one :class:`~repro.engine.RegionCache` row, with wrong verdicts (a
+  memory-corruption stand-in the shadow-verify mode must catch);
 * ``deserialize`` — flip bits in PLMF/PLM+ bytes before they reach the
   decoder (torn writes, disk corruption);
 * ``update`` — raise mid-transaction inside ``apply_updates`` so the
@@ -149,13 +149,16 @@ class FaultInjector:
             return self.corrupt(data, flips=max(1, self._rng.randrange(1, 4)))
         return data
 
-    def poison_cache(self, cache: Any, rows: int = 1) -> int:
+    def poison_cache(self, cache: Any, rows: int = 1, regions: Any = None) -> int:
         """Overwrite up to ``rows`` cached verdicts with wrong answers.
 
         A poisoned row flips a cached match to a cached miss (and a
         cached miss to the first *other* cached entry when one exists),
-        modelling silent memory corruption.  Returns the rows poisoned.
-        Only counts as a firing when at least one row was changed.
+        modelling silent memory corruption.  When ``regions`` (the
+        engine's :class:`~repro.engine.RegionCache`) holds any rows, the
+        same firing flips one region row too — a lie that answers every
+        query in that region.  Returns the rows poisoned.  Only counts
+        as a firing when at least one row was changed.
         """
         victims = list(getattr(cache, "_map", {}))
         if not victims:
@@ -167,16 +170,24 @@ class FaultInjector:
         poisoned = 0
         entries = [value for value in table.values() if value is not None]
         for _ in range(min(rows, len(victims))):
-            query = self._rng.choice(victims)
-            current = table[query]
-            if current is not None:
-                table[query] = None
-            elif entries:
-                table[query] = self._rng.choice(entries)
-            else:
-                continue
-            poisoned += 1
+            poisoned += self._flip(table, self._rng.choice(victims), entries)
+        region_tables = [rows_held for rows_held in getattr(regions, "_tables", {}).values()
+                         if rows_held]
+        if region_tables:
+            region_table = self._rng.choice(region_tables)
+            poisoned += self._flip(region_table, self._rng.choice(list(region_table)), entries)
         return poisoned
+
+    def _flip(self, table: dict, key: Any, entries: list) -> int:
+        """Make ``table[key]`` wrong; returns 1 when it changed."""
+        current = table[key]
+        if current is not None:
+            table[key] = None
+        elif entries:
+            table[key] = self._rng.choice(entries)
+        else:
+            return 0
+        return 1
 
     # -- observability ---------------------------------------------------
 

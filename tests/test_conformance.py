@@ -5,9 +5,9 @@ The same calls — ``lookup``, ``lookup_batch``, ``apply_updates``,
 ``report()`` — run against an in-process engine, an engine whose misses
 a two-worker shard pool resolves, and a tenant-wrapped sharded engine,
 and every verdict is checked against the sorted-list oracle.  A
-hypothesis state machine then interleaves bursts, update batches,
-direct matcher mutations, last-good restores and worker SIGKILLs on the
-first two shapes.
+hypothesis state machine then interleaves bursts, scan bursts the
+decision-region tier answers, update batches, direct matcher mutations,
+last-good restores and worker SIGKILLs on the first two shapes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis.stateful import (
 
 from repro.baselines.sorted_list import SortedListMatcher
 from repro.config import EngineConfig
-from repro.core.frozen import FrozenMatcher
+from repro.core.frozen import FrozenMatcher, freeze
 from repro.core.table import TernaryEntry, build_matcher
 from repro.core.ternary import TernaryKey
 from repro.engine import ClassificationEngine
@@ -207,6 +207,7 @@ class EngineMachine(RuleBasedStateMachine):
         #: override key -> the flow it was cut around (which it matches)
         self.witness: dict = {}
         self._verify(self.flows[:64])  # warm the cache and freeze the plane
+        self.scan(0, 32)  # every in-process run meets the region tier
 
     def _burst(self, seed: int, size: int) -> list[int]:
         rng = random.Random(seed)
@@ -218,6 +219,23 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(seed=st.integers(0, 2**16), size=st.integers(1, 300))
     def burst(self, seed: int, size: int) -> None:
         self._verify(self._burst(seed, size))
+
+    @rule(seed=st.integers(0, 2**16), size=st.integers(1, 48))
+    def scan(self, seed: int, size: int) -> None:
+        """A scan: fresh queries walked once, then queries that agree
+        with them on every bit their walks examined and are random
+        elsewhere — the decision-region tier answers those without a
+        walk (the shard pool bypasses it)."""
+        rng = random.Random(seed)
+        walked = [rng.getrandbits(KEY_LENGTH) for _ in range(size)]
+        self._verify(walked)
+        masks: list[int] = []
+        freeze(self.engine.matcher).lookup_batch(walked, masks=masks)
+        self._verify([
+            (query & mask) | (rng.getrandbits(KEY_LENGTH) & ~mask)
+            for query, mask in zip(walked, masks)
+            for _ in range(3)
+        ])
 
     def _verify(self, queries: list[int]) -> None:
         got = self.engine.lookup_batch(queries)
@@ -309,6 +327,8 @@ class EngineMachine(RuleBasedStateMachine):
 
     def teardown(self) -> None:
         if self.engine is not None:
+            if self.shards == 0:
+                assert self.engine.regions.hits > 0
             self.engine.close()
 
 

@@ -236,7 +236,7 @@ class TestBatchPaths:
         )
         if plane != "ties":
             assert min(frozen._bit) < 0  # the walks shift chunks left
-        scalar, _visits = frozen._scalar_walk(queries)
+        scalar, _masks, _visits = frozen._scalar_walk(queries)
         assert frozen._batch_walk_numpy(queries) == scalar
         assert frozen.lookup_batch_indices(queries) == scalar
         best_of = frozen._leaf_best

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import assert_same_result, oracle_lookup
 from repro.core.basic import BasicPalmtrie
+from repro.core.frozen import FrozenMatcher
 from repro.core.multibit import EXACT, MultibitPalmtrie, key_path
 from repro.core.plus import PalmtriePlus
 from repro.core.table import TernaryEntry
@@ -187,6 +188,30 @@ def test_skipping_is_pure_optimization(entries, query_list):
     without = PalmtriePlus.build(entries, KEY_LENGTH, stride=4, subtree_skipping=False)
     for query in query_list:
         assert_same_result(without.lookup(query), with_skip.lookup(query))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    entries=entries_strategy(max_size=30),
+    query_list=st.lists(queries, min_size=1, max_size=20),
+    noise=st.lists(queries, min_size=1, max_size=8),
+    # stride 8 on a 12-bit key leaves a final partial chunk (negative bit)
+    stride=st.sampled_from([1, 4, 8]),
+    skipping=st.booleans(),
+)
+def test_walk_masks_bound_decision_regions(entries, query_list, noise, stride, skipping):
+    """Every query that agrees with a walked query on the bits its walk
+    examined gets the same entry: ``(q & M, M)`` is a decision region."""
+    plane = FrozenMatcher.build(
+        entries, KEY_LENGTH, stride=stride, subtree_skipping=skipping
+    )
+    masks: list[int] = []
+    winners = plane.lookup_batch(query_list, masks=masks)
+    assert len(masks) == len(query_list)
+    for query, mask, winner in zip(query_list, masks, winners):
+        assert winner is plane.lookup(query)
+        for bits in noise:
+            assert plane.lookup((query & mask) | (bits & ~mask)) is winner
 
 
 @settings(max_examples=40, deadline=None)

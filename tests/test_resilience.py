@@ -327,6 +327,54 @@ class TestGuardOverShards:
             assert engine.health == "quarantined"
 
 
+class TestPoisonedRegion:
+    def test_shadow_pass_catches_a_poisoned_region_and_resets_the_tier(self):
+        """The cache site also flips one decision-region row; a query the
+        row answers (never seen before, so no exact-cache row exists) is
+        served the lie, which the shadow pass catches."""
+        rng = random.Random(21)
+        # Prefix rules on the top byte: walks report few masks, so the
+        # region tier holds rows for the first burst's regions.
+        entries = [
+            TernaryEntry(
+                TernaryKey.from_string(
+                    format(rng.getrandbits(8), "08b")[: rng.choice((2, 4, 8))].ljust(16, "*")
+                ),
+                i,
+                rng.randrange(1000),
+            )
+            for i in range(40)
+        ]
+        injector = FaultInjector(seed=21)
+        guard = GuardRail(shadow_sample=1.0, injector=injector)
+        engine = ClassificationEngine(
+            PalmtriePlus.build(entries, KEY_LENGTH),
+            EngineConfig(cache_size=64, auto_freeze=True, resilience=guard),
+        )
+        engine.lookup_batch(_trace(128, seed=22))
+        before = {mask: dict(table) for mask, table in engine.regions._tables.items()}
+        assert sum(map(len, before.values())) > 0
+        injector.arm("cache", rate=1.0, count=1)
+        engine.lookup_batch([])  # the burst-start fault site fires
+        assert injector.fired["cache"] == 1
+        ((mask, region),) = [
+            (mask, region)
+            for mask, table in engine.regions._tables.items()
+            for region, verdict in table.items()
+            if verdict is not before[mask][region]
+        ]
+        query = next(
+            q
+            for q in (region | (bits & ~mask) for bits in _trace(256, seed=23))
+            if q not in engine.cache
+        )
+        (served,) = engine.lookup_batch([query])
+        assert_same_result(_reference_verdicts(entries, [query])[0], served)
+        assert guard.shadow_mismatches == 1
+        assert engine.health == "quarantined"
+        assert engine.regions.rows == 0
+
+
 class TestShadowVerify:
     def test_scalar_hit_path_is_checked_and_repaired(self):
         entries = _entries()
