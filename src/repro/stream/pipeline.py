@@ -25,12 +25,28 @@ capacity (``max_inflight``) and the per-interval service budget
 are exactly reproducible from a seeded scenario, which is what lets CI
 gate them.
 
+The queue holds *burst segments*, not packets: an admitted chunk of
+a burst is one ``[burst, lo, hi, arrival, base]`` item (the packets
+``burst[lo:hi]``, stamped ``arrival``, whose verdicts land at
+``base + position``), and a packet counter (the backlog) sits beside
+the deque.  Capacity, block, drop and shed decisions read that counter,
+so admission costs one append per chunk whatever the burst size.  A
+burst's chunks share one segment while it is queued, so the queue
+never holds more segments than bursts.  Segments reference the
+source's list; when a ``service_quantum`` leaves part of a burst
+queued, that part is copied into its own list before the source is
+asked for the next burst, so a source that refills one buffer in place
+cannot change packets already admitted.
+
 Service happens in *adaptive micro-batches*: each cycle drains
-``min(backlog, batch_max)`` queries through the engine's
-``lookup_batch``, so a lightly-loaded pipeline serves single packets
-at minimum latency and a loaded one amortises the per-batch overhead
-across up to ``batch_max`` packets — the classic interrupt-coalescing
-trade, made by backlog instead of by timer.
+``min(backlog, batch_max)`` queries (capped by what is left of the
+quantum) from the head segments, splitting the last one if needed,
+through the engine's ``lookup_batch`` — one slice of the burst, or the
+concatenated slices when the batch spans bursts — and writes the
+verdicts back with slice assignment.  A lightly-loaded pipeline serves
+single packets at minimum latency and a loaded one amortises the
+per-batch overhead across up to ``batch_max`` packets — the classic
+interrupt-coalescing trade, made by backlog instead of by timer.
 
 Latency telemetry rides the hot path the way data-plane monitors
 (sFlow, P4TG's histogram RTT monitoring) afford it:
@@ -38,8 +54,8 @@ Latency telemetry rides the hot path the way data-plane monitors
 * the **pipeline-wide** latency histogram — the one p50/p999 and the
   CI gate read — is *exact* over every served packet, at amortised
   cost: packets of one arrival burst share one latency value, so each
-  micro-batch contributes one ``observe(latency, n)`` per arrival
-  group, not one per packet;
+  micro-batch contributes one ``observe(latency, n)`` per run of
+  equal-arrival segments, not one per packet;
 * the **per-flow bank** (``flow_buckets`` log-bucketed histograms
   indexed by :func:`repro.shard.flow_shard`) *samples* every
   ``flow_sample``-th served packet on a deterministic stride — the
@@ -54,10 +70,9 @@ quantiles exact.
 
 from __future__ import annotations
 
-import operator
 import time
 from collections import deque
-from itertools import groupby, islice, repeat
+from itertools import repeat
 from typing import Any, Callable, Iterable, Optional
 
 from ..obs.metrics import Histogram, MetricsRegistry
@@ -88,12 +103,6 @@ DROPPED = _Dropped()
 
 #: the admission-overflow policies, in documentation order
 POLICIES = ("block", "drop", "shed")
-
-#: queue items are (query, arrival, index); C-level accessors for the
-#: micro-batch gather and the batched histogram attribution in _serve_batch
-_ITEM_QUERY = operator.itemgetter(0)
-_ITEM_ARRIVAL = operator.itemgetter(1)
-
 
 def _admission_rate(count: int, offered: int) -> float:
     """The one definition of an admission-fate rate (dropped/shed over
@@ -224,7 +233,10 @@ class StreamPipeline:
         self.service_quantum = service_quantum
         self.flow_buckets = flow_buckets
         self.flow_sample = flow_sample
+        #: queued burst segments, [burst, lo, hi, arrival, base] each
+        #: (see the module docstring); _backlog counts their packets
         self._pending: deque = deque()
+        self._backlog = 0
         self._verdicts: Optional[list] = None
         self.last_report: Optional[StreamReport] = None
         self._reset_counters()
@@ -283,8 +295,8 @@ class StreamPipeline:
         self.max_backlog = 0
         self.churn_transactions = 0
         self.elapsed_seconds = 0.0
-        if self._pending:
-            self._pending.clear()
+        self._pending.clear()
+        self._backlog = 0
 
     def _sync_metrics(self, registry: MetricsRegistry) -> Callable[[], None]:
         """A collector mirroring the stream counters at export time
@@ -317,7 +329,7 @@ class StreamPipeline:
             ).set_total(self.churn_transactions)
             registry.gauge(
                 "stream_backlog", "Packets currently queued in the pipeline."
-            ).set(len(self._pending))
+            ).set(self._backlog)
             registry.gauge(
                 "stream_max_backlog", "High-water mark of the admission queue."
             ).set(self.max_backlog)
@@ -330,27 +342,44 @@ class StreamPipeline:
     # -- the serving loop -------------------------------------------------
 
     def _serve_batch(self, limit: Optional[int] = None) -> int:
-        """Drain one adaptive micro-batch; returns packets served."""
-        pending = self._pending
-        n = min(len(pending), self.batch_max)
-        if limit is not None:
-            n = min(n, limit)
-        if n == 0:
+        """Drain one adaptive micro-batch from the head segments; returns
+        packets served."""
+        n = self._backlog
+        if n > self.batch_max:
+            n = self.batch_max
+        if limit is not None and limit < n:
+            n = limit
+        if n <= 0:
             return 0
-        if n == len(pending):
-            items = list(pending)
-            pending.clear()
-        else:
-            popleft = pending.popleft
-            items = [popleft() for _ in range(n)]
-        results = self.engine.lookup_batch(list(map(_ITEM_QUERY, items)))
+        pending = self._pending
+        # Gather: whole head segments pop, the last one taken may split.
+        # runs holds (arrival, first verdict index, count) per segment.
+        queries: list = []
+        runs = []
+        need = n
+        while need:
+            segment = pending[0]
+            burst, lo, hi, arrival, base = segment
+            take = hi - lo
+            if take > need:
+                take = need
+                segment[1] = lo + take
+            else:
+                pending.popleft()
+            queries += burst[lo : lo + take]
+            runs.append((arrival, base + lo, take))
+            need -= take
+        self._backlog -= n
+        results = self.engine.lookup_batch(queries)
         done = time.perf_counter()
         self.batches += 1
         self.served += n
         verdicts = self._verdicts
         if verdicts is not None:
-            for (_query, _arrival, index), result in zip(items, results):
-                verdicts[index] = result
+            pos = 0
+            for _arrival, first, count in runs:
+                verdicts[first : first + count] = results[pos : pos + count]
+                pos += count
         lat_hist = self._latency_hist
         if lat_hist is not None:
             hists = self._flow_hists
@@ -359,34 +388,35 @@ class StreamPipeline:
             buckets = self.flow_buckets
             stride = self.flow_sample
             tick = self._sample_tick
-            # Arrivals are FIFO, so equal stamps are contiguous and
-            # groupby splits them at C speed; a batch drawn from a
-            # single burst (the common case) skips even that.  The
-            # exact pipeline-wide histogram costs one observe per
-            # arrival group; per-flow attribution pays the flow-hash
-            # fold only on every `stride`-th served packet.
-            if items[0][1] == items[-1][1]:
-                groups = ((items[0][1], items),)
-            else:
-                groups = ((a, list(g)) for a, g in groupby(items, key=_ITEM_ARRIVAL))
-            for arrival, members in groups:
+            # The exact pipeline-wide histogram costs one observe per
+            # run of equal-arrival segments; per-flow attribution pays
+            # the flow-hash fold only on every `stride`-th served packet
+            # (served-packet numbers that are multiples of `stride`, so
+            # the samples do not depend on how batches split).
+            pos = 0
+            index = 0
+            while index < len(runs):
+                arrival, _first, count = runs[index]
+                index += 1
+                while index < len(runs) and runs[index][0] == arrival:
+                    count += runs[index][2]
+                    index += 1
                 latency = done - arrival
-                lat_hist.observe(latency, len(members))
+                lat_hist.observe(latency, count)
                 offset = (-tick) % stride
-                tick += len(members)
-                if offset >= len(members):
-                    continue
-                for item in members[offset::stride]:
-                    query = item[0]
-                    bucket = shard_cache.get(query)
-                    if bucket is None:
-                        if len(shard_cache) >= 65_536:
-                            # Scan traffic never repeats a query; cap
-                            # the memo instead of growing with the
-                            # attack.
-                            shard_cache.clear()
-                        bucket = shard_cache[query] = shard(query, buckets)
-                    hists[bucket].observe(latency)
+                tick += count
+                if offset < count:
+                    for query in queries[pos + offset : pos + count : stride]:
+                        bucket = shard_cache.get(query)
+                        if bucket is None:
+                            if len(shard_cache) >= 65_536:
+                                # Scan traffic never repeats a query; cap
+                                # the memo instead of growing with the
+                                # attack.
+                                shard_cache.clear()
+                            bucket = shard_cache[query] = shard(query, buckets)
+                        hists[bucket].observe(latency)
+                pos += count
             self._sample_tick = tick
         return n
 
@@ -426,7 +456,7 @@ class StreamPipeline:
             if on_burst is not None and on_burst(burst_index):
                 self.churn_transactions += 1
             arrival = time.perf_counter()
-            if not isinstance(burst, (list, tuple)):
+            if not isinstance(burst, list):
                 burst = list(burst)
             size = len(burst)
             base = self.offered
@@ -434,15 +464,14 @@ class StreamPipeline:
             if verdicts is not None:
                 # Placeholders; service overwrites the admitted ones.
                 verdicts.extend(repeat(DROPPED, size))
-            queries = iter(burst)
             done = 0
             while done < size:
-                room = capacity - len(pending)
+                room = capacity - self._backlog
                 if room <= 0:
                     if policy == "block":
                         # Backpressure: serve until there is room.
                         self.blocked_events += 1
-                        while len(pending) >= capacity:
+                        while self._backlog >= capacity:
                             self._serve_batch()
                         continue
                     rest = size - done
@@ -456,26 +485,33 @@ class StreamPipeline:
                             verdicts[base + done :] = repeat(None, rest)
                     break
                 take = min(room, size - done)
-                start_index = base + done
-                pending.extend(
-                    zip(
-                        islice(queries, take),
-                        repeat(arrival),
-                        range(start_index, start_index + take),
-                    )
-                )
+                if pending and pending[-1][0] is burst:
+                    # This burst's previous chunk is still queued and
+                    # ends where this one starts: one segment per burst.
+                    pending[-1][2] += take
+                else:
+                    pending.append([burst, done, done + take, arrival, base])
+                self._backlog += take
                 self.admitted += take
                 done += take
-            if len(pending) > self.max_backlog:
-                self.max_backlog = len(pending)
-            budget = quantum
-            while pending and (budget is None or budget > 0):
-                served = self._serve_batch(budget)
-                if budget is not None:
-                    budget -= served
-                if budget is None:
-                    # Unlimited service drains fully in batch_max steps.
-                    continue
+            if self._backlog > self.max_backlog:
+                self.max_backlog = self._backlog
+            if quantum is None:
+                # Unlimited service drains fully in batch_max steps.
+                while pending:
+                    self._serve_batch()
+            else:
+                budget = quantum
+                while pending and budget > 0:
+                    budget -= self._serve_batch(budget)
+                if pending and pending[-1][0] is burst:
+                    # This burst's leftovers (its one segment, the tail)
+                    # still reference the source's list, which the
+                    # source may refill in place for the next burst:
+                    # give them their own copy.
+                    tail = pending[-1]
+                    lo, hi = tail[1], tail[2]
+                    tail[0], tail[1], tail[2], tail[4] = burst[lo:hi], 0, hi - lo, tail[4] + lo
         # Flush: the stream ended; whatever queued still gets answered.
         while pending:
             self._serve_batch()
@@ -539,7 +575,7 @@ class StreamPipeline:
             "shed_rate": _admission_rate(self.shed, self.offered),
             "blocked_events": self.blocked_events,
             "batches": self.batches,
-            "backlog": len(self._pending),
+            "backlog": self._backlog,
             "max_backlog": self.max_backlog,
             "churn_transactions": self.churn_transactions,
         }

@@ -3,8 +3,9 @@
 The same calls — ``lookup``, ``lookup_batch``, ``apply_updates``,
 ``checkpoint`` → ``restore_last_good``, ``invalidate_all`` and
 ``report()`` — run against an in-process engine, an engine whose misses
-a two-worker shard pool resolves, and a tenant-wrapped sharded engine,
-and every verdict is checked against the sorted-list oracle.  A
+a two-worker shard pool resolves, a tenant-wrapped sharded engine, and
+a tenant whose batches stream through a ``StreamPipeline`` in uneven
+bursts, and every verdict is checked against the sorted-list oracle.  A
 hypothesis state machine then interleaves bursts, scan bursts the
 decision-region tier answers, update batches, direct matcher mutations,
 last-good restores and worker SIGKILLs on the first two shapes.
@@ -12,6 +13,7 @@ last-good restores and worker SIGKILLs on the first two shapes.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import signal
@@ -31,6 +33,7 @@ from repro.core.frozen import FrozenMatcher, freeze
 from repro.core.table import TernaryEntry, build_matcher
 from repro.core.ternary import TernaryKey
 from repro.engine import ClassificationEngine
+from repro.stream import StreamPipeline
 from repro.tenant import TenantRouter, TenantSpec
 from repro.workloads.campus import campus_acl
 from repro.workloads.traffic import zipf_trace
@@ -45,7 +48,7 @@ REPORT_KEYS = {
     "generation", "epoch", "health", "checkpoint_restores",
     "checkpoint_rebuilds", "resilience",
 }
-SHAPES = ("in-process", "sharded", "tenant")
+SHAPES = ("in-process", "sharded", "tenant", "stream")
 
 
 def _sig(entry):
@@ -77,6 +80,38 @@ def _queries(count: int, seed: int) -> list[int]:
     return mixed
 
 
+class _Streamed:
+    """A tenant whose ``lookup_batch`` streams the queries through a
+    ``StreamPipeline`` in uneven bursts (block policy, an odd service
+    quantum, so batches span bursts and leftovers wait between them);
+    every other call goes to the tenant."""
+
+    BURSTS = (1, 37, 5, 130, 64, 11, 90)
+
+    def __init__(self, tenant) -> None:
+        self.tenant = tenant
+        self.pipeline = StreamPipeline(
+            tenant, policy="block", max_inflight=256, batch_max=64, service_quantum=23
+        )
+
+    def lookup_batch(self, queries):
+        bursts, start = [], 0
+        for size in itertools.cycle(self.BURSTS):
+            if start >= len(queries):
+                break
+            bursts.append(queries[start : start + size])
+            start += size
+        report = self.pipeline.run(bursts, collect_verdicts=True)
+        assert report.served == report.offered == len(queries)
+        return report.verdicts
+
+    def lookup(self, query):
+        return self.lookup_batch([query])[0]
+
+    def __getattr__(self, name):
+        return getattr(self.tenant, name)
+
+
 class _Shape:
     """One engine shape: ``front`` takes the data-plane calls,
     ``engine`` is the ClassificationEngine behind it."""
@@ -86,13 +121,15 @@ class _Shape:
             cache_size=128,
             auto_freeze=True,
             resilience=True,
-            shards=0 if kind == "in-process" else 2,
+            shards=2 if kind in ("sharded", "tenant") else 0,
         )
         self.router = None
-        if kind == "tenant":
+        if kind in ("tenant", "stream"):
             self.router = TenantRouter([TenantSpec("t", acl=ACL_TEXT, engine=config)])
             self.front = self.router["t"]
             self.engine = self.front.engine
+            if kind == "stream":
+                self.front = _Streamed(self.front)
         else:
             matcher = build_matcher(config, COMPILED.entries, KEY_LENGTH)
             self.engine = self.front = ClassificationEngine(matcher, config)

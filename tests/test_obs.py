@@ -471,6 +471,7 @@ class TestTrajectoryGate:
             "frozen_scalar_speedup",
             "guard_shadow_overhead_ratio",
             "metrics_overhead_ratio",
+            "stream_pipeline_ratio",
             "update_batch_speedup",
         } <= set(metrics)
 

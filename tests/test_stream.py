@@ -22,6 +22,7 @@ from helpers import random_entries
 
 from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, build_matcher
 from repro.obs.metrics import MetricsRegistry
+from repro.shard import flow_shard
 from repro.stream import (
     DROPPED,
     POLICIES,
@@ -187,48 +188,79 @@ class TestBackpressureSemantics:
                 assert _signature([verdict]) == _signature([reference[index]])
 
 
-def _per_packet_run(pipe, bursts, collect_verdicts):
-    """The admission loop ``StreamPipeline.run`` ran before bulk
-    admission: one queue append (or drop/shed/block decision) per
-    packet.  Kept as the oracle bulk admission must equal; it drives the
-    pipeline's own service step, so only admission differs."""
-    pipe._reset_counters()
-    verdicts = pipe._verdicts = [] if collect_verdicts else None
-    pending = pipe._pending
-    capacity = pipe.max_inflight
-    quantum = pipe.service_quantum
+class _Recorder:
+    """An engine wrapper that logs every ``lookup_batch`` argument list,
+    so two runs can be compared micro-batch by micro-batch."""
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.calls: list[list[int]] = []
+
+    def lookup_batch(self, queries):
+        self.calls.append(list(queries))
+        return self.engine.lookup_batch(queries)
+
+
+def _per_packet_model(
+    engine, bursts, *, policy, max_inflight, batch_max, service_quantum,
+    flow_buckets, flow_sample,
+):
+    """A packet-at-a-time reference model of ``StreamPipeline.run`` that
+    shares none of its internals: its own list of ``(query, verdict
+    index)`` pairs as the queue, one admission decision per packet,
+    micro-batches of ``min(backlog, batch_max, budget)`` and its own
+    ``engine.lookup_batch`` calls.  Per-flow sampling takes every
+    served packet whose serial number is a multiple of ``flow_sample``.
+
+    Returns ``(counters, verdicts, per-flow sample counts)``.
+    """
+    counters = dict.fromkeys(_ADMISSION_COUNTERS, 0)
+    verdicts: list = []
+    queue: list[tuple[int, int]] = []
+    flow_counts = [0] * flow_buckets
+
+    def serve(limit=None):
+        n = min(len(queue), batch_max)
+        if limit is not None:
+            n = min(n, limit)
+        batch = queue[:n]
+        del queue[:n]
+        results = engine.lookup_batch([query for query, _ in batch])
+        for (query, index), verdict in zip(batch, results):
+            verdicts[index] = verdict
+            if counters["served"] % flow_sample == 0:
+                flow_counts[flow_shard(query, flow_buckets)] += 1
+            counters["served"] += 1
+        counters["batches"] += 1
+        return n
+
     for burst in bursts:
-        arrival = 0.0
         for query in burst:
-            index = pipe.offered
-            pipe.offered += 1
-            if verdicts is not None:
-                verdicts.append(DROPPED)
-            if len(pending) >= capacity:
-                if pipe.policy == "drop":
-                    pipe.dropped += 1
+            index = counters["offered"]
+            counters["offered"] += 1
+            verdicts.append(DROPPED)
+            if len(queue) >= max_inflight:
+                if policy == "drop":
+                    counters["dropped"] += 1
                     continue
-                if pipe.policy == "shed":
-                    pipe.shed += 1
-                    if verdicts is not None:
-                        verdicts[index] = None
+                if policy == "shed":
+                    counters["shed"] += 1
+                    verdicts[index] = None
                     continue
-                pipe.blocked_events += 1
-                while len(pending) >= capacity:
-                    pipe._serve_batch()
-            pending.append((query, arrival, index))
-            pipe.admitted += 1
-        if len(pending) > pipe.max_backlog:
-            pipe.max_backlog = len(pending)
-        budget = quantum
-        while pending and (budget is None or budget > 0):
-            served = pipe._serve_batch(budget)
+                counters["blocked_events"] += 1
+                while len(queue) >= max_inflight:
+                    serve()
+            queue.append((query, index))
+            counters["admitted"] += 1
+        counters["max_backlog"] = max(counters["max_backlog"], len(queue))
+        budget = service_quantum
+        while queue and (budget is None or budget > 0):
+            served = serve(budget)
             if budget is not None:
                 budget -= served
-    while pending:
-        pipe._serve_batch()
-    pipe._verdicts = None
-    return verdicts
+    while queue:
+        serve()
+    return counters, verdicts, flow_counts
 
 
 _ADMISSION_COUNTERS = (
@@ -238,12 +270,14 @@ _ADMISSION_COUNTERS = (
 
 
 class TestBulkAdmission:
-    """Bulk admission equals the per-packet loop it replaced: every
-    counter, the verdict stream and the cache state, per policy."""
+    """The segment queue equals the per-packet reference model: every
+    counter, the verdict stream, the exact sequence of micro-batches
+    sent to the engine, the cache state, and the histogram counts, per
+    policy, service quantum and burst shape."""
 
-    def _bursts(self, seed, kind):
+    def _bursts(self, seed, kind, sizes=(0, 1, 3, 7, 10, 11, 25, 40)):
         rng = random.Random(seed)
-        sizes = [rng.choice((0, 1, 3, 7, 10, 11, 25, 40)) for _ in range(30)]
+        sizes = [rng.choice(sizes) for _ in range(30)]
         queries = _queries(sum(sizes), seed=seed)
         bursts, start = [], 0
         for size in sizes:
@@ -255,40 +289,60 @@ class TestBulkAdmission:
             return lambda: [tuple(burst) for burst in bursts]
         return lambda: bursts
 
+    def _assert_equals_model(self, bursts, **profile):
+        profile.setdefault("flow_buckets", 8)
+        profile.setdefault("flow_sample", 64)
+        runs = []
+        for streamed in (True, False):
+            engine, _ = _engine(seed=9, cache=16)
+            recorder = _Recorder(engine)
+            if streamed:
+                pipe = StreamPipeline(recorder, **profile)
+                report = pipe.run(bursts(), collect_verdicts=True)
+                counters = {name: getattr(pipe, name) for name in _ADMISSION_COUNTERS}
+                for name in _ADMISSION_COUNTERS:
+                    assert getattr(report, name) == counters[name]
+                flows = [hist.count for hist in pipe._flow_hists]
+                # Exact pipeline-wide histogram and the sampling tick
+                # both count every served packet.
+                assert pipe._latency_hist.count == pipe._sample_tick == pipe.served
+                verdicts = report.verdicts
+            else:
+                counters, verdicts, flows = _per_packet_model(recorder, bursts(), **profile)
+            runs.append(
+                (counters, _signature(verdicts), recorder.calls, list(engine.cache._map), flows)
+            )
+        assert runs[0] == runs[1]
+        counters = runs[0][0]
+        assert counters["offered"] == counters["admitted"] + counters["dropped"] + counters["shed"]
+        return counters
+
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("quantum", [None, 4])
     @pytest.mark.parametrize("kind", ["list", "tuple", "generator"])
     def test_equals_per_packet_admission(self, policy, quantum, kind):
         bursts = self._bursts(seed=len(policy) * 7 + (quantum or 0), kind=kind)
-        runs = []
-        for bulk in (True, False):
-            engine, _ = _engine(seed=9, cache=16)
-            pipe = StreamPipeline(
-                engine, policy=policy, max_inflight=10, batch_max=3,
-                service_quantum=quantum,
-            )
-            if bulk:
-                report = pipe.run(bursts(), collect_verdicts=True)
-                verdicts = report.verdicts
-            else:
-                verdicts = _per_packet_run(pipe, bursts(), collect_verdicts=True)
-            counters = {name: getattr(pipe, name) for name in _ADMISSION_COUNTERS}
-            runs.append(
-                (
-                    counters,
-                    _signature(verdicts),
-                    list(engine.cache._map),
-                    pipe._latency_hist.count,
-                    pipe._sample_tick,
-                )
-            )
-        assert runs[0] == runs[1]
-        counters = runs[0][0]
-        assert counters["offered"] == counters["admitted"] + counters["dropped"] + counters["shed"]
+        counters = self._assert_equals_model(
+            bursts, policy=policy, max_inflight=10, batch_max=3, service_quantum=quantum,
+        )
         if policy == "block":
             assert counters["blocked_events"] > 0
         else:
             assert counters["dropped"] + counters["shed"] > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("quantum", [None, 5, 17])
+    @pytest.mark.parametrize("batch_max", [1, 64])
+    def test_bursts_beyond_capacity_equal_per_packet_model(self, policy, quantum, batch_max):
+        # Bursts up to 130 packets against a 48-packet queue: admission
+        # splits bursts into chunks, and batches span several bursts.
+        bursts = self._bursts(
+            seed=batch_max + (quantum or 0), kind="list", sizes=(0, 2, 9, 48, 49, 130),
+        )
+        self._assert_equals_model(
+            bursts, policy=policy, max_inflight=48, batch_max=batch_max,
+            service_quantum=quantum, flow_buckets=4, flow_sample=5,
+        )
 
     def test_report_matches_live_counters(self):
         engine, _ = _engine(seed=9)
@@ -296,6 +350,93 @@ class TestBulkAdmission:
         report = pipe.run(self._bursts(seed=5, kind="list")())
         for name in _ADMISSION_COUNTERS:
             assert getattr(report, name) == getattr(pipe, name)
+
+
+class TestSegmentQueue:
+    """The queue holds burst segments; the backlog counts packets."""
+
+    def test_refilled_burst_buffer_does_not_reach_queued_packets(self):
+        # The source refills and re-yields one list; with a service
+        # quantum, part of each burst is still queued when it does.
+        rng = random.Random(41)
+        sizes = [rng.choice((3, 6, 9, 14)) for _ in range(40)]
+        queries = _queries(sum(sizes), seed=41)
+        logical, start = [], 0
+        for size in sizes:
+            logical.append(queries[start : start + size])
+            start += size
+
+        def refilling():
+            buffer: list[int] = []
+            for burst in logical:
+                buffer[:] = burst
+                yield buffer
+
+        pipe = StreamPipeline(
+            _engine(seed=9)[0], policy="block", max_inflight=24, batch_max=3,
+            service_quantum=4,
+        )
+        report = pipe.run(refilling(), collect_verdicts=True)
+        assert report.served == len(queries)
+        assert report.blocked_events > 0
+        reference = batch_replay(_engine(seed=9)[0], logical)
+        assert _signature(report.verdicts) == _signature(reference)
+
+    def test_backlog_counts_packets_across_segments(self):
+        # Bursts of 10 against a quantum of 4: 6 more packets queue per
+        # burst, spread over the leftovers of several bursts.
+        registry = MetricsRegistry()
+        engine, _ = _engine(seed=9)
+        pipe = StreamPipeline(
+            engine, policy="block", max_inflight=100, batch_max=3,
+            service_quantum=4, metrics=registry,
+        )
+        seen = []
+
+        def probe(index):
+            registry.collect()
+            gauge = registry.get("stream_backlog").value
+            seen.append((pipe.report()["backlog"], gauge, len(pipe._pending)))
+
+        pipe.run(TraceSource(_queries(80), KEY_LENGTH, burst_size=10), on_burst=probe)
+        assert [(backlog, gauge) for backlog, gauge, _ in seen] == [
+            (6 * i, 6 * i) for i in range(8)
+        ]
+        assert max(segments for _, _, segments in seen) >= 2
+        # The high-water mark is read after admission, before service.
+        assert pipe.max_backlog == 6 * 7 + 10
+        assert pipe.report()["backlog"] == 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_queue_holds_at_most_one_segment_per_burst(self, policy):
+        # Work count: after k bursts are admitted under a quantum the
+        # queue holds at most k items, also while block policy serves
+        # a burst four times the capacity in chunks.
+        engine, _ = _engine(seed=9)
+        admitted = 0
+
+        class Checked(_Recorder):
+            def lookup_batch(self, queries):
+                assert len(pipe._pending) <= admitted
+                return super().lookup_batch(queries)
+
+        def count(index):
+            nonlocal admitted
+            assert len(pipe._pending) <= index
+            admitted = index + 1
+
+        pipe = StreamPipeline(
+            Checked(engine), policy=policy, max_inflight=10, batch_max=3,
+            service_quantum=4,
+        )
+        sizes = [40, 5, 7, 40, 1, 13, 40]
+        queries = _queries(sum(sizes))
+        bursts = []
+        for size in sizes:
+            bursts.append(queries[:size])
+            queries = queries[size:]
+        report = pipe.run(bursts, on_burst=count)
+        assert report.batches > 0 and pipe.max_backlog == 10
 
 
 class TestPipelineValidation:
