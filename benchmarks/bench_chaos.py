@@ -40,8 +40,8 @@ from __future__ import annotations
 import os
 import tempfile
 
+from repro.baselines.sorted_list import SortedListMatcher
 from repro.core.plus import PalmtriePlus
-from repro.core.table import build_matcher
 from repro.config import EngineConfig
 from repro.engine import ClassificationEngine
 from repro.obs.timing import best_of_attempts_ratio
@@ -313,7 +313,7 @@ def main(smoke: bool = False, soak: bool = False) -> dict[str, float]:
     total_mismatches = 0
     for mix in mixes:
         entries, length, queries = _mix_traffic(mix, packets)
-        reference = build_matcher("sorted-list", entries, length)
+        reference = SortedListMatcher.build(entries, length)
         truth = [_priority(reference.lookup(q)) for q in queries]
         for name, fault_class in FAULT_CLASSES:
             mismatches, fired, engine = fault_class(entries, length, queries, truth)

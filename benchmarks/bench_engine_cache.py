@@ -86,14 +86,12 @@ def _metrics_overhead_ratio(
     measured).  A ratio of 1.0 means instrumentation is free; the
     enforced budget is 0.98 (docs/observability.md).
     """
-    from repro.core.table import build_matcher
-
     disabled = ClassificationEngine(
-        build_matcher("palmtrie-plus", acl.entries, KEY_LENGTH),
+        PalmtriePlus.build(acl.entries, KEY_LENGTH),
         EngineConfig(cache_size=4 * FLOWS),
     )
     enabled = ClassificationEngine(
-        build_matcher("palmtrie-plus", acl.entries, KEY_LENGTH),
+        PalmtriePlus.build(acl.entries, KEY_LENGTH),
         EngineConfig(cache_size=4 * FLOWS, metrics=True),
     )
     disabled.lookup_batch(queries)  # warm both caches before timing
@@ -125,15 +123,14 @@ def _guard_overhead_ratio(
     engine also cross-checks that fraction of answers against the
     linear-scan reference (``guard_shadow_overhead_ratio``).
     """
-    from repro.core.table import build_matcher
     from repro.resilience.guard import GuardRail
 
     plain = ClassificationEngine(
-        build_matcher("palmtrie-plus", acl.entries, KEY_LENGTH),
+        PalmtriePlus.build(acl.entries, KEY_LENGTH),
         EngineConfig(cache_size=4 * FLOWS),
     )
     guarded = ClassificationEngine(
-        build_matcher("palmtrie-plus", acl.entries, KEY_LENGTH),
+        PalmtriePlus.build(acl.entries, KEY_LENGTH),
         EngineConfig(
             cache_size=4 * FLOWS, resilience=GuardRail(shadow_sample=shadow_sample)
         ),
@@ -156,13 +153,14 @@ def main(smoke: bool = False) -> dict[str, float]:
     import timeit
 
     from repro.bench.report import Table, format_rate
-    from repro.core.table import build_matcher
+    from repro.core.frozen import FrozenMatcher
     from repro.workloads.campus import campus_acl
 
     acl = campus_acl(2 if smoke else 4)
-    kinds = ("palmtrie-plus",) if smoke else (
-        "sorted-list", "palmtrie", "palmtrie-plus", "vectorized",
-    )
+    # The engine serves a Palmtrie+ or its frozen plane.
+    kinds = {"palmtrie-plus": PalmtriePlus}
+    if not smoke:
+        kinds["frozen"] = FrozenMatcher
     count = 2_000 if smoke else 10_000
     queries = zipf_trace(acl.entries, count, flows=FLOWS)
     table = Table(
@@ -170,8 +168,8 @@ def main(smoke: bool = False) -> dict[str, float]:
         ["matcher", "uncached", "engine (warm)", "batched", "hit ratio"],
     )
     metrics: dict[str, float] = {}
-    for kind in kinds:
-        matcher = build_matcher(kind, acl.entries, KEY_LENGTH)
+    for kind, cls in kinds.items():
+        matcher = cls.build(acl.entries, KEY_LENGTH)
         engine = ClassificationEngine(matcher, EngineConfig(cache_size=4 * FLOWS))
         engine.lookup_batch(queries)  # warm
         uncached = timeit.timeit(lambda: run_queries(matcher, queries), number=1)

@@ -38,7 +38,7 @@ import time
 
 from repro.acl.compiler import compile_acl
 from repro.acl.parser import parse_acl
-from repro.core.table import build_matcher
+from repro.baselines.sorted_list import SortedListMatcher
 from repro.config import EngineConfig
 from repro.obs.metrics import Histogram
 from repro.resilience import FaultInjector
@@ -123,7 +123,7 @@ def isolation_run(packets: int, roller_shards: int = 0):
         solo = _solo_victim_verdicts(victim_q)
 
         old = compile_acl(parse_acl(OLD_POLICY))
-        reference = build_matcher("sorted-list", old.entries, old.layout.length)
+        reference = SortedListMatcher.build(old.entries, old.layout.length)
         truth = {}
 
         new_compiled = compile_acl(parse_acl(NEW_POLICY))

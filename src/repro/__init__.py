@@ -57,7 +57,6 @@ from .core import (
     save_frozen,
 )
 from .config import DEFAULT_CONFIG, EngineConfig, serve
-from .core.table import matcher_kinds
 from .engine import BatchReport, ClassificationEngine, FlowCache, UpdateReport
 from .packet import PacketHeader, decode_packet, encode_packet
 from .resilience import (
@@ -70,10 +69,6 @@ from .resilience import (
     write_checkpoint,
 )
 from .shard import ShardedEngine
-
-#: public registry of matcher kinds: ``{kind name: matcher class}``.
-#: ``build_matcher`` accepts either the kind string or the class itself.
-MATCHER_KINDS = matcher_kinds()
 
 __version__ = "1.0.0"
 
@@ -101,7 +96,6 @@ __all__ = [
     "LAYOUT_V4",
     "LAYOUT_V6",
     "LookupStats",
-    "MATCHER_KINDS",
     "MultibitPalmtrie",
     "PacketHeader",
     "PalmtriePlus",
@@ -122,7 +116,6 @@ __all__ = [
     "encode_packet",
     "freeze",
     "load_frozen",
-    "matcher_kinds",
     "parse_acl",
     "read_checkpoint",
     "recover",

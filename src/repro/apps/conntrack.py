@@ -7,10 +7,10 @@ This module implements the stateful layer the way real systems do:
 
 * a *flow table* (exact-match hash on the bidirectional 5-tuple) fast-
   paths packets of established connections;
-* flow table misses fall through to the stateless ACL (any
-  :class:`~repro.core.table.TernaryMatcher`) — a permit *creates* the
-  flow state, so return traffic no longer needs an ``established``
-  rule;
+* flow table misses fall through to the stateless ACL (a Palmtrie+
+  behind a :class:`~repro.engine.ClassificationEngine`) — a permit
+  *creates* the flow state, so return traffic no longer needs an
+  ``established`` rule;
 * a small TCP lifecycle (NEW → ESTABLISHED → CLOSING) plus idle
   timeouts keep the table bounded; UDP/ICMP flows are purely
   timeout-driven.
@@ -31,7 +31,7 @@ from ..acl.compiler import CompiledAcl
 from ..acl.rule import Action
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..core.plus import PalmtriePlus
-from ..core.table import TernaryMatcher
+from ..core.table import build_matcher
 from ..engine import ClassificationEngine
 from ..packet.codec import PacketDecodeError, decode_packet
 from ..packet.headers import PROTO_TCP, PacketHeader
@@ -76,7 +76,7 @@ class StatefulFirewall:
     def __init__(
         self,
         acl: CompiledAcl,
-        matcher: Optional[TernaryMatcher] = None,
+        matcher: Optional[PalmtriePlus] = None,
         idle_timeout: float = 300.0,
         closing_timeout: float = 10.0,
         max_connections: int = 1_000_000,
@@ -89,11 +89,8 @@ class StatefulFirewall:
         config = config if config is not None else DEFAULT_CONFIG
         self.acl = acl
         self.config = config
-        self.engine = ClassificationEngine.from_config(
-            matcher
-            or PalmtriePlus.build(
-                acl.entries, acl.layout.length, stride=config.stride or 8
-            ),
+        self.engine = ClassificationEngine(
+            matcher or build_matcher(config, acl.entries, acl.layout.length),
             config,
         )
         self.idle_timeout = idle_timeout
@@ -133,19 +130,20 @@ class StatefulFirewall:
         ).set(len(self._table))
 
     @property
-    def matcher(self) -> TernaryMatcher:
+    def matcher(self) -> PalmtriePlus:
         """The wrapped ACL matcher (kept for callers of the old name)."""
         return self.engine.matcher
 
     def replace_acl(
-        self, acl: CompiledAcl, matcher: Optional[TernaryMatcher] = None
+        self, acl: CompiledAcl, matcher: Optional[PalmtriePlus] = None
     ) -> None:
         """Swap in a recompiled ACL atomically.  Established connections
         keep their state (the real-system behaviour: policy changes
         gate *new* flows); only flow-table misses consult the new ACL."""
         self.acl = acl
         self.engine.replace_matcher(
-            matcher or PalmtriePlus.build(acl.entries, acl.layout.length, stride=8)
+            matcher
+            or build_matcher(self.engine.config, acl.entries, acl.layout.length)
         )
 
     # ------------------------------------------------------------------

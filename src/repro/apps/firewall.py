@@ -17,6 +17,7 @@ from ..acl.parser import parse_acl
 from ..acl.rule import AclRule, Action
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..core.plus import PalmtriePlus
+from ..core.table import build_matcher
 from ..engine import ClassificationEngine
 from ..packet.codec import PacketDecodeError, decode_packet
 from ..packet.headers import PacketHeader
@@ -41,20 +42,14 @@ class Firewall:
         acl: CompiledAcl,
         config: Optional[EngineConfig] = None,
         *,
-        stride: Optional[int] = None,
         default_action: Action = Action.DENY,
     ) -> None:
         config = config if config is not None else DEFAULT_CONFIG
-        if stride is not None:
-            config = config.replace(stride=stride)
         self.acl = acl
         self.config = config
         self.default_action = default_action
-        self.engine = ClassificationEngine.from_config(
-            PalmtriePlus.build(
-                acl.entries, acl.layout.length, stride=config.stride or 8
-            ),
-            config,
+        self.engine = ClassificationEngine(
+            build_matcher(config, acl.entries, acl.layout.length), config
         )
         self._counters = [RuleCounter(rule) for rule in acl.rules]
         self.default_hits = 0
@@ -195,8 +190,8 @@ class Firewall:
         """
         self.acl = compile_acl(list(rules), layout=self.acl.layout)
         self.engine.replace_matcher(
-            PalmtriePlus.build(
-                self.acl.entries, self.acl.layout.length, stride=self._matcher.stride
+            build_matcher(
+                self.engine.config, self.acl.entries, self.acl.layout.length
             )
         )
         self._counters = [RuleCounter(rule) for rule in self.acl.rules]

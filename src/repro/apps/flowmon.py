@@ -7,9 +7,9 @@ is that application: packets are classified by a ternary rule table
 records (packets, bytes, timestamps, class), with IPFIX-style export of
 expired flows.
 
-The classifier is any :class:`~repro.core.table.TernaryMatcher`;
-Palmtrie+ is the default, and the classes are arbitrary rule values
-(service names, QoS classes, ACL verdicts...).
+The classifier is a Palmtrie+ served by a
+:class:`~repro.engine.ClassificationEngine`, and the classes are
+arbitrary rule values (service names, QoS classes, ACL verdicts...).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Iterable, Iterator, Optional
 
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..core.plus import PalmtriePlus
-from ..core.table import TernaryEntry, TernaryMatcher
+from ..core.table import TernaryEntry, build_matcher
 from ..engine import ClassificationEngine
 from ..packet.codec import PacketDecodeError, decode_packet
 from ..packet.headers import PacketHeader
@@ -72,7 +72,7 @@ class FlowMonitor:
         self,
         entries: Iterable[TernaryEntry],
         key_length: int = 128,
-        matcher: Optional[TernaryMatcher] = None,
+        matcher: Optional[PalmtriePlus] = None,
         idle_timeout: float = 60.0,
         default_class: Any = None,
         config: Optional[EngineConfig] = None,
@@ -82,10 +82,8 @@ class FlowMonitor:
         config = config if config is not None else DEFAULT_CONFIG
         entries = list(entries)
         self.config = config
-        self.engine = ClassificationEngine.from_config(
-            matcher
-            or PalmtriePlus.build(entries, key_length, stride=config.stride or 8),
-            config,
+        self.engine = ClassificationEngine(
+            matcher or build_matcher(config, entries, key_length), config
         )
         self.idle_timeout = idle_timeout
         self.default_class = default_class
@@ -121,7 +119,7 @@ class FlowMonitor:
         ).set(len(self._flows))
 
     @property
-    def matcher(self) -> TernaryMatcher:
+    def matcher(self) -> PalmtriePlus:
         """The wrapped classifier (kept for callers of the old name)."""
         return self.engine.matcher
 
@@ -136,12 +134,12 @@ class FlowMonitor:
         self,
         entries: Iterable[TernaryEntry],
         key_length: int = 128,
-        matcher: Optional[TernaryMatcher] = None,
+        matcher: Optional[PalmtriePlus] = None,
     ) -> None:
         """Swap the whole classifier atomically (engine statistics and
         active flow records survive the swap)."""
         self.engine.replace_matcher(
-            matcher or PalmtriePlus.build(list(entries), key_length, stride=8)
+            matcher or build_matcher(self.engine.config, entries, key_length)
         )
 
     # ------------------------------------------------------------------

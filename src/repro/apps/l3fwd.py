@@ -5,8 +5,8 @@ application that filters each packet through an ACL and, if permitted,
 forwards it by longest-prefix-match on the destination address.  This
 module is that application over this library's components:
 
-* ACL filtering with any :class:`~repro.core.table.TernaryMatcher`
-  (Palmtrie+ by default);
+* ACL filtering with a Palmtrie+ served by a
+  :class:`~repro.engine.ClassificationEngine`;
 * IPv4 routing with :class:`~repro.core.poptrie.Poptrie` (the paper's
   predecessor structure);
 * per-port RX/TX with batch processing, drop/forward/error counters,
@@ -26,7 +26,7 @@ from ..acl.rule import Action
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..core.plus import PalmtriePlus
 from ..core.poptrie import Poptrie
-from ..core.table import TernaryMatcher
+from ..core.table import build_matcher
 from ..engine import ClassificationEngine
 from ..packet.codec import PacketDecodeError, decode_packet
 from ..packet.headers import PacketHeader
@@ -65,7 +65,7 @@ class L3Forwarder:
         self,
         acl: CompiledAcl,
         routes: Iterable[tuple[int, int, int]],
-        matcher: Optional[TernaryMatcher] = None,
+        matcher: Optional[PalmtriePlus] = None,
         default_action: Action = Action.DENY,
         config: Optional[EngineConfig] = None,
     ) -> None:
@@ -74,11 +74,8 @@ class L3Forwarder:
         config = config if config is not None else DEFAULT_CONFIG
         self.acl = acl
         self.config = config
-        self.engine = ClassificationEngine.from_config(
-            matcher
-            or PalmtriePlus.build(
-                acl.entries, acl.layout.length, stride=config.stride or 8
-            ),
+        self.engine = ClassificationEngine(
+            matcher or build_matcher(config, acl.entries, acl.layout.length),
             config,
         )
         self.rib = Poptrie.build(routes, key_length=32)
@@ -169,14 +166,15 @@ class L3Forwarder:
     # ------------------------------------------------------------------
 
     def replace_acl(
-        self, acl: CompiledAcl, matcher: Optional[TernaryMatcher] = None
+        self, acl: CompiledAcl, matcher: Optional[PalmtriePlus] = None
     ) -> None:
         """Swap in a recompiled ACL atomically (new matcher, flushed
         flow cache) while the pipeline's forwarding statistics and the
         engine's cumulative lookup record carry over."""
         self.acl = acl
         self.engine.replace_matcher(
-            matcher or PalmtriePlus.build(acl.entries, acl.layout.length, stride=8)
+            matcher
+            or build_matcher(self.engine.config, acl.entries, acl.layout.length)
         )
 
     def add_route(self, prefix_bits: int, prefix_len: int, out_port: int) -> None:

@@ -165,9 +165,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    from .config import EngineConfig
+    from .core.frozen import FrozenMatcher
+    from .core.plus import PalmtriePlus
     from .core.serialize import save_frozen, save_plus
-    from .core.table import build_matcher
 
     rules = _load_rules(args.acl)
     if rules is None:
@@ -185,7 +185,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         entries = squeezed
 
     # The layout knob only exists on the frozen plane.
-    wants_frozen = args.matcher == "frozen" or args.frozen or args.layout != "build"
+    wants_frozen = args.frozen or args.layout != "build"
     trace_queries: Optional[list] = None
     if args.trace:
         from .workloads.io import load_trace
@@ -203,25 +203,22 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             )
             return 2
 
-    # One uniform build path: every constructor knob rides on the
-    # config (build_matcher forwards the knobs each kind declares).
-    matcher_kwargs = {}
-    if args.layout == "hot" and trace_queries:
-        matcher_kwargs["layout_trace"] = trace_queries
-    config = EngineConfig(
-        matcher="frozen" if wants_frozen else "palmtrie-plus",
-        stride=args.stride,
-        frozen_layout=args.layout,
-        matcher_kwargs=matcher_kwargs,
-    )
-    matcher = build_matcher(config, entries, key_length)
     if wants_frozen:
+        matcher = FrozenMatcher.build(
+            entries,
+            key_length,
+            stride=args.stride,
+            layout=args.layout,
+            layout_trace=trace_queries if args.layout == "hot" else None,
+        )
         written = save_frozen(matcher, args.output)
         form = "frozen table"
         if args.layout == "hot":
             note += ", hot layout"
     else:
-        written = save_plus(matcher, args.output)
+        written = save_plus(
+            PalmtriePlus.build(entries, key_length, stride=args.stride), args.output
+        )
         form = "table"
     print(
         f"compiled {len(rules)} rules ({len(entries)} entries) into {form} "
@@ -424,7 +421,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("error: --max-inflight must be >= 1", file=sys.stderr)
         return 2
     config = EngineConfig(
-        matcher=args.matcher,
         stride=args.stride,
         cache_size=args.cache_size,
         auto_freeze=args.freeze,
@@ -466,7 +462,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         matcher = build_matcher(config, compiled.entries, compiled.layout.length)
         layout = compiled.layout
         key_length = compiled.layout.length
-    engine = ClassificationEngine.from_config(matcher, config)
+    engine = ClassificationEngine(matcher, config)
     try:
         return _run_replay(args, engine, compiled, layout, key_length)
     finally:
@@ -555,7 +551,7 @@ def _run_scenario_replay(args, config) -> int:
     matcher = build_matcher(
         config, compiled_scenario.entries, compiled_scenario.layout.length
     )
-    engine = ClassificationEngine.from_config(matcher, config)
+    engine = ClassificationEngine(matcher, config)
     try:
         pipeline = StreamPipeline(
             engine,
@@ -637,19 +633,11 @@ def _run_replay(args, engine, compiled, layout, key_length) -> int:
             _churn(queries[index * batch : (index + 1) * batch])
             return True
 
-        try:
-            report = pipeline.run(
-                source,
-                collect_verdicts=True,
-                on_burst=on_burst if args.update_rate else None,
-            )
-        except NotImplementedError:
-            print(
-                f"error: matcher {args.matcher!r} does not support "
-                "incremental updates; --update-rate needs an updatable kind",
-                file=sys.stderr,
-            )
-            return 2
+        report = pipeline.run(
+            source,
+            collect_verdicts=True,
+            on_burst=on_burst if args.update_rate else None,
+        )
         counts = _count_stream_verdicts(report.verdicts, compiled)
         _print_stream_summary(args, engine, report, counts)
         return 0
@@ -666,15 +654,7 @@ def _run_replay(args, engine, compiled, layout, key_length) -> int:
     for offset in range(0, len(queries), batch):
         burst = queries[offset : offset + batch]
         if args.update_rate:
-            try:
-                _churn(burst)
-            except NotImplementedError:
-                print(
-                    f"error: matcher {args.matcher!r} does not support "
-                    "incremental updates; --update-rate needs an updatable kind",
-                    file=sys.stderr,
-                )
-                return 2
+            _churn(burst)
         for entry in engine.lookup_batch(burst):
             if entry is None or entry.value == -1:
                 # Canary rules (value -1) permit nothing; count their
@@ -788,14 +768,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         return 2
     compiled = compile_acl(rules)
     config = EngineConfig(
-        matcher=args.matcher,
         stride=args.stride,
         cache_size=args.cache_size,
         auto_freeze=args.freeze,
         metrics=True,
     )
     matcher = build_matcher(config, compiled.entries, compiled.layout.length)
-    engine = ClassificationEngine.from_config(matcher, config)
+    engine = ClassificationEngine(matcher, config)
     queries = _read_queries(args.input, compiled.layout, compiled.layout.length)
     if queries is None:
         return 2
@@ -859,7 +838,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
                 f"{len(snapshot.matcher)} entries)"
             )
     config = EngineConfig(
-        matcher=args.matcher,
         stride=args.stride,
         cache_size=args.cache_size,
         auto_freeze=args.freeze,
@@ -881,7 +859,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
         layout = compiled.layout
         key_length = compiled.layout.length
     guard = GuardRail(shadow_sample=args.shadow_sample)
-    engine = ClassificationEngine.from_config(matcher, config.replace(resilience=guard))
+    engine = ClassificationEngine(matcher, config.replace(resilience=guard))
     try:
         queries = _read_queries(args.input, layout, key_length)
         if queries is None:
@@ -1162,12 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
              "mutable Palmtrie+ table",
     )
     p_compile.add_argument(
-        "--matcher", choices=("palmtrie-plus", "frozen"),
-        default=None,
-        help="table form to emit: palmtrie-plus (default) or frozen "
-             "(same as --frozen)",
-    )
-    p_compile.add_argument(
         "--layout", choices=("build", "hot"), default="build",
         help="frozen-plane node order: build order, or hot-first "
              "(walk-frequency order from --trace; implies --frozen)",
@@ -1200,13 +1172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "input", nargs="?", default=None,
         help="a .trace (palmtrie-repro generate) or .pcap file (omit with --scenario)",
     )
-    from .core.table import matcher_kinds
-
-    p_replay.add_argument(
-        "--matcher",
-        default="palmtrie-plus",
-        choices=tuple(sorted(matcher_kinds())),
-    )
     p_replay.add_argument("--stride", type=int, default=8)
     p_replay.add_argument(
         "--batch-size", type=int, default=32,
@@ -1219,7 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument(
         "--freeze", action="store_true",
         help="compile the matcher into its frozen struct-of-arrays plane "
-             "before replaying (Palmtrie family only; others fall back)",
+             "before replaying",
     )
     p_replay.add_argument(
         "--shards", type=int, default=0,
@@ -1282,11 +1247,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.add_argument("acl", help="ACL file in the Table 2 dialect")
     p_metrics.add_argument("input", help="a .trace (palmtrie-repro generate) or .pcap file")
-    p_metrics.add_argument(
-        "--matcher",
-        default="palmtrie-plus",
-        choices=tuple(sorted(matcher_kinds())),
-    )
     p_metrics.add_argument("--stride", type=int, default=8)
     p_metrics.add_argument(
         "--batch-size", type=int, default=32,
@@ -1321,11 +1281,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_health.add_argument("acl", help="uncompiled ACL text, or a compiled .plm/.plmf policy")
     p_health.add_argument("input", help="a .trace (palmtrie-repro generate) or .pcap file")
-    p_health.add_argument(
-        "--matcher",
-        default="palmtrie-plus",
-        choices=tuple(sorted(matcher_kinds())),
-    )
     p_health.add_argument("--stride", type=int, default=8)
     p_health.add_argument(
         "--batch-size", type=int, default=32,

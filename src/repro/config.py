@@ -8,22 +8,21 @@ re-declared the same sprawl of keyword arguments.  This module replaces
 that sprawl with one typed, validated value object:
 
 * :class:`EngineConfig` — a frozen dataclass holding every serving knob
-  (and the matcher-shape knobs ``matcher``/``stride`` the build paths
-  need), validated at construction so a bad value fails where it was
-  written, not three layers down;
-* :meth:`ClassificationEngine.from_config` — builds the engine the
-  config describes (with ``shards > 0``, one whose cache misses are
-  resolved by a :class:`~repro.shard.ShardedEngine` pool of worker
-  processes);
+  (and the Palmtrie+ ``stride`` the build paths need), validated at
+  construction so a bad value fails where it was written, not three
+  layers down;
 * :func:`serve` — the one-call facade: ACL text (or parsed rules, or an
-  already-compiled ACL) plus a config in, a serving engine out.
+  already-compiled ACL) plus a config in, a serving
+  :class:`~repro.engine.ClassificationEngine` out (with ``shards > 0``,
+  one whose cache misses are resolved by a
+  :class:`~repro.shard.ShardedEngine` pool of worker processes).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Type, Union
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence, Union
 
 __all__ = ["EngineConfig", "serve", "DEFAULT_CONFIG"]
 
@@ -32,27 +31,22 @@ class EngineConfig:
     """Every serving knob of a classification engine, in one value.
 
     The config is immutable; derive variants with
-    :meth:`replace` (a thin :func:`dataclasses.replace`).  Matcher-shape
-    knobs (``matcher``, ``stride``) are used by the *build* paths —
-    :func:`serve`, :func:`~repro.core.table.build_matcher`, the CLI and
-    the apps — and ignored by
-    :meth:`~repro.engine.ClassificationEngine.from_config`, which
-    receives an already-built matcher.
+    :meth:`replace` (a thin :func:`dataclasses.replace`).  ``stride`` is
+    used by the *build* paths — :func:`serve`,
+    :func:`~repro.core.table.build_matcher`, the CLI and the apps — and
+    ignored by the :class:`~repro.engine.ClassificationEngine`
+    constructor, which receives an already-built matcher.
 
     ``shards = 0`` (the default) serves in-process; ``shards = N``
     resolves the engine's cache misses in N worker processes over one
-    shared-memory frozen plane (:mod:`repro.shard`), which requires a
-    matcher the frozen plane can compile (the Palmtrie family).  The
-    engine then serves from the frozen plane whatever ``auto_freeze``
-    says, attaches a guard rail, and sizes its one flow cache at
-    ``cache_size × shards`` rows.
+    shared-memory frozen plane (:mod:`repro.shard`).  The engine then
+    serves from the frozen plane whatever ``auto_freeze`` says, attaches
+    a guard rail, and sizes its one flow cache at ``cache_size × shards``
+    rows.
     """
 
-    #: registry kind (``repro.MATCHER_KINDS``) or matcher class used by
-    #: the build paths
-    matcher: Union[str, Type[Any]] = "palmtrie-plus"
-    #: trie stride for kinds that take one (None = the kind's default)
-    stride: Optional[int] = None
+    #: Palmtrie+ stride the build paths compile with
+    stride: int = 8
     #: LRU flow-cache capacity in distinct queries (0 disables caching),
     #: per shard when ``shards > 0``
     cache_size: int = 4096
@@ -77,9 +71,6 @@ class EngineConfig:
     #: consecutive worker respawns per shard before the shard is
     #: abandoned and its slices are answered by the parent for good
     shard_max_restarts: int = 3
-    #: extra keyword arguments forwarded to the matcher constructor by
-    #: the build paths (kind-specific knobs beyond ``stride``)
-    matcher_kwargs: dict[str, Any] = field(default_factory=dict)
     #: owning tenant's name when this engine serves one tenant of a
     #: multi-tenant control plane (:mod:`repro.tenant`); None for a
     #: standalone engine.  Purely an identity label — the tenant router
@@ -98,7 +89,7 @@ class EngineConfig:
                 "invalidation_threshold must be >= 0 or None, "
                 f"got {self.invalidation_threshold}"
             )
-        if self.stride is not None and not 1 <= self.stride <= 30:
+        if not 1 <= self.stride <= 30:
             raise ValueError(f"stride must be in 1..30, got {self.stride}")
         if self.shards < 0:
             raise ValueError(f"shards must be >= 0, got {self.shards}")
@@ -107,10 +98,6 @@ class EngineConfig:
         if self.shard_max_restarts < 0:
             raise ValueError(
                 f"shard_max_restarts must be >= 0, got {self.shard_max_restarts}"
-            )
-        if not (isinstance(self.matcher, str) or isinstance(self.matcher, type)):
-            raise TypeError(
-                f"matcher must be a registry kind or a matcher class, got {self.matcher!r}"
             )
         if self.tenant is not None and (
             not isinstance(self.tenant, str) or not self.tenant
@@ -127,41 +114,6 @@ class EngineConfig:
         """A copy with ``changes`` applied (validated like a fresh one)."""
         return dataclasses.replace(self, **changes)
 
-    # -- build helpers ---------------------------------------------------
-
-    def engine_kwargs(self) -> dict[str, Any]:
-        """The in-process engine knobs as plain keyword arguments —
-        what :class:`~repro.engine.ClassificationEngine` consumes."""
-        return {
-            "cache_size": self.cache_size,
-            "auto_freeze": self.auto_freeze,
-            "invalidation_threshold": self.invalidation_threshold,
-            "metrics": self.metrics,
-            "resilience": self.resilience,
-        }
-
-    def build_kwargs(self, cls: type) -> dict[str, Any]:
-        """Constructor kwargs for matcher class ``cls``: the config's
-        ``matcher_kwargs`` plus the shape knobs the class declares it
-        accepts (``accepts_stride`` / ``accepts_layout`` on
-        :class:`~repro.core.table.TernaryMatcher` — no signature
-        sniffing; a kind opts in by setting the class attribute).
-        """
-        kwargs = dict(self.matcher_kwargs)
-        if (
-            self.stride is not None
-            and "stride" not in kwargs
-            and getattr(cls, "accepts_stride", False)
-        ):
-            kwargs["stride"] = self.stride
-        if (
-            self.frozen_layout != "build"
-            and "layout" not in kwargs
-            and getattr(cls, "accepts_layout", False)
-        ):
-            kwargs["layout"] = self.frozen_layout
-        return kwargs
-
 
 #: the all-defaults config (module-level so callers can compare against it)
 DEFAULT_CONFIG = EngineConfig()
@@ -173,11 +125,13 @@ def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:
     ``rules`` may be ACL configuration text (the Table 2 dialect), a
     sequence of parsed :class:`~repro.acl.rule.AclRule` objects, an
     already-compiled :class:`~repro.acl.compiler.CompiledAcl`, or a
-    bare matcher (anything with ``lookup``) to wrap as-is.  The matcher
-    kind, stride and every serving knob come from ``config``; the
-    returned engine is a :class:`~repro.engine.ClassificationEngine`
-    (close it, or use it as a context manager, to stop the shard
-    workers of a ``config.shards > 0`` engine).
+    built :class:`~repro.core.plus.PalmtriePlus` /
+    :class:`~repro.core.frozen.FrozenMatcher` to wrap as-is (any other
+    matcher is a :class:`TypeError`).  The stride and every serving knob
+    come from ``config``; the returned engine is a
+    :class:`~repro.engine.ClassificationEngine` (close it, or use it as a
+    context manager, to stop the shard workers of a ``config.shards > 0``
+    engine).
 
     >>> engine = serve("permit ip any any", EngineConfig(cache_size=1024))
     """
@@ -194,12 +148,13 @@ def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:
     elif isinstance(rules, Sequence):
         compiled = compile_acl(list(rules))
     elif callable(getattr(rules, "lookup", None)):
-        # Already a matcher: wrap it without rebuilding.
-        return ClassificationEngine.from_config(rules, config)
+        # Already a matcher: the engine wraps it without rebuilding (and
+        # rejects anything but the two served forms).
+        return ClassificationEngine(rules, config)
     else:
         raise TypeError(
             "serve() takes ACL text, AclRule sequences, a CompiledAcl or a "
             f"matcher; got {type(rules).__name__}"
         )
     matcher = build_matcher(config, compiled.entries, compiled.layout.length)
-    return ClassificationEngine.from_config(matcher, config)
+    return ClassificationEngine(matcher, config)

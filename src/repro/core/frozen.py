@@ -151,8 +151,6 @@ class FrozenMatcher(TernaryMatcher):
     """
 
     name = "frozen"
-    accepts_stride = True
-    accepts_layout = True
 
     # Work/latency counters for the observability plane.  Class-level
     # defaults on purpose: deserialized planes (and ``from_matcher``)

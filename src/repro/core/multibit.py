@@ -152,7 +152,6 @@ class MultibitPalmtrie(TernaryMatcher):
     """Palmtrie_k with the §3.5 practical optimizations."""
 
     name = "palmtrie"
-    accepts_stride = True
 
     def __init__(self, key_length: int, stride: int = 8, subtree_skipping: bool = True) -> None:
         super().__init__(key_length)

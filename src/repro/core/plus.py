@@ -72,7 +72,6 @@ class PalmtriePlus(TernaryMatcher):
     """Palmtrie+_k: Palmtrie_k compiled into bitmap-indexed node arrays."""
 
     name = "palmtrie-plus"
-    accepts_stride = True
 
     # Compile-cost counters for the observability plane (class-level
     # defaults so every construction path starts at zero).

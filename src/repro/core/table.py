@@ -14,16 +14,19 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence, Type, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 from .ternary import TernaryKey
+
+if TYPE_CHECKING:
+    from ..config import EngineConfig
+    from .plus import PalmtriePlus
 
 __all__ = [
     "TernaryEntry",
     "LookupStats",
     "TernaryMatcher",
     "build_matcher",
-    "matcher_kinds",
 ]
 
 
@@ -87,14 +90,6 @@ class TernaryMatcher(abc.ABC):
 
     #: human-readable algorithm name, overridden by subclasses
     name = "abstract"
-    #: True when the constructor takes a ``stride`` shape knob.
-    #: :meth:`EngineConfig.build_kwargs` forwards ``config.stride`` only
-    #: to classes that declare it — replaces the signature sniffing the
-    #: build paths used to do.
-    accepts_stride = False
-    #: True when the constructor takes the frozen-plane ``layout`` /
-    #: ``plan`` knobs (the adaptive layer of PR 7).
-    accepts_layout = False
 
     def __init__(self, key_length: int) -> None:
         if key_length <= 0:
@@ -223,83 +218,25 @@ def _check_entries(entries: Sequence[TernaryEntry], key_length: int) -> None:
             )
 
 
-_KINDS_CACHE: Optional[dict[str, Type[TernaryMatcher]]] = None
-
-
-def matcher_kinds() -> dict[str, Type[TernaryMatcher]]:
-    """The public registry of matcher kinds: ``{kind: class}``.
-
-    Populated lazily (the baseline modules import this one), then
-    cached; re-exported from ``repro`` as ``MATCHER_KINDS``.  The
-    returned dict is a copy — mutate freely.
-    """
-    global _KINDS_CACHE
-    if _KINDS_CACHE is None:
-        from ..baselines.dpdk_acl import DpdkStyleAcl
-        from ..baselines.efficuts import EffiCutsClassifier
-        from ..baselines.sorted_list import SortedListMatcher
-        from ..baselines.tcam import TcamModel
-        from ..baselines.vectorized import VectorizedMatcher
-        from .adaptive import AdaptiveMatcher
-        from .basic import BasicPalmtrie
-        from .frozen import FrozenMatcher
-        from .multibit import MultibitPalmtrie
-        from .plus import PalmtriePlus
-
-        _KINDS_CACHE = {
-            "sorted-list": SortedListMatcher,
-            "palmtrie-basic": BasicPalmtrie,
-            "palmtrie": MultibitPalmtrie,
-            "palmtrie-plus": PalmtriePlus,
-            "frozen": FrozenMatcher,
-            "dpdk-acl": DpdkStyleAcl,
-            "efficuts": EffiCutsClassifier,
-            "adaptive": AdaptiveMatcher,
-            "tcam": TcamModel,
-            "vectorized": VectorizedMatcher,
-        }
-    return dict(_KINDS_CACHE)
-
-
 def build_matcher(
-    kind: Union[str, Type[TernaryMatcher], Any],
+    config: "EngineConfig",
     entries: Sequence[TernaryEntry],
     key_length: int,
-    **kwargs: Any,
-) -> TernaryMatcher:
-    """Factory used by the CLI, the apps and the benchmarks.
+) -> "PalmtriePlus":
+    """The Palmtrie+ an :class:`~repro.config.EngineConfig` describes:
+    ``PalmtriePlus.build(entries, key_length, stride=config.stride)``.
 
-    ``kind`` is a registry name from :func:`matcher_kinds` —
-    ``sorted-list``, ``palmtrie-basic``, ``palmtrie`` (multi-bit; pass
-    ``stride=k``), ``palmtrie-plus`` (pass ``stride=k``), ``frozen``
-    (struct-of-arrays compiled plane; pass ``stride=k``), ``dpdk-acl``,
-    ``efficuts``, ``adaptive``, ``tcam``, ``vectorized`` — a
-    :class:`TernaryMatcher` subclass itself, or an
-    :class:`~repro.config.EngineConfig`, whose ``matcher`` / ``stride``
-    / ``matcher_kwargs`` fields pick the class and its constructor
-    knobs (``stride`` is forwarded only to kinds that take one), so
-    every construction path in the repo builds matchers one way.
+    The one build path of the CLI, the apps, the tenant router and
+    :func:`~repro.serve`.  The paper's comparison structures (the basic
+    and multi-bit tries, the baselines) are built through their own
+    classes by the experiment drivers; the engine serves only a
+    Palmtrie+ or its frozen plane.
     """
     from ..config import EngineConfig
+    from .plus import PalmtriePlus
 
+    if not isinstance(config, EngineConfig):
+        raise TypeError(f"build_matcher takes an EngineConfig, got {config!r}")
     entries = list(entries)
     _check_entries(entries, key_length)
-    if isinstance(kind, EngineConfig):
-        config, kind = kind, kind.matcher
-    else:
-        config = None
-    if isinstance(kind, type):
-        if not issubclass(kind, TernaryMatcher):
-            raise TypeError(f"{kind!r} is not a TernaryMatcher subclass")
-        cls = kind
-    else:
-        kinds = matcher_kinds()
-        try:
-            cls = kinds[kind]
-        except KeyError:
-            raise ValueError(
-                f"unknown matcher kind {kind!r}; choose from {sorted(kinds)}"
-            ) from None
-    if config is not None:
-        kwargs = {**config.build_kwargs(cls), **kwargs}
-    return cls.build(entries, key_length, **kwargs)
+    return PalmtriePlus.build(entries, key_length, stride=config.stride)

@@ -5,11 +5,10 @@ packet workloads are bursty and flow-heavy: NICs hand the CPU bursts of
 packets, and a handful of elephant flows dominate any interval (the
 locality that cache-aware forwarding tables and batch classifiers
 exploit).  :class:`ClassificationEngine` is the serving layer that
-turns any :class:`~repro.core.table.TernaryMatcher` into that shape:
+turns the paper's served structure — a Palmtrie+_k, or the frozen plane
+compiled from one — into that shape:
 
-* ``lookup_batch`` drains a whole burst through the matcher's batched
-  traversal (every matcher has one; the Palmtrie family and the
-  vectorized baseline implement genuinely batched walks);
+* ``lookup_batch`` drains a whole burst through one batched walk;
 * an LRU *flow cache* keyed on the binary query short-circuits repeat
   lookups — a hit skips the structure walk entirely, and negative
   results (no matching rule) are cached too;
@@ -41,7 +40,7 @@ half of that story:
   and the misses a changed key matches resolve through the retained
   Palmtrie_k until the overlay has cost as much as one refreeze (ski
   rental) and compacts into a fresh freeze;
-* every matcher carries a monotonic ``generation`` counter bumped on
+* the matcher carries a monotonic ``generation`` counter bumped on
   content changes; the engine stamps the flow cache and frozen plane
   with the generation they were filled under and re-checks it in O(1)
   at the top of every lookup, so results stay coherent even when a
@@ -92,9 +91,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .core.multibit import MultibitPalmtrie
+from .core.frozen import FrozenMatcher
 from .core.plus import PalmtriePlus
-from .core.table import LookupStats, TernaryEntry, TernaryMatcher
+from .core.table import LookupStats, TernaryEntry
 from .core.ternary import TernaryKey
 from .obs.metrics import MetricsRegistry, geometric_buckets
 from .obs.timing import TIMER_RESOLUTION as _TIMER_TICK
@@ -103,11 +102,6 @@ __all__ = ["FlowCache", "RegionCache", "BatchReport", "UpdateReport", "Classific
 
 #: distinguishes "not cached" from a cached no-match (None) result
 _MISSING = object()
-
-#: matchers whose frozen plane is a separate object compiled from a
-#: retained Palmtrie_k, so an update can leave the plane serving behind
-#: a changed-key overlay
-_OVERLAY_SOURCES = (PalmtriePlus, MultibitPalmtrie)
 
 #: distinct care masks past which changed-key groups stop paying: every
 #: row or miss is tested once per group, so beyond this a deferred
@@ -165,6 +159,18 @@ def _worth_testing(groups: dict[int, set[int]]) -> bool:
     pay: an all-wildcard key (care mask 0) matches everything, and past
     ``_MAX_KEY_GROUPS`` masks the per-query tests add up."""
     return 0 not in groups and len(groups) <= _MAX_KEY_GROUPS
+
+
+def _served(matcher: Any) -> Union[PalmtriePlus, FrozenMatcher]:
+    """``matcher`` if the engine can serve it: a Palmtrie+ (its frozen
+    plane compiles from the retained Palmtrie_k) or a frozen plane that
+    is its own matcher (a checkpoint or a ``.plmf`` file)."""
+    if not isinstance(matcher, (PalmtriePlus, FrozenMatcher)):
+        raise TypeError(
+            "the engine serves a PalmtriePlus or a FrozenMatcher, "
+            f"got {type(matcher).__name__}"
+        )
+    return matcher
 
 
 def _reports_masks(plane: Any) -> bool:
@@ -605,9 +611,8 @@ class UpdateReport:
     deferred_invalidation: bool
     #: wall-clock seconds spent applying the transaction
     seconds: float
-    #: matcher generation after the transaction (None when the matcher
-    #: does not expose one)
-    generation: Optional[int]
+    #: matcher generation after the transaction
+    generation: int
     #: one-line fault description when a guarded transaction failed
     #: mid-batch (None on success; only a resilience-enabled engine
     #: absorbs the exception instead of propagating it)
@@ -752,10 +757,9 @@ class _EngineInstruments:
         registry.gauge(
             "engine_cache_capacity", "Flow-cache capacity (rows)."
         ).set(engine.cache.capacity)
-        generation = getattr(engine.matcher, "generation", None)
         registry.gauge(
-            "engine_generation", "Matcher content generation (-1: untracked)."
-        ).set(-1 if generation is None else generation)
+            "engine_generation", "Matcher content generation."
+        ).set(engine.matcher.generation)
         registry.gauge(
             "engine_frozen_plane_active", "1 while lookups are served from the frozen plane."
         ).set(1 if engine._plane is not None else 0)
@@ -866,7 +870,7 @@ class _EngineInstruments:
 
 
 class ClassificationEngine:
-    """Serving layer: flow cache + batched lookups over any matcher.
+    """Serving layer: flow cache + batched lookups over a Palmtrie+.
 
     Construction takes the matcher plus one
     :class:`~repro.config.EngineConfig` holding every serving knob::
@@ -883,20 +887,20 @@ class ClassificationEngine:
     workers.
 
     ``cache_size`` is the LRU capacity in distinct binary queries
-    (0 disables caching; batching still applies).  ``matcher`` is any
-    :class:`TernaryMatcher` — or anything duck-typing its ``lookup`` /
-    ``lookup_batch`` / ``insert`` / ``delete`` surface, such as
-    :class:`~repro.core.pipeline.PipelinedLookup`.
+    (0 disables caching; batching still applies).  ``matcher`` is a
+    :class:`~repro.core.plus.PalmtriePlus` or a
+    :class:`~repro.core.frozen.FrozenMatcher` (restored from a
+    checkpoint or a ``.plmf`` file); anything else is a
+    :class:`TypeError`.
 
     With ``auto_freeze=True`` the engine compiles the matcher into its
     frozen struct-of-arrays plane (:func:`repro.core.freeze`) once the
     build settles — lazily, on the first cache miss — and serves
     lookups from the plane.  ``insert``/``delete`` still go to the
     mutable matcher; the plane keeps serving behind an overlay of the
-    changed keys (a matcher that is its own plane is re-frozen lazily
+    changed keys (a frozen matcher, its own plane, is re-frozen lazily
     on the next miss instead), so updates stay cheap and bursts stay
-    fast.  Matchers without a frozen form (anything that is not a
-    Palmtrie trie) silently fall back to their own lookups.
+    fast.
 
     Every update evicts exactly the cached rows its changed keys match;
     ``invalidation_threshold`` decides when: while the cache holds at
@@ -906,19 +910,15 @@ class ClassificationEngine:
     same generation check also catches *direct* matcher mutations
     (``engine.matcher.insert(...)``), whose keys the engine does not
     know: the whole cache is cleared and the plane re-frozen, so stale
-    cached verdicts or a stale frozen plane are never served; matchers
-    without a ``generation`` attribute skip the check and must route
-    updates through the engine.
+    cached verdicts or a stale frozen plane are never served.
     """
 
     def __init__(
         self,
-        matcher: Union[TernaryMatcher, Any],
+        matcher: Union[PalmtriePlus, FrozenMatcher],
         config: Optional[EngineConfig] = None,
     ) -> None:
         config = config if config is not None else DEFAULT_CONFIG
-        if not callable(getattr(matcher, "lookup", None)):
-            raise TypeError(f"{matcher!r} has no lookup(); not a matcher")
         #: the EngineConfig this engine was constructed from
         self.config = config
         cache_size = config.cache_size
@@ -926,7 +926,7 @@ class ClassificationEngine:
         invalidation_threshold = config.invalidation_threshold
         metrics = config.metrics
         resilience = config.resilience
-        self._matcher = matcher
+        self._matcher = _served(matcher)
         self.cache = FlowCache(cache_size * max(1, config.shards))
         #: decision-region tier behind the cache (in-process planes only)
         self.regions = RegionCache(4 * self.cache.capacity)
@@ -940,9 +940,8 @@ class ClassificationEngine:
         #: the hot-layout plane's live query reservoir, kept past the
         #: plane's drop so the next freeze replays it as its trace
         self._plane_samples: Optional[list[int]] = None
-        self._unfreezable = False
         #: matcher generation the cache contents were filled under
-        self._seen_generation: Optional[int] = getattr(matcher, "generation", None)
+        self._seen_generation = matcher.generation
         #: changed-key groups (see group_keys) of deferred transactions,
         #: swept from the cache at the next lookup
         self._pending: dict[int, set[int]] = {}
@@ -1001,15 +1000,6 @@ class ClassificationEngine:
 
             self._pool = ShardedEngine(self)
 
-    @classmethod
-    def from_config(
-        cls, matcher: Union[TernaryMatcher, Any], config: Optional[EngineConfig] = None
-    ) -> "ClassificationEngine":
-        """The engine ``config`` describes, over an already-built matcher:
-        ``cls(matcher, config)``, with its shard pool running when
-        ``config.shards > 0``."""
-        return cls(matcher, config if config is not None else EngineConfig())
-
     # -- metrics ---------------------------------------------------------
 
     def enable_metrics(
@@ -1041,7 +1031,7 @@ class ClassificationEngine:
 
     @property
     def name(self) -> str:
-        return f"engine({getattr(self.matcher, 'name', type(self.matcher).__name__)})"
+        return f"engine({self.matcher.name})"
 
     @property
     def matcher(self) -> Any:
@@ -1053,7 +1043,7 @@ class ClassificationEngine:
         return self._matcher
 
     @matcher.setter
-    def matcher(self, matcher: Union[TernaryMatcher, Any]) -> None:
+    def matcher(self, matcher: Union[PalmtriePlus, FrozenMatcher]) -> None:
         self.replace_matcher(matcher)
 
     # -- resilience -------------------------------------------------------
@@ -1087,28 +1077,15 @@ class ClassificationEngine:
         """The linear-scan reference tier, rebuilt lazily from the
         matcher's own entries whenever the (epoch, generation) stamp
         moves past what engine updates patched in place (a policy
-        swap, a mid-transaction fault or a direct matcher mutation).
-        Raises TypeError when the matcher exposes neither
-        ``entries()`` nor iteration — no reference tier exists then."""
-        stamp = (self.epoch, getattr(self._matcher, "generation", None))
+        swap, a mid-transaction fault or a direct matcher mutation)."""
+        matcher = self._matcher
+        stamp = (self.epoch, matcher.generation)
         if self._reference is not None and self._reference_stamp == stamp:
             return self._reference
-        matcher = self._matcher
-        entries = getattr(matcher, "entries", None)
-        if callable(entries):
-            source: Any = entries()
-        else:
-            try:
-                source = iter(matcher)
-            except TypeError:
-                raise TypeError(
-                    f"{type(matcher).__name__} has no entries() and is not "
-                    "iterable; no linear-scan reference tier available"
-                ) from None
         from .baselines.sorted_list import SortedListMatcher
 
         reference = SortedListMatcher(matcher.key_length)
-        for entry in source:
+        for entry in matcher.entries():
             reference.insert(entry)
         self._reference = reference
         self._reference_stamp = stamp
@@ -1120,9 +1097,9 @@ class ClassificationEngine:
 
     def _lookup_target(self) -> Any:
         """The object cache misses are resolved against: the frozen
-        plane when ``auto_freeze`` is on and the matcher freezes — or
-        the shard pool, serving that same plane, when there is one —
-        and the matcher itself otherwise.  With a guard attached, a
+        plane when ``auto_freeze`` is on — or the shard pool, serving
+        that same plane, when there is one — and the matcher itself
+        otherwise.  With a guard attached, a
         quarantined engine resolves against the linear-scan reference,
         an open breaker skips re-freeze attempts until its backoff
         elapses, and a failing freeze degrades to the matcher instead
@@ -1130,7 +1107,7 @@ class ClassificationEngine:
         guard = self._guard
         if guard is not None and guard.quarantined:
             return self._reference_matcher()
-        if not self.auto_freeze or self._unfreezable:
+        if not self.auto_freeze:
             return self._matcher
         if self._plane is None:
             if guard is not None and not guard.breaker.allow():
@@ -1147,10 +1124,6 @@ class ClassificationEngine:
                     layout=None if layout == "build" else layout,
                     trace=self._plane_samples or None,
                 )
-            except TypeError:
-                # Not a freezable structure; remember and stop trying.
-                self._unfreezable = True
-                return self._matcher
             except Exception as exc:
                 if guard is None:
                     raise
@@ -1169,7 +1142,7 @@ class ClassificationEngine:
                 self._plane_samples = getattr(self._plane, "_query_samples", None)
             self.freezes += 1
             self.freeze_seconds_total += elapsed
-            self._plane_generation = getattr(self._matcher, "generation", None)
+            self._plane_generation = self._matcher.generation
             self._plane_masks = _reports_masks(self._plane)
             self._overlay = {}
             self._overlay_seconds = 0.0
@@ -1223,8 +1196,8 @@ class ClassificationEngine:
         mutated the matcher directly — clear the cache and drop a plane
         that no longer serves the current generation.
         """
-        generation = getattr(self._matcher, "generation", None)
-        if generation is None or generation == self._seen_generation:
+        generation = self._matcher.generation
+        if generation == self._seen_generation:
             return
         pending, self._pending = self._pending, {}
         if generation == self._pending_generation and _worth_testing(pending):
@@ -1237,19 +1210,19 @@ class ClassificationEngine:
             self._drop_plane()
         self._seen_generation = self._pending_generation = generation
 
-    def _before_update(self) -> Optional[int]:
+    def _before_update(self) -> int:
         """The matcher generation a transaction starts from.  A
         generation the engine has not accounted for means the matcher
         was mutated directly: sync first, so that change takes the
         clear-and-refreeze path instead of hiding behind this
         transaction's keys."""
-        generation = getattr(self._matcher, "generation", None)
+        generation = self._matcher.generation
         if generation != self._pending_generation:
             self._sync()
         return generation
 
     def _note_update(
-        self, ops: Sequence[tuple[str, Any]], before: Optional[int]
+        self, ops: Sequence[tuple[str, Any]], before: int
     ) -> tuple[int, bool]:
         """Bookkeeping after matcher content changed through the engine.
 
@@ -1259,10 +1232,10 @@ class ClassificationEngine:
 
         * the linear-scan reference, when it was current, applies the
           same ops in place;
-        * a frozen plane separate from the matcher keeps serving, with
-          the keys added to its overlay (misses they match resolve
-          through the retained Palmtrie_k); a matcher that is its own
-          plane, an all-wildcard key or an overlay past
+        * a Palmtrie+'s frozen plane keeps serving, with the keys added
+          to its overlay (misses they match resolve through the
+          retained Palmtrie_k); a frozen matcher, its own plane, an
+          all-wildcard key or an overlay past
           ``_MAX_KEY_GROUPS`` masks drops it for the lazy refreeze;
         * the cache evicts the rows the keys match — now while it holds
           at most ``invalidation_threshold`` rows, else at the next
@@ -1271,7 +1244,7 @@ class ClassificationEngine:
         Returns ``(rows_evicted, deferred)``.
         """
         matcher = self._matcher
-        generation = getattr(matcher, "generation", None)
+        generation = matcher.generation
         groups = group_keys(
             payload.key if kind == "insert" else payload for kind, payload in ops
         )
@@ -1288,9 +1261,8 @@ class ClassificationEngine:
         plane = self._plane
         if plane is not None:
             if (
-                plane is not matcher
+                isinstance(matcher, PalmtriePlus)
                 and self._plane_generation == before
-                and isinstance(matcher, _OVERLAY_SOURCES)
             ):
                 self._plane_generation = generation
                 if not _worth_testing(_merge_groups(self._overlay, groups)):
@@ -1300,11 +1272,7 @@ class ClassificationEngine:
         pending = _merge_groups(self._pending, groups)
         self._pending_generation = generation
         threshold = self.invalidation_threshold
-        if (
-            generation is not None
-            and threshold is not None
-            and len(self.cache) > threshold
-        ):
+        if threshold is not None and len(self.cache) > threshold:
             # Too many rows to test now: leave the generation stamp
             # stale and the keys pending, so the next lookup sweeps them.
             return 0, True
@@ -1401,14 +1369,6 @@ class ClassificationEngine:
 
     # -- miss resolution --------------------------------------------------
 
-    @staticmethod
-    def _raw_resolve(target: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
-        batch = getattr(target, "lookup_batch", None)
-        if batch is not None:
-            return batch(unique)
-        lookup = target.lookup
-        return [lookup(query) for query in unique]
-
     def _resolve(self, target: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Resolve distinct misses against ``target`` — the one miss
         path of the scalar lookup, the batch lookup and the guard's
@@ -1431,7 +1391,7 @@ class ClassificationEngine:
         if regions is None and not overlay:
             if walking:
                 self.plane_walks += len(unique)
-            return self._raw_resolve(target, unique)
+            return target.lookup_batch(unique)
         answers: dict[int, Optional[TernaryEntry]] = {}
         rest = unique if regions is None else regions.probe(unique, answers)
         if overlay:
@@ -1441,11 +1401,10 @@ class ClassificationEngine:
             if behind:
                 fresh = set(behind)
                 rest = [query for query in rest if query not in fresh]
-                matcher = self._matcher
-                source = matcher.source if isinstance(matcher, PalmtriePlus) else matcher
-                # Scalar lookups: the trie's node-major batch walk costs
-                # 2-3x more per query at these few-query sizes.
-                lookup = source.lookup
+                # Only a Palmtrie+ serves behind an overlay.  Scalar
+                # lookups: the trie's node-major batch walk costs 2-3x
+                # more per query at these few-query sizes.
+                lookup = self._matcher.source.lookup
                 answers.update([(query, lookup(query)) for query in behind])
             # Ski rental: keep paying the overlay until it has cost as
             # much as one refreeze, then compact (the next miss refreezes).
@@ -1455,7 +1414,7 @@ class ClassificationEngine:
             if walking:
                 self.plane_walks += len(rest)
             if regions is None:
-                verdicts = self._raw_resolve(target, rest)
+                verdicts = target.lookup_batch(rest)
             else:
                 masks: list[int] = []
                 verdicts = target.lookup_batch(rest, masks=masks)
@@ -1477,16 +1436,14 @@ class ClassificationEngine:
         """Resolve misses down the ladder: frozen plane → interpreted
         matcher → linear-scan reference.  Each rung's fault is recorded
         on the guard and service continues one rung down; only a fault
-        on the reference itself (or a matcher with no reference tier)
-        propagates."""
+        on the reference itself propagates."""
         guard = self._guard
         n = len(unique)
         if guard.quarantined:
             guard.reference_lookups += n
             guard.last_plane = "reference"
             guard.serving_fallback = True
-            return self._raw_resolve(self._reference_matcher(), unique)
-        wants_frozen = self.auto_freeze and not self._unfreezable
+            return self._reference_matcher().lookup_batch(unique)
         target = self._lookup_target()
         plane = self._plane
         if plane is not None and (target is plane or target is self._pool):
@@ -1502,29 +1459,22 @@ class ClassificationEngine:
                 guard.last_plane = "frozen"
                 guard.serving_fallback = False
                 return resolved
-        matcher_exc: Optional[BaseException] = None
         try:
-            resolved = self._raw_resolve(self._matcher, unique)
+            resolved = self._matcher.lookup_batch(unique)
         except Exception as exc:
             guard.record_fault(getattr(exc, "site", None) or "matcher", exc)
-            matcher_exc = exc
         else:
-            if wants_frozen:
+            if self.auto_freeze:
                 # The engine wanted the frozen plane but is serving
                 # interpreted — that is the degraded rung.
                 guard.degraded_lookups += n
             guard.last_plane = "matcher"
-            guard.serving_fallback = wants_frozen
+            guard.serving_fallback = self.auto_freeze
             return resolved
-        try:
-            reference = self._reference_matcher()
-        except TypeError:
-            # No reference tier to fall to; surface the matcher fault.
-            raise matcher_exc from None
         guard.reference_lookups += n
         guard.last_plane = "reference"
         guard.serving_fallback = True
-        return self._raw_resolve(reference, unique)
+        return self._reference_matcher().lookup_batch(unique)
 
     def _shadow_fix(self, query: int, result: Optional[TernaryEntry]) -> Optional[TernaryEntry]:
         """Cross-check one served answer against the reference; on
@@ -1619,10 +1569,10 @@ class ClassificationEngine:
 
         Where N scalar ``insert``/``delete`` calls pay N dirty-marks and
         N cache sweeps, this applies the whole batch with one pass —
-        through the matcher's ``bulk_update`` when it has one — and one
-        changed-key set, which drives one cache sweep (now, or deferred
-        to the next lookup), the reference's in-place update and the
-        frozen plane's overlay (see :meth:`_note_update`).
+        through the matcher's ``bulk_update`` — and one changed-key
+        set, which drives one cache sweep (now, or deferred to the next
+        lookup), the reference's in-place update and the frozen plane's
+        overlay (see :meth:`_note_update`).
 
         ``ops`` accepts ``("insert", entry)`` / ``("delete", key)``
         pairs, bare entries (inserts), and bare keys (deletes).
@@ -1637,19 +1587,7 @@ class ClassificationEngine:
             ops_in = self._ops_with_faults(normalized, guard.injector)
         error: Optional[str] = None
         try:
-            bulk = getattr(matcher, "bulk_update", None)
-            if bulk is not None:
-                inserted, deleted, missing = bulk(ops_in)
-            else:
-                inserted = deleted = missing = 0
-                for kind, payload in ops_in:
-                    if kind == "insert":
-                        matcher.insert(payload)
-                        inserted += 1
-                    elif matcher.delete(payload):
-                        deleted += 1
-                    else:
-                        missing += 1
+            inserted, deleted, missing = matcher.bulk_update(ops_in)
         except Exception as exc:
             if guard is None:
                 raise
@@ -1665,8 +1603,8 @@ class ClassificationEngine:
         deferred = False
         if inserted or deleted:
             self.updates_applied += inserted + deleted
-            # A missed delete cannot have changed any verdict, but with
-            # bulk_update we don't know which deletes missed; sweeping
+            # A missed delete cannot have changed any verdict, but
+            # bulk_update does not say which deletes missed; sweeping
             # its key anyway is harmless (over-eviction, never stale).
             rows, deferred = self._note_update(normalized, before)
         self.update_batches += 1
@@ -1677,7 +1615,7 @@ class ClassificationEngine:
             cache_rows_invalidated=rows,
             deferred_invalidation=deferred,
             seconds=time.perf_counter() - start,
-            generation=getattr(matcher, "generation", None),
+            generation=matcher.generation,
             error=error,
         )
         self.last_update = report
@@ -1702,19 +1640,14 @@ class ClassificationEngine:
         # raising; mark the source dirty and move the generation so the
         # recompile, the frozen plane, the flow cache and the reference
         # all rebuild from what the source actually contains now.
-        if hasattr(matcher, "_dirty"):
-            matcher._dirty = True
-        generation = getattr(matcher, "generation", None)
-        if generation is not None:
-            matcher.generation = generation + 1
+        matcher._dirty = True
+        matcher.generation += 1
         self._drop_plane()
         self._plane_generation = None
         self._reference = None
         self._clear_cache()
         self._pending = {}
-        self._seen_generation = self._pending_generation = getattr(
-            matcher, "generation", None
-        )
+        self._seen_generation = self._pending_generation = matcher.generation
 
     def update_batch(self) -> _UpdateBatch:
         """Transactional recorder::
@@ -1730,7 +1663,7 @@ class ClassificationEngine:
         """
         return _UpdateBatch(self)
 
-    def replace_matcher(self, matcher: Union[TernaryMatcher, Any]) -> None:
+    def replace_matcher(self, matcher: Union[PalmtriePlus, FrozenMatcher]) -> None:
         """Swap in a rebuilt policy atomically.
 
         The new matcher replaces the old one in one step — plane
@@ -1743,9 +1676,7 @@ class ClassificationEngine:
         can never serve the old plane or cache.)  A guard's quarantine
         and breaker describe the *old* policy, so they reset.
         """
-        if not callable(getattr(matcher, "lookup", None)):
-            raise TypeError(f"{matcher!r} has no lookup(); not a matcher")
-        self._matcher = matcher
+        self._matcher = _served(matcher)
         self.epoch += 1
         self._drop_plane()
         self._plane_generation = None
@@ -1753,12 +1684,9 @@ class ClassificationEngine:
         # FrozenMatcher swapped in would otherwise be re-frozen (and a
         # loaded one have its source built) just to take them.
         self._plane_samples = None
-        self._unfreezable = False
         self._reference = None
         self._reference_stamp = None
-        self._seen_generation = self._pending_generation = getattr(
-            matcher, "generation", None
-        )
+        self._seen_generation = self._pending_generation = matcher.generation
         self._pending = {}
         dropped = self.cache.clear()
         self.stats.cache_evictions += dropped
@@ -1780,7 +1708,7 @@ class ClassificationEngine:
             path,
             self._matcher,
             epoch=self.epoch,
-            generation=getattr(self._matcher, "generation", 0) or 0,
+            generation=self._matcher.generation,
         )
 
     @classmethod
@@ -1823,7 +1751,7 @@ class ClassificationEngine:
             self._last_good_blob = serialize_checkpoint(
                 self._matcher,
                 epoch=self.epoch,
-                generation=getattr(self._matcher, "generation", 0) or 0,
+                generation=self._matcher.generation,
             )
             self.last_good_epoch = self.epoch
             return len(self._last_good_blob)
@@ -1874,12 +1802,11 @@ class ClassificationEngine:
         self._sync()
         if self._overlay:
             self._drop_plane()
-        if getattr(self.matcher, "_dirty", False):
-            # Palmtrie+ exposes compile(); the frozen plane re-freezes
-            # through the same freeze() path _lookup_target uses.
-            compile_ = getattr(self.matcher, "compile", None)
-            if callable(compile_):
-                compile_()
+        matcher = self._matcher
+        if isinstance(matcher, PalmtriePlus) and matcher._dirty:
+            # A frozen matcher re-freezes through the same freeze() path
+            # _lookup_target uses.
+            matcher.compile()
         self._lookup_target()
 
     def invalidate_all(self) -> int:
@@ -1941,7 +1868,7 @@ class ClassificationEngine:
         """Engine counters in one dict (CLI / harness consumption)."""
         stats = self.stats
         summary: dict[str, Any] = {
-            "matcher": getattr(self.matcher, "name", type(self.matcher).__name__),
+            "matcher": self.matcher.name,
             "lookups": stats.lookups,
             "cache_size": self.cache.capacity,
             "cache_entries": len(self.cache),
@@ -1963,7 +1890,7 @@ class ClassificationEngine:
             "lazy_invalidations": self.lazy_invalidations,
             "policy_swaps": self.policy_swaps,
             "invalidation_threshold": self.invalidation_threshold,
-            "generation": getattr(self.matcher, "generation", None),
+            "generation": self.matcher.generation,
             "plane_generation": self._plane_generation,
             "plane_overlay_keys": self.plane_overlay_keys,
             "plane_walks": self.plane_walks,

@@ -88,18 +88,7 @@ def _as_frozen(matcher: Any) -> Any:
     """The frozen form of ``matcher`` (PLMF is the checkpoint payload)."""
     from ..core.frozen import FrozenMatcher, freeze
 
-    if isinstance(matcher, FrozenMatcher):
-        return matcher
-    try:
-        return freeze(matcher)
-    except TypeError:
-        entries = getattr(matcher, "entries", None)
-        if entries is None:
-            raise TypeError(
-                f"cannot checkpoint {type(matcher).__name__}: not freezable "
-                "and no entries() to rebuild from"
-            ) from None
-        return FrozenMatcher.build(entries(), matcher.key_length)
+    return matcher if isinstance(matcher, FrozenMatcher) else freeze(matcher)
 
 
 def serialize_checkpoint(matcher: Any, epoch: int = 0, generation: Optional[int] = None) -> bytes:

@@ -10,7 +10,7 @@ admission quotas and the rollout SLO guards::
         # acl: |
         #   permit ip any any
         engine:                        # EngineConfig fields (optional)
-          matcher: palmtrie-plus
+          stride: 8
           cache_size: 4096
           shards: 0
         quotas:

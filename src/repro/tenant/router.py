@@ -94,7 +94,7 @@ class Tenant:
             matcher = self._rebuild()
             # Build-time quota: an over-quota policy never serves.
             self.quota.admit(matcher, tenant=spec.name)
-            self.engine = ClassificationEngine.from_config(matcher, config)
+            self.engine = ClassificationEngine(matcher, config)
         self.rollout = RolloutController(
             spec.name,
             self.engine,

@@ -5,8 +5,49 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.core.table import TernaryEntry
+from repro.baselines.dpdk_acl import DpdkStyleAcl
+from repro.baselines.efficuts import EffiCutsClassifier
+from repro.baselines.sorted_list import SortedListMatcher
+from repro.baselines.tcam import TcamModel
+from repro.baselines.vectorized import VectorizedMatcher
+from repro.core.adaptive import AdaptiveMatcher
+from repro.core.basic import BasicPalmtrie
+from repro.core.frozen import FrozenMatcher
+from repro.core.multibit import MultibitPalmtrie
+from repro.core.plus import PalmtriePlus
+from repro.core.table import TernaryEntry, TernaryMatcher
 from repro.core.ternary import TernaryKey
+
+#: every structure of the paper's evaluation, by the name its figures
+#: and the experiment drivers use
+KINDS: dict[str, type[TernaryMatcher]] = {
+    "sorted-list": SortedListMatcher,
+    "palmtrie-basic": BasicPalmtrie,
+    "palmtrie": MultibitPalmtrie,
+    "palmtrie-plus": PalmtriePlus,
+    "frozen": FrozenMatcher,
+    "dpdk-acl": DpdkStyleAcl,
+    "efficuts": EffiCutsClassifier,
+    "adaptive": AdaptiveMatcher,
+    "tcam": TcamModel,
+    "vectorized": VectorizedMatcher,
+}
+#: the kinds a ClassificationEngine serves
+SERVED_KINDS = ("frozen", "palmtrie-plus")
+#: kinds whose insert/delete raise NotImplementedError (rebuild-only)
+BUILD_ONLY = {"dpdk-acl", "efficuts"}
+
+
+def build_kind(kind: str, entries, key_length: int, **kwargs) -> TernaryMatcher:
+    """``kind``'s matcher over ``entries``."""
+    return KINDS[kind].build(entries, key_length, **kwargs)
+
+
+def served_matcher(kind: str, entries, key_length: int) -> TernaryMatcher:
+    """What an engine serves next to comparison structure ``kind``: the
+    kind itself when the engine serves it, a Palmtrie+ over the same
+    entries otherwise."""
+    return build_kind(kind if kind in SERVED_KINDS else "palmtrie-plus", entries, key_length)
 
 #: the paper's Table 1 dataset: (key, value, priority)
 TABLE1_ROWS = (

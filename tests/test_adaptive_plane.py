@@ -17,9 +17,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_same_result, oracle_lookup, random_entries, table1_entries
+from helpers import (
+    KINDS,
+    assert_same_result,
+    build_kind,
+    oracle_lookup,
+    random_entries,
+    table1_entries,
+)
 
-from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, build_matcher
+from repro import ClassificationEngine, EngineConfig, build_matcher
 from repro.core.frozen import FrozenMatcher, _ternary_slots, freeze
 from repro.core.plus import PalmtriePlus
 from repro.core.serialize import (
@@ -74,11 +81,11 @@ def _variants(entries, trace):
 
 
 class TestLayoutPlanInvariance:
-    @pytest.mark.parametrize("kind", sorted(MATCHER_KINDS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_against_every_matcher_kind(self, kind):
         entries = _unique_priorities(random_entries(60, KEY_LENGTH, seed=13))
         trace = _trace(entries, 200)
-        reference = build_matcher(kind, entries, KEY_LENGTH)
+        reference = build_kind(kind, entries, KEY_LENGTH)
         for label, plane in _variants(entries, trace).items():
             for query in trace:
                 assert_same_result(reference.lookup(query), plane.lookup(query))
@@ -250,26 +257,9 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="frozen_layout"):
             EngineConfig(frozen_layout="hottest")
 
-    def test_build_kwargs_route_by_capability(self):
-        config = EngineConfig(matcher="frozen", stride=4, frozen_layout="hot")
-        kwargs = config.build_kwargs(MATCHER_KINDS["frozen"])
-        assert kwargs == {"stride": 4, "layout": "hot"}
-        # Kinds that cannot compile a layout never see the knob.
-        naive = EngineConfig(matcher="palmtrie", stride=4, frozen_layout="hot")
-        assert naive.build_kwargs(MATCHER_KINDS["palmtrie"]) == {"stride": 4}
-
-    def test_capability_flags(self):
-        assert MATCHER_KINDS["frozen"].accepts_layout
-        assert MATCHER_KINDS["frozen"].accepts_stride
-        assert MATCHER_KINDS["palmtrie"].accepts_stride
-        assert not MATCHER_KINDS["palmtrie"].accepts_layout
-        assert not MATCHER_KINDS["sorted-list"].accepts_stride
-
     def test_engine_report_surfaces_adaptive_state(self):
         entries = _unique_priorities(random_entries(30, KEY_LENGTH, seed=2))
-        config = EngineConfig(
-            matcher="palmtrie-plus", auto_freeze=True, frozen_layout="hot"
-        )
+        config = EngineConfig(auto_freeze=True, frozen_layout="hot")
         engine = ClassificationEngine(
             build_matcher(config, entries, KEY_LENGTH), config
         )

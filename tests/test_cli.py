@@ -148,6 +148,50 @@ class TestCompileCommand:
         assert matcher.lookup(q81) is not None
 
 
+    @pytest.mark.parametrize("form", ["table", "frozen", "hot"])
+    def test_compile_writes_the_library_build(self, tmp_path, form, capsys):
+        """``compile`` emits exactly the bytes the library's own builders
+        serialize: a Palmtrie+ table, a frozen plane, or a hot-layout
+        plane ordered by ``--trace``."""
+        from repro.acl.compiler import compile_acl
+        from repro.acl.parser import parse_acl
+        from repro.core.frozen import FrozenMatcher
+        from repro.core.plus import PalmtriePlus
+        from repro.core.serialize import serialize_frozen, serialize_plus
+        from repro.workloads.io import load_trace
+
+        acl_path = str(tmp_path / "campus.acl")
+        trace_path = str(tmp_path / "campus.trace")
+        assert main(["generate", "campus", "--q", "1", "-o", acl_path,
+                     "--trace", trace_path, "--trace-count", "600"]) == 0
+        out = str(tmp_path / "out.bin")
+        argv = ["compile", acl_path, "-o", out, "--stride", "6"]
+        argv += {"table": [], "frozen": ["--frozen"],
+                 "hot": ["--layout", "hot", "--trace", trace_path]}[form]
+        assert main(argv) == 0
+        with open(acl_path, encoding="utf-8") as handle:
+            compiled = compile_acl(parse_acl(handle.read()))
+        entries, length = compiled.entries, compiled.layout.length
+        if form == "table":
+            expected = serialize_plus(PalmtriePlus.build(entries, length, stride=6))
+        else:
+            trace, _ = load_trace(trace_path)
+            expected = serialize_frozen(
+                FrozenMatcher.build(
+                    entries,
+                    length,
+                    stride=6,
+                    layout="build" if form == "frozen" else "hot",
+                    layout_trace=trace if form == "hot" else None,
+                )
+            )
+            if form == "hot":  # the trace really reorders the plane
+                build_order = FrozenMatcher.build(entries, length, stride=6)
+                assert expected != serialize_frozen(build_order)
+        with open(out, "rb") as handle:
+            assert handle.read() == expected
+
+
 class TestAnalyzeCommand:
     def test_clean_acl_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "clean.acl"
@@ -190,11 +234,13 @@ class TestReplayCommand:
         assert "replayed 80 packets" in out
         assert "permit" in out
 
-    @pytest.mark.parametrize("matcher", ["sorted-list", "vectorized", "tcam"])
-    def test_replay_other_matchers(self, dataset, matcher, capsys):
+    @pytest.mark.parametrize("command", ["replay", "metrics", "health"])
+    def test_matcher_flag_is_gone(self, dataset, command, capsys):
         acl_path, trace_path = dataset
-        assert main(["replay", acl_path, trace_path, "--matcher", matcher]) == 0
-        assert matcher in capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main([command, acl_path, trace_path, "--matcher", "sorted-list"])
+        assert info.value.code == 2
+        assert "--matcher" in capsys.readouterr().err
 
     def test_replay_pcap(self, dataset, tmp_path, capsys):
         from repro.packet import PacketHeader, PcapPacket, encode_packet, write_pcap

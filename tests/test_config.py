@@ -1,6 +1,7 @@
-"""The construction surface: EngineConfig, from_config, serve(), and
-the removed surfaces (legacy keyword knobs, the learned kind, stride
-plans) failing loudly.
+"""The construction surface: EngineConfig, the engine constructor,
+build_matcher, serve(), the apps' policy swaps, and the removed
+surfaces (legacy keyword knobs, the matcher-kind knobs, stride plans)
+failing loudly.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from repro import (
     DEFAULT_CONFIG,
     ClassificationEngine,
     EngineConfig,
+    PalmtriePlus,
     build_matcher,
     compile_acl,
     parse_acl,
@@ -61,42 +63,35 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
 
-    def test_matcher_kind_must_be_string_or_class(self):
-        with pytest.raises(TypeError):
-            EngineConfig(matcher=42)  # type: ignore[arg-type]
-
     def test_engine_kwargs_round_trip(self):
         config = EngineConfig(cache_size=7, auto_freeze=True, metrics=True)
-        engine = ClassificationEngine(
-            build_matcher("palmtrie-plus", table1_entries(), 8), config
-        )
+        engine = ClassificationEngine(PalmtriePlus.build(table1_entries(), 8), config)
         assert engine.config is config
         assert engine.cache.capacity == 7
         assert engine.auto_freeze is True
         assert engine.metrics is not None
 
-    def test_build_kwargs_passes_stride_only_where_accepted(self):
+    def test_build_matcher_uses_the_config_stride(self):
         entries = random_entries(10, KEY_LENGTH, seed=1)
-        strided = build_matcher(
-            EngineConfig(matcher="palmtrie-plus", stride=4), entries, KEY_LENGTH
-        )
-        assert strided.stride == 4
-        # sorted-list takes no stride; the config must not crash it
-        build_matcher(
-            EngineConfig(matcher="sorted-list", stride=4), entries, KEY_LENGTH
-        )
+        assert DEFAULT_CONFIG.stride == 8
+        assert build_matcher(DEFAULT_CONFIG, entries, KEY_LENGTH).stride == 8
+        strided = build_matcher(EngineConfig(stride=4), entries, KEY_LENGTH)
+        assert type(strided) is PalmtriePlus and strided.stride == 4
 
 
 class TestFromConfig:
+    """The engine a config describes: one constructor, whatever the
+    config says."""
+
     def test_in_process_engine(self):
-        matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
-        engine = ClassificationEngine.from_config(matcher, EngineConfig(cache_size=16))
+        matcher = PalmtriePlus.build(table1_entries(), 8)
+        engine = ClassificationEngine(matcher, EngineConfig(cache_size=16))
         assert isinstance(engine, ClassificationEngine)
         assert engine.cache.capacity == 16
 
     def test_none_config_uses_defaults(self):
-        matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
-        engine = ClassificationEngine.from_config(matcher, None)
+        matcher = PalmtriePlus.build(table1_entries(), 8)
+        engine = ClassificationEngine(matcher, None)
         assert engine.config == DEFAULT_CONFIG
 
     def test_sharded_front_end(self):
@@ -105,8 +100,8 @@ class TestFromConfig:
         budget per shard."""
         from repro.shard import ShardedEngine
 
-        matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
-        with ClassificationEngine.from_config(
+        matcher = PalmtriePlus.build(table1_entries(), 8)
+        with ClassificationEngine(
             matcher, EngineConfig(cache_size=16, shards=1)
         ) as engine:
             assert type(engine) is ClassificationEngine
@@ -131,7 +126,7 @@ class TestServeFacade:
         assert by_rules.lookup(0).value == by_compiled.lookup(0).value
 
     def test_serve_wraps_bare_matcher(self):
-        matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
+        matcher = PalmtriePlus.build(table1_entries(), 8)
         engine = serve(matcher)
         assert engine.matcher is matcher
 
@@ -145,7 +140,7 @@ class TestServeFacade:
 SURFACES = [
     pytest.param(
         lambda acl, **kw: ClassificationEngine(
-            build_matcher("palmtrie-plus", acl.entries, acl.layout.length), **kw
+            PalmtriePlus.build(acl.entries, acl.layout.length), **kw
         ),
         id="ClassificationEngine",
     ),
@@ -173,13 +168,32 @@ class TestRemovedSurfaces:
         engine = getattr(served, "engine", served)
         assert engine.cache.capacity == 8
 
-    def test_removed_matcher_kind_lists_survivors(self):
-        from repro import MATCHER_KINDS
+    @pytest.mark.parametrize(
+        "knob",
+        [{"matcher": "frozen"}, {"matcher": 42}, {"matcher_kwargs": {}}],
+        ids=["matcher", "matcher-int", "matcher_kwargs"],
+    )
+    def test_matcher_knobs_are_type_errors(self, knob):
+        with pytest.raises(TypeError, match=next(iter(knob))):
+            EngineConfig(**knob)
 
-        with pytest.raises(ValueError, match="unknown matcher kind 'learned'") as info:
-            serve(ACL, EngineConfig(matcher="learned"))
-        for kind in MATCHER_KINDS:
-            assert repr(kind) in str(info.value)
+    def test_firewall_stride_keyword_is_a_type_error(self):
+        acl = compile_acl(parse_acl(ACL))
+        with pytest.raises(TypeError, match="stride"):
+            Firewall(acl, stride=4)
+        firewall = Firewall(acl, EngineConfig(stride=4))
+        assert firewall.engine.matcher.stride == 4
+
+    def test_manifest_matcher_key_fails_at_load(self):
+        from repro.tenant.manifest import parse_manifest
+
+        doc = {
+            "tenants": [
+                {"name": "a", "acl": "permit ip any any", "engine": {"matcher": "frozen"}}
+            ]
+        }
+        with pytest.raises(ValueError, match="matcher"):
+            parse_manifest(doc)
 
     def test_manifest_stride_plan_key_fails_at_load(self):
         from repro.tenant.manifest import parse_manifest
@@ -189,9 +203,42 @@ class TestRemovedSurfaces:
                 {
                     "name": "a",
                     "acl": "permit ip any any",
-                    "engine": {"matcher": "frozen", "stride_plan": {"root_stride": 8}},
+                    "engine": {"stride_plan": {"root_stride": 8}},
                 }
             ]
         }
         with pytest.raises(ValueError, match="stride_plan"):
             parse_manifest(doc)
+
+
+#: the apps' policy swaps, each rebuilding from a compiled ACL
+SWAPS = [
+    pytest.param(
+        lambda acl, config: FlowMonitor(acl.entries, acl.layout.length, config=config),
+        lambda app, acl: app.replace_rules(acl.entries, acl.layout.length),
+        id="FlowMonitor",
+    ),
+    pytest.param(
+        lambda acl, config: L3Forwarder(acl, [(0x0A, 8, 1)], config=config),
+        lambda app, acl: app.replace_acl(acl),
+        id="L3Forwarder",
+    ),
+    pytest.param(
+        lambda acl, config: StatefulFirewall(acl, config=config),
+        lambda app, acl: app.replace_acl(acl),
+        id="StatefulFirewall",
+    ),
+]
+
+
+class TestAppPolicySwaps:
+    @pytest.mark.parametrize("build, swap", SWAPS)
+    def test_swap_keeps_the_configured_stride(self, build, swap):
+        acl = compile_acl(parse_acl(ACL))
+        app = build(acl, EngineConfig(stride=4))
+        assert app.engine.matcher.stride == 4
+        swapped = compile_acl(parse_acl("deny ip any 192.0.2.0/24\npermit ip any any"))
+        swap(app, swapped)
+        assert app.engine.policy_swaps == 1
+        assert app.engine.matcher.stride == 4
+        assert len(app.engine.matcher) == len(swapped.entries)

@@ -10,7 +10,15 @@ import random
 
 import pytest
 
-from helpers import assert_same_result, oracle_lookup, random_entries
+from helpers import (
+    BUILD_ONLY,
+    KINDS,
+    assert_same_result,
+    build_kind,
+    oracle_lookup,
+    random_entries,
+    served_matcher,
+)
 from repro.baselines.dpdk_acl import DpdkStyleAcl
 from repro.baselines.efficuts import EffiCutsClassifier
 from repro.baselines.sorted_list import SortedListMatcher
@@ -19,7 +27,6 @@ from repro.core.adaptive import AdaptiveMatcher
 from repro.core.basic import BasicPalmtrie
 from repro.core.multibit import MultibitPalmtrie
 from repro.core.plus import PalmtriePlus
-from repro.core.table import build_matcher, matcher_kinds
 from repro.config import EngineConfig
 from repro.engine import ClassificationEngine
 from repro.workloads.campus import campus_acl
@@ -121,38 +128,43 @@ def test_incremental_inserts_track_oracle():
 # ---------------------------------------------------------------------------
 # Churn fuzz: random interleavings of inserts, deletes, transactional
 # batches, and lookups driven through the serving engine, checked after
-# every mutation against the brute-force oracle.  Covers every updatable
-# matcher kind (build-only baselines raise NotImplementedError on insert)
-# with the flow cache on, off, and under auto-freeze — the combinations
-# where a stale cache row or a stale frozen plane would surface as a
-# wrong verdict rather than a crash.
+# every mutation against the brute-force oracle.  Every updatable
+# structure (build-only baselines raise NotImplementedError on insert)
+# takes the same ops beside the engine and must agree with it; the
+# engine serves the kind itself when it is a served form, a Palmtrie+
+# otherwise.  The flow cache runs on, off, and under auto-freeze — the
+# combinations where a stale cache row or a stale frozen plane would
+# surface as a wrong verdict rather than a crash.
 # ---------------------------------------------------------------------------
 
-#: kinds whose insert/delete raise NotImplementedError (rebuild-only)
-BUILD_ONLY = {"dpdk-acl", "efficuts"}
-CHURN_KINDS = sorted(set(matcher_kinds()) - BUILD_ONLY)
+CHURN_KINDS = sorted(set(KINDS) - BUILD_ONLY)
 
 
 def _fuzz_churn(kind, seed, *, auto_freeze=False, cache_size=256, steps=90):
     rng = random.Random(seed)
     live = random_entries(40, KEY_LENGTH, seed=seed)
     pool = random_entries(140, KEY_LENGTH, seed=seed + 1)
-    engine = ClassificationEngine(build_matcher(kind, live, KEY_LENGTH), EngineConfig(cache_size=cache_size, auto_freeze=auto_freeze, invalidation_threshold=rng.choice([None, 0, 8])))
+    reference = build_kind(kind, live, KEY_LENGTH)
+    engine = ClassificationEngine(served_matcher(kind, live, KEY_LENGTH), EngineConfig(cache_size=cache_size, auto_freeze=auto_freeze, invalidation_threshold=rng.choice([None, 0, 8])))
 
     def check(count):
         for _ in range(count):
             query = rng.getrandbits(KEY_LENGTH)
-            assert_same_result(oracle_lookup(live, query), engine.lookup(query))
+            got = engine.lookup(query)
+            assert_same_result(oracle_lookup(live, query), got)
+            assert_same_result(reference.lookup(query), got)
 
     for _ in range(steps):
         action = rng.randrange(6)
         if action == 0 and pool:
             entry = pool.pop(rng.randrange(len(pool)))
             engine.insert(entry)
+            reference.insert(entry)
             live.append(entry)
         elif action == 1 and live:
             key = rng.choice(live).key
             assert engine.delete(key)
+            assert reference.delete(key)
             live[:] = [e for e in live if e.key != key]
         elif action == 2:
             # One transaction of mixed ops; mirror each op into the
@@ -171,17 +183,24 @@ def _fuzz_churn(kind, seed, *, auto_freeze=False, cache_size=256, steps=90):
             if ops:
                 report = engine.apply_updates(ops)
                 assert report.missing_deletes == 0
+                for op, payload in ops:
+                    if op == "insert":
+                        reference.insert(payload)
+                    else:
+                        assert reference.delete(payload)
         elif action == 3 and pool:
             # Mutate the matcher directly, bypassing the engine: the
             # generation stamp must still keep cache and plane coherent.
             entry = pool.pop(rng.randrange(len(pool)))
             engine.matcher.insert(entry)
+            reference.insert(entry)
             live.append(entry)
         elif action == 4:
             queries = [rng.getrandbits(KEY_LENGTH) for _ in range(20)]
             got = engine.lookup_batch(queries)
-            for query, result in zip(queries, got):
+            for query, result, want in zip(queries, got, reference.lookup_batch(queries)):
                 assert_same_result(oracle_lookup(live, query), result)
+                assert_same_result(want, result)
         check(3)
     check(25)
 

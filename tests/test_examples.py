@@ -1,7 +1,6 @@
-"""Examples must keep running: each script executes end to end.
+"""Examples must keep running: every script executes end to end.
 
-Fast examples always run; the heavier ones (multi-second builds) run
-only when REPRO_RUN_SLOW_EXAMPLES=1 so the default suite stays quick.
+The heavier ones (multi-second builds) get a longer timeout.
 """
 
 import os
@@ -54,10 +53,6 @@ def test_fast_example_runs(name):
 
 
 @pytest.mark.parametrize("name", SLOW)
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_RUN_SLOW_EXAMPLES"),
-    reason="set REPRO_RUN_SLOW_EXAMPLES=1 to run the heavy examples",
-)
 def test_slow_example_runs(name):
     result = _run(name, timeout=600)
     assert result.returncode == 0, result.stderr

@@ -18,9 +18,15 @@ from array import array
 
 import pytest
 
-from helpers import assert_same_result, oracle_lookup, random_entries, table1_entries
+from helpers import (
+    assert_same_result,
+    build_kind,
+    oracle_lookup,
+    random_entries,
+    table1_entries,
+)
 
-from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, build_matcher
+from repro import ClassificationEngine, EngineConfig, SortedListMatcher
 from repro.core.frozen import (
     _COUNT_BITS,
     _NUMPY_MIN_BATCH,
@@ -93,16 +99,11 @@ class TestConstruction:
 
     def test_freeze_rejects_non_trie(self):
         with pytest.raises(TypeError):
-            freeze(build_matcher("sorted-list", table1_entries(), 8))
+            freeze(SortedListMatcher.build(table1_entries(), 8))
 
     def test_freeze_of_frozen_is_idempotent(self):
         frozen = FrozenMatcher.build(table1_entries(), 8)
         assert freeze(frozen) is frozen
-
-    def test_registry_and_build_matcher(self):
-        assert MATCHER_KINDS["frozen"] is FrozenMatcher
-        matcher = build_matcher("frozen", table1_entries(), 8, stride=4)
-        assert isinstance(matcher, FrozenMatcher)
 
     def test_stride_bounds(self):
         with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ class TestConstruction:
 class TestDifferentialFuzz:
     def _build(self, source_kind, seed):
         entries = random_entries(50 + 17 * seed, KEY_LENGTH, seed=seed)
-        source = build_matcher(source_kind, entries, KEY_LENGTH, stride=4 + seed % 3)
+        source = build_kind(source_kind, entries, KEY_LENGTH, stride=4 + seed % 3)
         return entries, source, freeze(source)
 
     def test_lookup_identical_to_source(self, source_kind, seed):
@@ -552,7 +553,7 @@ class TestEngineAutoFreeze:
 
     def test_updates_drop_and_refreeze_plane(self):
         entries = random_entries(25, KEY_LENGTH, seed=42)
-        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, auto_freeze=True))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, auto_freeze=True))
         queries = _biased_queries(entries, 100, seed=43)
         engine.lookup_batch(queries)
         key = TernaryKey(0, (1 << KEY_LENGTH) - 1, KEY_LENGTH)
@@ -595,15 +596,6 @@ class TestEngineAutoFreeze:
         want = freeze(plus, layout="hot", trace=samples)
         assert serialize_frozen(engine._plane) == serialize_frozen(want)
         assert serialize_frozen(freeze(plus, layout="hot")) != serialize_frozen(want)
-
-    def test_unfreezable_matcher_falls_back(self):
-        engine = ClassificationEngine(build_matcher("sorted-list", table1_entries(), 8), EngineConfig(cache_size=4, auto_freeze=True))
-        for query in range(64):
-            assert_same_result(
-                oracle_lookup(table1_entries(), query), engine.lookup(query)
-            )
-        report = engine.report()
-        assert not report["frozen_plane_active"] and report["freezes"] == 0
 
 
 # ----------------------------------------------------------------------

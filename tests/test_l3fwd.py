@@ -111,11 +111,12 @@ class TestRouteUpdates:
         assert not forwarder.withdraw_route(0x0A0001, 24)
 
     def test_custom_matcher(self):
-        from repro.baselines.sorted_list import SortedListMatcher
+        from repro.core.plus import PalmtriePlus
 
         acl = compile_acl(parse_acl(ACL))
-        matcher = SortedListMatcher.build(acl.entries, 128)
+        matcher = PalmtriePlus.build(acl.entries, 128, stride=4)
         forwarder = L3Forwarder(acl, ROUTES, matcher=matcher)
+        assert forwarder.engine.matcher is matcher
         verdict = forwarder.process(
             PacketHeader(0x01020304, 0x0A000005, PROTO_TCP, 40000, 80)
         )

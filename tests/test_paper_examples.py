@@ -6,14 +6,13 @@ walkthroughs, Figure 4's stride-3 path structure, and Table 2's ACL.
 
 import pytest
 
-from helpers import table1_entries
+from helpers import build_kind, table1_entries
 from repro.acl.compiler import compile_acl
 from repro.acl.parser import parse_acl
 from repro.acl.rule import Action
 from repro.core.basic import BasicPalmtrie
 from repro.core.multibit import MultibitPalmtrie, key_path
 from repro.core.plus import PalmtriePlus
-from repro.core.table import build_matcher
 from repro.core.ternary import TernaryKey
 from repro.packet.headers import PROTO_TCP, PacketHeader
 
@@ -28,7 +27,8 @@ class TestTable1:
 
     def test_priority_encoding_selects_entry_5(self):
         for kind in ("palmtrie-basic", "palmtrie", "palmtrie-plus"):
-            matcher = build_matcher(kind, table1_entries(), 8, stride=3) if kind != "palmtrie-basic" else build_matcher(kind, table1_entries(), 8)
+            strided = {} if kind == "palmtrie-basic" else {"stride": 3}
+            matcher = build_kind(kind, table1_entries(), 8, **strided)
             result = matcher.lookup(0b01110101)
             assert result.value == 5, kind
 

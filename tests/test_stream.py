@@ -18,9 +18,9 @@ import random
 
 import pytest
 
-from helpers import random_entries
+from helpers import KINDS, build_kind, random_entries, served_matcher
 
-from repro import MATCHER_KINDS, ClassificationEngine, EngineConfig, build_matcher
+from repro import ClassificationEngine, EngineConfig, PalmtriePlus
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import flow_shard
 from repro.stream import (
@@ -45,7 +45,7 @@ def _queries(count: int, seed: int = 11) -> list[int]:
 
 def _engine(seed: int = 3, cache: int = 64) -> tuple[ClassificationEngine, list]:
     entries = random_entries(60, KEY_LENGTH, seed=seed)
-    matcher = build_matcher("palmtrie-plus", entries, KEY_LENGTH)
+    matcher = PalmtriePlus.build(entries, KEY_LENGTH)
     return ClassificationEngine(matcher, EngineConfig(cache_size=cache)), entries
 
 
@@ -465,17 +465,17 @@ class TestPipelineValidation:
 
 
 # ----------------------------------------------------------------------
-# Differential: streaming == batch for every matcher kind
+# Differential: streaming == batch == every matcher kind
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", sorted(MATCHER_KINDS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_streaming_matches_batch_every_kind(kind):
     entries = random_entries(60, KEY_LENGTH, seed=3)
     queries = _queries(400, seed=5)
 
     def fresh():
         return ClassificationEngine(
-            build_matcher(kind, entries, KEY_LENGTH), EngineConfig(cache_size=64)
+            served_matcher(kind, entries, KEY_LENGTH), EngineConfig(cache_size=64)
         )
 
     pipe = StreamPipeline(fresh(), policy="block", max_inflight=64, batch_max=32)
@@ -485,6 +485,12 @@ def test_streaming_matches_batch_every_kind(kind):
     reference = batch_replay(fresh(), TraceSource(queries, KEY_LENGTH, burst_size=48))
     assert streamed.served == len(queries)
     assert _signature(streamed.verdicts) == _signature(reference)
+    # The kind's own matcher picks the same winners (ties may differ in
+    # value, never in priority).
+    direct = build_kind(kind, entries, KEY_LENGTH).lookup_batch(queries)
+    assert [None if v is None else v.priority for v in streamed.verdicts] == [
+        None if e is None else e.priority for e in direct
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +504,7 @@ def _scenario_stream(name, seed, policy="block"):
     source = ScenarioSource(name, seed=seed, packets=SCENARIO_PACKETS)
     compiled = source.compiled
     engine = ClassificationEngine(
-        build_matcher("palmtrie-plus", compiled.entries, compiled.layout.length),
+        PalmtriePlus.build(compiled.entries, compiled.layout.length),
         EngineConfig(cache_size=256),
     )
     pipe = StreamPipeline(engine, policy=policy, max_inflight=1024)
@@ -521,7 +527,7 @@ def test_scenario_streaming_matches_batch(name):
     streamed, compiled = _scenario_stream(name, seed=13)
     source = ScenarioSource(name, seed=13, packets=SCENARIO_PACKETS)
     engine = ClassificationEngine(
-        build_matcher("palmtrie-plus", compiled.entries, compiled.layout.length),
+        PalmtriePlus.build(compiled.entries, compiled.layout.length),
         EngineConfig(cache_size=256),
     )
     reference = batch_replay(engine, source, on_burst=churn_applier(source, engine))
@@ -547,7 +553,7 @@ def test_attack_profile_sheds_deterministically():
         source = ScenarioSource(scenario, seed=29, packets=packets)
         compiled = source.compiled
         engine = ClassificationEngine(
-            build_matcher("palmtrie-plus", compiled.entries, compiled.layout.length),
+            PalmtriePlus.build(compiled.entries, compiled.layout.length),
             EngineConfig(cache_size=256),
         )
         pipe = StreamPipeline(
@@ -593,7 +599,7 @@ class TestHistograms:
         registry = MetricsRegistry()
         entries = random_entries(40, KEY_LENGTH, seed=6)
         engine = ClassificationEngine(
-            build_matcher("palmtrie-plus", entries, KEY_LENGTH),
+            PalmtriePlus.build(entries, KEY_LENGTH),
             EngineConfig(cache_size=64, metrics=registry),
         )
         pipe = StreamPipeline(engine, flow_buckets=2)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from helpers import table1_entries
+from helpers import build_kind, table1_entries
+from repro.baselines.sorted_list import SortedListMatcher
+from repro.config import EngineConfig
 from repro.core.table import LookupStats, TernaryEntry, TernaryMatcher, build_matcher
 from repro.core.ternary import TernaryKey
 
@@ -49,26 +51,27 @@ class TestBuildMatcher:
         ],
     )
     def test_factory_builds_working_matcher(self, kind):
-        matcher = build_matcher(kind, table1_entries(), 8)
+        matcher = build_kind(kind, table1_entries(), 8)
         result = matcher.lookup(0b01110101)
         assert result is not None and result.priority == 7
 
     def test_factory_passes_kwargs(self):
-        matcher = build_matcher("palmtrie", table1_entries(), 8, stride=4)
+        matcher = build_matcher(EngineConfig(stride=4), table1_entries(), 8)
         assert matcher.stride == 4
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown matcher kind"):
+        # build_matcher takes a config, not a kind name.
+        with pytest.raises(TypeError, match="EngineConfig"):
             build_matcher("btree", [], 8)
 
     def test_entry_length_validated(self):
         with pytest.raises(ValueError, match="entry key length"):
-            build_matcher("sorted-list", table1_entries(), 16)
+            build_matcher(EngineConfig(), table1_entries(), 16)
 
     def test_lookup_value_default(self):
-        matcher = build_matcher("sorted-list", table1_entries(), 8)
+        matcher = SortedListMatcher.build(table1_entries(), 8)
         assert matcher.lookup_value(0b01110101) == 5
-        empty = build_matcher("sorted-list", [], 8)
+        empty = SortedListMatcher.build([], 8)
         assert empty.lookup_value(0, default="drop") == "drop"
 
 

@@ -24,6 +24,7 @@ import pytest
 
 from repro.acl.compiler import compile_acl
 from repro.acl.parser import parse_acl
+from repro.baselines.sorted_list import SortedListMatcher
 from repro.config import EngineConfig
 from repro.core.table import build_matcher
 from repro.obs import MetricsRegistry, snapshot, validate_snapshot
@@ -505,7 +506,7 @@ class TestRolloutPromote:
 
             # the stable engine now answers with the NEW policy
             new = compile_acl(parse_acl(NEW_POLICY))
-            reference = build_matcher("sorted-list", new.entries, new.layout.length)
+            reference = SortedListMatcher.build(new.entries, new.layout.length)
             tail = queries[:512]
             got = [_sig(v) for v in router.lookup_batch("roller", tail)]
             want = [_sig(reference.lookup(q)) for q in tail]
@@ -548,7 +549,7 @@ class TestRolloutRollback:
             victim_q = _trace(router["victim"], packets, seed=SEED + 1)
 
             old = compile_acl(parse_acl(OLD_POLICY))
-            reference = build_matcher("sorted-list", old.entries, old.layout.length)
+            reference = SortedListMatcher.build(old.entries, old.layout.length)
             truth: dict[int, object] = {}
 
             roller.stage_rollout(NEW_POLICY, seed=SEED)
@@ -697,7 +698,7 @@ class TestCrashRecovery:
 
             # and it serves the last-good OLD policy, exactly
             old = compile_acl(parse_acl(OLD_POLICY))
-            reference = build_matcher("sorted-list", old.entries, old.layout.length)
+            reference = SortedListMatcher.build(old.entries, old.layout.length)
             tail = queries[:512]
             got = [_sig(v) for v in revived.lookup_batch("roller", tail)]
             want = [_sig(reference.lookup(q)) for q in tail]
@@ -730,8 +731,8 @@ class TestUpdateQuotaRollback:
         )
         try:
             roller = router["roller"]
-            reference = build_matcher(
-                "sorted-list", compiled.entries, compiled.layout.length
+            reference = SortedListMatcher.build(
+                compiled.entries, compiled.layout.length
             )
             queries = _trace(roller, 256)
 
@@ -844,7 +845,7 @@ class TestShardedRollout:
             assert _published_is_current(roller.engine)
 
             new = compile_acl(parse_acl(NEW_POLICY))
-            reference = build_matcher("sorted-list", new.entries, new.layout.length)
+            reference = SortedListMatcher.build(new.entries, new.layout.length)
             tail = queries[:512]
             got = [_sig(v) for v in router.lookup_batch("roller", tail)]
             want = [_sig(reference.lookup(q)) for q in tail]
@@ -871,7 +872,7 @@ class TestShardedRollout:
             assert _published_is_current(roller.engine)
 
             old = compile_acl(parse_acl(OLD_POLICY))
-            reference = build_matcher("sorted-list", old.entries, old.layout.length)
+            reference = SortedListMatcher.build(old.entries, old.layout.length)
             tail = queries[:512]
             got = [_sig(v) for v in router.lookup_batch("roller", tail)]
             want = [_sig(reference.lookup(q)) for q in tail]
