@@ -157,7 +157,7 @@ def main(smoke: bool = False) -> dict[str, float]:
     from repro.workloads.campus import campus_acl
 
     acl = campus_acl(2 if smoke else 4)
-    # The engine serves a Palmtrie+ or its frozen plane.
+    # The engine takes a Palmtrie+ (its Palmtrie_k serves) or a frozen plane.
     kinds = {"palmtrie-plus": PalmtriePlus}
     if not smoke:
         kinds["frozen"] = FrozenMatcher

@@ -25,7 +25,9 @@ The two gated ratios (``run_smokes.py`` perf trajectory):
 
 Both are exact-equality counters, not timings, so the gate cannot
 flake; the victim's p999 is additionally checked against a generous
-absolute budget.  ``--soak`` runs repeated canary cycles (alternating
+absolute budget.  After the rollback, 8 update transactions on the
+roller must refreeze nothing: the restored plane keeps serving behind
+the changed-key overlay (a work count, not a ratio).  ``--soak`` runs repeated canary cycles (alternating
 promote and rollback) at 10x volume with the roller sharded across
 worker processes, and asserts the PLMS retire path leaked zero
 shared-memory segments.
@@ -160,6 +162,7 @@ def isolation_run(packets: int, roller_shards: int = 0):
 
         identical = sum(1 for a, b in zip(victim_sigs, solo) if a == b)
         noisy_denied = router["noisy"].bucket.denied
+        updates = _updates_after_rollback(roller)
         return {
             "router": None,
             "isolation_ratio": identical / len(solo) if solo else 0.0,
@@ -169,9 +172,33 @@ def isolation_run(packets: int, roller_shards: int = 0):
             "failclosed": roller.rollout.failclosed_packets,
             "noisy_denied": noisy_denied,
             "victim_p999": victim_hist.quantiles()["p999"],
+            **updates,
         }
     finally:
         router.close()
+
+
+#: update transactions the roller takes after its rollback
+ROLLBACK_UPDATES = 8
+
+
+def _updates_after_rollback(roller) -> dict[str, int]:
+    """``ROLLBACK_UPDATES`` one-rule transactions on the rolled-back
+    roller, back to back: the plane restored from its last-good
+    checkpoint keeps serving behind the overlay, so the engine freezes
+    nothing.  Returns the refreezes and the overlay's key count."""
+    ports = range(9000, 9000 + ROLLBACK_UPDATES)
+    extra = compile_acl(parse_acl("\n".join(f"deny tcp any any eq {p}" for p in ports)))
+    assert extra.layout.length == roller.key_length
+    engine = roller.engine
+    freezes = engine.freezes
+    for entry in extra.entries[:ROLLBACK_UPDATES]:
+        roller.apply_updates([("insert", entry)])
+    report = engine.report()
+    return {
+        "rollback_refreezes": engine.freezes - freezes,
+        "rollback_overlay_keys": report["plane_overlay_keys"],
+    }
 
 
 def _shm_segments() -> int:
@@ -259,6 +286,11 @@ def main(smoke: bool = False, soak: bool = False) -> dict[str, float]:
     table.add_row("roller containment", f"{result['containment']:.6f}", "= 1.0")
     table.add_row("roller rollout state", result["rollout_state"], "rolled_back")
     table.add_row("roller fail-closed packets", str(result["failclosed"]), "> 0")
+    table.add_row(
+        f"refreezes over {ROLLBACK_UPDATES} post-rollback updates",
+        f"{result['rollback_refreezes']} ({result['rollback_overlay_keys']} overlay keys)",
+        f"0 ({ROLLBACK_UPDATES})",
+    )
     table.add_row("noisy rate denials", str(result["noisy_denied"]), "> 0")
     table.add_row(
         "victim p999", f"{result['victim_p999'] * 1e6:.0f} us",
@@ -275,6 +307,11 @@ def main(smoke: bool = False, soak: bool = False) -> dict[str, float]:
         failures.append(f"bad rollout ended {result['rollout_state']!r}")
     if result["failclosed"] <= 0:
         failures.append("tripped canary never failed closed")
+    if result["rollback_refreezes"] or result["rollback_overlay_keys"] != ROLLBACK_UPDATES:
+        failures.append(
+            f"post-rollback updates refroze {result['rollback_refreezes']} times "
+            f"({result['rollback_overlay_keys']} overlay keys)"
+        )
     if result["noisy_denied"] <= 0:
         failures.append("noisy tenant was never rate-denied")
     if result["victim_p999"] >= P999_BUDGET_SECONDS:

@@ -45,12 +45,13 @@ class EngineConfig:
     rows.
     """
 
-    #: Palmtrie+ stride the build paths compile with
+    #: Palmtrie_k stride the build paths build with
     stride: int = 8
     #: LRU flow-cache capacity in distinct queries (0 disables caching),
     #: per shard when ``shards > 0``
     cache_size: int = 4096
-    #: compile and serve from the frozen struct-of-arrays plane
+    #: freeze the Palmtrie_k and serve from the frozen struct-of-arrays
+    #: plane (off: the Palmtrie_k serves interpreted)
     auto_freeze: bool = False
     #: cache rows above which per-update invalidation defers to a lazy
     #: whole-cache drop (None = always sweep)
@@ -125,7 +126,8 @@ def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:
     ``rules`` may be ACL configuration text (the Table 2 dialect), a
     sequence of parsed :class:`~repro.acl.rule.AclRule` objects, an
     already-compiled :class:`~repro.acl.compiler.CompiledAcl`, or a
-    built :class:`~repro.core.plus.PalmtriePlus` /
+    built :class:`~repro.core.multibit.MultibitPalmtrie` /
+    :class:`~repro.core.plus.PalmtriePlus` /
     :class:`~repro.core.frozen.FrozenMatcher` to wrap as-is (any other
     matcher is a :class:`TypeError`).  The stride and every serving knob
     come from ``config``; the returned engine is a
@@ -149,7 +151,7 @@ def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:
         compiled = compile_acl(list(rules))
     elif callable(getattr(rules, "lookup", None)):
         # Already a matcher: the engine wraps it without rebuilding (and
-        # rejects anything but the two served forms).
+        # rejects anything but a Palmtrie_k, a Palmtrie+ or a plane).
         return ClassificationEngine(rules, config)
     else:
         raise TypeError(

@@ -56,14 +56,15 @@ boxes a fresh int on every access, each freeze also keeps plain-list
 mirrors of the hot arrays for the scalar interpreter loop (the NumPy
 path reads the buffers zero-copy instead).
 
-A frozen plane is immutable; like Palmtrie+ it retains its mutable
-source, absorbs ``insert``/``delete`` there, and re-freezes lazily on
-the next lookup.  Planes loaded from disk
-(:func:`repro.core.serialize.load_frozen`) defer even building the
-source until the first mutation.  Freezing a Palmtrie+ with pending
-updates walks its retained Palmtrie_k rather than compiling a
-Palmtrie+ only to discard it; a clean one is walked through its
-compiled nodes, so freezing a loaded table never builds its source.
+A frozen plane is immutable.  Updates go to the Palmtrie_k it was
+compiled from (paper §3.6), and the serving engine refreezes a new
+plane from it; a plane loaded from disk
+(:func:`repro.core.serialize.load_frozen`) carries no source trie, and
+:meth:`FrozenMatcher.rebuild_source` builds one from its entries when
+one is needed.  Freezing a Palmtrie+ with pending updates walks its
+retained Palmtrie_k rather than compiling a Palmtrie+ only to discard
+it; a clean one is walked through its compiled nodes, so freezing a
+loaded table never builds its source.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from .multibit import _Leaf as _MbLeaf
 from .plus import PalmtriePlus, _PlusLeaf
 from .poptrie import Poptrie, _PoptrieNode
 from .table import TernaryEntry, TernaryMatcher
-from .ternary import TernaryKey
 
 try:  # optional fast path, shared with repro.baselines.vectorized
     import numpy as _np
@@ -146,19 +146,21 @@ class FrozenMatcher(TernaryMatcher):
 
     Build one with :func:`freeze` (from an existing trie), the usual
     ``FrozenMatcher.build(entries, key_length, stride=8)``, or
-    :func:`repro.core.serialize.load_frozen`.  The source matcher that
-    absorbs incremental updates is reachable as :attr:`source`.
+    :func:`repro.core.serialize.load_frozen`.  A plane is read-only:
+    updates go to its source trie, and a new plane is frozen from it.
     """
 
     name = "frozen"
 
     # Work/latency counters for the observability plane.  Class-level
-    # defaults on purpose: deserialized planes (and ``from_matcher``)
-    # construct via ``__new__`` and must still read as zero; ``+=``
-    # shadows them with instance attributes on first update.
-    #: cumulative seconds spent in the freeze compiler
+    # defaults on purpose: deserialized planes construct via ``__new__``
+    # and must still read as zero; the compiler and ``+=`` shadow them
+    # with instance attributes.
+    #: seconds the freeze compiler spent on this plane
     freeze_seconds_total = 0.0
-    #: seconds the most recent refreeze took
+    #: what one freeze of this plane costs: the compiler's seconds, or
+    #: for a loaded plane the engine's rebuild of its source (the
+    #: engine's overlay pays up to this much before it compacts)
     last_freeze_seconds = 0.0
     #: (node, query) pairs processed by batch walks after skipping
     batch_walk_node_visits = 0
@@ -167,17 +169,9 @@ class FrozenMatcher(TernaryMatcher):
     #: see it too); None in production — one identity test per walk
     _fault_injector = None
 
-    # Adaptive-layer defaults, class-level so planes constructed via
-    # ``__new__`` (deserialize, from_matcher) read as plain build-order
-    # planes until told otherwise.
-    #: requested node layout ("build" or "hot"); applied on refreeze
-    layout = "build"
-    #: the layout the live arrays were actually emitted with
-    layout_applied = "build"
-    #: explicit workload trace for the hot layout's frequency pass
-    _layout_trace: Optional[list[int]] = None
-    #: passive reservoir of batch queries (hot layout only, bounded)
-    _query_samples: Optional[list[int]] = None
+    #: the trie this plane was compiled from (None once loaded from PLMF
+    #: bytes); :func:`freeze` re-lays out from it
+    _source: Optional[TernaryMatcher] = None
 
     def __init__(
         self,
@@ -187,34 +181,15 @@ class FrozenMatcher(TernaryMatcher):
         layout: str = "build",
         layout_trace: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(key_length)
+        """An empty plane; :meth:`build` and :meth:`from_matcher` compile
+        filled ones."""
         if not 1 <= stride <= 30:
             raise ValueError(f"stride must be in 1..30, got {stride}")
-        self.stride = stride
-        self.subtree_skipping = subtree_skipping
-        self._init_adaptive(layout, layout_trace)
-        self._source: Optional[TernaryMatcher] = MultibitPalmtrie(
-            key_length, stride=stride, subtree_skipping=subtree_skipping
+        self._compile(
+            MultibitPalmtrie(key_length, stride=stride, subtree_skipping=subtree_skipping),
+            layout,
+            layout_trace,
         )
-        self._pending_entries: Optional[list[TernaryEntry]] = None
-        # The first freeze is deferred: ``build()`` (or the first
-        # lookup) performs it, so constructing-then-bulk-inserting does
-        # not compile an empty plane just to throw it away.
-        self._dirty = True
-        self._freeze_count = 0
-
-    def _init_adaptive(
-        self,
-        layout: str,
-        layout_trace: Optional[Sequence[int]],
-    ) -> None:
-        """Validate and store the layout knobs (shared by the
-        constructor paths)."""
-        if layout not in _LAYOUTS:
-            raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
-        self.layout = layout
-        self._layout_trace = list(layout_trace) if layout_trace else None
-        self._query_samples = [] if layout == "hot" else None
 
     # ------------------------------------------------------------------
     # Construction
@@ -222,16 +197,20 @@ class FrozenMatcher(TernaryMatcher):
 
     @classmethod
     def build(
-        cls, entries: Iterable[TernaryEntry], key_length: int, **kwargs: Any
+        cls,
+        entries: Iterable[TernaryEntry],
+        key_length: int,
+        *,
+        stride: int = 8,
+        subtree_skipping: bool = True,
+        layout: str = "build",
+        layout_trace: Optional[Sequence[int]] = None,
     ) -> "FrozenMatcher":
         """Bulk build: fill a source Palmtrie_k, then freeze it once."""
-        frozen = cls(key_length, **kwargs)
-        assert isinstance(frozen._source, MultibitPalmtrie)
-        for entry in entries:
-            frozen._source.insert(entry)
-        frozen._dirty = True
-        frozen._refreeze()
-        return frozen
+        source = MultibitPalmtrie.build(
+            entries, key_length, stride=stride, subtree_skipping=subtree_skipping
+        )
+        return cls.from_matcher(source, layout=layout, layout_trace=layout_trace)
 
     @classmethod
     def from_matcher(
@@ -248,80 +227,57 @@ class FrozenMatcher(TernaryMatcher):
                 "expected MultibitPalmtrie or PalmtriePlus"
             )
         frozen = cls.__new__(cls)
-        TernaryMatcher.__init__(frozen, source.key_length)
-        frozen.stride = source.stride
-        frozen.subtree_skipping = source.subtree_skipping
-        frozen._init_adaptive(layout, layout_trace)
-        frozen._source = source
-        frozen._pending_entries = None
-        frozen._dirty = True
-        frozen._freeze_count = 0
-        frozen._refreeze()
+        frozen._compile(source, layout, layout_trace)
         return frozen
 
-    def _hydrate_source(self) -> TernaryMatcher:
-        """Materialize the mutable source (deserialized planes defer it)."""
-        if self._source is None:
-            source = MultibitPalmtrie(
-                self.key_length, stride=self.stride, subtree_skipping=self.subtree_skipping
-            )
-            for entry in self._pending_entries or []:
-                source.insert(entry)
-            self._pending_entries = None
-            self._source = source
-        return self._source
-
     def insert(self, entry: TernaryEntry) -> None:
-        """Update the retained source; the plane re-freezes on next lookup."""
-        self._hydrate_source().insert(entry)
-        self._dirty = True
-        self.generation += 1
+        """A plane is read-only: updates go to the Palmtrie_k it is
+        compiled from (a :class:`~repro.engine.ClassificationEngine`
+        serves them behind the plane and refreezes)."""
+        raise NotImplementedError("a frozen plane is read-only; update its source trie")
 
-    def delete(self, key: TernaryKey) -> bool:
-        removed = self._hydrate_source().delete(key)
-        if removed:
-            self._dirty = True
-            self.generation += 1
-        return removed
-
-    def bulk_update(self, ops: Iterable[tuple[str, Any]]) -> tuple[int, int, int]:
-        """Apply many inserts/deletes with one source pass and one
-        deferred re-freeze.
-
-        ``ops`` is a sequence of ``("insert", TernaryEntry)`` /
-        ``("delete", TernaryKey)`` pairs; the plane is marked stale (and
-        the generation bumped) exactly once.  Returns ``(inserted,
-        deleted, missing_deletes)``.
-        """
-        source = self._hydrate_source()
-        inserted = deleted = missing = 0
-        for op, payload in ops:
-            if op == "insert":
-                source.insert(payload)
-                inserted += 1
-            elif source.delete(payload):
-                deleted += 1
-            else:
-                missing += 1
-        if inserted or deleted:
-            self._dirty = True
-            self.generation += 1
-        return inserted, deleted, missing
+    def rebuild_source(self) -> MultibitPalmtrie:
+        """A fresh Palmtrie_k holding this plane's entries (a plane
+        loaded from PLMF bytes carries no source trie).  Entries go in
+        table order, best first within each leaf, so ties keep the
+        winner this plane serves."""
+        return MultibitPalmtrie.build(
+            self._entry_table,
+            self.key_length,
+            stride=self.stride,
+            subtree_skipping=self.subtree_skipping,
+        )
 
     # -- the freeze compiler --------------------------------------------
 
-    def _refreeze(self) -> None:
-        """Recompile the arrays from the source trie."""
+    def _compile(
+        self,
+        source: TernaryMatcher,
+        layout: str,
+        layout_trace: Optional[Sequence[int]],
+    ) -> None:
+        """Compile the arrays from ``source`` (a Palmtrie_k or Palmtrie+)."""
         freeze_start = time.perf_counter()
-        source = self._hydrate_source()
+        TernaryMatcher.__init__(self, source.key_length)
+        self.stride = source.stride
+        self.subtree_skipping = source.subtree_skipping
+        if layout not in _LAYOUTS:
+            raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
+        #: node layout: "build" (BFS order) or "hot" (walk frequency)
+        self.layout = layout
+        #: explicit workload trace for the hot layout's frequency pass
+        self._layout_trace = list(layout_trace) if layout_trace else None
+        #: passive reservoir of batch queries (hot layout only, bounded);
+        #: the engine replays it as the next freeze's trace
+        self._query_samples: Optional[list[int]] = [] if layout == "hot" else None
+        self._source = source
         if isinstance(source, PalmtriePlus) and source._dirty:
             # Walk the retained Palmtrie_k instead of compiling nodes
             # only to discard them: compile() numbers nodes in this
             # same BFS order and copies these leaves' entries, so the
             # arrays and served entries are identical.  The Palmtrie+
             # stays dirty and compiles if anything looks up through it.
-            source._hydrate_source()
-            source = source._source
+            source = source.source
         if isinstance(source, PalmtriePlus):
             root: Any = source._root
             plus_nodes = source._nodes
@@ -382,7 +338,7 @@ class FrozenMatcher(TernaryMatcher):
             # descending visit frequency (root pinned at 0) so hot
             # walks touch a contiguous id prefix — and, through the
             # dispatch remap, contiguous array regions.
-            trace = self._layout_trace or self._query_samples
+            trace = self._layout_trace
             if trace:
                 counts, leaf_wins = self._walk_counts(trace)
                 first_leaf = len(internals)
@@ -406,10 +362,10 @@ class FrozenMatcher(TernaryMatcher):
                 leaves = [leaves[j] for j in lorder]
                 self._emit(internals, leaves, kids, hot, win_mass=mass)
         self.layout_applied = "hot" if hot else "build"
-        self._dirty = False
-        self._freeze_count += 1
+        #: the layout the arrays were emitted with (what PLMF records)
+        self.layout_applied = "hot" if hot else "build"
         self.last_freeze_seconds = time.perf_counter() - freeze_start
-        self.freeze_seconds_total += self.last_freeze_seconds
+        self.freeze_seconds_total = self.last_freeze_seconds
 
     def _emit(
         self,
@@ -651,8 +607,6 @@ class FrozenMatcher(TernaryMatcher):
     # ------------------------------------------------------------------
 
     def lookup(self, query: int) -> Optional[TernaryEntry]:
-        if self._dirty:
-            self._refreeze()
         injector = self._fault_injector
         if injector is not None:
             injector.check("frozen_walk")
@@ -779,8 +733,6 @@ class FrozenMatcher(TernaryMatcher):
 
     def lookup_all(self, query: int) -> list[TernaryEntry]:
         """All matching entries, highest priority first (no skipping)."""
-        if self._dirty:
-            self._refreeze()
         (
             _maxp, bits, dispatch, push, data, care, _best_of,
             first_leaf, stride, chunk_mask, _skipping,
@@ -816,8 +768,6 @@ class FrozenMatcher(TernaryMatcher):
 
     def _counted_lookup(self, query: int) -> tuple[Optional[TernaryEntry], int, int]:
         """Counted traversal hook for :meth:`profile_lookup`."""
-        if self._dirty:
-            self._refreeze()
         (
             maxp, bits, dispatch, push, data, care, best_of,
             first_leaf, stride, chunk_mask, skipping,
@@ -885,8 +835,6 @@ class FrozenMatcher(TernaryMatcher):
         across process boundaries and resolves entries locally instead
         of pickling entry objects.
         """
-        if self._dirty:
-            self._refreeze()
         injector = self._fault_injector
         if injector is not None:
             # One check per unique query, so a rate-armed injector can
@@ -1083,33 +1031,20 @@ class FrozenMatcher(TernaryMatcher):
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._source is not None:
-            return len(self._source)
-        if self._pending_entries is not None:
-            return len(self._pending_entries)
         return len(self._entry_table)
 
     def entries(self) -> Iterator[TernaryEntry]:
-        if self._dirty and self._source is not None:
-            yield from self._source.entries()  # type: ignore[attr-defined]
-            return
-        yield from self._entry_table
+        return iter(self._entry_table)
 
     def node_count(self) -> tuple[int, int]:
         """(internal nodes, leaves) of the frozen plane."""
-        if self._dirty:
-            self._refreeze()
         return self._first_leaf, len(self._leaf_best)
 
     @property
-    def source(self) -> TernaryMatcher:
-        """The retained mutable trie that absorbs incremental updates."""
-        return self._hydrate_source()
-
-    @property
     def freeze_count(self) -> int:
-        """How many times the plane has been (re)compiled."""
-        return self._freeze_count
+        """How many times these arrays were compiled: once, since a
+        plane never changes (updates compile a new plane)."""
+        return 1
 
     def memory_bytes(self) -> int:
         """The flat plane's true footprint: the array buffers as
@@ -1118,8 +1053,6 @@ class FrozenMatcher(TernaryMatcher):
         port of this layout would allocate, and what
         ``serialize_frozen`` writes (header and value encoding aside).
         """
-        if self._dirty:
-            self._refreeze()
         buffers = (
             len(self._bit) * self._bit.itemsize
             + len(self._maxp) * self._maxp.itemsize
@@ -1201,9 +1134,10 @@ def freeze(
       :class:`FrozenMatcher` (the full ternary-matching surface);
     * :class:`Poptrie` → :class:`FrozenPoptrie` (the LPM surface; the
       adaptive knobs below do not apply);
-    * an already-frozen matcher is re-frozen only if its source has
-      pending updates or the requested layout differs, then
-      returned as-is.
+    * an already-frozen matcher is returned as-is, unless a different
+      layout (or a hot layout's new trace) is asked for: then a new
+      plane is laid out from the trie it was compiled from, or from one
+      rebuilt from its entries when it was loaded from PLMF bytes.
 
     ``layout`` picks the node layout (``"build"`` or ``"hot"``; None
     keeps an existing frozen matcher's choice) and ``trace`` an
@@ -1211,19 +1145,15 @@ def freeze(
     pass.
     """
     if isinstance(matcher, FrozenMatcher):
-        if layout is not None and layout != matcher.layout:
-            if layout not in _LAYOUTS:
-                raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
-            matcher.layout = layout
-            matcher._query_samples = [] if layout == "hot" else None
-            matcher._dirty = True
-        if trace is not None:
-            matcher._layout_trace = list(trace)
-            if matcher.layout == "hot":
-                matcher._dirty = True
-        if matcher._dirty:
-            matcher._refreeze()
-        return matcher
+        layout = layout or matcher.layout
+        if layout == matcher.layout and (trace is None or layout != "hot"):
+            return matcher
+        source = matcher._source
+        if source is None:
+            source = matcher.rebuild_source()
+        return FrozenMatcher.from_matcher(
+            source, layout=layout, layout_trace=trace or matcher._layout_trace
+        )
     if isinstance(matcher, Poptrie):
         return FrozenPoptrie(matcher)
     return FrozenMatcher.from_matcher(

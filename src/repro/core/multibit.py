@@ -29,7 +29,7 @@ Algorithm 2 performs at line 6.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator, Optional, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
 from .table import TernaryEntry, TernaryMatcher
 from .ternary import TernaryKey
@@ -229,6 +229,21 @@ class MultibitPalmtrie(TernaryMatcher):
             break
         self._size += 1
         self.generation += 1
+
+    def bulk_update(self, ops: Iterable[tuple[str, Any]]) -> tuple[int, int, int]:
+        """Apply ``("insert", TernaryEntry)`` / ``("delete", TernaryKey)``
+        pairs in order (one transaction of the serving engine).  Returns
+        ``(inserted, deleted, missing_deletes)``."""
+        inserted = deleted = missing = 0
+        for op, payload in ops:
+            if op == "insert":
+                self.insert(payload)
+                inserted += 1
+            elif self.delete(payload):
+                deleted += 1
+            else:
+                missing += 1
+        return inserted, deleted, missing
 
     def remove_entry(self, entry: TernaryEntry) -> bool:
         """Remove one specific entry (key + value + priority).

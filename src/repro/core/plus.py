@@ -180,19 +180,16 @@ class PalmtriePlus(TernaryMatcher):
         ``(inserted, deleted, missing_deletes)``.
         """
         self._hydrate_source()
-        inserted = deleted = missing = 0
-        for op, payload in ops:
-            if op == "insert":
-                self._source.insert(payload)
-                inserted += 1
-            elif self._source.delete(payload):
-                deleted += 1
-            else:
-                missing += 1
-        if inserted or deleted:
-            self._dirty = True
-            self.generation += 1
-        return inserted, deleted, missing
+        source = self._source
+        before = source.generation
+        try:
+            return source.bulk_update(ops)
+        finally:
+            # Also when an op raised after others applied: the compiled
+            # form must not keep serving what the source no longer holds.
+            if source.generation != before:
+                self._dirty = True
+                self.generation += 1
 
     def compile(self) -> None:
         """Rebuild the node array from the source trie (compilation part

@@ -348,8 +348,6 @@ def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
 
     if not isinstance(matcher, FrozenMatcher):
         raise FormatError(f"expected FrozenMatcher, got {type(matcher).__name__}")
-    if matcher._dirty:
-        matcher._refreeze()
     key_bytes = (matcher.key_length + 7) // 8
     leaf_count = len(matcher._leaf_best)
 
@@ -604,10 +602,6 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     TernaryMatcher.__init__(frozen, key_length)
     frozen.stride = stride
     frozen.subtree_skipping = bool(flags & 1)
-    frozen._source = None
-    frozen._pending_entries = list(entry_table)
-    frozen._dirty = False
-    frozen._freeze_count = 1
     frozen._bit = bit_arr
     frozen._maxp = maxp_arr
     frozen._dispatch = dispatch

@@ -20,7 +20,7 @@ from .ternary import TernaryKey
 
 if TYPE_CHECKING:
     from ..config import EngineConfig
-    from .plus import PalmtriePlus
+    from .multibit import MultibitPalmtrie
 
 __all__ = [
     "TernaryEntry",
@@ -127,10 +127,13 @@ class TernaryMatcher(abc.ABC):
 
     @classmethod
     def build(cls, entries: Iterable[TernaryEntry], key_length: int, **kwargs: Any) -> "TernaryMatcher":
-        """Build a matcher from a full rule set (bulk construction)."""
+        """Build a matcher from a full rule set (bulk construction).  A
+        built table starts at generation 0, as one compiled in a single
+        step does: construction is not a mutation."""
         matcher = cls(key_length, **kwargs)
         for entry in entries:
             matcher.insert(entry)
+        matcher.generation = 0
         return matcher
 
     # -- lookup -----------------------------------------------------------
@@ -222,21 +225,22 @@ def build_matcher(
     config: "EngineConfig",
     entries: Sequence[TernaryEntry],
     key_length: int,
-) -> "PalmtriePlus":
-    """The Palmtrie+ an :class:`~repro.config.EngineConfig` describes:
-    ``PalmtriePlus.build(entries, key_length, stride=config.stride)``.
+) -> "MultibitPalmtrie":
+    """The Palmtrie_k an :class:`~repro.config.EngineConfig` describes:
+    ``MultibitPalmtrie.build(entries, key_length, stride=config.stride)``.
 
     The one build path of the CLI, the apps, the tenant router and
-    :func:`~repro.serve`.  The paper's comparison structures (the basic
-    and multi-bit tries, the baselines) are built through their own
-    classes by the experiment drivers; the engine serves only a
-    Palmtrie+ or its frozen plane.
+    :func:`~repro.serve`: the engine serves this retained source trie
+    (paper §3.6) through the frozen plane compiled from it, so no
+    Palmtrie+ is compiled on the way.  The paper's comparison
+    structures (the basic trie, Palmtrie+, the baselines) are built
+    through their own classes by the experiment drivers.
     """
     from ..config import EngineConfig
-    from .plus import PalmtriePlus
+    from .multibit import MultibitPalmtrie
 
     if not isinstance(config, EngineConfig):
         raise TypeError(f"build_matcher takes an EngineConfig, got {config!r}")
     entries = list(entries)
     _check_entries(entries, key_length)
-    return PalmtriePlus.build(entries, key_length, stride=config.stride)
+    return MultibitPalmtrie.build(entries, key_length, stride=config.stride)

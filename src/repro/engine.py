@@ -5,8 +5,8 @@ packet workloads are bursty and flow-heavy: NICs hand the CPU bursts of
 packets, and a handful of elephant flows dominate any interval (the
 locality that cache-aware forwarding tables and batch classifiers
 exploit).  :class:`ClassificationEngine` is the serving layer that
-turns the paper's served structure — a Palmtrie+_k, or the frozen plane
-compiled from one — into that shape:
+turns the paper's served structure — a retained Palmtrie_k and the
+frozen plane compiled from it (§3.6) — into that shape:
 
 * ``lookup_batch`` drains a whole burst through one batched walk;
 * an LRU *flow cache* keyed on the binary query short-circuits repeat
@@ -25,9 +25,9 @@ compiled from one — into that shape:
   throughput are kept for the benchmark harness and the CLI.
 
 The *update plane* makes policy churn first-class.  The paper's update
-cost model (§3.6, §4.4) is that a Palmtrie+ update is an update of the
-retained source trie plus a recompile; this engine adds the serving
-half of that story:
+cost model (§3.6, §4.4) is that an update goes to the retained
+Palmtrie_k and the fast form is recompiled from it; this engine adds
+the serving half of that story:
 
 * :meth:`apply_updates` (and the :meth:`update_batch` context manager)
   applies many inserts/deletes as one transaction — one pass over the
@@ -61,9 +61,9 @@ half of that story:
 The *resilience plane* (``resilience=True`` or a configured
 :class:`~repro.resilience.guard.GuardRail`) turns faults into degraded
 service instead of tracebacks: a fault in the frozen plane degrades to
-the interpreted matcher (with a circuit breaker pacing re-freeze
-attempts), a fault in the matcher degrades to a linear-scan reference
-rebuilt from its own entries, and an optional sampled shadow-verify
+the interpreted Palmtrie_k (with a circuit breaker pacing re-freeze
+attempts), a fault there degrades to a linear-scan reference
+rebuilt from the policy's entries, and an optional sampled shadow-verify
 cross-checks answers against that reference, quarantining on mismatch.
 :meth:`checkpoint` / :meth:`from_checkpoint` round-trip the policy and
 its coherence stamps through crash-safe checksummed files
@@ -92,6 +92,7 @@ from typing import Any, Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .core.frozen import FrozenMatcher
+from .core.multibit import MultibitPalmtrie
 from .core.plus import PalmtriePlus
 from .core.table import LookupStats, TernaryEntry
 from .core.ternary import TernaryKey
@@ -159,18 +160,6 @@ def _worth_testing(groups: dict[int, set[int]]) -> bool:
     pay: an all-wildcard key (care mask 0) matches everything, and past
     ``_MAX_KEY_GROUPS`` masks the per-query tests add up."""
     return 0 not in groups and len(groups) <= _MAX_KEY_GROUPS
-
-
-def _served(matcher: Any) -> Union[PalmtriePlus, FrozenMatcher]:
-    """``matcher`` if the engine can serve it: a Palmtrie+ (its frozen
-    plane compiles from the retained Palmtrie_k) or a frozen plane that
-    is its own matcher (a checkpoint or a ``.plmf`` file)."""
-    if not isinstance(matcher, (PalmtriePlus, FrozenMatcher)):
-        raise TypeError(
-            "the engine serves a PalmtriePlus or a FrozenMatcher, "
-            f"got {type(matcher).__name__}"
-        )
-    return matcher
 
 
 def _reports_masks(plane: Any) -> bool:
@@ -759,7 +748,7 @@ class _EngineInstruments:
         ).set(engine.cache.capacity)
         registry.gauge(
             "engine_generation", "Matcher content generation."
-        ).set(engine.matcher.generation)
+        ).set(engine._matcher.generation)
         registry.gauge(
             "engine_frozen_plane_active", "1 while lookups are served from the frozen plane."
         ).set(1 if engine._plane is not None else 0)
@@ -784,27 +773,16 @@ class _EngineInstruments:
             "Changed keys the frozen plane is behind by (served through "
             "the retained Palmtrie_k until the next refreeze).",
         ).set(engine.plane_overlay_keys)
-        compile_seconds = getattr(engine.matcher, "compile_seconds_total", None)
-        if compile_seconds is not None:
-            counter(
-                "matcher_compile_seconds_total",
-                "Seconds spent recompiling the Palmtrie+ node array.",
-            ).set_total(compile_seconds)
-        # Frozen-plane work counters live on whichever frozen object is
-        # serving: the auto-freeze plane, or the matcher itself.
-        plane = engine._plane if engine._plane is not None else engine.matcher
-        visits = getattr(plane, "batch_walk_node_visits", None)
-        if visits is not None:
+        plane = engine._plane
+        if plane is not None:
             counter(
                 "frozen_batch_node_visits_total",
                 "(node, query) pairs processed by frozen-plane batch walks.",
-            ).set_total(visits)
-        freeze_seconds = getattr(plane, "freeze_seconds_total", None)
-        if freeze_seconds is not None:
+            ).set_total(plane.batch_walk_node_visits)
             counter(
                 "frozen_freeze_seconds_total",
                 "Seconds spent in the frozen-plane freeze compiler.",
-            ).set_total(freeze_seconds)
+            ).set_total(plane.freeze_seconds_total)
         registry.gauge(
             "engine_epoch", "Policy epoch (bumped on every replace_matcher)."
         ).set(engine.epoch)
@@ -870,7 +848,8 @@ class _EngineInstruments:
 
 
 class ClassificationEngine:
-    """Serving layer: flow cache + batched lookups over a Palmtrie+.
+    """Serving layer: flow cache + batched lookups over a Palmtrie_k
+    and its frozen plane.
 
     Construction takes the matcher plus one
     :class:`~repro.config.EngineConfig` holding every serving knob::
@@ -887,20 +866,26 @@ class ClassificationEngine:
     workers.
 
     ``cache_size`` is the LRU capacity in distinct binary queries
-    (0 disables caching; batching still applies).  ``matcher`` is a
-    :class:`~repro.core.plus.PalmtriePlus` or a
+    (0 disables caching; batching still applies).  The engine holds one
+    form: the retained Palmtrie_k (the paper's §3.6 source trie) and a
+    frozen plane compiled from it.  ``matcher`` is that Palmtrie_k (a
+    :class:`~repro.core.multibit.MultibitPalmtrie`, what
+    :func:`~repro.core.table.build_matcher` builds), a
+    :class:`~repro.core.plus.PalmtriePlus` (updates go through it, and
+    the engine reads its Palmtrie_k), or a
     :class:`~repro.core.frozen.FrozenMatcher` (restored from a
-    checkpoint or a ``.plmf`` file); anything else is a
-    :class:`TypeError`.
+    checkpoint or a ``.plmf`` file), which is installed as the plane;
+    its Palmtrie_k is rebuilt from its entries on the first update, and
+    only then.  Anything else is a :class:`TypeError`.
 
-    With ``auto_freeze=True`` the engine compiles the matcher into its
-    frozen struct-of-arrays plane (:func:`repro.core.freeze`) once the
-    build settles — lazily, on the first cache miss — and serves
-    lookups from the plane.  ``insert``/``delete`` still go to the
-    mutable matcher; the plane keeps serving behind an overlay of the
-    changed keys (a frozen matcher, its own plane, is re-frozen lazily
-    on the next miss instead), so updates stay cheap and bursts stay
-    fast.
+    With ``auto_freeze=True`` the engine compiles the Palmtrie_k into
+    its frozen struct-of-arrays plane (:func:`repro.core.freeze`) once
+    the build settles — lazily, on the first cache miss — and serves
+    lookups from the plane; with it off, the Palmtrie_k serves
+    interpreted (an installed plane serves until an update drops it).
+    ``insert``/``delete`` go to the Palmtrie_k; the plane keeps serving
+    behind an overlay of the changed keys until the overlay has cost one
+    refreeze, so updates stay cheap and bursts stay fast.
 
     Every update evicts exactly the cached rows its changed keys match;
     ``invalidation_threshold`` decides when: while the cache holds at
@@ -915,7 +900,7 @@ class ClassificationEngine:
 
     def __init__(
         self,
-        matcher: Union[PalmtriePlus, FrozenMatcher],
+        matcher: Union[MultibitPalmtrie, PalmtriePlus, FrozenMatcher],
         config: Optional[EngineConfig] = None,
     ) -> None:
         config = config if config is not None else DEFAULT_CONFIG
@@ -926,36 +911,22 @@ class ClassificationEngine:
         invalidation_threshold = config.invalidation_threshold
         metrics = config.metrics
         resilience = config.resilience
-        self._matcher = _served(matcher)
         self.cache = FlowCache(cache_size * max(1, config.shards))
         #: decision-region tier behind the cache (in-process planes only)
         self.regions = RegionCache(4 * self.cache.capacity)
-        #: True while the plane reports examined-bit masks (a FrozenMatcher)
-        self._plane_masks = False
         #: distinct misses the in-process frozen plane walked
         self.plane_walks = 0
         self.auto_freeze = auto_freeze or config.shards > 0
         self.invalidation_threshold = invalidation_threshold
-        self._plane: Optional[Any] = None
-        #: the hot-layout plane's live query reservoir, kept past the
-        #: plane's drop so the next freeze replays it as its trace
-        self._plane_samples: Optional[list[int]] = None
+        self._install(matcher)
         #: matcher generation the cache contents were filled under
-        self._seen_generation = matcher.generation
+        self._seen_generation = self._matcher.generation
         #: changed-key groups (see group_keys) of deferred transactions,
         #: swept from the cache at the next lookup
         self._pending: dict[int, set[int]] = {}
         #: matcher generation the engine has accounted for: the cache
         #: plus the pending groups are coherent with it
         self._pending_generation = self._seen_generation
-        #: matcher generation the frozen plane plus its overlay serve
-        self._plane_generation: Optional[int] = None
-        #: changed-key groups the frozen plane is behind by; misses they
-        #: match resolve through the retained Palmtrie_k
-        self._overlay: dict[int, set[int]] = {}
-        #: seconds the overlay has cost (group tests plus source
-        #: lookups) since the plane was frozen
-        self._overlay_seconds = 0.0
         #: bumped on every policy swap; stamped alongside the generation
         #: so a replacement matcher with a coincidentally-equal
         #: generation can never revive stale cached state
@@ -1031,20 +1002,81 @@ class ClassificationEngine:
 
     @property
     def name(self) -> str:
-        return f"engine({self.matcher.name})"
+        return f"engine({self._matcher.name})"
 
     @property
     def matcher(self) -> Any:
-        """The serving matcher.  Assigning routes through
-        :meth:`replace_matcher`, so ``engine.matcher = rebuilt`` gets
-        the full swap (plane dropped, cache cleared, epoch bumped) even
-        when the new matcher starts at the same generation value —
-        a bare attribute write used to leave all of that stale."""
+        """The policy updates go to: the Palmtrie_k, or the Palmtrie+
+        the engine was handed (its Palmtrie_k serves).  An installed
+        plane's Palmtrie_k is rebuilt from its entries on first access.
+        Assigning routes through :meth:`replace_matcher`, so
+        ``engine.matcher = rebuilt`` gets the full swap (plane dropped,
+        cache cleared, epoch bumped) even when the new matcher starts at
+        the same generation value."""
+        self._hydrate()
         return self._matcher
 
     @matcher.setter
-    def matcher(self, matcher: Union[PalmtriePlus, FrozenMatcher]) -> None:
+    def matcher(self, matcher: Union[MultibitPalmtrie, PalmtriePlus, FrozenMatcher]) -> None:
         self.replace_matcher(matcher)
+
+    # -- the served form ---------------------------------------------------
+
+    def _install(self, matcher: Any) -> None:
+        """Take ``matcher`` as the served policy (see the class
+        docstring); callers re-seed the generation stamps."""
+        if isinstance(matcher, FrozenMatcher):
+            source, plane = None, matcher
+        elif isinstance(matcher, PalmtriePlus):
+            source, plane = matcher.source, None
+        elif isinstance(matcher, MultibitPalmtrie):
+            source, plane = matcher, None
+        else:
+            raise TypeError(
+                "the engine serves a MultibitPalmtrie, a PalmtriePlus or a "
+                f"FrozenMatcher, got {type(matcher).__name__}"
+            )
+        #: the policy updates go to (an installed plane until its
+        #: Palmtrie_k is rebuilt)
+        self._matcher = matcher
+        #: the retained Palmtrie_k: the plane is frozen from it, and it
+        #: answers the misses the overlay matches and the guard's middle
+        #: rung (None while an installed plane has not needed one)
+        self._source: Optional[MultibitPalmtrie] = source
+        self._plane: Optional[FrozenMatcher] = plane
+        #: matcher generation the frozen plane plus its overlay serve
+        self._plane_generation = None if plane is None else matcher.generation
+        #: True while the plane reports examined-bit masks
+        self._plane_masks = plane is not None and _reports_masks(plane)
+        #: the hot-layout plane's live query reservoir, kept past the
+        #: plane's drop so the next freeze replays it as its trace
+        self._plane_samples = None if plane is None else plane._query_samples
+        #: changed-key groups the frozen plane is behind by; misses they
+        #: match resolve through the retained Palmtrie_k
+        self._overlay: dict[int, set[int]] = {}
+        #: seconds the overlay has cost (group tests plus source
+        #: lookups) since the plane was frozen
+        self._overlay_seconds = 0.0
+        self.regions.clear()
+
+    def _hydrate(self) -> MultibitPalmtrie:
+        """The retained Palmtrie_k.  An installed plane's is rebuilt
+        from its entries here — on the first update, direct mutation or
+        plane fault, and only then — and carries its generation on."""
+        source = self._source
+        if source is None:
+            plane = self._matcher
+            start = time.perf_counter()
+            source = plane.rebuild_source()
+            # A loaded plane carries no freeze time, and the overlay's
+            # ski rental pays up to one refreeze: a refreeze walks the
+            # trie this rebuild built, so the rebuild's time bounds it.
+            plane.last_freeze_seconds = max(
+                plane.last_freeze_seconds, time.perf_counter() - start
+            )
+            source.generation = plane.generation
+            self._matcher = self._source = source
+        return source
 
     # -- resilience -------------------------------------------------------
 
@@ -1097,63 +1129,67 @@ class ClassificationEngine:
 
     def _lookup_target(self) -> Any:
         """The object cache misses are resolved against: the frozen
-        plane when ``auto_freeze`` is on — or the shard pool, serving
-        that same plane, when there is one — and the matcher itself
-        otherwise.  With a guard attached, a
+        plane — or the shard pool, serving that same plane, when there
+        is one — and the interpreted Palmtrie_k while there is no plane
+        and ``auto_freeze`` is off.  With a guard attached, a
         quarantined engine resolves against the linear-scan reference,
         an open breaker skips re-freeze attempts until its backoff
-        elapses, and a failing freeze degrades to the matcher instead
-        of raising."""
+        elapses, and a failing freeze degrades to the Palmtrie_k
+        instead of raising."""
         guard = self._guard
         if guard is not None and guard.quarantined:
             return self._reference_matcher()
-        if not self.auto_freeze:
-            return self._matcher
-        if self._plane is None:
-            if guard is not None and not guard.breaker.allow():
-                return self._matcher
-            from .core.frozen import freeze
-
-            # Non-default layout only: freeze(layout=None) leaves a
-            # pre-built FrozenMatcher's own layout alone.
-            layout = self.config.frozen_layout
-            start = time.perf_counter()
-            try:
-                self._plane = freeze(
-                    self._matcher,
-                    layout=None if layout == "build" else layout,
-                    trace=self._plane_samples or None,
-                )
-            except Exception as exc:
-                if guard is None:
-                    raise
-                # The re-freeze itself failed (e.g. a corrupt source):
-                # count it against the breaker and serve interpreted.
-                guard.record_fault(getattr(exc, "site", None) or "refreeze", exc)
-                guard.refreeze_faults += 1
-                guard.breaker.record_failure()
-                return self._matcher
-            elapsed = time.perf_counter() - start
-            # A plane built here starts with an empty reservoir, so keep
-            # a handle on it for the next refreeze.  A FrozenMatcher
-            # served as its own plane keeps its reservoir across
-            # refreezes already.
-            if self._plane is not self._matcher:
-                self._plane_samples = getattr(self._plane, "_query_samples", None)
-            self.freezes += 1
-            self.freeze_seconds_total += elapsed
-            self._plane_generation = self._matcher.generation
-            self._plane_masks = _reports_masks(self._plane)
-            self._overlay = {}
-            self._overlay_seconds = 0.0
-            instruments = self._instruments
-            if instruments is not None:
-                instruments.freeze_seconds.observe(elapsed)
+        plane = self._plane
+        if plane is None:
+            if not self.auto_freeze or (guard is not None and not guard.breaker.allow()):
+                return self._source
+            plane = self._freeze()
+            if plane is None:
+                return self._source
         pool = self._pool
         if pool is None:
-            return self._plane
-        pool.serve(self._plane)
+            return plane
+        pool.serve(plane)
         return pool
+
+    def _freeze(self) -> Optional[FrozenMatcher]:
+        """Freeze the Palmtrie_k into the serving plane.  Under a guard
+        a failing freeze is recorded and returns None (the caller serves
+        interpreted)."""
+        from .core.frozen import freeze
+
+        start = time.perf_counter()
+        try:
+            plane = freeze(
+                self._source,
+                layout=self.config.frozen_layout,
+                trace=self._plane_samples or None,
+            )
+        except Exception as exc:
+            guard = self._guard
+            if guard is None:
+                raise
+            # The re-freeze itself failed (e.g. a corrupt source):
+            # count it against the breaker and serve interpreted.
+            guard.record_fault(getattr(exc, "site", None) or "refreeze", exc)
+            guard.refreeze_faults += 1
+            guard.breaker.record_failure()
+            return None
+        elapsed = time.perf_counter() - start
+        self._plane = plane
+        # A new plane starts with an empty reservoir: keep a handle on
+        # it for the next refreeze.
+        self._plane_samples = plane._query_samples
+        self.freezes += 1
+        self.freeze_seconds_total += elapsed
+        self._plane_generation = self._matcher.generation
+        self._plane_masks = _reports_masks(plane)
+        self._overlay = {}
+        self._overlay_seconds = 0.0
+        instruments = self._instruments
+        if instruments is not None:
+            instruments.freeze_seconds.observe(elapsed)
+        return plane
 
     # -- generation coherence -------------------------------------------
 
@@ -1161,6 +1197,7 @@ class ClassificationEngine:
         """Forget the frozen plane, its overlay and the regions walked
         on it; the next miss refreezes (lazily, through
         :meth:`_lookup_target`)."""
+        self._hydrate()  # an installed plane is the policy's only copy
         self._plane = None
         self._overlay = {}
         self._overlay_seconds = 0.0
@@ -1211,11 +1248,12 @@ class ClassificationEngine:
         self._seen_generation = self._pending_generation = generation
 
     def _before_update(self) -> int:
-        """The matcher generation a transaction starts from.  A
-        generation the engine has not accounted for means the matcher
-        was mutated directly: sync first, so that change takes the
-        clear-and-refreeze path instead of hiding behind this
-        transaction's keys."""
+        """The matcher generation a transaction starts from, once the
+        Palmtrie_k it updates exists.  A generation the engine has not
+        accounted for means the matcher was mutated directly: sync
+        first, so that change takes the clear-and-refreeze path instead
+        of hiding behind this transaction's keys."""
+        self._hydrate()
         generation = self._matcher.generation
         if generation != self._pending_generation:
             self._sync()
@@ -1232,10 +1270,9 @@ class ClassificationEngine:
 
         * the linear-scan reference, when it was current, applies the
           same ops in place;
-        * a Palmtrie+'s frozen plane keeps serving, with the keys added
-          to its overlay (misses they match resolve through the
-          retained Palmtrie_k); a frozen matcher, its own plane, an
-          all-wildcard key or an overlay past
+        * the frozen plane keeps serving, with the keys added to its
+          overlay (misses they match resolve through the retained
+          Palmtrie_k); an all-wildcard key or an overlay past
           ``_MAX_KEY_GROUPS`` masks drops it for the lazy refreeze;
         * the cache evicts the rows the keys match — now while it holds
           at most ``invalidation_threshold`` rows, else at the next
@@ -1243,8 +1280,7 @@ class ClassificationEngine:
 
         Returns ``(rows_evicted, deferred)``.
         """
-        matcher = self._matcher
-        generation = matcher.generation
+        generation = self._matcher.generation
         groups = group_keys(
             payload.key if kind == "insert" else payload for kind, payload in ops
         )
@@ -1258,16 +1294,9 @@ class ClassificationEngine:
             self._reference_stamp = (self.epoch, generation)
         else:
             self._reference = None  # rebuilt from entries() on next use
-        plane = self._plane
-        if plane is not None:
-            if (
-                isinstance(matcher, PalmtriePlus)
-                and self._plane_generation == before
-            ):
-                self._plane_generation = generation
-                if not _worth_testing(_merge_groups(self._overlay, groups)):
-                    self._drop_plane()
-            else:
+        if self._plane is not None:
+            self._plane_generation = generation
+            if not _worth_testing(_merge_groups(self._overlay, groups)):
                 self._drop_plane()  # re-freeze lazily on the next miss
         pending = _merge_groups(self._pending, groups)
         self._pending_generation = generation
@@ -1401,10 +1430,9 @@ class ClassificationEngine:
             if behind:
                 fresh = set(behind)
                 rest = [query for query in rest if query not in fresh]
-                # Only a Palmtrie+ serves behind an overlay.  Scalar
-                # lookups: the trie's node-major batch walk costs 2-3x
-                # more per query at these few-query sizes.
-                lookup = self._matcher.source.lookup
+                # Scalar lookups: the trie's node-major batch walk costs
+                # 2-3x more per query at these few-query sizes.
+                lookup = self._source.lookup
                 answers.update([(query, lookup(query)) for query in behind])
             # Ski rental: keep paying the overlay until it has cost as
             # much as one refreeze, then compact (the next miss refreezes).
@@ -1421,9 +1449,7 @@ class ClassificationEngine:
                 # A batch large enough for the NumPy walk reports no masks.
                 if len(masks) == len(rest):
                     regions.fill(rest, masks, verdicts, overlay)
-        if overlay and self._overlay_seconds >= getattr(
-            self._plane, "last_freeze_seconds", 0.0
-        ):
+        if overlay and self._overlay_seconds >= self._plane.last_freeze_seconds:
             self._drop_plane()
         if not answers:
             return verdicts  # every miss was walked, in order
@@ -1434,7 +1460,7 @@ class ClassificationEngine:
 
     def _guarded_resolve(self, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Resolve misses down the ladder: frozen plane → interpreted
-        matcher → linear-scan reference.  Each rung's fault is recorded
+        Palmtrie_k → linear-scan reference.  Each rung's fault is recorded
         on the guard and service continues one rung down; only a fault
         on the reference itself propagates."""
         guard = self._guard
@@ -1460,7 +1486,7 @@ class ClassificationEngine:
                 guard.serving_fallback = False
                 return resolved
         try:
-            resolved = self._matcher.lookup_batch(unique)
+            resolved = self._source.lookup_batch(unique)
         except Exception as exc:
             guard.record_fault(getattr(exc, "site", None) or "matcher", exc)
         else:
@@ -1579,8 +1605,8 @@ class ClassificationEngine:
         """
         start = time.perf_counter()
         normalized = [self._normalize_op(op) for op in ops]
-        matcher = self._matcher
         before = self._before_update()
+        matcher = self._matcher
         guard = self._guard
         ops_in: Iterable[tuple[str, Any]] = normalized
         if guard is not None and guard.injector is not None and guard.injector.armed("update"):
@@ -1637,10 +1663,9 @@ class ClassificationEngine:
 
     def _recover_from_update_fault(self, matcher: Any) -> None:
         # The transaction may have applied a prefix of its ops before
-        # raising; mark the source dirty and move the generation so the
-        # recompile, the frozen plane, the flow cache and the reference
-        # all rebuild from what the source actually contains now.
-        matcher._dirty = True
+        # raising; move the generation so the frozen plane, the flow
+        # cache and the reference all rebuild from what the Palmtrie_k
+        # actually holds now.
         matcher.generation += 1
         self._drop_plane()
         self._plane_generation = None
@@ -1663,7 +1688,9 @@ class ClassificationEngine:
         """
         return _UpdateBatch(self)
 
-    def replace_matcher(self, matcher: Union[PalmtriePlus, FrozenMatcher]) -> None:
+    def replace_matcher(
+        self, matcher: Union[MultibitPalmtrie, PalmtriePlus, FrozenMatcher]
+    ) -> None:
         """Swap in a rebuilt policy atomically.
 
         The new matcher replaces the old one in one step — plane
@@ -1674,16 +1701,11 @@ class ClassificationEngine:
         (``engine.matcher = new`` routes here too, so even a direct
         assignment whose matcher starts at the same generation value
         can never serve the old plane or cache.)  A guard's quarantine
-        and breaker describe the *old* policy, so they reset.
+        and breaker describe the *old* policy, so they reset.  A frozen
+        plane is installed as the plane (see the class docstring).
         """
-        self._matcher = _served(matcher)
+        self._install(matcher)
         self.epoch += 1
-        self._drop_plane()
-        self._plane_generation = None
-        # The samples belong to the old plane's layout history; a
-        # FrozenMatcher swapped in would otherwise be re-frozen (and a
-        # loaded one have its source built) just to take them.
-        self._plane_samples = None
         self._reference = None
         self._reference_stamp = None
         self._seen_generation = self._pending_generation = matcher.generation
@@ -1698,6 +1720,24 @@ class ClassificationEngine:
 
     # -- crash-safe checkpoints ------------------------------------------
 
+    def current_plane(self) -> FrozenMatcher:
+        """The frozen plane with every update folded in: what a
+        checkpoint writes and what a tenant's memory quota measures.  A
+        pending overlay is compacted first, so that freeze also serves;
+        an engine serving interpreted (``auto_freeze`` off) freezes a
+        plane that does not serve."""
+        self._sync()
+        if self._overlay:
+            self._drop_plane()
+        if self._plane is None and self.auto_freeze:
+            self._freeze()
+        plane = self._plane
+        if plane is None:
+            from .core.frozen import freeze
+
+            plane = freeze(self._source, layout=self.config.frozen_layout)
+        return plane
+
     def checkpoint(self, path: Any) -> int:
         """Write the current policy + coherence stamps (engine epoch,
         matcher generation) to ``path`` atomically; returns the bytes
@@ -1705,10 +1745,7 @@ class ClassificationEngine:
         from .resilience.checkpoint import write_checkpoint
 
         return write_checkpoint(
-            path,
-            self._matcher,
-            epoch=self.epoch,
-            generation=self._matcher.generation,
+            path, self.current_plane(), epoch=self.epoch, generation=self._matcher.generation
         )
 
     @classmethod
@@ -1749,9 +1786,7 @@ class ClassificationEngine:
         target = path if path is not None else self.config.last_good_path
         if target is None:
             self._last_good_blob = serialize_checkpoint(
-                self._matcher,
-                epoch=self.epoch,
-                generation=self._matcher.generation,
+                self.current_plane(), epoch=self.epoch, generation=self._matcher.generation
             )
             self.last_good_epoch = self.epoch
             return len(self._last_good_blob)
@@ -1795,18 +1830,13 @@ class ClassificationEngine:
         Normally a transaction leaves its cache sweep to the next
         lookup and the frozen plane serving behind a changed-key
         overlay; call this to settle both now (e.g. before a
-        latency-sensitive burst): syncs the generation stamp,
-        recompiles a dirty matcher, and compacts the overlay — a fresh
-        freeze — when ``auto_freeze`` is on.
+        latency-sensitive burst): syncs the generation stamp and
+        compacts the overlay — a fresh freeze — when ``auto_freeze`` is
+        on.
         """
         self._sync()
         if self._overlay:
             self._drop_plane()
-        matcher = self._matcher
-        if isinstance(matcher, PalmtriePlus) and matcher._dirty:
-            # A frozen matcher re-freezes through the same freeze() path
-            # _lookup_target uses.
-            matcher.compile()
         self._lookup_target()
 
     def invalidate_all(self) -> int:
@@ -1868,7 +1898,7 @@ class ClassificationEngine:
         """Engine counters in one dict (CLI / harness consumption)."""
         stats = self.stats
         summary: dict[str, Any] = {
-            "matcher": self.matcher.name,
+            "matcher": self._matcher.name,
             "lookups": stats.lookups,
             "cache_size": self.cache.capacity,
             "cache_entries": len(self.cache),
@@ -1890,7 +1920,7 @@ class ClassificationEngine:
             "lazy_invalidations": self.lazy_invalidations,
             "policy_swaps": self.policy_swaps,
             "invalidation_threshold": self.invalidation_threshold,
-            "generation": self.matcher.generation,
+            "generation": self._matcher.generation,
             "plane_generation": self._plane_generation,
             "plane_overlay_keys": self.plane_overlay_keys,
             "plane_walks": self.plane_walks,
@@ -1934,4 +1964,4 @@ class ClassificationEngine:
         self.regions.reset_counters()
 
     def __len__(self) -> int:
-        return len(self.matcher)
+        return len(self._matcher)

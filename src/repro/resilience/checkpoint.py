@@ -84,20 +84,17 @@ class RecoveryReport:
     error: Optional[str] = None
 
 
-def _as_frozen(matcher: Any) -> Any:
-    """The frozen form of ``matcher`` (PLMF is the checkpoint payload)."""
-    from ..core.frozen import FrozenMatcher, freeze
-
-    return matcher if isinstance(matcher, FrozenMatcher) else freeze(matcher)
-
-
 def serialize_checkpoint(matcher: Any, epoch: int = 0, generation: Optional[int] = None) -> bytes:
-    """Pack the policy + stamps into the checksummed envelope."""
+    """Pack the policy + stamps into the checksummed envelope.  The
+    payload is ``matcher``'s frozen plane: a frozen matcher is written
+    as it is (the engine passes its own plane), a trie is frozen first."""
+    from ..core.frozen import freeze
+
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     if generation is None:
         generation = getattr(matcher, "generation", 0) or 0
-    payload = serialize_frozen(_as_frozen(matcher))
+    payload = serialize_frozen(freeze(matcher))
     stamps = _STAMPS.pack(epoch, generation, len(payload))
     digest = hashlib.sha256(stamps + payload).digest()
     header = _ENVELOPE.pack(

@@ -111,7 +111,7 @@ class ShardedEngine:
         if not isinstance(plane, FrozenMatcher):
             raise TypeError(
                 f"shards need a matcher the frozen plane compiles; "
-                f"{type(engine.matcher).__name__} does not"
+                f"{type(engine._matcher).__name__} does not"
             )
         self.config = engine.config
         self._guard = engine.resilience

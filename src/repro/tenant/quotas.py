@@ -13,8 +13,9 @@ the two places resources are actually consumed:
   Refill is computed lazily from the clock, so an idle bucket costs
   nothing.
 * :class:`MemoryQuota` — a byte ceiling on the tenant's *compiled
-  policy* (``matcher.memory_bytes()``), enforced at build and update
-  time — before a new matcher is adopted, never after.  An over-quota
+  policy*: the ``memory_bytes()`` of the frozen plane it serves (what
+  its checkpoint writes), enforced at build, recovery, update and
+  rollout-stage time — before a new policy serves, never after.  An over-quota
   policy is rejected (:class:`QuotaExceeded`) and the tenant keeps
   serving its previous policy; admission never races enforcement.
 
@@ -138,9 +139,9 @@ class MemoryQuota:
     """Byte ceiling on a tenant's compiled policy.
 
     ``limit_bytes=None`` disables the quota.  :meth:`admit` raises
-    :class:`QuotaExceeded` when the candidate matcher is over the
-    ceiling — called *before* the matcher is adopted, so the serving
-    engine never holds an over-quota policy.
+    :class:`QuotaExceeded` when the candidate (the router passes frozen
+    planes) is over the ceiling — called *before* the policy serves
+    traffic, so the tenant never serves an over-quota policy.
     """
 
     __slots__ = ("limit_bytes", "admitted", "rejected", "last_bytes")

@@ -23,6 +23,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..acl.compiler import compile_acl
 from ..acl.parser import parse_acl
+from ..core.frozen import freeze
 from ..core.table import build_matcher
 from ..engine import ClassificationEngine
 from ..obs.metrics import MetricsRegistry
@@ -85,16 +86,19 @@ class Tenant:
             self.engine = ClassificationEngine.from_checkpoint(
                 last_good, rebuild=self._rebuild, config=config
             )
-            # The recovered policy faces the same ceiling a boot-time
-            # build does — a checkpoint written before the quota was
-            # tightened must not sneak back into service (and metrics
-            # get a fresh last_bytes instead of a stale 0).
-            self.quota.admit(self.engine.matcher, tenant=spec.name)
         else:
-            matcher = self._rebuild()
-            # Build-time quota: an over-quota policy never serves.
-            self.quota.admit(matcher, tenant=spec.name)
-            self.engine = ClassificationEngine(matcher, config)
+            self.engine = ClassificationEngine(self._rebuild(), config)
+        # The quota measures the plane the engine serves (what its
+        # checkpoint writes), so a boot-time build and a recovery from
+        # its checkpoint read the same bytes.  A recovered policy faces
+        # the same ceiling a build does — a checkpoint written before the
+        # quota was tightened must not sneak back into service — and an
+        # over-quota policy never serves a packet.
+        try:
+            self.quota.admit(self.engine.current_plane(), tenant=spec.name)
+        except QuotaExceeded:
+            self.engine.close()
+            raise
         self.rollout = RolloutController(
             spec.name,
             self.engine,
@@ -167,7 +171,7 @@ class Tenant:
         report = self.engine.apply_updates(ops)
         if guarded:
             try:
-                self.quota.admit(self.engine.matcher, tenant=self.name)
+                self.quota.admit(self.engine.current_plane(), tenant=self.name)
             except QuotaExceeded:
                 self.engine.restore_last_good()
                 raise
@@ -181,7 +185,8 @@ class Tenant:
     ) -> None:
         """Stage ``policy`` (ACL text, a CompiledAcl, or a built
         matcher) and open its canary window.  The memory quota is
-        enforced on the *candidate* before anything serves it."""
+        enforced on the *candidate's* frozen plane before anything
+        serves it."""
         if isinstance(policy, str):
             compiled = compile_acl(parse_acl(policy))
             matcher = build_matcher(
@@ -193,7 +198,7 @@ class Tenant:
             )
         else:
             matcher = policy
-        self.quota.admit(matcher, tenant=self.name)
+        self.quota.admit(freeze(matcher), tenant=self.name)
         self.rollout.stage(matcher)
         self.rollout.begin_canary(
             canary_pct if canary_pct is not None else self.spec.canary_pct, seed

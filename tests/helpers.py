@@ -36,11 +36,20 @@ KINDS: dict[str, type[TernaryMatcher]] = {
 SERVED_KINDS = ("frozen", "palmtrie-plus")
 #: kinds whose insert/delete raise NotImplementedError (rebuild-only)
 BUILD_ONLY = {"dpdk-acl", "efficuts"}
+#: read-only planes, by the kind their updates go to (the trie a plane
+#: is frozen from; an engine serving the plane applies them there)
+READ_ONLY = {"frozen": "palmtrie"}
 
 
 def build_kind(kind: str, entries, key_length: int, **kwargs) -> TernaryMatcher:
     """``kind``'s matcher over ``entries``."""
     return KINDS[kind].build(entries, key_length, **kwargs)
+
+
+def updatable_kind(kind: str, entries, key_length: int) -> TernaryMatcher:
+    """``kind``'s matcher, or for a read-only plane the trie its updates
+    go to: the differential reference of tests that update it."""
+    return build_kind(READ_ONLY.get(kind, kind), entries, key_length)
 
 
 def served_matcher(kind: str, entries, key_length: int) -> TernaryMatcher:

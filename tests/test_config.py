@@ -13,6 +13,7 @@ from repro import (
     DEFAULT_CONFIG,
     ClassificationEngine,
     EngineConfig,
+    MultibitPalmtrie,
     PalmtriePlus,
     build_matcher,
     compile_acl,
@@ -76,7 +77,7 @@ class TestEngineConfig:
         assert DEFAULT_CONFIG.stride == 8
         assert build_matcher(DEFAULT_CONFIG, entries, KEY_LENGTH).stride == 8
         strided = build_matcher(EngineConfig(stride=4), entries, KEY_LENGTH)
-        assert type(strided) is PalmtriePlus and strided.stride == 4
+        assert type(strided) is MultibitPalmtrie and strided.stride == 4
 
 
 class TestFromConfig:

@@ -267,6 +267,8 @@ class EngineMachine(RuleBasedStateMachine):
         walked = [rng.getrandbits(KEY_LENGTH) for _ in range(size)]
         self._verify(walked)
         masks: list[int] = []
+        # A fresh freeze of the engine's Palmtrie_k (after a restore, the
+        # one rebuilt from the restored plane's entries).
         freeze(self.engine.matcher).lookup_batch(walked, masks=masks)
         self._verify([
             (query & mask) | (rng.getrandbits(KEY_LENGTH) & ~mask)
@@ -279,11 +281,8 @@ class EngineMachine(RuleBasedStateMachine):
         oracle = _oracle(self.entries)
         assert [_sig(e) for e in got] == [_sig(oracle.lookup(q)) for q in queries]
         assert self.engine.health in ("ok", "degraded")
-        matcher = self.engine.matcher
-        # A restored checkpoint is a FrozenMatcher: its own plane, with
-        # no overlay to check.
-        if self.shards == 0 and not isinstance(matcher, FrozenMatcher):
-            fresh = FrozenMatcher.from_matcher(matcher).lookup_batch(queries)
+        if self.shards == 0:
+            fresh = FrozenMatcher.from_matcher(self.engine.matcher).lookup_batch(queries)
             assert all(a is b for a, b in zip(got, fresh))
 
     def _fresh_entry(self, rng: random.Random):

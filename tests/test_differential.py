@@ -14,10 +14,10 @@ from helpers import (
     BUILD_ONLY,
     KINDS,
     assert_same_result,
-    build_kind,
     oracle_lookup,
     random_entries,
     served_matcher,
+    updatable_kind,
 )
 from repro.baselines.dpdk_acl import DpdkStyleAcl
 from repro.baselines.efficuts import EffiCutsClassifier
@@ -130,8 +130,9 @@ def test_incremental_inserts_track_oracle():
 # batches, and lookups driven through the serving engine, checked after
 # every mutation against the brute-force oracle.  Every updatable
 # structure (build-only baselines raise NotImplementedError on insert)
-# takes the same ops beside the engine and must agree with it; the
-# engine serves the kind itself when it is a served form, a Palmtrie+
+# takes the same ops beside the engine and must agree with it — for the
+# read-only frozen plane, the Palmtrie_k its updates go to; the engine
+# takes the kind itself when it is a served form, a Palmtrie+
 # otherwise.  The flow cache runs on, off, and under auto-freeze — the
 # combinations where a stale cache row or a stale frozen plane would
 # surface as a wrong verdict rather than a crash.
@@ -144,7 +145,7 @@ def _fuzz_churn(kind, seed, *, auto_freeze=False, cache_size=256, steps=90):
     rng = random.Random(seed)
     live = random_entries(40, KEY_LENGTH, seed=seed)
     pool = random_entries(140, KEY_LENGTH, seed=seed + 1)
-    reference = build_kind(kind, live, KEY_LENGTH)
+    reference = updatable_kind(kind, live, KEY_LENGTH)
     engine = ClassificationEngine(served_matcher(kind, live, KEY_LENGTH), EngineConfig(cache_size=cache_size, auto_freeze=auto_freeze, invalidation_threshold=rng.choice([None, 0, 8])))
 
     def check(count):

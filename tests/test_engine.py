@@ -3,7 +3,7 @@
 The load-bearing property is differential: for every structure of the
 paper's evaluation, its scalar and batched paths agree with the
 brute-force oracle, and the served engine (a Palmtrie+, or the kind
-itself when the engine serves it) agrees with both on every cached and
+itself when the engine takes it) agrees with both on every cached and
 batched path — including after ``insert``/``delete`` applied to the
 engine and to the incremental structures alike (the cache must never
 serve a stale verdict).
@@ -25,11 +25,13 @@ from helpers import (
     random_entries,
     served_matcher,
     table1_entries,
+    updatable_kind,
 )
 
 from repro import ClassificationEngine, EngineConfig, FlowCache, build_matcher, serve
 from repro.baselines.sorted_list import SortedListMatcher
 from repro.core.frozen import FrozenMatcher, freeze
+from repro.core.multibit import MultibitPalmtrie
 from repro.core.plus import PalmtriePlus
 from repro.core.serialize import serialize_frozen
 from repro.resilience.guard import GuardRail
@@ -67,11 +69,12 @@ class DuckMatcher:
 
 
 class TestServedForms:
-    def test_build_matcher_builds_the_served_palmtrie_plus(self):
+    def test_build_matcher_builds_the_served_palmtrie_k(self):
         entries = table1_entries()
         by_config = build_matcher(EngineConfig(stride=4), entries, 8)
-        by_class = PalmtriePlus.build(entries, 8, stride=4)
+        by_class = MultibitPalmtrie.build(entries, 8, stride=4)
         assert type(by_config) is type(by_class)
+        assert by_config.stride == 4
         for query in range(256):
             assert_same_result(by_config.lookup(query), by_class.lookup(query))
 
@@ -135,7 +138,7 @@ class TestEveryKind:
             pytest.skip(f"{kind} is build-only (no incremental updates)")
         entries = random_entries(40, KEY_LENGTH, seed=6)
         # The same updates go to the engine and to the kind's own matcher.
-        reference = build_kind(kind, entries, KEY_LENGTH)
+        reference = updatable_kind(kind, entries, KEY_LENGTH)
         engine = ClassificationEngine(served_matcher(kind, entries, KEY_LENGTH), EngineConfig(cache_size=256))
         queries = _queries(200, seed=7)
         engine.lookup_batch(queries)  # warm the cache
@@ -210,7 +213,7 @@ class TestEveryKind:
         if kind in BUILD_ONLY:
             pytest.skip(f"{kind} is build-only (no incremental updates)")
         entries = random_entries(25, KEY_LENGTH, seed=14)
-        reference = build_kind(kind, entries, KEY_LENGTH)
+        reference = updatable_kind(kind, entries, KEY_LENGTH)
         engine = ClassificationEngine(served_matcher(kind, entries, KEY_LENGTH), EngineConfig(cache_size=64))
         queries = _queries(120, seed=15)
         rng = random.Random(16)
@@ -434,7 +437,7 @@ class TestUpdatePlane:
     @pytest.mark.parametrize("kind", UPDATABLE_KINDS)
     def test_apply_updates_matches_oracle(self, kind):
         entries = random_entries(40, KEY_LENGTH, seed=21)
-        reference = build_kind(kind, entries, KEY_LENGTH)
+        reference = updatable_kind(kind, entries, KEY_LENGTH)
         engine = ClassificationEngine(served_matcher(kind, entries, KEY_LENGTH), EngineConfig(cache_size=128))
         queries = _queries(200, seed=22)
         engine.lookup_batch(queries)  # warm the cache before churning
@@ -622,7 +625,9 @@ class TestUpdatePlane:
         report = engine.report()
         assert report["frozen_plane_active"] and report["plane_overlay_keys"] == 0
         assert engine.freezes == 2
-        assert not engine.matcher._dirty
+        # The plane freezes from the Palmtrie_k: no Palmtrie+ compile
+        # beyond the build's.
+        assert engine.matcher.compile_count == 1
 
     def test_report_exposes_update_metrics(self):
         entries = random_entries(10, KEY_LENGTH, seed=38)
@@ -737,15 +742,19 @@ class TestChangedKeyOverlay:
         )
         assert not engine.report()["frozen_plane_active"]
 
-    def test_a_frozen_matcher_is_its_own_plane(self):
+    def test_a_frozen_matcher_is_installed_as_the_plane(self):
         engine, _, queries = _overlay_engine(
             EngineConfig(cache_size=0, auto_freeze=True), FrozenMatcher
         )
-        assert engine._plane is engine.matcher
+        plane = engine._plane
+        assert isinstance(plane, FrozenMatcher) and engine.freezes == 0
+        assert engine._source is None  # serving rebuilt no Palmtrie_k
         engine.apply_updates([_prefix_entry("11", "x", 10**6)])
-        assert engine.plane_overlay_keys == 0
+        # The update rebuilt the Palmtrie_k and went behind the overlay.
+        assert engine._plane is plane and engine.plane_overlay_keys == 1
+        assert isinstance(engine._source, MultibitPalmtrie)
         assert engine.lookup(int("11" + "0" * (KEY_LENGTH - 2), 2)).value == "x"
-        assert engine.freezes == 2
+        assert engine.freezes == 0
 
     def test_direct_mutation_drops_the_overlay_plane(self):
         engine, entries, queries = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
@@ -1108,9 +1117,11 @@ class TestServedUpdateGate:
     32 rotating insert+delete transactions of a top-priority /16 deny
     over a warm 500-rule engine neither refreeze the plane nor rebuild
     the reference each time, and each sweeps exactly the cached rows its
-    keys match."""
+    keys match — also on an engine just restored from its last-good
+    checkpoint, whose Palmtrie_k is rebuilt once, on the first update."""
 
-    def test_transactions_patch_instead_of_rebuilding(self):
+    @pytest.mark.parametrize("form", ["built", "restored"])
+    def test_transactions_patch_instead_of_rebuilding(self, form, monkeypatch):
         from repro.acl.compiler import compile_rule
         from repro.acl.rule import AclRule, Action, Protocol
         from repro.workloads.classbench import classbench_acl
@@ -1119,7 +1130,7 @@ class TestServedUpdateGate:
         acl = classbench_acl("acl", 500)
         rules = len(acl.entries)
         engine = ClassificationEngine(
-            PalmtriePlus.build(acl.entries, acl.layout.length),
+            build_matcher(EngineConfig(), acl.entries, acl.layout.length),
             EngineConfig(
                 cache_size=4096,
                 auto_freeze=True,
@@ -1131,8 +1142,22 @@ class TestServedUpdateGate:
         bursts = [trace[i : i + 64] for i in range(0, len(trace), 64)]
         for burst in bursts[:32]:
             engine.lookup_batch(burst)
+        rebuilds = 1
+        if form == "restored":
+            engine.mark_last_good()
+            engine.restore_last_good()
+            for burst in bursts[:32]:
+                engine.lookup_batch(burst)
+            rebuilds = 2  # the restore swapped the policy
+        sources = []
+        rebuild_source = FrozenMatcher.rebuild_source
+        monkeypatch.setattr(
+            FrozenMatcher,
+            "rebuild_source",
+            lambda plane: sources.append(plane) or rebuild_source(plane),
+        )
         guard = engine.report()["resilience"]
-        assert guard["reference_rebuilds"] == 1
+        assert guard["reference_rebuilds"] == rebuilds
         checks, freezes = guard["shadow_checks"], engine.freezes
         nets = sorted({rule.dst_prefix[0] >> 16 for rule in acl.rules if rule.dst_prefix[1] >= 16})
         denies = [
@@ -1155,10 +1180,97 @@ class TestServedUpdateGate:
             for burst in bursts[32 + 3 * index : 35 + 3 * index]:
                 engine.lookup_batch(burst)
         guard = engine.report()["resilience"]
-        assert engine.freezes - freezes < 32
-        assert guard["reference_rebuilds"] == 1
+        assert engine.freezes == freezes
+        assert len(sources) == (form == "restored")
+        assert guard["reference_rebuilds"] == rebuilds
         assert guard["shadow_checks"] > checks and guard["shadow_mismatches"] == 0
         assert engine.health == "ok"
+
+
+class TestOneServedForm:
+    """Work counts of the one served form, a Palmtrie_k plus the frozen
+    plane compiled from it: a restored plane serves without rebuilding
+    its Palmtrie_k, a checkpoint writes the plane that serves, and no
+    serving path compiles a Palmtrie+."""
+
+    @staticmethod
+    def _counting(monkeypatch, cls, name):
+        calls = []
+        real = getattr(cls, name)
+        if isinstance(cls.__dict__[name], classmethod):
+            real = real.__func__
+            monkeypatch.setattr(
+                cls, name, classmethod(lambda c, *a, **k: calls.append(a) or real(c, *a, **k))
+            )
+        else:
+            monkeypatch.setattr(cls, name, lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+        return calls
+
+    def test_a_restored_plane_serves_without_rebuilding_its_source(self, monkeypatch):
+        from repro.obs.export import render_prometheus
+
+        entries = random_entries(60, KEY_LENGTH, seed=70)
+        config = EngineConfig(cache_size=64, auto_freeze=True, metrics=True, resilience=True)
+        engine = ClassificationEngine(build_matcher(config, entries, KEY_LENGTH), config)
+        queries = _queries(300, seed=71)
+        _check_oracle(engine, entries, queries)
+        engine.mark_last_good()
+        rebuilds = self._counting(monkeypatch, FrozenMatcher, "rebuild_source")
+        engine.restore_last_good()
+        _check_oracle(engine, entries, queries)
+        for query in queries[:20]:
+            assert_same_result(oracle_lookup(entries, query), engine.lookup(query))
+        engine.report(), engine.health, render_prometheus(engine.metrics)
+        engine.mark_last_good()
+        assert rebuilds == [] and engine._source is None
+        new = _prefix_entry("01", "new", 10**6)
+        engine.apply_updates([("insert", new)])
+        engine.apply_updates([("delete", new.key)])
+        _check_oracle(engine, entries, queries)
+        assert len(rebuilds) == 1 and engine.freezes == 1
+
+    def test_mark_last_good_serializes_the_served_plane(self, monkeypatch):
+        entries = random_entries(60, KEY_LENGTH, seed=72)
+        config = EngineConfig(cache_size=64, auto_freeze=True)
+        engine = ClassificationEngine(build_matcher(config, entries, KEY_LENGTH), config)
+        engine.lookup_batch(_queries(200, seed=73))
+        plane = engine._plane
+        freezes = self._counting(monkeypatch, FrozenMatcher, "from_matcher")
+        engine.mark_last_good()
+        engine.mark_last_good()
+        assert freezes == [] and engine._plane is plane
+        # A pending overlay compacts first, and that freeze then serves.
+        engine.apply_updates([_prefix_entry("1", "x", 10**6)])
+        assert engine.plane_overlay_keys == 1
+        engine.mark_last_good()
+        assert len(freezes) == 1 and engine.freezes == 2
+        assert engine.plane_overlay_keys == 0 and engine._plane is not plane
+        engine.mark_last_good()
+        assert len(freezes) == 1
+
+    def test_serving_never_compiles_a_palmtrie_plus(self, monkeypatch, tmp_path):
+        from repro.resilience import FaultInjector, injected
+
+        compiles = self._counting(monkeypatch, PalmtriePlus, "compile")
+        entries = random_entries(60, KEY_LENGTH, seed=74)
+        injector = FaultInjector(seed=1)
+        guard = GuardRail(injector=injector, backoff_seconds=30.0)
+        config = EngineConfig(cache_size=64, auto_freeze=True, resilience=guard)
+        engine = ClassificationEngine(build_matcher(config, entries, KEY_LENGTH), config)
+        queries = _queries(300, seed=75)
+        _check_oracle(engine, entries, queries)
+        new = _prefix_entry("10", "new", 10**6)
+        engine.apply_updates([("insert", new)])
+        entries = entries + [new]
+        injector.arm("frozen_walk", rate=1.0, count=1)
+        with injected(injector):
+            _check_oracle(engine, entries, _queries(64, seed=76))
+        assert guard.faults["frozen_walk"] == 1 and guard.degraded_lookups > 0
+        path = str(tmp_path / "good.plmc")
+        engine.checkpoint(path)
+        engine.restore_last_good(path)
+        _check_oracle(engine, entries, queries)
+        assert compiles == []
 
 
 # ----------------------------------------------------------------------

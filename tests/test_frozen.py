@@ -410,14 +410,6 @@ class TestDirtyPalmtriePlusFreeze:
         for query, got in zip(queries, served):
             assert got is plus.lookup(query)
 
-    def test_plane_refreeze_after_update_does_not_compile(self):
-        entries, plus = self._dirty_plus()
-        frozen = freeze(plus)
-        compiles = plus.compile_count
-        frozen.insert(TernaryEntry(TernaryKey.from_string("0" * KEY_LENGTH), "z", 99))
-        assert frozen.lookup(0).value == "z"
-        assert frozen.freeze_count == 2 and plus.compile_count == compiles
-
     def test_deferred_source_stays_deferred(self):
         from repro.core.serialize import deserialize_plus, serialize_plus
 
@@ -431,29 +423,46 @@ class TestDirtyPalmtriePlusFreeze:
 
 
 # ----------------------------------------------------------------------
-# Mutability: lazy re-freeze
+# A plane is read-only: updates go to the trie it is frozen from
 # ----------------------------------------------------------------------
 
 class TestLazyRefreeze:
-    def test_insert_refreezes_on_next_lookup(self):
+    """A plane never changes in place: updates go to its source trie,
+    and a new plane is frozen from that trie when one is needed."""
+
+    def test_updates_go_to_the_source_trie(self):
         entries = random_entries(20, KEY_LENGTH, seed=20)
         frozen = FrozenMatcher.build(entries, KEY_LENGTH)
-        count = frozen.freeze_count
         key = TernaryKey(0, (1 << KEY_LENGTH) - 1, KEY_LENGTH)  # match-all
-        frozen.insert(TernaryEntry(key, "new", 10_000))
-        assert frozen.lookup(_queries(1, seed=21)[0]).priority == 10_000
-        assert frozen.freeze_count == count + 1
-        assert len(frozen) == 21
+        with pytest.raises(NotImplementedError):
+            frozen.insert(TernaryEntry(key, "new", 10_000))
+        with pytest.raises(NotImplementedError):
+            frozen.delete(entries[5].key)
+        assert len(frozen) == 20
 
-    def test_delete(self):
-        entries = random_entries(20, KEY_LENGTH, seed=22)
-        frozen = FrozenMatcher.build(entries, KEY_LENGTH)
-        victim = entries[5]
-        assert frozen.delete(victim.key)
-        remaining = [e for e in entries if e is not victim]
-        for query in _biased_queries(remaining, 200, seed=23):
-            assert_same_result(oracle_lookup(remaining, query), frozen.lookup(query))
-        assert not frozen.delete(victim.key)
+    @pytest.mark.parametrize("layout", ["build", "hot"])
+    def test_a_rebuilt_source_freezes_to_the_same_plane(self, layout):
+        entries = random_entries(60, KEY_LENGTH, seed=21, priority_range=8)
+        trace = _biased_queries(entries, 200, seed=22) if layout == "hot" else None
+        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=5, layout=layout, layout_trace=trace)
+        loaded = deserialize_frozen(serialize_frozen(plane))
+        source = loaded.rebuild_source()
+        assert isinstance(source, MultibitPalmtrie) and len(source) == len(entries)
+        again = freeze(source, layout=layout, trace=trace)
+        assert serialize_frozen(again) == serialize_frozen(plane)
+        # every served entry is the loaded plane's own object
+        for query in _biased_queries(entries, 300, seed=23):
+            assert again.lookup(query) is loaded.lookup(query)
+
+    def test_relayout_of_a_loaded_plane(self):
+        entries = random_entries(60, KEY_LENGTH, seed=24)
+        trace = _biased_queries(entries, 200, seed=25)
+        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=4)
+        loaded = deserialize_frozen(serialize_frozen(plane))
+        hot = freeze(loaded, layout="hot", trace=trace)
+        assert hot is not loaded and hot.layout_applied == "hot"
+        want = FrozenMatcher.build(entries, KEY_LENGTH, stride=4, layout="hot", layout_trace=trace)
+        assert serialize_frozen(hot) == serialize_frozen(want)
 
     def test_entries_roundtrip(self):
         entries = random_entries(15, KEY_LENGTH, seed=24)
@@ -463,19 +472,12 @@ class TestLazyRefreeze:
         }
 
     def test_build_freezes_exactly_once(self):
-        """The constructor defers the empty first freeze; ``build``
-        therefore compiles the plane exactly once."""
+        """``build`` compiles the plane once; an empty constructor
+        compiles an empty plane."""
         frozen = FrozenMatcher.build(random_entries(10, KEY_LENGTH, seed=25), KEY_LENGTH)
         assert frozen.freeze_count == 1
-
-    def test_fresh_instance_defers_freeze_until_first_read(self):
-        frozen = FrozenMatcher(KEY_LENGTH)
-        assert frozen.freeze_count == 0
-        for entry in random_entries(10, KEY_LENGTH, seed=26):
-            frozen.insert(entry)
-        assert frozen.freeze_count == 0  # no wasted empty freeze
-        frozen.lookup(0)
-        assert frozen.freeze_count == 1
+        empty = FrozenMatcher(KEY_LENGTH)
+        assert len(empty) == 0 and empty.lookup(0) is None
 
 
 # ----------------------------------------------------------------------
@@ -502,14 +504,6 @@ class TestSerialization:
         assert [e.priority if e else None for e in loaded.lookup_batch(queries)] == [
             e.priority if e else None for e in frozen.lookup_batch(queries)
         ]
-
-    def test_loaded_plane_hydrates_on_insert(self):
-        entries, frozen = self._frozen(seed=34, count=12)
-        loaded = deserialize_frozen(serialize_frozen(frozen))
-        key = TernaryKey(0, (1 << KEY_LENGTH) - 1, KEY_LENGTH)
-        loaded.insert(TernaryEntry(key, "late", 99_999))
-        assert loaded.lookup(5).priority == 99_999
-        assert len(loaded) == 13
 
     def test_save_load_file(self, tmp_path):
         entries, frozen = self._frozen(seed=35)

@@ -26,6 +26,7 @@ from repro.acl.compiler import compile_acl
 from repro.acl.parser import parse_acl
 from repro.baselines.sorted_list import SortedListMatcher
 from repro.config import EngineConfig
+from repro.core.frozen import freeze
 from repro.core.table import build_matcher
 from repro.obs import MetricsRegistry, snapshot, validate_snapshot
 from repro.resilience import FaultInjector
@@ -263,8 +264,8 @@ class TestMemoryQuota:
         big = compile_acl(parse_acl(lines))
         config = EngineConfig()
         return (
-            build_matcher(config, small.entries, small.layout.length),
-            build_matcher(config, big.entries, big.layout.length),
+            freeze(build_matcher(config, small.entries, small.layout.length)),
+            freeze(build_matcher(config, big.entries, big.layout.length)),
         )
 
     def test_admit_and_reject_by_compiled_footprint(self):
@@ -439,8 +440,8 @@ class TestAdmission:
     def test_staged_policy_over_quota_never_serves(self):
         compiled = compile_acl(parse_acl(OLD_POLICY))
         config = EngineConfig()
-        footprint = build_matcher(
-            config, compiled.entries, compiled.layout.length
+        footprint = freeze(
+            build_matcher(config, compiled.entries, compiled.layout.length)
         ).memory_bytes()
         router = TenantRouter(
             [_roller_spec(memory_bytes=footprint + 1)], clock=lambda: 0.0
@@ -720,8 +721,8 @@ class TestUpdateQuotaRollback:
     def test_over_quota_update_is_undone_without_checkpoint_dir(self):
         compiled = compile_acl(parse_acl(OLD_POLICY))
         config = EngineConfig()
-        footprint = build_matcher(
-            config, compiled.entries, compiled.layout.length
+        footprint = freeze(
+            build_matcher(config, compiled.entries, compiled.layout.length)
         ).memory_bytes()
         # enough headroom to boot, not enough for the bloated update;
         # crucially: NO checkpoint_dir, so the last-good stamp must
@@ -913,6 +914,30 @@ class TestRecoveryQuota:
             # report 0 bytes until the first update)
             assert roller.quota.last_bytes > 0
             assert roller.quota.admitted == 1
+        finally:
+            revived.close()
+
+    def test_recovery_fits_the_quota_its_boot_fit(self, tmp_path):
+        """Boot and recovery measure the same bytes (the served plane,
+        what the checkpoint writes), so a tenant recovers under exactly
+        the quota it booted under."""
+        ckpt_dir = str(tmp_path / "state")
+        booted = TenantRouter(
+            [_roller_spec(memory_bytes=10**9)], checkpoint_dir=ckpt_dir, clock=lambda: 0.0
+        )
+        footprint = booted["roller"].quota.last_bytes
+        booted["roller"].engine.mark_last_good()
+        booted.close()
+        revived = TenantRouter(
+            [_roller_spec(memory_bytes=footprint)],
+            checkpoint_dir=ckpt_dir,
+            clock=lambda: 0.0,
+            recover=True,
+        )
+        try:
+            roller = revived["roller"]
+            assert roller.engine.checkpoint_restores == 1
+            assert roller.quota.last_bytes == footprint
         finally:
             revived.close()
 
