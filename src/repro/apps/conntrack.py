@@ -30,9 +30,8 @@ from typing import Optional
 from ..acl.compiler import CompiledAcl
 from ..acl.rule import Action
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..core.plus import PalmtriePlus
 from ..core.table import build_matcher
-from ..engine import ClassificationEngine
+from ..engine import ClassificationEngine, ServedMatcher
 from ..packet.codec import PacketDecodeError, decode_packet
 from ..packet.headers import PROTO_TCP, PacketHeader
 
@@ -76,7 +75,7 @@ class StatefulFirewall:
     def __init__(
         self,
         acl: CompiledAcl,
-        matcher: Optional[PalmtriePlus] = None,
+        matcher: Optional[ServedMatcher] = None,
         idle_timeout: float = 300.0,
         closing_timeout: float = 10.0,
         max_connections: int = 1_000_000,
@@ -129,13 +128,8 @@ class StatefulFirewall:
             "conntrack_connections", "Flows currently tracked."
         ).set(len(self._table))
 
-    @property
-    def matcher(self) -> PalmtriePlus:
-        """The wrapped ACL matcher (kept for callers of the old name)."""
-        return self.engine.matcher
-
     def replace_acl(
-        self, acl: CompiledAcl, matcher: Optional[PalmtriePlus] = None
+        self, acl: CompiledAcl, matcher: Optional[ServedMatcher] = None
     ) -> None:
         """Swap in a recompiled ACL atomically.  Established connections
         keep their state (the real-system behaviour: policy changes

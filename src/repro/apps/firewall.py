@@ -16,7 +16,6 @@ from ..acl.compiler import CompiledAcl, compile_acl
 from ..acl.parser import parse_acl
 from ..acl.rule import AclRule, Action
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..core.plus import PalmtriePlus
 from ..core.table import build_matcher
 from ..engine import ClassificationEngine
 from ..packet.codec import PacketDecodeError, decode_packet
@@ -90,11 +89,6 @@ class Firewall:
         registry.gauge(
             "firewall_rules", "Rules in the active policy."
         ).set(len(self._counters))
-
-    @property
-    def _matcher(self) -> PalmtriePlus:
-        """The underlying Palmtrie+ (kept for callers of the old name)."""
-        return self.engine.matcher
 
     @classmethod
     def from_text(cls, acl_text: str, **kwargs: object) -> "Firewall":

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..core.plus import PalmtriePlus
 from ..core.table import TernaryEntry, build_matcher
-from ..engine import ClassificationEngine
+from ..engine import ClassificationEngine, ServedMatcher
 from ..packet.codec import PacketDecodeError, decode_packet
 from ..packet.headers import PacketHeader
 
@@ -72,7 +71,7 @@ class FlowMonitor:
         self,
         entries: Iterable[TernaryEntry],
         key_length: int = 128,
-        matcher: Optional[PalmtriePlus] = None,
+        matcher: Optional[ServedMatcher] = None,
         idle_timeout: float = 60.0,
         default_class: Any = None,
         config: Optional[EngineConfig] = None,
@@ -118,11 +117,6 @@ class FlowMonitor:
             "flowmon_active_flows", "Flow records currently tracked."
         ).set(len(self._flows))
 
-    @property
-    def matcher(self) -> PalmtriePlus:
-        """The wrapped classifier (kept for callers of the old name)."""
-        return self.engine.matcher
-
     def apply_updates(self, ops: Iterable[Any]):
         """Transactionally change the classification rules (one pass,
         one cache sweep — see :meth:`ClassificationEngine.apply_updates`).
@@ -134,7 +128,7 @@ class FlowMonitor:
         self,
         entries: Iterable[TernaryEntry],
         key_length: int = 128,
-        matcher: Optional[PalmtriePlus] = None,
+        matcher: Optional[ServedMatcher] = None,
     ) -> None:
         """Swap the whole classifier atomically (engine statistics and
         active flow records survive the swap)."""

@@ -24,10 +24,9 @@ from typing import Iterable, Optional, Sequence
 from ..acl.compiler import CompiledAcl
 from ..acl.rule import Action
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..core.plus import PalmtriePlus
 from ..core.poptrie import Poptrie
 from ..core.table import build_matcher
-from ..engine import ClassificationEngine
+from ..engine import ClassificationEngine, ServedMatcher
 from ..packet.codec import PacketDecodeError, decode_packet
 from ..packet.headers import PacketHeader
 
@@ -65,7 +64,7 @@ class L3Forwarder:
         self,
         acl: CompiledAcl,
         routes: Iterable[tuple[int, int, int]],
-        matcher: Optional[PalmtriePlus] = None,
+        matcher: Optional[ServedMatcher] = None,
         default_action: Action = Action.DENY,
         config: Optional[EngineConfig] = None,
     ) -> None:
@@ -112,11 +111,6 @@ class L3Forwarder:
                 "l3fwd_tx_total", "Packets transmitted, by output port.",
                 labels={"port": str(port)},
             ).set_total(sent)
-
-    @property
-    def matcher(self) -> TernaryMatcher:
-        """The wrapped ACL matcher (kept for callers of the old name)."""
-        return self.engine.matcher
 
     # ------------------------------------------------------------------
 
@@ -166,7 +160,7 @@ class L3Forwarder:
     # ------------------------------------------------------------------
 
     def replace_acl(
-        self, acl: CompiledAcl, matcher: Optional[PalmtriePlus] = None
+        self, acl: CompiledAcl, matcher: Optional[ServedMatcher] = None
     ) -> None:
         """Swap in a recompiled ACL atomically (new matcher, flushed
         flow cache) while the pipeline's forwarding statistics and the

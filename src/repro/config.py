@@ -1,14 +1,11 @@
 """Typed engine configuration and the ``repro.serve`` facade.
 
-Five PRs grew the :class:`~repro.engine.ClassificationEngine` a knob at
-a time — ``cache_size``, then ``auto_freeze``, then
-``invalidation_threshold``, ``metrics``, ``resilience``, and now the
-sharded data plane's ``shards`` — and every app, benchmark and CLI path
-re-declared the same sprawl of keyword arguments.  This module replaces
-that sprawl with one typed, validated value object:
+Every app, benchmark and CLI path configures a
+:class:`~repro.engine.ClassificationEngine` through one typed,
+validated value object:
 
 * :class:`EngineConfig` — a frozen dataclass holding every serving knob
-  (and the Palmtrie+ ``stride`` the build paths need), validated at
+  (and the Palmtrie_k ``stride`` the build paths need), validated at
   construction so a bad value fails where it was written, not three
   layers down;
 * :func:`serve` — the one-call facade: ACL text (or parsed rules, or an
@@ -43,6 +40,11 @@ class EngineConfig:
     serves from the frozen plane whatever ``auto_freeze`` says, attaches
     a guard rail, and sizes its one flow cache at ``cache_size × shards``
     rows.
+
+    No knob picks the frozen plane's node layout: the engine freezes in
+    build order.  A hot-layout plane is an offline artifact
+    (``compile --layout hot --trace``); one that is installed or loaded
+    serves as laid out until its first refreeze.
     """
 
     #: Palmtrie_k stride the build paths build with
@@ -60,10 +62,6 @@ class EngineConfig:
     metrics: Union[None, bool, Any] = None
     #: True / a configured GuardRail to enable guarded degradation
     resilience: Union[None, bool, Any] = None
-    #: frozen-plane node layout: "build" keeps compile order, "hot"
-    #: re-emits nodes in walk-frequency order (PR 7; needs a trace or
-    #: sampled traffic to order by — "build" otherwise)
-    frozen_layout: str = "build"
     #: worker processes resolving cache misses (0 = in-process)
     shards: int = 0
     #: seconds a shard worker may take to answer one slice before it is
@@ -104,10 +102,6 @@ class EngineConfig:
             not isinstance(self.tenant, str) or not self.tenant
         ):
             raise ValueError(f"tenant must be a non-empty string or None, got {self.tenant!r}")
-        if self.frozen_layout not in ("build", "hot"):
-            raise ValueError(
-                f"frozen_layout must be 'build' or 'hot', got {self.frozen_layout!r}"
-            )
 
     # -- derivation ------------------------------------------------------
 

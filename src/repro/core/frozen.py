@@ -61,10 +61,9 @@ compiled from (paper §3.6), and the serving engine refreezes a new
 plane from it; a plane loaded from disk
 (:func:`repro.core.serialize.load_frozen`) carries no source trie, and
 :meth:`FrozenMatcher.rebuild_source` builds one from its entries when
-one is needed.  Freezing a Palmtrie+ with pending updates walks its
-retained Palmtrie_k rather than compiling a Palmtrie+ only to discard
-it; a clean one is walked through its compiled nodes, so freezing a
-loaded table never builds its source.
+one is needed.  A plane is a pure function of the Palmtrie_k it is
+frozen from (and of the layout asked for): freezing a Palmtrie+ walks
+its retained Palmtrie_k, the trie its own nodes are compiled from.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .multibit import MultibitPalmtrie
 from .multibit import _Leaf as _MbLeaf
-from .plus import PalmtriePlus, _PlusLeaf
+from .plus import PalmtriePlus
 from .poptrie import Poptrie, _PoptrieNode
 from .table import TernaryEntry, TernaryMatcher
 
@@ -96,9 +95,8 @@ _LANE_MASK = (1 << _LANE_BITS) - 1
 _COUNT_BITS = 5
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
 
-#: unique queries retained for the hot layout's trace replay (both the
-#: explicit ``layout_trace`` and the passive batch-walk reservoir are
-#: capped here, so a refreeze never replays an unbounded trace)
+#: unique queries of a ``layout_trace`` the hot layout's frequency pass
+#: replays (the rest of the trace only weighs the queries it repeats)
 _LAYOUT_SAMPLE_CAP = 512
 
 #: unique queries per batch from which the numpy frontier walk beats
@@ -134,13 +132,6 @@ def _ternary_slots(stride: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _iter_set_bits(bitmap: int) -> Iterator[int]:
-    while bitmap:
-        low = bitmap & -bitmap
-        yield low.bit_length() - 1
-        bitmap ^= low
-
-
 class FrozenMatcher(TernaryMatcher):
     """A Palmtrie compiled into flat parallel arrays (struct-of-arrays).
 
@@ -168,10 +159,6 @@ class FrozenMatcher(TernaryMatcher):
     #: installed class-wide (so deserialized planes built via ``__new__``
     #: see it too); None in production — one identity test per walk
     _fault_injector = None
-
-    #: the trie this plane was compiled from (None once loaded from PLMF
-    #: bytes); :func:`freeze` re-lays out from it
-    _source: Optional[TernaryMatcher] = None
 
     def __init__(
         self,
@@ -220,8 +207,11 @@ class FrozenMatcher(TernaryMatcher):
         layout: str = "build",
         layout_trace: Optional[Sequence[int]] = None,
     ) -> "FrozenMatcher":
-        """Compile an existing built trie (the :func:`freeze` entry point)."""
-        if not isinstance(source, (MultibitPalmtrie, PalmtriePlus)):
+        """Compile an existing built trie (the :func:`freeze` entry point).
+        A Palmtrie+ is frozen from its retained Palmtrie_k."""
+        if isinstance(source, PalmtriePlus):
+            source = source.source
+        if not isinstance(source, MultibitPalmtrie):
             raise TypeError(
                 f"cannot freeze {type(source).__name__}; "
                 "expected MultibitPalmtrie or PalmtriePlus"
@@ -252,85 +242,45 @@ class FrozenMatcher(TernaryMatcher):
 
     def _compile(
         self,
-        source: TernaryMatcher,
+        source: MultibitPalmtrie,
         layout: str,
         layout_trace: Optional[Sequence[int]],
     ) -> None:
-        """Compile the arrays from ``source`` (a Palmtrie_k or Palmtrie+)."""
+        """Compile the arrays from the Palmtrie_k ``source``."""
         freeze_start = time.perf_counter()
         TernaryMatcher.__init__(self, source.key_length)
         self.stride = source.stride
         self.subtree_skipping = source.subtree_skipping
         if layout not in _LAYOUTS:
             raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
-        #: node layout: "build" (BFS order) or "hot" (walk frequency)
-        self.layout = layout
-        #: explicit workload trace for the hot layout's frequency pass
-        self._layout_trace = list(layout_trace) if layout_trace else None
-        #: passive reservoir of batch queries (hot layout only, bounded);
-        #: the engine replays it as the next freeze's trace
-        self._query_samples: Optional[list[int]] = [] if layout == "hot" else None
-        self._source = source
-        if isinstance(source, PalmtriePlus) and source._dirty:
-            # Walk the retained Palmtrie_k instead of compiling nodes
-            # only to discard them: compile() numbers nodes in this
-            # same BFS order and copies these leaves' entries, so the
-            # arrays and served entries are identical.  The Palmtrie+
-            # stays dirty and compiles if anything looks up through it.
-            source = source.source
-        if isinstance(source, PalmtriePlus):
-            root: Any = source._root
-            plus_nodes = source._nodes
-
-            def successors(node: Any) -> tuple[dict[int, Any], dict[int, Any]]:
-                exact = {
-                    i: plus_nodes[node.offset_c + rank]
-                    for rank, i in enumerate(_iter_set_bits(node.bitmap_c))
-                }
-                ternary = {
-                    h: plus_nodes[node.offset_t + rank]
-                    for rank, h in enumerate(_iter_set_bits(node.bitmap_t))
-                }
-                return exact, ternary
-
-            def is_leaf(node: Any) -> bool:
-                return type(node) is _PlusLeaf
-        else:
-            root = source._root  # type: ignore[attr-defined]
-
-            def successors(node: Any) -> tuple[dict[int, Any], dict[int, Any]]:
-                # compress() keeps the occupied slots (nodes are truthy)
-                # without a Python-level test per slot.
-                exact = node.descendants
-                ternary = node.ternaries
-                return (
-                    {i: exact[i] for i in compress(range(len(exact)), exact)},
-                    {h: ternary[h] for h in compress(range(len(ternary)), ternary)},
-                )
-
-            def is_leaf(node: Any) -> bool:
-                return type(node) is _MbLeaf
 
         # Pass 1: breadth-first id assignment (internals and leaves
         # numbered separately; leaves sit above every internal id).
         internals: list[Any] = []
         leaves: list[Any] = []
-        order: list[Any] = [] if root is None else [root]
+        order: list[Any] = [source._root]
         kids: dict[int, tuple[dict[int, Any], dict[int, Any]]] = {}
         cursor = 0
         while cursor < len(order):
             node = order[cursor]
             cursor += 1
-            if is_leaf(node):
+            if type(node) is _MbLeaf:
                 leaves.append(node)
                 continue
             internals.append(node)
-            exact, ternary = successors(node)
+            # compress() keeps the occupied slots (nodes are truthy)
+            # without a Python-level test per slot.
+            exact_slots = node.descendants
+            ternary_slots = node.ternaries
+            exact = {i: exact_slots[i] for i in compress(range(len(exact_slots)), exact_slots)}
+            ternary = {
+                h: ternary_slots[h] for h in compress(range(len(ternary_slots)), ternary_slots)
+            }
             kids[id(node)] = (exact, ternary)
             order.extend(exact.values())
             order.extend(ternary.values())
 
-        hot = self.layout == "hot"
+        hot = layout == "hot"
         self._emit(internals, leaves, kids, hot)
         if hot and len(internals) + len(leaves) > 2:
             # Frequency pass: replay a bounded trace over the freshly
@@ -338,9 +288,8 @@ class FrozenMatcher(TernaryMatcher):
             # descending visit frequency (root pinned at 0) so hot
             # walks touch a contiguous id prefix — and, through the
             # dispatch remap, contiguous array regions.
-            trace = self._layout_trace
-            if trace:
-                counts, leaf_wins = self._walk_counts(trace)
+            if layout_trace:
+                counts, leaf_wins = self._walk_counts(layout_trace)
                 first_leaf = len(internals)
                 # Subtree win mass: how often (frequency-weighted) the
                 # final answer lives under each node.  Children precede
@@ -361,7 +310,6 @@ class FrozenMatcher(TernaryMatcher):
                 internals = [internals[0]] + [internals[x] for x in iorder]
                 leaves = [leaves[j] for j in lorder]
                 self._emit(internals, leaves, kids, hot, win_mass=mass)
-        self.layout_applied = "hot" if hot else "build"
         #: the layout the arrays were emitted with (what PLMF records)
         self.layout_applied = "hot" if hot else "build"
         self.last_freeze_seconds = time.perf_counter() - freeze_start
@@ -848,12 +796,6 @@ class FrozenMatcher(TernaryMatcher):
         for index, query in enumerate(queries):
             positions.setdefault(query, []).append(index)
         unique = list(positions)
-        samples = self._query_samples
-        if samples is not None and len(samples) < _LAYOUT_SAMPLE_CAP:
-            # Hot-layout planes keep a bounded reservoir of live batch
-            # queries: the next refreeze replays it as the frequency
-            # trace when no explicit layout_trace was given.
-            samples.extend(unique[: _LAYOUT_SAMPLE_CAP - len(samples)])
         if _np is not None and len(unique) >= _NUMPY_MIN_BATCH:
             best = self._batch_walk_numpy(unique)
         else:
@@ -1131,29 +1073,19 @@ def freeze(
     """Compile a built matcher into its frozen struct-of-arrays plane.
 
     * :class:`MultibitPalmtrie` / :class:`PalmtriePlus` →
-      :class:`FrozenMatcher` (the full ternary-matching surface);
+      :class:`FrozenMatcher` (the full ternary-matching surface; a
+      Palmtrie+ is frozen from its retained Palmtrie_k);
     * :class:`Poptrie` → :class:`FrozenPoptrie` (the LPM surface; the
       adaptive knobs below do not apply);
-    * an already-frozen matcher is returned as-is, unless a different
-      layout (or a hot layout's new trace) is asked for: then a new
-      plane is laid out from the trie it was compiled from, or from one
-      rebuilt from its entries when it was loaded from PLMF bytes.
+    * an already-frozen matcher is returned as-is: a plane is laid out
+      once, when it is frozen from its trie.
 
-    ``layout`` picks the node layout (``"build"`` or ``"hot"``; None
-    keeps an existing frozen matcher's choice) and ``trace`` an
-    optional query workload replayed by the hot layout's frequency
-    pass.
+    ``layout`` picks the node layout (``"build"``, the default, or
+    ``"hot"``) and ``trace`` an optional query workload replayed by the
+    hot layout's frequency pass.
     """
     if isinstance(matcher, FrozenMatcher):
-        layout = layout or matcher.layout
-        if layout == matcher.layout and (trace is None or layout != "hot"):
-            return matcher
-        source = matcher._source
-        if source is None:
-            source = matcher.rebuild_source()
-        return FrozenMatcher.from_matcher(
-            source, layout=layout, layout_trace=trace or matcher._layout_trace
-        )
+        return matcher
     if isinstance(matcher, Poptrie):
         return FrozenPoptrie(matcher)
     return FrozenMatcher.from_matcher(

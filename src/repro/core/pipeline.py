@@ -90,7 +90,7 @@ class PipelinedLookup:
         and finally yielding the result (possibly None).  Mirrors
         Algorithm 3."""
         matcher = self.matcher
-        if matcher._dirty:
+        if matcher.stale:
             matcher.compile()
         stride = matcher.stride
         chunk_mask = (1 << stride) - 1

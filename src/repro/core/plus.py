@@ -11,8 +11,9 @@ B+ tree analogy of §3.6).
 
 Palmtrie+ does not support incremental updates directly.  Following the
 paper, updates are applied to a retained source Palmtrie_k and the
-compressed form is recompiled from it (:meth:`compile`); lookups
-transparently recompile when the source has pending changes.
+compressed form is recompiled from it (:meth:`compile`).  The table is
+stale exactly when the source's ``generation`` differs from the one it
+was compiled at; lookups then recompile transparently.
 
 Note: Algorithm 3 line 20 in the paper tests ``x.bitmap_c`` inside the
 don't care loop; that is a typo for ``x.bitmap_t`` (the corresponding
@@ -29,7 +30,7 @@ from typing import Any, Iterable, Iterator, Optional, Union
 from .multibit import MultibitPalmtrie
 from .multibit import _Internal as _SourceInternal  # noqa: F401 (typing aid)
 from .multibit import _Leaf as _SourceLeaf
-from .table import TernaryEntry, TernaryMatcher
+from .table import LookupStats, TernaryEntry, TernaryMatcher
 from .ternary import TernaryKey
 
 __all__ = ["PalmtriePlus"]
@@ -81,22 +82,48 @@ class PalmtriePlus(TernaryMatcher):
     last_compile_seconds = 0.0
 
     def __init__(self, key_length: int, stride: int = 8, subtree_skipping: bool = True) -> None:
-        super().__init__(key_length)
-        self.stride = stride
-        self.subtree_skipping = subtree_skipping
-        self._source = MultibitPalmtrie(key_length, stride=stride, subtree_skipping=subtree_skipping)
+        self._attach(
+            MultibitPalmtrie(key_length, stride=stride, subtree_skipping=subtree_skipping)
+        )
+
+    def _attach(self, source: MultibitPalmtrie) -> None:
+        """Take ``source`` as the retained Palmtrie_k, nothing compiled.
+
+        Not ``TernaryMatcher.__init__``: it zeroes ``generation``, which
+        here is the source's counter."""
+        self.key_length = source.key_length
+        self.stats = LookupStats()
+        self.stride = source.stride
+        self.subtree_skipping = source.subtree_skipping
+        self._source = source
         self._nodes: list[_PlusNode] = []
         self._root: Optional[_PlusNode] = None
-        self._dirty = False
         # Entries not yet inserted into the source trie: a deserialized
         # table defers that rebuild until the first mutation.
         self._pending_entries: Optional[list[TernaryEntry]] = None
-        self._ternary_slots = self._source._ternary_slots
-        # The first compile is deferred: ``build()`` (or the first
-        # lookup) performs it, so constructing-then-bulk-inserting does
-        # not compile an empty trie just to throw it away.
+        self._ternary_slots = source._ternary_slots
         self._compile_count = 0
-        self._dirty = True
+        #: source generation the node array was compiled at; None until
+        #: the first compile, which ``build()`` (or the first lookup)
+        #: performs, so constructing-then-bulk-inserting does not
+        #: compile an empty trie just to throw it away
+        self._compiled_generation: Optional[int] = None
+
+    @property
+    def generation(self) -> int:
+        """The retained Palmtrie_k's content generation: every update
+        lands there, through this table or directly."""
+        return self._source.generation
+
+    @generation.setter
+    def generation(self, value: int) -> None:
+        self._source.generation = value
+
+    @property
+    def stale(self) -> bool:
+        """True while the node array lags the retained Palmtrie_k (the
+        next lookup or :meth:`compile` recompiles it)."""
+        return self._compiled_generation != self._source.generation
 
     # ------------------------------------------------------------------
     # Construction: updates go to the source trie, then recompile.
@@ -106,90 +133,51 @@ class PalmtriePlus(TernaryMatcher):
     def from_palmtrie(cls, source: MultibitPalmtrie) -> "PalmtriePlus":
         """Compile an existing Palmtrie_k (the §3.6 compilation step)."""
         plus = cls.__new__(cls)
-        TernaryMatcher.__init__(plus, source.key_length)
-        plus.stride = source.stride
-        plus.subtree_skipping = source.subtree_skipping
-        plus._source = source
-        plus._nodes = []
-        plus._root = None
-        plus._dirty = True
-        plus._pending_entries = None
-        plus._ternary_slots = source._ternary_slots
-        plus._compile_count = 0
+        plus._attach(source)
         plus.compile()
         return plus
 
     def _hydrate_source(self) -> None:
         """Materialize the source trie from deferred entries (loaded
-        tables defer this until the first mutation)."""
+        tables defer this until the first mutation).  Not a mutation:
+        the compiled nodes already hold these entries, so the
+        generation stays where it was."""
         if self._pending_entries is not None:
             pending = self._pending_entries
             self._pending_entries = None
+            source = self._source
+            generation = source.generation
             for entry in pending:
-                self._source.insert(entry)
+                source.insert(entry)
+            source.generation = generation
 
     @classmethod
     def build(
         cls, entries: Iterable[TernaryEntry], key_length: int, **kwargs: Any
     ) -> "PalmtriePlus":
-        """Bulk build: insert everything into the source, compile once."""
-        plus = cls(key_length, **kwargs)
-        for entry in entries:
-            plus._source.insert(entry)
-        plus._dirty = True
-        plus.compile()
-        return plus
+        """Bulk build: fill a source Palmtrie_k, compile once."""
+        return cls.from_palmtrie(MultibitPalmtrie.build(entries, key_length, **kwargs))
+
+    # Updates go to the source Palmtrie_k, which bumps its generation;
+    # that leaves the compressed form stale until the next lookup or
+    # :meth:`compile`.  The paper calls out exactly this cost model:
+    # insertion implies recompilation (§3.6, §4.4).
 
     def insert(self, entry: TernaryEntry) -> None:
-        """Incremental update of the source Palmtrie_k; marks the
-        compressed form stale (recompiled on next lookup or
-        :meth:`compile`).  The paper calls out exactly this cost model:
-        insertion implies recompilation (§3.6, §4.4).
-        """
-        self._hydrate_source()
-        self._source.insert(entry)
-        self._dirty = True
-        self.generation += 1
+        self.source.insert(entry)
 
     def delete(self, key: TernaryKey) -> bool:
-        self._hydrate_source()
-        removed = self._source.delete(key)
-        if removed:
-            self._dirty = True
-            self.generation += 1
-        return removed
+        return self.source.delete(key)
 
     def remove_entry(self, entry: TernaryEntry) -> bool:
         """Remove one specific entry via the source trie (then recompile)."""
-        self._hydrate_source()
-        removed = self._source.remove_entry(entry)
-        if removed:
-            self._dirty = True
-            self.generation += 1
-        return removed
+        return self.source.remove_entry(entry)
 
     def bulk_update(self, ops: Iterable[tuple[str, Any]]) -> tuple[int, int, int]:
-        """Apply many inserts/deletes with one source pass and one
-        deferred recompile.
-
-        ``ops`` is a sequence of ``("insert", TernaryEntry)`` /
-        ``("delete", TernaryKey)`` pairs.  The source trie is hydrated
-        once, every op is applied to it, and the compressed form is
-        marked stale exactly once — the per-op path would pay the
-        hydration check and dirty bookkeeping N times.  Returns
-        ``(inserted, deleted, missing_deletes)``.
-        """
-        self._hydrate_source()
-        source = self._source
-        before = source.generation
-        try:
-            return source.bulk_update(ops)
-        finally:
-            # Also when an op raised after others applied: the compiled
-            # form must not keep serving what the source no longer holds.
-            if source.generation != before:
-                self._dirty = True
-                self.generation += 1
+        """Apply ``("insert", TernaryEntry)`` / ``("delete", TernaryKey)``
+        pairs to the source trie, with one deferred recompile.  Returns
+        ``(inserted, deleted, missing_deletes)``."""
+        return self.source.bulk_update(ops)
 
     def compile(self) -> None:
         """Rebuild the node array from the source trie (compilation part
@@ -224,7 +212,7 @@ class PalmtriePlus(TernaryMatcher):
             dst.bitmap_t = bitmap
         self._nodes = nodes
         self._root = root
-        self._dirty = False
+        self._compiled_generation = self._source.generation
         self._compile_count += 1
         self.last_compile_seconds = time.perf_counter() - compile_start
         self.compile_seconds_total += self.last_compile_seconds
@@ -245,7 +233,7 @@ class PalmtriePlus(TernaryMatcher):
     # ------------------------------------------------------------------
 
     def lookup(self, query: int) -> Optional[TernaryEntry]:
-        if self._dirty:
+        if self.stale:
             self.compile()
         chunk_mask = (1 << self.stride) - 1
         slots = self._ternary_slots
@@ -283,7 +271,7 @@ class PalmtriePlus(TernaryMatcher):
 
     def lookup_all(self, query: int) -> list[TernaryEntry]:
         """All matching entries, highest priority first (no skipping)."""
-        if self._dirty:
+        if self.stale:
             self.compile()
         chunk_mask = (1 << self.stride) - 1
         slots = self._ternary_slots
@@ -315,7 +303,7 @@ class PalmtriePlus(TernaryMatcher):
 
     def _counted_lookup(self, query: int) -> tuple[Optional[TernaryEntry], int, int]:
         """Counted traversal hook for :meth:`profile_lookup`."""
-        if self._dirty:
+        if self.stale:
             self.compile()
         chunk_mask = (1 << self.stride) - 1
         slots = self._ternary_slots
@@ -355,7 +343,7 @@ class PalmtriePlus(TernaryMatcher):
         deduplicated, then traversed node-major so queries sharing a
         branch share the node visit and the popcount child computation.
         """
-        if self._dirty:
+        if self.stale:
             self.compile()
         results: list[Optional[TernaryEntry]] = [None] * len(queries)
         if not queries:
@@ -432,7 +420,7 @@ class PalmtriePlus(TernaryMatcher):
 
     def node_count(self) -> tuple[int, int]:
         """(internal nodes, leaves) of the *compiled* structure."""
-        if self._dirty:
+        if self.stale:
             self.compile()
         internal = sum(1 for n in self._nodes if isinstance(n, _PlusInternal))
         leaves = len(self._nodes) - internal
@@ -453,7 +441,7 @@ class PalmtriePlus(TernaryMatcher):
         a leaf whose key several rules share keeps the whole list — the
         serialized form writes every one of them.
         """
-        if self._dirty:
+        if self.stale:
             self.compile()
         internal, leaves = self.node_count()
         bitmap_bytes = (1 << self.stride) // 8 if self.stride >= 3 else 1

@@ -147,7 +147,7 @@ def _decode_value(blob: bytes) -> Any:
 
 def serialize_plus(matcher: PalmtriePlus) -> bytes:
     """Pack the compiled table into its binary form."""
-    if matcher._dirty:
+    if matcher.stale:
         matcher.compile()
     stride = matcher.stride
     key_length = matcher.key_length
@@ -294,8 +294,8 @@ def _deserialize_plus(data: bytes) -> PalmtriePlus:
     matcher._pending_entries = entries_for_source
     matcher._root = nodes[root_index]
     matcher._nodes = nodes[:root_index]
-    matcher._dirty = False
     # The decoded arrays stand in for the build-time compile.
+    matcher._compiled_generation = matcher.generation
     matcher._compile_count = 1
     return matcher
 
@@ -613,10 +613,7 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     frozen._leaf_entry_count = entry_count_arr
     frozen._entry_table = entry_table
     frozen._first_leaf = first_leaf
-    frozen.layout = "hot" if layout_code else "build"
-    frozen.layout_applied = frozen.layout
-    frozen._layout_trace = None
-    frozen._query_samples = [] if layout_code else None
+    frozen.layout_applied = "hot" if layout_code else "build"
     frozen._build_hot()
     return frozen
 

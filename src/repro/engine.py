@@ -101,6 +101,10 @@ from .obs.timing import TIMER_RESOLUTION as _TIMER_TICK
 
 __all__ = ["FlowCache", "RegionCache", "BatchReport", "UpdateReport", "ClassificationEngine"]
 
+#: what an engine serves: a Palmtrie_k, a Palmtrie+ over one, or a
+#: frozen plane (see :class:`ClassificationEngine`)
+ServedMatcher = Union[MultibitPalmtrie, PalmtriePlus, FrozenMatcher]
+
 #: distinguishes "not cached" from a cached no-match (None) result
 _MISSING = object()
 
@@ -275,28 +279,17 @@ class FlowCache:
             evict(last=False)
         return overflow
 
-    def invalidate(self, key: TernaryKey) -> int:
-        """Evict every cached query this ternary key matches.
-
-        Those are exactly the queries whose result can change when an
-        entry with this key is inserted or deleted; untouched queries
-        keep their (still-correct) cached verdicts.
-        """
-        return self.sweep(group_keys((key,)))
-
-    def invalidate_many(self, keys: Sequence[TernaryKey]) -> int:
-        """Evict every cached query any of these ternary keys matches.
-
-        One sweep over the cache, testing each row once per distinct
-        care mask (:func:`group_keys`) — the batched form of
-        :meth:`invalidate`, so a transaction of N updates pays one
-        cache pass instead of N.
-        """
-        return self.sweep(group_keys(keys))
-
     def sweep(self, groups: dict[int, set[int]]) -> int:
         """Evict every cached query some changed-key group matches
-        (``query & care in datas``); returns the rows evicted."""
+        (``query & care in datas``; see :func:`group_keys`); returns the
+        rows evicted.
+
+        Those are exactly the queries whose result can change when an
+        entry with one of the changed keys is inserted or deleted;
+        untouched queries keep their (still-correct) cached verdicts.
+        Each row is tested once per distinct care mask, so a
+        transaction of N updates pays one cache pass instead of N.
+        """
         if not groups:
             return 0
         cache = self._map
@@ -883,6 +876,8 @@ class ClassificationEngine:
     the build settles — lazily, on the first cache miss — and serves
     lookups from the plane; with it off, the Palmtrie_k serves
     interpreted (an installed plane serves until an update drops it).
+    Every freeze lays the plane out in build order; an installed
+    hot-layout plane serves as laid out until its first refreeze.
     ``insert``/``delete`` go to the Palmtrie_k; the plane keeps serving
     behind an overlay of the changed keys until the overlay has cost one
     refreeze, so updates stay cheap and bursts stay fast.
@@ -900,7 +895,7 @@ class ClassificationEngine:
 
     def __init__(
         self,
-        matcher: Union[MultibitPalmtrie, PalmtriePlus, FrozenMatcher],
+        matcher: ServedMatcher,
         config: Optional[EngineConfig] = None,
     ) -> None:
         config = config if config is not None else DEFAULT_CONFIG
@@ -1017,7 +1012,7 @@ class ClassificationEngine:
         return self._matcher
 
     @matcher.setter
-    def matcher(self, matcher: Union[MultibitPalmtrie, PalmtriePlus, FrozenMatcher]) -> None:
+    def matcher(self, matcher: ServedMatcher) -> None:
         self.replace_matcher(matcher)
 
     # -- the served form ---------------------------------------------------
@@ -1048,9 +1043,6 @@ class ClassificationEngine:
         self._plane_generation = None if plane is None else matcher.generation
         #: True while the plane reports examined-bit masks
         self._plane_masks = plane is not None and _reports_masks(plane)
-        #: the hot-layout plane's live query reservoir, kept past the
-        #: plane's drop so the next freeze replays it as its trace
-        self._plane_samples = None if plane is None else plane._query_samples
         #: changed-key groups the frozen plane is behind by; misses they
         #: match resolve through the retained Palmtrie_k
         self._overlay: dict[int, set[int]] = {}
@@ -1160,11 +1152,7 @@ class ClassificationEngine:
 
         start = time.perf_counter()
         try:
-            plane = freeze(
-                self._source,
-                layout=self.config.frozen_layout,
-                trace=self._plane_samples or None,
-            )
+            plane = freeze(self._source)
         except Exception as exc:
             guard = self._guard
             if guard is None:
@@ -1177,9 +1165,6 @@ class ClassificationEngine:
             return None
         elapsed = time.perf_counter() - start
         self._plane = plane
-        # A new plane starts with an empty reservoir: keep a handle on
-        # it for the next refreeze.
-        self._plane_samples = plane._query_samples
         self.freezes += 1
         self.freeze_seconds_total += elapsed
         self._plane_generation = self._matcher.generation
@@ -1593,9 +1578,9 @@ class ClassificationEngine:
     def apply_updates(self, ops: Iterable[Any]) -> UpdateReport:
         """Apply many inserts/deletes as one transaction.
 
-        Where N scalar ``insert``/``delete`` calls pay N dirty-marks and
-        N cache sweeps, this applies the whole batch with one pass —
-        through the matcher's ``bulk_update`` — and one changed-key
+        Where N scalar ``insert``/``delete`` calls pay N bookkeeping
+        passes and N cache sweeps, this applies the whole batch with one
+        pass — through the matcher's ``bulk_update`` — and one changed-key
         set, which drives one cache sweep (now, or deferred to the next
         lookup), the reference's in-place update and the frozen plane's
         overlay (see :meth:`_note_update`).
@@ -1617,10 +1602,10 @@ class ClassificationEngine:
         except Exception as exc:
             if guard is None:
                 raise
-            # Mid-transaction fault: the source may be partially
-            # mutated *without* a dirty mark or generation bump (those
-            # land after a clean op loop).  Record the fault and force
-            # every derived layer to rebuild from actual content.
+            # Mid-transaction fault: a prefix of the ops may have
+            # applied (the Palmtrie_k bumps its generation once per op),
+            # and the engine cannot tell which.  Record the fault and
+            # force every derived layer to rebuild from actual content.
             guard.record_fault(getattr(exc, "site", None) or "update", exc)
             error = f"{type(exc).__name__}: {exc}"
             self._recover_from_update_fault(matcher)
@@ -1688,9 +1673,7 @@ class ClassificationEngine:
         """
         return _UpdateBatch(self)
 
-    def replace_matcher(
-        self, matcher: Union[MultibitPalmtrie, PalmtriePlus, FrozenMatcher]
-    ) -> None:
+    def replace_matcher(self, matcher: ServedMatcher) -> None:
         """Swap in a rebuilt policy atomically.
 
         The new matcher replaces the old one in one step — plane
@@ -1735,7 +1718,7 @@ class ClassificationEngine:
         if plane is None:
             from .core.frozen import freeze
 
-            plane = freeze(self._source, layout=self.config.frozen_layout)
+            plane = freeze(self._source)
         return plane
 
     def checkpoint(self, path: Any) -> int:
@@ -1910,7 +1893,6 @@ class ClassificationEngine:
             "queries_per_second": self.queries_per_second(),
             "auto_freeze": self.auto_freeze,
             "frozen_plane_active": self._plane is not None,
-            "frozen_layout": self.config.frozen_layout,
             "plane_layout": getattr(self._plane, "layout_applied", None),
             "freezes": self.freezes,
             "updates_applied": self.updates_applied,

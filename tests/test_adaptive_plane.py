@@ -26,7 +26,7 @@ from helpers import (
     table1_entries,
 )
 
-from repro import ClassificationEngine, EngineConfig, build_matcher
+from repro import ClassificationEngine, EngineConfig, TernaryEntry, TernaryKey
 from repro.core.frozen import FrozenMatcher, _ternary_slots, freeze
 from repro.core.plus import PalmtriePlus
 from repro.core.serialize import (
@@ -115,19 +115,6 @@ class TestLayoutPlanInvariance:
         )
         for query in trace:
             assert_same_result(oracle_lookup(entries, query), plane.lookup(query))
-
-    def test_refreeze_layout_switch_stays_coherent(self):
-        entries = _unique_priorities(random_entries(50, KEY_LENGTH, seed=3))
-        trace = _trace(entries, 150)
-        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=4)
-        want = [plane.lookup(q) for q in trace]
-        plane = freeze(plane, layout="hot", trace=trace)
-        assert plane.layout_applied == "hot"
-        for query, expected in zip(trace, want):
-            assert_same_result(expected, plane.lookup(query))
-        plane = freeze(plane, layout="build")
-        for query, expected in zip(trace, want):
-            assert_same_result(expected, plane.lookup(query))
 
 
 # ----------------------------------------------------------------------
@@ -252,20 +239,25 @@ class TestSlotCache:
 # ----------------------------------------------------------------------
 
 class TestConfigKnobs:
-    def test_layout_validates(self):
-        EngineConfig(frozen_layout="hot")
-        with pytest.raises(ValueError, match="frozen_layout"):
-            EngineConfig(frozen_layout="hottest")
+    def test_the_layout_is_not_an_engine_knob(self):
+        """The hot layout is an offline compile option: the engine
+        always freezes in build order."""
+        with pytest.raises(TypeError):
+            EngineConfig(frozen_layout="hot")
 
     def test_engine_report_surfaces_adaptive_state(self):
         entries = _unique_priorities(random_entries(30, KEY_LENGTH, seed=2))
-        config = EngineConfig(auto_freeze=True, frozen_layout="hot")
-        engine = ClassificationEngine(
-            build_matcher(config, entries, KEY_LENGTH), config
+        trace = _trace(entries, 100)
+        config = EngineConfig(auto_freeze=True)
+        hot = FrozenMatcher.build(
+            entries, KEY_LENGTH, stride=4, layout="hot", layout_trace=trace
         )
+        engine = ClassificationEngine(hot, config)
         for query in _queries(50, seed=3):
             engine.lookup(query)
         report = engine.report()
-        assert report["frozen_layout"] == "hot"
         assert report["plane_layout"] == "hot"
-        assert "stride_plan" not in report
+        assert "frozen_layout" not in report and "stride_plan" not in report
+        engine.insert(TernaryEntry(TernaryKey(0, (1 << KEY_LENGTH) - 1, KEY_LENGTH), "all", 0))
+        engine.refresh()
+        assert engine.report()["plane_layout"] == "build"

@@ -267,7 +267,7 @@ class TestFlowCache:
         cache = FlowCache(8)
         cache.put(0b0101, None)
         cache.put(0b1111, None)
-        assert cache.invalidate(TernaryKey.from_string("01**")) == 1
+        assert cache.sweep(group_keys([TernaryKey.from_string("01**")])) == 1
         assert 0b0101 not in cache and 0b1111 in cache
 
     def test_invalidate_many_is_one_sweep_over_all_keys(self):
@@ -276,9 +276,9 @@ class TestFlowCache:
         cache.put(0b1111, None)
         cache.put(0b1000, None)
         keys = [TernaryKey.from_string("01**"), TernaryKey.from_string("11**")]
-        assert cache.invalidate_many(keys) == 2
+        assert cache.sweep(group_keys(keys)) == 2
         assert 0b1000 in cache and len(cache) == 1
-        assert cache.invalidate_many([]) == 0
+        assert cache.sweep(group_keys([])) == 0
 
     def test_group_keys_folds_keys_by_care_mask(self):
         keys = [
@@ -1271,6 +1271,32 @@ class TestOneServedForm:
         engine.restore_last_good(path)
         _check_oracle(engine, entries, queries)
         assert compiles == []
+
+    def test_a_callers_palmtrie_plus_stays_coherent(self):
+        """A Palmtrie+ handed to an engine takes the engine's updates in
+        its Palmtrie_k and recompiles once, on its own first lookup: the
+        engine's serving, updates and refreezes never compile it."""
+        entries = random_entries(60, KEY_LENGTH, seed=77)
+        plus = PalmtriePlus.build(entries, KEY_LENGTH)
+        oracle = SortedListMatcher.build(entries, KEY_LENGTH)
+        engine = ClassificationEngine(plus, EngineConfig(cache_size=64, auto_freeze=True))
+        rng = random.Random(78)
+        queries = _queries(2000, seed=79)
+        for tx in range(16):
+            new = _prefix_entry(format(tx, "04b"), f"tx{tx}", 10**6 + tx)
+            victim = rng.choice(entries).key
+            engine.apply_updates([("insert", new), ("delete", victim)])
+            oracle.insert(new)
+            while oracle.delete(victim):
+                pass
+            entries = [e for e in entries if e.key != victim] + [new]
+            _check_oracle(engine, entries, queries[tx * 64 : (tx + 1) * 64])
+            engine.refresh()
+        assert engine.matcher is plus and engine.freezes > 1
+        assert plus.compile_count == 1 and plus.stale
+        for query in queries:
+            assert_same_result(oracle.lookup(query), plus.lookup(query))
+        assert plus.compile_count == 2
 
 
 # ----------------------------------------------------------------------

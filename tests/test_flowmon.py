@@ -116,5 +116,5 @@ class TestValidation:
         acl = compile_acl(parse_acl(CLASS_ACL))
         custom = PalmtriePlus.build(acl.entries, 128, stride=4)
         monitor = FlowMonitor(acl.entries, matcher=custom)
-        assert monitor.matcher is custom
+        assert monitor.engine.matcher is custom
         assert monitor.observe(_https(), timestamp=0.0).traffic_class == 1

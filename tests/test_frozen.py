@@ -102,8 +102,11 @@ class TestConstruction:
             freeze(SortedListMatcher.build(table1_entries(), 8))
 
     def test_freeze_of_frozen_is_idempotent(self):
+        """A plane is laid out once: freezing it again, in any layout,
+        returns it unchanged."""
         frozen = FrozenMatcher.build(table1_entries(), 8)
         assert freeze(frozen) is frozen
+        assert freeze(frozen, layout="hot", trace=[1, 2, 3]) is frozen
 
     def test_stride_bounds(self):
         with pytest.raises(ValueError):
@@ -379,8 +382,8 @@ class TestIntervalEmitter:
 
 
 class TestDirtyPalmtriePlusFreeze:
-    """Freezing a dirty Palmtrie+ walks its retained Palmtrie_k instead
-    of compiling nodes only to discard them."""
+    """Freezing a Palmtrie+ walks its retained Palmtrie_k: a stale one
+    is not compiled only for its nodes to be discarded."""
 
     def _dirty_plus(self):
         entries = random_entries(80, KEY_LENGTH, seed=50, priority_range=20)
@@ -396,7 +399,7 @@ class TestDirtyPalmtriePlusFreeze:
         trace = _biased_queries(entries, 200, seed=51) if layout == "hot" else None
         frozen = freeze(plus, layout=layout, trace=trace)
         assert plus.compile_count == compiles
-        assert plus._dirty  # compiles lazily if anything looks up through it
+        assert plus.stale  # compiles lazily if anything looks up through it
         image = serialize_frozen(frozen)
         plus.compile()
         assert serialize_frozen(freeze(plus, layout=layout, trace=trace)) == image
@@ -410,14 +413,19 @@ class TestDirtyPalmtriePlusFreeze:
         for query, got in zip(queries, served):
             assert got is plus.lookup(query)
 
-    def test_deferred_source_stays_deferred(self):
+    def test_a_loaded_table_freezes_like_its_original(self):
+        """Freezing a loaded PLM+ table builds its Palmtrie_k from the
+        decoded entries; that is not a mutation, so the table stays
+        current and serves its decoded nodes without a recompile."""
         from repro.core.serialize import deserialize_plus, serialize_plus
 
         entries = random_entries(40, KEY_LENGTH, seed=53)
-        loaded = deserialize_plus(serialize_plus(PalmtriePlus.build(entries, KEY_LENGTH)))
-        assert loaded._pending_entries is not None
+        original = PalmtriePlus.build(entries, KEY_LENGTH)
+        loaded = deserialize_plus(serialize_plus(original))
         frozen = freeze(loaded)
-        assert loaded._pending_entries is not None
+        assert serialize_frozen(frozen) == serialize_frozen(freeze(original))
+        assert not loaded.stale and loaded.generation == 0
+        assert loaded.compile_count == 1
         for query in _biased_queries(entries, 200, seed=54):
             assert frozen.lookup(query) is loaded.lookup(query)
 
@@ -454,16 +462,6 @@ class TestLazyRefreeze:
         for query in _biased_queries(entries, 300, seed=23):
             assert again.lookup(query) is loaded.lookup(query)
 
-    def test_relayout_of_a_loaded_plane(self):
-        entries = random_entries(60, KEY_LENGTH, seed=24)
-        trace = _biased_queries(entries, 200, seed=25)
-        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=4)
-        loaded = deserialize_frozen(serialize_frozen(plane))
-        hot = freeze(loaded, layout="hot", trace=trace)
-        assert hot is not loaded and hot.layout_applied == "hot"
-        want = FrozenMatcher.build(entries, KEY_LENGTH, stride=4, layout="hot", layout_trace=trace)
-        assert serialize_frozen(hot) == serialize_frozen(want)
-
     def test_entries_roundtrip(self):
         entries = random_entries(15, KEY_LENGTH, seed=24)
         frozen = FrozenMatcher.build(entries, KEY_LENGTH)
@@ -494,10 +492,11 @@ class TestSerialization:
         blob = serialize_frozen(frozen)
         assert serialize_frozen(deserialize_frozen(blob)) == blob
 
-    def test_loaded_plane_serves_without_rebuild(self):
+    def test_loaded_plane_serves_without_rebuild(self, monkeypatch):
         entries, frozen = self._frozen(seed=31)
         loaded = deserialize_frozen(serialize_frozen(frozen))
-        assert loaded._source is None  # serves without rebuilding a trie
+        # serves without rebuilding a trie
+        monkeypatch.setattr(FrozenMatcher, "rebuild_source", None)
         for query in _biased_queries(entries, 300, seed=32):
             assert_same_result(frozen.lookup(query), loaded.lookup(query))
         queries = _biased_queries(entries, 100, seed=33)
@@ -564,32 +563,27 @@ class TestEngineAutoFreeze:
         for query, got in zip(queries, engine.lookup_batch(queries)):
             assert_same_result(oracle_lookup(entries, query), got)
 
-    def test_hot_refreeze_replays_the_dropped_planes_samples(self):
-        """Each refreeze builds a new plane with an empty reservoir; the
-        engine hands it the dropped plane's samples as its trace, so
-        the hot layout's frequency pass still runs."""
+    def test_a_hot_plane_refreezes_in_build_order(self):
+        """An installed hot plane serves as laid out until its first
+        refreeze; the engine freezes its Palmtrie_k in build order."""
         from repro.workloads.classbench import classbench_acl
         from repro.workloads.traffic import zipf_trace
 
         acl = classbench_acl("acl", 150)
-        plus = PalmtriePlus.build(acl.entries, acl.layout.length, stride=8)
-        engine = ClassificationEngine(
-            plus, EngineConfig(cache_size=0, auto_freeze=True, frozen_layout="hot")
-        )
         queries = zipf_trace(acl.entries, 2000, flows=256)
-        for start in range(0, len(queries), 64):
-            engine.lookup_batch(queries[start : start + 64])
-        samples = list(engine._plane._query_samples)
-        assert samples
+        hot = FrozenMatcher.build(
+            acl.entries, acl.layout.length, layout="hot", layout_trace=queries
+        )
+        engine = ClassificationEngine(hot, EngineConfig(cache_size=0, auto_freeze=True))
+        engine.lookup_batch(queries[:64])
+        assert engine._plane is hot and engine.report()["plane_layout"] == "hot"
         engine.apply_updates([("delete", acl.entries[7].key)])
-        # The update leaves the plane serving behind its overlay;
-        # refresh() compacts it into a fresh freeze.
-        assert engine.freezes == 1
         engine.refresh()
-        assert engine.freezes == 2
-        want = freeze(plus, layout="hot", trace=samples)
-        assert serialize_frozen(engine._plane) == serialize_frozen(want)
-        assert serialize_frozen(freeze(plus, layout="hot")) != serialize_frozen(want)
+        assert engine.freezes == 1 and engine.report()["plane_layout"] == "build"
+        source = engine.matcher
+        assert serialize_frozen(engine._plane) == serialize_frozen(freeze(source))
+        for query, got in zip(queries, engine.lookup_batch(queries)):
+            assert got is source.lookup(query)
 
 
 # ----------------------------------------------------------------------

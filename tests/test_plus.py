@@ -83,10 +83,10 @@ class TestIncrementalUpdate:
         plus = PalmtriePlus.build(entries[:-1], 8, stride=3)
         assert plus.lookup(0b10000000) is None  # entry 9 (1*******) missing
         plus.insert(entries[-1])
-        assert plus._dirty
+        assert plus.stale and plus.compile_count == 1
         result = plus.lookup(0b10000000)
         assert result is not None and result.value == 9
-        assert not plus._dirty
+        assert not plus.stale and plus.compile_count == 2
 
     def test_delete_recompiles(self):
         entries = table1_entries()
@@ -96,14 +96,15 @@ class TestIncrementalUpdate:
 
     def test_delete_missing_does_not_dirty(self):
         plus = PalmtriePlus.build(table1_entries(), 8, stride=3)
+        generation = plus.generation
         assert not plus.delete(TernaryKey.from_string("00000000"))
-        assert not plus._dirty
+        assert not plus.stale and plus.generation == generation
 
     def test_explicit_compile(self):
         plus = PalmtriePlus(8, stride=3)
         plus.insert(TernaryEntry(TernaryKey.from_string("01**01**"), "x", 3))
         plus.compile()
-        assert not plus._dirty
+        assert not plus.stale
         assert plus.lookup(0b01110111).value == "x"
 
     def test_source_property(self):

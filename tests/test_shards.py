@@ -23,7 +23,7 @@ import pytest
 
 from helpers import random_entries
 from repro.config import EngineConfig
-from repro.core.frozen import freeze
+from repro.core.frozen import FrozenMatcher, freeze
 from repro.core.plus import PalmtriePlus
 from repro.core.serialize import serialize_frozen
 from repro.core.table import TernaryEntry
@@ -170,15 +170,18 @@ class TestShardedDifferential:
         hot-ordered planes, and the verdicts still match a plain
         single-process engine."""
         queries = _trace(4_000, seed=23)
-        config = EngineConfig(cache_size=0, shards=2, frozen_layout="hot")
+        config = EngineConfig(cache_size=0, shards=2)
         matcher_a = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
-        matcher_b = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        hot = FrozenMatcher.build(
+            policy, KEY_LENGTH, stride=8, layout="hot", layout_trace=queries
+        )
         single = ClassificationEngine(
             matcher_a, EngineConfig(cache_size=0)
         )
-        with ClassificationEngine(matcher_b, config) as sharded:
+        with ClassificationEngine(hot, config) as sharded:
             assert _values(sharded.lookup_batch(queries)) == \
                 _values(single.lookup_batch(queries))
+            assert sharded.report()["plane_layout"] == "hot"
             assert sharded.health == "ok"
 
     def test_replay_counts_match_lookup_batch(self, policy):
