@@ -1,8 +1,8 @@
-"""Substrate benchmark — binary table serialization.
+"""Substrate benchmark — shipping compiled planes (PLMF).
 
 A control plane compiles, a data plane loads: both directions must be
 cheap relative to compilation itself, and the wire size must track the
-modeled C footprint (the codec *is* the Figure 6 layout).
+plane's footprint (the codec writes the plane's arrays verbatim).
 """
 
 from __future__ import annotations
@@ -10,43 +10,43 @@ from __future__ import annotations
 import pytest
 
 from conftest import KEY_LENGTH
-from repro.core import PalmtriePlus
-from repro.core.serialize import deserialize_plus, serialize_plus
+from repro.core import FrozenMatcher
+from repro.core.serialize import deserialize_frozen, serialize_frozen
 
 
 @pytest.fixture(scope="module")
 def compiled(campus):
-    matcher = PalmtriePlus.build(campus.entries, KEY_LENGTH, stride=8)
-    return matcher, serialize_plus(matcher)
+    plane = FrozenMatcher.build(campus.entries, KEY_LENGTH, stride=8)
+    return plane, serialize_frozen(plane)
 
 
 def test_serialize(benchmark, compiled):
-    matcher, _blob = compiled
-    blob = benchmark(serialize_plus, matcher)
-    assert blob[:4] == b"PLM+"
+    plane, _blob = compiled
+    blob = benchmark(serialize_frozen, plane)
+    assert blob[:4] == b"PLMF"
 
 
 def test_deserialize(benchmark, compiled):
-    _matcher, blob = compiled
-    restored = benchmark(deserialize_plus, blob)
+    _plane, blob = compiled
+    restored = benchmark(deserialize_frozen, blob)
     assert len(restored) > 0
 
 
 def test_wire_size_tracks_memory_model(compiled):
-    matcher, blob = compiled
-    assert 0.4 < len(blob) / matcher.memory_bytes() < 2.6
+    plane, blob = compiled
+    assert 0.8 < len(blob) / plane.memory_bytes() < 1.25
 
 
 def test_roundtrip_cheaper_than_build(compiled, campus):
-    """Loading a shipped table must beat recompiling it from rules."""
+    """Loading a shipped plane must beat compiling it from rules."""
     import time
 
-    _matcher, blob = compiled
+    _plane, blob = compiled
     start = time.perf_counter()
-    deserialize_plus(blob)
+    deserialize_frozen(blob)
     load_time = time.perf_counter() - start
     start = time.perf_counter()
-    PalmtriePlus.build(campus.entries, KEY_LENGTH, stride=8)
+    FrozenMatcher.build(campus.entries, KEY_LENGTH, stride=8)
     build_time = time.perf_counter() - start
     assert load_time < build_time
 
@@ -57,19 +57,19 @@ def main() -> None:
     import time
 
     table = Table(
-        "Palmtrie+ table shipping: compile vs serialize vs load",
+        "PLMF plane shipping: compile vs serialize vs load",
         ["dataset", "entries", "compile", "serialize", "wire KiB", "load"],
     )
     for q in (2, 4, 6):
         acl = campus_acl(q)
         start = time.perf_counter()
-        matcher = PalmtriePlus.build(acl.entries, 128, stride=8)
+        plane = FrozenMatcher.build(acl.entries, 128, stride=8)
         compile_time = time.perf_counter() - start
         start = time.perf_counter()
-        blob = serialize_plus(matcher)
+        blob = serialize_frozen(plane)
         serialize_time = time.perf_counter() - start
         start = time.perf_counter()
-        deserialize_plus(blob)
+        deserialize_frozen(blob)
         load_time = time.perf_counter() - start
         table.add_row(
             f"D_{q}",

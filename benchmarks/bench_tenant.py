@@ -9,8 +9,8 @@ Three tenants share one :class:`~repro.tenant.TenantRouter`:
   is pure arithmetic);
 * ``roller`` — a tenant whose staged policy update goes bad: the fault
   injector poisons its canary engine's flow cache, shadow verification
-  (sample 1.0) catches the lies, and the SLO guard auto-rolls back to
-  the last-good checkpoint.
+  (sample 1.0) catches the lies, and the SLO guard auto-rolls back by
+  discarding the canary.
 
 The two gated ratios (``run_smokes.py`` perf trajectory):
 
@@ -26,8 +26,9 @@ The two gated ratios (``run_smokes.py`` perf trajectory):
 Both are exact-equality counters, not timings, so the gate cannot
 flake; the victim's p999 is additionally checked against a generous
 absolute budget.  After the rollback, 8 update transactions on the
-roller must refreeze nothing: the restored plane keeps serving behind
-the changed-key overlay (a work count, not a ratio).  ``--soak`` runs repeated canary cycles (alternating
+roller must refreeze nothing: the stable engine's plane, untouched by
+the rollback, keeps serving behind the changed-key overlay (a work
+count, not a ratio).  ``--soak`` runs repeated canary cycles (alternating
 promote and rollback) at 10x volume with the roller sharded across
 worker processes, and asserts the PLMS retire path leaked zero
 shared-memory segments.
@@ -73,7 +74,15 @@ def _specs(guards: SLOGuards) -> list[TenantSpec]:
         TenantSpec(name="victim", acl=VICTIM_POLICY),
         # burst=512 tokens and a frozen clock: packets 513+ are denied
         TenantSpec(name="noisy", acl=NOISY_POLICY, rate=1.0, burst=512.0),
-        TenantSpec(name="roller", acl=OLD_POLICY, guards=guards, canary_pct=25.0),
+        # the roller serves from its frozen plane, so its post-rollback
+        # updates show whether that plane survived the rollback
+        TenantSpec(
+            name="roller",
+            acl=OLD_POLICY,
+            guards=guards,
+            canary_pct=25.0,
+            engine=EngineConfig(auto_freeze=True),
+        ),
     ]
 
 
@@ -117,7 +126,7 @@ def isolation_run(packets: int, roller_shards: int = 0):
             acl=OLD_POLICY,
             guards=guards,
             canary_pct=25.0,
-            engine=EngineConfig(shards=roller_shards),
+            engine=EngineConfig(auto_freeze=True, shards=roller_shards),
         )
     router = TenantRouter(specs, injector=injector, clock=lambda: 0.0)
     try:
@@ -184,9 +193,9 @@ ROLLBACK_UPDATES = 8
 
 def _updates_after_rollback(roller) -> dict[str, int]:
     """``ROLLBACK_UPDATES`` one-rule transactions on the rolled-back
-    roller, back to back: the plane restored from its last-good
-    checkpoint keeps serving behind the overlay, so the engine freezes
-    nothing.  Returns the refreezes and the overlay's key count."""
+    roller, back to back: the rollback left the stable engine's plane
+    in place, and it keeps serving behind the overlay, so the engine
+    freezes nothing.  Returns the refreezes and the overlay's key count."""
     ports = range(9000, 9000 + ROLLBACK_UPDATES)
     extra = compile_acl(parse_acl("\n".join(f"deny tcp any any eq {p}" for p in ports)))
     assert extra.layout.length == roller.key_length

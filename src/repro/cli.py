@@ -17,14 +17,14 @@ Subcommands:
     an ACL file, optionally with a matching binary traffic trace.
 
 ``compile``
-    Compile an ACL file into a binary Palmtrie+ table (.plm).
+    Compile an ACL file into a frozen lookup plane (.plmf).
 
 ``analyze``
     Lint an ACL file: shadowed rules, conflicts, redundancy.
 
 ``replay``
     Replay a binary trace or pcap file through an ACL (or a compiled
-    ``.plm``/``.plmf`` policy) and report verdicts and the sustained
+    ``.plmf`` policy) and report verdicts and the sustained
     lookup rate; ``--metrics-out`` writes a JSON metrics snapshot of
     the run; ``--shards N`` resolves the cache misses in N worker
     processes sharing one shared-memory plane; ``--stream`` serves
@@ -166,8 +166,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .core.frozen import FrozenMatcher
-    from .core.plus import PalmtriePlus
-    from .core.serialize import save_frozen, save_plus
+    from .core.serialize import save_frozen
 
     rules = _load_rules(args.acl)
     if rules is None:
@@ -184,8 +183,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                f"(-{100 * compression_ratio(entries, squeezed):.0f} %)"
         entries = squeezed
 
-    # The layout knob only exists on the frozen plane.
-    wants_frozen = args.frozen or args.layout != "build"
     trace_queries: Optional[list] = None
     if args.trace:
         from .workloads.io import load_trace
@@ -203,52 +200,39 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             )
             return 2
 
-    if wants_frozen:
-        matcher = FrozenMatcher.build(
-            entries,
-            key_length,
-            stride=args.stride,
-            layout=args.layout,
-            layout_trace=trace_queries if args.layout == "hot" else None,
-        )
-        written = save_frozen(matcher, args.output)
-        form = "frozen table"
-        if args.layout == "hot":
-            note += ", hot layout"
-    else:
-        written = save_plus(
-            PalmtriePlus.build(entries, key_length, stride=args.stride), args.output
-        )
-        form = "table"
+    plane = FrozenMatcher.build(
+        entries,
+        key_length,
+        stride=args.stride,
+        layout=args.layout,
+        layout_trace=trace_queries if args.layout == "hot" else None,
+    )
+    written = save_frozen(plane, args.output)
+    if args.layout == "hot":
+        note += ", hot layout"
     print(
-        f"compiled {len(rules)} rules ({len(entries)} entries) into {form} "
+        f"compiled {len(rules)} rules ({len(entries)} entries) into frozen plane "
         f"{args.output}: {written} bytes, stride {args.stride}{note}"
     )
     return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from .core.frozen import FrozenMatcher
-    from .core.plus import PalmtriePlus as _Plus
-
-    magic = _sniff_magic(args.policy)
-    if magic is None:
-        print(f"error: {args.policy}: not a compiled policy file", file=sys.stderr)
+    if not _is_policy(args.policy):
+        if not _refused_foreign(args.policy):
+            print(f"error: {args.policy}: not a compiled policy file", file=sys.stderr)
         return 2
-    matcher = _load_binary_policy(args.policy, magic)
-    if matcher is None:
+    plane = _load_binary_policy(args.policy)
+    if plane is None:
         return 2
-    print(f"{args.policy}: {_POLICY_MAGICS[magic]}")
-    print(f"  key length: {matcher.key_length} bits")
-    print(f"  entries:    {len(matcher)}")
-    print(f"  memory:     {matcher.memory_bytes()} bytes")
-    if isinstance(matcher, FrozenMatcher):
-        internals, leaves = matcher.node_count()
-        print(f"  nodes:      {internals} internal, {leaves} leaves")
-        print(f"  layout:     {matcher.layout_applied}")
-        print(f"  stride:     {matcher.stride} (uniform)")
-    elif isinstance(matcher, _Plus):
-        print(f"  stride:     {matcher.stride} (uniform)")
+    internals, leaves = plane.node_count()
+    print(f"{args.policy}: frozen plane")
+    print(f"  key length: {plane.key_length} bits")
+    print(f"  entries:    {len(plane)}")
+    print(f"  memory:     {plane.memory_bytes()} bytes")
+    print(f"  nodes:      {internals} internal, {leaves} leaves")
+    print(f"  layout:     {plane.layout_applied}")
+    print(f"  stride:     {plane.stride} (uniform)")
     return 0
 
 
@@ -333,34 +317,53 @@ def _read_queries(input_path: str, layout, expected_length: int) -> Optional[lis
     return queries
 
 
-#: compiled-policy magics the CLI recognizes (see repro.core.serialize)
-_POLICY_MAGICS = {
-    b"PLM+": "Palmtrie+ table",
-    b"PLMF": "frozen plane",
-}
+#: the compiled-policy magic (``PLMF``, see repro.core.serialize)
+_POLICY_MAGIC = b"PLMF"
+#: every compiled artifact of this project starts with these bytes; one
+#: that is not a PLMF plane (e.g. a table in the retired Palmtrie+
+#: format) is refused with a re-compile hint
+_COMPILED_PREFIX = b"PLM"
 
 
-def _sniff_magic(path: str) -> Optional[bytes]:
-    """The 4-byte policy magic at the head of ``path``, or None."""
+def _read_magic(path: str) -> Optional[bytes]:
+    """The first four bytes of ``path``, or None when it cannot be read."""
     try:
         with open(path, "rb") as handle:
-            magic = handle.read(4)
+            return handle.read(4)
     except OSError:
         return None
-    return magic if magic in _POLICY_MAGICS else None
 
 
-def _load_binary_policy(path: str, magic: bytes):
-    """A matcher from a compiled ``.plm``/``.plmf`` file, or None with a
+def _is_policy(path: str) -> bool:
+    """True when ``path`` holds a compiled ``.plmf`` policy."""
+    return _read_magic(path) == _POLICY_MAGIC
+
+
+def _refused_foreign(path: str) -> bool:
+    """True (with a one-line error and re-compile hint on stderr) when
+    ``path`` is a compiled file in a format other than PLMF."""
+    magic = _read_magic(path)
+    if magic is None or magic == _POLICY_MAGIC or not magic.startswith(_COMPILED_PREFIX):
+        return False
+    print(
+        f"error: {path}: compiled format {magic.decode('latin-1')!r} is not served "
+        "(only .plmf planes are); re-compile its ACL with "
+        "`palmtrie-repro compile <acl> -o <file>.plmf`",
+        file=sys.stderr,
+    )
+    return True
+
+
+def _load_binary_policy(path: str):
+    """A frozen plane from a compiled ``.plmf`` file, or None with a
     one-line error + re-compile hint on stderr (never a traceback) —
-    corrupt and truncated tables must fail closed at the CLI edge."""
-    from .core.serialize import FormatError, load_frozen, load_plus
+    corrupt and truncated planes must fail closed at the CLI edge."""
+    from .core.serialize import FormatError, load_frozen
 
-    loader = {b"PLM+": load_plus, b"PLMF": load_frozen}[magic]
     try:
-        return loader(path)
+        return load_frozen(path)
     except FormatError as exc:
-        print(f"error: {path}: corrupt {_POLICY_MAGICS[magic]}: {exc}", file=sys.stderr)
+        print(f"error: {path}: corrupt frozen plane: {exc}", file=sys.stderr)
         print(
             "hint: the file is corrupt or truncated; re-compile it with "
             "`palmtrie-repro compile <acl> -o <file>`",
@@ -378,18 +381,15 @@ def _load_rules(path: str):
     ACL text and must not produce a UnicodeDecodeError traceback)."""
     from .workloads.io import load_acl
 
+    if _is_policy(path):
+        print(f"error: {path} is a compiled frozen plane, not ACL text", file=sys.stderr)
+        return None
+    if _refused_foreign(path):
+        return None
     try:
         return load_acl(path)
     except UnicodeDecodeError:
-        magic = _sniff_magic(path)
-        if magic is not None:
-            print(
-                f"error: {path} is a compiled {_POLICY_MAGICS[magic]}, "
-                "not ACL text",
-                file=sys.stderr,
-            )
-        else:
-            print(f"error: {path}: not an ACL text file (binary data)", file=sys.stderr)
+        print(f"error: {path}: not an ACL text file (binary data)", file=sys.stderr)
         return None
     except OSError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
@@ -444,11 +444,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    magic = _sniff_magic(args.acl)
-    if magic is not None:
-        # A compiled .plm/.plmf policy: replay it directly (corrupt
-        # files exit with a one-line FormatError + re-compile hint).
-        matcher = _load_binary_policy(args.acl, magic)
+    if _is_policy(args.acl):
+        # A compiled .plmf policy: replay it directly (corrupt files
+        # exit with a one-line FormatError + re-compile hint).
+        matcher = _load_binary_policy(args.acl)
         if matcher is None:
             return 2
         compiled = None
@@ -843,9 +842,8 @@ def _cmd_health(args: argparse.Namespace) -> int:
         auto_freeze=args.freeze,
         shards=args.shards,
     )
-    magic = _sniff_magic(args.acl)
-    if magic is not None:
-        matcher = _load_binary_policy(args.acl, magic)
+    if _is_policy(args.acl):
+        matcher = _load_binary_policy(args.acl)
         if matcher is None:
             return 2
         layout = _layout_for(matcher.key_length)
@@ -1126,23 +1124,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub_parser.set_defaults(func=_cmd_generate)
 
-    p_compile = sub.add_parser("compile", help="compile an ACL into a binary Palmtrie+ table")
+    p_compile = sub.add_parser("compile", help="compile an ACL into a frozen lookup plane")
     p_compile.add_argument("acl", help="ACL file in the Table 2 dialect")
-    p_compile.add_argument("-o", "--output", required=True, help=".plm file to write")
+    p_compile.add_argument("-o", "--output", required=True, help=".plmf file to write")
     p_compile.add_argument("--stride", type=int, default=8)
     p_compile.add_argument(
         "--compress", action="store_true",
         help="adjacency-merge equivalent entries before compiling",
     )
     p_compile.add_argument(
-        "--frozen", action="store_true",
-        help="emit a frozen struct-of-arrays plane (.plmf) instead of a "
-             "mutable Palmtrie+ table",
-    )
-    p_compile.add_argument(
         "--layout", choices=("build", "hot"), default="build",
-        help="frozen-plane node order: build order, or hot-first "
-             "(walk-frequency order from --trace; implies --frozen)",
+        help="plane node order: build order, or hot-first "
+             "(walk-frequency order from --trace)",
     )
     p_compile.add_argument(
         "--trace", metavar="PATH",
@@ -1153,9 +1146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser(
         "inspect",
-        help="describe a compiled .plm/.plmf policy: geometry, layout",
+        help="describe a compiled .plmf policy: geometry, layout",
     )
-    p_inspect.add_argument("policy", help="a compiled .plm or .plmf file")
+    p_inspect.add_argument("policy", help="a compiled .plmf file")
     p_inspect.set_defaults(func=_cmd_inspect)
 
     p_analyze = sub.add_parser("analyze", help="lint an ACL: shadowing, conflicts")
@@ -1279,7 +1272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "health",
         help="replay through a guarded engine and report resilience health",
     )
-    p_health.add_argument("acl", help="uncompiled ACL text, or a compiled .plm/.plmf policy")
+    p_health.add_argument("acl", help="uncompiled ACL text, or a compiled .plmf policy")
     p_health.add_argument("input", help="a .trace (palmtrie-repro generate) or .pcap file")
     p_health.add_argument("--stride", type=int, default=8)
     p_health.add_argument(

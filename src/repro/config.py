@@ -70,11 +70,6 @@ class EngineConfig:
     #: consecutive worker respawns per shard before the shard is
     #: abandoned and its slices are answered by the parent for good
     shard_max_restarts: int = 3
-    #: owning tenant's name when this engine serves one tenant of a
-    #: multi-tenant control plane (:mod:`repro.tenant`); None for a
-    #: standalone engine.  Purely an identity label — the tenant router
-    #: uses it for metric labels and checkpoint naming.
-    tenant: Optional[str] = None
     #: where the engine's last-known-good PLMC checkpoint lives; set by
     #: the control plane so :meth:`~repro.engine.ClassificationEngine.
     #: mark_last_good` / ``restore_last_good`` have a default target
@@ -98,10 +93,6 @@ class EngineConfig:
             raise ValueError(
                 f"shard_max_restarts must be >= 0, got {self.shard_max_restarts}"
             )
-        if self.tenant is not None and (
-            not isinstance(self.tenant, str) or not self.tenant
-        ):
-            raise ValueError(f"tenant must be a non-empty string or None, got {self.tenant!r}")
 
     # -- derivation ------------------------------------------------------
 

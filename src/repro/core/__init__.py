@@ -11,16 +11,7 @@ from .pipeline import PipelinedLookup, PipelineStats
 from .plus import PalmtriePlus
 from .poptrie import Poptrie
 from .radix import RadixTree
-from .serialize import (
-    deserialize_frozen,
-    deserialize_plus,
-    load_frozen,
-    load_plus,
-    save_frozen,
-    save_plus,
-    serialize_frozen,
-    serialize_plus,
-)
+from .serialize import deserialize_frozen, load_frozen, save_frozen, serialize_frozen
 from .table import LookupStats, TernaryEntry, TernaryMatcher, build_matcher
 from .ternary import TernaryKey, extract_chunk
 
@@ -45,15 +36,11 @@ __all__ = [
     "TrieShape",
     "build_matcher",
     "deserialize_frozen",
-    "deserialize_plus",
     "extract_chunk",
     "freeze",
     "load_frozen",
-    "load_plus",
     "save_frozen",
-    "save_plus",
     "serialize_frozen",
-    "serialize_plus",
     "to_dot",
     "trie_shape",
 ]

@@ -982,12 +982,6 @@ class FrozenMatcher(TernaryMatcher):
         """(internal nodes, leaves) of the frozen plane."""
         return self._first_leaf, len(self._leaf_best)
 
-    @property
-    def freeze_count(self) -> int:
-        """How many times these arrays were compiled: once, since a
-        plane never changes (updates compile a new plane)."""
-        return 1
-
     def memory_bytes(self) -> int:
         """The flat plane's true footprint: the array buffers as
         allocated, plus the modeled leaf-key words (2L bits each) and

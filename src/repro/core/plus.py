@@ -98,9 +98,6 @@ class PalmtriePlus(TernaryMatcher):
         self._source = source
         self._nodes: list[_PlusNode] = []
         self._root: Optional[_PlusNode] = None
-        # Entries not yet inserted into the source trie: a deserialized
-        # table defers that rebuild until the first mutation.
-        self._pending_entries: Optional[list[TernaryEntry]] = None
         self._ternary_slots = source._ternary_slots
         self._compile_count = 0
         #: source generation the node array was compiled at; None until
@@ -137,20 +134,6 @@ class PalmtriePlus(TernaryMatcher):
         plus.compile()
         return plus
 
-    def _hydrate_source(self) -> None:
-        """Materialize the source trie from deferred entries (loaded
-        tables defer this until the first mutation).  Not a mutation:
-        the compiled nodes already hold these entries, so the
-        generation stays where it was."""
-        if self._pending_entries is not None:
-            pending = self._pending_entries
-            self._pending_entries = None
-            source = self._source
-            generation = source.generation
-            for entry in pending:
-                source.insert(entry)
-            source.generation = generation
-
     @classmethod
     def build(
         cls, entries: Iterable[TernaryEntry], key_length: int, **kwargs: Any
@@ -183,7 +166,6 @@ class PalmtriePlus(TernaryMatcher):
         """Rebuild the node array from the source trie (compilation part
         of the update procedure, measured separately in Fig. 11/Table 5)."""
         compile_start = time.perf_counter()
-        self._hydrate_source()
         nodes: list[_PlusNode] = []
         root = self._compile_shallow(self._source._root)
         queue: deque[tuple[Any, _PlusNode]] = deque([(self._source._root, root)])
@@ -408,15 +390,10 @@ class PalmtriePlus(TernaryMatcher):
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._pending_entries is not None:
-            return len(self._pending_entries)
         return len(self._source)
 
     def entries(self) -> Iterator[TernaryEntry]:
-        if self._pending_entries is not None:
-            yield from self._pending_entries
-            return
-        yield from self._source.entries()
+        return self._source.entries()
 
     def node_count(self) -> tuple[int, int]:
         """(internal nodes, leaves) of the *compiled* structure."""
@@ -454,5 +431,4 @@ class PalmtriePlus(TernaryMatcher):
     @property
     def source(self) -> MultibitPalmtrie:
         """The retained Palmtrie_k that absorbs incremental updates."""
-        self._hydrate_source()
         return self._source

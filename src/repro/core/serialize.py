@@ -1,38 +1,19 @@
-"""Binary serialization of compiled Palmtrie tables.
+"""Binary serialization of compiled Palmtrie planes (``PLMF``).
 
 A deployment compiles ACLs on a control plane and ships the compiled
-table to data-plane processes; that requires a stable wire format.
-This codec packs a :class:`~repro.core.plus.PalmtriePlus` into the C
-struct layout the paper's §3.6/Figure 6 describes — fixed-size union
-nodes in one contiguous array — so the serialized size also *is* the
-``memory_bytes`` model (the tests pin them together, keys aside).
+policy to data-plane processes; that requires a stable wire format.
+``PLMF`` (:func:`serialize_frozen` / :func:`deserialize_frozen`) is the
+only one: it writes a :class:`~repro.core.frozen.FrozenMatcher`'s
+parallel arrays verbatim, so loading is a handful of zero-copy buffer
+views rather than a per-node parse, and a loaded plane serves at once
+without any trie rebuild.  Its Palmtrie_k (the paper's §3.6 update
+source) is rebuilt from the plane's entries only when an update needs
+it.  Checkpoints (``PLMC``) and shard planes (``PLMS``) wrap the same
+image.
 
-A second codec (``PLMF``, :func:`serialize_frozen` /
-:func:`deserialize_frozen`) writes a
-:class:`~repro.core.frozen.FrozenMatcher`'s parallel arrays verbatim:
-loading is a handful of buffer copies (``array.frombytes``) rather than
-a per-node parse, so frozen planes come back without any trie rebuild
-— the mutable source stays unmaterialized until the first mutation.
-
-Format (all little-endian):
-
-``header``
-    magic ``PLM+``, version u16, stride u8, flags u8 (bit 0 = subtree
-    skipping), key_length u32, node count u32, root node index u32,
-    entry-blob length u32.
-
-``node array`` (count × fixed node size)
-    Internal node: bit index i32, max_priority i32, bitmap_c,
-    offset_c u32, bitmap_t, offset_t u32 (bitmaps are ``2**stride``
-    bits, rounded up to whole bytes).  Leaf: the same size, tagged by a
-    bit index of ``-(stride + 1)`` (the paper's ``-infinity``), carrying
-    max_priority, the key (data ‖ mask, 2L bits), and an index into the
-    entry blob.
-
-``entry blob``
-    Priorities and values of the leaf entries.  Values must be
-    ints/strings/None (the portable subset); richer values are rejected
-    at serialization time.
+The section layout is documented on :func:`serialize_frozen` and in
+``docs/formats.md``.  Entry values must be ints/bools/strings/None (the
+portable subset); richer values are rejected at serialization time.
 """
 
 from __future__ import annotations
@@ -43,26 +24,16 @@ import sys
 from array import array
 from typing import Any, BinaryIO
 
-from .plus import PalmtriePlus, _PlusInternal, _PlusLeaf
 from .table import TernaryEntry, TernaryMatcher
 from .ternary import TernaryKey
 
 __all__ = [
-    "serialize_plus",
-    "deserialize_plus",
-    "save_plus",
-    "load_plus",
     "serialize_frozen",
     "deserialize_frozen",
     "save_frozen",
     "load_frozen",
     "FormatError",
 ]
-
-MAGIC = b"PLM+"
-VERSION = 1
-
-_HEADER = struct.Struct("<4sHBBIIII")
 
 FROZEN_MAGIC = b"PLMF"
 FROZEN_VERSION = 2
@@ -83,40 +54,13 @@ _RETIRED_PLAN_CODES = (1, 2)
 
 
 class FormatError(ValueError):
-    """Raised when bytes do not decode as a Palmtrie+ table."""
+    """Raised when bytes do not decode as their wire format."""
 
 
 #: resilience-plane hook: a ``bytes -> bytes`` callable applied to wire
 #: data before decoding (the fault injector's corruption point, see
 #: :func:`repro.resilience.faults.install`); None in production
 _deserialize_hook = None
-
-
-def _guarded_decode(data: bytes, decoder: Any) -> Any:
-    """Run one decoder body behind the injection hook, failing closed.
-
-    Whatever a corrupt byte stream provokes inside the decoder —
-    ``struct.error`` on a torn field, ``IndexError``/``OverflowError``
-    on a lying length, ``UnicodeDecodeError`` on a mangled string value
-    — surfaces as :class:`FormatError`, so callers need exactly one
-    except clause and fuzzed inputs can never escape as internal
-    exception types.
-    """
-    hook = _deserialize_hook
-    if hook is not None:
-        data = hook(bytes(data))
-    try:
-        return decoder(data)
-    except FormatError:
-        raise
-    except (struct.error, IndexError, OverflowError, UnicodeDecodeError, ValueError) as exc:
-        raise FormatError(f"corrupt table data ({type(exc).__name__}: {exc})") from exc
-
-
-def _leaf_tag(stride: int) -> int:
-    # The paper uses -inf for leaves; in fixed-width fields, any value
-    # outside the legal internal range (> -k) works.  We use -(k + 1).
-    return -(stride + 1)
 
 
 def _encode_value(value: Any) -> bytes:
@@ -143,161 +87,6 @@ def _decode_value(blob: bytes) -> Any:
     if tag == b"S":
         return payload.decode("utf-8")
     raise FormatError(f"unknown value tag {tag!r}")
-
-
-def serialize_plus(matcher: PalmtriePlus) -> bytes:
-    """Pack the compiled table into its binary form."""
-    if matcher.stale:
-        matcher.compile()
-    stride = matcher.stride
-    key_length = matcher.key_length
-    bitmap_bytes = ((1 << stride) + 7) // 8
-    key_bytes = (key_length + 7) // 8
-    leaf_tag = _leaf_tag(stride)
-
-    # The node array is matcher._nodes plus the root appended at the end;
-    # the header records the root's index.
-    nodes = list(matcher._nodes)
-    nodes.append(matcher._root)
-    root_index = len(nodes) - 1
-
-    entry_blob = bytearray()
-    node_parts: list[bytes] = []
-    internal_size = 4 + 4 + 2 * (bitmap_bytes + 4)
-    leaf_size = 4 + 4 + 2 * key_bytes + 8  # tag, maxprio, key, blob offset+count
-    node_size = max(internal_size, leaf_size)
-
-    for node in nodes:
-        if isinstance(node, _PlusInternal):
-            part = struct.pack("<ii", node.bit, node.max_priority)
-            part += node.bitmap_c.to_bytes(bitmap_bytes, "little")
-            part += struct.pack("<I", node.offset_c)
-            part += node.bitmap_t.to_bytes(bitmap_bytes, "little")
-            part += struct.pack("<I", node.offset_t)
-        else:
-            assert isinstance(node, _PlusLeaf)
-            blob_offset = len(entry_blob)
-            for entry in node.entries:
-                value = _encode_value(entry.value)
-                entry_blob += struct.pack("<iH", entry.priority, len(value))
-                entry_blob += value
-            part = struct.pack("<ii", leaf_tag, node.max_priority)
-            part += node.key.data.to_bytes(key_bytes, "little")
-            part += node.key.mask.to_bytes(key_bytes, "little")
-            part += struct.pack("<II", blob_offset, len(node.entries))
-        node_parts.append(part.ljust(node_size, b"\x00"))
-
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        stride,
-        1 if matcher.subtree_skipping else 0,
-        key_length,
-        len(nodes),
-        root_index,
-        len(entry_blob),
-    )
-    return header + b"".join(node_parts) + bytes(entry_blob)
-
-
-def deserialize_plus(data: bytes) -> PalmtriePlus:
-    """Rebuild a working matcher from its binary form.
-
-    The node array is reconstructed exactly (offsets, bitmaps, order);
-    the retained source trie is rebuilt by reinserting the leaf
-    entries, so incremental updates keep working after a round-trip.
-    Any corruption raises :class:`FormatError`.
-    """
-    return _guarded_decode(data, _deserialize_plus)
-
-
-def _deserialize_plus(data: bytes) -> PalmtriePlus:
-    if len(data) < _HEADER.size:
-        raise FormatError("truncated header")
-    magic, version, stride, flags, key_length, count, root_index, blob_len = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}")
-    if not 1 <= stride <= 16 or key_length <= 0:
-        raise FormatError("corrupt geometry fields")
-    bitmap_bytes = ((1 << stride) + 7) // 8
-    key_bytes = (key_length + 7) // 8
-    internal_size = 4 + 4 + 2 * (bitmap_bytes + 4)
-    leaf_size = 4 + 4 + 2 * key_bytes + 8
-    node_size = max(internal_size, leaf_size)
-    need = _HEADER.size + count * node_size + blob_len
-    if len(data) != need:
-        raise FormatError(f"size mismatch: expected {need} bytes, got {len(data)}")
-    if root_index >= count:
-        raise FormatError("root index out of range")
-    blob_start = _HEADER.size + count * node_size
-    blob = data[blob_start:]
-    leaf_tag = _leaf_tag(stride)
-
-    nodes: list[Any] = []
-    entries_for_source: list[TernaryEntry] = []
-    for index in range(count):
-        base = _HEADER.size + index * node_size
-        bit, max_priority = struct.unpack_from("<ii", data, base)
-        if bit == leaf_tag:
-            position = base + 8
-            key_data = int.from_bytes(data[position : position + key_bytes], "little")
-            position += key_bytes
-            key_mask = int.from_bytes(data[position : position + key_bytes], "little")
-            position += key_bytes
-            blob_offset, entry_count = struct.unpack_from("<II", data, position)
-            key = TernaryKey(key_data, key_mask, key_length)
-            entries = []
-            cursor = blob_offset
-            for _ in range(entry_count):
-                if cursor + 6 > len(blob):
-                    raise FormatError("entry blob overrun")
-                priority, value_len = struct.unpack_from("<iH", blob, cursor)
-                cursor += 6
-                value = _decode_value(blob[cursor : cursor + value_len])
-                cursor += value_len
-                entries.append(TernaryEntry(key, value, priority))
-            if not entries:
-                raise FormatError("leaf without entries")
-            leaf = _PlusLeaf(key, entries)
-            if leaf.max_priority != max_priority:
-                raise FormatError("leaf max_priority inconsistent with entries")
-            nodes.append(leaf)
-            entries_for_source.extend(entries)
-        else:
-            if not -stride <= bit <= key_length - stride:
-                raise FormatError(f"internal bit index {bit} out of range")
-            node = _PlusInternal(bit, max_priority)
-            position = base + 8
-            node.bitmap_c = int.from_bytes(data[position : position + bitmap_bytes], "little")
-            position += bitmap_bytes
-            (node.offset_c,) = struct.unpack_from("<I", data, position)
-            position += 4
-            node.bitmap_t = int.from_bytes(data[position : position + bitmap_bytes], "little")
-            position += bitmap_bytes
-            (node.offset_t,) = struct.unpack_from("<I", data, position)
-            # Children live in the non-root slice (indices 0..count-2).
-            if node.offset_c + node.bitmap_c.bit_count() > count - 1 or (
-                node.offset_t + node.bitmap_t.bit_count() > count - 1
-            ):
-                raise FormatError("child offsets out of range")
-            nodes.append(node)
-
-    if root_index != count - 1:
-        raise FormatError("root must be the last node")  # writer invariant
-    matcher = PalmtriePlus(key_length, stride=stride, subtree_skipping=bool(flags & 1))
-    # Install the decoded arrays directly (bit-exact with the original).
-    # The source trie stays empty until the first mutation: the decoded
-    # entries are parked as pending, so pure-lookup data planes never
-    # pay for the incremental-update machinery.
-    matcher._pending_entries = entries_for_source
-    matcher._root = nodes[root_index]
-    matcher._nodes = nodes[:root_index]
-    # The decoded arrays stand in for the build-time compile.
-    matcher._compiled_generation = matcher.generation
-    matcher._compile_count = 1
-    return matcher
 
 
 def _array_bytes(arr: array) -> bytes:
@@ -340,8 +129,9 @@ def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
     i32[I], max_priority i64[I+L], dispatch u32 (``I << stride``
     words), push u64[P], leaf keys (data ‖ care, each
     ``ceil(key_length / 8)`` bytes, L times), entry base u64[L], entry
-    count u64[L], entry blob (as in ``PLM+``: priority i32, value
-    length u16, value bytes per entry).  v1 images (no extension,
+    count u64[L], entry blob (priority i32, value length u16, value
+    bytes per entry; value tags ``N`` None, ``B0``/``B1`` bool, ``I``
+    little-endian signed int, ``S`` UTF-8 string).  v1 images (no extension,
     build-order layout) still load.
     """
     from .frozen import FrozenMatcher
@@ -399,13 +189,27 @@ def deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatche
     The plane's flat arrays become zero-copy typed views over the
     caller's buffer (no wholesale copy is taken; the buffer must stay
     alive and unchanged for the plane's lifetime), so N processes
-    mapping one PLMF image share one copy of the arrays.  The mutable
-    source trie is *not* built: the decoded entries are parked as
-    pending and only hydrated on the first ``insert``/``delete``, so
-    pure-lookup data planes skip the whole incremental-update
-    machinery.  Any corruption raises :class:`FormatError`.
+    mapping one PLMF image share one copy of the arrays.  No trie is
+    built: a serving engine rebuilds the plane's Palmtrie_k
+    (:meth:`~repro.core.frozen.FrozenMatcher.rebuild_source`) only when
+    an update needs it, so pure-lookup data planes never pay for it.
+
+    Any corruption raises :class:`FormatError`: whatever a corrupt byte
+    stream provokes inside the decoder — ``struct.error`` on a torn
+    field, ``IndexError``/``OverflowError`` on a lying length,
+    ``UnicodeDecodeError`` on a mangled string value — surfaces as
+    :class:`FormatError`, so callers need exactly one except clause and
+    fuzzed inputs can never escape as internal exception types.
     """
-    return _guarded_decode(data, _deserialize_frozen)
+    hook = _deserialize_hook
+    if hook is not None:
+        data = hook(bytes(data))
+    try:
+        return _deserialize_frozen(data)
+    except FormatError:
+        raise
+    except (struct.error, IndexError, OverflowError, UnicodeDecodeError, ValueError) as exc:
+        raise FormatError(f"corrupt table data ({type(exc).__name__}: {exc})") from exc
 
 
 def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatcher":
@@ -633,18 +437,3 @@ def load_frozen(path_or_file: str | os.PathLike | BinaryIO) -> "TernaryMatcher":
             return deserialize_frozen(handle.read())
     return deserialize_frozen(path_or_file.read())
 
-
-def save_plus(matcher: PalmtriePlus, path: str) -> int:
-    """Serialize to a file; returns the byte count written."""
-    data = serialize_plus(matcher)
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)
-
-
-def load_plus(path_or_file: str | BinaryIO) -> PalmtriePlus:
-    """Load a table previously written by :func:`save_plus`."""
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "rb") as handle:
-            return deserialize_plus(handle.read())
-    return deserialize_plus(path_or_file.read())

@@ -1781,7 +1781,7 @@ class ClassificationEngine:
     def restore_last_good(self, path: Any = None) -> None:
         """Atomically swap back to the last-known-good checkpoint.
 
-        The rollback half of a canaried rollout: the checkpointed
+        The undo of an over-quota tenant update: the checkpointed
         matcher replaces the live one through :meth:`replace_matcher`
         (epoch bump, cache drop, guard reset), and
         ``checkpoint_restores`` counts the recovery.  Raises

@@ -11,7 +11,7 @@ has:
 * ``cache`` — poison live :class:`~repro.engine.FlowCache` rows, and
   one :class:`~repro.engine.RegionCache` row, with wrong verdicts (a
   memory-corruption stand-in the shadow-verify mode must catch);
-* ``deserialize`` — flip bits in PLMF/PLM+ bytes before they reach the
+* ``deserialize`` — flip bits in PLMF plane bytes before they reach the
   decoder (torn writes, disk corruption);
 * ``update`` — raise mid-transaction inside ``apply_updates`` so the
   source trie is left partially mutated;

@@ -121,7 +121,6 @@ class ShardedEngine:
         self._publish_seq = 0
         self._planes: dict[int, PublishedPlane] = {}
         self._plane: Optional[FrozenMatcher] = None
-        self._plane_freezes = -1
         self._stamp = -1
         self._closed = False
         self._shards: list[_ShardHandle] = []
@@ -136,15 +135,14 @@ class ShardedEngine:
 
     def serve(self, plane: FrozenMatcher) -> None:
         """Make ``plane`` the one misses resolve against: publish it
-        under a new stamp when it is not the plane published last (or
-        was re-emitted in place since).  Workers keep answering from the
+        under a new stamp when it is not the plane published last (a
+        plane never changes in place).  Workers keep answering from the
         old image until a request names the new stamp."""
-        if plane is self._plane and plane.freeze_count == self._plane_freezes:
+        if plane is self._plane:
             return
         self._publish_seq += 1
         self._planes[self._publish_seq] = publish_plane(plane, self._publish_seq)
         self._plane = plane
-        self._plane_freezes = plane.freeze_count
         self._stamp = self._publish_seq
         self._retire_stale()
 

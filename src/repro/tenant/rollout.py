@@ -8,7 +8,8 @@ two SLO guards watch the canary — its shadow-verify mismatch counter
 reference) and its p99/p999 latency ratio against the stable engine —
 and the controller either **promotes** the new policy atomically
 (:meth:`~repro.engine.ClassificationEngine.replace_matcher`) or
-**auto-rolls back** to the tenant's last-good PLMC checkpoint.
+**auto-rolls back** by discarding the canary: the stable engine served
+the old policy for the whole window, so it simply keeps serving.
 
 The state machine::
 
@@ -140,7 +141,8 @@ class RolloutController:
 
     ``engine`` is the tenant's stable serving engine (in-process or
     sharded — anything with the engine surface plus
-    ``mark_last_good``/``restore_last_good``); ``state_path`` (optional)
+    ``mark_last_good``, which stamps the pre-rollout policy for crash
+    recovery); ``state_path`` (optional)
     is where transitions persist for crash recovery; ``injector`` is a
     :class:`~repro.resilience.FaultInjector` whose ``rollout`` site sits
     in the promote path and whose ``cache``/``stall`` sites flow into
@@ -432,7 +434,10 @@ class RolloutController:
         self._transition("promoted")
 
     def _rollback(self, reason: str) -> None:
-        self.engine.restore_last_good()
+        """Discard the canary.  The stable engine is left alone: the
+        canary window only ever read it, so it already serves the old
+        policy (with any update it took meanwhile), its cache and guard
+        state intact."""
         self.last_verdict = {
             "decision": "rolled_back",
             "reason": reason,

@@ -73,7 +73,7 @@ class Tenant:
             os.makedirs(checkpoint_dir, exist_ok=True)
             last_good = os.path.join(checkpoint_dir, f"{spec.name}.plmc")
             rollout_path = os.path.join(checkpoint_dir, f"{spec.name}.rollout.json")
-        config = spec.engine.replace(tenant=spec.name, last_good_path=last_good)
+        config = spec.engine.replace(last_good_path=last_good)
         compiled = _compile_spec(spec)
         #: the manifest policy as compiled at boot (traffic synthesis,
         #: rebuild-from-source recovery)
@@ -157,6 +157,10 @@ class Tenant:
     def apply_updates(self, ops: Iterable[Any]) -> Any:
         """A quota-guarded update transaction.
 
+        Refused (``RuntimeError``) while a rollout is staged or in its
+        canary window: a promote replaces the stable policy wholesale
+        and would silently drop the update.
+
         With a memory quota set, the pre-update policy is stamped
         last-good first; an update that lands the compiled policy over
         quota is undone by restoring that stamp, and
@@ -165,6 +169,10 @@ class Tenant:
         stamp works without a ``checkpoint_dir``: ``mark_last_good``
         falls back to an in-memory blob when no path is configured.
         """
+        if self.rollout.state in ("staged", "canary"):
+            raise RuntimeError(
+                f"cannot update while rollout is {self.rollout.state!r} (finish it first)"
+            )
         guarded = self.quota.limit_bytes is not None
         if guarded:
             self.engine.mark_last_good()

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import struct
+
 import pytest
 
 from repro.cli import main
@@ -118,78 +120,81 @@ class TestGenerateCommand:
 
 class TestCompileCommand:
     def test_compile_to_binary(self, acl_file, tmp_path, capsys):
-        out = str(tmp_path / "table.plm")
+        out = str(tmp_path / "table.plmf")
         assert main(["compile", acl_file, "-o", out]) == 0
-        from repro.core.serialize import load_plus
+        from repro.core.serialize import load_frozen
 
-        matcher = load_plus(out)
-        assert matcher.stride == 8
-        assert len(matcher) == 4  # 3 rules, established doubles one
+        plane = load_frozen(out)
+        assert plane.stride == 8
+        assert len(plane) == 4  # 3 rules, established doubles one
 
     def test_compile_with_compression(self, tmp_path, capsys):
-        from repro.core.serialize import load_plus
+        from repro.core.serialize import load_frozen
 
         # Two adjacent exact ports in one rule class merge to a prefix.
         acl_path = tmp_path / "c.acl"
         acl_path.write_text(
             "permit tcp any any eq 80\npermit tcp any any eq 81\n"
         )
-        out = str(tmp_path / "c.plm")
+        out = str(tmp_path / "c.plmf")
         assert main(["compile", str(acl_path), "-o", out, "--compress"]) == 0
         assert "compressed" in capsys.readouterr().out
-        matcher = load_plus(out)
+        plane = load_frozen(out)
         # Compression merges only same-(value, priority) classes; two
-        # distinct rules stay distinct but the table still matches both.
+        # distinct rules stay distinct but the plane still matches both.
         from repro.packet.headers import PacketHeader
 
         q80 = PacketHeader(1, 2, 6, 3, 80).to_query()
         q81 = PacketHeader(1, 2, 6, 3, 81).to_query()
-        assert matcher.lookup(q80) is not None
-        assert matcher.lookup(q81) is not None
+        assert plane.lookup(q80) is not None
+        assert plane.lookup(q81) is not None
 
-
-    @pytest.mark.parametrize("form", ["table", "frozen", "hot"])
-    def test_compile_writes_the_library_build(self, tmp_path, form, capsys):
-        """``compile`` emits exactly the bytes the library's own builders
-        serialize: a Palmtrie+ table, a frozen plane, or a hot-layout
-        plane ordered by ``--trace``."""
+    @pytest.mark.parametrize("layout", ["build", "hot"])
+    def test_compile_writes_the_library_build(self, tmp_path, layout, capsys):
+        """``compile`` emits exactly the bytes the library's own builder
+        serializes: a build-order plane, or a hot-layout plane ordered
+        by ``--trace``."""
         from repro.acl.compiler import compile_acl
         from repro.acl.parser import parse_acl
         from repro.core.frozen import FrozenMatcher
-        from repro.core.plus import PalmtriePlus
-        from repro.core.serialize import serialize_frozen, serialize_plus
+        from repro.core.serialize import serialize_frozen
         from repro.workloads.io import load_trace
 
         acl_path = str(tmp_path / "campus.acl")
         trace_path = str(tmp_path / "campus.trace")
         assert main(["generate", "campus", "--q", "1", "-o", acl_path,
                      "--trace", trace_path, "--trace-count", "600"]) == 0
-        out = str(tmp_path / "out.bin")
+        out = str(tmp_path / "out.plmf")
         argv = ["compile", acl_path, "-o", out, "--stride", "6"]
-        argv += {"table": [], "frozen": ["--frozen"],
-                 "hot": ["--layout", "hot", "--trace", trace_path]}[form]
+        if layout == "hot":
+            argv += ["--layout", "hot", "--trace", trace_path]
         assert main(argv) == 0
         with open(acl_path, encoding="utf-8") as handle:
             compiled = compile_acl(parse_acl(handle.read()))
         entries, length = compiled.entries, compiled.layout.length
-        if form == "table":
-            expected = serialize_plus(PalmtriePlus.build(entries, length, stride=6))
-        else:
-            trace, _ = load_trace(trace_path)
-            expected = serialize_frozen(
-                FrozenMatcher.build(
-                    entries,
-                    length,
-                    stride=6,
-                    layout="build" if form == "frozen" else "hot",
-                    layout_trace=trace if form == "hot" else None,
-                )
+        trace, _ = load_trace(trace_path)
+        expected = serialize_frozen(
+            FrozenMatcher.build(
+                entries,
+                length,
+                stride=6,
+                layout=layout,
+                layout_trace=trace if layout == "hot" else None,
             )
-            if form == "hot":  # the trace really reorders the plane
-                build_order = FrozenMatcher.build(entries, length, stride=6)
-                assert expected != serialize_frozen(build_order)
+        )
+        if layout == "hot":  # the trace really reorders the plane
+            build_order = FrozenMatcher.build(entries, length, stride=6)
+            assert expected != serialize_frozen(build_order)
         with open(out, "rb") as handle:
             assert handle.read() == expected
+
+    def test_frozen_flag_is_gone(self, acl_file, tmp_path, capsys):
+        """Every compile writes a frozen plane; the old switch is an
+        argparse error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", acl_file, "-o", str(tmp_path / "t.plmf"), "--frozen"])
+        assert exc.value.code == 2
+        assert "--frozen" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -270,9 +275,14 @@ class TestReplayCommand:
         assert main(["replay", acl_path, empty]) == 2
 
 
+#: the head of a table in the retired Palmtrie+ format (magic, version 1,
+#: stride 8, skipping on, 128-bit keys, one node, root 0, empty blob)
+RETIRED_TABLE = struct.pack("<4sHBBIIII", b"PLM+", 1, 8, 1, 128, 1, 0, 0) + bytes(48)
+
+
 class TestBinaryPolicyReplay:
-    """Replay of compiled .plm/.plmf policies, and the fail-closed CLI
-    edge: corrupt or truncated tables must exit nonzero with a one-line
+    """Replay of compiled .plmf policies, and the fail-closed CLI edge:
+    corrupt or truncated planes must exit nonzero with a one-line
     error and a re-compile hint, never a traceback."""
 
     @pytest.fixture()
@@ -283,33 +293,74 @@ class TestBinaryPolicyReplay:
               "--trace", trace_path, "--trace-count", "80"])
         return acl_path, trace_path
 
-    def test_replay_compiled_plm(self, dataset, tmp_path, capsys):
+    def test_replay_compiled_plmf(self, dataset, tmp_path, capsys):
         acl_path, trace_path = dataset
-        plm = str(tmp_path / "p.plm")
-        assert main(["compile", acl_path, "-o", plm]) == 0
+        plmf = str(tmp_path / "p.plmf")
+        assert main(["compile", acl_path, "-o", plmf]) == 0
         capsys.readouterr()
-        assert main(["replay", plm, trace_path]) == 0
+        assert main(["replay", plmf, trace_path]) == 0
         out = capsys.readouterr().out
         assert "replayed 80 packets" in out
         assert "match" in out  # binary policies report match/implicit-deny
 
-    def test_replay_compiled_plmf(self, dataset, tmp_path, capsys):
+    def test_inspect_describes_the_plane(self, dataset, tmp_path, capsys):
         acl_path, trace_path = dataset
         plmf = str(tmp_path / "p.plmf")
-        assert main(["compile", acl_path, "-o", plmf, "--frozen"]) == 0
+        assert main(["compile", acl_path, "-o", plmf, "--stride", "6",
+                     "--layout", "hot", "--trace", trace_path]) == 0
         capsys.readouterr()
-        assert main(["replay", plmf, trace_path]) == 0
-        assert "replayed 80 packets" in capsys.readouterr().out
+        assert main(["inspect", plmf]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{plmf}: frozen plane")
+        assert "key length: 128 bits" in out
+        assert "layout:     hot" in out
+        assert "stride:     6 (uniform)" in out
 
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_truncated_policy_fails_closed(self, dataset, tmp_path, capsys, frozen):
+    @pytest.mark.parametrize("command", ["replay", "health"])
+    def test_compiled_policy_serves_without_rebuilding_its_source(
+        self, dataset, tmp_path, capsys, monkeypatch, command
+    ):
+        """A loaded plane serves as loaded: its Palmtrie_k is rebuilt
+        only for an update, and a replay takes none."""
+        from repro.core.frozen import FrozenMatcher
+
         acl_path, trace_path = dataset
-        suffix = "plmf" if frozen else "plm"
-        policy = tmp_path / f"p.{suffix}"
-        argv = ["compile", acl_path, "-o", str(policy)]
-        if frozen:
-            argv.append("--frozen")
-        assert main(argv) == 0
+        plmf = str(tmp_path / "p.plmf")
+        assert main(["compile", acl_path, "-o", plmf]) == 0
+        rebuilds = []
+        rebuild = FrozenMatcher.rebuild_source
+        monkeypatch.setattr(
+            FrozenMatcher,
+            "rebuild_source",
+            lambda plane: rebuilds.append(plane) or rebuild(plane),
+        )
+        assert main([command, plmf, trace_path]) == 0
+        assert rebuilds == []
+
+    @pytest.mark.parametrize("command", ["replay", "inspect", "health", "compile"])
+    def test_plm_table_fails_closed(self, dataset, tmp_path, capsys, command):
+        """A table in the retired Palmtrie+ format is refused with one
+        stderr line carrying a re-compile hint, and exit code 2."""
+        _, trace_path = dataset
+        plm = tmp_path / "p.plm"
+        plm.write_bytes(RETIRED_TABLE)
+        argv = {
+            "replay": ["replay", str(plm), trace_path],
+            "inspect": ["inspect", str(plm)],
+            "health": ["health", str(plm), trace_path],
+            "compile": ["compile", str(plm), "-o", str(tmp_path / "q.plmf")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "re-compile" in err
+        assert "Traceback" not in err
+
+    def test_truncated_policy_fails_closed(self, dataset, tmp_path, capsys):
+        acl_path, trace_path = dataset
+        policy = tmp_path / "p.plmf"
+        assert main(["compile", acl_path, "-o", str(policy)]) == 0
         blob = policy.read_bytes()
         policy.write_bytes(blob[: len(blob) // 2])
         capsys.readouterr()
@@ -321,27 +372,27 @@ class TestBinaryPolicyReplay:
 
     def test_bit_flipped_policy_fails_closed(self, dataset, tmp_path, capsys):
         acl_path, trace_path = dataset
-        plm = tmp_path / "p.plm"
-        assert main(["compile", acl_path, "-o", str(plm)]) == 0
-        blob = bytearray(plm.read_bytes())
+        plmf = tmp_path / "p.plmf"
+        assert main(["compile", acl_path, "-o", str(plmf)]) == 0
+        blob = bytearray(plmf.read_bytes())
         blob[len(blob) // 3] ^= 0xFF
-        plm.write_bytes(bytes(blob))
+        plmf.write_bytes(bytes(blob))
         capsys.readouterr()
-        code = main(["replay", str(plm), trace_path])
+        code = main(["replay", str(plmf), trace_path])
         err = capsys.readouterr().err
-        # A flip the checksum layer catches exits 2; one that survives
+        # A flip the decoder's checks catch exits 2; one that survives
         # decoding must still replay cleanly — never a traceback.
         assert code in (0, 2)
         assert "Traceback" not in err
 
     def test_compile_rejects_binary_input(self, dataset, tmp_path, capsys):
         acl_path, _ = dataset
-        plm = str(tmp_path / "p.plm")
-        assert main(["compile", acl_path, "-o", plm]) == 0
+        plmf = str(tmp_path / "p.plmf")
+        assert main(["compile", acl_path, "-o", plmf]) == 0
         capsys.readouterr()
-        assert main(["compile", plm, "-o", str(tmp_path / "q.plm")]) == 2
+        assert main(["compile", plmf, "-o", str(tmp_path / "q.plmf")]) == 2
         err = capsys.readouterr().err
-        assert "compiled Palmtrie+ table, not ACL text" in err
+        assert "compiled frozen plane, not ACL text" in err
 
     def test_replay_pcap_against_frozen_policy(self, dataset, tmp_path, capsys):
         # A frozen 128-bit policy still maps pcap packets via LAYOUT_V4.
@@ -349,7 +400,7 @@ class TestBinaryPolicyReplay:
         from repro.packet import PacketHeader, PcapPacket, encode_packet, write_pcap
 
         plmf = str(tmp_path / "p.plmf")
-        assert main(["compile", acl_path, "-o", plmf, "--frozen"]) == 0
+        assert main(["compile", acl_path, "-o", plmf]) == 0
         pcap_path = str(tmp_path / "t.pcap")
         header = PacketHeader(0x0A000001, 0x08080808, 6, 40000, 443, 0x02)
         write_pcap(pcap_path, [PcapPacket(0.0, encode_packet(header))])

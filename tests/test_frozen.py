@@ -413,22 +413,6 @@ class TestDirtyPalmtriePlusFreeze:
         for query, got in zip(queries, served):
             assert got is plus.lookup(query)
 
-    def test_a_loaded_table_freezes_like_its_original(self):
-        """Freezing a loaded PLM+ table builds its Palmtrie_k from the
-        decoded entries; that is not a mutation, so the table stays
-        current and serves its decoded nodes without a recompile."""
-        from repro.core.serialize import deserialize_plus, serialize_plus
-
-        entries = random_entries(40, KEY_LENGTH, seed=53)
-        original = PalmtriePlus.build(entries, KEY_LENGTH)
-        loaded = deserialize_plus(serialize_plus(original))
-        frozen = freeze(loaded)
-        assert serialize_frozen(frozen) == serialize_frozen(freeze(original))
-        assert not loaded.stale and loaded.generation == 0
-        assert loaded.compile_count == 1
-        for query in _biased_queries(entries, 200, seed=54):
-            assert frozen.lookup(query) is loaded.lookup(query)
-
 
 # ----------------------------------------------------------------------
 # A plane is read-only: updates go to the trie it is frozen from
@@ -469,11 +453,18 @@ class TestLazyRefreeze:
             (e.key, e.priority) for e in entries
         }
 
-    def test_build_freezes_exactly_once(self):
+    def test_build_freezes_exactly_once(self, monkeypatch):
         """``build`` compiles the plane once; an empty constructor
         compiles an empty plane."""
+        compiles = []
+        compile_plane = FrozenMatcher._compile
+        monkeypatch.setattr(
+            FrozenMatcher,
+            "_compile",
+            lambda plane, *args: compiles.append(1) or compile_plane(plane, *args),
+        )
         frozen = FrozenMatcher.build(random_entries(10, KEY_LENGTH, seed=25), KEY_LENGTH)
-        assert frozen.freeze_count == 1
+        assert len(compiles) == 1 and len(frozen) == 10
         empty = FrozenMatcher(KEY_LENGTH)
         assert len(empty) == 0 and empty.lookup(0) is None
 

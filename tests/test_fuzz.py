@@ -14,13 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.acl.parser import AclParseError, parse_acl, parse_rule
 from repro.core.frozen import freeze
 from repro.core.plus import PalmtriePlus
-from repro.core.serialize import (
-    FormatError,
-    deserialize_frozen,
-    deserialize_plus,
-    serialize_frozen,
-    serialize_plus,
-)
+from repro.core.serialize import FormatError, deserialize_frozen, serialize_frozen
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
 from repro.packet.codec import PacketDecodeError, decode_packet, encode_packet
@@ -119,17 +113,32 @@ def test_codec_bit_flips_fail_closed(header, flip):
 # ----------------------------------------------------------------------
 
 def _sample_blob():
+    """A PLMF plane whose entry blob carries every value tag (None,
+    bool, int, str), so flips land in the value decoder too."""
+    values = [None, True, -7, "drop", "é", 2**33]
     entries = [
-        TernaryEntry(TernaryKey.from_string("01**10**"), i, i) for i in range(6)
+        TernaryEntry(TernaryKey.from_string(key), value, i)
+        for i, (key, value) in enumerate(
+            zip(["01**10**", "0*******", "11*1****", "1*******", "****0011", "00000000"], values)
+        )
     ]
-    return serialize_plus(PalmtriePlus.build(entries[:1], 8, stride=3))
+    return serialize_frozen(freeze(PalmtriePlus.build(entries, 8, stride=3)))
+
+
+def _plmf_prefix():
+    """The header and v2 extension of a PLMF image (no sections)."""
+    from repro.core.serialize import _FROZEN_EXT, _FROZEN_HEADER
+
+    return _sample_blob()[: _FROZEN_HEADER.size + _FROZEN_EXT.size]
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.binary(max_size=200))
 def test_deserialize_random_bytes_fails_closed(data):
+    """Random section bytes behind a well-formed PLMF header reach the
+    section checks rather than bouncing off the magic."""
     try:
-        deserialize_plus(data)
+        deserialize_frozen(_plmf_prefix() + data)
     except FormatError:
         pass
 
@@ -141,7 +150,7 @@ def test_deserialize_bit_flips_fail_closed(flip, data):
     position = flip % (len(blob) * 8)
     blob[position // 8] ^= 1 << (position % 8)
     try:
-        matcher = deserialize_plus(bytes(blob))
+        matcher = deserialize_frozen(bytes(blob))
     except FormatError:
         # FormatError only: the decode guard must wrap every low-level
         # decoding exception (struct.error, UnicodeDecodeError, ...).

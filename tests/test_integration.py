@@ -10,7 +10,7 @@ from repro.apps.firewall import Firewall
 from repro.apps.flowmon import FlowMonitor
 from repro.apps.l3fwd import L3Forwarder
 from repro.cli import main
-from repro.core.serialize import load_plus
+from repro.core.serialize import load_frozen
 from repro.packet.codec import decode_packet, encode_packet
 from repro.packet.headers import PROTO_TCP, PacketHeader
 from repro.workloads.campus import campus_acl, campus_rules
@@ -24,16 +24,16 @@ class TestCliPipeline:
     def test_full_loop(self, tmp_path, capsys):
         acl_path = str(tmp_path / "ds.acl")
         trace_path = str(tmp_path / "ds.trace")
-        table_path = str(tmp_path / "ds.plm")
+        table_path = str(tmp_path / "ds.plmf")
         assert main([
             "generate", "campus", "--q", "1", "-o", acl_path,
             "--trace", trace_path, "--trace-count", "200",
         ]) == 0
         # The generated file parses back to the canonical dataset.
         assert load_acl(acl_path) == campus_rules(1)
-        # Compile to a binary table and load it.
+        # Compile to a frozen plane and load it.
         assert main(["compile", acl_path, "-o", table_path]) == 0
-        matcher = load_plus(table_path)
+        matcher = load_frozen(table_path)
         # Replaying the trace against the loaded table matches the
         # freshly compiled oracle on every query.
         queries, key_length = load_trace(trace_path)
@@ -118,20 +118,23 @@ class TestDataPlaneStack:
 class TestSerializationDeployment:
     def test_control_plane_to_data_plane(self, tmp_path):
         """Compile on one 'node', ship bytes, serve lookups on another."""
-        from repro.core.plus import PalmtriePlus
-        from repro.core.serialize import save_plus
+        from repro.config import EngineConfig
+        from repro.core.frozen import FrozenMatcher
+        from repro.core.serialize import save_frozen
+        from repro.engine import ClassificationEngine
 
         acl = campus_acl(2)
-        control_plane = PalmtriePlus.build(acl.entries, 128, stride=8)
-        path = str(tmp_path / "table.plm")
-        save_plus(control_plane, path)
-        data_plane = load_plus(path)
+        control_plane = FrozenMatcher.build(acl.entries, 128, stride=8)
+        path = str(tmp_path / "table.plmf")
+        save_frozen(control_plane, path)
+        data_plane = ClassificationEngine(load_frozen(path), EngineConfig(cache_size=64))
         queries = uniform_traffic(acl.entries, 300)
         for query in queries:
             a = control_plane.lookup(query)
             b = data_plane.lookup(query)
             assert a.priority == b.priority
-        # The data plane can keep taking incremental updates (§3.6 path).
+        # The data plane can keep taking incremental updates (§3.6 path:
+        # the engine rebuilds the plane's Palmtrie_k and updates that).
         from repro.core.table import TernaryEntry
         from repro.core.ternary import TernaryKey
 

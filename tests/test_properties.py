@@ -234,10 +234,13 @@ def test_insertion_order_irrelevant(entries):
     query_list=st.lists(queries, max_size=15),
 )
 def test_serialize_roundtrip_property(entries, stride, query_list):
-    from repro.core.serialize import deserialize_plus, serialize_plus
+    from repro.core.frozen import FrozenMatcher
+    from repro.core.serialize import deserialize_frozen, serialize_frozen
 
-    original = PalmtriePlus.build(entries, KEY_LENGTH, stride=stride)
-    restored = deserialize_plus(serialize_plus(original))
+    original = FrozenMatcher.build(entries, KEY_LENGTH, stride=stride)
+    data = serialize_frozen(original)
+    restored = deserialize_frozen(data)
+    assert serialize_frozen(restored) == data
     for query in query_list:
         assert_same_result(original.lookup(query), restored.lookup(query))
 

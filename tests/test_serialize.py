@@ -1,59 +1,63 @@
-"""Unit tests for the Palmtrie+ binary codec (repro.core.serialize)."""
+"""Unit tests for the PLMF plane codec (repro.core.serialize)."""
 
 import pytest
 
 from helpers import assert_same_result, random_entries, table1_entries
-from repro.core.plus import PalmtriePlus
+from repro import ClassificationEngine, EngineConfig
+from repro.core.frozen import FrozenMatcher
 from repro.core.serialize import (
     FormatError,
-    deserialize_plus,
-    load_plus,
-    save_plus,
-    serialize_plus,
+    deserialize_frozen,
+    load_frozen,
+    save_frozen,
+    serialize_frozen,
 )
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
 
 
+def _roundtrip(plane: FrozenMatcher) -> FrozenMatcher:
+    return deserialize_frozen(serialize_frozen(plane))
+
+
 class TestRoundtrip:
     @pytest.mark.parametrize("stride", [1, 3, 8])
     def test_lookup_equivalence(self, stride):
-        entries = table1_entries()
-        original = PalmtriePlus.build(entries, 8, stride=stride)
-        restored = deserialize_plus(serialize_plus(original))
+        original = FrozenMatcher.build(table1_entries(), 8, stride=stride)
+        restored = _roundtrip(original)
         for query in range(256):
             assert_same_result(original.lookup(query), restored.lookup(query))
 
     def test_random_tables(self):
         entries = random_entries(120, 16, seed=71)
-        original = PalmtriePlus.build(entries, 16, stride=4)
-        restored = deserialize_plus(serialize_plus(original))
+        original = FrozenMatcher.build(entries, 16, stride=4)
+        restored = _roundtrip(original)
         for query in range(0, 1 << 16, 131):
             assert_same_result(original.lookup(query), restored.lookup(query))
 
     def test_idempotent_bytes(self):
-        original = PalmtriePlus.build(table1_entries(), 8, stride=3)
-        data = serialize_plus(original)
-        assert serialize_plus(deserialize_plus(data)) == data
+        data = serialize_frozen(FrozenMatcher.build(table1_entries(), 8, stride=3))
+        assert serialize_frozen(deserialize_frozen(data)) == data
 
     def test_geometry_preserved(self):
-        original = PalmtriePlus.build(
+        original = FrozenMatcher.build(
             table1_entries(), 8, stride=3, subtree_skipping=False
         )
-        restored = deserialize_plus(serialize_plus(original))
+        restored = _roundtrip(original)
         assert restored.stride == 3
         assert restored.key_length == 8
         assert restored.subtree_skipping is False
         assert restored.node_count() == original.node_count()
 
     def test_incremental_update_after_load(self):
+        """A loaded plane takes updates once an engine serves it: the
+        engine rebuilds the plane's Palmtrie_k and applies them there."""
         entries = table1_entries()
-        restored = deserialize_plus(
-            serialize_plus(PalmtriePlus.build(entries[:-1], 8, stride=3))
-        )
+        restored = _roundtrip(FrozenMatcher.build(entries[:-1], 8, stride=3))
         assert restored.lookup(0b10000000) is None
-        restored.insert(entries[-1])
-        assert restored.lookup(0b10000000).value == 9
+        engine = ClassificationEngine(restored, EngineConfig(cache_size=0))
+        engine.apply_updates([("insert", entries[-1])])
+        assert engine.lookup(0b10000000).value == 9
 
     def test_value_types(self):
         entries = [
@@ -62,72 +66,72 @@ class TestRoundtrip:
             TernaryEntry(TernaryKey.from_string("10**"), "drop", 3),
             TernaryEntry(TernaryKey.from_string("11**"), True, 4),
             TernaryEntry(TernaryKey.from_string("111*"), False, 5),
+            TernaryEntry(TernaryKey.from_string("0011"), 2**40 + 7, 6),
         ]
-        restored = deserialize_plus(
-            serialize_plus(PalmtriePlus.build(entries, 4, stride=2))
-        )
+        restored = _roundtrip(FrozenMatcher.build(entries, 4, stride=2))
         assert restored.lookup(0b0000).value is None
         assert restored.lookup(0b0100).value == -12345
         assert restored.lookup(0b1000).value == "drop"
         assert restored.lookup(0b1101).value is True
         assert restored.lookup(0b1110).value is False
+        assert restored.lookup(0b0011).value == 2**40 + 7
 
     def test_unsupported_value_rejected(self):
         entries = [TernaryEntry(TernaryKey.wildcard(8), object(), 1)]
-        matcher = PalmtriePlus.build(entries, 8, stride=3)
+        plane = FrozenMatcher.build(entries, 8, stride=3)
         with pytest.raises(FormatError, match="unsupported entry value"):
-            serialize_plus(matcher)
+            serialize_frozen(plane)
 
     def test_empty_table(self):
-        restored = deserialize_plus(serialize_plus(PalmtriePlus(8, stride=3)))
+        restored = _roundtrip(FrozenMatcher(8, stride=3))
         assert restored.lookup(0) is None
         assert len(restored) == 0
 
     def test_file_io(self, tmp_path):
-        original = PalmtriePlus.build(table1_entries(), 8, stride=3)
-        path = str(tmp_path / "table.plm")
-        written = save_plus(original, path)
-        assert written == (tmp_path / "table.plm").stat().st_size
-        restored = load_plus(path)
+        original = FrozenMatcher.build(table1_entries(), 8, stride=3)
+        path = str(tmp_path / "table.plmf")
+        written = save_frozen(original, path)
+        assert written == (tmp_path / "table.plmf").stat().st_size
+        restored = load_frozen(path)
         assert restored.lookup(0b01110101).value == 5
         with open(path, "rb") as handle:
-            assert load_plus(handle).lookup(0b01110101).value == 5
+            assert load_frozen(handle).lookup(0b01110101).value == 5
 
 
 class TestCorruption:
     @pytest.fixture()
     def blob(self):
-        return serialize_plus(PalmtriePlus.build(table1_entries(), 8, stride=3))
+        return serialize_frozen(FrozenMatcher.build(table1_entries(), 8, stride=3))
 
     def test_truncated_header(self):
         with pytest.raises(FormatError, match="truncated"):
-            deserialize_plus(b"PLM+")
+            deserialize_frozen(b"PLMF")
 
     def test_bad_magic(self, blob):
         with pytest.raises(FormatError, match="magic"):
-            deserialize_plus(b"XXXX" + blob[4:])
+            deserialize_frozen(b"XXXX" + blob[4:])
 
     def test_bad_version(self, blob):
         corrupted = bytearray(blob)
         corrupted[4] = 0xFF
         with pytest.raises(FormatError, match="version"):
-            deserialize_plus(bytes(corrupted))
+            deserialize_frozen(bytes(corrupted))
 
     def test_truncated_body(self, blob):
         with pytest.raises(FormatError, match="size mismatch"):
-            deserialize_plus(blob[:-3])
+            deserialize_frozen(blob[:-3])
 
     def test_trailing_garbage(self, blob):
         with pytest.raises(FormatError, match="size mismatch"):
-            deserialize_plus(blob + b"\x00")
+            deserialize_frozen(blob + b"\x00")
 
 
 class TestSizeModel:
     def test_serialized_size_tracks_memory_model(self):
-        """The wire format is the modeled C layout; sizes must agree to
-        within the header/value-blob overhead."""
+        """The wire format is the plane's arrays verbatim; sizes must
+        agree to within the header/value-blob overhead."""
         entries = random_entries(200, 16, seed=72)
-        matcher = PalmtriePlus.build(entries, 16, stride=4)
-        wire = len(serialize_plus(matcher))
-        modeled = matcher.memory_bytes()
-        assert 0.4 < wire / modeled < 2.6
+        plane = FrozenMatcher.build(entries, 16, stride=4)
+        wire = len(serialize_frozen(plane))
+        modeled = plane.memory_bytes()
+        assert 0.8 < wire / modeled < 1.25

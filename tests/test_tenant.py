@@ -76,6 +76,12 @@ def _trace(tenant, packets: int, seed: int = SEED) -> list[int]:
     return zipf_trace(tenant.compiled.entries, packets, flows=128, seed=seed)
 
 
+def _compiled(policy: str) -> tuple:
+    """``(entries, key_length)`` of an ACL text."""
+    compiled = compile_acl(parse_acl(policy))
+    return compiled.entries, compiled.layout.length
+
+
 def _drive_rollout(router, name: str, queries) -> None:
     """Feed batches until the rollout leaves the canary window."""
     tenant = router[name]
@@ -612,7 +618,7 @@ class TestRolloutRollback:
             # 4. the sibling tenant is bit-identical to its solo run
             assert victim_sigs == solo_sigs
 
-            # 5. the restored engine serves the OLD policy again
+            # 5. the stable engine still serves the OLD policy
             tail = roller_q[:256]
             got = [_sig(v) for v in router.lookup_batch("roller", tail)]
             want = [_sig(reference.lookup(q)) for q in tail]
@@ -632,6 +638,54 @@ class TestRolloutRollback:
             assert roller.rollout.state in ("rolled_back", "promoted")
             if roller.rollout.state == "rolled_back":
                 assert roller.rollout.last_verdict["reason"] == "operator"
+        finally:
+            router.close()
+
+    def test_rollback_leaves_the_stable_engine_serving(self):
+        """A rollback discards the canary and nothing else: the stable
+        engine keeps its epoch and plane (no checkpoint restore), and an
+        update it took during the window still serves afterwards."""
+        from repro.core.table import TernaryEntry
+        from repro.packet.headers import PacketHeader
+
+        router = TenantRouter([_roller_spec()], clock=lambda: 0.0)
+        try:
+            roller = router["roller"]
+            engine = roller.engine
+            roller.stage_rollout(NEW_POLICY, seed=SEED)
+            key = compile_acl(parse_acl("deny tcp any any eq 9000")).entries[0].key
+            engine.apply_updates([("insert", TernaryEntry(key, "block-9000", 10_000))])
+            before = (engine.epoch, engine.checkpoint_restores, engine.freezes)
+            roller.rollout.rollback()
+            assert roller.rollout.state == "rolled_back"
+            assert (engine.epoch, engine.checkpoint_restores, engine.freezes) == before
+            query = PacketHeader(1, 2, 6, 3, 9000).to_query()
+            assert router.lookup_batch("roller", [query])[0].value == "block-9000"
+        finally:
+            router.close()
+
+    @pytest.mark.parametrize("state", ["staged", "canary"])
+    def test_updates_are_refused_during_a_rollout(self, state):
+        """A promote replaces the stable policy wholesale, so an update
+        taken mid-rollout would be lost: the tenant refuses it, and
+        accepts it again once the rollout has concluded."""
+        router = TenantRouter([_roller_spec()], clock=lambda: 0.0)
+        try:
+            roller = router["roller"]
+            extra = compile_acl(parse_acl("deny tcp any any eq 9000")).entries[0]
+            if state == "staged":
+                roller.rollout.stage(build_matcher(EngineConfig(), *_compiled(NEW_POLICY)))
+            else:
+                roller.stage_rollout(NEW_POLICY, seed=SEED)
+            assert roller.rollout.state == state
+            generation = roller.engine.report()["generation"]
+            with pytest.raises(RuntimeError, match="cannot update"):
+                roller.apply_updates([("insert", extra)])
+            assert roller.engine.report()["generation"] == generation
+            if state == "canary":
+                roller.rollout.rollback()
+                report = roller.apply_updates([("insert", extra)])
+                assert report.inserted == 1
         finally:
             router.close()
 
@@ -868,8 +922,8 @@ class TestShardedRollout:
             roller.stage_rollout(NEW_POLICY, seed=SEED)
             _drive_rollout(router, "roller", queries)
             assert roller.rollout.state == "rolled_back"
-            # the restored policy is what the pool publishes before the
-            # next miss leaves the parent: no worker serves the bad plane
+            # the stable engine's plane is still what the pool publishes:
+            # no worker ever served the bad plane
             assert _published_is_current(roller.engine)
 
             old = compile_acl(parse_acl(OLD_POLICY))
