@@ -45,6 +45,10 @@ class EngineConfig:
     build order.  A hot-layout plane is an offline artifact
     (``compile --layout hot --trace``); one that is installed or loaded
     serves as laid out until its first refreeze.
+
+    No knob times an update's cache sweep either: every update leaves
+    its changed keys pending, and the next lookup sweeps the keys of
+    all updates since the last one in one pass.
     """
 
     #: Palmtrie_k stride the build paths build with
@@ -55,9 +59,6 @@ class EngineConfig:
     #: freeze the Palmtrie_k and serve from the frozen struct-of-arrays
     #: plane (off: the Palmtrie_k serves interpreted)
     auto_freeze: bool = False
-    #: cache rows above which per-update invalidation defers to a lazy
-    #: whole-cache drop (None = always sweep)
-    invalidation_threshold: Optional[int] = 1024
     #: True / a shared MetricsRegistry to instrument the engine
     metrics: Union[None, bool, Any] = None
     #: True / a configured GuardRail to enable guarded degradation
@@ -78,11 +79,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
-        if self.invalidation_threshold is not None and self.invalidation_threshold < 0:
-            raise ValueError(
-                "invalidation_threshold must be >= 0 or None, "
-                f"got {self.invalidation_threshold}"
-            )
         if not 1 <= self.stride <= 30:
             raise ValueError(f"stride must be in 1..30, got {self.stride}")
         if self.shards < 0:

@@ -295,48 +295,48 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     for target in push:
         if target >= node_count:
             raise FormatError("push target out of range")
-    for packed in dispatch:
-        c = packed & _COUNT_MASK
-        if c == 0:
-            if packed:
-                raise FormatError("dispatch word with zero count but nonzero base")
-        elif c == 1:
-            if packed >> _COUNT_BITS >= node_count:
-                raise FormatError("dispatch target out of range")
-        elif c > stride + 1 or (packed >> _COUNT_BITS) + c > push_len:
-            raise FormatError("dispatch run out of range")
-
-    # Range checks alone cannot catch a dispatch word that points back
-    # *up* the trie: the walk in FrozenMatcher.lookup would then spin
-    # forever instead of failing closed.  Walk the internal dispatch
-    # graph once from the root and reject any cycle.
+    # One pass over the dispatch rows range-checks every distinct word
+    # (a row repeats a word across the whole range it dispatches) and
+    # collects each internal node's internal successors.  Range checks
+    # alone cannot catch a word that points back *up* the trie: the
+    # walk in FrozenMatcher.lookup would then spin forever instead of
+    # failing closed, so a walk from the root over those successor
+    # lists rejects any cycle.
+    width = 1 << stride
+    successors: list[list[int]] = []
+    for row_base in range(0, first_leaf << stride, width):
+        internal: list[int] = []
+        for packed in set(dispatch[row_base : row_base + width]):
+            c = packed & _COUNT_MASK
+            if c == 0:
+                if packed:
+                    raise FormatError("dispatch word with zero count but nonzero base")
+            elif c == 1:
+                succ = packed >> _COUNT_BITS
+                if succ >= node_count:
+                    raise FormatError("dispatch target out of range")
+                if succ < first_leaf:
+                    internal.append(succ)
+            else:
+                run_base = packed >> _COUNT_BITS
+                if c > stride + 1 or run_base + c > push_len:
+                    raise FormatError("dispatch run out of range")
+                internal.extend(
+                    succ for succ in push[run_base : run_base + c] if succ < first_leaf
+                )
+        successors.append(internal)
     if first_leaf:
-
-        def _internal_successors(x: int):
-            row_base = x << stride
-            for word in dispatch[row_base : row_base + (1 << stride)]:
-                run = word & _COUNT_MASK
-                if run == 1:
-                    succ = word >> _COUNT_BITS
-                    if succ < first_leaf:
-                        yield succ
-                elif run:
-                    run_base = word >> _COUNT_BITS
-                    for succ in push[run_base : run_base + run]:
-                        if succ < first_leaf:
-                            yield succ
-
         colors = bytearray(first_leaf)  # 0 new, 1 on the walk, 2 done
         colors[0] = 1
-        dfs = [(0, _internal_successors(0))]
+        dfs = [(0, iter(successors[0]))]
         while dfs:
-            node, successors = dfs[-1]
-            for succ in successors:
+            node, pending = dfs[-1]
+            for succ in pending:
                 if colors[succ] == 1:
                     raise FormatError("dispatch graph contains a cycle")
                 if colors[succ] == 0:
                     colors[succ] = 1
-                    dfs.append((succ, _internal_successors(succ)))
+                    dfs.append((succ, iter(successors[succ])))
                     break
             else:
                 colors[node] = 2

@@ -14,8 +14,8 @@ frozen plane compiled from it (§3.6) — into that shape:
   results (no matching rule) are cached too;
 * ``insert``/``delete`` proxy to the matcher and invalidate exactly the
   cached queries whose verdict could have changed (the ones the
-  inserted or deleted ternary key matches), so cached results are
-  always equal to what the matcher would return;
+  inserted or deleted ternary key matches) before the next lookup, so
+  cached results are always equal to what the matcher would return;
 * behind the flow cache, a *decision-region tier* (:class:`RegionCache`)
   answers misses that agree with an earlier walk on every bit that walk
   examined — the frozen plane reports those bits — so scan traffic,
@@ -29,10 +29,9 @@ cost model (§3.6, §4.4) is that an update goes to the retained
 Palmtrie_k and the fast form is recompiled from it; this engine adds
 the serving half of that story:
 
-* :meth:`apply_updates` (and the :meth:`update_batch` context manager)
-  applies many inserts/deletes as one transaction — one pass over the
-  source trie and one changed-key set — where N scalar calls would pay
-  each cost N times;
+* :meth:`apply_updates` applies many inserts/deletes as one
+  transaction — one pass over the source trie and one changed-key set;
+  a scalar ``insert``/``delete`` is a one-op transaction;
 * that changed-key set drives every derived layer, because a query's
   verdict can change only if a changed key matches it: a targeted
   cache sweep, an in-place update of the guard's linear-scan
@@ -40,16 +39,18 @@ the serving half of that story:
   and the misses a changed key matches resolve through the retained
   Palmtrie_k until the overlay has cost as much as one refreeze (ski
   rental) and compacts into a fresh freeze;
+* the cache sweep always waits for the next lookup: a transaction
+  leaves its changed keys pending and the engine's generation stamp
+  stale, and the next lookup sweeps the keys of every transaction
+  since in one pass (or clears the cache when that sweep would not
+  pay), so N updates between two bursts pay one sweep;
 * the matcher carries a monotonic ``generation`` counter bumped on
   content changes; the engine stamps the flow cache and frozen plane
   with the generation they were filled under and re-checks it in O(1)
   at the top of every lookup, so results stay coherent even when a
   caller mutates the matcher directly (``engine.matcher.insert(...)``)
-  behind the engine's back;
-* above ``invalidation_threshold`` cached rows, the transaction leaves
-  its sweep pending: the engine leaves its generation stamp stale and
-  the next lookup sweeps the pending keys once; only changes the engine
-  cannot see (direct mutations) clear the whole cache;
+  behind the engine's back (changes the engine cannot see clear the
+  whole cache);
 * :meth:`replace_matcher` swaps in a rebuilt policy atomically — new
   matcher, fresh plane, cleared cache — while cumulative lookup
   statistics carry over (the apps' ``replace_policy`` paths route
@@ -578,7 +579,10 @@ class BatchReport:
 
 @dataclass(frozen=True)
 class UpdateReport:
-    """Observability record of one ``apply_updates`` transaction."""
+    """Observability record of one ``apply_updates`` transaction.
+
+    The cache rows a transaction evicts are counted by the next
+    lookup's sweep, in the engine's ``cache_rows_invalidated``."""
 
     #: entries inserted
     inserted: int
@@ -586,11 +590,6 @@ class UpdateReport:
     deleted: int
     #: delete ops whose key matched nothing
     missing_deletes: int
-    #: cache rows evicted by the targeted sweep (0 when deferred)
-    cache_rows_invalidated: int
-    #: True when invalidation was deferred to the next lookup (the
-    #: cache held more rows than ``invalidation_threshold``)
-    deferred_invalidation: bool
     #: wall-clock seconds spent applying the transaction
     seconds: float
     #: matcher generation after the transaction
@@ -603,37 +602,6 @@ class UpdateReport:
     @property
     def ops(self) -> int:
         return self.inserted + self.deleted + self.missing_deletes
-
-
-class _UpdateBatch:
-    """Recorder returned by :meth:`ClassificationEngine.update_batch`.
-
-    Collects ``insert``/``delete`` calls and applies them as one
-    :meth:`~ClassificationEngine.apply_updates` transaction when the
-    ``with`` block exits cleanly; ``report`` then holds the
-    :class:`UpdateReport`.  Nothing is applied if the block raises.
-    """
-
-    __slots__ = ("_engine", "ops", "report")
-
-    def __init__(self, engine: "ClassificationEngine") -> None:
-        self._engine = engine
-        self.ops: list[tuple[str, Any]] = []
-        self.report: Optional[UpdateReport] = None
-
-    def insert(self, entry: TernaryEntry) -> None:
-        self.ops.append(("insert", entry))
-
-    def delete(self, key: TernaryKey) -> None:
-        self.ops.append(("delete", key))
-
-    def __enter__(self) -> "_UpdateBatch":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        if exc_type is None:
-            self.report = self._engine.apply_updates(self.ops)
-        return False
 
 
 class _EngineInstruments:
@@ -718,13 +686,13 @@ class _EngineInstruments:
         counter(
             "engine_invalidations_total",
             "Cache invalidations, by strategy: targeted changed-key sweeps "
-            "(immediate or deferred) and lazy whole-cache clears.",
+            "and lazy whole-cache clears.",
             labels={"strategy": "targeted"},
         ).set_total(engine.targeted_invalidations)
         counter(
             "engine_invalidations_total",
             "Cache invalidations, by strategy: targeted changed-key sweeps "
-            "(immediate or deferred) and lazy whole-cache clears.",
+            "and lazy whole-cache clears.",
             labels={"strategy": "lazy"},
         ).set_total(engine.lazy_invalidations)
         counter(
@@ -882,15 +850,13 @@ class ClassificationEngine:
     behind an overlay of the changed keys until the overlay has cost one
     refreeze, so updates stay cheap and bursts stay fast.
 
-    Every update evicts exactly the cached rows its changed keys match;
-    ``invalidation_threshold`` decides when: while the cache holds at
-    most this many rows, inside the update; above it the engine defers
-    — the next lookup notices the matcher's ``generation`` moved and
-    sweeps the pending keys once.  ``None`` disables deferral.  The
-    same generation check also catches *direct* matcher mutations
-    (``engine.matcher.insert(...)``), whose keys the engine does not
-    know: the whole cache is cleared and the plane re-frozen, so stale
-    cached verdicts or a stale frozen plane are never served.
+    Every update evicts exactly the cached rows its changed keys match,
+    at the next lookup: that lookup notices the matcher's
+    ``generation`` moved and sweeps the keys of every update since in
+    one pass.  The same generation check also catches *direct* matcher
+    mutations (``engine.matcher.insert(...)``), whose keys the engine
+    does not know: the whole cache is cleared and the plane re-frozen,
+    so stale cached verdicts or a stale frozen plane are never served.
     """
 
     def __init__(
@@ -903,7 +869,6 @@ class ClassificationEngine:
         self.config = config
         cache_size = config.cache_size
         auto_freeze = config.auto_freeze
-        invalidation_threshold = config.invalidation_threshold
         metrics = config.metrics
         resilience = config.resilience
         self.cache = FlowCache(cache_size * max(1, config.shards))
@@ -912,12 +877,11 @@ class ClassificationEngine:
         #: distinct misses the in-process frozen plane walked
         self.plane_walks = 0
         self.auto_freeze = auto_freeze or config.shards > 0
-        self.invalidation_threshold = invalidation_threshold
         self._install(matcher)
         #: matcher generation the cache contents were filled under
         self._seen_generation = self._matcher.generation
-        #: changed-key groups (see group_keys) of deferred transactions,
-        #: swept from the cache at the next lookup
+        #: changed-key groups (see group_keys) of the transactions since
+        #: the last lookup, swept from the cache at the next one
         self._pending: dict[int, set[int]] = {}
         #: matcher generation the engine has accounted for: the cache
         #: plus the pending groups are coherent with it
@@ -1197,16 +1161,14 @@ class ClassificationEngine:
         self.lazy_invalidations += 1
         self.regions.clear()
 
-    def _sweep_cache(self, groups: dict[int, set[int]]) -> int:
+    def _sweep_cache(self, groups: dict[int, set[int]]) -> None:
         """Evict the rows the changed-key ``groups`` match (the
-        ``targeted`` strategy), and the regions they intersect; returns
-        the cache rows evicted."""
+        ``targeted`` strategy), and the regions they intersect."""
         dropped = self.cache.sweep(groups)
         self.stats.cache_evictions += dropped
         self.cache_rows_invalidated += dropped
         self.targeted_invalidations += 1
         self.regions.sweep(groups)
-        return dropped
 
     def _sync(self) -> None:
         """O(1) staleness check at the top of every lookup path.
@@ -1214,9 +1176,9 @@ class ClassificationEngine:
         If the matcher's generation moved past the engine's stamp, pay
         the deferred work in one step: sweep the pending changed-key
         groups from the cache when the engine made every change since
-        (its own deferred transactions), and otherwise — a caller
-        mutated the matcher directly — clear the cache and drop a plane
-        that no longer serves the current generation.
+        (its own transactions), and otherwise — a caller mutated the
+        matcher directly — clear the cache and drop a plane that no
+        longer serves the current generation.
         """
         generation = self._matcher.generation
         if generation == self._seen_generation:
@@ -1244,9 +1206,7 @@ class ClassificationEngine:
             self._sync()
         return generation
 
-    def _note_update(
-        self, ops: Sequence[tuple[str, Any]], before: int
-    ) -> tuple[int, bool]:
+    def _note_update(self, ops: Sequence[tuple[str, Any]], before: int) -> None:
         """Bookkeeping after matcher content changed through the engine.
 
         Every derived layer follows the transaction's changed keys
@@ -1259,11 +1219,9 @@ class ClassificationEngine:
           overlay (misses they match resolve through the retained
           Palmtrie_k); an all-wildcard key or an overlay past
           ``_MAX_KEY_GROUPS`` masks drops it for the lazy refreeze;
-        * the cache evicts the rows the keys match — now while it holds
-          at most ``invalidation_threshold`` rows, else at the next
-          lookup's :meth:`_sync`.
-
-        Returns ``(rows_evicted, deferred)``.
+        * the keys join the pending groups the next lookup's
+          :meth:`_sync` sweeps from the cache; the generation stamp
+          stays stale until then.
         """
         generation = self._matcher.generation
         groups = group_keys(
@@ -1283,16 +1241,8 @@ class ClassificationEngine:
             self._plane_generation = generation
             if not _worth_testing(_merge_groups(self._overlay, groups)):
                 self._drop_plane()  # re-freeze lazily on the next miss
-        pending = _merge_groups(self._pending, groups)
+        _merge_groups(self._pending, groups)
         self._pending_generation = generation
-        threshold = self.invalidation_threshold
-        if threshold is not None and len(self.cache) > threshold:
-            # Too many rows to test now: leave the generation stamp
-            # stale and the keys pending, so the next lookup sweeps them.
-            return 0, True
-        self._pending = {}
-        self._seen_generation = generation
-        return self._sweep_cache(pending), False
 
     # -- lookups --------------------------------------------------------
 
@@ -1533,19 +1483,14 @@ class ClassificationEngine:
     # -- updates (cache-invalidating proxies) ---------------------------
 
     def insert(self, entry: TernaryEntry) -> None:
-        """Insert through to the matcher, evicting affected cache rows."""
-        before = self._before_update()
-        self._matcher.insert(entry)
-        self.updates_applied += 1
-        self._note_update((("insert", entry),), before)
+        """Insert through to the matcher: a one-op :meth:`apply_updates`
+        transaction."""
+        self.apply_updates((("insert", entry),))
 
     def delete(self, key: TernaryKey) -> bool:
-        before = self._before_update()
-        removed = self._matcher.delete(key)
-        if removed:
-            self.updates_applied += 1
-            self._note_update((("delete", key),), before)
-        return removed
+        """Delete through to the matcher (a one-op transaction); True
+        when an entry was removed."""
+        return self.apply_updates((("delete", key),)).deleted > 0
 
     @staticmethod
     def _normalize_op(op: Any) -> tuple[str, Any]:
@@ -1578,12 +1523,12 @@ class ClassificationEngine:
     def apply_updates(self, ops: Iterable[Any]) -> UpdateReport:
         """Apply many inserts/deletes as one transaction.
 
-        Where N scalar ``insert``/``delete`` calls pay N bookkeeping
-        passes and N cache sweeps, this applies the whole batch with one
-        pass — through the matcher's ``bulk_update`` — and one changed-key
-        set, which drives one cache sweep (now, or deferred to the next
-        lookup), the reference's in-place update and the frozen plane's
-        overlay (see :meth:`_note_update`).
+        Where N one-op transactions pay N bookkeeping passes, this
+        applies the whole batch with one pass — through the matcher's
+        ``bulk_update`` — and one changed-key set, which drives the
+        reference's in-place update and the frozen plane's overlay, and
+        joins the keys the next lookup sweeps from the cache (see
+        :meth:`_note_update`).
 
         ``ops`` accepts ``("insert", entry)`` / ``("delete", key)``
         pairs, bare entries (inserts), and bare keys (deletes).
@@ -1610,21 +1555,17 @@ class ClassificationEngine:
             error = f"{type(exc).__name__}: {exc}"
             self._recover_from_update_fault(matcher)
             inserted = deleted = missing = 0
-        rows = 0
-        deferred = False
         if inserted or deleted:
             self.updates_applied += inserted + deleted
             # A missed delete cannot have changed any verdict, but
             # bulk_update does not say which deletes missed; sweeping
             # its key anyway is harmless (over-eviction, never stale).
-            rows, deferred = self._note_update(normalized, before)
+            self._note_update(normalized, before)
         self.update_batches += 1
         report = UpdateReport(
             inserted=inserted,
             deleted=deleted,
             missing_deletes=missing,
-            cache_rows_invalidated=rows,
-            deferred_invalidation=deferred,
             seconds=time.perf_counter() - start,
             generation=matcher.generation,
             error=error,
@@ -1658,20 +1599,6 @@ class ClassificationEngine:
         self._clear_cache()
         self._pending = {}
         self._seen_generation = self._pending_generation = matcher.generation
-
-    def update_batch(self) -> _UpdateBatch:
-        """Transactional recorder::
-
-            with engine.update_batch() as batch:
-                batch.insert(entry)
-                batch.delete(key)
-            batch.report  # the UpdateReport
-
-        Everything recorded inside the block is applied as one
-        :meth:`apply_updates` transaction on clean exit; nothing is
-        applied if the block raises.
-        """
-        return _UpdateBatch(self)
 
     def replace_matcher(self, matcher: ServedMatcher) -> None:
         """Swap in a rebuilt policy atomically.
@@ -1810,12 +1737,11 @@ class ClassificationEngine:
     def refresh(self) -> None:
         """Eagerly pay the deferred update work.
 
-        Normally a transaction leaves its cache sweep to the next
-        lookup and the frozen plane serving behind a changed-key
-        overlay; call this to settle both now (e.g. before a
-        latency-sensitive burst): syncs the generation stamp and
-        compacts the overlay — a fresh freeze — when ``auto_freeze`` is
-        on.
+        A transaction leaves its cache sweep to the next lookup and the
+        frozen plane serving behind a changed-key overlay; call this to
+        settle both now (e.g. before a latency-sensitive burst): syncs
+        the generation stamp and compacts the overlay — a fresh freeze —
+        when ``auto_freeze`` is on.
         """
         self._sync()
         if self._overlay:
@@ -1823,8 +1749,10 @@ class ClassificationEngine:
         self._lookup_target()
 
     def invalidate_all(self) -> int:
-        """Drop the whole cache and the region tier (bulk policy swaps,
-        ``replace_policy``); returns the cache rows dropped."""
+        """Drop the whole cache and the region tier, for a caller that
+        wants the next burst to start cold (a policy swap clears them
+        itself, in :meth:`replace_matcher`); returns the cache rows
+        dropped."""
         self.regions.clear()
         dropped = self.cache.clear()
         self.stats.cache_evictions += dropped
@@ -1901,7 +1829,6 @@ class ClassificationEngine:
             "targeted_invalidations": self.targeted_invalidations,
             "lazy_invalidations": self.lazy_invalidations,
             "policy_swaps": self.policy_swaps,
-            "invalidation_threshold": self.invalidation_threshold,
             "generation": self._matcher.generation,
             "plane_generation": self._plane_generation,
             "plane_overlay_keys": self.plane_overlay_keys,

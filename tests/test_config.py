@@ -52,7 +52,6 @@ class TestEngineConfig:
         "kwargs",
         [
             {"cache_size": -1},
-            {"invalidation_threshold": -2},
             {"stride": 0},
             {"stride": 31},
             {"shards": -1},

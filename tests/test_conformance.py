@@ -218,19 +218,10 @@ class EngineMachine(RuleBasedStateMachine):
         super().__init__()
         self.engine = None
 
-    @initialize(
-        shards=st.sampled_from([0, 2]),
-        # None sweeps the cache inside each transaction; 0 defers every
-        # sweep to the next lookup.
-        threshold=st.sampled_from([None, 0]),
-    )
-    def start(self, shards: int, threshold) -> None:
+    @initialize(shards=st.sampled_from([0, 2]))
+    def start(self, shards: int) -> None:
         config = EngineConfig(
-            cache_size=64,
-            auto_freeze=True,
-            resilience=True,
-            shards=shards,
-            invalidation_threshold=threshold,
+            cache_size=64, auto_freeze=True, resilience=True, shards=shards
         )
         self.engine = ClassificationEngine(
             build_matcher(config, COMPILED.entries, KEY_LENGTH), config
@@ -320,6 +311,37 @@ class EngineMachine(RuleBasedStateMachine):
         ]
         if witnesses:
             self._verify(witnesses + self._burst(seed, 32))
+
+    @rule(seed=st.integers(0, 2**16), steps=st.integers(2, 6))
+    def updates_between_bursts(self, seed: int, steps: int) -> None:
+        """Transactions and scalar ``insert``/``delete`` calls with no
+        lookup between them: the next burst pays one sweep (or one
+        clear) for all of their keys, and no stale verdict survives."""
+        rng = random.Random(seed)
+        engine = self.engine
+        sweeps = engine.targeted_invalidations + engine.lazy_invalidations
+        changed = []
+        for _ in range(steps):
+            kind = rng.choice(("transaction", "insert", "delete"))
+            if kind == "delete" and self.added:
+                entry = rng.choice(self.added)
+                assert engine.delete(entry.key)
+                self.added.remove(entry)
+                self.entries.remove(entry)
+                changed.append(entry.key)
+                continue
+            entry = self._fresh_entry(rng)
+            if entry is None:
+                continue
+            if kind == "transaction":
+                engine.apply_updates([("insert", entry)])
+            else:
+                engine.insert(entry)
+            self.added.append(entry)
+            self.entries.append(entry)
+            changed.append(entry.key)
+        self._verify([self.witness[key] for key in changed] + self._burst(seed, 32))
+        assert engine.targeted_invalidations + engine.lazy_invalidations == sweeps + bool(changed)
 
     @rule(seed=st.integers(0, 2**16))
     def direct_insert(self, seed: int) -> None:

@@ -146,7 +146,7 @@ def _fuzz_churn(kind, seed, *, auto_freeze=False, cache_size=256, steps=90):
     live = random_entries(40, KEY_LENGTH, seed=seed)
     pool = random_entries(140, KEY_LENGTH, seed=seed + 1)
     reference = updatable_kind(kind, live, KEY_LENGTH)
-    engine = ClassificationEngine(served_matcher(kind, live, KEY_LENGTH), EngineConfig(cache_size=cache_size, auto_freeze=auto_freeze, invalidation_threshold=rng.choice([None, 0, 8])))
+    engine = ClassificationEngine(served_matcher(kind, live, KEY_LENGTH), EngineConfig(cache_size=cache_size, auto_freeze=auto_freeze))
 
     def check(count):
         for _ in range(count):

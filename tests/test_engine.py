@@ -494,30 +494,14 @@ class TestUpdatePlane:
         assert engine.updates_applied == 0
         assert engine.update_batches == 1
 
-    def test_update_batch_context_manager(self):
-        entries = random_entries(15, KEY_LENGTH, seed=26)
+    def test_scalar_delete_of_an_absent_key_is_a_missing_delete(self):
+        entries = random_entries(10, KEY_LENGTH, seed=25)
         engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH))
-        extra = TernaryEntry(TernaryKey.exact(5, KEY_LENGTH), 77, 777)
-        with engine.update_batch() as batch:
-            batch.insert(extra)
-            batch.delete(entries[0].key)
-            # nothing is applied until the block exits
-            assert engine.update_batches == 0
-        assert batch.report is not None
-        assert batch.report.inserted == 1 and batch.report.deleted == 1
-        assert engine.update_batches == 1
-        assert_same_result(engine.lookup(5), extra)
-
-    def test_update_batch_aborts_on_exception(self):
-        entries = random_entries(15, KEY_LENGTH, seed=27)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH))
-        with pytest.raises(RuntimeError):
-            with engine.update_batch() as batch:
-                batch.insert(TernaryEntry(TernaryKey.exact(5, KEY_LENGTH), 1, 1))
-                raise RuntimeError("abort")
-        assert batch.report is None
-        assert engine.update_batches == 0
-        assert engine.lookup(5) is None or engine.lookup(5).value != 1
+        generation = engine.matcher.generation
+        assert not engine.delete(TernaryKey.from_string("0" * KEY_LENGTH))
+        assert engine.last_update.missing_deletes == 1
+        assert engine.update_batches == 1 and engine.updates_applied == 0
+        assert engine.matcher.generation == generation  # nothing to sweep
 
     @pytest.mark.parametrize("auto_freeze", [False, True])
     def test_direct_matcher_mutation_never_serves_stale(self, auto_freeze):
@@ -537,38 +521,20 @@ class TestUpdatePlane:
         assert engine.report()["lazy_invalidations"] >= 1
 
     def test_lazy_invalidation_above_threshold(self):
+        """An all-wildcard key is past the point where a row-by-row
+        sweep pays: the next lookup clears the cache instead."""
         entries = random_entries(20, KEY_LENGTH, seed=30)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=256, invalidation_threshold=4))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=256))
         queries = list(dict.fromkeys(_queries(64, seed=31)))
         engine.lookup_batch(queries)
-        assert len(engine.cache) > 4
-        report = engine.apply_updates(
-            [TernaryEntry(TernaryKey.wildcard(KEY_LENGTH), 1, -1)]
-        )
-        assert report.deferred_invalidation
-        assert report.cache_rows_invalidated == 0
+        rows = len(engine.cache)
+        assert rows > 4
+        engine.apply_updates([TernaryEntry(TernaryKey.wildcard(KEY_LENGTH), 1, -1)])
+        assert len(engine.cache) == rows  # nothing evicted before a lookup
         # the deferred sweep lands at the next lookup, in one clear
         engine.lookup(queries[0])
         assert engine.report()["lazy_invalidations"] == 1
         assert len(engine.cache) == 1  # only the re-resolved query
-
-    def test_threshold_none_always_sweeps_targeted(self):
-        entries = random_entries(20, KEY_LENGTH, seed=32)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=256, invalidation_threshold=None))
-        queries = list(dict.fromkeys(_queries(64, seed=33)))
-        engine.lookup_batch(queries)
-        rows = len(engine.cache)
-        report = engine.apply_updates(
-            [TernaryEntry(TernaryKey.wildcard(KEY_LENGTH), 1, -1)]
-        )
-        assert not report.deferred_invalidation
-        assert report.cache_rows_invalidated == rows  # wildcard hits every row
-        assert engine.report()["targeted_invalidations"] == 1
-        assert engine.report()["lazy_invalidations"] == 0
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            ClassificationEngine(PalmtriePlus.build(table1_entries(), 8), EngineConfig(invalidation_threshold=-1))
 
     def test_replace_matcher_preserves_cumulative_stats(self):
         entries = random_entries(20, KEY_LENGTH, seed=34)
@@ -637,7 +603,7 @@ class TestUpdatePlane:
         for field in (
             "updates_applied", "update_batches", "cache_rows_invalidated",
             "targeted_invalidations", "lazy_invalidations", "policy_swaps",
-            "invalidation_threshold", "generation", "plane_generation",
+            "generation", "plane_generation",
         ):
             assert field in report
         assert report["updates_applied"] == 1
@@ -850,7 +816,7 @@ class TestRegionTier:
     @pytest.mark.parametrize("matcher_cls", [PalmtriePlus, FrozenMatcher])
     def test_updates_sweep_the_regions_their_keys_intersect(self, matcher_cls):
         engine, entries, walked, siblings = _region_engine(
-            EngineConfig(cache_size=64, auto_freeze=True, invalidation_threshold=0),
+            EngineConfig(cache_size=64, auto_freeze=True),
             matcher_cls,
         )
         engine.lookup_batch(siblings)
@@ -1036,12 +1002,12 @@ class TestRegionGate:
 class TestDeferredSweep:
     def test_deferred_transaction_sweeps_only_matching_rows(self):
         engine, entries, queries = _overlay_engine(
-            EngineConfig(cache_size=512, auto_freeze=True, invalidation_threshold=0)
+            EngineConfig(cache_size=512, auto_freeze=True)
         )
         key = _prefix_entry("10", "x", 10**6)
         rows = set(engine.cache._map)
-        report = engine.apply_updates([key])
-        assert report.deferred_invalidation and report.cache_rows_invalidated == 0
+        engine.apply_updates([key])
+        assert set(engine.cache._map) == rows
         engine.lookup_batch([])  # the next lookup pays the sweep
         kept = {q for q in rows if not key.key.matches(q)}
         assert set(engine.cache._map) == kept and kept != rows
@@ -1050,18 +1016,16 @@ class TestDeferredSweep:
         assert report["cache_rows_invalidated"] == len(rows) - len(kept)
 
     def test_too_many_pending_masks_clear_the_cache(self):
-        engine, _, _ = _overlay_engine(
-            EngineConfig(cache_size=512, invalidation_threshold=0)
-        )
+        engine, _, _ = _overlay_engine(EngineConfig(cache_size=512))
+        rows = len(engine.cache)
         for n in range(1, _MAX_KEY_GROUPS + 2):  # one transaction per mask
-            assert engine.apply_updates([_prefix_entry("1" * n, n, 10**6 + n)]).deferred_invalidation
+            engine.apply_updates([_prefix_entry("1" * n, n, 10**6 + n)])
+        assert len(engine.cache) == rows
         engine.lookup_batch([])
         assert len(engine.cache) == 0 and engine.lazy_invalidations == 1
 
     def test_direct_mutation_after_a_deferred_transaction_clears(self):
-        engine, entries, queries = _overlay_engine(
-            EngineConfig(cache_size=512, invalidation_threshold=0)
-        )
+        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=512))
         engine.apply_updates([_prefix_entry("10", "x", 10**6)])
         engine.matcher.insert(_prefix_entry("0", "direct", 10**6))
         engine.lookup_batch([])
@@ -1073,9 +1037,7 @@ class TestDeferredSweep:
     def test_update_after_a_direct_mutation_clears_first(self):
         """A transaction must not hide an unknown change behind its
         own keys: the direct insert's rows go too."""
-        engine, entries, queries = _overlay_engine(
-            EngineConfig(cache_size=512, invalidation_threshold=None)
-        )
+        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=512))
         direct = _prefix_entry("0", "direct", 10**6)
         engine.matcher.insert(direct)
         engine.apply_updates([_prefix_entry("11", "x", 10**6 + 1)])
@@ -1083,6 +1045,25 @@ class TestDeferredSweep:
         entries = entries + [direct, _prefix_entry("11", "x", 10**6 + 1)]
         for query, got in zip(queries, engine.lookup_batch(queries)):
             assert_same_result(oracle_lookup(entries, query), got)
+
+    def test_scalar_updates_between_bursts_pay_one_sweep(self):
+        """Ten scalar updates under one care mask between two bursts:
+        the second burst sweeps the cache once, for all ten keys."""
+        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=64))
+        assert len(engine.cache) == 64
+        targeted, lazy = engine.targeted_invalidations, engine.lazy_invalidations
+        new = [_prefix_entry(format(n, "04b"), n, 10**6 + n) for n in range(7)]
+        for entry in new:
+            engine.insert(entry)
+        for entry in new[:3]:
+            assert engine.delete(entry.key)
+        assert engine.update_batches == 10
+        assert engine.targeted_invalidations == targeted
+        oracle = SortedListMatcher.build(entries + new[3:], KEY_LENGTH)
+        for query, got in zip(queries, engine.lookup_batch(queries)):
+            assert_same_result(oracle.lookup(query), got)
+        assert engine.targeted_invalidations == targeted + 1
+        assert engine.lazy_invalidations == lazy
 
 
 class TestReferenceFollowsUpdates:
@@ -1116,9 +1097,10 @@ class TestServedUpdateGate:
     """The paper's section 4.4 claim at the serving layer, on counts:
     32 rotating insert+delete transactions of a top-priority /16 deny
     over a warm 500-rule engine neither refreeze the plane nor rebuild
-    the reference each time, and each sweeps exactly the cached rows its
-    keys match — also on an engine just restored from its last-good
-    checkpoint, whose Palmtrie_k is rebuilt once, on the first update."""
+    the reference each time, and each evicts exactly the cached rows its
+    keys match, in the sweep the next burst pays — also on an engine
+    just restored from its last-good checkpoint, whose Palmtrie_k is
+    rebuilt once, on the first update."""
 
     @pytest.mark.parametrize("form", ["built", "restored"])
     def test_transactions_patch_instead_of_rebuilding(self, form, monkeypatch):
@@ -1134,7 +1116,6 @@ class TestServedUpdateGate:
             EngineConfig(
                 cache_size=4096,
                 auto_freeze=True,
-                invalidation_threshold=None,
                 resilience=GuardRail(shadow_sample=0.01),
             ),
         )
@@ -1175,10 +1156,11 @@ class TestServedUpdateGate:
             matched = sum(
                 1 for query in engine.cache._map if any(key.matches(query) for key in keys)
             )
-            report = engine.apply_updates(ops)
-            assert report.cache_rows_invalidated == matched
+            invalidated = engine.cache_rows_invalidated
+            engine.apply_updates(ops)
             for burst in bursts[32 + 3 * index : 35 + 3 * index]:
                 engine.lookup_batch(burst)
+            assert engine.cache_rows_invalidated - invalidated == matched
         guard = engine.report()["resilience"]
         assert engine.freezes == freezes
         assert len(sources) == (form == "restored")

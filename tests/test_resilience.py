@@ -249,6 +249,28 @@ class TestFaultDifferential:
         assert guard.faults.get("update", 0) == 1
         _assert_verdicts(engine, queries, truth)
 
+    def test_scalar_insert_fault_is_recorded_like_a_transaction(self, differential):
+        """A scalar insert is a one-op transaction: the armed update site
+        fires inside it, the guard records the fault, and the engine
+        recovers from actual content instead of raising."""
+        entries, queries, truth = differential
+        injector = FaultInjector(seed=5)
+        injector.arm("update", rate=1.0, count=1)
+        guard = GuardRail(injector=injector)
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
+        engine.lookup_batch(queries[:512])  # warm the cache pre-fault
+        lazy = engine.lazy_invalidations
+        canary = TernaryEntry(
+            key=TernaryKey.exact(queries[0], KEY_LENGTH), value=-1, priority=-1
+        )
+        engine.insert(canary)
+        report = engine.last_update
+        assert report is not None and "InjectedFault" in (report.error or "")
+        assert report.inserted == 0 and engine.update_batches == 1
+        assert guard.faults.get("update", 0) == 1
+        assert engine.lazy_invalidations == lazy + 1  # the recovery's clear
+        _assert_verdicts(engine, queries, truth)
+
     def test_unguarded_update_fault_still_raises(self, differential):
         entries, queries, _ = differential
         engine = ClassificationEngine(
