@@ -18,6 +18,16 @@ from ..core.ternary import TernaryKey
 __all__ = ["SortedListMatcher"]
 
 
+def _hold(by_key: dict[tuple[int, int], list[TernaryEntry]], entry: TernaryEntry) -> None:
+    """File ``entry`` under its key in a ``(data, mask)`` index."""
+    slot = (entry.key.data, entry.key.mask)
+    held = by_key.get(slot)
+    if held is None:
+        by_key[slot] = [entry]
+    else:
+        held.append(entry)
+
+
 class SortedListMatcher(TernaryMatcher):
     """Priority-sorted linear scan."""
 
@@ -28,6 +38,11 @@ class SortedListMatcher(TernaryMatcher):
         self._entries: list[TernaryEntry] = []
         # Parallel list of negated priorities, kept for O(log n) bisection.
         self._neg_priorities: list[int] = []
+        # (data, mask) -> the entries holding that key, so a delete finds
+        # its positions by bisection instead of scanning every entry.
+        # Built by the first delete and kept by insert from then on: a
+        # table that is only built and searched never pays for it.
+        self._by_key: Optional[dict[tuple[int, int], list[TernaryEntry]]] = None
 
     def insert(self, entry: TernaryEntry) -> None:
         if entry.key.length != self.key_length:
@@ -37,23 +52,28 @@ class SortedListMatcher(TernaryMatcher):
         position = bisect.bisect_left(self._neg_priorities, -entry.priority)
         self._entries.insert(position, entry)
         self._neg_priorities.insert(position, -entry.priority)
+        if self._by_key is not None:
+            _hold(self._by_key, entry)
         self.generation += 1
 
     def delete(self, key: TernaryKey) -> bool:
-        # Remove every entry holding the key, in place: comparing the
-        # plain ints is much cheaper than the dataclass __eq__, and
-        # both lists lose the same positions, so they stay aligned.
-        data, mask = key.data, key.mask
+        # Remove every entry holding the key, in place.  Each one sits
+        # in the run of its priority, found by bisection; both lists
+        # lose the same positions, so they stay aligned.
         entries = self._entries
-        doomed = [
-            position
-            for position, entry in enumerate(entries)
-            if entry.key.data == data and entry.key.mask == mask
-        ]
-        if not doomed:
+        by_key = self._by_key
+        if by_key is None:
+            by_key = self._by_key = {}
+            for entry in entries:
+                _hold(by_key, entry)
+        held = by_key.pop((key.data, key.mask), None)
+        if held is None:
             return False
         neg_priorities = self._neg_priorities
-        for position in reversed(doomed):
+        for entry in held:
+            position = bisect.bisect_left(neg_priorities, -entry.priority)
+            while entries[position] is not entry:
+                position += 1
             del entries[position]
             del neg_priorities[position]
         self.generation += 1

@@ -603,10 +603,70 @@ class FrozenMatcher(TernaryMatcher):
                 extend(push[base : base + c - 1])
         return result
 
-    def _scalar_walk(self, queries: Sequence[int]) -> tuple[list[int], list[int], int]:
+    def _scalar_walk(self, queries: Sequence[int]) -> tuple[list[int], int]:
         """:meth:`lookup`'s walk over many queries: the winning leaf index
-        of each (-1 where nothing matches), the bits each walk examined,
-        and the (node, query) pairs visited after skipping.
+        of each (-1 where nothing matches) and the (node, query) pairs
+        visited after skipping.
+
+        Batches below ``_NUMPY_MIN_BATCH`` unique queries run here when
+        the caller wants no masks.  It is :meth:`_scalar_walk_masks`
+        without the mask ORs, which cost 8-26% per query on the
+        ledger's acl/fw queries (docs/algorithms.md, "The cost");
+        ``tests/test_frozen.py`` pins the two loops to the same winners
+        and visit counts.  It is a copy of
+        ``lookup``'s loop rather than its callee: routing ``lookup``
+        through it (a call, a one-tuple, a result list) cost it 10-13%
+        per query on 500-rule acl/fw sets.
+        """
+        (
+            maxp, bits, dispatch, push, data, care, _best_of,
+            first_leaf, stride, chunk_mask, skipping,
+        ) = self._hot
+        count_mask = _COUNT_MASK
+        count_bits = _COUNT_BITS
+        winners: list[int] = []
+        visits = 0
+        # One stack for every query: each walk leaves it empty.
+        stack: list[int] = []
+        pop = stack.pop
+        extend = stack.extend
+        for query in queries:
+            winner = winner_priority = -1
+            x = 0
+            while True:
+                mp = maxp[x]
+                if not (skipping and winner_priority > mp):
+                    visits += 1
+                    if x >= first_leaf:
+                        if mp > winner_priority:
+                            j = x - first_leaf
+                            if query & care[j] == data[j]:
+                                winner = j
+                                winner_priority = mp
+                    else:
+                        b = bits[x]
+                        if b >= 0:
+                            packed = dispatch[(x << stride) + ((query >> b) & chunk_mask)]
+                        else:
+                            packed = dispatch[(x << stride) + ((query << -b) & chunk_mask)]
+                        c = packed & count_mask
+                        if c == 1:
+                            x = packed >> count_bits
+                            continue
+                        if c:
+                            base = packed >> count_bits
+                            x = push[base + c - 1]
+                            extend(push[base : base + c - 1])
+                            continue
+                if not stack:
+                    break
+                x = pop()
+            winners.append(winner)
+        return winners, visits
+
+    def _scalar_walk_masks(self, queries: Sequence[int]) -> tuple[list[int], list[int], int]:
+        """:meth:`_scalar_walk` that also returns the bits each walk
+        examined (the region tier's batches).
 
         A query's examined-bit mask ``M`` is the union of the chunk
         (``_node_bits``) of every internal node it visits and the
@@ -616,11 +676,6 @@ class FrozenMatcher(TernaryMatcher):
         earlier outcomes, so any ``q'`` with ``q' & M == q & M`` takes
         the same walk to the same leaf: ``(q & M, M)`` is a decision
         region (docs/algorithms.md).
-
-        Batches below ``_NUMPY_MIN_BATCH`` unique queries run here.  It
-        is a copy of ``lookup``'s loop rather than its callee: routing
-        ``lookup`` through this method (a call, a one-tuple, a result
-        list) cost it 10-13% per query on 500-rule acl/fw sets.
         """
         (
             maxp, bits, dispatch, push, data, care, _best_of,
@@ -763,8 +818,9 @@ class FrozenMatcher(TernaryMatcher):
 
         With ``masks`` (a list), a batch the scalar loop walks also
         appends each query's examined-bit mask to it, in query order
-        (see :meth:`_scalar_walk`); a batch the NumPy walk takes, or an
-        empty plane, appends nothing.
+        (see :meth:`_scalar_walk_masks`); a batch the NumPy walk takes,
+        or an empty plane, appends nothing.  Without it the scalar loop
+        skips the mask work (:meth:`_scalar_walk`).
         """
         indices = self.lookup_batch_indices(queries, masks)
         best_of = self._leaf_best
@@ -798,15 +854,19 @@ class FrozenMatcher(TernaryMatcher):
         unique = list(positions)
         if _np is not None and len(unique) >= _NUMPY_MIN_BATCH:
             best = self._batch_walk_numpy(unique)
-        else:
-            best, walked, visits = self._scalar_walk(unique)
+        elif masks is None:
+            best, visits = self._scalar_walk(unique)
             self.batch_walk_node_visits += visits
-            if masks is not None:
-                if len(unique) == len(queries):
-                    masks.extend(walked)
-                else:
-                    by_query = dict(zip(unique, walked))
-                    masks.extend([by_query[query] for query in queries])
+        else:
+            best, walked, visits = self._scalar_walk_masks(unique)
+            self.batch_walk_node_visits += visits
+            if len(unique) == len(queries):
+                masks.extend(walked)
+            else:
+                by_query = dict(zip(unique, walked))
+                masks.extend([by_query[query] for query in queries])
+        if len(unique) == len(queries):
+            return best
         for g, query in enumerate(unique):
             for index in positions[query]:
                 results[index] = best[g]
@@ -961,7 +1021,7 @@ class FrozenMatcher(TernaryMatcher):
             at_best = np.concatenate(hit_p) == best_priority[wq]
             ties = np.flatnonzero(np.bincount(wq[at_best], minlength=n) > 1).tolist()
             if ties:
-                fixed, _masks, tie_visits = self._scalar_walk([unique[g] for g in ties])
+                fixed, tie_visits = self._scalar_walk([unique[g] for g in ties])
                 for g, leaf in zip(ties, fixed):
                     best[g] = leaf
                 visits += tie_visits

@@ -20,6 +20,10 @@ frozen plane compiled from it (§3.6) — into that shape:
   answers misses that agree with an earlier walk on every bit that walk
   examined — the frozen plane reports those bits — so scan traffic,
   whose queries are unique but whose verdicts are not, skips most walks;
+* each of the two tiers runs only where it pays: one rule
+  (:class:`_TierGate`) puts a tier that answers too few of the queries
+  reaching it to sleep, and the exact cache may sleep only while an
+  awake region tier answers its misses;
 * hit/miss/eviction counters fold into the shared
   :class:`~repro.core.table.LookupStats`, and per-batch work counts and
   throughput are kept for the benchmark harness and the CLI.
@@ -129,6 +133,29 @@ _PROBE_PAYOFF = 8
 #: mask seen, some 50-110 on the ledger's acl mixes)
 _RERANK_FILLS = 256
 
+#: The two miss-path tiers' gates (see :class:`_TierGate`): queries per
+#: judged window, and the share of a window a tier must answer (one in
+#: ``payoff``) to keep serving.
+#:
+#: The region tier pays when it answers at least as many of the exact
+#: misses it probes as it passes on to walks (one in two).  Its window
+#: is 256 probed misses: a tier that answers nothing sleeps after 512
+#: walks, which kept it awake for 1.0% of ``hot-flows`` bursts and 2.5%
+#: of ``rule-churn`` bursts (the ledger's first 65,536 packets, four
+#: passes; a 512-miss window kept it awake for 100% and 4.6%).
+_REGION_WINDOW = 256
+_REGION_PAYOFF = 2
+#: The exact cache pays behind an awake region tier when it answers one
+#: in four of the packets it probes.  On the ledger's ``scan-miss`` mix
+#: (500 acl rules, 4,096-row cache, 64-packet bursts; 2-core x86,
+#: Python 3.11, fastest of 7 passes, three runs) its probe and fill
+#: cost 500-600 ns per packet, while the distinct queries it answers
+#: (9% of packets: zipf flows the region tier mostly walks) cost
+#: 2.6-2.8 us each to resolve behind it: break-even at 20-23% hits.  A
+#: closed gate sleeps for ``4 × cache_size`` packets, then relearns.
+_EXACT_WINDOW = 1024
+_EXACT_PAYOFF = 4
+
 
 def group_keys(keys: Iterable[TernaryKey]) -> dict[int, set[int]]:
     """Fold ternary keys into ``{care: {data, ...}}`` (``care`` is the
@@ -193,6 +220,61 @@ def _merge_groups(
         else:
             held |= datas
     return into
+
+
+class _TierGate:
+    """Whether a miss-path tier runs: the one rule of the exact flow
+    cache and the decision-region tier.
+
+    The gate judges windows of ``window`` queries that reached its tier
+    (:meth:`judge`).  A tier that answered fewer than one in ``payoff``
+    of a window costs more in probes and fills than the work it saves,
+    so it sleeps — passes up every query — for ``sleep`` queries
+    (:meth:`awake`), and then relearns.  The first window after a reset
+    (:meth:`reset`, or waking) is not judged: the tier's rows are cold.
+    """
+
+    __slots__ = ("window", "payoff", "sleep", "asleep", "_reached", "_answered", "_warm")
+
+    def __init__(self, window: int, payoff: int, sleep: int) -> None:
+        self.window = window
+        self.payoff = payoff
+        self.sleep = sleep
+        #: queries left to pass up while the tier sleeps (0: awake)
+        self.asleep = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Open a fresh window that is not judged (the tier dropped its
+        rows); a sleeping tier sleeps on."""
+        self._reached = self._answered = 0
+        self._warm = False
+
+    def awake(self, queries: int) -> bool:
+        """Whether the tier serves a batch of ``queries`` queries; a
+        sleeping tier counts them off its sleep instead."""
+        if not self.asleep:
+            return True
+        self.asleep = max(0, self.asleep - queries)
+        return False
+
+    def judge(self, reached: int, answered: int) -> bool:
+        """Count a batch: ``reached`` queries reached the tier and it
+        answered ``answered`` of them.  False when that closed a window
+        the tier did not pay for: the tier is asleep from now on."""
+        reached += self._reached
+        answered += self._answered
+        if reached < self.window:
+            self._reached = reached
+            self._answered = answered
+            return True
+        self._reached = self._answered = 0
+        warm, self._warm = self._warm, True
+        if not warm or answered * self.payoff >= reached:
+            return True
+        self.asleep = self.sleep
+        self._warm = False
+        return False
 
 
 class FlowCache:
@@ -330,18 +412,19 @@ class RegionCache:
     ``_RERANK_FILLS`` walks; a mask that drops out of the ranking drops
     its rows.
 
-    The periodic ranking also judges the window it closes: a tier that
-    answered fewer exact misses than it walked costs more in probes and
-    fills than it saves, so it resets and sleeps (:meth:`awake`) for
-    ``capacity`` exact misses before it relearns.  A fill that takes
-    the tier past ``capacity`` rows resets it: a region costs one walk
-    to relearn, and a reset keeps eviction deterministic and free of
-    per-row bookkeeping.  Capacity 0 disables the tier.
+    Every probe is judged by the tier's :class:`_TierGate` (``gate``):
+    a tier that answered fewer of the exact misses it probed than it
+    passed on to walks costs more in probes and fills than it saves, so
+    it resets and sleeps for ``capacity`` exact misses before it
+    relearns.  A fill that takes the tier past ``capacity`` rows resets
+    it: a region costs one walk to relearn, and a reset keeps eviction
+    deterministic and free of per-row bookkeeping.  Capacity 0 disables
+    the tier.
     """
 
     __slots__ = (
-        "capacity", "rows", "hits", "probes", "_tables", "_heat", "_order", "_floor",
-        "_fills", "_projected", "_warm", "_hits_mark", "_asleep",
+        "capacity", "rows", "hits", "probes", "gate", "_tables", "_heat", "_order",
+        "_floor", "_fills", "_projected",
     )
 
     def __init__(self, capacity: int) -> None:
@@ -352,8 +435,8 @@ class RegionCache:
         self.hits = 0
         #: (mask, query) probes made
         self.probes = 0
-        #: exact misses left to pass up while the tier sleeps
-        self._asleep = 0
+        #: whether the tier runs; it sleeps for ``capacity`` exact misses
+        self.gate = _TierGate(_REGION_WINDOW, _REGION_PAYOFF, capacity)
         self._reset()
 
     def _reset(self) -> None:
@@ -364,12 +447,9 @@ class RegionCache:
         self._order: list[tuple[int, dict[int, Optional[TernaryEntry]]]] = []
         #: the heat past which an unprobed mask would earn a probe
         self._floor = 0
-        #: walks since the last judged window
+        #: walks since the last ranking
         self._fills = 0
-        #: False until the first window after a reset has passed
-        self._warm = False
-        #: ``hits`` when the current window opened
-        self._hits_mark = self.hits
+        self.gate.reset()
         #: ``(mask, care)`` -> the changed-key datas projected onto
         #: ``mask & care`` (see :func:`_intersects`); every change to the
         #: groups a fill is tested against passes through :meth:`sweep`
@@ -378,7 +458,8 @@ class RegionCache:
 
     def probe(self, queries: Sequence[int], answers: dict) -> list[int]:
         """Write each query a region answers into ``answers`` and return
-        the rest, in order."""
+        the rest, in order.  When the gate closes on this probe the tier
+        resets and sleeps: :meth:`fill` stores nothing until it wakes."""
         rest = list(queries)
         heat = self._heat
         missing = _MISSING
@@ -399,6 +480,8 @@ class RegionCache:
             rest = left
             if not rest:
                 break
+        if not self.gate.judge(len(queries), len(queries) - len(rest)):
+            self.clear()
         return rest
 
     def fill(
@@ -412,6 +495,8 @@ class RegionCache:
         probed mask.  A region that intersects a changed-key group of
         ``overlay`` (the plane is behind on those keys) is not stored:
         some of its queries may have a new verdict."""
+        if self.gate.asleep:
+            return
         heat = self._heat
         tables = self._tables
         floor = self._floor
@@ -443,23 +528,8 @@ class RegionCache:
             return
         self._fills += len(queries)
         if self._fills >= _RERANK_FILLS:
-            if self._paid():
-                self._rank()
-            else:
-                self.clear()
-                self._asleep = self.capacity
-
-    def _paid(self) -> bool:
-        """Close the window: whether the tier answered at least as many
-        exact misses as it walked.  Below that, probes and fills cost
-        more than the walks they save.  The first window after a reset
-        (cold rows) is not judged."""
-        hits = self.hits - self._hits_mark
-        walks = self._fills
-        self._hits_mark = self.hits
-        self._fills = 0
-        warm, self._warm = self._warm, True
-        return not warm or hits >= walks
+            self._fills = 0
+            self._rank()
 
     def _rank(self) -> None:
         heat = self._heat
@@ -483,23 +553,15 @@ class RegionCache:
             self.rows -= len(tables.pop(mask))
         self._order = [(mask, tables.setdefault(mask, {})) for mask in hottest]
 
-    def awake(self, misses: int) -> bool:
-        """Whether the tier serves a burst of ``misses`` exact misses.
-        A tier that did not pay sleeps — no probes, no fills, no rows —
-        for as many exact misses as it can hold rows, then relearns."""
-        if not self._asleep:
-            return True
-        self._asleep = max(0, self._asleep - misses)
-        return False
-
     @property
     def asleep(self) -> bool:
-        """True while the tier passes up misses (see :meth:`awake`)."""
-        return self._asleep > 0
+        """True while the tier passes up misses — no probes, no fills,
+        no rows (see :class:`_TierGate`)."""
+        return self.gate.asleep > 0
 
     def reset_counters(self) -> None:
         """Zero ``hits`` and ``probes`` (the engine's ``reset_stats``)."""
-        self.hits = self.probes = self._hits_mark = 0
+        self.hits = self.probes = 0
 
     def sweep(self, groups: dict[int, set[int]]) -> int:
         """Drop every region some changed-key group intersects (see
@@ -670,6 +732,11 @@ class _EngineInstruments:
         counter(
             "engine_cache_evictions_total", "Flow-cache rows evicted (LRU + invalidation)."
         ).set_total(stats.cache_evictions)
+        counter(
+            "engine_cache_bypassed_total",
+            "Queries that skipped the exact flow cache while its gate was "
+            "closed (also counted as misses in engine_lookups_total).",
+        ).set_total(engine.cache_bypassed)
         counter(
             "engine_batches_total", "lookup_batch calls served."
         ).set_total(engine.batches)
@@ -874,6 +941,11 @@ class ClassificationEngine:
         self.cache = FlowCache(cache_size * max(1, config.shards))
         #: decision-region tier behind the cache (in-process planes only)
         self.regions = RegionCache(4 * self.cache.capacity)
+        #: whether ``lookup_batch`` probes and fills the exact cache; it
+        #: may close only while the region tier stands behind the cache
+        self._exact_gate = _TierGate(_EXACT_WINDOW, _EXACT_PAYOFF, 4 * self.cache.capacity)
+        #: queries that skipped the exact cache while its gate was closed
+        self.cache_bypassed = 0
         #: distinct misses the in-process frozen plane walked
         self.plane_walks = 0
         self.auto_freeze = auto_freeze or config.shards > 0
@@ -1160,6 +1232,7 @@ class ClassificationEngine:
         self.cache_rows_invalidated += dropped
         self.lazy_invalidations += 1
         self.regions.clear()
+        self._exact_gate.reset()
 
     def _sweep_cache(self, groups: dict[int, set[int]]) -> None:
         """Evict the rows the changed-key ``groups`` match (the
@@ -1278,7 +1351,12 @@ class ClassificationEngine:
 
     def lookup_batch(self, queries: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Resolve a burst: cache first, one batched matcher call for
-        the rest.  Results come back in query order."""
+        the rest.  Results come back in query order.
+
+        While the exact cache's gate is closed (see ``_EXACT_PAYOFF``)
+        a burst skips its probe and fill: its distinct queries all go
+        to the miss path, and its packets count as misses and as
+        ``cache_bypassed``."""
         start = time.perf_counter()
         self._sync()
         stats = self.stats
@@ -1295,21 +1373,43 @@ class ClassificationEngine:
                     injector.check("stall")
         n = len(queries)
         stats.lookups += n
-        results: list[Optional[TernaryEntry]] = [None] * n
-        # Cache hits land in results; misses come back deduplicated.
-        hits, miss_positions = self.cache.probe(queries, results)
-        stats.cache_hits += hits
-        stats.cache_misses += n - hits
-        if miss_positions:
-            unique = list(miss_positions)
-            if guard is None:
-                resolved = self._resolve(self._lookup_target(), unique)
-            else:
-                resolved = self._guarded_resolve(unique)
-            stats.cache_evictions += self.cache.fill(unique, resolved)
-            for positions, result in zip(miss_positions.values(), resolved):
-                for index in positions:
-                    results[index] = result
+        # The exact cache's gate may close only while an awake region
+        # tier answers its misses in process: anywhere else a miss
+        # costs a full walk, and the cache always pays.
+        regions = self.regions
+        behind = (
+            not regions.gate.asleep
+            and self._plane is not None
+            and self._pool is None
+            and self._plane_masks
+            and regions.capacity
+            and (guard is None or not guard.quarantined)
+        )
+        gate = self._exact_gate
+        if not behind or gate.awake(n):
+            results: list[Optional[TernaryEntry]] = [None] * n
+            # Cache hits land in results; misses come back deduplicated.
+            hits, miss_positions = self.cache.probe(queries, results)
+            stats.cache_hits += hits
+            stats.cache_misses += n - hits
+            if behind:
+                gate.judge(n, hits)
+            distinct = len(miss_positions)
+            if distinct:
+                unique = list(miss_positions)
+                resolved = self._resolve_misses(unique)
+                stats.cache_evictions += self.cache.fill(unique, resolved)
+                for positions, result in zip(miss_positions.values(), resolved):
+                    for index in positions:
+                        results[index] = result
+        else:
+            hits = 0
+            stats.cache_misses += n
+            self.cache_bypassed += n
+            unique = list(dict.fromkeys(queries))
+            distinct = len(unique)
+            answers = dict(zip(unique, self._resolve_misses(unique))) if distinct else {}
+            results = [answers[query] for query in queries]
         if guard is not None and guard.shadow_sample > 0.0:
             self._shadow_pass(queries, results)
         seconds = time.perf_counter() - start
@@ -1325,13 +1425,19 @@ class ClassificationEngine:
             instruments.query_seconds.observe(seconds / n, n)
         self.last_batch = BatchReport(
             queries=n,
-            matcher_queries=len(miss_positions),
+            matcher_queries=distinct,
             cache_hits=hits,
             seconds=seconds,
         )
         return results
 
     # -- miss resolution --------------------------------------------------
+
+    def _resolve_misses(self, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
+        """The verdicts of a burst's distinct exact-cache misses."""
+        if self._guard is None:
+            return self._resolve(self._lookup_target(), unique)
+        return self._guarded_resolve(unique)
 
     def _resolve(self, target: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Resolve distinct misses against ``target`` — the one miss
@@ -1349,7 +1455,9 @@ class ClassificationEngine:
         the shard pool serving it — answers it."""
         walking = target is self._plane
         regions = self.regions
-        if not (walking and self._plane_masks and regions.capacity and regions.awake(len(unique))):
+        if not (
+            walking and self._plane_masks and regions.capacity and regions.gate.awake(len(unique))
+        ):
             regions = None
         overlay = self._overlay
         if regions is None and not overlay:
@@ -1817,6 +1925,7 @@ class ClassificationEngine:
             "cache_misses": stats.cache_misses,
             "cache_evictions": stats.cache_evictions,
             "cache_hit_ratio": stats.cache_hit_ratio,
+            "cache_bypassed": self.cache_bypassed,
             "batches": self.batches,
             "queries_per_second": self.queries_per_second(),
             "auto_freeze": self.auto_freeze,
@@ -1870,6 +1979,7 @@ class ClassificationEngine:
         self.policy_swaps = 0
         self.last_update = None
         self.plane_walks = 0
+        self.cache_bypassed = 0
         self.regions.reset_counters()
 
     def __len__(self) -> int:

@@ -950,39 +950,112 @@ class TestRegionGate:
     every exact miss — about nine in ten packets — is walked)."""
 
     @staticmethod
-    def _engine(acl):
+    def _engine(acl, **knobs):
         return ClassificationEngine(
             PalmtriePlus.build(acl.entries, acl.layout.length),
             EngineConfig(
                 cache_size=4096, auto_freeze=True, resilience=GuardRail(shadow_sample=0.001)
-            ),
+            ).replace(**knobs),
         )
 
-    def test_scan_walks_a_small_share_of_packets(self):
-        from repro.workloads.classbench import classbench_acl
+    @staticmethod
+    def _scan(acl, count=32768):
+        """Nine in ten packets from a reverse-byte scan, one in ten from
+        128 zipf flows, in 64-packet bursts."""
         from repro.workloads.traffic import reverse_byte_scan, zipf_trace
 
-        acl = classbench_acl("acl", 500)
         rng = random.Random(42)
-        count = 32768
         scan = iter(reverse_byte_scan(count, seed=42, start=1 << 20))
         flows = iter(zipf_trace(acl.entries, count, flows=128, s=1.1, seed=42))
         trace = [next(flows) if rng.random() < 0.1 else next(scan) for _ in range(count)]
+        return [trace[i : i + 64] for i in range(0, count, 64)]
+
+    def test_scan_walks_a_small_share_of_packets(self):
+        from repro.workloads.classbench import classbench_acl
+
+        acl = classbench_acl("acl", 500)
+        bursts = self._scan(acl)
         engine = self._engine(acl)
-        bursts = [trace[i : i + 64] for i in range(0, count, 64)]
         for burst in bursts[:64]:
             engine.lookup_batch(burst)
         engine.reset_stats()
+        closed = 0
         for burst in bursts[64:]:
+            bypassed = engine.cache_bypassed
             engine.lookup_batch(burst)
+            closed += engine.cache_bypassed > bypassed
         report = engine.report()
-        served = count - 64 * 64
-        # Measured: 3,001 walks (10.5 %), while the exact cache misses
-        # 26,047 packets (91 %); the bound leaves headroom.
+        served = 64 * len(bursts[64:])
+        # Measured: 4,237 walks (14.8 %), while the exact cache misses
+        # 28,494 packets (99 %).  Before the exact cache had a gate it
+        # answered the hot zipf flows: 3,001 walks, 26,047 misses.
         assert report["cache_misses"] > 0.85 * served
         assert report["plane_walks"] < 0.15 * served
         assert not engine.regions.asleep
         assert report["resilience"]["shadow_mismatches"] == 0
+        # The exact cache does not pay on a scan, and an awake region
+        # tier stands behind it: its gate is closed for most bursts
+        # (measured: 416 of 448).
+        assert closed > 0.5 * len(bursts[64:])
+        assert report["cache_bypassed"] == 64 * closed
+
+    def test_a_paying_exact_cache_never_closes(self):
+        from repro.workloads.classbench import classbench_acl
+        from repro.workloads.traffic import zipf_trace
+
+        acl = classbench_acl("acl", 500)
+        engine = self._engine(acl)
+        trace = zipf_trace(acl.entries, 32768, flows=1024, s=1.1, seed=9)
+        for offset in range(0, len(trace), 64):
+            engine.lookup_batch(trace[offset : offset + 64])
+        assert engine.plane_walks  # the region tier stood behind it
+        assert engine.report()["cache_bypassed"] == 0
+
+    @pytest.mark.parametrize("knobs", [{"auto_freeze": False}, {"shards": 1}])
+    def test_a_miss_that_costs_a_full_walk_never_bypasses(self, knobs):
+        from repro.workloads.classbench import classbench_acl
+
+        acl = classbench_acl("acl", 500)
+        bursts = self._scan(acl, count=16384)
+        with self._engine(acl, **knobs) as engine:
+            for burst in bursts:
+                engine.lookup_batch(burst)
+            report = engine.report()
+        assert report["region_hits"] == 0
+        assert report["cache_bypassed"] == 0
+        assert report["cache_misses"] > 0.85 * 16384
+
+    def test_an_update_while_bypassed_is_swept_before_the_cache_wakes(self):
+        from repro.workloads.classbench import classbench_acl
+
+        acl = classbench_acl("acl", 500)
+        bursts = self._scan(acl)
+        engine = self._engine(acl)
+        index = 0
+        while not engine._exact_gate.asleep:
+            engine.lookup_batch(bursts[index])
+            index += 1
+        cached = list(engine.cache._map)
+        # Top-priority entries whose keys match cached rows exactly: a
+        # row that survived the update would serve the old verdict.
+        doomed = [
+            TernaryEntry(TernaryKey.exact(query, acl.layout.length), "new", 10**6)
+            for query in cached[:: max(1, len(cached) // 16)]
+        ]
+        engine.apply_updates(doomed)
+        while engine._exact_gate.asleep:
+            engine.lookup_batch(bursts[index])
+            index += 1
+        bypassed = engine.report()["cache_bypassed"]
+        assert bypassed > 0
+        oracle = SortedListMatcher.build(list(acl.entries) + doomed, acl.layout.length)
+        hits = engine.stats.cache_hits
+        for offset in range(0, len(cached), 64):
+            burst = cached[offset : offset + 64]
+            for query, got in zip(burst, engine.lookup_batch(burst)):
+                assert_same_result(oracle.lookup(query), got)
+        assert engine.stats.cache_hits > hits  # the woken cache served
+        assert engine.report()["cache_bypassed"] == bypassed
 
     def test_zipf_probes_never_exceed_the_cap(self):
         from repro.workloads.classbench import classbench_acl

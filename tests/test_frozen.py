@@ -17,6 +17,7 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     assert_same_result,
@@ -240,7 +241,7 @@ class TestBatchPaths:
         )
         if plane != "ties":
             assert min(frozen._bit) < 0  # the walks shift chunks left
-        scalar, _masks, _visits = frozen._scalar_walk(queries)
+        scalar, _visits = frozen._scalar_walk(queries)
         assert frozen._batch_walk_numpy(queries) == scalar
         assert frozen.lookup_batch_indices(queries) == scalar
         best_of = frozen._leaf_best
@@ -379,6 +380,93 @@ class TestIntervalEmitter:
         source = source_kind.build(entries, key_length, stride=stride)
         trace = _biased_queries(entries, 300, seed=5) if layout == "hot" else None
         _check_emitter(source, layout, trace, monkeypatch)
+
+
+def _assert_walks_agree(plane: FrozenMatcher, queries: list[int]) -> None:
+    """The maskless batch walk (no ``masks=``) and the masked one pick
+    the same leaves and count the same visits, duplicates included."""
+    before = plane.batch_walk_node_visits
+    bare = plane.lookup_batch_indices(queries)
+    bare_visits = plane.batch_walk_node_visits - before
+    masks: list[int] = []
+    masked = plane.lookup_batch_indices(queries, masks=masks)
+    masked_visits = plane.batch_walk_node_visits - before - bare_visits
+    assert len(masks) == len(queries)  # the scalar loops served both
+    assert bare == masked
+    assert bare_visits == masked_visits > 0
+    unique = list(dict.fromkeys(queries))
+    leaves, _masks, visits = plane._scalar_walk_masks(unique)
+    assert plane._scalar_walk(unique) == (leaves, visits)
+
+
+class TestMasklessWalk:
+    """One walk, two loops: ``_scalar_walk`` is ``_scalar_walk_masks``
+    without the mask ORs, pinned over the emitter matrix's planes."""
+
+    @pytest.mark.parametrize("skipping", [True, False])
+    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize("stride", [3, 4, 6, 8, 11])
+    @pytest.mark.parametrize("profile", ["acl", "fw", "ipc"])
+    def test_classbench_planes(self, profile, stride, layout, skipping):
+        from repro.workloads.classbench import classbench_acl
+        from repro.workloads.traffic import pareto_trace
+
+        acl = classbench_acl(profile, 60 if stride == 11 else 150)
+        trace = pareto_trace(acl.entries, 400)
+        plane = FrozenMatcher.build(
+            acl.entries, acl.layout.length, stride=stride, subtree_skipping=skipping,
+            layout=layout, layout_trace=trace if layout == "hot" else None,
+        )
+        assert len(set(trace)) < _NUMPY_MIN_BATCH
+        _assert_walks_agree(plane, trace)
+
+    @pytest.mark.parametrize("skipping", [True, False])
+    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize(
+        "key_length, stride",
+        # 7 % 3 and 33 % 4 leave a short last chunk; 70 bits is two lanes
+        [(7, 3), (33, 4), (33, 8), (70, 6)],
+    )
+    def test_random_equal_priority_tables(self, key_length, stride, layout, skipping):
+        entries = random_entries(60, key_length, seed=key_length + stride, priority_range=4)
+        queries = _biased_queries(entries, 300, seed=5)
+        plane = FrozenMatcher.build(
+            entries, key_length, stride=stride, subtree_skipping=skipping,
+            layout=layout, layout_trace=queries if layout == "hot" else None,
+        )
+        _assert_walks_agree(plane, queries + queries[:40])
+
+    @pytest.mark.parametrize("skipping", [True, False])
+    @pytest.mark.parametrize("plane", sorted(_WALK_PLANES))
+    def test_planes_with_a_final_partial_chunk(self, plane, skipping):
+        entries, key_length, stride = _WALK_PLANES[plane]()
+        queries = _unique_queries(entries, 300, seed=8)
+        frozen = FrozenMatcher.build(
+            entries, key_length, stride=stride, subtree_skipping=skipping
+        )
+        if plane != "ties":
+            assert min(frozen._bit) < 0  # chunks below bit 0 are walked
+        _assert_walks_agree(frozen, queries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(
+            st.tuples(st.text(alphabet="01*", min_size=12, max_size=12), st.integers(0, 20)),
+            min_size=1,
+            max_size=30,
+        ),
+        queries=st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=40),
+        # stride 5 and 8 on a 12-bit key leave a final partial chunk
+        stride=st.sampled_from([1, 4, 5, 8]),
+        skipping=st.booleans(),
+    )
+    def test_hypothesis_tables(self, keys, queries, stride, skipping):
+        entries = [
+            TernaryEntry(TernaryKey.from_string(text), i, priority)
+            for i, (text, priority) in enumerate(keys)
+        ]
+        plane = FrozenMatcher.build(entries, 12, stride=stride, subtree_skipping=skipping)
+        _assert_walks_agree(plane, queries)
 
 
 class TestDirtyPalmtriePlusFreeze:

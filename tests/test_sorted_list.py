@@ -1,5 +1,7 @@
 """Unit tests for the sorted-list baseline (repro.baselines.sorted_list)."""
 
+import random
+
 import pytest
 
 from helpers import assert_same_result, oracle_lookup, table1_entries
@@ -84,3 +86,47 @@ class TestCounted:
         matcher.stats.reset()
         matcher.profile_lookup(0b11111111)  # only the 1******* floor matches
         assert matcher.stats.key_comparisons == len(matcher)
+
+
+class _ScanDelete(SortedListMatcher):
+    """The reference: delete by scanning every entry for the key."""
+
+    def delete(self, key):
+        doomed = [
+            position
+            for position, entry in enumerate(self._entries)
+            if entry.key.data == key.data and entry.key.mask == key.mask
+        ]
+        for position in reversed(doomed):
+            del self._entries[position]
+            del self._neg_priorities[position]
+        if doomed:
+            self.generation += 1
+        return bool(doomed)
+
+
+class TestIndexedDelete:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fuzz_against_the_full_scan(self, seed):
+        rng = random.Random(seed)
+        pool = ["".join(rng.choice("01*") for _ in range(6)) for _ in range(10)]
+        matcher, reference = SortedListMatcher(6), _ScanDelete(6)
+        # One key held at several priorities, ties included.
+        for value, priority in enumerate((4, 1, 4, 9)):
+            entry = TernaryEntry(TernaryKey.from_string(pool[0]), f"s{value}", priority)
+            matcher.insert(entry)
+            reference.insert(entry)
+        for step in range(400):
+            # An equal, distinct key object each time.
+            key = TernaryKey.from_string(rng.choice(pool))
+            if rng.random() < 0.6:
+                entry = TernaryEntry(key, step, rng.randrange(6))
+                matcher.insert(entry)
+                reference.insert(entry)
+            else:
+                assert matcher.delete(key) == reference.delete(key)
+            assert [id(e) for e in matcher] == [id(e) for e in reference]
+            assert matcher._neg_priorities == reference._neg_priorities
+            assert matcher.generation == reference.generation
+        for query in range(64):
+            assert matcher.lookup(query) is reference.lookup(query)
