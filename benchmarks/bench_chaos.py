@@ -2,7 +2,9 @@
 
 Five fault classes run against a guarded :class:`ClassificationEngine`,
 each over a differential trace whose ground truth comes from the
-linear-scan reference matcher.  The traffic is not synthesised here:
+sorted-list oracle (the paper's linear-scan baseline; the guard's own
+reference rung is the basic Palmtrie, so the oracle shares no code
+with anything it checks).  The traffic is not synthesised here:
 every mix comes from the scenario registry
 (:mod:`repro.workloads.scenarios`), so chaos and the streaming bench
 replay the *same* named, seed-replayable packet mixes — scan floods,
@@ -30,6 +32,11 @@ demonstrably fired, and the degraded serving rate at least half the
 unguarded baseline (``chaos_degraded_rate_ratio`` in the perf
 trajectory).
 
+An ungated row then prices the guard itself: warm ns/packet of a
+guarded engine (``shadow_sample=0.001``) against an unguarded one on
+a zipf 8,192-flow mix, at 500 ClassBench acl rules in the smoke and
+10k under ``--soak``, with both absolute values and their ratio.
+
 ``main(smoke=True)`` is the CI entry point (baseline + scan mixes,
 small traces); ``main()`` runs every registered mix; ``--soak`` runs
 every mix at 10x smoke volume — the weekly long-tail hunt.
@@ -39,9 +46,11 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 
 from repro.baselines.sorted_list import SortedListMatcher
 from repro.core.plus import PalmtriePlus
+from repro.core.table import build_matcher
 from repro.config import EngineConfig
 from repro.engine import ClassificationEngine
 from repro.obs.timing import best_of_attempts_ratio
@@ -275,6 +284,46 @@ def _degraded_rate_ratio(entries, length, queries, rounds: int = 5) -> float:
     )
 
 
+def _guard_cost(rules: int, packets: int = 32_768, rounds: int = 5) -> tuple[float, float]:
+    """Warm ns/packet of a guarded and an unguarded engine.
+
+    Both serve the frozen plane of the same ClassBench acl set over a
+    zipf 8,192-flow trace in 64-packet bursts; the guarded one
+    shadow-checks 1 in 1,000 answers against its reference rung, as
+    the ledger's stack does.  One warm-up pass each, then interleaved
+    timed passes; each side keeps its fastest.
+    """
+    from repro.workloads.classbench import classbench_acl
+    from repro.workloads.traffic import zipf_trace
+
+    acl = classbench_acl("acl", rules, seed=SEED)
+    length = acl.layout.length
+    trace = zipf_trace(acl.entries, packets, flows=8192, seed=SEED)
+    bursts = [trace[i : i + BATCH] for i in range(0, len(trace), BATCH)]
+    engines = [
+        ClassificationEngine(
+            build_matcher(EngineConfig(), acl.entries, length),
+            EngineConfig(
+                cache_size=4096,
+                auto_freeze=True,
+                resilience=GuardRail(shadow_sample=0.001) if guarded else None,
+            ),
+        )
+        for guarded in (True, False)
+    ]
+    best = [float("inf")] * len(engines)
+    for attempt in range(rounds + 1):
+        for side, engine in enumerate(engines):
+            start = time.perf_counter()
+            for burst in bursts:
+                engine.lookup_batch(burst)
+            elapsed = time.perf_counter() - start
+            if attempt:  # the first pass warms the cache, plane and reference
+                best[side] = min(best[side], elapsed)
+    guarded, unguarded = (1e9 * seconds / len(trace) for seconds in best)
+    return guarded, unguarded
+
+
 FAULT_CLASSES = (
     ("frozen-walk", _scenario_frozen_walk),
     ("cache-poison", _scenario_cache_poison),
@@ -347,6 +396,13 @@ def main(smoke: bool = False, soak: bool = False) -> dict[str, float]:
         f"chaos: 0 wrong answers, {len(FAULT_CLASSES)} fault classes x "
         f"{len(mixes)} traffic mixes ({packets} packets each); "
         f"degraded rate {ratio:.3f}x baseline (floor 0.5x)"
+    )
+    rules = 10_000 if soak else 500
+    guarded, unguarded = _guard_cost(rules)
+    print(
+        f"guard cost (ungated): acl {rules} rules, zipf 8,192 flows, warm "
+        f"{guarded:,.0f} ns/pkt guarded vs {unguarded:,.0f} unguarded "
+        f"({guarded / unguarded:.2f}x)"
     )
     return metrics
 

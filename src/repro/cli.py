@@ -1294,8 +1294,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_health.add_argument(
         "--shadow-sample", type=float, default=0.01,
-        help="fraction of answers cross-checked against the linear-scan "
-             "reference (0 disables shadow verification, 1 checks every answer)",
+        help="fraction of answers cross-checked against the guard's reference "
+             "rung, the paper's basic Palmtrie (0 disables shadow verification, "
+             "1 checks every answer)",
     )
     p_health.add_argument(
         "--checkpoint", metavar="PATH",

@@ -12,7 +12,11 @@ nodes carry the distinguishing bit index.  Reaching a leaf and
 comparing the full stored key against the query plays the role of
 Algorithm 1's ``bit <= N.bit`` termination test (paper lines 4-9); the
 center/left/right recursion and the final ``max(lr, c)`` priority
-encoding follow the algorithm directly.
+encoding follow the algorithm directly.  The lookup walks that
+recursion with an explicit stack (the exact matching branch is popped
+before the don't care branch, so priority ties resolve as ``max(lr, c)``
+does), which keeps a 512-bit IPv6 key's chain clear of Python's
+recursion limit.
 
 Lookup cost is O(n^log3(2)) on dense tries (paper Table 3).
 """
@@ -40,10 +44,13 @@ def _digit(key: TernaryKey, pos: int) -> int:
 class _Leaf:
     """Stores every entry sharing one ternary key, best priority first."""
 
-    __slots__ = ("key", "entries")
+    __slots__ = ("key", "care_mask", "data", "entries")
 
     def __init__(self, entry: TernaryEntry) -> None:
-        self.key = entry.key
+        key = self.key = entry.key
+        #: ``query & care_mask == data`` is ``key.matches(query)``
+        self.care_mask = ~key.mask & ((1 << key.length) - 1)
+        self.data = key.data
         self.entries: list[TernaryEntry] = [entry]
 
     def add(self, entry: TernaryEntry) -> None:
@@ -166,21 +173,33 @@ class BasicPalmtrie(TernaryMatcher):
     # ------------------------------------------------------------------
 
     def lookup(self, query: int) -> Optional[TernaryEntry]:
-        return self._lookup(self._root, query)
-
-    def _lookup(self, node: Optional[_Node], query: int) -> Optional[TernaryEntry]:
-        if node is None:
+        # Algorithm 1's recursion on an explicit stack.  The exact
+        # matching child is pushed last, so its whole subtree is walked
+        # before the don't care branch; keeping the first candidate of
+        # the best priority then resolves ties as ``max(lr, c)`` does.
+        root = self._root
+        if root is None:
             return None
-        if isinstance(node, _Leaf):
-            return node.best if node.key.matches(query) else None
-        # Don't care branch first, then the exact matching branch.
-        c = self._lookup(node.children[_DC], query)
-        lr = self._lookup(node.children[(query >> node.bit) & 1], query)
-        if lr is None:
-            return c
-        if c is None or lr.priority >= c.priority:
-            return lr
-        return c
+        result: Optional[TernaryEntry] = None
+        stack: list[_Node] = [root]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            node = pop()
+            if type(node) is _Leaf:
+                if query & node.care_mask == node.data:
+                    best = node.entries[0]
+                    if result is None or best.priority > result.priority:
+                        result = best
+                continue
+            children = node.children
+            child = children[_DC]
+            if child is not None:
+                push(child)
+            child = children[(query >> node.bit) & 1]
+            if child is not None:
+                push(child)
+        return result
 
     def lookup_all(self, query: int) -> list[TernaryEntry]:
         """All matching entries, highest priority first."""

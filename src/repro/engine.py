@@ -38,7 +38,7 @@ the serving half of that story:
   a scalar ``insert``/``delete`` is a one-op transaction;
 * that changed-key set drives every derived layer, because a query's
   verdict can change only if a changed key matches it: a targeted
-  cache sweep, an in-place update of the guard's linear-scan
+  cache sweep, an in-place insert/delete on the guard's basic-Palmtrie
   reference, and a frozen-plane *overlay* — the plane keeps serving,
   and the misses a changed key matches resolve through the retained
   Palmtrie_k until the overlay has cost as much as one refreeze (ski
@@ -67,9 +67,11 @@ The *resilience plane* (``resilience=True`` or a configured
 :class:`~repro.resilience.guard.GuardRail`) turns faults into degraded
 service instead of tracebacks: a fault in the frozen plane degrades to
 the interpreted Palmtrie_k (with a circuit breaker pacing re-freeze
-attempts), a fault there degrades to a linear-scan reference
-rebuilt from the policy's entries, and an optional sampled shadow-verify
-cross-checks answers against that reference, quarantining on mismatch.
+attempts), a fault there degrades to a reference rung — the paper's
+basic Palmtrie (Algorithm 1, :class:`~repro.core.basic.BasicPalmtrie`),
+a code path separate from Palmtrie_k and the plane — rebuilt from the
+policy's entries, and an optional sampled shadow-verify cross-checks
+answers against that reference, quarantining on mismatch.
 :meth:`checkpoint` / :meth:`from_checkpoint` round-trip the policy and
 its coherence stamps through crash-safe checksummed files
 (``docs/resilience.md``).
@@ -846,12 +848,16 @@ class _EngineInstruments:
         ).set_total(guard.degraded_lookups)
         counter(
             "engine_reference_lookups_total",
-            "Misses resolved by the linear-scan reference tier.",
+            "Misses resolved by the basic-Palmtrie reference rung.",
         ).set_total(guard.reference_lookups)
         counter(
             "engine_reference_rebuilds_total",
-            "Linear-scan reference rebuilds from the matcher's entries.",
+            "Basic-Palmtrie reference rebuilds from the matcher's entries.",
         ).set_total(guard.reference_rebuilds)
+        counter(
+            "engine_reference_rebuild_seconds_total",
+            "Seconds spent rebuilding the basic-Palmtrie reference.",
+        ).set_total(guard.reference_rebuild_seconds)
         counter(
             "engine_shadow_checks_total", "Answers cross-checked against the reference."
         ).set_total(guard.shadow_checks)
@@ -967,7 +973,7 @@ class ClassificationEngine:
             from .resilience.guard import GuardRail
 
             self._guard = resilience if isinstance(resilience, GuardRail) else GuardRail()
-        #: lazily built linear-scan reference (the degradation floor)
+        #: lazily built basic-Palmtrie reference (the degradation floor)
         self._reference: Optional[Any] = None
         self._reference_stamp: Optional[tuple] = None
         self.checkpoint_restores = 0
@@ -1134,23 +1140,27 @@ class ClassificationEngine:
         return health
 
     def _reference_matcher(self) -> Any:
-        """The linear-scan reference tier, rebuilt lazily from the
-        matcher's own entries whenever the (epoch, generation) stamp
-        moves past what engine updates patched in place (a policy
-        swap, a mid-transaction fault or a direct matcher mutation)."""
+        """The reference rung: the paper's basic Palmtrie (Algorithm 1),
+        rebuilt lazily from the matcher's own entries whenever the
+        (epoch, generation) stamp moves past what engine updates patched
+        in place (a policy swap, a mid-transaction fault or a direct
+        matcher mutation)."""
         matcher = self._matcher
         stamp = (self.epoch, matcher.generation)
         if self._reference is not None and self._reference_stamp == stamp:
             return self._reference
-        from .baselines.sorted_list import SortedListMatcher
+        from .core.basic import BasicPalmtrie
 
-        reference = SortedListMatcher(matcher.key_length)
+        started = time.perf_counter()
+        reference = BasicPalmtrie(matcher.key_length)
         for entry in matcher.entries():
             reference.insert(entry)
         self._reference = reference
         self._reference_stamp = stamp
-        if self._guard is not None:
-            self._guard.reference_rebuilds += 1
+        guard = self._guard
+        if guard is not None:
+            guard.reference_rebuilds += 1
+            guard.reference_rebuild_seconds += time.perf_counter() - started
         return reference
 
     # -- the frozen lookup plane ----------------------------------------
@@ -1160,7 +1170,7 @@ class ClassificationEngine:
         plane — or the shard pool, serving that same plane, when there
         is one — and the interpreted Palmtrie_k while there is no plane
         and ``auto_freeze`` is off.  With a guard attached, a
-        quarantined engine resolves against the linear-scan reference,
+        quarantined engine resolves against the basic-Palmtrie reference,
         an open breaker skips re-freeze attempts until its backoff
         elapses, and a failing freeze degrades to the Palmtrie_k
         instead of raising."""
@@ -1286,7 +1296,7 @@ class ClassificationEngine:
         instead of rebuilding, since a query's verdict can change only
         if one of them matches it:
 
-        * the linear-scan reference, when it was current, applies the
+        * the basic-Palmtrie reference, when it was current, applies the
           same ops in place;
         * the frozen plane keeps serving, with the keys added to its
           overlay (misses they match resolve through the retained
@@ -1503,7 +1513,7 @@ class ClassificationEngine:
 
     def _guarded_resolve(self, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Resolve misses down the ladder: frozen plane → interpreted
-        Palmtrie_k → linear-scan reference.  Each rung's fault is recorded
+        Palmtrie_k → basic-Palmtrie reference.  Each rung's fault is recorded
         on the guard and service continues one rung down; only a fault
         on the reference itself propagates."""
         guard = self._guard

@@ -5,8 +5,8 @@ story (the compiled fast path is always backstopped by an exact slower
 one):
 
 * :mod:`~repro.resilience.guard` — :class:`GuardRail` degrades frozen →
-  interpreted → linear-scan reference under faults, with a circuit
-  breaker and sampled shadow verification;
+  interpreted → reference rung (the paper's basic Palmtrie) under
+  faults, with a circuit breaker and sampled shadow verification;
 * :mod:`~repro.resilience.faults` — a seedable :class:`FaultInjector`
   with hook points in the frozen walk, flow cache, deserializer and
   update path (the chaos suite's instrument);

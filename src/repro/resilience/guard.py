@@ -2,9 +2,10 @@
 
 Palmtrie always has a slower-but-sound fallback: the frozen plane is
 compiled from the interpreted matcher, and the interpreted matcher's
-entry list linear-scans into the same answers (the paper's sorted-list
-baseline).  :class:`GuardRail` makes that ladder operational — attached
-to a :class:`~repro.engine.ClassificationEngine` it turns faults into
+entry list builds the paper's basic Palmtrie (Algorithm 1), a separate
+code path that gives the same answers.  :class:`GuardRail` makes that
+ladder operational — attached to a
+:class:`~repro.engine.ClassificationEngine` it turns faults into
 degraded-but-correct service instead of tracebacks:
 
 * a fault in the **frozen plane** drops the plane and re-resolves the
@@ -12,10 +13,12 @@ degraded-but-correct service instead of tracebacks:
   re-freeze attempts after ``failure_threshold`` consecutive plane
   faults and retries with exponential backoff (OPEN → one HALF_OPEN
   probe → CLOSED on success);
-* a fault in the **matcher itself** falls to the linear-scan
-  **reference** (a :class:`~repro.baselines.sorted_list.SortedListMatcher`
-  rebuilt lazily from ``matcher.entries()``) — ground truth by
-  construction;
+* a fault in the **matcher itself** falls to the **reference** (a
+  :class:`~repro.core.basic.BasicPalmtrie` built lazily from
+  ``matcher.entries()`` and patched in place by engine transactions)
+  — it shares no code with Palmtrie_k or the plane, so a bug in
+  either cannot make it agree (the tests, the ledger and the chaos
+  bench keep the sorted list as their own oracle);
 * optional **shadow verification** cross-checks a sampled fraction of
   answers (cache hits included) against the reference; a mismatch means
   the fast path is lying — the engine serves the reference answer,
@@ -180,7 +183,7 @@ class GuardRail:
     the same 0.98x mechanism as the metrics plane).
 
     ``shadow_sample`` is the fraction of answers (hits and misses)
-    cross-checked against the linear-scan reference — 0.0 disables the
+    cross-checked against the basic-Palmtrie reference — 0.0 disables the
     shadow entirely, 1.0 verifies every answer.  The sampled answers are
     an i.i.d. Bernoulli(``shadow_sample``) process over served answers,
     drawn as geometric gaps: one random draw per *check*, not per
@@ -226,9 +229,11 @@ class GuardRail:
         self.shadow_checks = 0
         self.shadow_mismatches = 0
         self.refreeze_faults = 0
-        #: times the linear-scan reference was rebuilt from the
+        #: times the basic-Palmtrie reference was rebuilt from the
         #: matcher's entries (engine updates patch it in place instead)
         self.reference_rebuilds = 0
+        #: cumulative seconds those rebuilds took
+        self.reference_rebuild_seconds = 0.0
         self.last_fault: Optional[str] = None
 
     # -- fault accounting ------------------------------------------------
@@ -318,6 +323,7 @@ class GuardRail:
             "degraded_lookups": self.degraded_lookups,
             "reference_lookups": self.reference_lookups,
             "reference_rebuilds": self.reference_rebuilds,
+            "reference_rebuild_seconds": self.reference_rebuild_seconds,
             "shadow_sample": self.shadow_sample,
             "shadow_checks": self.shadow_checks,
             "shadow_mismatches": self.shadow_mismatches,

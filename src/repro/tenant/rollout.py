@@ -4,8 +4,9 @@ The closed loop ROADMAP item 4 asks for: a staged policy update serves
 a deterministic seeded slice of the tenant's flows from a **canary
 engine** running the new policy while the stable engine keeps the rest,
 two SLO guards watch the canary — its shadow-verify mismatch counter
-(a miscompiled or corrupt new plane disagrees with its own linear-scan
-reference) and its p99/p999 latency ratio against the stable engine —
+(a miscompiled or corrupt new plane disagrees with its own
+basic-Palmtrie reference) and its p99/p999 latency ratio against the
+stable engine —
 and the controller either **promotes** the new policy atomically
 (:meth:`~repro.engine.ClassificationEngine.replace_matcher`) or
 **auto-rolls back** by discarding the canary: the stable engine served

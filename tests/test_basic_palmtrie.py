@@ -1,9 +1,12 @@
 """Unit tests for the basic Palmtrie (repro.core.basic, Algorithm 1)."""
 
+import random
+import sys
+
 import pytest
 
 from helpers import assert_same_result, oracle_lookup, random_entries, table1_entries
-from repro.core.basic import BasicPalmtrie
+from repro.core.basic import _DC, BasicPalmtrie, _Leaf
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
 
@@ -122,3 +125,66 @@ class TestWildcardHeavy:
             incremental.insert(entry)
         for query in range(0, 1 << 12, 17):
             assert_same_result(bulk.lookup(query), incremental.lookup(query))
+
+
+def _recursive_lookup(node, query):
+    """Algorithm 1 as the paper writes it: recurse into the don't care
+    and the exact matching branch, then ``max(lr, c)`` with ties going
+    to the exact branch."""
+    if node is None:
+        return None
+    if isinstance(node, _Leaf):
+        return node.best if node.key.matches(query) else None
+    c = _recursive_lookup(node.children[_DC], query)
+    lr = _recursive_lookup(node.children[(query >> node.bit) & 1], query)
+    if lr is None:
+        return c
+    if c is None or lr.priority >= c.priority:
+        return lr
+    return c
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+class TestIterativeLookup:
+    """``lookup`` walks Algorithm 1 on an explicit stack; it must keep
+    the very entry the recursive walk keeps, priority ties included."""
+
+    @pytest.mark.parametrize("key_length, priorities", [(8, 3), (12, 4), (33, 8), (70, 1000)])
+    def test_same_entry_as_recursive_walk(self, key_length, priorities):
+        entries = random_entries(200, key_length, seed=key_length, priority_range=priorities)
+        trie = BasicPalmtrie.build(entries, key_length)
+        rng = random.Random(key_length)
+        for _ in range(2000):
+            query = rng.getrandbits(key_length)
+            assert trie.lookup(query) is _recursive_lookup(trie._root, query)
+
+    def test_deep_512_bit_chain_under_a_low_recursion_limit(self):
+        # One key per depth: 0^i 1 *^(511-i) splits at bit 511-i, so the
+        # query 1 walks a 511-edge chain of exact branches, the depth an
+        # IPv6 (L = 512) reference can reach.
+        length = 512
+        entries = [TernaryEntry(TernaryKey.wildcard(length), "floor", 0)] + [
+            TernaryEntry(
+                TernaryKey.from_string("0" * i + "1" + "*" * (length - 1 - i)), i, i + 1
+            )
+            for i in range(length)
+        ]
+        trie = BasicPalmtrie.build(entries, length)
+        assert trie.depth() == length - 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            with pytest.raises(RecursionError):
+                _recursive_lookup(trie._root, 1)
+            assert trie.lookup(1).value == length - 1
+            assert trie.lookup(1 << (length - 1)).value == 0
+            assert trie.lookup(0).value == "floor"
+        finally:
+            sys.setrecursionlimit(limit)

@@ -431,6 +431,98 @@ class TestShadowVerify:
         assert not GuardRail.answers_agree(a, None)
 
 
+def _rung_queries(entries, length: int, count: int, seed: int) -> list[int]:
+    """Half rule-targeted queries, half uniform ones."""
+    from repro.workloads.traffic import query_matching_entry
+
+    rng = random.Random(seed)
+    return [
+        query_matching_entry(rng.choice(entries), rng) if i % 2 else rng.getrandbits(length)
+        for i in range(count)
+    ]
+
+
+def _rung_fuzz_ops(live, length: int, rng: random.Random) -> list:
+    """One transaction: inserts near live keys (a don't care bit made
+    exact, a cared bit flipped, or the same key at a new and often tied
+    priority) and deletes of live keys."""
+    top = max((entry.priority for entry in live), default=0)
+    ops = []
+    for _ in range(rng.randint(1, 4)):
+        key = rng.choice(live).key
+        if rng.random() < 0.5:
+            ops.append(("delete", key))
+            continue
+        if rng.random() < 0.7:  # otherwise a second entry under the same key
+            bit = 1 << rng.randrange(length)
+            if key.mask & bit:
+                data = key.data | (bit if rng.random() < 0.5 else 0)
+                key = TernaryKey(data, key.mask & ~bit, length)
+            else:
+                key = TernaryKey(key.data ^ bit, key.mask, length)
+        ops.append(("insert", TernaryEntry(key, "fuzz", rng.randrange(top + 2))))
+    return ops
+
+
+def _check_reference_rung(entries, length: int, stride: int, seed: int) -> None:
+    """The guard's reference rung against the sorted-list oracle, through
+    a seeded insert/delete fuzz, with every served answer shadow-checked."""
+    from repro.core.basic import BasicPalmtrie
+    from repro.core.multibit import MultibitPalmtrie
+
+    guard = GuardRail(shadow_sample=1.0)
+    engine = ClassificationEngine(
+        MultibitPalmtrie.build(entries, length, stride=stride),
+        EngineConfig(cache_size=64, auto_freeze=True, resilience=guard),
+    )
+    oracle = SortedListMatcher.build(entries, length)
+    rng = random.Random(seed)
+    queries = _rung_queries(entries, length, 240, seed)
+    for _ in range(6):
+        reference = engine._reference_matcher()
+        assert type(reference) is BasicPalmtrie
+        for offset in range(0, len(queries), 64):
+            burst = queries[offset : offset + 64]
+            for query, served in zip(burst, engine.lookup_batch(burst)):
+                truth = oracle.lookup(query)
+                assert_same_result(truth, reference.lookup(query))
+                assert_same_result(truth, served)
+        ops = _rung_fuzz_ops(list(oracle), length, rng)
+        engine.apply_updates(ops)
+        for kind, payload in ops:
+            if kind == "insert":
+                oracle.insert(payload)
+            else:
+                oracle.delete(payload)
+        if not len(oracle):
+            break
+    assert engine._reference_matcher() is reference  # patched, never rebuilt
+    report = engine.report()["resilience"]
+    assert report["reference_rebuilds"] == 1
+    assert report["shadow_checks"] >= 5 * len(queries)
+    assert report["shadow_mismatches"] == 0 and not report["faults"]
+
+
+class TestReferenceRung:
+    """The guard's reference rung is the paper's basic Palmtrie
+    (Algorithm 1).  Over the interval-emitter matrix of
+    ``test_frozen.py`` and a seeded update fuzz it must give the
+    sorted-list oracle's verdicts, patched in place by transactions."""
+
+    @pytest.mark.parametrize("stride", [3, 4, 6, 8, 11])
+    @pytest.mark.parametrize("profile", ["acl", "fw", "ipc"])
+    def test_agrees_with_sorted_list_on_classbench(self, profile, stride):
+        from repro.workloads.classbench import classbench_acl
+
+        acl = classbench_acl(profile, 60 if stride == 11 else 150)
+        _check_reference_rung(acl.entries, acl.layout.length, stride, seed=stride)
+
+    @pytest.mark.parametrize("key_length, stride", [(7, 3), (33, 4), (33, 8), (70, 6)])
+    def test_agrees_with_sorted_list_on_equal_priority_tables(self, key_length, stride):
+        entries = random_entries(60, key_length, seed=key_length + stride, priority_range=4)
+        _check_reference_rung(entries, key_length, stride, seed=key_length)
+
+
 class _CountingRandom:
     """Wraps a guard's RNG and counts its draws."""
 
