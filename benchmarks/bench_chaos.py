@@ -94,7 +94,7 @@ def _scenario_frozen_walk(entries, length, queries, truth):
     guard = GuardRail(injector=injector, backoff_seconds=60.0, max_backoff_seconds=600.0)
     engine = ClassificationEngine(
         PalmtriePlus.build(entries, length, stride=8),
-        EngineConfig(cache_size=0, auto_freeze=True, resilience=guard),
+        EngineConfig(cache_size=0, resilience=guard),
     )
     with injected(injector):
         got = _verdicts(engine, queries)
@@ -267,7 +267,7 @@ def _degraded_rate_ratio(entries, length, queries, rounds: int = 5) -> float:
     guard = GuardRail(injector=injector, backoff_seconds=300.0, max_backoff_seconds=600.0)
     degraded = ClassificationEngine(
         PalmtriePlus.build(entries, length, stride=8),
-        EngineConfig(cache_size=0, auto_freeze=True, resilience=guard),
+        EngineConfig(cache_size=0, resilience=guard),
     )
     with injected(injector):
         for _ in range(4):  # burn the fault budget; the breaker opens
@@ -305,7 +305,6 @@ def _guard_cost(rules: int, packets: int = 32_768, rounds: int = 5) -> tuple[flo
             build_matcher(EngineConfig(), acl.entries, length),
             EngineConfig(
                 cache_size=4096,
-                auto_freeze=True,
                 resilience=GuardRail(shadow_sample=0.001) if guarded else None,
             ),
         )

@@ -81,7 +81,7 @@ def _specs(guards: SLOGuards) -> list[TenantSpec]:
             acl=OLD_POLICY,
             guards=guards,
             canary_pct=25.0,
-            engine=EngineConfig(auto_freeze=True),
+            engine=EngineConfig(),
         ),
     ]
 
@@ -126,7 +126,7 @@ def isolation_run(packets: int, roller_shards: int = 0):
             acl=OLD_POLICY,
             guards=guards,
             canary_pct=25.0,
-            engine=EngineConfig(auto_freeze=True, shards=roller_shards),
+            engine=EngineConfig(shards=roller_shards),
         )
     router = TenantRouter(specs, injector=injector, clock=lambda: 0.0)
     try:

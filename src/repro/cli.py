@@ -168,6 +168,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     from .core.frozen import FrozenMatcher
     from .core.serialize import save_frozen
 
+    if _engine_config(stride=args.stride) is None:
+        return 2
     rules = _load_rules(args.acl)
     if rules is None:
         return 2
@@ -406,27 +408,33 @@ def _layout_for(key_length: int):
     return None
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
+def _engine_config(**fields):
+    """The :class:`~repro.config.EngineConfig` a command's flags ask
+    for, or None once its validation error is printed as one line."""
     from .config import EngineConfig
+
+    try:
+        return EngineConfig(**fields)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_replay(args: argparse.Namespace) -> int:
     from .core.table import build_matcher
     from .engine import ClassificationEngine
 
-    if args.cache_size < 0:
-        print("error: --cache-size must be >= 0 (0 disables the cache)", file=sys.stderr)
-        return 2
-    if args.shards < 0:
-        print("error: --shards must be >= 0 (0 serves in-process)", file=sys.stderr)
+    config = _engine_config(
+        stride=args.stride,
+        cache_size=args.cache_size,
+        metrics=bool(args.metrics_out),
+        shards=args.shards,
+    )
+    if config is None:
         return 2
     if args.max_inflight < 1:
         print("error: --max-inflight must be >= 1", file=sys.stderr)
         return 2
-    config = EngineConfig(
-        stride=args.stride,
-        cache_size=args.cache_size,
-        auto_freeze=args.freeze,
-        metrics=bool(args.metrics_out),
-        shards=args.shards,
-    )
     if args.scenario is not None:
         # A named scenario brings its own rules and traffic; the
         # positional acl/input are not needed (and not consulted).
@@ -701,9 +709,8 @@ def _run_replay(args, engine, compiled, layout, key_length) -> int:
             f"{report['freezes']} freezes, "
             f"plane {report['plane_overlay_keys']} keys behind)"
         )
-    if args.freeze:
-        state = "active" if report["frozen_plane_active"] else "unavailable"
-        print(f"  frozen plane   {state} ({report['freezes']} freezes)")
+    state = "active" if report["frozen_plane_active"] else "unavailable"
+    print(f"  frozen plane   {state} ({report['freezes']} freezes)")
     if args.metrics_out:
         from .obs.export import write_snapshot
 
@@ -754,24 +761,17 @@ def _serve_once(text: str, port: int) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from .config import EngineConfig
     from .core.table import build_matcher
     from .engine import ClassificationEngine
     from .obs.export import render_prometheus, snapshot
 
-    if args.cache_size < 0:
-        print("error: --cache-size must be >= 0 (0 disables the cache)", file=sys.stderr)
+    config = _engine_config(stride=args.stride, cache_size=args.cache_size, metrics=True)
+    if config is None:
         return 2
     rules = _load_rules(args.acl)
     if rules is None:
         return 2
     compiled = compile_acl(rules)
-    config = EngineConfig(
-        stride=args.stride,
-        cache_size=args.cache_size,
-        auto_freeze=args.freeze,
-        metrics=True,
-    )
     matcher = build_matcher(config, compiled.entries, compiled.layout.length)
     engine = ClassificationEngine(matcher, config)
     queries = _read_queries(args.input, compiled.layout, compiled.layout.length)
@@ -803,16 +803,12 @@ def _cmd_health(args: argparse.Namespace) -> int:
     Exit code is the health verdict: 0 ok, 1 degraded, 2 quarantined
     (or an invalid checkpoint) — scriptable as a readiness probe.
     """
-    from .config import EngineConfig
     from .core.table import build_matcher
     from .engine import ClassificationEngine
     from .resilience.guard import GuardRail
 
-    if args.cache_size < 0:
-        print("error: --cache-size must be >= 0 (0 disables the cache)", file=sys.stderr)
-        return 2
-    if args.shards < 0:
-        print("error: --shards must be >= 0 (0 serves in-process)", file=sys.stderr)
+    config = _engine_config(stride=args.stride, cache_size=args.cache_size, shards=args.shards)
+    if config is None:
         return 2
     if not 0.0 <= args.shadow_sample <= 1.0:
         print("error: --shadow-sample must be in [0, 1]", file=sys.stderr)
@@ -836,12 +832,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
                 f"(epoch {snapshot.epoch}, generation {snapshot.generation}, "
                 f"{len(snapshot.matcher)} entries)"
             )
-    config = EngineConfig(
-        stride=args.stride,
-        cache_size=args.cache_size,
-        auto_freeze=args.freeze,
-        shards=args.shards,
-    )
     if _is_policy(args.acl):
         matcher = _load_binary_policy(args.acl)
         if matcher is None:
@@ -1175,11 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="flow cache capacity (0 disables the cache)",
     )
     p_replay.add_argument(
-        "--freeze", action="store_true",
-        help="compile the matcher into its frozen struct-of-arrays plane "
-             "before replaying",
-    )
-    p_replay.add_argument(
         "--shards", type=int, default=0,
         help="worker processes of the sharded data plane (0 = in-process): "
              "the policy is published once into shared memory and the "
@@ -1250,10 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="flow cache capacity (0 disables the cache)",
     )
     p_metrics.add_argument(
-        "--freeze", action="store_true",
-        help="serve from the frozen struct-of-arrays plane",
-    )
-    p_metrics.add_argument(
         "--format", choices=("prometheus", "json"), default="prometheus",
         help="text exposition format 0.0.4, or the JSON snapshot schema",
     )
@@ -1282,10 +1263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_health.add_argument(
         "--cache-size", type=int, default=4096,
         help="flow cache capacity (0 disables the cache)",
-    )
-    p_health.add_argument(
-        "--freeze", action="store_true",
-        help="serve from the frozen struct-of-arrays plane",
     )
     p_health.add_argument(
         "--shards", type=int, default=0,

@@ -37,9 +37,12 @@ class EngineConfig:
     ``shards = 0`` (the default) serves in-process; ``shards = N``
     resolves the engine's cache misses in N worker processes over one
     shared-memory frozen plane (:mod:`repro.shard`).  The engine then
-    serves from the frozen plane whatever ``auto_freeze`` says, attaches
-    a guard rail, and sizes its one flow cache at ``cache_size × shards``
-    rows.
+    attaches a guard rail and sizes its one flow cache at
+    ``cache_size × shards`` rows.
+
+    No knob picks the served form either: every engine serves the
+    frozen plane compiled from its Palmtrie_k, which answers only as
+    the guard's middle rung and behind the plane's update overlay.
 
     No knob picks the frozen plane's node layout: the engine freezes in
     build order.  A hot-layout plane is an offline artifact
@@ -56,9 +59,9 @@ class EngineConfig:
     #: LRU flow-cache capacity in distinct queries (0 disables caching),
     #: per shard when ``shards > 0``
     cache_size: int = 4096
-    #: freeze the Palmtrie_k and serve from the frozen struct-of-arrays
-    #: plane (off: the Palmtrie_k serves interpreted)
-    auto_freeze: bool = False
+    #: always True (the engine always serves the frozen plane); deleted
+    #: once the benchmark ledger stops passing it
+    auto_freeze: bool = True
     #: True / a shared MetricsRegistry to instrument the engine
     metrics: Union[None, bool, Any] = None
     #: True / a configured GuardRail to enable guarded degradation
@@ -79,8 +82,10 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
-        if not 1 <= self.stride <= 30:
-            raise ValueError(f"stride must be in 1..30, got {self.stride}")
+        if not 1 <= self.stride <= 16:
+            raise ValueError(f"stride must be in 1..16, got {self.stride}")
+        if not self.auto_freeze:
+            raise ValueError("auto_freeze=False is gone: the engine always serves the frozen plane")
         if self.shards < 0:
             raise ValueError(f"shards must be >= 0, got {self.shards}")
         if self.shard_timeout <= 0:

@@ -170,8 +170,6 @@ class FrozenMatcher(TernaryMatcher):
     ) -> None:
         """An empty plane; :meth:`build` and :meth:`from_matcher` compile
         filled ones."""
-        if not 1 <= stride <= 30:
-            raise ValueError(f"stride must be in 1..30, got {stride}")
         self._compile(
             MultibitPalmtrie(key_length, stride=stride, subtree_skipping=subtree_skipping),
             layout,

@@ -843,8 +843,8 @@ class _EngineInstruments:
             ).set_total(count)
         counter(
             "engine_degraded_lookups_total",
-            "Misses resolved by the interpreted matcher while the frozen "
-            "plane was wanted but unavailable.",
+            "Misses resolved by the Palmtrie_k rung while the frozen "
+            "plane was unavailable.",
         ).set_total(guard.degraded_lookups)
         counter(
             "engine_reference_lookups_total",
@@ -912,11 +912,12 @@ class ClassificationEngine:
     its Palmtrie_k is rebuilt from its entries on the first update, and
     only then.  Anything else is a :class:`TypeError`.
 
-    With ``auto_freeze=True`` the engine compiles the Palmtrie_k into
-    its frozen struct-of-arrays plane (:func:`repro.core.freeze`) once
-    the build settles — lazily, on the first cache miss — and serves
-    lookups from the plane; with it off, the Palmtrie_k serves
-    interpreted (an installed plane serves until an update drops it).
+    The engine compiles the Palmtrie_k into its frozen
+    struct-of-arrays plane (:func:`repro.core.freeze`) once the build
+    settles — lazily, on the first cache miss — and serves lookups from
+    the plane.  The Palmtrie_k itself answers only the misses the
+    plane's update overlay matches and, under a guard, as the middle
+    rung while a freeze fails or the breaker is open.
     Every freeze lays the plane out in build order; an installed
     hot-layout plane serves as laid out until its first refreeze.
     ``insert``/``delete`` go to the Palmtrie_k; the plane keeps serving
@@ -941,7 +942,6 @@ class ClassificationEngine:
         #: the EngineConfig this engine was constructed from
         self.config = config
         cache_size = config.cache_size
-        auto_freeze = config.auto_freeze
         metrics = config.metrics
         resilience = config.resilience
         self.cache = FlowCache(cache_size * max(1, config.shards))
@@ -954,7 +954,6 @@ class ClassificationEngine:
         self.cache_bypassed = 0
         #: distinct misses the in-process frozen plane walked
         self.plane_walks = 0
-        self.auto_freeze = auto_freeze or config.shards > 0
         self._install(matcher)
         #: matcher generation the cache contents were filled under
         self._seen_generation = self._matcher.generation
@@ -1168,18 +1167,16 @@ class ClassificationEngine:
     def _lookup_target(self) -> Any:
         """The object cache misses are resolved against: the frozen
         plane — or the shard pool, serving that same plane, when there
-        is one — and the interpreted Palmtrie_k while there is no plane
-        and ``auto_freeze`` is off.  With a guard attached, a
-        quarantined engine resolves against the basic-Palmtrie reference,
-        an open breaker skips re-freeze attempts until its backoff
-        elapses, and a failing freeze degrades to the Palmtrie_k
-        instead of raising."""
+        is one.  With a guard attached, a quarantined engine resolves
+        against the basic-Palmtrie reference, and an open breaker (which
+        skips re-freeze attempts until its backoff elapses) or a failing
+        freeze degrades to the Palmtrie_k instead of raising."""
         guard = self._guard
         if guard is not None and guard.quarantined:
             return self._reference_matcher()
         plane = self._plane
         if plane is None:
-            if not self.auto_freeze or (guard is not None and not guard.breaker.allow()):
+            if guard is not None and not guard.breaker.allow():
                 return self._source
             plane = self._freeze()
             if plane is None:
@@ -1193,7 +1190,7 @@ class ClassificationEngine:
     def _freeze(self) -> Optional[FrozenMatcher]:
         """Freeze the Palmtrie_k into the serving plane.  Under a guard
         a failing freeze is recorded and returns None (the caller serves
-        interpreted)."""
+        the Palmtrie_k rung)."""
         from .core.frozen import freeze
 
         start = time.perf_counter()
@@ -1204,7 +1201,7 @@ class ClassificationEngine:
             if guard is None:
                 raise
             # The re-freeze itself failed (e.g. a corrupt source):
-            # count it against the breaker and serve interpreted.
+            # count it against the breaker and serve the Palmtrie_k.
             guard.record_fault(getattr(exc, "site", None) or "refreeze", exc)
             guard.refreeze_faults += 1
             guard.breaker.record_failure()
@@ -1512,8 +1509,8 @@ class ClassificationEngine:
     # -- guarded resolution (the degradation ladder) ---------------------
 
     def _guarded_resolve(self, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
-        """Resolve misses down the ladder: frozen plane → interpreted
-        Palmtrie_k → basic-Palmtrie reference.  Each rung's fault is recorded
+        """Resolve misses down the ladder: frozen plane → Palmtrie_k →
+        basic-Palmtrie reference.  Each rung's fault is recorded
         on the guard and service continues one rung down; only a fault
         on the reference itself propagates."""
         guard = self._guard
@@ -1524,8 +1521,7 @@ class ClassificationEngine:
             guard.serving_fallback = True
             return self._reference_matcher().lookup_batch(unique)
         target = self._lookup_target()
-        plane = self._plane
-        if plane is not None and (target is plane or target is self._pool):
+        if self._plane is not None:  # target is the plane, or the pool serving it
             try:
                 resolved = self._resolve(target, unique)
             except Exception as exc:
@@ -1543,12 +1539,9 @@ class ClassificationEngine:
         except Exception as exc:
             guard.record_fault(getattr(exc, "site", None) or "matcher", exc)
         else:
-            if self.auto_freeze:
-                # The engine wanted the frozen plane but is serving
-                # interpreted — that is the degraded rung.
-                guard.degraded_lookups += n
+            guard.degraded_lookups += n
             guard.last_plane = "matcher"
-            guard.serving_fallback = self.auto_freeze
+            guard.serving_fallback = True
             return resolved
         guard.reference_lookups += n
         guard.last_plane = "reference"
@@ -1751,15 +1744,15 @@ class ClassificationEngine:
     def current_plane(self) -> FrozenMatcher:
         """The frozen plane with every update folded in: what a
         checkpoint writes and what a tenant's memory quota measures.  A
-        pending overlay is compacted first, so that freeze also serves;
-        an engine serving interpreted (``auto_freeze`` off) freezes a
-        plane that does not serve."""
+        pending overlay is compacted first, so that freeze also serves.
+        When a guarded freeze fails, this freezes once more outside the
+        guard, so a persistent fault reaches the caller."""
         self._sync()
         if self._overlay:
             self._drop_plane()
-        if self._plane is None and self.auto_freeze:
-            self._freeze()
         plane = self._plane
+        if plane is None:
+            plane = self._freeze()
         if plane is None:
             from .core.frozen import freeze
 
@@ -1858,8 +1851,7 @@ class ClassificationEngine:
         A transaction leaves its cache sweep to the next lookup and the
         frozen plane serving behind a changed-key overlay; call this to
         settle both now (e.g. before a latency-sensitive burst): syncs
-        the generation stamp and compacts the overlay — a fresh freeze —
-        when ``auto_freeze`` is on.
+        the generation stamp and compacts the overlay — a fresh freeze.
         """
         self._sync()
         if self._overlay:
@@ -1938,7 +1930,6 @@ class ClassificationEngine:
             "cache_bypassed": self.cache_bypassed,
             "batches": self.batches,
             "queries_per_second": self.queries_per_second(),
-            "auto_freeze": self.auto_freeze,
             "frozen_plane_active": self._plane is not None,
             "plane_layout": getattr(self._plane, "layout_applied", None),
             "freezes": self.freezes,

@@ -248,7 +248,7 @@ class TestConfigKnobs:
     def test_engine_report_surfaces_adaptive_state(self):
         entries = _unique_priorities(random_entries(30, KEY_LENGTH, seed=2))
         trace = _trace(entries, 100)
-        config = EngineConfig(auto_freeze=True)
+        config = EngineConfig()
         hot = FrozenMatcher.build(
             entries, KEY_LENGTH, stride=4, layout="hot", layout_trace=trace
         )

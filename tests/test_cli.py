@@ -247,6 +247,35 @@ class TestReplayCommand:
         assert info.value.code == 2
         assert "--matcher" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("replay", ("--stride", "--cache-size", "--shards")),
+            ("metrics", ("--stride", "--cache-size")),
+            ("health", ("--stride", "--cache-size", "--shards")),
+            ("compile", ("--stride",)),
+        ],
+        ids=["replay", "metrics", "health", "compile"],
+    )
+    def test_an_invalid_engine_config_is_one_error_line(
+        self, dataset, tmp_path, command, flags, capsys
+    ):
+        """Every subcommand validates its flags through one EngineConfig
+        and reports a rejected value as one ``error:`` line, exit 2."""
+        acl_path, trace_path = dataset
+        output = tmp_path / "out.plmf"
+        rest = ["-o", str(output)] if command == "compile" else [trace_path]
+        bad = {"--stride": ("0", "17", "31"), "--cache-size": ("-1",), "--shards": ("-1",)}
+        for flag in flags:
+            for value in bad[flag]:
+                assert main([command, acl_path, *rest, flag, value]) == 2
+                captured = capsys.readouterr()
+                lines = captured.err.strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+                assert flag[2:].replace("-", "_") in lines[0]
+                assert captured.out == ""
+        assert not output.exists()
+
     def test_replay_pcap(self, dataset, tmp_path, capsys):
         from repro.packet import PacketHeader, PcapPacket, encode_packet, write_pcap
 
@@ -420,8 +449,7 @@ class TestHealthCommand:
 
     def test_healthy_replay_exits_zero(self, dataset, capsys):
         acl_path, trace_path = dataset
-        assert main(["health", acl_path, trace_path, "--freeze",
-                     "--shadow-sample", "0.5"]) == 0
+        assert main(["health", acl_path, trace_path, "--shadow-sample", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "health         ok" in out
         assert "serving plane  frozen" in out

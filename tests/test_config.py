@@ -44,9 +44,9 @@ class TestEngineConfig:
         config = EngineConfig(cache_size=64)
         with pytest.raises(Exception):  # frozen dataclass
             config.cache_size = 128  # type: ignore[misc]
-        derived = config.replace(auto_freeze=True)
-        assert derived.cache_size == 64 and derived.auto_freeze is True
-        assert config.auto_freeze is False  # original untouched
+        derived = config.replace(shards=2)
+        assert derived.cache_size == 64 and derived.shards == 2
+        assert config.shards == 0  # original untouched
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -63,12 +63,18 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
 
+    def test_stride_is_bounded_where_the_palmtrie_k_is(self):
+        """A stride the Palmtrie_k cannot build fails at the config, not
+        three layers down in the build."""
+        with pytest.raises(ValueError, match="1..16"):
+            EngineConfig(stride=20)
+        assert serve("permit ip any any", EngineConfig(stride=16)).lookup(0) is not None
+
     def test_engine_kwargs_round_trip(self):
-        config = EngineConfig(cache_size=7, auto_freeze=True, metrics=True)
+        config = EngineConfig(cache_size=7, metrics=True)
         engine = ClassificationEngine(PalmtriePlus.build(table1_entries(), 8), config)
         assert engine.config is config
         assert engine.cache.capacity == 7
-        assert engine.auto_freeze is True
         assert engine.metrics is not None
 
     def test_build_matcher_uses_the_config_stride(self):
@@ -108,6 +114,26 @@ class TestFromConfig:
             assert isinstance(engine.pool, ShardedEngine)
             assert engine.pool.shards_alive == 1
             assert engine.cache.capacity == 16
+
+
+class TestOneServingPath:
+    """Every engine serves the frozen plane; there is no knob for the
+    interpreted Palmtrie_k."""
+
+    def test_a_default_engine_serves_its_frozen_plane(self):
+        engine = serve(ACL)
+        report = engine.report()
+        assert report["freezes"] == 0 and not report["frozen_plane_active"]
+        assert engine.lookup(0) is not None  # the first miss freezes
+        report = engine.report()
+        assert report["freezes"] == 1 and report["frozen_plane_active"]
+        assert "auto_freeze" not in report
+
+    def test_auto_freeze_false_is_rejected(self):
+        with pytest.raises(ValueError, match="auto_freeze"):
+            EngineConfig(auto_freeze=False)
+        with pytest.raises(ValueError, match="auto_freeze"):
+            DEFAULT_CONFIG.replace(auto_freeze=False)
 
 
 class TestServeFacade:

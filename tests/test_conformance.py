@@ -119,7 +119,6 @@ class _Shape:
     def __init__(self, kind: str) -> None:
         config = EngineConfig(
             cache_size=128,
-            auto_freeze=True,
             resilience=True,
             shards=2 if kind in ("sharded", "tenant") else 0,
         )
@@ -220,9 +219,7 @@ class EngineMachine(RuleBasedStateMachine):
 
     @initialize(shards=st.sampled_from([0, 2]))
     def start(self, shards: int) -> None:
-        config = EngineConfig(
-            cache_size=64, auto_freeze=True, resilience=True, shards=shards
-        )
+        config = EngineConfig(cache_size=64, resilience=True, shards=shards)
         self.engine = ClassificationEngine(
             build_matcher(config, COMPILED.entries, KEY_LENGTH), config
         )

@@ -133,20 +133,20 @@ def test_incremental_inserts_track_oracle():
 # takes the same ops beside the engine and must agree with it — for the
 # read-only frozen plane, the Palmtrie_k its updates go to; the engine
 # takes the kind itself when it is a served form, a Palmtrie+
-# otherwise.  The flow cache runs on, off, and under auto-freeze — the
-# combinations where a stale cache row or a stale frozen plane would
+# otherwise.  The engine serves its frozen plane with the flow cache on
+# and off — where a stale cache row or a stale frozen plane would
 # surface as a wrong verdict rather than a crash.
 # ---------------------------------------------------------------------------
 
 CHURN_KINDS = sorted(set(KINDS) - BUILD_ONLY)
 
 
-def _fuzz_churn(kind, seed, *, auto_freeze=False, cache_size=256, steps=90):
+def _fuzz_churn(kind, seed, *, cache_size=256, steps=90):
     rng = random.Random(seed)
     live = random_entries(40, KEY_LENGTH, seed=seed)
     pool = random_entries(140, KEY_LENGTH, seed=seed + 1)
     reference = updatable_kind(kind, live, KEY_LENGTH)
-    engine = ClassificationEngine(served_matcher(kind, live, KEY_LENGTH), EngineConfig(cache_size=cache_size, auto_freeze=auto_freeze))
+    engine = ClassificationEngine(served_matcher(kind, live, KEY_LENGTH), EngineConfig(cache_size=cache_size))
 
     def check(count):
         for _ in range(count):
@@ -206,15 +206,11 @@ def _fuzz_churn(kind, seed, *, auto_freeze=False, cache_size=256, steps=90):
     check(25)
 
 
-@pytest.mark.parametrize(
-    "auto_freeze,cache_size",
-    [(False, 256), (True, 256), (False, 0)],
-    ids=["cached", "auto-freeze", "uncached"],
-)
+@pytest.mark.parametrize("cache_size", [256, 0], ids=["cached", "uncached"])
 @pytest.mark.parametrize("kind", CHURN_KINDS)
-def test_churn_fuzz_tracks_oracle(kind, auto_freeze, cache_size):
+def test_churn_fuzz_tracks_oracle(kind, cache_size):
     seed = 11 + CHURN_KINDS.index(kind)
-    _fuzz_churn(kind, seed, auto_freeze=auto_freeze, cache_size=cache_size)
+    _fuzz_churn(kind, seed, cache_size=cache_size)
 
 
 def test_interleaved_deletes_track_oracle():

@@ -343,16 +343,32 @@ def _bursts_with_duplicates(rng, pool, count):
     return bursts
 
 
+def _open_breaker_guard(**kwargs):
+    """A guard whose breaker stays open for the whole test: its engine
+    resolves every miss on the Palmtrie_k rung, never freezing a plane,
+    so no region tier stands behind the exact cache and its gate stays
+    open."""
+    guard = GuardRail(
+        failure_threshold=1, backoff_seconds=1e9, max_backoff_seconds=1e9, **kwargs
+    )
+    guard.breaker.record_failure()
+    return guard
+
+
 class TestBatchProbeFill:
     """``FlowCache.probe``/``fill`` against the per-packet get/put loop:
     same verdicts, rows, LRU order, hits, misses and evictions after
-    every burst."""
+    every burst.  The engine serves the Palmtrie_k rung so that the
+    exact cache probes and fills every burst (behind the frozen plane
+    its gate may close on this uniform traffic)."""
 
     @pytest.mark.parametrize("capacity", [0, 1, 7, 4096])
     def test_engine_lookup_batch_equals_per_packet_loop(self, capacity):
         rng = random.Random(capacity)
         matcher = PalmtriePlus.build(random_entries(60, KEY_LENGTH, seed=12), KEY_LENGTH)
-        engine = ClassificationEngine(matcher, EngineConfig(cache_size=capacity))
+        engine = ClassificationEngine(
+            matcher, EngineConfig(cache_size=capacity, resilience=_open_breaker_guard())
+        )
         oracle = FlowCache(capacity)
         hits = misses = evictions = 0
         pool = rng.sample(range(1 << KEY_LENGTH), 400)
@@ -503,16 +519,14 @@ class TestUpdatePlane:
         assert engine.update_batches == 1 and engine.updates_applied == 0
         assert engine.matcher.generation == generation  # nothing to sweep
 
-    @pytest.mark.parametrize("auto_freeze", [False, True])
-    def test_direct_matcher_mutation_never_serves_stale(self, auto_freeze):
+    def test_direct_matcher_mutation_never_serves_stale(self):
         """The silent-stale hazard: callers mutating ``engine.matcher``
         directly must still get fresh verdicts (generation check)."""
         entries = random_entries(30, KEY_LENGTH, seed=28)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=64, auto_freeze=auto_freeze))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=64))
         queries = _queries(50, seed=29)
-        engine.lookup_batch(queries)  # warm cache (and freeze the plane)
-        if auto_freeze:
-            assert engine.report()["frozen_plane_active"]
+        engine.lookup_batch(queries)  # warm cache and freeze the plane
+        assert engine.report()["frozen_plane_active"]
         override = TernaryEntry(TernaryKey.wildcard(KEY_LENGTH), 12345, 10**6)
         engine.matcher.insert(override)  # behind the engine's back
         for query in queries:
@@ -580,7 +594,7 @@ class TestUpdatePlane:
 
     def test_refresh_pays_deferred_work_eagerly(self):
         entries = random_entries(20, KEY_LENGTH, seed=37)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(auto_freeze=True))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig())
         engine.lookup(0)  # freeze the plane
         engine.apply_updates([TernaryEntry(TernaryKey.exact(9, KEY_LENGTH), 1, 1)])
         # The update keeps the plane, serving behind a one-key overlay.
@@ -658,7 +672,7 @@ def _overlay_engine(config: EngineConfig, matcher_cls=PalmtriePlus):
 class TestChangedKeyOverlay:
     def test_update_keeps_the_plane_behind_an_overlay(self):
         engine, entries, queries = _overlay_engine(
-            EngineConfig(cache_size=0, auto_freeze=True)
+            EngineConfig(cache_size=0)
         )
         plane = engine._plane
         new = [_prefix_entry("101", "new", 10**6), _prefix_entry("0110", "new2", 10**6 + 1)]
@@ -678,7 +692,7 @@ class TestChangedKeyOverlay:
         assert engine._plane is plane or engine.freezes == 2  # at most a compaction
 
     def test_refresh_compacts_into_a_fresh_freeze(self):
-        engine, _, queries = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine, _, queries = _overlay_engine(EngineConfig(cache_size=0))
         engine.apply_updates([_prefix_entry("11", "x", 10**6)])
         engine.refresh()
         assert engine.freezes == 2 and engine.plane_overlay_keys == 0
@@ -688,7 +702,7 @@ class TestChangedKeyOverlay:
     def test_overlay_cost_reaching_a_freeze_compacts(self):
         """Ski rental: once the overlay has cost one refreeze, the plane
         is dropped and the next miss refreezes."""
-        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=0))
         engine.apply_updates([_prefix_entry("1", "x", 10**6)])
         assert engine.plane_overlay_keys == 1
         engine._plane.last_freeze_seconds = 0.0  # any overlay cost now pays a freeze
@@ -698,10 +712,10 @@ class TestChangedKeyOverlay:
         assert engine.freezes == 2 and engine.plane_overlay_keys == 0
 
     def test_wildcard_or_too_many_masks_drop_the_plane(self):
-        engine, _, _ = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine, _, _ = _overlay_engine(EngineConfig(cache_size=0))
         engine.apply_updates([TernaryEntry(TernaryKey.wildcard(KEY_LENGTH), "all", -1)])
         assert not engine.report()["frozen_plane_active"]
-        engine, _, _ = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine, _, _ = _overlay_engine(EngineConfig(cache_size=0))
         # One distinct care mask per prefix length: nine masks.
         engine.apply_updates(
             [_prefix_entry("1" * n, n, 10**6 + n) for n in range(1, _MAX_KEY_GROUPS + 2)]
@@ -710,7 +724,7 @@ class TestChangedKeyOverlay:
 
     def test_a_frozen_matcher_is_installed_as_the_plane(self):
         engine, _, queries = _overlay_engine(
-            EngineConfig(cache_size=0, auto_freeze=True), FrozenMatcher
+            EngineConfig(cache_size=0), FrozenMatcher
         )
         plane = engine._plane
         assert isinstance(plane, FrozenMatcher) and engine.freezes == 0
@@ -723,7 +737,7 @@ class TestChangedKeyOverlay:
         assert engine.freezes == 0
 
     def test_direct_mutation_drops_the_overlay_plane(self):
-        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=0, auto_freeze=True))
+        engine, entries, queries = _overlay_engine(EngineConfig(cache_size=0))
         engine.apply_updates([_prefix_entry("11", "x", 10**6)])
         engine.matcher.insert(_prefix_entry("0", "direct", 10**6))  # behind the engine
         got = engine.lookup(0)
@@ -777,7 +791,7 @@ def _check_oracle(engine, entries, queries):
 class TestRegionTier:
     def test_queries_sharing_examined_bits_skip_the_walk(self):
         engine, entries, walked, siblings = _region_engine(
-            EngineConfig(cache_size=16, auto_freeze=True, metrics=True)
+            EngineConfig(cache_size=16, metrics=True)
         )
         assert engine.regions.capacity == 4 * 16
         walks = engine.plane_walks
@@ -795,7 +809,7 @@ class TestRegionTier:
 
     def test_cache_size_zero_disables_every_tier(self):
         engine, entries, walked, siblings = _region_engine(
-            EngineConfig(cache_size=0, auto_freeze=True)
+            EngineConfig(cache_size=0)
         )
         _check_oracle(engine, entries, siblings)
         report = engine.report()
@@ -804,7 +818,7 @@ class TestRegionTier:
 
     def test_probes_stay_within_the_cap(self):
         engine, entries, _, siblings = _region_engine(
-            EngineConfig(cache_size=16, auto_freeze=True)
+            EngineConfig(cache_size=16)
         )
         for offset in range(0, len(siblings), 32):
             probes, misses = engine.regions.probes, engine.stats.cache_misses
@@ -816,7 +830,7 @@ class TestRegionTier:
     @pytest.mark.parametrize("matcher_cls", [PalmtriePlus, FrozenMatcher])
     def test_updates_sweep_the_regions_their_keys_intersect(self, matcher_cls):
         engine, entries, walked, siblings = _region_engine(
-            EngineConfig(cache_size=64, auto_freeze=True),
+            EngineConfig(cache_size=64),
             matcher_cls,
         )
         engine.lookup_batch(siblings)
@@ -835,7 +849,7 @@ class TestRegionTier:
 
     def test_regions_walked_behind_an_overlay_avoid_its_keys(self):
         engine, entries, walked, siblings = _region_engine(
-            EngineConfig(cache_size=64, auto_freeze=True)
+            EngineConfig(cache_size=64)
         )
         new = _prefix_entry("1", "new", 10**6)
         engine.apply_updates([("insert", new)])
@@ -851,7 +865,7 @@ class TestRegionTier:
 
     def test_the_tier_resets_with_the_plane_and_the_cache(self):
         engine, entries, _, siblings = _region_engine(
-            EngineConfig(cache_size=64, auto_freeze=True)
+            EngineConfig(cache_size=64)
         )
         engine.lookup_batch(siblings)
         assert engine.regions.rows
@@ -870,7 +884,7 @@ class TestRegionTier:
     def test_a_tier_that_does_not_pay_sleeps_then_relearns(self):
         entries = random_entries(60, KEY_LENGTH, seed=64)
         engine = ClassificationEngine(
-            PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=512, auto_freeze=True)
+            PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=512)
         )
         # Uniform 16-bit traffic: each region is met about once, so the
         # tier walks far more misses than it answers.
@@ -896,7 +910,7 @@ class TestRegionTier:
 
         entries = _two_field_entries(40, seed=66)
         engine = ClassificationEngine(
-            StandIn.build(entries, KEY_LENGTH), EngineConfig(cache_size=16, auto_freeze=True)
+            StandIn.build(entries, KEY_LENGTH), EngineConfig(cache_size=16)
         )
         queries = _queries(400, seed=67)
         _check_oracle(engine, entries, queries)
@@ -931,7 +945,7 @@ class TestRegionTier:
             out += [_sig(e) for e in engine.lookup_batch(trace)]
             return out, engine.report()["region_hits"], engine.report()["plane_walks"]
 
-        config = EngineConfig(cache_size=128, auto_freeze=True)
+        config = EngineConfig(cache_size=128)
         rebuilt = FrozenMatcher.build(entries, KEY_LENGTH, stride=6)
         baseline = served(ClassificationEngine(rebuilt, config))
         assert baseline[1] > 0
@@ -954,7 +968,7 @@ class TestRegionGate:
         return ClassificationEngine(
             PalmtriePlus.build(acl.entries, acl.layout.length),
             EngineConfig(
-                cache_size=4096, auto_freeze=True, resilience=GuardRail(shadow_sample=0.001)
+                cache_size=4096, resilience=GuardRail(shadow_sample=0.001)
             ).replace(**knobs),
         )
 
@@ -1011,8 +1025,14 @@ class TestRegionGate:
         assert engine.plane_walks  # the region tier stood behind it
         assert engine.report()["cache_bypassed"] == 0
 
-    @pytest.mark.parametrize("knobs", [{"auto_freeze": False}, {"shards": 1}])
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"resilience": _open_breaker_guard(shadow_sample=0.001)}, {"shards": 1}],
+    )
     def test_a_miss_that_costs_a_full_walk_never_bypasses(self, knobs):
+        """Misses resolved by the Palmtrie_k rung (the breaker is open)
+        or by a shard pool report no walk masks, so no region tier
+        stands behind the exact cache."""
         from repro.workloads.classbench import classbench_acl
 
         acl = classbench_acl("acl", 500)
@@ -1075,7 +1095,7 @@ class TestRegionGate:
 class TestDeferredSweep:
     def test_deferred_transaction_sweeps_only_matching_rows(self):
         engine, entries, queries = _overlay_engine(
-            EngineConfig(cache_size=512, auto_freeze=True)
+            EngineConfig(cache_size=512)
         )
         key = _prefix_entry("10", "x", 10**6)
         rows = set(engine.cache._map)
@@ -1142,7 +1162,7 @@ class TestDeferredSweep:
 class TestReferenceFollowsUpdates:
     def test_reference_is_patched_in_place(self):
         engine, entries, queries = _overlay_engine(
-            EngineConfig(cache_size=64, auto_freeze=True, resilience=GuardRail(shadow_sample=1.0))
+            EngineConfig(cache_size=64, resilience=GuardRail(shadow_sample=1.0))
         )
         reference = engine._reference
         assert reference is not None
@@ -1189,7 +1209,6 @@ class TestServedUpdateGate:
             build_matcher(EngineConfig(), acl.entries, acl.layout.length),
             EngineConfig(
                 cache_size=4096,
-                auto_freeze=True,
                 resilience=GuardRail(shadow_sample=0.01),
             ),
         )
@@ -1266,7 +1285,7 @@ class TestOneServedForm:
         from repro.obs.export import render_prometheus
 
         entries = random_entries(60, KEY_LENGTH, seed=70)
-        config = EngineConfig(cache_size=64, auto_freeze=True, metrics=True, resilience=True)
+        config = EngineConfig(cache_size=64, metrics=True, resilience=True)
         engine = ClassificationEngine(build_matcher(config, entries, KEY_LENGTH), config)
         queries = _queries(300, seed=71)
         _check_oracle(engine, entries, queries)
@@ -1287,7 +1306,7 @@ class TestOneServedForm:
 
     def test_mark_last_good_serializes_the_served_plane(self, monkeypatch):
         entries = random_entries(60, KEY_LENGTH, seed=72)
-        config = EngineConfig(cache_size=64, auto_freeze=True)
+        config = EngineConfig(cache_size=64)
         engine = ClassificationEngine(build_matcher(config, entries, KEY_LENGTH), config)
         engine.lookup_batch(_queries(200, seed=73))
         plane = engine._plane
@@ -1311,7 +1330,7 @@ class TestOneServedForm:
         entries = random_entries(60, KEY_LENGTH, seed=74)
         injector = FaultInjector(seed=1)
         guard = GuardRail(injector=injector, backoff_seconds=30.0)
-        config = EngineConfig(cache_size=64, auto_freeze=True, resilience=guard)
+        config = EngineConfig(cache_size=64, resilience=guard)
         engine = ClassificationEngine(build_matcher(config, entries, KEY_LENGTH), config)
         queries = _queries(300, seed=75)
         _check_oracle(engine, entries, queries)
@@ -1335,7 +1354,7 @@ class TestOneServedForm:
         entries = random_entries(60, KEY_LENGTH, seed=77)
         plus = PalmtriePlus.build(entries, KEY_LENGTH)
         oracle = SortedListMatcher.build(entries, KEY_LENGTH)
-        engine = ClassificationEngine(plus, EngineConfig(cache_size=64, auto_freeze=True))
+        engine = ClassificationEngine(plus, EngineConfig(cache_size=64))
         rng = random.Random(78)
         queries = _queries(2000, seed=79)
         for tx in range(16):

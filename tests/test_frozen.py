@@ -609,15 +609,15 @@ class TestSerialization:
 
 
 # ----------------------------------------------------------------------
-# Engine integration (auto_freeze)
+# Engine integration (the served plane)
 # ----------------------------------------------------------------------
 
 class TestEngineAutoFreeze:
     def test_plane_appears_and_serves(self):
         entries = random_entries(30, KEY_LENGTH, seed=40)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=16, auto_freeze=True))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=16))
         report = engine.report()
-        assert report["auto_freeze"] and not report["frozen_plane_active"]
+        assert not report["frozen_plane_active"] and report["freezes"] == 0
         for query in _biased_queries(entries, 200, seed=41):
             assert_same_result(oracle_lookup(entries, query), engine.lookup(query))
         report = engine.report()
@@ -625,7 +625,7 @@ class TestEngineAutoFreeze:
 
     def test_updates_drop_and_refreeze_plane(self):
         entries = random_entries(25, KEY_LENGTH, seed=42)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, auto_freeze=True))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0))
         queries = _biased_queries(entries, 100, seed=43)
         engine.lookup_batch(queries)
         key = TernaryKey(0, (1 << KEY_LENGTH) - 1, KEY_LENGTH)
@@ -653,7 +653,7 @@ class TestEngineAutoFreeze:
         hot = FrozenMatcher.build(
             acl.entries, acl.layout.length, layout="hot", layout_trace=queries
         )
-        engine = ClassificationEngine(hot, EngineConfig(cache_size=0, auto_freeze=True))
+        engine = ClassificationEngine(hot, EngineConfig(cache_size=0))
         engine.lookup_batch(queries[:64])
         assert engine._plane is hot and engine.report()["plane_layout"] == "hot"
         engine.apply_updates([("delete", acl.entries[7].key)])

@@ -199,7 +199,7 @@ class TestFaultDifferential:
         injector = FaultInjector(seed=7)
         injector.arm("frozen_walk", rate=0.01)
         guard = GuardRail(injector=injector)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, auto_freeze=True, resilience=guard))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
         with injected(injector):
             _assert_verdicts(engine, queries, truth)
         assert injector.fired["frozen_walk"] > 0
@@ -288,7 +288,7 @@ class TestFaultDifferential:
         guard = GuardRail(
             failure_threshold=3, backoff_seconds=1.0, injector=injector, clock=clock
         )
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, auto_freeze=True, resilience=guard))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, resilience=guard))
         with injected(injector):
             for offset in range(0, 512, 64):
                 engine.lookup_batch(queries[offset : offset + 64])
@@ -318,7 +318,7 @@ class TestGuardOverShards:
         injector = FaultInjector(seed=3, stall_seconds=0.0)
         injector.arm("stall", rate=1.0)
         guard = GuardRail(shadow_sample=1.0, injector=injector)
-        config = EngineConfig(cache_size=256, auto_freeze=True, resilience=guard, shards=shards)
+        config = EngineConfig(cache_size=256, resilience=guard, shards=shards)
         with ClassificationEngine(
             PalmtriePlus.build(entries, KEY_LENGTH, stride=4), config
         ) as engine:
@@ -338,7 +338,7 @@ class TestGuardOverShards:
         injector = FaultInjector(seed=17)
         injector.arm("cache", rate=1.0)
         guard = GuardRail(shadow_sample=1.0, injector=injector)
-        config = EngineConfig(cache_size=256, auto_freeze=True, resilience=guard, shards=shards)
+        config = EngineConfig(cache_size=256, resilience=guard, shards=shards)
         with ClassificationEngine(
             PalmtriePlus.build(entries, KEY_LENGTH, stride=4), config
         ) as engine:
@@ -371,7 +371,7 @@ class TestPoisonedRegion:
         guard = GuardRail(shadow_sample=1.0, injector=injector)
         engine = ClassificationEngine(
             PalmtriePlus.build(entries, KEY_LENGTH),
-            EngineConfig(cache_size=64, auto_freeze=True, resilience=guard),
+            EngineConfig(cache_size=64, resilience=guard),
         )
         engine.lookup_batch(_trace(128, seed=22))
         before = {mask: dict(table) for mask, table in engine.regions._tables.items()}
@@ -473,7 +473,7 @@ def _check_reference_rung(entries, length: int, stride: int, seed: int) -> None:
     guard = GuardRail(shadow_sample=1.0)
     engine = ClassificationEngine(
         MultibitPalmtrie.build(entries, length, stride=stride),
-        EngineConfig(cache_size=64, auto_freeze=True, resilience=guard),
+        EngineConfig(cache_size=64, resilience=guard),
     )
     oracle = SortedListMatcher.build(entries, length)
     rng = random.Random(seed)
@@ -803,7 +803,7 @@ class TestMetricsMirror:
         injector = FaultInjector(seed=7)
         injector.arm("frozen_walk", rate=1.0, count=3)
         guard = GuardRail(injector=injector, backoff_seconds=30.0)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, auto_freeze=True, metrics=True, resilience=guard))
+        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, metrics=True, resilience=guard))
         with injected(injector):
             _assert_verdicts(engine, queries[:1024], truth[:1024])
         text = render_prometheus(engine.metrics)
@@ -843,7 +843,7 @@ def test_degradation_never_changes_answers(seed, fault_seed, rate):
     truth = _reference_verdicts(entries, queries)
     injector = FaultInjector(seed=fault_seed)
     injector.arm("frozen_walk", rate=rate)
-    engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=16, auto_freeze=True, resilience=GuardRail(injector=injector)))
+    engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=16, resilience=GuardRail(injector=injector)))
     with injected(injector):
         for query, expected in zip(queries, truth):
             assert_same_result(expected, engine.lookup(query))
