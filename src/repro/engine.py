@@ -23,7 +23,8 @@ frozen plane compiled from it (§3.6) — into that shape:
 * each of the two tiers runs only where it pays: one rule
   (:class:`_TierGate`) puts a tier that answers too few of the queries
   reaching it to sleep, and the exact cache may sleep only while an
-  awake region tier answers its misses;
+  awake region tier answers its misses — a sleeping exact cache is
+  probed behind that tier, with the misses no region answers;
 * hit/miss/eviction counters fold into the shared
   :class:`~repro.core.table.LookupStats`, and per-batch work counts and
   throughput are kept for the benchmark harness and the CLI.
@@ -154,7 +155,10 @@ _REGION_PAYOFF = 2
 #: cost 500-600 ns per packet, while the distinct queries it answers
 #: (9% of packets: zipf flows the region tier mostly walks) cost
 #: 2.6-2.8 us each to resolve behind it: break-even at 20-23% hits.  A
-#: closed gate sleeps for ``4 × cache_size`` packets, then relearns.
+#: closed gate sleeps for ``4 × cache_size`` packets, then relearns;
+#: while it sleeps the exact probe runs behind the region tier, on the
+#: few misses no region answers, so the hot flows a scan carries stay
+#: cached instead of being walked every time they recur.
 _EXACT_WINDOW = 1024
 _EXACT_PAYOFF = 4
 
@@ -344,6 +348,24 @@ class FlowCache:
                 out[index] = cached
                 hits += 1
         return hits, misses
+
+    def answer(self, queries: Sequence[int], answers: dict) -> list[int]:
+        """The probe behind the region tier: write each of the distinct
+        ``queries`` the cache holds into ``answers`` (refreshed, as by
+        :meth:`get`) and return the rest, in order."""
+        cache = self._map
+        get = cache.get
+        touch = cache.move_to_end
+        missing = _MISSING
+        rest = []
+        for query in queries:
+            cached = get(query, missing)
+            if cached is missing:
+                rest.append(query)
+            else:
+                touch(query)
+                answers[query] = cached
+        return rest
 
     def fill(
         self, queries: Sequence[int], results: Sequence[Optional[TernaryEntry]]
@@ -736,8 +758,9 @@ class _EngineInstruments:
         ).set_total(stats.cache_evictions)
         counter(
             "engine_cache_bypassed_total",
-            "Queries that skipped the exact flow cache while its gate was "
-            "closed (also counted as misses in engine_lookups_total).",
+            "Queries whose exact flow-cache probe moved behind the region "
+            "tier while the cache's gate was closed (also counted as hits "
+            "or misses in engine_lookups_total).",
         ).set_total(engine.cache_bypassed)
         counter(
             "engine_batches_total", "lookup_batch calls served."
@@ -947,10 +970,13 @@ class ClassificationEngine:
         self.cache = FlowCache(cache_size * max(1, config.shards))
         #: decision-region tier behind the cache (in-process planes only)
         self.regions = RegionCache(4 * self.cache.capacity)
-        #: whether ``lookup_batch`` probes and fills the exact cache; it
-        #: may close only while the region tier stands behind the cache
+        #: whether ``lookup_batch`` probes the exact cache ahead of the
+        #: region tier; it may close only while the region tier stands
+        #: behind the cache, and while it is closed the cache is probed
+        #: behind that tier instead
         self._exact_gate = _TierGate(_EXACT_WINDOW, _EXACT_PAYOFF, 4 * self.cache.capacity)
-        #: queries that skipped the exact cache while its gate was closed
+        #: packets whose exact probe moved behind the region tier (the
+        #: exact gate was closed)
         self.cache_bypassed = 0
         #: distinct misses the in-process frozen plane walked
         self.plane_walks = 0
@@ -1361,9 +1387,13 @@ class ClassificationEngine:
         the rest.  Results come back in query order.
 
         While the exact cache's gate is closed (see ``_EXACT_PAYOFF``)
-        a burst skips its probe and fill: its distinct queries all go
-        to the miss path, and its packets count as misses and as
-        ``cache_bypassed``."""
+        its probe moves behind the region tier: a burst's distinct
+        queries go to the miss path, where the cache is probed only
+        with those no region answered and filled only with the verdicts
+        the walk and the overlay's Palmtrie_k lookups produce (see
+        :meth:`_resolve`).  The burst's packets count as
+        ``cache_bypassed``; those the cache answered count as hits and
+        the rest as misses."""
         start = time.perf_counter()
         self._sync()
         stats = self.stats
@@ -1382,7 +1412,8 @@ class ClassificationEngine:
         stats.lookups += n
         # The exact cache's gate may close only while an awake region
         # tier answers its misses in process: anywhere else a miss
-        # costs a full walk, and the cache always pays.
+        # costs a full walk, and the cache always pays.  A closed gate
+        # moves the exact probe behind the region tier.
         regions = self.regions
         behind = (
             not regions.gate.asleep
@@ -1410,13 +1441,19 @@ class ClassificationEngine:
                     for index in positions:
                         results[index] = result
         else:
-            hits = 0
-            stats.cache_misses += n
             self.cache_bypassed += n
             unique = list(dict.fromkeys(queries))
-            distinct = len(unique)
-            answers = dict(zip(unique, self._resolve_misses(unique))) if distinct else {}
-            results = [answers[query] for query in queries]
+            held: list[int] = []
+            results = self._resolve_misses(unique, held) if unique else []
+            if len(unique) == n:
+                hits = len(held)
+            else:
+                answers = dict(zip(unique, results))
+                results = [answers[query] for query in queries]
+                hits = sum(map(queries.count, held))
+            stats.cache_hits += hits
+            stats.cache_misses += n - hits
+            distinct = len(unique) - len(held)
         if guard is not None and guard.shadow_sample > 0.0:
             self._shadow_pass(queries, results)
         seconds = time.perf_counter() - start
@@ -1440,13 +1477,19 @@ class ClassificationEngine:
 
     # -- miss resolution --------------------------------------------------
 
-    def _resolve_misses(self, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
-        """The verdicts of a burst's distinct exact-cache misses."""
+    def _resolve_misses(
+        self, unique: Sequence[int], held: Optional[list[int]] = None
+    ) -> list[Optional[TernaryEntry]]:
+        """The verdicts of a burst's distinct exact-cache misses, or,
+        with ``held``, of a closed-gate burst's distinct queries (see
+        :meth:`_resolve`)."""
         if self._guard is None:
-            return self._resolve(self._lookup_target(), unique)
-        return self._guarded_resolve(unique)
+            return self._resolve(self._lookup_target(), unique, held)
+        return self._guarded_resolve(unique, held)
 
-    def _resolve(self, target: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
+    def _resolve(
+        self, target: Any, unique: Sequence[int], held: Optional[list[int]] = None
+    ) -> list[Optional[TernaryEntry]]:
         """Resolve distinct misses against ``target`` — the one miss
         path of the scalar lookup, the batch lookup and the guard's
         frozen rung.
@@ -1459,7 +1502,15 @@ class ClassificationEngine:
         was compiled from (so they come back as the same entry objects)
         and are not kept as regions; every other verdict is the same
         under the old and the new rules, and ``target`` — the plane, or
-        the shard pool serving it — answers it."""
+        the shard pool serving it — answers it.
+
+        With ``held`` (a burst whose exact gate is closed), the exact
+        cache is probed behind the region tier: the misses no region
+        answered look it up before the overlay split, the queries it
+        answers are appended to ``held``, and the walk's and the
+        overlay's verdicts fill it.  What a region answered never fills
+        it: on a scan those are one-off queries that would evict the
+        hot flows."""
         walking = target is self._plane
         regions = self.regions
         if not (
@@ -1473,6 +1524,11 @@ class ClassificationEngine:
             return target.lookup_batch(unique)
         answers: dict[int, Optional[TernaryEntry]] = {}
         rest = unique if regions is None else regions.probe(unique, answers)
+        cached: dict[int, Optional[TernaryEntry]] = {}
+        if held is not None and rest:
+            rest = self.cache.answer(rest, cached)
+            answers.update(cached)
+        behind: list[int] = []
         if overlay:
             clock = time.perf_counter
             start = clock()
@@ -1499,6 +1555,14 @@ class ClassificationEngine:
                 # A batch large enough for the NumPy walk reports no masks.
                 if len(masks) == len(rest):
                     regions.fill(rest, masks, verdicts, overlay)
+        if held is not None:
+            held.extend(cached)
+            if rest:
+                self.stats.cache_evictions += self.cache.fill(rest, verdicts)
+            if behind:
+                self.stats.cache_evictions += self.cache.fill(
+                    behind, [answers[query] for query in behind]
+                )
         if overlay and self._overlay_seconds >= self._plane.last_freeze_seconds:
             self._drop_plane()
         if not answers:
@@ -1508,11 +1572,15 @@ class ClassificationEngine:
 
     # -- guarded resolution (the degradation ladder) ---------------------
 
-    def _guarded_resolve(self, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
+    def _guarded_resolve(
+        self, unique: Sequence[int], held: Optional[list[int]] = None
+    ) -> list[Optional[TernaryEntry]]:
         """Resolve misses down the ladder: frozen plane → Palmtrie_k →
         basic-Palmtrie reference.  Each rung's fault is recorded
         on the guard and service continues one rung down; only a fault
-        on the reference itself propagates."""
+        on the reference itself propagates.  ``held`` reaches the plane
+        rung only (see :meth:`_resolve`): the lower rungs answer every
+        query of ``unique`` and fill no cache row."""
         guard = self._guard
         n = len(unique)
         if guard.quarantined:
@@ -1523,7 +1591,7 @@ class ClassificationEngine:
         target = self._lookup_target()
         if self._plane is not None:  # target is the plane, or the pool serving it
             try:
-                resolved = self._resolve(target, unique)
+                resolved = self._resolve(target, unique, held)
             except Exception as exc:
                 guard.record_fault(getattr(exc, "site", None) or "frozen_walk", exc)
                 guard.breaker.record_failure()
@@ -1724,7 +1792,13 @@ class ClassificationEngine:
         can never serve the old plane or cache.)  A guard's quarantine
         and breaker describe the *old* policy, so they reset.  A frozen
         plane is installed as the plane (see the class docstring).
+
+        When the old policy had a live basic-Palmtrie reference, the new
+        one is built here, from the new matcher's entries (an installed
+        plane's Palmtrie_k stays unbuilt), so the first burst after the
+        swap does not pay that rebuild.
         """
+        live = self._reference is not None
         self._install(matcher)
         self.epoch += 1
         self._reference = None
@@ -1738,6 +1812,8 @@ class ClassificationEngine:
         guard = self._guard
         if guard is not None:
             guard.reset()
+        if live:
+            self._reference_matcher()
 
     # -- crash-safe checkpoints ------------------------------------------
 

@@ -229,6 +229,22 @@ class Histogram(Metric):
         self._sum += value * count
         self._count += count
 
+    def observe_many(self, values: Sequence[float], counts: Sequence[int]) -> None:
+        """Record ``counts[i]`` observations of ``values[i]`` for every
+        ``i``: the bulk form of :meth:`observe`, for an owner that holds
+        its observations and folds them in one loop."""
+        buckets = self.bucket_counts
+        bounds = self.bounds
+        total = 0
+        weighted = 0.0
+        for value, count in zip(values, counts):
+            if count > 0:
+                buckets[bisect_left(bounds, value)] += count
+                total += count
+                weighted += value * count
+        self._sum += weighted
+        self._count += total
+
     def cumulative(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, +Inf last —
         exactly the shape Prometheus ``_bucket{le=...}`` series take."""

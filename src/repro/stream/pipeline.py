@@ -54,14 +54,19 @@ Latency telemetry rides the hot path the way data-plane monitors
 * the **pipeline-wide** latency histogram — the one p50/p999 and the
   CI gate read — is *exact* over every served packet, at amortised
   cost: packets of one arrival burst share one latency value, so each
-  micro-batch contributes one ``observe(latency, n)`` per run of
-  equal-arrival segments, not one per packet;
+  micro-batch contributes one ``(latency, n)`` observation per burst
+  segment, not one per packet;
 * the **per-flow bank** (``flow_buckets`` log-bucketed histograms
   indexed by :func:`repro.shard.flow_shard`) *samples* every
   ``flow_sample``-th served packet on a deterministic stride — the
   flow-hash fold per packet is what blows the budget, so attribution
   pays it only on samples (with a per-query memo for the flows that
-  repeat).
+  repeat);
+* a served micro-batch is only *held* (one list append); the
+  histograms observe the held batches in one loop every
+  ``_FOLD_BATCHES`` batches, at the end of a run and before anything
+  reads them, so the per-batch work runs warm instead of between two
+  engine calls.
 
 Together they hold the observability plane's <2 % hot-path budget
 (``stream_hist_overhead_ratio`` in CI) while keeping the gated
@@ -95,6 +100,10 @@ class _Dropped:
     def __repr__(self) -> str:
         return "DROPPED"
 
+
+#: served micro-batches held before the histograms observe them in one
+#: loop (see StreamPipeline._fold)
+_FOLD_BATCHES = 256
 
 #: verdict recorded for a packet the ``drop`` policy discarded; shed
 #: packets record ``None`` (the fail-closed implicit deny they were
@@ -274,6 +283,9 @@ class StreamPipeline:
                     )
                     for bucket in range(flow_buckets)
                 ]
+        #: served batches whose latencies _fold has yet to observe, as
+        #: (completion time, runs, queries)
+        self._held: list[tuple[float, list, list]] = []
         if registry is not None:
             registry.add_collector(self._sync_metrics(registry))
         # engine.report() folds this in as its "stream" section
@@ -303,6 +315,7 @@ class StreamPipeline:
         (same pull-over-push contract as the engine instruments)."""
 
         def sync() -> None:
+            self._fold()
             counter = registry.counter
             counter(
                 "stream_packets_total", "Packets offered to the pipeline, by fate.",
@@ -380,31 +393,38 @@ class StreamPipeline:
             for _arrival, first, count in runs:
                 verdicts[first : first + count] = results[pos : pos + count]
                 pos += count
-        lat_hist = self._latency_hist
-        if lat_hist is not None:
-            hists = self._flow_hists
-            shard = self._flow_shard
-            shard_cache = self._shard_cache
-            buckets = self.flow_buckets
-            stride = self.flow_sample
-            tick = self._sample_tick
-            # The exact pipeline-wide histogram costs one observe per
-            # run of equal-arrival segments; per-flow attribution pays
-            # the flow-hash fold only on every `stride`-th served packet
-            # (served-packet numbers that are multiples of `stride`, so
-            # the samples do not depend on how batches split).
+        if self._latency_hist is not None:
+            held = self._held
+            held.append((done, runs, queries))
+            if len(held) >= _FOLD_BATCHES:
+                self._fold()
+        return n
+
+    def _fold(self) -> None:
+        """Observe the batches :meth:`_serve_batch` holds: one
+        observation per segment in the pipeline-wide histogram, and
+        one per sampled packet in the per-flow bank.  Sampled packets
+        are every ``flow_sample``-th served packet (served-packet
+        numbers that are multiples of it), so the samples do not depend
+        on how batches split."""
+        held = self._held
+        if not held:
+            return
+        shard = self._flow_shard
+        shard_cache = self._shard_cache
+        buckets = self.flow_buckets
+        stride = self.flow_sample
+        tick = self._sample_tick
+        latencies: list[float] = []
+        counts: list[int] = []
+        sampled: list[list[float]] = [[] for _ in range(buckets)]
+        for done, runs, queries in held:
             pos = 0
-            index = 0
-            while index < len(runs):
-                arrival, _first, count = runs[index]
-                index += 1
-                while index < len(runs) and runs[index][0] == arrival:
-                    count += runs[index][2]
-                    index += 1
+            for arrival, _first, count in runs:
                 latency = done - arrival
-                lat_hist.observe(latency, count)
+                latencies.append(latency)
+                counts.append(count)
                 offset = (-tick) % stride
-                tick += count
                 if offset < count:
                     for query in queries[pos + offset : pos + count : stride]:
                         bucket = shard_cache.get(query)
@@ -415,10 +435,15 @@ class StreamPipeline:
                                 # attack.
                                 shard_cache.clear()
                             bucket = shard_cache[query] = shard(query, buckets)
-                        hists[bucket].observe(latency)
+                        sampled[bucket].append(latency)
+                tick += count
                 pos += count
-            self._sample_tick = tick
-        return n
+        held.clear()
+        self._sample_tick = tick
+        self._latency_hist.observe_many(latencies, counts)
+        for hist, values in zip(self._flow_hists, sampled):
+            if values:
+                hist.observe_many(values, [1] * len(values))
 
     def run(
         self,
@@ -515,6 +540,7 @@ class StreamPipeline:
         # Flush: the stream ended; whatever queued still gets answered.
         while pending:
             self._serve_batch()
+        self._fold()
         self.elapsed_seconds = time.perf_counter() - start
         report = StreamReport(
             policy=policy,
@@ -541,7 +567,10 @@ class StreamPipeline:
         """p50/p90/p99/p999 over every served packet (the exact
         pipeline-wide histogram); None while histograms are disabled."""
         hist = self._latency_hist
-        return None if hist is None else hist.quantiles()
+        if hist is None:
+            return None
+        self._fold()
+        return hist.quantiles()
 
     def flow_latency_quantiles(self) -> Optional[list[dict[str, float]]]:
         """Per-flow-bucket quantiles (sampled; see the module
@@ -549,11 +578,14 @@ class StreamPipeline:
         hists = self._flow_hists
         if hists is None:
             return None
+        self._fold()
         return [hist.quantiles() for hist in hists]
 
     def _merged_histogram(self) -> Optional[Histogram]:
         """The exact pipeline-wide latency histogram (every served
         packet counted once); None while histograms are disabled."""
+        if self._latency_hist is not None:
+            self._fold()
         return self._latency_hist
 
     # -- observability ----------------------------------------------------

@@ -86,6 +86,18 @@ class TestHistogram:
         assert h.count == 10
         assert h.sum == pytest.approx(15.0)
 
+    def test_observe_many_equals_one_observe_each(self):
+        values = [0.5, 1.0, 1.5, 3.0, 9.0, 2.0]
+        counts = [3, 1, 0, 7, 2, 4]
+        one = Histogram("h", "", buckets=(1.0, 2.0, 4.0))
+        for value, count in zip(values, counts):
+            one.observe(value, count)
+        bulk = Histogram("h", "", buckets=(1.0, 2.0, 4.0))
+        bulk.observe_many(values, counts)
+        assert bulk.bucket_counts == one.bucket_counts == [4, 4, 7, 2]
+        assert bulk.count == one.count == 17
+        assert bulk.sum == pytest.approx(one.sum)
+
     def test_quantiles_against_numpy(self):
         numpy = pytest.importorskip("numpy")
         rng = numpy.random.default_rng(7)

@@ -397,6 +397,70 @@ class TestPoisonedRegion:
         assert engine.regions.rows == 0
 
 
+class TestPoisonedRowBehindTheRegionTier:
+    def test_shadow_pass_catches_a_row_the_closed_gate_serves(self):
+        """A cache fault fired while the exact gate is closed poisons a
+        row that only the exact probe behind the region tier reaches;
+        the full shadow pass catches the lie, and across the paper's
+        section 6 scan no wrong answer is served."""
+        from repro.workloads.classbench import classbench_acl
+        from repro.workloads.traffic import reverse_byte_scan, zipf_trace
+
+        acl = classbench_acl("acl", 500)
+        length = acl.layout.length
+        rng = random.Random(42)
+        scan = iter(reverse_byte_scan(8192, seed=42, start=1 << 20))
+        flows = iter(zipf_trace(acl.entries, 8192, flows=128, s=1.1, seed=42))
+        trace = [next(flows) if rng.random() < 0.1 else next(scan) for _ in range(8192)]
+        oracle = SortedListMatcher.build(acl.entries, length)
+        injector = FaultInjector(seed=5)
+        guard = GuardRail(shadow_sample=1.0, injector=injector)
+        engine = ClassificationEngine(
+            PalmtriePlus.build(acl.entries, length),
+            EngineConfig(cache_size=4096, resilience=guard),
+        )
+        wrong = 0
+
+        def serve(burst):
+            nonlocal wrong
+            for query, got in zip(burst, engine.lookup_batch(burst)):
+                wrong += not guard.answers_agree(got, oracle.lookup(query))
+
+        offset = 0
+        while not engine._exact_gate.asleep:
+            serve(trace[offset : offset + 64])
+            offset += 64
+        # Start cold, so that every row is one the walk filled behind
+        # the region tier; the gate sleeps on.
+        engine.invalidate_all()
+        for _ in range(8):
+            serve(trace[offset : offset + 64])
+            offset += 64
+        assert engine._exact_gate.asleep and len(engine.cache) > 0
+        assert guard.shadow_mismatches == 0
+        injector.arm("cache", rate=1.0, count=32)
+        for _ in range(32):
+            engine.lookup_batch([])  # the burst-start fault site fires
+        assert injector.fired["cache"] == 32
+        # The lies no region covers: only the exact probe reaches them.
+        lies = [
+            query
+            for query, row in engine.cache._map.items()
+            if not guard.answers_agree(row, oracle.lookup(query))
+            and not any(query & mask in table for mask, table in engine.regions._order)
+        ]
+        assert lies
+        hits, bypassed = engine.stats.cache_hits, engine.cache_bypassed
+        serve(lies)
+        assert engine.stats.cache_hits == hits + len(lies)  # served behind the tier
+        assert engine.cache_bypassed == bypassed + len(lies)  # with the gate closed
+        assert guard.shadow_mismatches == len(lies) and guard.quarantined
+        while offset < len(trace):
+            serve(trace[offset : offset + 64])
+            offset += 64
+        assert wrong == 0
+
+
 class TestShadowVerify:
     def test_scalar_hit_path_is_checked_and_repaired(self):
         entries = _entries()
