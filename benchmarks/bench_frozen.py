@@ -2,18 +2,16 @@
 
 Freezing compiles a built Palmtrie into flat parallel integer arrays
 (`repro.core.frozen`): the pointer-chasing node objects become index
-arithmetic over packed dispatch words, and the batched walk vectorizes
-under numpy.  This benchmark quantifies the payoff on the paper's
-Table-4 workload (ClassBench-like rule sets, Pareto-distributed traces)
-and on a Zipf flow-heavy trace:
+arithmetic over packed dispatch words.  This benchmark quantifies the
+payoff on the paper's Table-4 workload (ClassBench-like rule sets,
+Pareto-distributed traces) and on a Zipf flow-heavy trace:
 
 * interpreted ``PalmtriePlus.lookup`` per packet (the baseline),
 * frozen scalar ``lookup`` (same traversal, flat arrays),
-* frozen ``lookup_batch`` over the whole trace (the node-major numpy
-  walk when numpy is importable),
+* frozen ``lookup_batch`` over the whole trace (deduplicated, then the
+  scalar loop once per unique query),
 * frozen ``lookup_batch`` over 64-query bursts, the size a serving
-  engine hands the plane on a cache miss (these stay below the numpy
-  crossover and run the scalar loop once per unique query),
+  engine hands the plane on a cache miss,
 * the freeze compiler: re-freezing a Palmtrie+ one update after its
   last freeze (what every auto-freeze refreeze costs) against
   ``PalmtriePlus.compile`` of the same table,
@@ -47,14 +45,9 @@ from conftest import KEY_LENGTH, run_queries
 from repro.bench.harness import clamp_seconds, safe_rate
 from repro.bench.memory import deep_sizeof
 from repro.core import PalmtriePlus
-from repro.core.frozen import _NUMPY_MIN_BATCH, freeze
+from repro.core.frozen import freeze
 from repro.workloads.classbench import classbench_acl
 from repro.workloads.traffic import pareto_trace, zipf_trace
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy is optional
-    numpy = None
 
 #: queries per burst in the burst row (a typical engine miss batch)
 BURST = 64
@@ -130,10 +123,6 @@ def _measure(entries, queries, stride: int = 8) -> dict:
     frozen_batch = _best(lambda: frozen.lookup_batch(queries))
     bursts = [queries[i : i + BURST] for i in range(0, n, BURST)]
     frozen_burst = _best(lambda: [frozen.lookup_batch(b) for b in bursts])
-    # the per-query scalar walk over the whole deduplicated trace: what
-    # every batch costs without numpy
-    unique = list(dict.fromkeys(queries))
-    scalar_batch = _best(lambda: frozen._scalar_walk(unique))
     victim = entries[len(entries) // 2]
     refreeze = _best_after_update(lambda: freeze(interpreted), interpreted, victim)
     compile_ = _best_after_update(interpreted.compile, interpreted, victim)
@@ -143,11 +132,9 @@ def _measure(entries, queries, stride: int = 8) -> dict:
         "frozen_scalar_qps": safe_rate(n, frozen_scalar),
         "frozen_batch_qps": safe_rate(n, frozen_batch),
         "frozen_burst_qps": safe_rate(n, frozen_burst),
-        "frozen_batch_scalar_qps": safe_rate(len(unique), scalar_batch),
         "scalar_speedup": clamp_seconds(interpreted_scalar) / clamp_seconds(frozen_scalar),
         "batch_speedup": clamp_seconds(interpreted_scalar) / clamp_seconds(frozen_batch),
         "burst_speedup": clamp_seconds(interpreted_scalar) / clamp_seconds(frozen_burst),
-        "batch_uses_numpy": numpy is not None and len(unique) >= _NUMPY_MIN_BATCH,
         "refreeze_ms": 1000 * refreeze,
         "compile_ms": 1000 * compile_,
         "refreeze_vs_compile": clamp_seconds(compile_) / clamp_seconds(refreeze),
@@ -178,7 +165,6 @@ def main(smoke: bool = False) -> dict[str, float]:
         "workload": "table4-classbench + zipf",
         "rules": rules,
         "queries": count,
-        "numpy": numpy is not None,
         "profiles": {},
     }
 

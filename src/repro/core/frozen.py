@@ -42,19 +42,12 @@ order, so the image is the one the per-chunk loop would emit.
 
 ``lookup`` is then an allocation-free iterative loop over integer node
 ids (internals first, leaves above ``first_leaf``).  ``lookup_batch``
-deduplicates the batch and picks its walk by the number of unique
-queries: below ``_NUMPY_MIN_BATCH`` it runs that same scalar loop once
-per query; from there on, and only when NumPy is importable, it walks
-the arrays node-major, vectorized across the batch (the same uint64
-lane splitting as :mod:`repro.baselines.vectorized`).  The frontier
-walk's fixed cost is some 25 NumPy calls per trie level, which
-bursts of a few dozen queries cannot amortize.  Both walks return the
-entry ``lookup`` returns, equal-priority ties included.  The
-arrays are the canonical plane — what :meth:`memory_bytes` measures and
-:mod:`repro.core.serialize` writes; because indexing an :mod:`array`
-boxes a fresh int on every access, each freeze also keeps plain-list
-mirrors of the hot arrays for the scalar interpreter loop (the NumPy
-path reads the buffers zero-copy instead).
+deduplicates the batch and runs that same loop once per unique query,
+at every batch size.  The arrays are the canonical plane — what
+:meth:`memory_bytes` measures and :mod:`repro.core.serialize` writes;
+because indexing an :mod:`array` boxes a fresh int on every access, each
+freeze also keeps plain-list mirrors of the hot arrays for the
+interpreter loop.
 
 A frozen plane is immutable.  Updates go to the Palmtrie_k it was
 compiled from (paper §3.6), and the serving engine refreezes a new
@@ -80,15 +73,7 @@ from .plus import PalmtriePlus
 from .poptrie import Poptrie, _PoptrieNode
 from .table import TernaryEntry, TernaryMatcher
 
-try:  # optional fast path, shared with repro.baselines.vectorized
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
 __all__ = ["FrozenMatcher", "FrozenPoptrie", "freeze"]
-
-_LANE_BITS = 64
-_LANE_MASK = (1 << _LANE_BITS) - 1
 
 #: bits reserved for the successor count in a packed dispatch word;
 #: count <= stride + 1, so any stride up to 30 fits.
@@ -98,18 +83,6 @@ _COUNT_MASK = (1 << _COUNT_BITS) - 1
 #: unique queries of a ``layout_trace`` the hot layout's frequency pass
 #: replays (the rest of the trace only weighs the queries it repeats)
 _LAYOUT_SAMPLE_CAP = 512
-
-#: unique queries per batch from which the numpy frontier walk beats
-#: walking each query with the scalar loop.  Sweep on a 2-core x86
-#: container (Python 3.11, numpy 2.4), 500-rule ClassBench sets, stride
-#: 8, unique pareto queries; numpy ns / scalar ns per query, median of
-#: 21 interleaved rounds:
-#:
-#:   unique    16    64   128   256   384   512   768  1024  2048
-#:   acl     13.1  3.85  2.43  1.59  1.33  1.21  0.88  0.82  0.63
-#:   fw      10.7  3.33  2.05  1.42  1.13  0.89  0.78  0.76  0.65
-#:   ipc     8.83  2.99  1.84  1.46  0.94  0.97  0.84  0.73  0.62
-_NUMPY_MIN_BATCH = 512
 
 #: layout names accepted by ``freeze(..., layout=)`` / the constructors
 _LAYOUTS = ("build", "hot")
@@ -153,7 +126,7 @@ class FrozenMatcher(TernaryMatcher):
     #: for a loaded plane the engine's rebuild of its source (the
     #: engine's overlay pays up to this much before it compacts)
     last_freeze_seconds = 0.0
-    #: (node, query) pairs processed by batch walks after skipping
+    #: (node, query) pairs the batch walk visited after skipping
     batch_walk_node_visits = 0
     #: resilience-plane hook: a :class:`~repro.resilience.faults.FaultInjector`
     #: installed class-wide (so deserialized planes built via ``__new__``
@@ -454,11 +427,9 @@ class FrozenMatcher(TernaryMatcher):
 
         Indexing an ``array`` boxes a fresh int on every access; these
         lists hold the already-boxed values, and one attribute load +
-        unpack per lookup replaces a dozen.  The NumPy batch path reads
-        the array buffers zero-copy instead (see _numpy_views).  Both
-        the freeze compiler and :func:`repro.core.serialize.load_frozen`
-        call this, so a loaded plane carries every mirror a freshly
-        compiled one does.
+        unpack per lookup replaces a dozen.  Both the freeze compiler
+        and :func:`repro.core.serialize.load_frozen` call this, so a
+        loaded plane carries every mirror a freshly compiled one does.
 
         ``_node_bits`` is the other mirror: per internal node, the query
         bits its dispatch reads (its whole chunk), which the masked walk
@@ -484,7 +455,6 @@ class FrozenMatcher(TernaryMatcher):
         self._node_bits = [
             chunk_mask << b if b >= 0 else chunk_mask >> -b for b in bits
         ]
-        self._np_cache: Optional[dict[str, Any]] = None
 
     def _walk_counts(self, trace: Sequence[int]) -> tuple[list[int], list[int]]:
         """Replay ``trace`` (deduplicated, capped, frequency-weighted)
@@ -606,15 +576,14 @@ class FrozenMatcher(TernaryMatcher):
         of each (-1 where nothing matches) and the (node, query) pairs
         visited after skipping.
 
-        Batches below ``_NUMPY_MIN_BATCH`` unique queries run here when
-        the caller wants no masks.  It is :meth:`_scalar_walk_masks`
-        without the mask ORs, which cost 8-26% per query on the
-        ledger's acl/fw queries (docs/algorithms.md, "The cost");
-        ``tests/test_frozen.py`` pins the two loops to the same winners
-        and visit counts.  It is a copy of
-        ``lookup``'s loop rather than its callee: routing ``lookup``
-        through it (a call, a one-tuple, a result list) cost it 10-13%
-        per query on 500-rule acl/fw sets.
+        Batches run here when the caller wants no masks.  It is
+        :meth:`_scalar_walk_masks` without the mask ORs, which cost
+        8-26% per query on the ledger's acl/fw queries
+        (docs/algorithms.md, "The cost"); ``tests/test_frozen.py`` pins
+        the two loops to the same winners and visit counts.  It is a
+        copy of ``lookup``'s loop rather than its callee: routing
+        ``lookup`` through it (a call, a one-tuple, a result list) cost
+        it 10-13% per query on 500-rule acl/fw sets.
         """
         (
             maxp, bits, dispatch, push, data, care, _best_of,
@@ -806,7 +775,7 @@ class FrozenMatcher(TernaryMatcher):
         return result, visits, comparisons
 
     # ------------------------------------------------------------------
-    # Batched lookup: the scalar loop per query, or node-major numpy
+    # Batched lookup: the scalar loop once per unique query
     # ------------------------------------------------------------------
 
     def lookup_batch(
@@ -814,11 +783,10 @@ class FrozenMatcher(TernaryMatcher):
     ) -> list[Optional[TernaryEntry]]:
         """The entry :meth:`lookup` returns for each query.
 
-        With ``masks`` (a list), a batch the scalar loop walks also
-        appends each query's examined-bit mask to it, in query order
-        (see :meth:`_scalar_walk_masks`); a batch the NumPy walk takes,
-        or an empty plane, appends nothing.  Without it the scalar loop
-        skips the mask work (:meth:`_scalar_walk`).
+        With ``masks`` (a list), the walk also appends each query's
+        examined-bit mask to it, in query order (see
+        :meth:`_scalar_walk_masks`); an empty plane appends nothing.
+        Without it the walk skips the mask work (:meth:`_scalar_walk`).
         """
         indices = self.lookup_batch_indices(queries, masks)
         best_of = self._leaf_best
@@ -850,9 +818,7 @@ class FrozenMatcher(TernaryMatcher):
         for index, query in enumerate(queries):
             positions.setdefault(query, []).append(index)
         unique = list(positions)
-        if _np is not None and len(unique) >= _NUMPY_MIN_BATCH:
-            best = self._batch_walk_numpy(unique)
-        elif masks is None:
+        if masks is None:
             best, visits = self._scalar_walk(unique)
             self.batch_walk_node_visits += visits
         else:
@@ -869,162 +835,6 @@ class FrozenMatcher(TernaryMatcher):
             for index in positions[query]:
                 results[index] = best[g]
         return results
-
-    # -- numpy fast path -------------------------------------------------
-
-    def _numpy_views(self) -> dict[str, Any]:
-        """Zero-copy views over the arrays plus leaf-key lane tables."""
-        cache = self._np_cache
-        if cache is None:
-            lanes = (self.key_length + _LANE_BITS - 1) // _LANE_BITS
-            leaves = len(self._leaf_best)
-            data_lanes = _np.zeros((leaves, lanes), dtype=_np.uint64)
-            care_lanes = _np.zeros((leaves, lanes), dtype=_np.uint64)
-            for j in range(leaves):
-                d = self._leaf_data[j]
-                cm = self._leaf_care[j]
-                for lane in range(lanes):
-                    data_lanes[j, lane] = (d >> (_LANE_BITS * lane)) & _LANE_MASK
-                    care_lanes[j, lane] = (cm >> (_LANE_BITS * lane)) & _LANE_MASK
-            packed = _np.frombuffer(self._dispatch, dtype=_np.uint32).astype(_np.int64)
-            cache = {
-                "lanes": lanes,
-                "maxp": _np.frombuffer(self._maxp, dtype=_np.int64),
-                "bit": _np.frombuffer(self._bit, dtype=_np.int32).astype(_np.int64),
-                "succ_base": packed >> _COUNT_BITS,
-                "succ_count": packed & _COUNT_MASK,
-                "push": _np.frombuffer(self._push, dtype=_np.uint64).astype(_np.int64),
-                "data_lanes": data_lanes,
-                "care_lanes": care_lanes,
-            }
-            self._np_cache = cache
-        return cache
-
-    def _batch_walk_numpy(self, unique: Sequence[int]) -> list[int]:
-        """Vectorized node-major frontier walk across the whole batch."""
-        np = _np
-        views = self._numpy_views()
-        lanes = views["lanes"]
-        maxp = views["maxp"]
-        bit = views["bit"]
-        succ_base = views["succ_base"]
-        succ_count = views["succ_count"]
-        push = views["push"]
-        data_lanes = views["data_lanes"]
-        care_lanes = views["care_lanes"]
-        first_leaf = self._first_leaf
-        stride = self.stride
-        chunk_mask = np.uint64((1 << stride) - 1)
-        skipping = self.subtree_skipping
-
-        n = len(unique)
-        qlanes = np.zeros((n, lanes), dtype=np.uint64)
-        for g, query in enumerate(unique):
-            for lane in range(lanes):
-                qlanes[g, lane] = (query >> (_LANE_BITS * lane)) & _LANE_MASK
-
-        best_priority = np.full(n, -1, dtype=np.int64)
-        best_leaf = np.full(n, -1, dtype=np.int64)
-        nodes = np.zeros(n, dtype=np.int64)  # frontier starts at the root
-        qidx = np.arange(n, dtype=np.int64)
-        hit_q: list[Any] = []  # (query, priority) of every match that
-        hit_p: list[Any] = []  # reached its query's best so far
-        visits = 0
-        while nodes.size:
-            mp = maxp[nodes]
-            if skipping:
-                keep = best_priority[qidx] <= mp
-                if not keep.all():
-                    nodes = nodes[keep]
-                    qidx = qidx[keep]
-                    mp = mp[keep]
-                if not nodes.size:
-                    break
-            visits += int(nodes.size)
-            leaf_mask = nodes >= first_leaf
-            if leaf_mask.any():
-                lj = nodes[leaf_mask] - first_leaf
-                lq = qidx[leaf_mask]
-                ok = np.ones(lj.size, dtype=bool)
-                for lane in range(lanes):
-                    ok &= (qlanes[lq, lane] & care_lanes[lj, lane]) == data_lanes[lj, lane]
-                # >= keeps equal-priority matches: they are the ties
-                # the frontier cannot order the way the scalar walk does
-                ok &= mp[leaf_mask] >= best_priority[lq]
-                if ok.any():
-                    wq = lq[ok]
-                    wp = mp[leaf_mask][ok]
-                    wl = lj[ok]
-                    np.maximum.at(best_priority, wq, wp)
-                    won = wp == best_priority[wq]
-                    best_leaf[wq[won]] = wl[won]
-                    hit_q.append(wq)
-                    hit_p.append(wp)
-            internal_mask = ~leaf_mask
-            nodes = nodes[internal_mask]
-            qidx = qidx[internal_mask]
-            if not nodes.size:
-                break
-            b = bit[nodes]
-            chunk = np.zeros(nodes.size, dtype=np.uint64)
-            pos = b >= 0
-            if pos.any():
-                bp = b[pos]
-                word = bp >> 6
-                shift = (bp & 63).astype(np.uint64)
-                qp = qidx[pos]
-                low = qlanes[qp, word] >> shift
-                has_high = (shift > 0) & (word + 1 < lanes)
-                high_word = np.where(word + 1 < lanes, word + 1, word)
-                high = np.where(
-                    has_high,
-                    qlanes[qp, high_word]
-                    << ((np.uint64(_LANE_BITS) - shift) % np.uint64(_LANE_BITS)),
-                    np.uint64(0),
-                )
-                chunk[pos] = (low | high) & chunk_mask
-            neg = ~pos
-            if neg.any():
-                shift = (-b[neg]).astype(np.uint64)
-                chunk[neg] = (qlanes[qidx[neg], 0] << shift) & chunk_mask
-            slots = (nodes << np.int64(stride)) + chunk.astype(np.int64)
-            packed_counts = succ_count[slots]
-            packed_bases = succ_base[slots]
-            # count == 1 words carry the target id directly; count > 1
-            # words index a run in the shared push list.
-            single = packed_counts == 1
-            next_nodes = [packed_bases[single]]
-            next_qidx = [qidx[single]]
-            multi = packed_counts > 1
-            if multi.any():
-                counts = packed_counts[multi]
-                bases = packed_bases[multi]
-                total = int(counts.sum())
-                offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                next_nodes.append(push[np.repeat(bases, counts) + offsets])
-                next_qidx.append(np.repeat(qidx[multi], counts))
-            nodes = np.concatenate(next_nodes)
-            qidx = np.concatenate(next_qidx)
-
-        best = best_leaf.tolist()
-        if hit_q:
-            # A query with two matching leaves at its winning priority
-            # is a tie: the frontier visits leaves level by level, the
-            # scalar walk depth-first, so they may pick different
-            # winners.  Re-resolve just those queries depth-first so
-            # every batch size serves the entry ``lookup`` serves.
-            wq = np.concatenate(hit_q)
-            at_best = np.concatenate(hit_p) == best_priority[wq]
-            ties = np.flatnonzero(np.bincount(wq[at_best], minlength=n) > 1).tolist()
-            if ties:
-                fixed, tie_visits = self._scalar_walk([unique[g] for g in ties])
-                for g, leaf in zip(ties, fixed):
-                    best[g] = leaf
-                visits += tie_visits
-        self.batch_walk_node_visits += visits
-        return best
 
     # ------------------------------------------------------------------
     # Introspection

@@ -113,8 +113,7 @@ def _typed_view(typecode: str, section: memoryview) -> Any:
     out of a shared-memory PLMF mapping without duplicating the arrays
     per process.  Big-endian hosts fall back to a byte-swapped
     :mod:`array` copy.  Both results index, slice, iterate and
-    ``tobytes()`` the same way, and :func:`numpy.frombuffer` reads
-    either without copying.
+    ``tobytes()`` the same way.
     """
     if sys.byteorder == "little":
         return section.cast(typecode)

@@ -1552,7 +1552,7 @@ class ClassificationEngine:
             else:
                 masks: list[int] = []
                 verdicts = target.lookup_batch(rest, masks=masks)
-                # A batch large enough for the NumPy walk reports no masks.
+                # An empty plane reports no masks.
                 if len(masks) == len(rest):
                     regions.fill(rest, masks, verdicts, overlay)
         if held is not None:

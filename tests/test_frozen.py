@@ -7,8 +7,8 @@ ClassBench workloads — same winning entry object, not just the same
 priority — because freezing is a representation change, not an
 algorithm change.  On top of that: the PLMF wire format round-trips,
 corruption is detected, lazy re-freezing after updates stays coherent,
-and both batch walks (per-query scalar and numpy frontier) return the
-entry ``lookup`` returns on either side of the size crossover.
+and the batch walk returns the entry ``lookup`` returns, with one
+examined-bit mask per query, at every batch size.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from helpers import (
 from repro import ClassificationEngine, EngineConfig, SortedListMatcher
 from repro.core.frozen import (
     _COUNT_BITS,
-    _NUMPY_MIN_BATCH,
     FrozenMatcher,
     FrozenPoptrie,
-    _np,
     freeze,
 )
 from repro.core.multibit import MultibitPalmtrie
@@ -196,7 +194,7 @@ def _unique_queries(entries, count: int, seed: int) -> list[int]:
 def _clustered_entries(count: int, key_length: int, seed: int) -> list[TernaryEntry]:
     """Entries around three shared base keys, differing mostly in their
     low digits, so the trie grows deep enough for chunks below bit 0
-    (and, over 64 bits, across the uint64 lane boundary)."""
+    (and, over 64 bits, across a machine-word boundary)."""
     rng = random.Random(seed)
     bases = [[rng.choice("01") for _ in range(key_length)] for _ in range(3)]
     entries = []
@@ -211,28 +209,27 @@ def _clustered_entries(count: int, key_length: int, seed: int) -> list[TernaryEn
 
 
 #: plane name -> (entries, key length, stride); each walks a different
-#: corner of the batch walks
+#: corner of the batch walk
 _WALK_PLANES = {
-    # one uint64 lane; 32 % 6 != 0, so deep chunks sit below bit 0
+    # one 64-bit word; 32 % 6 != 0, so deep chunks sit below bit 0
     "short-key": lambda: (_clustered_entries(60, KEY_LENGTH, seed=7), KEY_LENGTH, 6),
-    # two lanes; the root chunk (bits 62-69) spans the lane boundary and
-    # 70 % 8 != 0 puts deep chunks below bit 0
+    # two 64-bit words; the root chunk (bits 62-69) spans the word
+    # boundary and 70 % 8 != 0 puts deep chunks below bit 0
     "multi-lane": lambda: (_clustered_entries(60, 70, seed=9), 70, 8),
-    # 40 entries over priorities 0-4: equal-priority overlaps are common,
-    # and on this seed the frontier's level order picks a different
-    # tie winner than the depth-first walk for some queries
+    # 40 entries over priorities 0-4: equal-priority overlaps are
+    # common, so the walk's depth-first order picks the tie winner
     "ties": lambda: (random_entries(40, 16, seed=11, priority_range=5), 16, 4),
 }
 
 
 class TestBatchPaths:
-    @pytest.mark.skipif(_np is None, reason="the frontier walk needs numpy")
-    @pytest.mark.parametrize(
-        "size", [1, 63, _NUMPY_MIN_BATCH - 1, _NUMPY_MIN_BATCH, 4 * _NUMPY_MIN_BATCH]
-    )
+    @pytest.mark.parametrize("size", [1, 63, 511, 512, 2048])
     @pytest.mark.parametrize("layout", ["build", "hot"])
     @pytest.mark.parametrize("plane", sorted(_WALK_PLANES))
     def test_walks_agree_across_crossover(self, plane, layout, size):
+        """One walk at every batch size: the sizes straddle 512 unique
+        queries, where a node-major NumPy walk used to take over and
+        report no masks."""
         entries, key_length, stride = _WALK_PLANES[plane]()
         queries = _unique_queries(entries, size, seed=8)
         frozen = FrozenMatcher.build(
@@ -241,13 +238,12 @@ class TestBatchPaths:
         )
         if plane != "ties":
             assert min(frozen._bit) < 0  # the walks shift chunks left
-        scalar, _visits = frozen._scalar_walk(queries)
-        assert frozen._batch_walk_numpy(queries) == scalar
-        assert frozen.lookup_batch_indices(queries) == scalar
+        leaves = frozen.lookup_batch_indices(queries)
         best_of = frozen._leaf_best
-        for query, leaf in zip(queries, scalar):
+        for query, leaf in zip(queries, leaves):
             # the very entry lookup serves, tie winner included
             assert (best_of[leaf] if leaf >= 0 else None) is frozen.lookup(query)
+        _assert_walks_agree(frozen, queries)
 
     def test_scalar_batch_counts_the_visits_profile_lookup_counts(self):
         from repro.workloads.classbench import classbench_acl
@@ -257,7 +253,6 @@ class TestBatchPaths:
         frozen = freeze(PalmtriePlus.build(acl.entries, acl.layout.length, stride=8))
         queries = reverse_byte_scan(200, seed=3, start=4096)
         unique = list(dict.fromkeys(queries))
-        assert len(unique) < _NUMPY_MIN_BATCH  # the scalar walk serves it
         before = frozen.batch_walk_node_visits
         frozen.lookup_batch(queries)
         walked = frozen.batch_walk_node_visits - before
@@ -324,7 +319,6 @@ def _per_chunk_emit(self, internals, leaves, kids, hot, win_mass=None):
     self._dispatch = array("I", dispatch)
     self._push = array("Q", push)
     self._hot = self._hot[:2] + (dispatch, push) + self._hot[4:]
-    self._np_cache = None
 
 
 def _assert_same_plane(got: FrozenMatcher, want: FrozenMatcher) -> None:
@@ -391,7 +385,7 @@ def _assert_walks_agree(plane: FrozenMatcher, queries: list[int]) -> None:
     masks: list[int] = []
     masked = plane.lookup_batch_indices(queries, masks=masks)
     masked_visits = plane.batch_walk_node_visits - before - bare_visits
-    assert len(masks) == len(queries)  # the scalar loops served both
+    assert len(masks) == len(queries)  # one mask per query, at any size
     assert bare == masked
     assert bare_visits == masked_visits > 0
     unique = list(dict.fromkeys(queries))
@@ -417,7 +411,6 @@ class TestMasklessWalk:
             acl.entries, acl.layout.length, stride=stride, subtree_skipping=skipping,
             layout=layout, layout_trace=trace if layout == "hot" else None,
         )
-        assert len(set(trace)) < _NUMPY_MIN_BATCH
         _assert_walks_agree(plane, trace)
 
     @pytest.mark.parametrize("skipping", [True, False])

@@ -14,6 +14,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy
 import pytest
 
 from repro.obs import (
@@ -99,7 +100,6 @@ class TestHistogram:
         assert bulk.sum == pytest.approx(one.sum)
 
     def test_quantiles_against_numpy(self):
-        numpy = pytest.importorskip("numpy")
         rng = numpy.random.default_rng(7)
         values = rng.lognormal(mean=-8.0, sigma=1.5, size=5000)
         h = Histogram("h", "", buckets=geometric_buckets(1e-6, 2.0, 30))
