@@ -58,6 +58,7 @@ def key_path(key: TernaryKey, stride: int) -> list[PathStep]:
     data = key.data
     mask = key.mask
     chunk_mask = (1 << stride) - 1
+    top_star = 1 << (stride - 1)
     steps: list[PathStep] = []
     bit = length - stride
     while True:
@@ -72,6 +73,14 @@ def key_path(key: TernaryKey, stride: int) -> list[PathStep]:
             if bit <= 0:
                 return steps
             bit -= stride
+        elif chunk_wild & top_star:
+            # A run of '*' from the chunk's top digit down to ``low``:
+            # each digit is one step on ternary slot 0 (empty prefix).
+            low = _star_run_low(mask, bit + stride - 1)
+            steps.extend([(b, TERNARY, 0) for b in range(bit, low - stride, -1)])
+            if low == 0:
+                return steps
+            bit = low - stride
         else:
             star = chunk_wild.bit_length() - 1  # chunk-relative msb '*'
             prefix_len = stride - 1 - star
@@ -81,6 +90,60 @@ def key_path(key: TernaryKey, stride: int) -> list[PathStep]:
             if star_abs <= 0:
                 return steps
             bit = star_abs - stride
+
+
+def _star_run_low(mask: int, top: int) -> int:
+    """Lowest position of the run of don't care bits that ends at
+    ``top`` (``mask`` has bit ``top`` set)."""
+    return (~mask & ((1 << top) - 1)).bit_length()
+
+
+def _step(data: int, mask: int, bit: int, stride: int) -> tuple[int, int, int]:
+    """The key's step at a node of bit index ``bit``: ``(kind, slot
+    index, low)``, where ``low`` is the lowest key position the step
+    consumes (the chunk's most significant ``*``, or ``bit`` for an
+    exact chunk); the key's next step tops out at ``low - 1``."""
+    chunk_mask = (1 << stride) - 1
+    if bit >= 0:
+        chunk = (data >> bit) & chunk_mask
+        wild = (mask >> bit) & chunk_mask
+    else:
+        chunk = (data << -bit) & chunk_mask
+        wild = (mask << -bit) & chunk_mask
+    if not wild:
+        return EXACT, chunk, bit
+    star = wild.bit_length() - 1
+    return TERNARY, (1 << (stride - 1 - star)) + (chunk >> (star + 1)) - 1, bit + star
+
+
+def _divergence_bit(data: int, mask: int, top: int, position: int, stride: int) -> int:
+    """Bit index of the key's step that consumes ``position``, walking
+    its steps from the one whose chunk tops out at ``top``.
+
+    The steps' consumed digits tile the key from the top down, so when
+    ``position`` is the most significant digit where two keys differ,
+    this is the first step where their paths differ.  Runs of ``*``
+    and of exact chunks that end above ``position`` are skipped whole.
+    """
+    chunk_mask = (1 << stride) - 1
+    while True:
+        bit = top - stride + 1
+        wild = (mask >> bit) & chunk_mask if bit >= 0 else (mask << -bit) & chunk_mask
+        if not wild:
+            if position >= bit:
+                return bit
+            # Skip the exact chunks above both ``position`` and the next '*'.
+            bound = max(position, (mask & ((1 << bit) - 1)).bit_length() - 1)
+            top = bit - 1 - (bit - 1 - bound) // stride * stride
+            continue
+        low = bit + wild.bit_length() - 1
+        if low == top:
+            low = _star_run_low(mask, top)
+            if position >= low:
+                return position - stride + 1
+        elif position >= low:
+            return bit
+        top = low - 1
 
 
 class _Leaf:
@@ -114,20 +177,21 @@ class _Leaf:
 
 
 class _Internal:
-    __slots__ = ("bit", "descendants", "ternaries", "max_priority", "rep_steps")
+    __slots__ = ("bit", "descendants", "ternaries", "max_priority", "rep")
 
-    def __init__(self, bit: int, stride: int) -> None:
+    def __init__(self, bit: int, stride: int, rep: Optional[TernaryKey] = None) -> None:
         self.bit = bit
         self.descendants: list[Optional[_Node]] = [None] * (1 << stride)
         self.ternaries: list[Optional[_Node]] = [None] * ((1 << stride) - 1)
         self.max_priority = -1
-        # Path steps of any key stored below this node (Patricia path
-        # compression: the steps between a parent and child node are not
-        # materialized, so splits need a representative to compare
-        # against).  All keys below share the steps above self.bit, so
-        # any representative is equivalent — even one whose entry has
-        # since been deleted.
-        self.rep_steps: list[PathStep] = []
+        # A key stored below this node (Patricia path compression: the
+        # steps between a parent and child node are not materialized, so
+        # an insert compares the new key against this representative,
+        # digit by digit, to find where its path leaves the edge).  All
+        # keys below share the digits the steps above self.bit consume,
+        # so any representative is equivalent — even one whose entry
+        # has since been deleted.  The root has none.
+        self.rep = rep
 
     def get(self, kind: int, index: int) -> Optional["_Node"]:
         return self.descendants[index] if kind == EXACT else self.ternaries[index]
@@ -174,57 +238,135 @@ class MultibitPalmtrie(TernaryMatcher):
     # Construction
     # ------------------------------------------------------------------
 
+    @classmethod
+    def build(
+        cls, entries: Iterable[TernaryEntry], key_length: int, **kwargs: Any
+    ) -> "MultibitPalmtrie":
+        """Bulk build: one top-down partition pass over the distinct keys.
+
+        At a node of bit index B the keys below split by their step at B
+        (read straight from each key's chunk, no step list).  A group of
+        several keys gets an internal node at the first step where its
+        keys' paths differ: the step of its first key that consumes the
+        most significant digit where any two of them differ (the
+        highest set bit of the OR of ``(d0 ^ d) | (m0 ^ m)``).  This is
+        the canonical Patricia trie of the key set, so it equals the
+        trie one :meth:`insert` per entry builds, node for node and
+        leaf order included: entries sharing a key join one leaf in
+        input order, best priority first.  A built trie starts at
+        generation 0.
+        """
+        trie = cls(key_length, **kwargs)
+        leaves: dict[tuple[int, int], _Leaf] = {}
+        size = 0
+        for entry in entries:
+            key = entry.key
+            if key.length != key_length:
+                raise ValueError(
+                    f"entry key length {key.length} != trie key length {key_length}"
+                )
+            leaf = leaves.get((key.data, key.mask))
+            if leaf is None:
+                leaves[key.data, key.mask] = _Leaf(entry)
+            else:
+                leaf.add(entry)
+            size += 1
+        trie._size = size
+        if leaves:
+            trie._partition(list(leaves.values()))
+        return trie
+
+    def _partition(self, leaves: list[_Leaf]) -> None:
+        """Fill the empty root with ``leaves`` (distinct keys)."""
+        stride = self.stride
+        chunk_mask = (1 << stride) - 1
+        slots = 1 << stride
+        stack: list[tuple[_Internal, list[_Leaf]]] = [(self._root, leaves)]
+        while stack:
+            node, members = stack.pop()
+            bit = node.bit
+            node.max_priority = max([leaf.max_priority for leaf in members])
+            # Group by slot: exact slot i is i, ternary slot i is 2**k + i
+            # (_step inlined: this loop runs once per key per level).
+            groups: dict[int, list[_Leaf]] = {}
+            for leaf in members:
+                key = leaf.key
+                if bit >= 0:
+                    wild = (key.mask >> bit) & chunk_mask
+                    chunk = (key.data >> bit) & chunk_mask
+                else:
+                    wild = (key.mask << -bit) & chunk_mask
+                    chunk = (key.data << -bit) & chunk_mask
+                if wild:
+                    star = wild.bit_length() - 1
+                    chunk = slots + (1 << (stride - 1 - star)) + (chunk >> (star + 1)) - 1
+                group = groups.get(chunk)
+                if group is None:
+                    groups[chunk] = [leaf]
+                else:
+                    group.append(leaf)
+            descendants = node.descendants
+            ternaries = node.ternaries
+            for slot, group in groups.items():
+                if len(group) == 1:
+                    child: _Node = group[0]
+                else:
+                    rep = group[0].key
+                    data, mask = rep.data, rep.mask
+                    diff = 0
+                    for leaf in group:
+                        key = leaf.key
+                        diff |= (data ^ key.data) | (mask ^ key.mask)
+                    low = _step(data, mask, bit, stride)[2]
+                    child = _Internal(
+                        _divergence_bit(data, mask, low - 1, diff.bit_length() - 1, stride),
+                        stride,
+                        rep,
+                    )
+                    stack.append((child, group))
+                if slot < slots:
+                    descendants[slot] = child
+                else:
+                    ternaries[slot - slots] = child
+
     def insert(self, entry: TernaryEntry) -> None:
-        if entry.key.length != self.key_length:
-            raise ValueError(
-                f"entry key length {entry.key.length} != trie key length {self.key_length}"
-            )
         key = entry.key
-        steps = key_path(key, self.stride)
+        if key.length != self.key_length:
+            raise ValueError(
+                f"entry key length {key.length} != trie key length {self.key_length}"
+            )
+        stride = self.stride
+        data, mask = key.data, key.mask
         node = self._root
-        i = 0
         while True:
-            # Invariant: node.bit == steps[i][0].
             node.max_priority = max(node.max_priority, entry.priority)
-            bit, kind, index = steps[i]
+            kind, index, low = _step(data, mask, node.bit, stride)
             child = node.get(kind, index)
             if child is None:
                 node.set(kind, index, _Leaf(entry))
                 break
-            if isinstance(child, _Leaf):
-                if child.key == key:
-                    child.add(entry)
-                    break
-                # Split at the first step where the two keys diverge
-                # (they share steps[0..i] and differ, so j exists).
-                other = key_path(child.key, self.stride)
-                j = i + 1
-                while steps[j] == other[j]:
-                    j += 1
-                split = _Internal(steps[j][0], self.stride)
-                split.max_priority = max(child.max_priority, entry.priority)
-                split.rep_steps = other
-                split.set(steps[j][1], steps[j][2], _Leaf(entry))
-                split.set(other[j][1], other[j][2], child)
-                node.set(kind, index, split)
+            rep = child.key if isinstance(child, _Leaf) else child.rep
+            diff = (data ^ rep.data) | (mask ^ rep.mask)
+            if isinstance(child, _Internal):
+                # Path compression: the edge to this internal child
+                # skips the steps every key below shares, which consume
+                # the digits above the child's chunk.  Follow it if the
+                # new key agrees with the representative on all of them.
+                if not diff >> (child.bit + stride):
+                    node = child
+                    continue
+            elif not diff:
+                child.add(entry)
                 break
-            # Path compression: the edge to this internal child skips the
-            # steps every key below shares.  Compare the new key against
-            # the child's representative over the skipped region.
-            rep = child.rep_steps
-            j = i + 1
-            while rep[j][0] > child.bit and steps[j] == rep[j]:
-                j += 1
-            if steps[j][0] == child.bit == rep[j][0]:
-                node = child
-                i = j
-                continue
-            # Mismatch inside the compressed edge: splice a new node in.
-            split = _Internal(steps[j][0], self.stride)
+            # The paths diverge above the child: splice a node in at the
+            # first step where they differ.
+            bit = _divergence_bit(data, mask, low - 1, diff.bit_length() - 1, stride)
+            split = _Internal(bit, stride, rep)
             split.max_priority = max(child.max_priority, entry.priority)
-            split.rep_steps = rep
-            split.set(steps[j][1], steps[j][2], _Leaf(entry))
-            split.set(rep[j][1], rep[j][2], child)
+            new_kind, new_index, _ = _step(data, mask, bit, stride)
+            rep_kind, rep_index, _ = _step(rep.data, rep.mask, bit, stride)
+            split.set(new_kind, new_index, _Leaf(entry))
+            split.set(rep_kind, rep_index, child)
             node.set(kind, index, split)
             break
         self._size += 1

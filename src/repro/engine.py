@@ -2037,7 +2037,10 @@ class ClassificationEngine:
         latency = self.latency_summary()
         if latency is not None:
             summary["latency"] = latency
-        pipeline = getattr(self, "stream_pipeline", None)
+        # A weak reference (repro.stream.pipeline), dead once the
+        # pipeline is dropped.
+        pipeline_ref = getattr(self, "stream_pipeline", None)
+        pipeline = pipeline_ref() if pipeline_ref is not None else None
         if pipeline is not None:
             summary["stream"] = pipeline.report()
         return summary

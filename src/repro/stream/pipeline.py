@@ -76,6 +76,7 @@ quantiles exact.
 from __future__ import annotations
 
 import time
+import weakref
 from collections import deque
 from itertools import repeat
 from typing import Any, Callable, Iterable, Optional
@@ -201,9 +202,12 @@ class StreamPipeline:
     counters are exported through it as ``stream_*`` series
     (docs/observability.md).
 
-    The pipeline attaches itself to the engine as
+    The pipeline attaches a weak reference to itself to the engine as
     ``engine.stream_pipeline`` so ``engine.report()`` can fold the
-    stream section in next to the serving counters.
+    stream section in next to the serving counters while the pipeline
+    lives.  It is weak so the two form no reference cycle: a dropped
+    stack frees its engine, trie and plane at once, not at the next
+    full garbage collection.
     """
 
     def __init__(
@@ -290,7 +294,7 @@ class StreamPipeline:
             registry.add_collector(self._sync_metrics(registry))
         # engine.report() folds this in as its "stream" section
         try:
-            engine.stream_pipeline = self
+            engine.stream_pipeline = weakref.ref(self)
         except AttributeError:  # pragma: no cover - exotic engine duck types
             pass
 

@@ -1396,6 +1396,65 @@ class TestServedUpdateGate:
         assert guard["shadow_checks"] > checks and guard["shadow_mismatches"] == 0
         assert engine.health == "ok"
 
+    def test_restored_paper_scale_rebuilds_without_inserts(self, monkeypatch):
+        """At 10k acl rules (the paper's Table 5 scale), the first
+        update after ``restore_last_good`` rebuilds the Palmtrie_k by
+        the bulk build — no per-entry insert — and later transactions
+        patch it in place without a refreeze."""
+        from repro.acl.compiler import compile_rule
+        from repro.acl.rule import AclRule, Action, Protocol
+        from repro.workloads.classbench import classbench_acl
+        from repro.workloads.traffic import zipf_trace
+
+        acl = classbench_acl("acl", 10_000)
+        rules = len(acl.entries)
+        engine = ClassificationEngine(
+            build_matcher(EngineConfig(), acl.entries, acl.layout.length),
+            EngineConfig(cache_size=4096),
+        )
+        trace = zipf_trace(acl.entries, 2048, flows=512, s=1.0, seed=7)
+        bursts = [trace[i : i + 64] for i in range(0, len(trace), 64)]
+        engine.lookup_batch(bursts[0])
+        engine.mark_last_good()
+        engine.restore_last_good()
+        engine.lookup_batch(bursts[1])
+        inserts = []
+        insert = MultibitPalmtrie.insert
+        monkeypatch.setattr(
+            MultibitPalmtrie,
+            "insert",
+            lambda trie, entry: inserts.append(entry) or insert(trie, entry),
+        )
+        rebuild_source = FrozenMatcher.rebuild_source
+        rebuilds = []
+
+        def counted_rebuild(plane):
+            before = len(inserts)
+            source = rebuild_source(plane)
+            rebuilds.append(len(inserts) - before)
+            return source
+
+        monkeypatch.setattr(FrozenMatcher, "rebuild_source", counted_rebuild)
+        nets = sorted({rule.dst_prefix[0] >> 16 for rule in acl.rules if rule.dst_prefix[1] >= 16})
+        denies = [
+            compile_rule(
+                AclRule(Action.DENY, Protocol.IP, (0, 0), (net << 16, 16)),
+                value="deny", priority=rules + 1, layout=acl.layout,
+            )[0]
+            for net in nets[:9]
+        ]
+        freezes = engine.freezes
+        for index in range(8):
+            ops = [("insert", denies[index + 1])]
+            if index:
+                ops.append(("delete", denies[index].key))
+            engine.apply_updates(ops)
+            engine.lookup_batch(bursts[2 + index])
+        assert rebuilds == [0]
+        assert inserts == denies[1:9]
+        assert engine.freezes == freezes
+        assert len(engine) == rules + 1
+
 
 class TestOneServedForm:
     """Work counts of the one served form, a Palmtrie_k plus the frozen

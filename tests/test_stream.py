@@ -622,6 +622,47 @@ class TestHistograms:
         assert "latency" in section
         assert section["shed_rate"] == pytest.approx(pipe.shed / 100)
 
+    def test_dropped_stack_frees_its_trie_and_plane_without_gc(self):
+        """The pipeline and the tenant it serves through form no
+        reference cycle: with the collector off, closing the router
+        and dropping the stack frees the engine's Palmtrie_k and plane
+        at once."""
+        import gc
+        import weakref
+
+        from repro.acl.compiler import compile_acl
+        from repro.tenant import TenantRouter, TenantSpec
+        from repro.workloads.classbench import PROFILES, classbench_rules
+
+        rules = classbench_rules(PROFILES["acl"], 60, seed=1)
+        acl_text = "\n".join(rule.to_line() for rule in rules)
+        key_length = compile_acl(rules).layout.length
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            router = TenantRouter(
+                [TenantSpec("t", acl=acl_text, engine=EngineConfig(cache_size=64))]
+            )
+            pipe = StreamPipeline(router["t"])
+            pipe.run(TraceSource(_queries(200, seed=5), key_length, burst_size=32))
+            engine = router["t"].engine
+            refs = [weakref.ref(engine.matcher), weakref.ref(engine.current_plane())]
+            assert all(ref() is not None for ref in refs)
+            router.close()
+            del router, pipe, engine
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_report_drops_stream_section_with_its_pipeline(self):
+        engine, _ = _engine()
+        pipe = StreamPipeline(engine)
+        pipe.run(TraceSource(_queries(64), KEY_LENGTH))
+        assert engine.report()["stream"]["offered"] == 64
+        del pipe
+        assert "stream" not in engine.report()
+
     def test_counters_reset_between_runs(self):
         engine, _ = _engine()
         pipe = StreamPipeline(engine)
