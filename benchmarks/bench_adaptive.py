@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from conftest import KEY_LENGTH, run_queries
-from repro.core import PalmtriePlus
+from repro.core import MultibitPalmtrie
 from repro.core.frozen import freeze
 from repro.workloads.classbench import classbench_acl
 from repro.workloads.traffic import query_matching_entry
@@ -70,9 +70,9 @@ def _assert_same_verdicts(reference, candidate, queries) -> None:
 def hot_setup():
     acl = classbench_acl("fw", 120)
     queries = topflow_zipf(acl.entries, 1000)
-    build_plane = freeze(PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8))
+    build_plane = freeze(MultibitPalmtrie.build(acl.entries, KEY_LENGTH, stride=8))
     hot_plane = freeze(
-        PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8),
+        MultibitPalmtrie.build(acl.entries, KEY_LENGTH, stride=8),
         layout="hot",
         trace=queries,
     )
@@ -101,9 +101,9 @@ def test_hot_layout_same_verdicts(hot_setup):
 def _measure_hot(rules: int, count: int) -> dict:
     acl = classbench_acl("fw", rules)
     queries = topflow_zipf(acl.entries, count)
-    build_plane = freeze(PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8))
+    build_plane = freeze(MultibitPalmtrie.build(acl.entries, KEY_LENGTH, stride=8))
     hot_plane = freeze(
-        PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8),
+        MultibitPalmtrie.build(acl.entries, KEY_LENGTH, stride=8),
         layout="hot",
         trace=queries,
     )

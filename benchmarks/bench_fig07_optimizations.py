@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import KEY_LENGTH, run_queries
-from repro.core import BasicPalmtrie, MultibitPalmtrie, PalmtriePlus
+from repro.core import BasicPalmtrie, FrozenMatcher, MultibitPalmtrie
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +23,10 @@ def variants(campus):
             entries, KEY_LENGTH, stride=1, subtree_skipping=False
         ),
         "palmtrie1": MultibitPalmtrie.build(entries, KEY_LENGTH, stride=1),
-        "plus8-noskip": PalmtriePlus.build(
+        "plus8-noskip": FrozenMatcher.build(
             entries, KEY_LENGTH, stride=8, subtree_skipping=False
         ),
-        "plus8": PalmtriePlus.build(entries, KEY_LENGTH, stride=8),
+        "plus8": FrozenMatcher.build(entries, KEY_LENGTH, stride=8),
     }
 
 

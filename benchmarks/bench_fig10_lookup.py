@@ -11,7 +11,7 @@ import pytest
 
 from conftest import KEY_LENGTH, run_queries
 from repro.baselines import DpdkStyleAcl, SortedListMatcher
-from repro.core import MultibitPalmtrie, PalmtriePlus
+from repro.core import FrozenMatcher, MultibitPalmtrie
 
 MATCHER_NAMES = ["sorted", "dpdk-acl", "palmtrie6", "palmtrie8", "plus6", "plus8"]
 
@@ -24,8 +24,8 @@ def matchers(campus):
         "dpdk-acl": DpdkStyleAcl.build(entries, KEY_LENGTH),
         "palmtrie6": MultibitPalmtrie.build(entries, KEY_LENGTH, stride=6),
         "palmtrie8": MultibitPalmtrie.build(entries, KEY_LENGTH, stride=8),
-        "plus6": PalmtriePlus.build(entries, KEY_LENGTH, stride=6),
-        "plus8": PalmtriePlus.build(entries, KEY_LENGTH, stride=8),
+        "plus6": FrozenMatcher.build(entries, KEY_LENGTH, stride=6),
+        "plus8": FrozenMatcher.build(entries, KEY_LENGTH, stride=8),
     }
 
 

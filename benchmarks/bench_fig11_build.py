@@ -12,7 +12,7 @@ import pytest
 
 from conftest import KEY_LENGTH
 from repro.baselines import DpdkStyleAcl
-from repro.core import BasicPalmtrie, MultibitPalmtrie, PalmtriePlus
+from repro.core import BasicPalmtrie, FrozenMatcher, MultibitPalmtrie
 
 
 def test_fig11_build_basic(benchmark, campus):
@@ -28,7 +28,7 @@ def test_fig11_build_palmtrie(benchmark, campus, stride):
 
 def test_fig11_build_plus8(benchmark, campus):
     entries = list(campus.entries)
-    benchmark(PalmtriePlus.build, entries, KEY_LENGTH, stride=8)
+    benchmark(FrozenMatcher.build, entries, KEY_LENGTH, stride=8)
 
 
 def test_fig11_build_dpdk(benchmark, campus):

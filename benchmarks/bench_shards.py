@@ -29,7 +29,7 @@ import time
 
 from conftest import KEY_LENGTH
 from repro.config import EngineConfig
-from repro.core.plus import PalmtriePlus
+from repro.core.multibit import MultibitPalmtrie
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
 from repro.engine import ClassificationEngine
@@ -54,7 +54,7 @@ def _single_replay_qps(acl, queries, cache_size: int, rounds: int = 3) -> float:
     best = float("inf")
     for _ in range(rounds):
         engine = ClassificationEngine(
-            PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8),
+            MultibitPalmtrie.build(acl.entries, KEY_LENGTH, stride=8),
             EngineConfig(cache_size=cache_size),
         )
         started = time.perf_counter()
@@ -68,7 +68,7 @@ def _differential(acl, queries) -> int:
     """Mismatches between 2-shard and single-process verdicts, including
     across a mid-trace policy update.  Must be zero."""
     single = ClassificationEngine(
-        PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8),
+        MultibitPalmtrie.build(acl.entries, KEY_LENGTH, stride=8),
         EngineConfig(cache_size=4 * FLOWS),
     )
     override = TernaryEntry(
@@ -76,7 +76,7 @@ def _differential(acl, queries) -> int:
     )
     mismatches = 0
     with ClassificationEngine(
-        PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8),
+        MultibitPalmtrie.build(acl.entries, KEY_LENGTH, stride=8),
         EngineConfig(cache_size=4 * FLOWS, shards=2),
     ) as sharded:
         half = len(queries) // 2
@@ -94,7 +94,7 @@ def _differential(acl, queries) -> int:
 
 def _sharded_replay_qps(acl, queries, workers: int, cache_size: int) -> float:
     with ClassificationEngine(
-        PalmtriePlus.build(acl.entries, KEY_LENGTH, stride=8),
+        MultibitPalmtrie.build(acl.entries, KEY_LENGTH, stride=8),
         EngineConfig(cache_size=cache_size, shards=workers),
     ) as sharded:
         sharded.pool.replay(queries[: 4 * CHUNK], chunk_size=CHUNK)  # warm spawn+maps

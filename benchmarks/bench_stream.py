@@ -35,7 +35,7 @@ from typing import Any, Optional
 
 from repro.bench.harness import safe_rate
 from repro.config import EngineConfig
-from repro.core.plus import PalmtriePlus
+from repro.core.multibit import MultibitPalmtrie
 from repro.engine import ClassificationEngine
 from repro.obs.timing import best_of_attempts_ratio
 from repro.stream import DROPPED, ScenarioSource, StreamPipeline, TraceSource, batch_replay
@@ -49,7 +49,7 @@ HIST_BUDGET = 0.98
 
 def _engine_for(compiled, cache_size: int = 4096) -> ClassificationEngine:
     return ClassificationEngine(
-        PalmtriePlus.build(compiled.entries, compiled.layout.length),
+        MultibitPalmtrie.build(compiled.entries, compiled.layout.length),
         EngineConfig(cache_size=cache_size),
     )
 
@@ -104,7 +104,7 @@ def _warmed_campus(cache_size: int) -> tuple[ClassificationEngine, TraceSource]:
     queries = zipf_trace(acl.entries, 4_000, flows=2048, seed=SEED)
     length = acl.layout.length
     engine = ClassificationEngine(
-        PalmtriePlus.build(acl.entries, length),
+        MultibitPalmtrie.build(acl.entries, length),
         EngineConfig(cache_size=cache_size),
     )
     engine.lookup_batch(queries)

@@ -12,14 +12,14 @@ import pytest
 from conftest import KEY_LENGTH, run_queries
 from repro.baselines import DpdkStyleAcl, EffiCutsClassifier
 from repro.baselines.dpdk_acl import BuildExplosionError
-from repro.core import PalmtriePlus
+from repro.core import FrozenMatcher
 
 
 @pytest.fixture(scope="module")
 def table4_matchers(classbench):
     matchers = {
         "efficuts": EffiCutsClassifier.build(classbench.entries, KEY_LENGTH),
-        "plus8": PalmtriePlus.build(classbench.entries, KEY_LENGTH, stride=8),
+        "plus8": FrozenMatcher.build(classbench.entries, KEY_LENGTH, stride=8),
     }
     try:
         matchers["dpdk-acl"] = DpdkStyleAcl.build(

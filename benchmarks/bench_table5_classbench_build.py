@@ -12,7 +12,7 @@ import pytest
 from conftest import KEY_LENGTH
 from repro.baselines import DpdkStyleAcl, EffiCutsClassifier
 from repro.baselines.dpdk_acl import BuildExplosionError
-from repro.core import MultibitPalmtrie, PalmtriePlus
+from repro.core import FrozenMatcher, MultibitPalmtrie
 
 
 def test_table5_build_efficuts(benchmark, classbench):
@@ -40,13 +40,13 @@ def test_table5_build_palmtrie8(benchmark, classbench):
 
 def test_table5_build_plus8(benchmark, classbench):
     entries = list(classbench.entries)
-    benchmark(PalmtriePlus.build, entries, KEY_LENGTH, stride=8)
+    benchmark(FrozenMatcher.build, entries, KEY_LENGTH, stride=8)
 
 
 def test_table5_compile_part(benchmark, classbench):
     """The compilation part the paper parenthesizes."""
     source = MultibitPalmtrie.build(classbench.entries, KEY_LENGTH, stride=8)
-    benchmark(PalmtriePlus.from_palmtrie, source)
+    benchmark(FrozenMatcher.from_matcher, source)
 
 
 def test_table5_incremental_insert(benchmark, classbench):

@@ -14,13 +14,14 @@ import pytest
 
 from conftest import KEY_LENGTH, run_queries
 from repro.baselines.tcam import TcamModel
-from repro.core import PalmtriePlus
+from repro.bench.memory import palmtrie_plus_bytes
+from repro.core import FrozenMatcher
 
 
 @pytest.fixture(scope="module")
 def pair(campus, campus_uniform):
     tcam = TcamModel.build(campus.entries, KEY_LENGTH)
-    plus = PalmtriePlus.build(campus.entries, KEY_LENGTH, stride=8)
+    plus = FrozenMatcher.build(campus.entries, KEY_LENGTH, stride=8)
     return tcam, plus, campus_uniform
 
 
@@ -65,8 +66,8 @@ def main() -> None:
         )
     print(table.render())
     acl = campus_acl(4)
-    plus = PalmtriePlus.build(acl.entries, 128, stride=8)
-    print(f"\nPalmtrie+_8 on the same D_4 policy: {plus.memory_bytes() / 1024:.0f} KiB "
+    plus = FrozenMatcher.build(acl.entries, 128, stride=8)
+    print(f"\nPalmtrie+_8 on the same D_4 policy: {palmtrie_plus_bytes(plus) / 1024:.0f} KiB "
           f"of ordinary DRAM, no fixed capacity.")
 
 

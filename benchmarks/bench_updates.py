@@ -32,7 +32,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import KEY_LENGTH
-from repro.core import PalmtriePlus
+from repro.core import MultibitPalmtrie
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
 from repro.config import EngineConfig
@@ -65,7 +65,7 @@ def _canary_ops(queries: list[int], count: int) -> list[tuple[str, object]]:
 
 def _warm_engine(entries, queries, rows: int = CACHE_ROWS) -> ClassificationEngine:
     engine = ClassificationEngine(
-        PalmtriePlus.build(entries, KEY_LENGTH, stride=8),
+        MultibitPalmtrie.build(entries, KEY_LENGTH, stride=8),
         EngineConfig(cache_size=rows),
     )
     engine.lookup_batch(queries)  # fill the flow cache before churning
@@ -129,7 +129,7 @@ def test_batched_updates_preserve_verdicts(churn_setup):
     (canaries are below every real rule and net-zero)."""
     campus, queries, ops = churn_setup
     engine = _warm_engine(campus.entries, queries)
-    reference = PalmtriePlus.build(campus.entries, KEY_LENGTH, stride=8)
+    reference = MultibitPalmtrie.build(campus.entries, KEY_LENGTH, stride=8)
     engine.apply_updates(ops)
     for query in queries[:200]:
         expected = reference.lookup(query)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import KEY_LENGTH, run_queries
 from repro.baselines import SortedListMatcher, VectorizedMatcher
-from repro.core import PalmtriePlus
+from repro.core import FrozenMatcher
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def trio(campus, campus_uniform):
     return (
         SortedListMatcher.build(entries, KEY_LENGTH),
         VectorizedMatcher.build(entries, KEY_LENGTH),
-        PalmtriePlus.build(entries, KEY_LENGTH, stride=8),
+        FrozenMatcher.build(entries, KEY_LENGTH, stride=8),
         campus_uniform,
     )
 
@@ -82,7 +82,7 @@ def main() -> None:
         queries = uniform_traffic(acl.entries, 300)
         scalar = SortedListMatcher.build(acl.entries, 128)
         vector = VectorizedMatcher.build(acl.entries, 128)
-        plus = PalmtriePlus.build(acl.entries, 128, stride=8)
+        plus = FrozenMatcher.build(acl.entries, 128, stride=8)
         cells = []
         for fn in (
             lambda: [scalar.lookup(x) for x in queries],

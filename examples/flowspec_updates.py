@@ -8,7 +8,8 @@ updates, and Palmtrie+_k recompiles from it when a batch settles.
 
 This example replays a burst of Flowspec-like drop rules (one per
 attacking source prefix) into a live Palmtrie_8, measures per-update
-latency, then compiles a Palmtrie+_8 snapshot and verifies both agree.
+latency, then compiles a Palmtrie+_8 snapshot (the frozen plane) and
+verifies both agree.
 
 Run:  python examples/flowspec_updates.py
 """
@@ -17,9 +18,10 @@ import random
 import statistics
 import time
 
-from repro import MultibitPalmtrie, PalmtriePlus, TernaryEntry
+from repro import FrozenMatcher, MultibitPalmtrie, TernaryEntry
 from repro.acl.compiler import compile_rule
 from repro.acl.parser import parse_rule
+from repro.bench.memory import palmtrie_plus_bytes
 from repro.workloads.campus import campus_acl
 from repro.workloads.traffic import uniform_traffic
 
@@ -61,10 +63,10 @@ def main() -> None:
     # 2. Compile the settled table into Palmtrie+_8 (the part the paper
     #    parenthesizes in Table 5).
     start = time.perf_counter()
-    snapshot = PalmtriePlus.from_palmtrie(live)
+    snapshot = FrozenMatcher.from_matcher(live)
     compile_time = time.perf_counter() - start
     print(f"\ncompiled Palmtrie+_8 snapshot in {compile_time * 1e3:.1f} ms "
-          f"({snapshot.memory_bytes() / 2**20:.2f} modeled MiB)")
+          f"({palmtrie_plus_bytes(snapshot) / 2**20:.2f} modeled MiB)")
 
     # 3. Both structures must agree; the new drop rules must win.
     queries = uniform_traffic(list(acl.entries) + burst, 500, seed=5)
@@ -83,7 +85,7 @@ def main() -> None:
     # 4. Withdraw the burst (route-flap style) and verify cleanup.
     for entry in burst:
         live.delete(entry.key)
-    snapshot = PalmtriePlus.from_palmtrie(live)
+    snapshot = FrozenMatcher.from_matcher(live)
     still = sum(
         1
         for query in queries

@@ -12,7 +12,7 @@ Run:  python examples/l2_filtering.py
 
 import random
 
-from repro import PacketHeader, PalmtriePlus, decode_packet, encode_packet
+from repro import FrozenMatcher, PacketHeader, decode_packet, encode_packet
 from repro.acl.layer2 import LAYOUT_L2, EtherType, L2Rule, compile_l2_rules, format_mac, parse_mac
 from repro.packet.pcap import LINKTYPE_ETHERNET, PcapPacket, read_pcap, write_pcap
 
@@ -65,9 +65,9 @@ def synthesize_capture(path: str, rng: random.Random) -> list[tuple[int, int]]:
 def main() -> None:
     rng = random.Random(21)
     entries = compile_l2_rules(POLICY)
-    matcher = PalmtriePlus.build(entries, LAYOUT_L2.length, stride=8)
+    matcher = FrozenMatcher.build(entries, LAYOUT_L2.length, stride=8)
     print(f"L2 policy: {len(POLICY)} rules over {LAYOUT_L2.length}-bit keys "
-          f"({matcher.memory_bytes()} modeled bytes)\n")
+          f"({matcher.memory_bytes()} array bytes)\n")
 
     metadata = synthesize_capture("/tmp/l2demo.pcap", rng)
     verdicts: dict[str, int] = {}

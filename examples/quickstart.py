@@ -2,13 +2,13 @@
 """Quickstart: compile an ACL and match packets against it.
 
 Builds the paper's Table 2 example ACL (a small stateless firewall
-policy for 192.0.2.0/24), compiles it into Palmtrie+ and classifies a
-handful of packets.
+policy for 192.0.2.0/24), compiles it into Palmtrie+ (the frozen plane,
+``FrozenMatcher``) and classifies a handful of packets.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import PacketHeader, PalmtriePlus, compile_acl, parse_acl
+from repro import FrozenMatcher, PacketHeader, compile_acl, parse_acl
 from repro.acl.ip import parse_ipv4
 from repro.acl.layout import TCP_ACK, TCP_SYN
 
@@ -29,10 +29,11 @@ def main() -> None:
     print(f"ACL: {len(acl.rules)} rules -> {len(acl.entries)} ternary entries")
 
     # 2. Build the lookup structure.  Palmtrie+ with an 8-bit stride is
-    #    the paper's recommended configuration for non-tiny ACLs.
-    matcher = PalmtriePlus.build(acl.entries, key_length=128, stride=8)
+    #    the paper's recommended configuration for non-tiny ACLs: a
+    #    Palmtrie_8 compiled into flat arrays.
+    matcher = FrozenMatcher.build(acl.entries, key_length=128, stride=8)
     print(f"structure: {matcher.name}, stride {matcher.stride}, "
-          f"{matcher.memory_bytes()} modeled bytes\n")
+          f"{matcher.memory_bytes()} array bytes\n")
 
     # 3. Classify packets.
     inside = parse_ipv4("192.0.2.55")

@@ -2,9 +2,9 @@
 """A software router: l3fwd-acl over this library (paper §4 context).
 
 Reconstructs the application the paper benchmarks against — DPDK's
-``l3fwd-acl`` — entirely from this library's pieces: Palmtrie+ for the
-ACL stage, Poptrie for the routing stage, and the packet codec for raw
-frames.  Streams a traffic mix through it, prints per-port forwarding
+``l3fwd-acl`` — entirely from this library's pieces: Palmtrie+ (the
+frozen plane its engine serves) for the ACL stage, Poptrie for the
+routing stage, and the packet codec for raw frames.  Streams a traffic mix through it, prints per-port forwarding
 counters, then performs a BGP-style route flap while traffic flows.
 
 Run:  python examples/router.py

@@ -14,11 +14,12 @@ import time
 from repro import (
     BasicPalmtrie,
     DpdkStyleAcl,
+    FrozenMatcher,
     MultibitPalmtrie,
-    PalmtriePlus,
     SortedListMatcher,
 )
 from repro.bench.harness import measure_lookup_rate
+from repro.bench.memory import modeled_bytes
 from repro.bench.report import Table, format_rate, format_seconds
 from repro.workloads.campus import campus_acl
 from repro.workloads.traffic import uniform_traffic
@@ -27,7 +28,7 @@ CONFIGS = [
     ("sorted-list", lambda e: SortedListMatcher.build(e, 128)),
     ("basic", lambda e: BasicPalmtrie.build(e, 128)),
     ("palmtrie6", lambda e: MultibitPalmtrie.build(e, 128, stride=6)),
-    ("plus8", lambda e: PalmtriePlus.build(e, 128, stride=8)),
+    ("plus8", lambda e: FrozenMatcher.build(e, 128, stride=8)),
     ("dpdk-style", lambda e: DpdkStyleAcl.build(e, 128, state_limit=50_000)),
 ]
 
@@ -53,7 +54,7 @@ def main() -> None:
             table.add_row(
                 name,
                 format_seconds(build_time),
-                f"{matcher.memory_bytes() / 1024:.1f}",
+                f"{modeled_bytes(matcher) / 1024:.1f}",
                 format_rate(rate.lookups_per_second),
                 f"{rate.node_visits_per_lookup:.1f}",
             )

@@ -11,8 +11,8 @@ trie as ``table1_basic.dot`` / ``table1_k3.dot`` (render with Graphviz:
 Run:  python examples/trie_anatomy.py
 """
 
-from repro import BasicPalmtrie, MultibitPalmtrie, PalmtriePlus, TernaryEntry, TernaryKey
-from repro.bench.memory import deep_sizeof
+from repro import BasicPalmtrie, FrozenMatcher, MultibitPalmtrie, TernaryEntry, TernaryKey
+from repro.bench.memory import deep_sizeof, modeled_bytes
 from repro.core.introspect import to_dot, trie_shape
 from repro.workloads.campus import campus_acl
 
@@ -53,9 +53,9 @@ def memory_story() -> None:
     for name, matcher in (
         ("palmtrie1", MultibitPalmtrie.build(acl.entries, 128, stride=1)),
         ("palmtrie8", MultibitPalmtrie.build(acl.entries, 128, stride=8)),
-        ("plus8", PalmtriePlus.build(acl.entries, 128, stride=8)),
+        ("plus8", FrozenMatcher.build(acl.entries, 128, stride=8)),
     ):
-        modeled = matcher.memory_bytes()
+        modeled = modeled_bytes(matcher)  # plus8: the Palmtrie+ model
         python = deep_sizeof(matcher)
         print(f"{name:>12} {modeled:>12,} {python:>12,} {python / modeled:>6.1f}")
     print("\n(the Fig. 9 claim is visible in the modeled column: palmtrie8")

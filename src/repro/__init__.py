@@ -7,13 +7,14 @@ system inventory.
 
 Quickstart::
 
-    from repro import PalmtriePlus, parse_acl, compile_acl, PacketHeader
+    from repro import FrozenMatcher, parse_acl, compile_acl, PacketHeader
 
     acl = compile_acl(parse_acl(\"\"\"
         permit ip 192.0.2.0/24 any
         deny ip any 192.0.2.0/24
     \"\"\"))
-    matcher = PalmtriePlus.build(acl.entries, key_length=128, stride=8)
+    # the Palmtrie+_8 (paper §3.6): a Palmtrie_8 compiled into flat arrays
+    matcher = FrozenMatcher.build(acl.entries, key_length=128, stride=8)
     packet = PacketHeader(src_ip=0xC0000201, dst_ip=0x08080808, proto=6)
     entry = matcher.lookup(packet.to_query())
     print(acl.rules[entry.value].action)   # Action.PERMIT
@@ -44,9 +45,7 @@ from .core import (
     FrozenPoptrie,
     LookupStats,
     MultibitPalmtrie,
-    PalmtriePlus,
     PatriciaTrie,
-    PipelinedLookup,
     RadixTree,
     TernaryEntry,
     TernaryKey,
@@ -98,9 +97,7 @@ __all__ = [
     "LookupStats",
     "MultibitPalmtrie",
     "PacketHeader",
-    "PalmtriePlus",
     "PatriciaTrie",
-    "PipelinedLookup",
     "Protocol",
     "RadixTree",
     "SortedListMatcher",

@@ -11,7 +11,7 @@ from .harness import (
     measure_engine_rate,
     measure_lookup_rate,
 )
-from .memory import deep_sizeof, memory_comparison
+from .memory import deep_sizeof, memory_comparison, modeled_bytes, palmtrie_plus_bytes
 from .report import Table, format_rate, format_seconds, save_report
 from .scale import SCALES, Scale, current_scale
 
@@ -33,7 +33,9 @@ __all__ = [
     "measure_engine_rate",
     "measure_lookup_rate",
     "memory_comparison",
+    "modeled_bytes",
     "modeled_mlps",
+    "palmtrie_plus_bytes",
     "render_series",
     "run_experiment",
     "save_report",

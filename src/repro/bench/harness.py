@@ -18,6 +18,7 @@ flow-cache hit ratio and batch throughput of the serving path.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -180,7 +181,20 @@ class BuildMeasurement:
 
 
 def measure_build(label: str, builder: Callable[[], object]) -> BuildMeasurement:
-    """Time one data-structure construction."""
-    start = time.perf_counter()
-    result = builder()
-    return BuildMeasurement(label=label, seconds=time.perf_counter() - start, result=result)
+    """Time one data-structure construction.
+
+    The collector runs once before the timed call and is off during it,
+    so a full collection of earlier garbage cannot land inside one
+    cell; its prior state comes back even when ``builder`` raises.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = builder()
+        seconds = time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
+    return BuildMeasurement(label=label, seconds=seconds, result=result)

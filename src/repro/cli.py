@@ -83,7 +83,8 @@ from .acl.rule import Action
 from .bench.experiments import ALL_EXPERIMENTS, run_experiment
 from .bench.report import save_report
 from .bench.scale import SCALES, current_scale
-from .core.plus import PalmtriePlus
+from .config import DEFAULT_CONFIG
+from .core.table import build_matcher
 from .packet.headers import PacketHeader
 
 __all__ = ["main"]
@@ -115,7 +116,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     with open(args.acl) as handle:
         rules = parse_acl(handle.read())
     compiled = compile_acl(rules)
-    matcher = PalmtriePlus.build(compiled.entries, compiled.layout.length, stride=8)
+    matcher = build_matcher(DEFAULT_CONFIG, compiled.entries, compiled.layout.length)
     header = PacketHeader(
         src_ip=parse_ipv4(args.src),
         dst_ip=parse_ipv4(args.dst),
@@ -421,7 +422,6 @@ def _engine_config(**fields):
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .core.table import build_matcher
     from .engine import ClassificationEngine
 
     config = _engine_config(
@@ -543,7 +543,6 @@ def _print_stream_summary(args, engine, report, counts) -> None:
 
 
 def _run_scenario_replay(args, config) -> int:
-    from .core.table import build_matcher
     from .engine import ClassificationEngine
     from .stream import ScenarioSource, StreamPipeline
     from .workloads.scenarios import churn_applier, get_scenario
@@ -761,7 +760,6 @@ def _serve_once(text: str, port: int) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from .core.table import build_matcher
     from .engine import ClassificationEngine
     from .obs.export import render_prometheus, snapshot
 
@@ -803,7 +801,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
     Exit code is the health verdict: 0 ok, 1 degraded, 2 quarantined
     (or an invalid checkpoint) — scriptable as a readiness probe.
     """
-    from .core.table import build_matcher
     from .engine import ClassificationEngine
     from .resilience.guard import GuardRail
 

@@ -113,7 +113,6 @@ def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:
     sequence of parsed :class:`~repro.acl.rule.AclRule` objects, an
     already-compiled :class:`~repro.acl.compiler.CompiledAcl`, or a
     built :class:`~repro.core.multibit.MultibitPalmtrie` /
-    :class:`~repro.core.plus.PalmtriePlus` /
     :class:`~repro.core.frozen.FrozenMatcher` to wrap as-is (any other
     matcher is a :class:`TypeError`).  The stride and every serving knob
     come from ``config``; the returned engine is a

@@ -2,13 +2,10 @@
 
 from .adaptive import AdaptiveMatcher
 from .basic import BasicPalmtrie
-from .categories import CategorizedEntry, CategorizedTable
 from .frozen import FrozenMatcher, FrozenPoptrie, freeze
 from .introspect import TrieShape, to_dot, trie_shape
 from .multibit import MultibitPalmtrie
 from .patricia import PatriciaTrie
-from .pipeline import PipelinedLookup, PipelineStats
-from .plus import PalmtriePlus
 from .poptrie import Poptrie
 from .radix import RadixTree
 from .serialize import deserialize_frozen, load_frozen, save_frozen, serialize_frozen
@@ -18,16 +15,11 @@ from .ternary import TernaryKey, extract_chunk
 __all__ = [
     "AdaptiveMatcher",
     "BasicPalmtrie",
-    "CategorizedEntry",
-    "CategorizedTable",
     "FrozenMatcher",
     "FrozenPoptrie",
     "LookupStats",
     "MultibitPalmtrie",
-    "PalmtriePlus",
     "PatriciaTrie",
-    "PipelineStats",
-    "PipelinedLookup",
     "Poptrie",
     "RadixTree",
     "TernaryEntry",

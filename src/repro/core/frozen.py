@@ -1,4 +1,4 @@
-"""Frozen struct-of-arrays lookup plane (the §3.4/§3.6 layouts, compiled).
+"""Frozen struct-of-arrays lookup plane: the paper's Palmtrie+ (§3.6).
 
 The mutable tries in this package are graphs of Python objects: every
 lookup pays attribute loads, bitmap slicing on wide Python ints, and an
@@ -6,8 +6,7 @@ inner slot loop per node visit.  The paper's practical message — and the
 one cache-aware flattened forwarding structures and computational
 classifiers make across the literature — is that the hot path belongs in
 contiguous arrays.  :func:`freeze` is that compiler for Python: it takes
-a *built* :class:`~repro.core.multibit.MultibitPalmtrie` or
-:class:`~repro.core.plus.PalmtriePlus` (or a
+a *built* :class:`~repro.core.multibit.MultibitPalmtrie` (or a
 :class:`~repro.core.poptrie.Poptrie`, see :class:`FrozenPoptrie`) and
 emits the whole trie as flat parallel integer arrays:
 
@@ -55,8 +54,16 @@ plane from it; a plane loaded from disk
 (:func:`repro.core.serialize.load_frozen`) carries no source trie, and
 :meth:`FrozenMatcher.rebuild_source` builds one from its entries when
 one is needed.  A plane is a pure function of the Palmtrie_k it is
-frozen from (and of the layout asked for): freezing a Palmtrie+ walks
-its retained Palmtrie_k, the trie its own nodes are compiled from.
+frozen from (and of the layout asked for).
+
+This plane is the repository's one compiled form of Algorithm 3: it
+holds exactly the Palmtrie_k's nodes, visits exactly the nodes the
+Palmtrie_k visits, and ``FrozenMatcher.build(entries, key_length,
+stride=k)`` is the Palmtrie+_k of the experiment drivers.  Figure 6's
+C-layout memory model of that Palmtrie+ is a function of the plane's
+node counts (:func:`repro.bench.memory.palmtrie_plus_bytes`); the
+plane's own :meth:`~FrozenMatcher.memory_bytes` stays its true
+footprint.
 """
 
 from __future__ import annotations
@@ -69,7 +76,6 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .multibit import MultibitPalmtrie
 from .multibit import _Leaf as _MbLeaf
-from .plus import PalmtriePlus
 from .poptrie import Poptrie, _PoptrieNode
 from .table import TernaryEntry, TernaryMatcher
 
@@ -93,6 +99,12 @@ def _ternary_slots(stride: int) -> list[tuple[int, ...]]:
     """Per-stride ternary slot tables (same indexing as the mutable
     tries): ``slots[i][l]`` is the don't-care slot for the length-l
     prefix of chunk ``i``.
+
+    These are the slots Algorithm 3's don't-care loop probes.  The
+    paper's line 20 tests ``x.bitmap_c`` inside that loop; that is a
+    typo for ``x.bitmap_t``, the bitmap whose popcount line 21 takes.
+    The freeze compiler reads the ternary children these slots name,
+    which is the ``bitmap_t`` reading.
 
     Bounded LRU memo: a stride-16 table alone is 64 Ki tuples, so the
     cache keeps the hottest few and exposes the
@@ -178,14 +190,11 @@ class FrozenMatcher(TernaryMatcher):
         layout: str = "build",
         layout_trace: Optional[Sequence[int]] = None,
     ) -> "FrozenMatcher":
-        """Compile an existing built trie (the :func:`freeze` entry point).
-        A Palmtrie+ is frozen from its retained Palmtrie_k."""
-        if isinstance(source, PalmtriePlus):
-            source = source.source
+        """Compile an existing built Palmtrie_k (the §3.6 compilation
+        step, and the :func:`freeze` entry point)."""
         if not isinstance(source, MultibitPalmtrie):
             raise TypeError(
-                f"cannot freeze {type(source).__name__}; "
-                "expected MultibitPalmtrie or PalmtriePlus"
+                f"cannot freeze {type(source).__name__}; expected MultibitPalmtrie"
             )
         frozen = cls.__new__(cls)
         frozen._compile(source, layout, layout_trace)
@@ -934,9 +943,8 @@ def freeze(
 ) -> Any:
     """Compile a built matcher into its frozen struct-of-arrays plane.
 
-    * :class:`MultibitPalmtrie` / :class:`PalmtriePlus` →
-      :class:`FrozenMatcher` (the full ternary-matching surface; a
-      Palmtrie+ is frozen from its retained Palmtrie_k);
+    * :class:`MultibitPalmtrie` → :class:`FrozenMatcher` (the full
+      ternary-matching surface);
     * :class:`Poptrie` → :class:`FrozenPoptrie` (the LPM surface; the
       adaptive knobs below do not apply);
     * an already-frozen matcher is returned as-is: a plane is laid out

@@ -149,9 +149,8 @@ class TernaryMatcher(abc.ABC):
         amortize work across a batch (shared trie paths, data
         parallelism) override it with a genuinely batched traversal:
         :class:`~repro.core.multibit.MultibitPalmtrie`,
-        :class:`~repro.core.plus.PalmtriePlus`,
-        :class:`~repro.baselines.vectorized.VectorizedMatcher` and
-        :class:`~repro.core.pipeline.PipelinedLookup`.
+        :class:`~repro.core.frozen.FrozenMatcher` and
+        :class:`~repro.baselines.vectorized.VectorizedMatcher`.
         """
         lookup = self.lookup
         return [lookup(query) for query in queries]
@@ -231,10 +230,10 @@ def build_matcher(
 
     The one build path of the CLI, the apps, the tenant router and
     :func:`~repro.serve`: the engine serves this retained source trie
-    (paper §3.6) through the frozen plane compiled from it, so no
-    Palmtrie+ is compiled on the way.  The paper's comparison
-    structures (the basic trie, Palmtrie+, the baselines) are built
-    through their own classes by the experiment drivers.
+    (paper §3.6) through the frozen plane compiled from it, which is
+    the paper's Palmtrie+.  The paper's comparison structures (the
+    basic trie, the baselines) are built through their own classes by
+    the experiment drivers.
     """
     from ..config import EngineConfig
     from .multibit import MultibitPalmtrie

@@ -14,7 +14,6 @@ from repro.core.adaptive import AdaptiveMatcher
 from repro.core.basic import BasicPalmtrie
 from repro.core.frozen import FrozenMatcher
 from repro.core.multibit import MultibitPalmtrie
-from repro.core.plus import PalmtriePlus
 from repro.core.table import TernaryEntry, TernaryMatcher
 from repro.core.ternary import TernaryKey
 
@@ -24,7 +23,6 @@ KINDS: dict[str, type[TernaryMatcher]] = {
     "sorted-list": SortedListMatcher,
     "palmtrie-basic": BasicPalmtrie,
     "palmtrie": MultibitPalmtrie,
-    "palmtrie-plus": PalmtriePlus,
     "frozen": FrozenMatcher,
     "dpdk-acl": DpdkStyleAcl,
     "efficuts": EffiCutsClassifier,
@@ -33,7 +31,7 @@ KINDS: dict[str, type[TernaryMatcher]] = {
     "vectorized": VectorizedMatcher,
 }
 #: the kinds a ClassificationEngine serves
-SERVED_KINDS = ("frozen", "palmtrie-plus")
+SERVED_KINDS = ("frozen", "palmtrie")
 #: kinds whose insert/delete raise NotImplementedError (rebuild-only)
 BUILD_ONLY = {"dpdk-acl", "efficuts"}
 #: read-only planes, by the kind their updates go to (the trie a plane
@@ -54,9 +52,9 @@ def updatable_kind(kind: str, entries, key_length: int) -> TernaryMatcher:
 
 def served_matcher(kind: str, entries, key_length: int) -> TernaryMatcher:
     """What an engine serves next to comparison structure ``kind``: the
-    kind itself when the engine serves it, a Palmtrie+ over the same
+    kind itself when the engine serves it, a Palmtrie_k over the same
     entries otherwise."""
-    return build_kind(kind if kind in SERVED_KINDS else "palmtrie-plus", entries, key_length)
+    return build_kind(kind if kind in SERVED_KINDS else "palmtrie", entries, key_length)
 
 #: the paper's Table 1 dataset: (key, value, priority)
 TABLE1_ROWS = (

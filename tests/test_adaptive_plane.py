@@ -27,8 +27,7 @@ from helpers import (
 )
 
 from repro import ClassificationEngine, EngineConfig, TernaryEntry, TernaryKey
-from repro.core.frozen import FrozenMatcher, _ternary_slots, freeze
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher, _ternary_slots
 from repro.core.serialize import (
     _FROZEN_EXT,
     _FROZEN_HEADER,
@@ -72,10 +71,8 @@ def _variants(entries, trace):
     """Frozen planes of the same table under both node layouts."""
     return {
         "build": FrozenMatcher.build(entries, KEY_LENGTH, stride=4),
-        "hot": freeze(
-            PalmtriePlus.build(entries, KEY_LENGTH, stride=4),
-            layout="hot",
-            trace=trace,
+        "hot": FrozenMatcher.build(
+            entries, KEY_LENGTH, stride=4, layout="hot", layout_trace=trace
         ),
     }
 
@@ -108,10 +105,12 @@ class TestLayoutPlanInvariance:
     def test_property_verdicts_match_oracle(self, seed, count, layout, stride):
         entries = _unique_priorities(random_entries(count, KEY_LENGTH, seed=seed))
         trace = _trace(entries, 60, seed=seed)
-        plane = freeze(
-            PalmtriePlus.build(entries, KEY_LENGTH, stride=stride),
+        plane = FrozenMatcher.build(
+            entries,
+            KEY_LENGTH,
+            stride=stride,
             layout=layout,
-            trace=trace if layout == "hot" else None,
+            layout_trace=trace if layout == "hot" else None,
         )
         for query in trace:
             assert_same_result(oracle_lookup(entries, query), plane.lookup(query))

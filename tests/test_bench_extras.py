@@ -6,7 +6,7 @@ from helpers import random_entries, table1_entries
 from repro.bench.chart import render_series
 from repro.bench.memory import deep_sizeof, memory_comparison
 from repro.core.multibit import MultibitPalmtrie
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher
 
 
 class TestDeepSizeof:
@@ -31,12 +31,12 @@ class TestDeepSizeof:
         assert deep_sizeof(trie) > deep_sizeof(empty)
 
     def test_grows_with_entries(self):
-        small = PalmtriePlus.build(random_entries(20, 16, seed=1), 16, stride=4)
-        large = PalmtriePlus.build(random_entries(400, 16, seed=2), 16, stride=4)
+        small = FrozenMatcher.build(random_entries(20, 16, seed=1), 16, stride=4)
+        large = FrozenMatcher.build(random_entries(400, 16, seed=2), 16, stride=4)
         assert deep_sizeof(large) > 3 * deep_sizeof(small)
 
     def test_memory_comparison_keys(self):
-        matcher = PalmtriePlus.build(table1_entries(), 8, stride=3)
+        matcher = FrozenMatcher.build(table1_entries(), 8, stride=3)
         report = memory_comparison(matcher)
         assert report["modeled_c_bytes"] > 0
         assert report["python_bytes"] > report["modeled_c_bytes"]  # CPython overhead

@@ -457,14 +457,14 @@ class TestHealthCommand:
         assert "shadow verify" in out
 
     def test_valid_checkpoint_reported(self, dataset, tmp_path, capsys):
-        from repro.core.plus import PalmtriePlus
+        from repro.core.multibit import MultibitPalmtrie
         from repro.resilience import write_checkpoint
         from repro.workloads.io import load_acl
         from repro.acl.compiler import compile_acl
 
         acl_path, trace_path = dataset
         compiled = compile_acl(load_acl(acl_path))
-        matcher = PalmtriePlus.build(compiled.entries, compiled.layout.length, stride=8)
+        matcher = MultibitPalmtrie.build(compiled.entries, compiled.layout.length, stride=8)
         ckpt = str(tmp_path / "c.plmc")
         write_checkpoint(ckpt, matcher, epoch=2, generation=9)
         assert main(["health", acl_path, trace_path, "--checkpoint", ckpt]) == 0

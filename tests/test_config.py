@@ -14,7 +14,6 @@ from repro import (
     ClassificationEngine,
     EngineConfig,
     MultibitPalmtrie,
-    PalmtriePlus,
     build_matcher,
     compile_acl,
     parse_acl,
@@ -72,7 +71,7 @@ class TestEngineConfig:
 
     def test_engine_kwargs_round_trip(self):
         config = EngineConfig(cache_size=7, metrics=True)
-        engine = ClassificationEngine(PalmtriePlus.build(table1_entries(), 8), config)
+        engine = ClassificationEngine(MultibitPalmtrie.build(table1_entries(), 8), config)
         assert engine.config is config
         assert engine.cache.capacity == 7
         assert engine.metrics is not None
@@ -90,13 +89,13 @@ class TestFromConfig:
     config says."""
 
     def test_in_process_engine(self):
-        matcher = PalmtriePlus.build(table1_entries(), 8)
+        matcher = MultibitPalmtrie.build(table1_entries(), 8)
         engine = ClassificationEngine(matcher, EngineConfig(cache_size=16))
         assert isinstance(engine, ClassificationEngine)
         assert engine.cache.capacity == 16
 
     def test_none_config_uses_defaults(self):
-        matcher = PalmtriePlus.build(table1_entries(), 8)
+        matcher = MultibitPalmtrie.build(table1_entries(), 8)
         engine = ClassificationEngine(matcher, None)
         assert engine.config == DEFAULT_CONFIG
 
@@ -106,7 +105,7 @@ class TestFromConfig:
         budget per shard."""
         from repro.shard import ShardedEngine
 
-        matcher = PalmtriePlus.build(table1_entries(), 8)
+        matcher = MultibitPalmtrie.build(table1_entries(), 8)
         with ClassificationEngine(
             matcher, EngineConfig(cache_size=16, shards=1)
         ) as engine:
@@ -152,7 +151,7 @@ class TestServeFacade:
         assert by_rules.lookup(0).value == by_compiled.lookup(0).value
 
     def test_serve_wraps_bare_matcher(self):
-        matcher = PalmtriePlus.build(table1_entries(), 8)
+        matcher = MultibitPalmtrie.build(table1_entries(), 8)
         engine = serve(matcher)
         assert engine.matcher is matcher
 
@@ -166,7 +165,7 @@ class TestServeFacade:
 SURFACES = [
     pytest.param(
         lambda acl, **kw: ClassificationEngine(
-            PalmtriePlus.build(acl.entries, acl.layout.length), **kw
+            MultibitPalmtrie.build(acl.entries, acl.layout.length), **kw
         ),
         id="ClassificationEngine",
     ),

@@ -26,7 +26,7 @@ from repro.baselines.tcam import TcamModel
 from repro.core.adaptive import AdaptiveMatcher
 from repro.core.basic import BasicPalmtrie
 from repro.core.multibit import MultibitPalmtrie
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher
 from repro.config import EngineConfig
 from repro.engine import ClassificationEngine
 from repro.workloads.campus import campus_acl
@@ -40,7 +40,7 @@ def _matchers(entries, key_length):
     yield BasicPalmtrie.build(entries, key_length)
     for stride in (1, 3, 4, 7, 8):
         yield MultibitPalmtrie.build(entries, key_length, stride=stride)
-        yield PalmtriePlus.build(entries, key_length, stride=stride)
+        yield FrozenMatcher.build(entries, key_length, stride=stride)
     yield MultibitPalmtrie.build(entries, key_length, stride=4, subtree_skipping=False)
     yield DpdkStyleAcl.build(entries, key_length)
     yield EffiCutsClassifier.build(entries, key_length)
@@ -79,7 +79,7 @@ def test_campus_acl_uniform_and_scan():
     matchers = [
         BasicPalmtrie.build(entries, 128),
         MultibitPalmtrie.build(entries, 128, stride=6),
-        PalmtriePlus.build(entries, 128, stride=8),
+        FrozenMatcher.build(entries, 128, stride=8),
         DpdkStyleAcl.build(entries, 128),
         EffiCutsClassifier.build(entries, 128),
     ]
@@ -97,7 +97,7 @@ def test_classbench_traces(profile):
     queries = pareto_trace(entries, 250)
     matchers = [
         MultibitPalmtrie.build(entries, 128, stride=8),
-        PalmtriePlus.build(entries, 128, stride=8),
+        FrozenMatcher.build(entries, 128, stride=8),
         EffiCutsClassifier.build(entries, 128),
     ]
     for query in queries:
@@ -107,17 +107,17 @@ def test_classbench_traces(profile):
 
 
 def test_incremental_inserts_track_oracle():
-    """Interleaved inserts with lookups after each batch."""
+    """Interleaved inserts with lookups after each batch; the Palmtrie+
+    is refrozen from the Palmtrie_k after each one (§3.6)."""
     entries = random_entries(120, KEY_LENGTH, seed=77)
     oracle = SortedListMatcher(KEY_LENGTH)
     palmtrie = MultibitPalmtrie(KEY_LENGTH, stride=4)
-    plus = PalmtriePlus(KEY_LENGTH, stride=4)
     rng = random.Random(77)
     for start in range(0, len(entries), 30):
         for entry in entries[start : start + 30]:
             oracle.insert(entry)
             palmtrie.insert(entry)
-            plus.insert(entry)
+        plus = FrozenMatcher.from_matcher(palmtrie)
         for _ in range(100):
             query = rng.getrandbits(KEY_LENGTH)
             expected = oracle.lookup(query)

@@ -2,7 +2,7 @@
 
 The load-bearing property is differential: for every structure of the
 paper's evaluation, its scalar and batched paths agree with the
-brute-force oracle, and the served engine (a Palmtrie+, or the kind
+brute-force oracle, and the served engine (a Palmtrie_k, or the kind
 itself when the engine takes it) agrees with both on every cached and
 batched path — including after ``insert``/``delete`` applied to the
 engine and to the incremental structures alike (the cache must never
@@ -32,7 +32,6 @@ from repro import ClassificationEngine, EngineConfig, FlowCache, build_matcher, 
 from repro.baselines.sorted_list import SortedListMatcher
 from repro.core.frozen import FrozenMatcher, freeze
 from repro.core.multibit import MultibitPalmtrie
-from repro.core.plus import PalmtriePlus
 from repro.core.serialize import serialize_frozen
 from repro.resilience.guard import GuardRail
 from repro.core.table import TernaryEntry
@@ -79,7 +78,7 @@ class TestServedForms:
             assert_same_result(by_config.lookup(query), by_class.lookup(query))
 
     def test_build_matcher_rejects_kinds_and_classes(self):
-        for config in (dict, PalmtriePlus, "palmtrie-plus"):
+        for config in (dict, MultibitPalmtrie, "palmtrie"):
             with pytest.raises(TypeError):
                 build_matcher(config, table1_entries(), 8)
 
@@ -89,17 +88,17 @@ class TestServedForms:
         ids=["sorted-list", "duck-typed"],
     )
     def test_engine_rejects_unserved_matchers(self, make):
-        with pytest.raises(TypeError, match="PalmtriePlus or a FrozenMatcher"):
+        with pytest.raises(TypeError, match="MultibitPalmtrie or a FrozenMatcher"):
             ClassificationEngine(make())
-        with pytest.raises(TypeError, match="PalmtriePlus or a FrozenMatcher"):
+        with pytest.raises(TypeError, match="MultibitPalmtrie or a FrozenMatcher"):
             serve(make())
-        engine = ClassificationEngine(PalmtriePlus.build(table1_entries(), 8))
-        with pytest.raises(TypeError, match="PalmtriePlus or a FrozenMatcher"):
+        engine = ClassificationEngine(MultibitPalmtrie.build(table1_entries(), 8))
+        with pytest.raises(TypeError, match="MultibitPalmtrie or a FrozenMatcher"):
             engine.replace_matcher(make())
         with pytest.raises(TypeError):
             engine.matcher = make()
         # A rejected swap leaves the served policy in place.
-        assert type(engine.matcher) is PalmtriePlus and engine.policy_swaps == 0
+        assert type(engine.matcher) is MultibitPalmtrie and engine.policy_swaps == 0
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +364,7 @@ class TestBatchProbeFill:
     @pytest.mark.parametrize("capacity", [0, 1, 7, 4096])
     def test_engine_lookup_batch_equals_per_packet_loop(self, capacity):
         rng = random.Random(capacity)
-        matcher = PalmtriePlus.build(random_entries(60, KEY_LENGTH, seed=12), KEY_LENGTH)
+        matcher = MultibitPalmtrie.build(random_entries(60, KEY_LENGTH, seed=12), KEY_LENGTH)
         engine = ClassificationEngine(
             matcher, EngineConfig(cache_size=capacity, resilience=_open_breaker_guard())
         )
@@ -408,7 +407,7 @@ class TestBatchProbeFill:
 class TestEngineObservability:
     def test_counters_and_report(self):
         entries = table1_entries()
-        engine = ClassificationEngine(PalmtriePlus.build(entries, 8), EngineConfig(cache_size=16))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, 8), EngineConfig(cache_size=16))
         engine.lookup_batch(list(range(32)))
         engine.lookup_batch(list(range(32)))   # all hits... except evicted rows
         stats = engine.stats
@@ -426,7 +425,7 @@ class TestEngineObservability:
         assert engine.stats.lookups == 0 and engine.batches == 0
 
     def test_batch_report_dedupes_repeats(self):
-        engine = ClassificationEngine(PalmtriePlus.build(table1_entries(), 8), EngineConfig(cache_size=0))
+        engine = ClassificationEngine(MultibitPalmtrie.build(table1_entries(), 8), EngineConfig(cache_size=0))
         engine.lookup_batch([5, 5, 5, 9, 9])
         assert engine.last_batch.matcher_queries == 2  # 5 and 9, deduplicated
         assert engine.last_batch.cache_hits == 0       # cache disabled
@@ -436,7 +435,7 @@ class TestEngineObservability:
             ClassificationEngine(object())
 
     def test_invalidate_all(self):
-        engine = ClassificationEngine(PalmtriePlus.build(table1_entries(), 8), EngineConfig(cache_size=8))
+        engine = ClassificationEngine(MultibitPalmtrie.build(table1_entries(), 8), EngineConfig(cache_size=8))
         engine.lookup_batch([1, 2, 3])
         assert engine.invalidate_all() == 3
         assert len(engine.cache) == 0
@@ -482,7 +481,7 @@ class TestUpdatePlane:
 
     def test_op_normalization_accepts_bare_entries_and_keys(self):
         entries = random_entries(10, KEY_LENGTH, seed=23)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH))
         extra = TernaryEntry(TernaryKey.exact(3, KEY_LENGTH), 99, 999)
         report = engine.apply_updates([extra, entries[0].key, ("delete", entries[1])])
         assert report.inserted == 1 and report.deleted == 2
@@ -490,7 +489,7 @@ class TestUpdatePlane:
 
     def test_op_normalization_rejects_garbage(self):
         engine = ClassificationEngine(
-            PalmtriePlus.build(random_entries(5, KEY_LENGTH, seed=24), KEY_LENGTH)
+            MultibitPalmtrie.build(random_entries(5, KEY_LENGTH, seed=24), KEY_LENGTH)
         )
         with pytest.raises(TypeError):
             engine.apply_updates([42])
@@ -501,7 +500,7 @@ class TestUpdatePlane:
 
     def test_missing_deletes_are_counted_not_applied(self):
         entries = random_entries(10, KEY_LENGTH, seed=25)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH))
         absent = TernaryKey.from_string("0" * KEY_LENGTH)
         report = engine.apply_updates([("delete", absent)])
         assert report.deleted == 0 and report.missing_deletes == 1
@@ -512,7 +511,7 @@ class TestUpdatePlane:
 
     def test_scalar_delete_of_an_absent_key_is_a_missing_delete(self):
         entries = random_entries(10, KEY_LENGTH, seed=25)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH))
         generation = engine.matcher.generation
         assert not engine.delete(TernaryKey.from_string("0" * KEY_LENGTH))
         assert engine.last_update.missing_deletes == 1
@@ -523,7 +522,7 @@ class TestUpdatePlane:
         """The silent-stale hazard: callers mutating ``engine.matcher``
         directly must still get fresh verdicts (generation check)."""
         entries = random_entries(30, KEY_LENGTH, seed=28)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=64))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH), EngineConfig(cache_size=64))
         queries = _queries(50, seed=29)
         engine.lookup_batch(queries)  # warm cache and freeze the plane
         assert engine.report()["frozen_plane_active"]
@@ -538,7 +537,7 @@ class TestUpdatePlane:
         """An all-wildcard key is past the point where a row-by-row
         sweep pays: the next lookup clears the cache instead."""
         entries = random_entries(20, KEY_LENGTH, seed=30)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=256))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH), EngineConfig(cache_size=256))
         queries = list(dict.fromkeys(_queries(64, seed=31)))
         engine.lookup_batch(queries)
         rows = len(engine.cache)
@@ -552,13 +551,13 @@ class TestUpdatePlane:
 
     def test_replace_matcher_preserves_cumulative_stats(self):
         entries = random_entries(20, KEY_LENGTH, seed=34)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=32))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH), EngineConfig(cache_size=32))
         queries = _queries(40, seed=35)
         engine.lookup_batch(queries)
         lookups_before = engine.stats.lookups
         last_batch = engine.last_batch
         replacement = random_entries(10, KEY_LENGTH, seed=36)
-        engine.replace_matcher(PalmtriePlus.build(replacement, KEY_LENGTH))
+        engine.replace_matcher(MultibitPalmtrie.build(replacement, KEY_LENGTH))
         assert engine.stats.lookups == lookups_before
         assert engine.last_batch is last_batch
         assert engine.policy_swaps == 1
@@ -567,7 +566,7 @@ class TestUpdatePlane:
             assert_same_result(oracle_lookup(replacement, query), engine.lookup(query))
 
     def test_replace_matcher_rejects_non_matcher(self):
-        engine = ClassificationEngine(PalmtriePlus.build(table1_entries(), 8))
+        engine = ClassificationEngine(MultibitPalmtrie.build(table1_entries(), 8))
         with pytest.raises(TypeError):
             engine.replace_matcher(object())
 
@@ -577,11 +576,11 @@ class TestUpdatePlane:
         verdicts — even when B's generation counter equals A's (the
         generation stamp alone cannot distinguish two fresh policies)."""
         entries = random_entries(20, KEY_LENGTH, seed=34)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=32))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH), EngineConfig(cache_size=32))
         queries = _queries(40, seed=35)
         engine.lookup_batch(queries)
         replacement_entries = random_entries(10, KEY_LENGTH, seed=36)
-        replacement = PalmtriePlus.build(replacement_entries, KEY_LENGTH)
+        replacement = MultibitPalmtrie.build(replacement_entries, KEY_LENGTH)
         assert replacement.generation == engine.matcher.generation
         engine.matcher = replacement
         assert engine.epoch == 1
@@ -594,7 +593,7 @@ class TestUpdatePlane:
 
     def test_refresh_pays_deferred_work_eagerly(self):
         entries = random_entries(20, KEY_LENGTH, seed=37)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig())
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH), EngineConfig())
         engine.lookup(0)  # freeze the plane
         engine.apply_updates([TernaryEntry(TernaryKey.exact(9, KEY_LENGTH), 1, 1)])
         # The update keeps the plane, serving behind a one-key overlay.
@@ -605,13 +604,10 @@ class TestUpdatePlane:
         report = engine.report()
         assert report["frozen_plane_active"] and report["plane_overlay_keys"] == 0
         assert engine.freezes == 2
-        # The plane freezes from the Palmtrie_k: no Palmtrie+ compile
-        # beyond the build's.
-        assert engine.matcher.compile_count == 1
 
     def test_report_exposes_update_metrics(self):
         entries = random_entries(10, KEY_LENGTH, seed=38)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH))
         engine.apply_updates([TernaryEntry(TernaryKey.exact(1, KEY_LENGTH), 1, 1)])
         report = engine.report()
         for field in (
@@ -625,10 +621,10 @@ class TestUpdatePlane:
         assert report["generation"] == engine.matcher.generation
 
     def test_generation_bumps_on_content_changes_only(self):
-        matcher = PalmtriePlus.build(random_entries(10, KEY_LENGTH, seed=39), KEY_LENGTH)
+        matcher = MultibitPalmtrie.build(random_entries(10, KEY_LENGTH, seed=39), KEY_LENGTH)
         generation = matcher.generation
-        matcher.compile()
-        assert matcher.generation == generation  # recompiles don't bump
+        freeze(matcher)
+        assert matcher.generation == generation  # freezing doesn't bump
         matcher.insert(TernaryEntry(TernaryKey.exact(2, KEY_LENGTH), 1, 1))
         assert matcher.generation == generation + 1
         assert not matcher.delete(TernaryKey.from_string("1" * KEY_LENGTH))
@@ -643,7 +639,7 @@ class TestUpdatePlane:
         assert sub_tick.queries_per_second > 0
         empty = BatchReport(queries=0, matcher_queries=0, cache_hits=0, seconds=0.0)
         assert empty.queries_per_second == 0.0
-        engine = ClassificationEngine(PalmtriePlus.build(table1_entries(), 8))
+        engine = ClassificationEngine(MultibitPalmtrie.build(table1_entries(), 8))
         assert engine.queries_per_second() == 0.0  # nothing batched yet
         engine.lookup_batch([1])
         engine.elapsed_seconds = 0.0  # force the sub-tick case
@@ -661,7 +657,7 @@ def _prefix_entry(bits: str, value, priority: int) -> TernaryEntry:
     )
 
 
-def _overlay_engine(config: EngineConfig, matcher_cls=PalmtriePlus):
+def _overlay_engine(config: EngineConfig, matcher_cls=MultibitPalmtrie):
     entries = random_entries(40, KEY_LENGTH, seed=51)
     engine = ClassificationEngine(matcher_cls.build(entries, KEY_LENGTH), config)
     queries = list(dict.fromkeys(_queries(300, seed=52)))
@@ -760,7 +756,7 @@ def _two_field_entries(count: int, seed: int) -> list[TernaryEntry]:
     return entries
 
 
-def _region_engine(config: EngineConfig, matcher_cls=PalmtriePlus, seed: int = 61):
+def _region_engine(config: EngineConfig, matcher_cls=MultibitPalmtrie, seed: int = 61):
     """A warm engine plus queries that each agree with a walked query on
     every bit its walk examined (so the region tier can answer them)."""
     entries = _two_field_entries(40, seed)
@@ -827,7 +823,7 @@ class TestRegionTier:
                 engine.stats.cache_misses - misses
             )
 
-    @pytest.mark.parametrize("matcher_cls", [PalmtriePlus, FrozenMatcher])
+    @pytest.mark.parametrize("matcher_cls", [MultibitPalmtrie, FrozenMatcher])
     def test_updates_sweep_the_regions_their_keys_intersect(self, matcher_cls):
         engine, entries, walked, siblings = _region_engine(
             EngineConfig(cache_size=64),
@@ -878,13 +874,13 @@ class TestRegionTier:
         assert engine.regions.rows == 0
         engine.lookup_batch(siblings)
         assert engine.regions.rows
-        engine.replace_matcher(PalmtriePlus.build(entries, KEY_LENGTH))
+        engine.replace_matcher(MultibitPalmtrie.build(entries, KEY_LENGTH))
         assert engine.regions.rows == 0
 
     def test_a_tier_that_does_not_pay_sleeps_then_relearns(self):
         entries = random_entries(60, KEY_LENGTH, seed=64)
         engine = ClassificationEngine(
-            PalmtriePlus.build(entries, KEY_LENGTH), EngineConfig(cache_size=512)
+            MultibitPalmtrie.build(entries, KEY_LENGTH), EngineConfig(cache_size=512)
         )
         # Uniform 16-bit traffic: each region is met about once, so the
         # tier walks far more misses than it answers.
@@ -952,7 +948,7 @@ class TestRegionTier:
         assert served(ClassificationEngine(loaded, config)) == baseline
         checkpoint = str(tmp_path / "good.plmc")
         ClassificationEngine(fresh, config).checkpoint(checkpoint)
-        restored = ClassificationEngine(PalmtriePlus.build(entries[:5], KEY_LENGTH), config)
+        restored = ClassificationEngine(MultibitPalmtrie.build(entries[:5], KEY_LENGTH), config)
         restored.restore_last_good(checkpoint)
         assert served(restored) == baseline
 
@@ -966,7 +962,7 @@ class TestRegionGate:
     @staticmethod
     def _engine(acl, **knobs):
         return ClassificationEngine(
-            PalmtriePlus.build(acl.entries, acl.layout.length),
+            MultibitPalmtrie.build(acl.entries, acl.layout.length),
             EngineConfig(
                 cache_size=4096, resilience=GuardRail(shadow_sample=0.001)
             ).replace(**knobs),
@@ -1300,7 +1296,7 @@ class TestReferenceFollowsUpdates:
             assert engine._source is None
         else:
             entries = random_entries(40, KEY_LENGTH, seed=53)
-            engine.replace_matcher(PalmtriePlus.build(entries, KEY_LENGTH))
+            engine.replace_matcher(MultibitPalmtrie.build(entries, KEY_LENGTH))
         guard = engine.resilience
         rebuilds = guard.reference_rebuilds
         served = engine.lookup_batch(queries)
@@ -1459,8 +1455,7 @@ class TestServedUpdateGate:
 class TestOneServedForm:
     """Work counts of the one served form, a Palmtrie_k plus the frozen
     plane compiled from it: a restored plane serves without rebuilding
-    its Palmtrie_k, a checkpoint writes the plane that serves, and no
-    serving path compiles a Palmtrie+."""
+    its Palmtrie_k, and a checkpoint writes the plane that serves."""
 
     @staticmethod
     def _counting(monkeypatch, cls, name):
@@ -1516,56 +1511,6 @@ class TestOneServedForm:
         assert engine.plane_overlay_keys == 0 and engine._plane is not plane
         engine.mark_last_good()
         assert len(freezes) == 1
-
-    def test_serving_never_compiles_a_palmtrie_plus(self, monkeypatch, tmp_path):
-        from repro.resilience import FaultInjector, injected
-
-        compiles = self._counting(monkeypatch, PalmtriePlus, "compile")
-        entries = random_entries(60, KEY_LENGTH, seed=74)
-        injector = FaultInjector(seed=1)
-        guard = GuardRail(injector=injector, backoff_seconds=30.0)
-        config = EngineConfig(cache_size=64, resilience=guard)
-        engine = ClassificationEngine(build_matcher(config, entries, KEY_LENGTH), config)
-        queries = _queries(300, seed=75)
-        _check_oracle(engine, entries, queries)
-        new = _prefix_entry("10", "new", 10**6)
-        engine.apply_updates([("insert", new)])
-        entries = entries + [new]
-        injector.arm("frozen_walk", rate=1.0, count=1)
-        with injected(injector):
-            _check_oracle(engine, entries, _queries(64, seed=76))
-        assert guard.faults["frozen_walk"] == 1 and guard.degraded_lookups > 0
-        path = str(tmp_path / "good.plmc")
-        engine.checkpoint(path)
-        engine.restore_last_good(path)
-        _check_oracle(engine, entries, queries)
-        assert compiles == []
-
-    def test_a_callers_palmtrie_plus_stays_coherent(self):
-        """A Palmtrie+ handed to an engine takes the engine's updates in
-        its Palmtrie_k and recompiles once, on its own first lookup: the
-        engine's serving, updates and refreezes never compile it."""
-        entries = random_entries(60, KEY_LENGTH, seed=77)
-        plus = PalmtriePlus.build(entries, KEY_LENGTH)
-        oracle = SortedListMatcher.build(entries, KEY_LENGTH)
-        engine = ClassificationEngine(plus, EngineConfig(cache_size=64))
-        rng = random.Random(78)
-        queries = _queries(2000, seed=79)
-        for tx in range(16):
-            new = _prefix_entry(format(tx, "04b"), f"tx{tx}", 10**6 + tx)
-            victim = rng.choice(entries).key
-            engine.apply_updates([("insert", new), ("delete", victim)])
-            oracle.insert(new)
-            while oracle.delete(victim):
-                pass
-            entries = [e for e in entries if e.key != victim] + [new]
-            _check_oracle(engine, entries, queries[tx * 64 : (tx + 1) * 64])
-            engine.refresh()
-        assert engine.matcher is plus and engine.freezes > 1
-        assert plus.compile_count == 1 and plus.stale
-        for query in queries:
-            assert_same_result(oracle.lookup(query), plus.lookup(query))
-        assert plus.compile_count == 2
 
 
 # ----------------------------------------------------------------------

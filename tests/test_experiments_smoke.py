@@ -5,6 +5,8 @@ paper's artifact would.  Kept tiny — the real sizes come from the CLI
 at the REPRO_SCALE presets; these tests guard the plumbing.
 """
 
+from pathlib import Path
+
 from repro.bench.experiments import (
     fig07_optimizations,
     fig08_stride,
@@ -15,7 +17,9 @@ from repro.bench.experiments import (
     table4_classbench_lookup,
     table5_classbench_build,
 )
-from repro.bench.scale import Scale
+from repro.bench.scale import SCALES, Scale
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 MICRO = Scale(
     name="micro",
@@ -40,10 +44,13 @@ def test_fig08_micro():
     assert "k=1" in text and "k=8" in text
 
 
-def test_fig09_micro():
-    text = fig09_memory(MICRO).render()
-    assert "palmtrie8" in text
-    assert "log-scale view" in text
+def test_fig09_small_scale_matches_results():
+    """Figure 9 is deterministic: at the ``small`` scale it renders the
+    committed ``results/fig9.txt`` byte for byte, minus the timing
+    footer ``run_experiment`` appends."""
+    committed = (RESULTS / "fig9.txt").read_text().splitlines()
+    assert committed[-1].startswith("[fig9 regenerated in ")
+    assert fig09_memory(SCALES["small"]).render() == "\n".join(committed[:-1])
 
 
 def test_fig10_micro():

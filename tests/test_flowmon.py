@@ -111,10 +111,10 @@ class TestValidation:
             monitor.observe(_dns(), length=-1)
 
     def test_custom_matcher(self):
-        from repro.core.plus import PalmtriePlus
+        from repro.core.multibit import MultibitPalmtrie
 
         acl = compile_acl(parse_acl(CLASS_ACL))
-        custom = PalmtriePlus.build(acl.entries, 128, stride=4)
+        custom = MultibitPalmtrie.build(acl.entries, 128, stride=4)
         monitor = FlowMonitor(acl.entries, matcher=custom)
         assert monitor.engine.matcher is custom
         assert monitor.observe(_https(), timestamp=0.0).traffic_class == 1

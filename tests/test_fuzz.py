@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.acl.parser import AclParseError, parse_acl, parse_rule
-from repro.core.frozen import freeze
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher
 from repro.core.serialize import FormatError, deserialize_frozen, serialize_frozen
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
@@ -122,7 +121,7 @@ def _sample_blob():
             zip(["01**10**", "0*******", "11*1****", "1*******", "****0011", "00000000"], values)
         )
     ]
-    return serialize_frozen(freeze(PalmtriePlus.build(entries, 8, stride=3)))
+    return serialize_frozen(FrozenMatcher.build(entries, 8, stride=3))
 
 
 def _plmf_prefix():
@@ -163,7 +162,7 @@ def _sample_frozen_blob():
     entries = [
         TernaryEntry(TernaryKey.from_string("01**10**"), i, i) for i in range(6)
     ]
-    return serialize_frozen(freeze(PalmtriePlus.build(entries, 8, stride=3)))
+    return serialize_frozen(FrozenMatcher.build(entries, 8, stride=3))
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,7 +244,7 @@ def _sample_checkpoint_blob():
     entries = [
         TernaryEntry(TernaryKey.from_string("01**10**"), i, i) for i in range(6)
     ]
-    matcher = PalmtriePlus.build(entries, 8, stride=3)
+    matcher = FrozenMatcher.build(entries, 8, stride=3)
     return serialize_checkpoint(matcher, epoch=2, generation=5)
 
 

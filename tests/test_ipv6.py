@@ -13,7 +13,7 @@ from repro.acl.ipv6 import (
 from repro.acl.layout import LAYOUT_V6
 from repro.acl.rule import Action, Protocol
 from repro.baselines.sorted_list import SortedListMatcher
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher
 
 
 class TestParseIpv6:
@@ -98,7 +98,7 @@ class TestIpv6Rules:
             Ipv6Rule(Action.DENY, Protocol.IP, (0, 0), (0, 0)),
         ]
         entries = compile_ipv6_rules(rules)
-        matcher = PalmtriePlus.build(entries, 512, stride=8)
+        matcher = FrozenMatcher.build(entries, 512, stride=8)
         https = LAYOUT_V6.pack_query(
             src_ip=parse_ipv6("2001:db8:ffff::9"),
             dst_ip=parse_ipv6("2001:db8::1"),
@@ -174,7 +174,7 @@ class TestIpv6Dialect:
             "permit tcp any 2001:db8::/32 eq 443\ndeny ip any any\n"
         )
         entries = compile_ipv6_rules(rules)
-        matcher = PalmtriePlus.build(entries, 512, stride=8)
+        matcher = FrozenMatcher.build(entries, 512, stride=8)
         query = LAYOUT_V6.pack_query(
             src_ip=parse_ipv6("fe80::1"),
             dst_ip=parse_ipv6("2001:db8::5"),
@@ -201,7 +201,7 @@ class TestSyntheticIpv6:
 
         entries = compile_ipv6_rules(synthetic_ipv6_rules(60))
         oracle = SortedListMatcher.build(entries, 512)
-        plus = PalmtriePlus.build(entries, 512, stride=8)
+        plus = FrozenMatcher.build(entries, 512, stride=8)
         rng = random.Random(6)
         from repro.workloads.traffic import query_matching_entry
 

@@ -111,10 +111,10 @@ class TestRouteUpdates:
         assert not forwarder.withdraw_route(0x0A0001, 24)
 
     def test_custom_matcher(self):
-        from repro.core.plus import PalmtriePlus
+        from repro.core.multibit import MultibitPalmtrie
 
         acl = compile_acl(parse_acl(ACL))
-        matcher = PalmtriePlus.build(acl.entries, 128, stride=4)
+        matcher = MultibitPalmtrie.build(acl.entries, 128, stride=4)
         forwarder = L3Forwarder(acl, ROUTES, matcher=matcher)
         assert forwarder.engine.matcher is matcher
         verdict = forwarder.process(

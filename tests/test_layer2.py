@@ -11,7 +11,7 @@ from repro.acl.layer2 import (
     parse_mac,
 )
 from repro.acl.parser import parse_rule
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher
 
 
 class TestMacParsing:
@@ -64,7 +64,7 @@ class TestL2Rules:
             L2Rule(priority=2, value="mgmt", dst_mac=(parse_mac("00:11:22:33:44:55"), (1 << 48) - 1)),
             L2Rule(priority=1, value="rest"),
         ]
-        matcher = PalmtriePlus.build(compile_l2_rules(rules), 256, stride=8)
+        matcher = FrozenMatcher.build(compile_l2_rules(rules), 256, stride=8)
         assert matcher.lookup(self._query()).value == "mgmt"
         assert matcher.lookup(self._query(dst_mac=parse_mac("00:11:22:33:44:56"))).value == "rest"
 
@@ -74,7 +74,7 @@ class TestL2Rules:
             L2Rule(priority=2, value="vendor", src_mac=(0x667788000000, oui_care)),
             L2Rule(priority=1, value="rest"),
         ]
-        matcher = PalmtriePlus.build(compile_l2_rules(rules), 256, stride=8)
+        matcher = FrozenMatcher.build(compile_l2_rules(rules), 256, stride=8)
         assert matcher.lookup(self._query()).value == "vendor"
         assert matcher.lookup(self._query(src_mac=parse_mac("00:77:88:99:aa:bb"))).value == "rest"
 
@@ -84,7 +84,7 @@ class TestL2Rules:
             L2Rule(priority=2, value="arp", ethertype=EtherType.ARP),
             L2Rule(priority=1, value="rest"),
         ]
-        matcher = PalmtriePlus.build(compile_l2_rules(rules), 256, stride=8)
+        matcher = FrozenMatcher.build(compile_l2_rules(rules), 256, stride=8)
         assert matcher.lookup(self._query()).value == "v100-ip"
         assert matcher.lookup(self._query(vlan=200)).value == "rest"
         assert matcher.lookup(self._query(ethertype=EtherType.ARP, vlan=5)).value == "arp"
@@ -97,7 +97,7 @@ class TestL2Rules:
         ]
         entries = compile_l2_rules(rules)
         assert len(entries) == 3  # established doubles the inner rule
-        matcher = PalmtriePlus.build(entries, 256, stride=8)
+        matcher = FrozenMatcher.build(entries, 256, stride=8)
         assert matcher.lookup(self._query(tcp_flags=0x10)).value == "est"
         assert matcher.lookup(self._query(tcp_flags=0x02)).value == "rest"
         assert matcher.lookup(self._query(tcp_flags=0x10, vlan=101)).value == "rest"

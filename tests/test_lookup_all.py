@@ -9,14 +9,14 @@ from repro.baselines.dpdk_acl import DpdkStyleAcl
 from repro.baselines.sorted_list import SortedListMatcher
 from repro.core.basic import BasicPalmtrie
 from repro.core.multibit import MultibitPalmtrie
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher
 
 MATCHER_BUILDERS = [
     lambda e, L: SortedListMatcher.build(e, L),
     lambda e, L: BasicPalmtrie.build(e, L),
     lambda e, L: MultibitPalmtrie.build(e, L, stride=3),
     lambda e, L: MultibitPalmtrie.build(e, L, stride=8),
-    lambda e, L: PalmtriePlus.build(e, L, stride=4),
+    lambda e, L: FrozenMatcher.build(e, L, stride=4),
 ]
 
 

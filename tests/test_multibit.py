@@ -222,14 +222,6 @@ class TestRemoveEntry:
         assert trie.remove_entry(TernaryEntry(key, "high", 9))
         assert trie._root.max_priority == 1
 
-    def test_plus_delegates(self):
-        from repro.core.plus import PalmtriePlus
-
-        entries = table1_entries()
-        plus = PalmtriePlus.build(entries, 8, stride=3)
-        assert plus.remove_entry(entries[4])
-        assert plus.lookup(0b01110101).value == 8
-
     def test_length_mismatch(self):
         trie = MultibitPalmtrie(8, stride=4)
         with pytest.raises(ValueError, match="key length"):

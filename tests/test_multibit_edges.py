@@ -1,7 +1,8 @@
 """Edge-case tests for Palmtrie_k path compression (repro.core.multibit).
 
-The compressed-edge machinery (rep_steps, mid-edge splits) is the most
-intricate part of the structure; these tests construct key sets that
+The compressed-edge machinery (each internal node's representative
+key ``rep``, mid-edge splits) is the most intricate part of the
+structure; these tests construct key sets that
 force each split scenario and verify structure invariants afterwards.
 """
 
@@ -17,7 +18,8 @@ def _entry(text, value=0, priority=1):
 
 def _check_invariants(trie: MultibitPalmtrie):
     """Structure invariants: child bit indices strictly below parents,
-    max_priority = max over children, rep_steps consistent with keys."""
+    max_priority = max over children, and every internal child's chunk
+    lies on the key path of the keys stored below it."""
 
     def rep_key_below(node):
         while isinstance(node, _Internal):
@@ -111,7 +113,7 @@ class TestSplitScenarios:
 
     def test_rep_steps_survive_rep_deletion(self):
         # Delete the representative entry, then force a split that
-        # consults the (stale but valid) rep_steps.
+        # consults the node's (stale but valid) representative key rep.
         trie = MultibitPalmtrie(16, stride=4)
         rep = _entry("1010" "1100" "0001" "0010", "rep", 1)
         sibling = _entry("1010" "1100" "0001" "0011", "sib", 2)

@@ -12,7 +12,7 @@ from repro.acl.parser import parse_acl
 from repro.acl.rule import Action
 from repro.core.basic import BasicPalmtrie
 from repro.core.multibit import MultibitPalmtrie, key_path
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher
 from repro.core.ternary import TernaryKey
 from repro.packet.headers import PROTO_TCP, PacketHeader
 
@@ -26,7 +26,7 @@ class TestTable1:
         assert sorted(matching) == [5, 8]
 
     def test_priority_encoding_selects_entry_5(self):
-        for kind in ("palmtrie-basic", "palmtrie", "palmtrie-plus"):
+        for kind in ("palmtrie-basic", "palmtrie", "frozen"):
             strided = {} if kind == "palmtrie-basic" else {"stride": 3}
             matcher = build_kind(kind, table1_entries(), 8, **strided)
             result = matcher.lookup(0b01110101)
@@ -76,7 +76,7 @@ class TestFigure4StridePaths:
     def test_stride3_lookup_matches_walkthrough(self):
         trie = MultibitPalmtrie.build(table1_entries(), 8, stride=3)
         assert trie.lookup(0b01110101).value == 5
-        plus = PalmtriePlus.from_palmtrie(trie)
+        plus = FrozenMatcher.from_matcher(trie)
         assert plus.lookup(0b01110101).value == 5
 
 
@@ -94,7 +94,7 @@ class TestTable2Acl:
     @pytest.fixture(scope="class")
     def matcher_and_acl(self):
         acl = compile_acl(parse_acl(self.ACL_TEXT))
-        matcher = PalmtriePlus.build(acl.entries, 128, stride=8)
+        matcher = FrozenMatcher.build(acl.entries, 128, stride=8)
         return matcher, acl
 
     def test_established_conversion(self, matcher_and_acl):

@@ -5,8 +5,6 @@ workers, checkpoints and ``.plmf`` files all carry it.  The identity
 harnesses elsewhere compare two code paths within one run, so a change
 that moved both paths alike would pass them; these digests were taken
 from the compiler as it stood and must not move unless the format does.
-Both sources a plane can be frozen from — a Palmtrie_k and a Palmtrie+
-compiled from it — must give the same bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import pytest
 
 from repro.core.frozen import freeze
 from repro.core.multibit import MultibitPalmtrie
-from repro.core.plus import PalmtriePlus
 from repro.core.serialize import serialize_frozen
 from repro.workloads.classbench import classbench_acl
 from repro.workloads.traffic import zipf_trace
@@ -41,15 +38,16 @@ def _policy(profile: str):
     return classbench_acl(profile, 500, seed=2020)
 
 
-@pytest.mark.parametrize("source", ["palmtrie", "palmtrie-plus"])
+# The ``source`` id names what the plane is frozen from: a Palmtrie_k,
+# the only source a FrozenMatcher takes.
+@pytest.mark.parametrize("source", ["palmtrie"])
 @pytest.mark.parametrize("layout", ["build", "hot"])
 @pytest.mark.parametrize("stride", [4, 8])
 @pytest.mark.parametrize("profile", ["acl", "fw"])
 def test_plmf_digest(profile, stride, layout, source):
     acl = _policy(profile)
     trie = MultibitPalmtrie.build(acl.entries, acl.layout.length, stride=stride)
-    matcher = trie if source == "palmtrie" else PalmtriePlus.from_palmtrie(trie)
     trace = zipf_trace(acl.entries, 2000, flows=256, seed=7) if layout == "hot" else None
-    plane = freeze(matcher, layout=layout, trace=trace)
+    plane = freeze(trie, layout=layout, trace=trace)
     digest = hashlib.sha256(serialize_frozen(plane)).hexdigest()
     assert digest == DIGESTS[profile, stride, layout]

@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import assert_same_result, oracle_lookup
 from repro.core.basic import BasicPalmtrie
-from repro.core.frozen import FrozenMatcher
 from repro.core.multibit import EXACT, MultibitPalmtrie, key_path
-from repro.core.plus import PalmtriePlus
+from repro.core.frozen import FrozenMatcher
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
 
@@ -155,7 +154,7 @@ def test_basic_palmtrie_matches_oracle(entries, query_list):
 )
 def test_multibit_and_plus_match_oracle(entries, query_list, stride):
     trie = MultibitPalmtrie.build(entries, KEY_LENGTH, stride=stride)
-    plus = PalmtriePlus.from_palmtrie(trie)
+    plus = FrozenMatcher.from_matcher(trie)  # the Palmtrie+ compiled from it
     for query in query_list:
         expected = oracle_lookup(entries, query)
         assert_same_result(expected, trie.lookup(query))
@@ -184,8 +183,8 @@ def test_insert_delete_roundtrip(entries, data, stride):
 @settings(max_examples=40, deadline=None)
 @given(entries=entries_strategy(max_size=30), query_list=st.lists(queries, max_size=20))
 def test_skipping_is_pure_optimization(entries, query_list):
-    with_skip = PalmtriePlus.build(entries, KEY_LENGTH, stride=4, subtree_skipping=True)
-    without = PalmtriePlus.build(entries, KEY_LENGTH, stride=4, subtree_skipping=False)
+    with_skip = FrozenMatcher.build(entries, KEY_LENGTH, stride=4, subtree_skipping=True)
+    without = FrozenMatcher.build(entries, KEY_LENGTH, stride=4, subtree_skipping=False)
     for query in query_list:
         assert_same_result(without.lookup(query), with_skip.lookup(query))
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import assert_same_result, random_entries
 
 from repro.baselines.sorted_list import SortedListMatcher
-from repro.core.plus import PalmtriePlus
+from repro.core.multibit import MultibitPalmtrie
 from repro.core.serialize import FormatError
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
@@ -199,7 +199,7 @@ class TestFaultDifferential:
         injector = FaultInjector(seed=7)
         injector.arm("frozen_walk", rate=0.01)
         guard = GuardRail(injector=injector)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
         with injected(injector):
             _assert_verdicts(engine, queries, truth)
         assert injector.fired["frozen_walk"] > 0
@@ -217,7 +217,7 @@ class TestFaultDifferential:
         injector = FaultInjector(seed=13)
         injector.arm("cache", rate=0.5)
         guard = GuardRail(shadow_sample=1.0, injector=injector)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
         _assert_verdicts(engine, queries, truth)
         assert injector.fired["cache"] > 0
         assert guard.shadow_mismatches > 0
@@ -229,7 +229,7 @@ class TestFaultDifferential:
         injector = FaultInjector(seed=3, stall_seconds=0.0)
         injector.arm("stall", rate=1.0)
         guard = GuardRail(injector=injector)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
         _assert_verdicts(engine, queries, truth)
         assert injector.fired["stall"] > 0
 
@@ -238,7 +238,7 @@ class TestFaultDifferential:
         injector = FaultInjector(seed=5)
         injector.arm("update", rate=1.0, count=1)
         guard = GuardRail(injector=injector)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
         engine.lookup_batch(queries[:512])  # warm the cache pre-fault
         canary = TernaryEntry(
             key=TernaryKey.exact(queries[0], KEY_LENGTH), value=-1, priority=-1
@@ -257,7 +257,7 @@ class TestFaultDifferential:
         injector = FaultInjector(seed=5)
         injector.arm("update", rate=1.0, count=1)
         guard = GuardRail(injector=injector)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256, resilience=guard))
         engine.lookup_batch(queries[:512])  # warm the cache pre-fault
         lazy = engine.lazy_invalidations
         canary = TernaryEntry(
@@ -274,7 +274,7 @@ class TestFaultDifferential:
     def test_unguarded_update_fault_still_raises(self, differential):
         entries, queries, _ = differential
         engine = ClassificationEngine(
-            PalmtriePlus.build(entries, KEY_LENGTH, stride=4)
+            MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4)
         )
         with pytest.raises(ValueError):
             engine.apply_updates([("bogus-op", None)])
@@ -288,7 +288,7 @@ class TestFaultDifferential:
         guard = GuardRail(
             failure_threshold=3, backoff_seconds=1.0, injector=injector, clock=clock
         )
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, resilience=guard))
         with injected(injector):
             for offset in range(0, 512, 64):
                 engine.lookup_batch(queries[offset : offset + 64])
@@ -320,7 +320,7 @@ class TestGuardOverShards:
         guard = GuardRail(shadow_sample=1.0, injector=injector)
         config = EngineConfig(cache_size=256, resilience=guard, shards=shards)
         with ClassificationEngine(
-            PalmtriePlus.build(entries, KEY_LENGTH, stride=4), config
+            MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), config
         ) as engine:
             assert (engine.pool is not None) == bool(shards)
             _assert_verdicts(engine, queries[:n], truth[:n], batch=256)
@@ -340,7 +340,7 @@ class TestGuardOverShards:
         guard = GuardRail(shadow_sample=1.0, injector=injector)
         config = EngineConfig(cache_size=256, resilience=guard, shards=shards)
         with ClassificationEngine(
-            PalmtriePlus.build(entries, KEY_LENGTH, stride=4), config
+            MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), config
         ) as engine:
             assert (engine.pool is not None) == bool(shards)
             _assert_verdicts(engine, queries, truth)
@@ -370,7 +370,7 @@ class TestPoisonedRegion:
         injector = FaultInjector(seed=21)
         guard = GuardRail(shadow_sample=1.0, injector=injector)
         engine = ClassificationEngine(
-            PalmtriePlus.build(entries, KEY_LENGTH),
+            MultibitPalmtrie.build(entries, KEY_LENGTH),
             EngineConfig(cache_size=64, resilience=guard),
         )
         engine.lookup_batch(_trace(128, seed=22))
@@ -416,7 +416,7 @@ class TestPoisonedRowBehindTheRegionTier:
         injector = FaultInjector(seed=5)
         guard = GuardRail(shadow_sample=1.0, injector=injector)
         engine = ClassificationEngine(
-            PalmtriePlus.build(acl.entries, length),
+            MultibitPalmtrie.build(acl.entries, length),
             EngineConfig(cache_size=4096, resilience=guard),
         )
         wrong = 0
@@ -465,7 +465,7 @@ class TestShadowVerify:
     def test_scalar_hit_path_is_checked_and_repaired(self):
         entries = _entries()
         guard = GuardRail(shadow_sample=1.0)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=64, resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=64, resilience=guard))
         query = _trace(1)[0]
         honest = engine.lookup(query)
         # Poison the cached row by hand, then look the query up again:
@@ -532,7 +532,6 @@ def _check_reference_rung(entries, length: int, stride: int, seed: int) -> None:
     """The guard's reference rung against the sorted-list oracle, through
     a seeded insert/delete fuzz, with every served answer shadow-checked."""
     from repro.core.basic import BasicPalmtrie
-    from repro.core.multibit import MultibitPalmtrie
 
     guard = GuardRail(shadow_sample=1.0)
     engine = ClassificationEngine(
@@ -602,7 +601,7 @@ class _CountingRandom:
 def _shadowed_engine(sample: float, cache: int = 64):
     guard = GuardRail(shadow_sample=sample)
     engine = ClassificationEngine(
-        PalmtriePlus.build(_entries(), KEY_LENGTH, stride=4),
+        MultibitPalmtrie.build(_entries(), KEY_LENGTH, stride=4),
         EngineConfig(cache_size=cache, resilience=guard),
     )
     counter = guard._shadow_rng = _CountingRandom(guard._shadow_rng)
@@ -688,8 +687,8 @@ class TestShadowSamplingWork:
 class TestCheckpoints:
     def test_round_trip_preserves_stamps_and_verdicts(self, tmp_path, differential):
         entries, queries, truth = differential
-        source = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
-        source.replace_matcher(PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
+        source = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4))
+        source.replace_matcher(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4))
         source.matcher.generation = 7
         path = str(tmp_path / "policy.plmc")
         source.checkpoint(path)
@@ -710,7 +709,7 @@ class TestCheckpoints:
 
     def test_corrupt_checkpoint_rebuilds_from_source(self, tmp_path, differential):
         entries, queries, truth = differential
-        source = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
+        source = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4))
         path = str(tmp_path / "policy.plmc")
         source.checkpoint(path)
         blob = bytearray((tmp_path / "policy.plmc").read_bytes())
@@ -718,7 +717,7 @@ class TestCheckpoints:
         (tmp_path / "policy.plmc").write_bytes(bytes(blob))
 
         engine = ClassificationEngine.from_checkpoint(
-            path, rebuild=lambda: PalmtriePlus.build(entries, KEY_LENGTH, stride=4)
+            path, rebuild=lambda: MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4)
         )
         assert engine.checkpoint_rebuilds == 1
         assert engine.checkpoint_restores == 0
@@ -731,15 +730,15 @@ class TestCheckpoints:
         engine runs its pool, serves the checkpointed policy exactly and
         reports the restore and the recovered epoch."""
         entries, queries, truth = differential
-        source = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
-        source.replace_matcher(PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
+        source = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4))
+        source.replace_matcher(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4))
         path = str(tmp_path / "policy.plmc")
         source.checkpoint(path)
 
         def rebuild():
             # A deliberately wrong policy: taking the rebuild path by
             # mistake fails the verdict differential loudly.
-            return PalmtriePlus.build(entries[:1], KEY_LENGTH, stride=4)
+            return MultibitPalmtrie.build(entries[:1], KEY_LENGTH, stride=4)
 
         config = EngineConfig(cache_size=256, shards=shards)
         with ClassificationEngine.from_checkpoint(path, rebuild, config=config) as engine:
@@ -761,7 +760,7 @@ class TestCheckpoints:
         config = EngineConfig(cache_size=256, shards=shards)
         with ClassificationEngine.from_checkpoint(
             str(path),
-            rebuild=lambda: PalmtriePlus.build(entries, KEY_LENGTH, stride=4),
+            rebuild=lambda: MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4),
             config=config,
         ) as engine:
             _assert_verdicts(engine, queries, truth)
@@ -776,7 +775,7 @@ class TestCheckpoints:
         entries = _entries()
         report = recover(
             str(tmp_path / "nope.plmc"),
-            rebuild=lambda: PalmtriePlus.build(entries, KEY_LENGTH, stride=4),
+            rebuild=lambda: MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4),
         )
         assert not report.restored
         assert report.error is not None and "Error" in report.error
@@ -786,7 +785,7 @@ class TestCheckpoints:
         the PLMF decoder; a validated checkpoint must therefore either
         raise FormatError or decode to a policy — never crash."""
         entries = _entries()
-        matcher = PalmtriePlus.build(entries, KEY_LENGTH, stride=4)
+        matcher = MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4)
         path = str(tmp_path / "policy.plmc")
         write_checkpoint(path, matcher, epoch=1, generation=1)
         rejected = 0
@@ -805,7 +804,7 @@ class TestCheckpoints:
         debris next to) an existing good checkpoint."""
         entries = _entries()
         path = tmp_path / "policy.plmc"
-        write_checkpoint(str(path), PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
+        write_checkpoint(str(path), MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4))
         good = path.read_bytes()
         with pytest.raises(TypeError):
             write_checkpoint(str(path), object())
@@ -820,12 +819,12 @@ class TestCheckpoints:
 class TestReplacement:
     def test_matcher_assignment_routes_through_replace(self, differential):
         entries, queries, _ = differential
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=256))
         engine.lookup_batch(queries[:512])
         # A different policy whose generation counter happens to match
         # the old one: only the epoch stamp can tell them apart.
         replacement_entries = _entries(seed=77)
-        replacement = PalmtriePlus.build(replacement_entries, KEY_LENGTH, stride=4)
+        replacement = MultibitPalmtrie.build(replacement_entries, KEY_LENGTH, stride=4)
         assert replacement.generation == engine.matcher.generation
         engine.matcher = replacement
         assert engine.epoch == 1
@@ -837,19 +836,19 @@ class TestReplacement:
     def test_replace_matcher_resets_the_guard(self, differential):
         entries, _, _ = differential
         guard = GuardRail()
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(resilience=guard))
         guard.quarantine("poisoned")
-        engine.matcher = PalmtriePlus.build(entries, KEY_LENGTH, stride=4)
+        engine.matcher = MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4)
         assert engine.health == "ok"
         assert not guard.quarantined
 
     def test_resilience_true_builds_a_default_guard(self):
-        engine = ClassificationEngine(PalmtriePlus.build(_entries(), KEY_LENGTH, stride=4), EngineConfig(resilience=True))
+        engine = ClassificationEngine(MultibitPalmtrie.build(_entries(), KEY_LENGTH, stride=4), EngineConfig(resilience=True))
         assert isinstance(engine.resilience, GuardRail)
         assert engine.health == "ok"
 
     def test_unguarded_engine_reports_ok_health(self):
-        engine = ClassificationEngine(PalmtriePlus.build(_entries(), KEY_LENGTH, stride=4))
+        engine = ClassificationEngine(MultibitPalmtrie.build(_entries(), KEY_LENGTH, stride=4))
         assert engine.resilience is None
         assert engine.health == "ok"
         assert "resilience" not in engine.report()
@@ -867,7 +866,7 @@ class TestMetricsMirror:
         injector = FaultInjector(seed=7)
         injector.arm("frozen_walk", rate=1.0, count=3)
         guard = GuardRail(injector=injector, backoff_seconds=30.0)
-        engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, metrics=True, resilience=guard))
+        engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=0, metrics=True, resilience=guard))
         with injected(injector):
             _assert_verdicts(engine, queries[:1024], truth[:1024])
         text = render_prometheus(engine.metrics)
@@ -882,7 +881,7 @@ class TestMetricsMirror:
 
         entries = _entries()
         path = str(tmp_path / "policy.plmc")
-        write_checkpoint(path, PalmtriePlus.build(entries, KEY_LENGTH, stride=4))
+        write_checkpoint(path, MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4))
         engine = ClassificationEngine.from_checkpoint(
             path, rebuild=lambda: None, config=EngineConfig(metrics=True)
         )
@@ -907,7 +906,7 @@ def test_degradation_never_changes_answers(seed, fault_seed, rate):
     truth = _reference_verdicts(entries, queries)
     injector = FaultInjector(seed=fault_seed)
     injector.arm("frozen_walk", rate=rate)
-    engine = ClassificationEngine(PalmtriePlus.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=16, resilience=GuardRail(injector=injector)))
+    engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=16, resilience=GuardRail(injector=injector)))
     with injected(injector):
         for query, expected in zip(queries, truth):
             assert_same_result(expected, engine.lookup(query))

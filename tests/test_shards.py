@@ -24,7 +24,7 @@ import pytest
 from helpers import random_entries
 from repro.config import EngineConfig
 from repro.core.frozen import FrozenMatcher, freeze
-from repro.core.plus import PalmtriePlus
+from repro.core.multibit import MultibitPalmtrie
 from repro.core.serialize import serialize_frozen
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
@@ -57,7 +57,7 @@ def policy():
 
 class TestPlane:
     def test_publish_attach_round_trip(self, policy):
-        frozen = freeze(PalmtriePlus.build(policy, KEY_LENGTH, stride=8))
+        frozen = freeze(MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8))
         plane = publish_plane(frozen, stamp=1)
         try:
             mapped, shm = attach_plane(plane.name)
@@ -122,7 +122,7 @@ class TestMissSlicing:
         queries = _trace(2000, seed=43)
         unique = len(set(queries))
         with ClassificationEngine(
-            PalmtriePlus.build(policy, KEY_LENGTH, stride=8),
+            MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8),
             EngineConfig(cache_size=4096, shards=2),
         ) as engine:
             engine.lookup_batch(queries)
@@ -143,8 +143,8 @@ class TestMissSlicing:
 class TestShardedDifferential:
     def test_verdicts_match_single_process_with_midtrace_update(self, policy):
         queries = _trace(10_000, seed=7)
-        matcher_a = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
-        matcher_b = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        matcher_a = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
+        matcher_b = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         config = EngineConfig(cache_size=512, shards=2)
         single = ClassificationEngine(matcher_a, config.replace(shards=0))
         override = TernaryEntry(
@@ -171,7 +171,7 @@ class TestShardedDifferential:
         single-process engine."""
         queries = _trace(4_000, seed=23)
         config = EngineConfig(cache_size=0, shards=2)
-        matcher_a = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        matcher_a = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         hot = FrozenMatcher.build(
             policy, KEY_LENGTH, stride=8, layout="hot", layout_trace=queries
         )
@@ -188,9 +188,9 @@ class TestShardedDifferential:
         from repro.workloads.traffic import uniform_traffic
 
         queries = uniform_traffic(policy, 4000, seed=9)
-        matcher = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        matcher = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         single = ClassificationEngine(
-            PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+            MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         )
         expected: dict = {}
         misses = 0
@@ -208,9 +208,9 @@ class TestShardedDifferential:
         assert result["matched"] == len(queries) - misses
 
     def test_scalar_lookup_and_delegated_surface(self, policy):
-        matcher = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        matcher = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         reference = ClassificationEngine(
-            PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+            MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         )
         queries = _trace(100, seed=13)
         with ClassificationEngine(matcher, EngineConfig(shards=1)) as sharded:
@@ -234,9 +234,9 @@ class TestShardedDifferential:
 class TestWorkerRecovery:
     def test_sigkill_degrades_then_respawns_with_exact_verdicts(self, policy):
         queries = _trace(3000, seed=17)
-        matcher = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        matcher = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         single = ClassificationEngine(
-            PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+            MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         )
         config = EngineConfig(cache_size=256, shards=2, shard_timeout=10.0)
         with ClassificationEngine(matcher, config) as sharded:
@@ -277,9 +277,9 @@ class TestWorkerRecovery:
         (The unpack used to sit outside the guarded block, so a
         non-tuple message killed the process.)"""
         queries = _trace(500, seed=19)
-        matcher = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        matcher = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         single = ClassificationEngine(
-            PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+            MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         )
         with ClassificationEngine(matcher, EngineConfig(shards=1)) as sharded:
             handle = sharded.pool._shards[0]
@@ -304,7 +304,7 @@ class TestWorkerRecovery:
             assert sharded.health == "ok"
 
     def test_close_is_idempotent_and_kills_workers(self, policy):
-        matcher = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        matcher = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
         sharded = ClassificationEngine(matcher, EngineConfig(shards=2))
         pids = [handle.proc.pid for handle in sharded.pool._shards]
         queries = _trace(200, seed=47)

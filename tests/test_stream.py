@@ -20,7 +20,7 @@ import pytest
 
 from helpers import KINDS, build_kind, random_entries, served_matcher
 
-from repro import ClassificationEngine, EngineConfig, PalmtriePlus
+from repro import ClassificationEngine, EngineConfig, MultibitPalmtrie
 from repro.obs.metrics import MetricsRegistry
 from repro.shard import flow_shard
 from repro.stream import (
@@ -45,7 +45,7 @@ def _queries(count: int, seed: int = 11) -> list[int]:
 
 def _engine(seed: int = 3, cache: int = 64) -> tuple[ClassificationEngine, list]:
     entries = random_entries(60, KEY_LENGTH, seed=seed)
-    matcher = PalmtriePlus.build(entries, KEY_LENGTH)
+    matcher = MultibitPalmtrie.build(entries, KEY_LENGTH)
     return ClassificationEngine(matcher, EngineConfig(cache_size=cache)), entries
 
 
@@ -504,7 +504,7 @@ def _scenario_stream(name, seed, policy="block"):
     source = ScenarioSource(name, seed=seed, packets=SCENARIO_PACKETS)
     compiled = source.compiled
     engine = ClassificationEngine(
-        PalmtriePlus.build(compiled.entries, compiled.layout.length),
+        MultibitPalmtrie.build(compiled.entries, compiled.layout.length),
         EngineConfig(cache_size=256),
     )
     pipe = StreamPipeline(engine, policy=policy, max_inflight=1024)
@@ -527,7 +527,7 @@ def test_scenario_streaming_matches_batch(name):
     streamed, compiled = _scenario_stream(name, seed=13)
     source = ScenarioSource(name, seed=13, packets=SCENARIO_PACKETS)
     engine = ClassificationEngine(
-        PalmtriePlus.build(compiled.entries, compiled.layout.length),
+        MultibitPalmtrie.build(compiled.entries, compiled.layout.length),
         EngineConfig(cache_size=256),
     )
     reference = batch_replay(engine, source, on_burst=churn_applier(source, engine))
@@ -553,7 +553,7 @@ def test_attack_profile_sheds_deterministically():
         source = ScenarioSource(scenario, seed=29, packets=packets)
         compiled = source.compiled
         engine = ClassificationEngine(
-            PalmtriePlus.build(compiled.entries, compiled.layout.length),
+            MultibitPalmtrie.build(compiled.entries, compiled.layout.length),
             EngineConfig(cache_size=256),
         )
         pipe = StreamPipeline(
@@ -599,7 +599,7 @@ class TestHistograms:
         registry = MetricsRegistry()
         entries = random_entries(40, KEY_LENGTH, seed=6)
         engine = ClassificationEngine(
-            PalmtriePlus.build(entries, KEY_LENGTH),
+            MultibitPalmtrie.build(entries, KEY_LENGTH),
             EngineConfig(cache_size=64, metrics=registry),
         )
         pipe = StreamPipeline(engine, flow_buckets=2)

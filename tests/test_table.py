@@ -43,7 +43,7 @@ class TestBuildMatcher:
             "sorted-list",
             "palmtrie-basic",
             "palmtrie",
-            "palmtrie-plus",
+            "frozen",
             "dpdk-acl",
             "efficuts",
             "adaptive",
