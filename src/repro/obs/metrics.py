@@ -331,7 +331,7 @@ class MetricsRegistry:
             _check_name(namespace)
         self.namespace = namespace
         self._metrics: dict[tuple[str, LabelPairs], Metric] = {}
-        self._collectors: list[Callable[[], None]] = []
+        self._collectors: list[Callable[[], Optional[bool]]] = []
 
     # -- registration ---------------------------------------------------
 
@@ -380,15 +380,18 @@ class MetricsRegistry:
 
     # -- collection -----------------------------------------------------
 
-    def add_collector(self, collector: Callable[[], None]) -> None:
-        """Register a callback run before every collect/export."""
+    def add_collector(self, collector: Callable[[], Optional[bool]]) -> None:
+        """Register a callback run before every collect/export.
+
+        A collector that returns ``False`` is dropped: its owner is gone,
+        so it will never mirror anything again.
+        """
         if collector not in self._collectors:
             self._collectors.append(collector)
 
     def collect(self) -> list[Metric]:
         """Run collectors, then return every metric sorted by identity."""
-        for collector in self._collectors:
-            collector()
+        self._collectors = [c for c in self._collectors if c() is not False]
         return sorted(self._metrics.values(), key=lambda m: m.key)
 
     def reset(self) -> None:
