@@ -20,6 +20,11 @@ compares
 * the same transaction settled by the next lookup, which pays that
   sweep.
 
+An ungated row then prices the Palmtrie_k's own updates: insert and
+delete µs per op on a built 500-rule ClassBench acl trie (and a
+10k-rule one outside ``--smoke``), stride 8, so the delete-to-insert
+ratio shows in CI output.
+
 The acceptance bar, asserted in ``main(smoke=True)`` (the CI entry
 point): the transaction, timed alone, applies the same churn at least
 **5x** faster than the settled per-op path.  ``main`` times each arm
@@ -28,6 +33,8 @@ not swing with machine load.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -46,6 +53,8 @@ CHURN = 0.01
 #: interleaved timing runs per arm in ``main``; each arm reads as its
 #: fastest run
 RUNS = 7
+#: interleaved insert/delete runs of the Palmtrie_k row
+TRIE_RUNS = 5
 
 
 def _canary_ops(queries: list[int], count: int) -> list[tuple[str, object]]:
@@ -87,6 +96,38 @@ def _apply_settled(engine: ClassificationEngine, ops) -> None:
     """One transaction, settled by the next lookup's one sweep."""
     engine.apply_updates(ops)
     engine.lookup_batch([])
+
+
+def _trie_update_us(rules: int) -> tuple[int, float, float]:
+    """``(entries, insert µs/op, delete µs/op)`` of a Palmtrie_8 built
+    from ``rules`` ClassBench acl rules.
+
+    Each run deletes every fifth distinct key (one ``delete`` per key)
+    and re-inserts those keys' entries, which restores the trie it
+    started from; the two interleave and each reads as its fastest of
+    ``TRIE_RUNS`` runs.
+    """
+    from repro.workloads.classbench import classbench_acl
+
+    acl = classbench_acl("acl", rules)
+    trie = MultibitPalmtrie.build(acl.entries, acl.layout.length, stride=8)
+    groups: dict[TernaryKey, list[TernaryEntry]] = {}
+    for entry in acl.entries:
+        groups.setdefault(entry.key, []).append(entry)
+    victims = list(groups.values())[::5]
+    inserts = [entry for group in victims for entry in group]
+    clock = time.perf_counter
+    insert_s = delete_s = float("inf")
+    for _ in range(TRIE_RUNS):
+        start = clock()
+        for group in victims:
+            trie.delete(group[0].key)
+        delete_s = min(delete_s, clock() - start)
+        start = clock()
+        for entry in inserts:
+            trie.insert(entry)
+        insert_s = min(insert_s, clock() - start)
+    return len(acl.entries), insert_s / len(inserts) * 1e6, delete_s / len(victims) * 1e6
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +236,20 @@ def main(smoke: bool = False) -> dict[str, float]:
         f"{report['lazy_invalidations']} lazy clears, "
         f"generation {report['generation']}"
     )
+    trie_table = Table(
+        f"Palmtrie_8 updates (ClassBench acl, fastest of {TRIE_RUNS} interleaved runs, ungated)",
+        ["rules", "entries", "insert us/op", "delete us/op", "delete/insert"],
+    )
+    for rules in (500,) if smoke else (500, 10_000):
+        entries, insert_us, delete_us = _trie_update_us(rules)
+        trie_table.add_row(
+            f"{rules:,}",
+            f"{entries:,}",
+            f"{insert_us:.1f}",
+            f"{delete_us:.1f}",
+            f"{delete_us / insert_us:.2f}x",
+        )
+    print(trie_table.render())
     if smoke and ratio < 5.0:
         raise SystemExit(
             f"update plane regression: transactional churn only {ratio:.1f}x "

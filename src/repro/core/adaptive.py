@@ -129,9 +129,6 @@ class AdaptiveMatcher(TernaryMatcher):
     def lookup(self, query: int) -> Optional[TernaryEntry]:
         return self._inner.lookup(query)
 
-    def lookup_batch(self, queries) -> list[Optional[TernaryEntry]]:
-        return self._inner.lookup_batch(queries)
-
     def _counted_lookup(self, query: int) -> tuple[Optional[TernaryEntry], int, int]:
         # Charge the active structure's work model to our own stats.
         return self._inner._counted_lookup(query)

@@ -47,49 +47,24 @@ PathStep = tuple[int, int, int]
 def key_path(key: TernaryKey, stride: int) -> list[PathStep]:
     """Decompose a ternary key into its Palmtrie_k branch steps.
 
-    This is the paper's key split method (§3.4): the key is cut at every
-    don't care bit (the ``*`` roots a subtree) and the binary runs in
-    between are cut into k-bit chunks, the last of which may extend below
-    bit 0 (negative bit index, padded with 0).
+    This is the paper's key split method (§3.4), listed step by step
+    with :func:`_step`, the one split the trie descends by: the key is
+    cut at every don't care bit (the ``*`` roots a subtree) and the
+    binary runs in between are cut into k-bit chunks, the last of which
+    may extend below bit 0 (negative bit index, padded with 0).
     """
     length = key.length
     if length < stride:
         raise ValueError(f"key length {length} shorter than stride {stride}")
-    data = key.data
-    mask = key.mask
-    chunk_mask = (1 << stride) - 1
-    top_star = 1 << (stride - 1)
+    data, mask = key.data, key.mask
     steps: list[PathStep] = []
     bit = length - stride
     while True:
-        if bit >= 0:
-            chunk_data = (data >> bit) & chunk_mask
-            chunk_wild = (mask >> bit) & chunk_mask
-        else:
-            chunk_data = (data << -bit) & chunk_mask
-            chunk_wild = (mask << -bit) & chunk_mask
-        if chunk_wild == 0:
-            steps.append((bit, EXACT, chunk_data))
-            if bit <= 0:
-                return steps
-            bit -= stride
-        elif chunk_wild & top_star:
-            # A run of '*' from the chunk's top digit down to ``low``:
-            # each digit is one step on ternary slot 0 (empty prefix).
-            low = _star_run_low(mask, bit + stride - 1)
-            steps.extend([(b, TERNARY, 0) for b in range(bit, low - stride, -1)])
-            if low == 0:
-                return steps
-            bit = low - stride
-        else:
-            star = chunk_wild.bit_length() - 1  # chunk-relative msb '*'
-            prefix_len = stride - 1 - star
-            prefix = chunk_data >> (star + 1)
-            steps.append((bit, TERNARY, (1 << prefix_len) + prefix - 1))
-            star_abs = bit + star
-            if star_abs <= 0:
-                return steps
-            bit = star_abs - stride
+        kind, index, low = _step(data, mask, bit, stride)
+        steps.append((bit, kind, index))
+        if low <= 0:
+            return steps
+        bit = low - stride
 
 
 def _star_run_low(mask: int, top: int) -> int:
@@ -162,14 +137,9 @@ class _Leaf:
         self.entries.sort(key=lambda e: e.priority, reverse=True)
         self.max_priority = self.entries[0].priority
 
-    def remove(self, entry: TernaryEntry) -> bool:
-        try:
-            self.entries.remove(entry)
-        except ValueError:
-            return False
-        if self.entries:
-            self.max_priority = self.entries[0].priority
-        return True
+    def remove(self, entry: TernaryEntry) -> None:
+        self.entries.remove(entry)
+        self.max_priority = self.entries[0].priority
 
     @property
     def best(self) -> TernaryEntry:
@@ -205,11 +175,28 @@ class _Internal:
     def children(self) -> Iterator["_Node"]:
         # filter(None, ...) skips the empty slots in C (nodes are always
         # truthy), where a generator paid a Python-level test for each of
-        # the 2^(k+1) - 1 slots on every ancestor a delete walks back up.
+        # the 2^(k+1) - 1 slots.
         return chain(filter(None, self.descendants), filter(None, self.ternaries))
 
 
 _Node = Union[_Leaf, _Internal]
+
+#: an internal node and the slot a key takes there: (node, kind, index)
+_Slot = tuple[_Internal, int, int]
+
+
+def _lower_max(path: list[_Slot], removed: int) -> None:
+    """Refresh ``max_priority`` bottom-up along ``path`` after an entry
+    of priority ``removed`` left the subtree below it.  Only an ancestor
+    whose maximum was ``removed`` can fall; the walk stops at the first
+    whose maximum stands, since every node above it holds it too."""
+    for node, _, _ in reversed(path):
+        if node.max_priority != removed:
+            return
+        best = max([child.max_priority for child in node.children()], default=-1)
+        if best == removed:
+            return
+        node.max_priority = best
 
 
 class MultibitPalmtrie(TernaryMatcher):
@@ -394,90 +381,68 @@ class MultibitPalmtrie(TernaryMatcher):
         key survive — the granularity a single ACL rule withdrawal
         needs.  Returns True if the entry was present.
         """
-        if entry.key.length != self.key_length:
-            raise ValueError(
-                f"entry key length {entry.key.length} != trie key length {self.key_length}"
-            )
-        leaf = self._find_leaf(entry.key)
+        path, leaf = self._path_to(entry.key)
         if leaf is None or entry not in leaf.entries:
             return False
         if len(leaf.entries) == 1:
-            return self.delete(entry.key)
+            self._unlink(path, leaf)
+            return True
         leaf.remove(entry)
         self._size -= 1
         self.generation += 1
-        self._refresh_max_priorities(entry.key)
+        if leaf.max_priority < entry.priority:
+            _lower_max(path, entry.priority)
         return True
-
-    def _find_leaf(self, key: TernaryKey) -> Optional[_Leaf]:
-        steps = key_path(key, self.stride)
-        node: Optional[_Node] = self._root
-        i = 0
-        while isinstance(node, _Internal):
-            while i < len(steps) and steps[i][0] > node.bit:
-                i += 1
-            if i >= len(steps) or steps[i][0] != node.bit:
-                return None
-            node = node.get(steps[i][1], steps[i][2])
-            i += 1
-        return node if isinstance(node, _Leaf) and node.key == key else None
-
-    def _refresh_max_priorities(self, key: TernaryKey) -> None:
-        """Recompute max_priority along the path to ``key``."""
-        steps = key_path(key, self.stride)
-        path: list[_Internal] = []
-        node: Optional[_Node] = self._root
-        i = 0
-        while isinstance(node, _Internal):
-            path.append(node)
-            while i < len(steps) and steps[i][0] > node.bit:
-                i += 1
-            if i >= len(steps) or steps[i][0] != node.bit:
-                break
-            node = node.get(steps[i][1], steps[i][2])
-            i += 1
-        for internal in reversed(path):
-            internal.max_priority = max(
-                (c.max_priority for c in internal.children()), default=-1
-            )
 
     def delete(self, key: TernaryKey) -> bool:
         """Remove all entries stored under exactly this ternary key."""
+        path, leaf = self._path_to(key)
+        if leaf is None:
+            return False
+        self._unlink(path, leaf)
+        return True
+
+    def _path_to(self, key: TernaryKey) -> tuple[list[_Slot], Optional[_Leaf]]:
+        """The slots from the root down to ``key``'s leaf, and that leaf
+        (None if the key is not stored).  The descent steps with
+        :func:`_step` as :meth:`insert` does; a stored key has a step at
+        every node on its path, so only the leaf's key is compared."""
         if key.length != self.key_length:
             raise ValueError(f"key length {key.length} != trie key length {self.key_length}")
-        steps = key_path(key, self.stride)
-        path: list[tuple[_Internal, PathStep]] = []
-        node: Optional[_Node] = self._root
-        i = 0
-        while isinstance(node, _Internal):
-            # Skip the compressed-edge region to this node's bit index.
-            while i < len(steps) and steps[i][0] > node.bit:
-                i += 1
-            if i >= len(steps) or steps[i][0] != node.bit:
-                return False
-            step = steps[i]
-            path.append((node, step))
-            node = node.get(step[1], step[2])
-            if node is None:
-                return False
-            i += 1
-        if not isinstance(node, _Leaf) or node.key != key:
-            return False
-        self._size -= len(node.entries)
-        removed: Optional[_Node] = node
-        for parent, (bit, kind, index) in reversed(path):
-            if removed is not None:
-                parent.set(kind, index, None)
-                removed = None
-            children = list(parent.children())
-            if not children and parent is not self._root:
-                removed = parent
-                continue
-            parent.max_priority = max(
-                (c.max_priority for c in children), default=-1
-            )
+        stride = self.stride
+        data, mask = key.data, key.mask
+        path: list[_Slot] = []
+        node = self._root
+        while True:
+            kind, index, _ = _step(data, mask, node.bit, stride)
+            path.append((node, kind, index))
+            child = node.get(kind, index)
+            if type(child) is _Internal:
+                node = child
+            elif child is not None and child.key == key:
+                return path, child
+            else:
+                return path, None
+
+    def _unlink(self, path: list[_Slot], leaf: _Leaf) -> None:
+        """Take ``leaf`` (the end of ``path``) out of the trie.
+
+        A non-root parent left with one child hands it to the
+        grandparent, where a build of the remaining keys puts it, so
+        churn leaves the canonical trie.
+        """
+        parent, kind, index = path[-1]
+        parent.set(kind, index, None)
+        # Is the parent left with one child?  list.count tests the empty
+        # slots in C, four times faster than listing the children.
+        empty = parent.descendants.count(None) + parent.ternaries.count(None)
+        if len(path) > 1 and empty == (2 << self.stride) - 2:
+            path.pop()
+            grand, kind, index = path[-1]
+            grand.set(kind, index, next(parent.children()))
+        self._size -= len(leaf.entries)
         self.generation += 1
-        return True
+        _lower_max(path, leaf.max_priority)
 
     # ------------------------------------------------------------------
     # Lookup (Algorithm 2)
@@ -576,66 +541,6 @@ class MultibitPalmtrie(TernaryMatcher):
                 if t is not None:
                     stack.append(t)
         return result, visits, comparisons
-
-    def lookup_batch(self, queries) -> list[Optional[TernaryEntry]]:
-        """Batched traversal: one node-major walk for the whole batch.
-
-        Identical queries are resolved once (flow-heavy traffic makes
-        them common), and distinct queries that take the same branch
-        share the node visit: the stack holds ``(node, query indices)``
-        frontiers instead of one node per in-flight lookup.
-        """
-        results: list[Optional[TernaryEntry]] = [None] * len(queries)
-        if not queries:
-            return results
-        # Deduplicate the batch; traverse over unique queries only.
-        positions: dict[int, list[int]] = {}
-        for index, query in enumerate(queries):
-            positions.setdefault(query, []).append(index)
-        unique = list(positions)
-        best: list[Optional[TernaryEntry]] = [None] * len(unique)
-        best_priority = [-1] * len(unique)
-        chunk_mask = (1 << self.stride) - 1
-        slots = self._ternary_slots
-        skipping = self.subtree_skipping
-        stack: list[tuple[_Node, list[int]]] = [(self._root, list(range(len(unique))))]
-        while stack:
-            x, group = stack.pop()
-            maxp = x.max_priority
-            if skipping:
-                group = [g for g in group if best_priority[g] <= maxp]
-                if not group:
-                    continue
-            if type(x) is _Leaf:
-                data = x.data
-                care_mask = x.care_mask
-                for g in group:
-                    if unique[g] & care_mask == data and maxp > best_priority[g]:
-                        best[g] = x.entries[0]
-                        best_priority[g] = best[g].priority
-                continue
-            bit = x.bit
-            buckets: dict[int, list[int]] = {}
-            if bit >= 0:
-                for g in group:
-                    buckets.setdefault((unique[g] >> bit) & chunk_mask, []).append(g)
-            else:
-                for g in group:
-                    buckets.setdefault((unique[g] << -bit) & chunk_mask, []).append(g)
-            descendants = x.descendants
-            ternaries = x.ternaries
-            for i, bucket in buckets.items():
-                child = descendants[i]
-                if child is not None:
-                    stack.append((child, bucket))
-                for slot in slots[i]:
-                    t = ternaries[slot]
-                    if t is not None:
-                        stack.append((t, bucket))
-        for g, query in enumerate(unique):
-            for index in positions[query]:
-                results[index] = best[g]
-        return results
 
     # ------------------------------------------------------------------
     # Introspection

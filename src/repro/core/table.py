@@ -146,11 +146,10 @@ class TernaryMatcher(abc.ABC):
         """Resolve many queries at once, in query order.
 
         The default simply loops :meth:`lookup`.  Structures that can
-        amortize work across a batch (shared trie paths, data
-        parallelism) override it with a genuinely batched traversal:
-        :class:`~repro.core.multibit.MultibitPalmtrie`,
-        :class:`~repro.core.frozen.FrozenMatcher` and
-        :class:`~repro.baselines.vectorized.VectorizedMatcher`.
+        amortize work across a batch override it:
+        :class:`~repro.core.frozen.FrozenMatcher` (one walk per unique
+        query) and :class:`~repro.baselines.vectorized.VectorizedMatcher`
+        (data parallelism).
         """
         lookup = self.lookup
         return [lookup(query) for query in queries]

@@ -934,11 +934,13 @@ class ClassificationEngine:
     only then.  Anything else is a :class:`TypeError`.
 
     The engine compiles the Palmtrie_k into its frozen
-    struct-of-arrays plane (:func:`repro.core.freeze`) once the build
-    settles — lazily, on the first cache miss — and serves lookups from
-    the plane.  The Palmtrie_k itself answers only the misses the
-    plane's update overlay matches and, under a guard, as the middle
-    rung while a freeze fails or the breaker is open.
+    struct-of-arrays plane (:func:`repro.core.freeze`) when the policy
+    is installed (construction or :meth:`replace_matcher`), so the first
+    burst does not pay the compile, and serves lookups from the plane;
+    after an update compacts the overlay, the next miss refreezes.  The
+    Palmtrie_k itself answers only the misses the plane's update overlay
+    matches and, under a guard, as the middle rung while a freeze fails
+    or the breaker is open.
     Every freeze lays the plane out in build order; an installed
     hot-layout plane serves as laid out until its first refreeze.
     ``insert``/``delete`` go to the Palmtrie_k; the plane keeps serving
@@ -1025,6 +1027,8 @@ class ClassificationEngine:
         # MetricsRegistry has len() == 0 and would read as "off".
         if metrics is not None and metrics is not False:
             self.enable_metrics(metrics if isinstance(metrics, MetricsRegistry) else None)
+        # Freeze at install, so the first burst does not pay the compile.
+        self._frozen_plane()
         self._pool: Optional[Any] = None
         if config.shards:
             from .shard import ShardedEngine
@@ -1207,18 +1211,26 @@ class ClassificationEngine:
         guard = self._guard
         if guard is not None and guard.quarantined:
             return self._reference_matcher()
-        plane = self._plane
+        plane = self._frozen_plane()
         if plane is None:
-            if guard is not None and not guard.breaker.allow():
-                return self._source
-            plane = self._freeze()
-            if plane is None:
-                return self._source
+            return self._source
         pool = self._pool
         if pool is None:
             return plane
         pool.serve(plane)
         return pool
+
+    def _frozen_plane(self) -> Optional[FrozenMatcher]:
+        """The frozen plane, frozen first if there is none.  None while
+        an open breaker skips the freeze or a guarded freeze fails: the
+        Palmtrie_k rung serves then."""
+        plane = self._plane
+        if plane is None:
+            guard = self._guard
+            if guard is not None and not guard.breaker.allow():
+                return None
+            plane = self._freeze()
+        return plane
 
     def _freeze(self) -> Optional[FrozenMatcher]:
         """Freeze the Palmtrie_k into the serving plane.  Under a guard
@@ -1543,8 +1555,6 @@ class ClassificationEngine:
             if behind:
                 fresh = set(behind)
                 rest = [query for query in rest if query not in fresh]
-                # Scalar lookups: the trie's node-major batch walk costs
-                # 2-3x more per query at these few-query sizes.
                 lookup = self._source.lookup
                 answers.update([(query, lookup(query)) for query in behind])
             # Ski rental: keep paying the overlay until it has cost as
@@ -1789,8 +1799,8 @@ class ClassificationEngine:
     def replace_matcher(self, matcher: ServedMatcher) -> None:
         """Swap in a rebuilt policy atomically.
 
-        The new matcher replaces the old one in one step — plane
-        dropped, cache cleared, generation stamps re-seeded, epoch
+        The new matcher replaces the old one in one step — the new
+        policy frozen, cache cleared, generation stamps re-seeded, epoch
         bumped — while the engine's cumulative lookup statistics and
         batch history carry over, so a policy swap does not erase the
         serving record the way constructing a fresh engine would.
@@ -1819,6 +1829,7 @@ class ClassificationEngine:
         guard = self._guard
         if guard is not None:
             guard.reset()
+        self._frozen_plane()
         if live:
             self._reference_matcher()
 

@@ -34,7 +34,8 @@ Guard semantics (fail closed, never serve a known-bad answer):
 * a shadow mismatch past ``max_shadow_mismatches`` trips the guard at
   the batch boundary where it is observed — any time, warmup included;
 * the latency verdict waits for ``warmup_packets`` canary packets to
-  pass and then ``observe_packets`` more to accumulate, comparing
+  pass (observation starts with the first batch that begins after
+  them) and then ``observe_packets`` more to accumulate, comparing
   p99/p999 ratios via :func:`repro.obs.metrics.quantile_ratios` — and
   it requires at least one stable-slice observation as the baseline,
   otherwise the ratios would be vacuously 0.0 and anything would pass.
@@ -114,7 +115,8 @@ class SLOGuards:
     max_p99_ratio: float = 3.0
     #: canary-over-stable p999 latency ratio ceiling
     max_p999_ratio: float = 3.0
-    #: canary packets served before latency observation begins
+    #: canary packets served before latency observation begins (with
+    #: the first canary batch that starts after them)
     warmup_packets: int = 256
     #: canary packets observed (post-warmup) before the latency verdict
     observe_packets: int = 1024
@@ -336,7 +338,10 @@ class RolloutController:
                     out[i] = verdict
                 n = len(canary_idx)
                 self.canary_packets += n
-                if self.canary_packets > self.guards.warmup_packets:
+                # Observe only batches that begin after warm-up: the
+                # batch that crosses it still pays the canary's cold
+                # start, which is not the policy's latency.
+                if self.canary_packets - n >= self.guards.warmup_packets:
                     self._canary_hist.observe(elapsed / n, n)
                     self._observed += n
         self._count_batch(len(canary_idx), len(stable_idx), failing)

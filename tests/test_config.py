@@ -122,10 +122,9 @@ class TestOneServingPath:
     def test_a_default_engine_serves_its_frozen_plane(self):
         engine = serve(ACL)
         report = engine.report()
-        assert report["freezes"] == 0 and not report["frozen_plane_active"]
-        assert engine.lookup(0) is not None  # the first miss freezes
-        report = engine.report()
-        assert report["freezes"] == 1 and report["frozen_plane_active"]
+        assert report["freezes"] == 1 and report["frozen_plane_active"]  # frozen at install
+        assert engine.lookup(0) is not None  # the first miss pays no freeze
+        assert engine.report()["freezes"] == 1
         assert "auto_freeze" not in report
 
     def test_auto_freeze_false_is_rejected(self):

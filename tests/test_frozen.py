@@ -649,11 +649,19 @@ class TestEngineAutoFreeze:
         entries = random_entries(30, KEY_LENGTH, seed=40)
         engine = ClassificationEngine(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4), EngineConfig(cache_size=16))
         report = engine.report()
-        assert not report["frozen_plane_active"] and report["freezes"] == 0
-        for query in _biased_queries(entries, 200, seed=41):
+        assert report["frozen_plane_active"] and report["freezes"] == 1  # frozen at install
+        queries = _biased_queries(entries, 200, seed=41)
+        for query in queries:
             assert_same_result(oracle_lookup(entries, query), engine.lookup(query))
+        assert engine.report()["freezes"] == 1
+        # A policy swap freezes the new policy before its first lookup.
+        entries = entries[:20]
+        engine.replace_matcher(MultibitPalmtrie.build(entries, KEY_LENGTH, stride=4))
         report = engine.report()
-        assert report["frozen_plane_active"] and report["freezes"] == 1
+        assert report["frozen_plane_active"] and report["freezes"] == 2
+        for query, got in zip(queries, engine.lookup_batch(queries)):
+            assert_same_result(oracle_lookup(entries, query), got)
+        assert engine.report()["freezes"] == 2
 
     def test_updates_drop_and_refreeze_plane(self):
         entries = random_entries(25, KEY_LENGTH, seed=42)

@@ -3,6 +3,8 @@
 The build partitions the distinct keys top-down instead of inserting
 one entry at a time, so it must give the trie the insert loop gives,
 node for node, and the frozen plane compiled from it must not move.
+Deletes keep the same canonical form: any churn of inserts and
+removals leaves the trie a build of the remaining entries gives.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro import EngineConfig
 from repro.core import multibit
 from repro.core.frozen import FrozenMatcher, freeze
-from repro.core.multibit import EXACT, TERNARY, MultibitPalmtrie, _Leaf, key_path
+from repro.core.multibit import EXACT, TERNARY, MultibitPalmtrie, _Internal, _Leaf, key_path
 from repro.core.serialize import serialize_frozen
 from repro.core.table import TernaryEntry, build_matcher
 from repro.core.ternary import TernaryKey
@@ -157,6 +159,166 @@ class TestChurnAfterBuild:
         assert built.generation == inserted.generation
         assert _shape(built) == _shape(inserted)
         assert serialize_frozen(freeze(built)) == serialize_frozen(freeze(inserted))
+
+
+def _assert_canonical(trie: MultibitPalmtrie) -> None:
+    """``trie`` is the trie a build of its remaining entries gives, node
+    for node, and its plane serializes to the same bytes."""
+    built = MultibitPalmtrie.build(list(trie.entries()), trie.key_length, stride=trie.stride)
+    assert len(trie) == len(built)
+    assert _shape(trie) == _shape(built)
+    assert serialize_frozen(freeze(trie)) == serialize_frozen(freeze(built))
+
+
+class TestChurnIsCanonical:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_churn_matches_bulk_build(self, data):
+        length = data.draw(st.integers(1, 16), label="length")
+        stride = data.draw(st.integers(1, min(length, 8)), label="stride")
+        digits = st.text(alphabet="01*", min_size=length, max_size=length)
+        pool = [
+            TernaryKey.from_string(text)
+            for text in data.draw(st.lists(digits, min_size=1, max_size=12), label="keys")
+        ]
+        # Start from every pool key, so deletes find split nodes to undo.
+        live = [TernaryEntry(key, -1 - i, i % 4) for i, key in enumerate(pool)]
+        trie = MultibitPalmtrie.build(live, length, stride=stride)
+        ops = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["insert", "insert", "delete", "remove"]),
+                    st.integers(0, len(pool) - 1),
+                    st.integers(0, 3),
+                ),
+                max_size=60,
+            ),
+            label="ops",
+        )
+        for step, (op, pick, priority) in enumerate(ops):
+            key = pool[pick]
+            if op == "insert":
+                entry = TernaryEntry(key, step, priority)
+                trie.insert(entry)
+                live.append(entry)
+            elif op == "delete":
+                assert trie.delete(key) == any(e.key == key for e in live)
+                live = [e for e in live if e.key != key]
+            else:
+                mine = [e for e in live if e.key == key]
+                entry = mine[priority % len(mine)] if mine else TernaryEntry(key, -1, 0)
+                assert trie.remove_entry(entry) == bool(mine)
+                if mine:
+                    live.remove(entry)
+        assert sorted(map(id, trie.entries())) == sorted(map(id, live))
+        _assert_canonical(trie)
+
+    @pytest.mark.parametrize("stride", [1, 4, 8])
+    @pytest.mark.parametrize("profile", ["acl", "fw", "ipc"])
+    def test_classbench_churn_matches_bulk_build(self, profile, stride):
+        acl = _classbench(profile, 500)
+        extra = _classbench(profile, 2000).entries
+        trie = MultibitPalmtrie.build(acl.entries, acl.layout.length, stride=stride)
+        rng = random.Random(f"canonical:{profile}:{stride}")
+        live = list(acl.entries)
+        for _ in range(300):
+            choice = rng.random()
+            if choice < 0.4:
+                entry = rng.choice(extra)
+                trie.insert(entry)
+                live.append(entry)
+            elif choice < 0.8:
+                key = rng.choice(live).key
+                assert trie.delete(key)
+                live = [e for e in live if e.key != key]
+            else:
+                entry = rng.choice(live)
+                assert trie.remove_entry(entry)
+                live.remove(entry)
+        assert len(trie) == len(live)
+        _assert_canonical(trie)
+
+
+def _leaf_and_ancestors(trie: MultibitPalmtrie, key: TernaryKey) -> tuple[_Leaf, list]:
+    """``key``'s leaf and the internal nodes above it, root first (found
+    by a plain search of the whole trie)."""
+    stack: list = [(trie._root, [])]
+    while stack:
+        node, above = stack.pop()
+        if isinstance(node, _Leaf):
+            if node.key == key:
+                return node, above
+            continue
+        stack.extend((child, above + [node]) for child in node.children())
+    raise AssertionError(f"{key} is not stored")
+
+
+class TestRemovalWorkCounts:
+    def test_churn_calls_no_key_path(self, monkeypatch):
+        acl = _classbench("acl", 500)
+        extra = _classbench("acl", 2000).entries[:100]
+        calls = []
+        monkeypatch.setattr(multibit, "key_path", lambda *args: calls.append(args))
+        trie = MultibitPalmtrie.build(acl.entries, acl.layout.length, stride=8)
+        for entry in extra:
+            trie.insert(entry)
+        for entry in extra[:50]:
+            assert trie.remove_entry(entry)
+        for entry in acl.entries[::7]:
+            trie.delete(entry.key)
+        assert calls == []
+
+    def test_delete_walks_children_only_where_the_maximum_falls(self, monkeypatch):
+        """A delete lists the children of the leaf's parent (is it left
+        with one child?) and of the ancestors whose maximum was the
+        removed priority, and of no other node."""
+        acl = _classbench("acl", 500)
+        trie = MultibitPalmtrie.build(acl.entries, acl.layout.length, stride=8)
+        children = _Internal.children
+        walked: list[int] = []
+
+        def counted_children(node):
+            walked.append(id(node))
+            return children(node)
+
+        falls = 0
+        for key in list({entry.key: None for entry in acl.entries})[::5]:
+            leaf, above = _leaf_and_ancestors(trie, key)
+            lowered = [node for node in above if node.max_priority == leaf.max_priority]
+            falls += len(lowered)
+            walked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(_Internal, "children", counted_children)
+                assert trie.delete(key)
+            assert set(walked) <= {id(above[-1])} | set(map(id, lowered))
+        assert falls  # some deletes did lower an ancestor's maximum
+        _assert_canonical(trie)
+
+
+class TestRemoveEntry:
+    def test_removing_a_leafs_best_entry_lowers_its_ancestors(self):
+        def entry(text, priority):
+            return TernaryEntry(TernaryKey.from_string(text), f"{text}:{priority}", priority)
+
+        best, low = entry("00000000", 9), entry("00000000", 2)
+        sibling, other = entry("00000001", 5), entry("11110000", 3)
+        trie = MultibitPalmtrie(8, stride=4)
+        for e in (best, low, sibling, other):
+            trie.insert(e)
+        inner = trie._root.descendants[0]
+        assert isinstance(inner, _Internal)
+        assert trie._root.max_priority == inner.max_priority == 9
+        assert trie.remove_entry(best)
+        assert inner.max_priority == trie._root.max_priority == 5
+        assert trie.lookup(0b00000000) is low
+        _assert_canonical(trie)
+        # Taking the sibling out leaves ``inner`` one child, which moves
+        # up to the root slot.
+        assert trie.remove_entry(sibling)
+        assert isinstance(trie._root.descendants[0], _Leaf)
+        assert trie._root.max_priority == 3
+        assert trie.node_count() == (1, 2)
+        _assert_canonical(trie)
 
 
 class TestWorkCounts:

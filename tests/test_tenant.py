@@ -867,6 +867,38 @@ class TestLatencyBaselineEvidence:
             router.close()
 
 
+    def test_a_stalled_first_canary_batch_is_warmup_not_evidence(self, monkeypatch):
+        """The canary's first batch stalls (a cold start), and its
+        canary share alone crosses ``warmup_packets``: that batch began
+        inside warm-up, so it must not count against the latency guards."""
+        import time
+
+        guards = SLOGuards(
+            warmup_packets=8, observe_packets=64, max_p99_ratio=20.0, max_p999_ratio=20.0
+        )
+        router = TenantRouter([_roller_spec(guards=guards)], clock=lambda: 0.0)
+        try:
+            roller = router["roller"]
+            roller.stage_rollout(NEW_POLICY, seed=SEED)
+            canary = roller.rollout.canary_engine
+            lookup_batch = canary.lookup_batch
+            calls = []
+
+            def stalled_once(queries):
+                if not calls:
+                    time.sleep(0.05)
+                calls.append(len(queries))
+                return lookup_batch(queries)
+
+            monkeypatch.setattr(canary, "lookup_batch", stalled_once)
+            _drive_rollout(router, "roller", _trace(roller, 2000, seed=SEED + 3))
+            assert calls[0] > guards.warmup_packets
+            assert roller.rollout.state == "promoted"
+            assert roller.rollout.last_verdict["latency_ratios"] is not None
+        finally:
+            router.close()
+
+
 # ----------------------------------------------------------------------
 # Sharded tenants: the rollout contract over an engine's shard pool
 # ----------------------------------------------------------------------
