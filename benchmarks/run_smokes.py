@@ -2,8 +2,8 @@
 
 Runs every benchmark smoke in one process (``bench_engine_cache``,
 ``bench_frozen``, ``bench_updates``, ``bench_chaos``,
-``bench_shards``, ``bench_ipv6_keylen``, ``bench_adaptive``,
-``bench_stream``, ``bench_tenant``),
+``bench_shards``, ``bench_ipv6_keylen``, ``bench_stream``,
+``bench_tenant``),
 collects the headline ratios each
 ``main(smoke=True)`` returns, and writes them as a *trajectory*: one
 record per metric, stamped with the current commit SHA and a UTC
@@ -60,7 +60,6 @@ SMOKES = (
     ("bench_chaos", "resilience chaos plane"),
     ("bench_shards", "sharded multi-process data plane"),
     ("bench_ipv6_keylen", "IPv6 long-key plane"),
-    ("bench_adaptive", "adaptive frozen-plane layer"),
     ("bench_stream", "streaming data plane"),
     ("bench_tenant", "multi-tenant control plane"),
 )

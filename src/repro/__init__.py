@@ -42,7 +42,6 @@ from .core import (
     AdaptiveMatcher,
     BasicPalmtrie,
     FrozenMatcher,
-    FrozenPoptrie,
     LookupStats,
     MultibitPalmtrie,
     PatriciaTrie,
@@ -91,7 +90,6 @@ __all__ = [
     "FrozenMatcher",
     "GuardRail",
     "InjectedFault",
-    "FrozenPoptrie",
     "LAYOUT_V4",
     "LAYOUT_V6",
     "LookupStats",

@@ -35,7 +35,7 @@ the trade the real library makes to get extensive ACLs built at all
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from ..core.table import TernaryEntry, TernaryMatcher
 
@@ -250,21 +250,3 @@ class DpdkStyleAcl(TernaryMatcher):
         key_bytes = 2 * (self.key_length // 8)
         return self._state_count * 256 * 8 + len(self._entries) * (key_bytes + 8 + 4)
 
-
-def check_no_wildcard_gaps(entries: Sequence[TernaryEntry]) -> bool:
-    """True if every entry's mask is suffix-contiguous per byte.
-
-    Not required for correctness (the trie handles arbitrary masks); the
-    helper exists for tests that characterize which rule shapes inflate
-    the state count.
-    """
-    for entry in entries:
-        mask = entry.key.mask
-        for _ in range(entry.key.length // 8):
-            byte = mask & 0xFF
-            if byte and (byte + 1) & byte:
-                low_run = (byte & -byte).bit_length() - 1
-                if byte != ((0xFF >> low_run) << low_run) & 0xFF:
-                    return False
-            mask >>= 8
-    return True

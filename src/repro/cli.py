@@ -186,33 +186,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                f"(-{100 * compression_ratio(entries, squeezed):.0f} %)"
         entries = squeezed
 
-    trace_queries: Optional[list] = None
-    if args.trace:
-        from .workloads.io import load_trace
-
-        try:
-            trace_queries, trace_key_length = load_trace(args.trace)
-        except (OSError, ValueError) as exc:
-            print(f"error: {args.trace}: {exc}", file=sys.stderr)
-            return 2
-        if trace_key_length != key_length:
-            print(
-                f"error: trace key length {trace_key_length} != "
-                f"policy key length {key_length}",
-                file=sys.stderr,
-            )
-            return 2
-
-    plane = FrozenMatcher.build(
-        entries,
-        key_length,
-        stride=args.stride,
-        layout=args.layout,
-        layout_trace=trace_queries if args.layout == "hot" else None,
-    )
+    plane = FrozenMatcher.build(entries, key_length, stride=args.stride)
     written = save_frozen(plane, args.output)
-    if args.layout == "hot":
-        note += ", hot layout"
     print(
         f"compiled {len(rules)} rules ({len(entries)} entries) into frozen plane "
         f"{args.output}: {written} bytes, stride {args.stride}{note}"
@@ -234,7 +209,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"  entries:    {len(plane)}")
     print(f"  memory:     {plane.memory_bytes()} bytes")
     print(f"  nodes:      {internals} internal, {leaves} leaves")
-    print(f"  layout:     {plane.layout_applied}")
     print(f"  stride:     {plane.stride} (uniform)")
     return 0
 
@@ -1119,21 +1093,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--compress", action="store_true",
         help="adjacency-merge equivalent entries before compiling",
     )
-    p_compile.add_argument(
-        "--layout", choices=("build", "hot"), default="build",
-        help="plane node order: build order, or hot-first "
-             "(walk-frequency order from --trace)",
-    )
-    p_compile.add_argument(
-        "--trace", metavar="PATH",
-        help="binary workload trace (palmtrie-repro generate --trace) "
-             "driving the --layout hot frequency pass",
-    )
     p_compile.set_defaults(func=_cmd_compile)
 
     p_inspect = sub.add_parser(
         "inspect",
-        help="describe a compiled .plmf policy: geometry, layout",
+        help="describe a compiled .plmf policy: geometry, nodes",
     )
     p_inspect.add_argument("policy", help="a compiled .plmf file")
     p_inspect.set_defaults(func=_cmd_inspect)

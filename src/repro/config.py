@@ -44,11 +44,6 @@ class EngineConfig:
     frozen plane compiled from its Palmtrie_k, which answers only as
     the guard's middle rung and behind the plane's update overlay.
 
-    No knob picks the frozen plane's node layout: the engine freezes in
-    build order.  A hot-layout plane is an offline artifact
-    (``compile --layout hot --trace``); one that is installed or loaded
-    serves as laid out until its first refreeze.
-
     No knob times an update's cache sweep either: every update leaves
     its changed keys pending, and the next lookup sweeps the keys of
     all updates since the last one in one pass.

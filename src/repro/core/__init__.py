@@ -2,7 +2,7 @@
 
 from .adaptive import AdaptiveMatcher
 from .basic import BasicPalmtrie
-from .frozen import FrozenMatcher, FrozenPoptrie, freeze
+from .frozen import FrozenMatcher, freeze
 from .introspect import TrieShape, to_dot, trie_shape
 from .multibit import MultibitPalmtrie
 from .patricia import PatriciaTrie
@@ -16,7 +16,6 @@ __all__ = [
     "AdaptiveMatcher",
     "BasicPalmtrie",
     "FrozenMatcher",
-    "FrozenPoptrie",
     "LookupStats",
     "MultibitPalmtrie",
     "PatriciaTrie",

@@ -6,10 +6,7 @@ Palmtrie with a high branching order on large ones, with hysteresis so
 flapping at the thresholds is avoided.  The large band keeps the
 updatable Palmtrie_8: its Palmtrie+ is the frozen plane a serving
 engine freezes from it (:func:`~repro.core.frozen.freeze`), so inserts
-land in a trie instead of recompiling one.  Workload-aware tuning of the
-frozen plane is its hot-first layout
-(``freeze(..., layout="hot", trace=...)``), which lives on the plane
-itself.
+land in a trie instead of recompiling one.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ inner slot loop per node visit.  The paper's practical message — and the
 one cache-aware flattened forwarding structures and computational
 classifiers make across the literature — is that the hot path belongs in
 contiguous arrays.  :func:`freeze` is that compiler for Python: it takes
-a *built* :class:`~repro.core.multibit.MultibitPalmtrie` (or a
-:class:`~repro.core.poptrie.Poptrie`, see :class:`FrozenPoptrie`) and
-emits the whole trie as flat parallel integer arrays:
+a *built* :class:`~repro.core.multibit.MultibitPalmtrie` and emits the
+whole trie as flat parallel integer arrays:
 
 * ``bit`` / ``max_priority`` — per-node chunk index and priority
   ceiling (the §3.5 subtree-skipping bound), in :mod:`array` arrays;
@@ -54,7 +53,7 @@ plane from it; a plane loaded from disk
 (:func:`repro.core.serialize.load_frozen`) carries no source trie, and
 :meth:`FrozenMatcher.rebuild_source` builds one from its entries when
 one is needed.  A plane is a pure function of the Palmtrie_k it is
-frozen from (and of the layout asked for).
+frozen from: nodes are numbered in one order, breadth-first.
 
 This plane is the repository's one compiled form of Algorithm 3: it
 holds exactly the Palmtrie_k's nodes, visits exactly the nodes the
@@ -76,22 +75,14 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .multibit import MultibitPalmtrie
 from .multibit import _Leaf as _MbLeaf
-from .poptrie import Poptrie, _PoptrieNode
 from .table import TernaryEntry, TernaryMatcher
 
-__all__ = ["FrozenMatcher", "FrozenPoptrie", "freeze"]
+__all__ = ["FrozenMatcher", "freeze"]
 
 #: bits reserved for the successor count in a packed dispatch word;
 #: count <= stride + 1, so any stride up to 30 fits.
 _COUNT_BITS = 5
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
-
-#: unique queries of a ``layout_trace`` the hot layout's frequency pass
-#: replays (the rest of the trace only weighs the queries it repeats)
-_LAYOUT_SAMPLE_CAP = 512
-
-#: layout names accepted by ``freeze(..., layout=)`` / the constructors
-_LAYOUTS = ("build", "hot")
 
 
 @lru_cache(maxsize=8)
@@ -150,15 +141,11 @@ class FrozenMatcher(TernaryMatcher):
         key_length: int,
         stride: int = 8,
         subtree_skipping: bool = True,
-        layout: str = "build",
-        layout_trace: Optional[Sequence[int]] = None,
     ) -> None:
         """An empty plane; :meth:`build` and :meth:`from_matcher` compile
         filled ones."""
         self._compile(
-            MultibitPalmtrie(key_length, stride=stride, subtree_skipping=subtree_skipping),
-            layout,
-            layout_trace,
+            MultibitPalmtrie(key_length, stride=stride, subtree_skipping=subtree_skipping)
         )
 
     # ------------------------------------------------------------------
@@ -173,23 +160,15 @@ class FrozenMatcher(TernaryMatcher):
         *,
         stride: int = 8,
         subtree_skipping: bool = True,
-        layout: str = "build",
-        layout_trace: Optional[Sequence[int]] = None,
     ) -> "FrozenMatcher":
         """Bulk build: fill a source Palmtrie_k, then freeze it once."""
         source = MultibitPalmtrie.build(
             entries, key_length, stride=stride, subtree_skipping=subtree_skipping
         )
-        return cls.from_matcher(source, layout=layout, layout_trace=layout_trace)
+        return cls.from_matcher(source)
 
     @classmethod
-    def from_matcher(
-        cls,
-        source: TernaryMatcher,
-        *,
-        layout: str = "build",
-        layout_trace: Optional[Sequence[int]] = None,
-    ) -> "FrozenMatcher":
+    def from_matcher(cls, source: TernaryMatcher) -> "FrozenMatcher":
         """Compile an existing built Palmtrie_k (the §3.6 compilation
         step, and the :func:`freeze` entry point)."""
         if not isinstance(source, MultibitPalmtrie):
@@ -197,7 +176,7 @@ class FrozenMatcher(TernaryMatcher):
                 f"cannot freeze {type(source).__name__}; expected MultibitPalmtrie"
             )
         frozen = cls.__new__(cls)
-        frozen._compile(source, layout, layout_trace)
+        frozen._compile(source)
         return frozen
 
     def insert(self, entry: TernaryEntry) -> None:
@@ -220,19 +199,12 @@ class FrozenMatcher(TernaryMatcher):
 
     # -- the freeze compiler --------------------------------------------
 
-    def _compile(
-        self,
-        source: MultibitPalmtrie,
-        layout: str,
-        layout_trace: Optional[Sequence[int]],
-    ) -> None:
+    def _compile(self, source: MultibitPalmtrie) -> None:
         """Compile the arrays from the Palmtrie_k ``source``."""
         freeze_start = time.perf_counter()
         TernaryMatcher.__init__(self, source.key_length)
         self.stride = source.stride
         self.subtree_skipping = source.subtree_skipping
-        if layout not in _LAYOUTS:
-            raise ValueError(f"layout must be one of {_LAYOUTS}, got {layout!r}")
 
         # Pass 1: breadth-first id assignment (internals and leaves
         # numbered separately; leaves sit above every internal id).
@@ -260,38 +232,7 @@ class FrozenMatcher(TernaryMatcher):
             order.extend(exact.values())
             order.extend(ternary.values())
 
-        hot = layout == "hot"
-        self._emit(internals, leaves, kids, hot)
-        if hot and len(internals) + len(leaves) > 2:
-            # Frequency pass: replay a bounded trace over the freshly
-            # emitted arrays, then re-emit with nodes renumbered in
-            # descending visit frequency (root pinned at 0) so hot
-            # walks touch a contiguous id prefix — and, through the
-            # dispatch remap, contiguous array regions.
-            if layout_trace:
-                counts, leaf_wins = self._walk_counts(layout_trace)
-                first_leaf = len(internals)
-                # Subtree win mass: how often (frequency-weighted) the
-                # final answer lives under each node.  Children precede
-                # parents in reversed BFS order, so one backward sweep
-                # aggregates leaves-to-root.
-                mass: dict[int, int] = {
-                    id(leaf): leaf_wins[j] for j, leaf in enumerate(leaves)
-                }
-                for node in reversed(internals):
-                    exact, ternary = kids[id(node)]
-                    mass[id(node)] = sum(
-                        mass[id(c)] for c in exact.values()
-                    ) + sum(mass[id(c)] for c in ternary.values())
-                iorder = sorted(range(1, first_leaf), key=lambda x: (-counts[x], x))
-                lorder = sorted(
-                    range(len(leaves)), key=lambda j: (-counts[first_leaf + j], j)
-                )
-                internals = [internals[0]] + [internals[x] for x in iorder]
-                leaves = [leaves[j] for j in lorder]
-                self._emit(internals, leaves, kids, hot, win_mass=mass)
-        #: the layout the arrays were emitted with (what PLMF records)
-        self.layout_applied = "hot" if hot else "build"
+        self._emit(internals, leaves, kids)
         self.last_freeze_seconds = time.perf_counter() - freeze_start
         self.freeze_seconds_total = self.last_freeze_seconds
 
@@ -300,36 +241,18 @@ class FrozenMatcher(TernaryMatcher):
         internals: list[Any],
         leaves: list[Any],
         kids: dict[int, tuple[dict[int, Any], dict[int, Any]]],
-        hot: bool,
-        win_mass: Optional[dict[int, int]] = None,
     ) -> None:
-        """Pass 2: emit the flat arrays for one node ordering.
-
-        A pure function of the node lists: the hot layout simply
-        reorders the lists and calls this again, and every dispatch/push/leaf index
-        comes out remapped automatically.  ``win_mass`` (hot layout,
-        second pass) maps ``id(node)`` to the trace-measured frequency
-        of the answer living under that node; runs are ordered by it so
-        the subtree most likely to raise ``best`` is walked first.
-        """
+        """Pass 2: emit the flat arrays, node ids in list order (internals
+        first, then leaves)."""
         stride = self.stride
         first_leaf = len(internals)
         ids: dict[int, int] = {id(n): x for x, n in enumerate(internals)}
         ids.update({id(n): first_leaf + j for j, n in enumerate(leaves)})
-        mass_arr: Optional[list[int]] = None
-        if hot and win_mass is not None:
-            mass_arr = [0] * (first_leaf + len(leaves))
-            for node in internals:
-                mass_arr[ids[id(node)]] = win_mass.get(id(node), 0)
-            for leaf in leaves:
-                mass_arr[ids[id(leaf)]] = win_mass.get(id(leaf), 0)
 
         dispatch = array("I", bytes(4 * (first_leaf << stride)))
 
         bit_arr = array("i", bytes(4 * first_leaf))
         maxp_arr = array("q", bytes(8 * (first_leaf + len(leaves))))
-        # max_priority first: the hot layout's run ordering below reads
-        # children's ceilings, and children may be leaves.
         for x, node in enumerate(internals):
             bit_arr[x] = node.bit
             maxp_arr[x] = node.max_priority
@@ -344,16 +267,6 @@ class FrozenMatcher(TernaryMatcher):
             if len(run) == 1:
                 # Single survivor: the dispatch word IS the target.
                 return (run[0] << _COUNT_BITS) | 1
-            if hot:
-                # The LIFO walk pops a run back to front; sorting
-                # ascending puts the most promising subtree first,
-                # so §3.5 skipping prunes its siblings.  "Promising"
-                # = trace-measured win mass when a trace was
-                # replayed, max_priority as the cold-start tiebreak.
-                if mass_arr is not None:
-                    run.sort(key=lambda n: (mass_arr[n], maxp_arr[n]))
-                else:
-                    run.sort(key=maxp_arr.__getitem__)
             signature = tuple(run)
             base = run_pool.get(signature)
             if base is None:
@@ -398,7 +311,7 @@ class FrozenMatcher(TernaryMatcher):
                     chunk = next(exact_chunks, chunks)
                 if tail and free < hi:
                     dispatch[base_slot + free : base_slot + hi] = array(
-                        "I", [word(list(tail))]
+                        "I", [word(tail)]
                     ) * (hi - free)
                 while chunk < hi:
                     dispatch[base_slot + chunk] = word([ids[id(exact[chunk])]] + tail)
@@ -464,68 +377,6 @@ class FrozenMatcher(TernaryMatcher):
         self._node_bits = [
             chunk_mask << b if b >= 0 else chunk_mask >> -b for b in bits
         ]
-
-    def _walk_counts(self, trace: Sequence[int]) -> tuple[list[int], list[int]]:
-        """Replay ``trace`` (deduplicated, capped, frequency-weighted)
-        over the live arrays.  Returns ``(counts, leaf_wins)``: per-node
-        visit counts (the hot layout's permutation signal) and per-leaf
-        final-answer counts (the run-ordering signal), both weighted by
-        each query's multiplicity in the trace."""
-        (
-            maxp, bits, dispatch, push, data, care, _best_of,
-            first_leaf, stride, chunk_mask, skipping,
-        ) = self._hot
-        freq: dict[int, int] = {}
-        for q in trace:
-            freq[q] = freq.get(q, 0) + 1
-        unique = list(freq)[:_LAYOUT_SAMPLE_CAP]
-        counts = [0] * (first_leaf + len(data))
-        leaf_wins = [0] * len(data)
-        if not unique or not counts:
-            return counts, leaf_wins
-        weights = [freq[q] for q in unique]
-        best_priority = [-1] * len(unique)
-        win_leaf = [-1] * len(unique)
-        stack: list[tuple[int, list[int]]] = [(0, list(range(len(unique))))]
-        while stack:
-            x, group = stack.pop()
-            mp = maxp[x]
-            if skipping:
-                group = [g for g in group if best_priority[g] <= mp]
-                if not group:
-                    continue
-            counts[x] += sum(weights[g] for g in group)
-            if x >= first_leaf:
-                j = x - first_leaf
-                leaf_data = data[j]
-                leaf_care = care[j]
-                for g in group:
-                    if unique[g] & leaf_care == leaf_data and mp > best_priority[g]:
-                        best_priority[g] = mp
-                        win_leaf[g] = j
-                continue
-            b = bits[x]
-            base_slot = x << stride
-            buckets: dict[int, list[int]] = {}
-            if b >= 0:
-                for g in group:
-                    buckets.setdefault((unique[g] >> b) & chunk_mask, []).append(g)
-            else:
-                for g in group:
-                    buckets.setdefault((unique[g] << -b) & chunk_mask, []).append(g)
-            for chunk, bucket in buckets.items():
-                packed = dispatch[base_slot + chunk]
-                c = packed & _COUNT_MASK
-                if c == 1:
-                    stack.append((packed >> _COUNT_BITS, bucket))
-                elif c:
-                    base = packed >> _COUNT_BITS
-                    for t in range(base, base + c):
-                        stack.append((push[t], bucket))
-        for g, j in enumerate(win_leaf):
-            if j >= 0:
-                leaf_wins[j] += weights[g]
-        return counts, leaf_wins
 
     # ------------------------------------------------------------------
     # Lookup: an iterative loop over array indices
@@ -878,86 +729,13 @@ class FrozenMatcher(TernaryMatcher):
         return buffers + len(self._leaf_best) * key_bytes + len(self._entry_table) * 12
 
 
-class FrozenPoptrie:
-    """A :class:`~repro.core.poptrie.Poptrie` flattened the same way.
+def freeze(matcher: Any) -> "FrozenMatcher":
+    """Compile a built :class:`MultibitPalmtrie` into its frozen
+    struct-of-arrays plane.
 
-    The Poptrie is already array-shaped; freezing unboxes its node
-    objects into four parallel arrays so the LPM inner loop is pure
-    integer indexing.  Lookup semantics are identical to the source.
-    """
-
-    def __init__(self, source: Poptrie) -> None:
-        if source._dirty:
-            source.compile()
-        self.key_length = source.key_length
-        self.stride = source.stride
-        root = source._root
-        assert root is not None
-        nodes: list[_PoptrieNode] = [root] + source._nodes
-        self._vector = [n.vector for n in nodes]
-        # base1 is relative to source._nodes; shift for the prepended root.
-        self._base1 = array("Q", (n.base1 + 1 for n in nodes))
-        self._leafvec = [n.leafvec for n in nodes]
-        self._base0 = array("Q", (n.base0 for n in nodes))
-        self._leaves = list(source._leaves)
-        self._route_count = len(source)
-
-    def lookup(self, key: int) -> Any:
-        """Longest-prefix match; None when no route covers the key."""
-        vector = self._vector
-        base1 = self._base1
-        leafvec = self._leafvec
-        base0 = self._base0
-        leaves = self._leaves
-        stride = self.stride
-        chunk_mask = (1 << stride) - 1
-        shift = self.key_length - stride
-        x = 0
-        while True:
-            if shift >= 0:
-                chunk = (key >> shift) & chunk_mask
-            else:
-                chunk = (key << -shift) & chunk_mask
-            v = vector[x]
-            if not (v >> chunk) & 1:
-                index = (leafvec[x] & ((2 << chunk) - 1)).bit_count() - 1
-                return leaves[base0[x] + index]
-            x = base1[x] + (v & ((1 << chunk) - 1)).bit_count()
-            shift -= stride
-
-    def __len__(self) -> int:
-        return self._route_count
-
-    def memory_bytes(self) -> int:
-        """Same C model as the source Poptrie (the layout is unchanged;
-        only the Python boxing is gone)."""
-        vector_bytes = max((1 << self.stride) // 8, 1)
-        return len(self._vector) * (2 * vector_bytes + 8) + len(self._leaves) * 4
-
-
-def freeze(
-    matcher: Any,
-    *,
-    layout: Optional[str] = None,
-    trace: Optional[Sequence[int]] = None,
-) -> Any:
-    """Compile a built matcher into its frozen struct-of-arrays plane.
-
-    * :class:`MultibitPalmtrie` → :class:`FrozenMatcher` (the full
-      ternary-matching surface);
-    * :class:`Poptrie` → :class:`FrozenPoptrie` (the LPM surface; the
-      adaptive knobs below do not apply);
-    * an already-frozen matcher is returned as-is: a plane is laid out
-      once, when it is frozen from its trie.
-
-    ``layout`` picks the node layout (``"build"``, the default, or
-    ``"hot"``) and ``trace`` an optional query workload replayed by the
-    hot layout's frequency pass.
+    An already-frozen plane is returned as-is: a plane is laid out
+    once, when it is frozen from its trie.
     """
     if isinstance(matcher, FrozenMatcher):
         return matcher
-    if isinstance(matcher, Poptrie):
-        return FrozenPoptrie(matcher)
-    return FrozenMatcher.from_matcher(
-        matcher, layout=layout or "build", layout_trace=trace
-    )
+    return FrozenMatcher.from_matcher(matcher)

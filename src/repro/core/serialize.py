@@ -43,11 +43,13 @@ FROZEN_VERSION = 2
 #: entry count u32, entry-blob length u32.
 _FROZEN_HEADER = struct.Struct("<4sHBBIIIIII")
 
-#: v2 extension, immediately after the header: layout u8 (0 = build
-#: order, 1 = hot/frequency order), plan u8, reserved u16 (must be 0),
-#: plan-blob length u32.  Plan code 0 (no plan, empty blob) is the only
-#: one written or accepted; codes 1 and 2 marked the retired
-#: per-subtrie stride plans and fail closed on load.
+#: v2 extension, immediately after the header: layout u8, plan u8,
+#: reserved u16 (must be 0), plan-blob length u32.  The layout byte is
+#: written as 0 (build order); 1 marked the retired hot-first node
+#: order, and such an image loads as a plane in another node order.
+#: Plan code 0 (no plan, empty blob) is the only one written or
+#: accepted; codes 1 and 2 marked the retired per-subtrie stride plans
+#: and fail closed on load.
 _FROZEN_EXT = struct.Struct("<BBHI")
 
 _RETIRED_PLAN_CODES = (1, 2)
@@ -123,7 +125,7 @@ def _typed_view(typecode: str, section: memoryview) -> Any:
 def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
     """Pack a frozen plane's arrays into the ``PLMF`` v2 wire form.
 
-    After the header comes the v2 extension (layout byte, plan byte 0,
+    After the header comes the v2 extension (layout byte 0, plan byte 0,
     reserved, plan-blob length 0).  Section order after that: bit
     i32[I], max_priority i64[I+L], dispatch u32 (``I << stride``
     words), push u64[P], leaf keys (data ‖ care, each
@@ -163,7 +165,7 @@ def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
         len(matcher._entry_table),
         len(entry_blob),
     )
-    ext = _FROZEN_EXT.pack(1 if matcher.layout_applied == "hot" else 0, 0, 0, 0)
+    ext = _FROZEN_EXT.pack(0, 0, 0, 0)
     return b"".join(
         (
             header,
@@ -241,7 +243,6 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     node_count = first_leaf + leaf_count
 
     cursor = _FROZEN_HEADER.size
-    layout_code = 0
     if version >= 2:
         if len(data) < cursor + _FROZEN_EXT.size:
             raise FormatError("truncated extension")
@@ -416,7 +417,6 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     frozen._leaf_entry_count = entry_count_arr
     frozen._entry_table = entry_table
     frozen._first_leaf = first_leaf
-    frozen.layout_applied = "hot" if layout_code else "build"
     frozen._build_hot()
     return frozen
 

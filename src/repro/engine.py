@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import inspect
 import time
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -941,8 +940,6 @@ class ClassificationEngine:
     Palmtrie_k itself answers only the misses the plane's update overlay
     matches and, under a guard, as the middle rung while a freeze fails
     or the breaker is open.
-    Every freeze lays the plane out in build order; an installed
-    hot-layout plane serves as laid out until its first refreeze.
     ``insert``/``delete`` go to the Palmtrie_k; the plane keeps serving
     behind an overlay of the changed keys until the overlay has cost one
     refreeze, so updates stay cheap and bursts stay fast.
@@ -1053,22 +1050,15 @@ class ClassificationEngine:
             return self._instruments.registry
         if registry is None:
             registry = MetricsRegistry()
-        instruments = _EngineInstruments(registry)
-        # A weak reference: a shared registry must not keep the engine
-        # (and its plane) alive; once the engine is gone the collector
-        # asks the registry to drop it.
-        engine_ref = weakref.ref(self)
-
-        def sync() -> bool:
-            engine = engine_ref()
-            if engine is None:
-                return False
-            instruments.sync(engine)
-            return True
-
-        registry.add_collector(sync)
-        self._instruments = instruments
+        self._instruments = _EngineInstruments(registry)
+        # The registry holds this bound method weakly, so a shared
+        # registry does not keep the engine (and its plane) alive.
+        registry.add_collector(self._sync_metrics)
         return registry
+
+    def _sync_metrics(self) -> None:
+        """Registry collector: mirror the engine's counters at export."""
+        self._instruments.sync(self)
 
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
@@ -2025,7 +2015,6 @@ class ClassificationEngine:
             "batches": self.batches,
             "queries_per_second": self.queries_per_second(),
             "frozen_plane_active": self._plane is not None,
-            "plane_layout": getattr(self._plane, "layout_applied", None),
             "freezes": self.freezes,
             "updates_applied": self.updates_applied,
             "update_batches": self.update_batches,

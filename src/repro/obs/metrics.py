@@ -28,7 +28,9 @@ the matchers stay dependency-free in both directions.
 from __future__ import annotations
 
 import re
+import weakref
 from bisect import bisect_left
+from types import MethodType
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -166,9 +168,6 @@ class Gauge(Metric):
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     def reset(self) -> None:
         self._value = 0.0
@@ -331,7 +330,9 @@ class MetricsRegistry:
             _check_name(namespace)
         self.namespace = namespace
         self._metrics: dict[tuple[str, LabelPairs], Metric] = {}
-        self._collectors: list[Callable[[], Optional[bool]]] = []
+        #: one reference per collector: calling it returns the collector,
+        #: or None once a bound method's owner is gone
+        self._collectors: list[Callable[[], Optional[Callable[[], Optional[bool]]]]] = []
 
     # -- registration ---------------------------------------------------
 
@@ -383,15 +384,26 @@ class MetricsRegistry:
     def add_collector(self, collector: Callable[[], Optional[bool]]) -> None:
         """Register a callback run before every collect/export.
 
-        A collector that returns ``False`` is dropped: its owner is gone,
-        so it will never mirror anything again.
+        A bound method is held weakly (:class:`weakref.WeakMethod`), so
+        a shared registry does not keep its owner (an engine, an app, a
+        pipeline) alive; the next collect after the owner is gone drops
+        it.  A collector that returns ``False`` is dropped too.
         """
-        if collector not in self._collectors:
-            self._collectors.append(collector)
+        if any(ref() == collector for ref in self._collectors):
+            return
+        if isinstance(collector, MethodType):
+            self._collectors.append(weakref.WeakMethod(collector))
+        else:
+            self._collectors.append(lambda: collector)
 
     def collect(self) -> list[Metric]:
         """Run collectors, then return every metric sorted by identity."""
-        self._collectors = [c for c in self._collectors if c() is not False]
+        kept = []
+        for ref in self._collectors:
+            collector = ref()
+            if collector is not None and collector() is not False:
+                kept.append(ref)
+        self._collectors = kept
         return sorted(self._metrics.values(), key=lambda m: m.key)
 
     def reset(self) -> None:

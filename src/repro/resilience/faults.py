@@ -91,9 +91,6 @@ class FaultInjector:
     def disarm(self, site: str) -> None:
         self._armed.pop(site, None)
 
-    def disarm_all(self) -> None:
-        self._armed.clear()
-
     def armed(self, site: str) -> bool:
         """True while the site can still fire (budget not exhausted)."""
         state = self._armed.get(site)

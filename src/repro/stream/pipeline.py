@@ -290,8 +290,9 @@ class StreamPipeline:
         #: served batches whose latencies _fold has yet to observe, as
         #: (completion time, runs, queries)
         self._held: list[tuple[float, list, list]] = []
+        self._registry = registry
         if registry is not None:
-            registry.add_collector(self._sync_metrics(registry))
+            registry.add_collector(self._sync_metrics)
         # engine.report() folds this in as its "stream" section
         try:
             engine.stream_pipeline = weakref.ref(self)
@@ -314,55 +315,46 @@ class StreamPipeline:
         self._pending.clear()
         self._backlog = 0
 
-    def _sync_metrics(self, registry: MetricsRegistry) -> Callable[[], bool]:
-        """A collector mirroring the stream counters at export time
-        (same pull-over-push contract as the engine instruments).  It
-        holds the pipeline weakly, so a shared registry does not keep
-        the pipeline (and its engine) alive, and asks the registry to
-        drop it once the pipeline is gone."""
-        pipeline_ref = weakref.ref(self)
-
-        def sync() -> bool:
-            pipeline = pipeline_ref()
-            if pipeline is None:
-                return False
-            pipeline._fold()
-            counter = registry.counter
-            counter(
-                "stream_packets_total", "Packets offered to the pipeline, by fate.",
-                labels={"fate": "served"},
-            ).set_total(pipeline.served)
-            counter(
-                "stream_packets_total", "Packets offered to the pipeline, by fate.",
-                labels={"fate": "dropped"},
-            ).set_total(pipeline.dropped)
-            counter(
-                "stream_packets_total", "Packets offered to the pipeline, by fate.",
-                labels={"fate": "shed"},
-            ).set_total(pipeline.shed)
-            counter(
-                "stream_blocked_events_total",
-                "Admissions that had to wait for service (block policy).",
-            ).set_total(pipeline.blocked_events)
-            counter(
-                "stream_batches_total", "Micro-batches dispatched to the engine."
-            ).set_total(pipeline.batches)
-            counter(
-                "stream_churn_transactions_total",
-                "Scenario churn transactions applied at burst boundaries.",
-            ).set_total(pipeline.churn_transactions)
-            registry.gauge(
-                "stream_backlog", "Packets currently queued in the pipeline."
-            ).set(pipeline._backlog)
-            registry.gauge(
-                "stream_max_backlog", "High-water mark of the admission queue."
-            ).set(pipeline.max_backlog)
-            registry.gauge(
-                "stream_max_inflight", "Admission queue capacity (packets)."
-            ).set(pipeline.max_inflight)
-            return True
-
-        return sync
+    def _sync_metrics(self) -> None:
+        """Registry collector mirroring the stream counters at export
+        time (same pull-over-push contract as the engine instruments).
+        The registry holds it weakly, so a shared registry does not keep
+        the pipeline (and its engine) alive."""
+        registry = self._registry
+        self._fold()
+        counter = registry.counter
+        counter(
+            "stream_packets_total", "Packets offered to the pipeline, by fate.",
+            labels={"fate": "served"},
+        ).set_total(self.served)
+        counter(
+            "stream_packets_total", "Packets offered to the pipeline, by fate.",
+            labels={"fate": "dropped"},
+        ).set_total(self.dropped)
+        counter(
+            "stream_packets_total", "Packets offered to the pipeline, by fate.",
+            labels={"fate": "shed"},
+        ).set_total(self.shed)
+        counter(
+            "stream_blocked_events_total",
+            "Admissions that had to wait for service (block policy).",
+        ).set_total(self.blocked_events)
+        counter(
+            "stream_batches_total", "Micro-batches dispatched to the engine."
+        ).set_total(self.batches)
+        counter(
+            "stream_churn_transactions_total",
+            "Scenario churn transactions applied at burst boundaries.",
+        ).set_total(self.churn_transactions)
+        registry.gauge(
+            "stream_backlog", "Packets currently queued in the pipeline."
+        ).set(self._backlog)
+        registry.gauge(
+            "stream_max_backlog", "High-water mark of the admission queue."
+        ).set(self.max_backlog)
+        registry.gauge(
+            "stream_max_inflight", "Admission queue capacity (packets)."
+        ).set(self.max_inflight)
 
     # -- the serving loop -------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import random
+from array import array
 from typing import Sequence
 
 from repro.baselines.dpdk_acl import DpdkStyleAcl
@@ -12,8 +14,9 @@ from repro.baselines.tcam import TcamModel
 from repro.baselines.vectorized import VectorizedMatcher
 from repro.core.adaptive import AdaptiveMatcher
 from repro.core.basic import BasicPalmtrie
-from repro.core.frozen import FrozenMatcher
+from repro.core.frozen import _COUNT_BITS, _COUNT_MASK, FrozenMatcher
 from repro.core.multibit import MultibitPalmtrie
+from repro.core.serialize import _FROZEN_HEADER, deserialize_frozen, serialize_frozen
 from repro.core.table import TernaryEntry, TernaryMatcher
 from repro.core.ternary import TernaryKey
 
@@ -111,3 +114,46 @@ def assert_same_result(expected: TernaryEntry | None, got: TernaryEntry | None) 
         f"(value {getattr(expected, 'value', None)}), "
         f"got {got_priority} (value {getattr(got, 'value', None)})"
     )
+
+
+def in_another_node_order(plane: FrozenMatcher) -> FrozenMatcher:
+    """``plane`` as an image written in the retired hot-first node order
+    loads: renumbered out of build order and read back from PLMF bytes
+    whose layout byte is 1.
+
+    The root stays node 0; the other internal nodes and the leaves are
+    numbered in reverse.  Every dispatch run keeps its order, so the
+    walk visits the same nodes and picks the same winners as ``plane``.
+    """
+    first_leaf = plane._first_leaf
+    leaves = len(plane._leaf_best)
+    # a reversal, so the map from new ids to old ids is the same map
+    perm = [0] + list(range(first_leaf - 1, 0, -1)) if first_leaf else []
+    perm += range(first_leaf + leaves - 1, first_leaf - 1, -1)
+    width = 1 << plane.stride
+    dispatch = array("I")
+    for x in perm[:first_leaf]:
+        for word in plane._dispatch[x * width : (x + 1) * width]:
+            if word & _COUNT_MASK == 1:
+                word = (perm[word >> _COUNT_BITS] << _COUNT_BITS) | 1
+            dispatch.append(word)
+    moved = copy.copy(plane)
+    moved._bit = array("i", [plane._bit[x] for x in perm[:first_leaf]])
+    moved._maxp = array("q", [plane._maxp[x] for x in perm])
+    moved._dispatch = dispatch
+    moved._push = array("Q", [perm[t] for t in plane._push])
+    order = [x - first_leaf for x in perm[first_leaf:]]
+    moved._leaf_data = [plane._leaf_data[j] for j in order]
+    moved._leaf_care = [plane._leaf_care[j] for j in order]
+    moved._leaf_best = [plane._leaf_best[j] for j in order]
+    moved._entry_table = []
+    counts = []
+    for j in order:
+        base, count = plane._leaf_entry_base[j], plane._leaf_entry_count[j]
+        moved._entry_table.extend(plane._entry_table[base : base + count])
+        counts.append(count)
+    moved._leaf_entry_count = array("Q", counts)
+    moved._leaf_entry_base = array("Q", [sum(counts[:k]) for k in range(len(counts))])
+    image = bytearray(serialize_frozen(moved))
+    image[_FROZEN_HEADER.size] = 1  # the v2 extension's layout byte
+    return deserialize_frozen(bytes(image))

@@ -1,13 +1,14 @@
-"""The adaptive frozen-plane layer: the hot-first layout.
+"""The frozen plane in either node order, and the PLMF v2 extension.
 
-The load-bearing property is again differential: the hot-first layout
-is a *representation* choice, so a plane built under either layout
-must return verdict-identical answers to every other matcher kind over
-the same table — including after a PLMF v2 save/load round trip and
-inside a :class:`ShardedEngine`.  On top of that: corrupt extensions
-and the retired stride-plan codes fail closed as :class:`FormatError`,
-the ternary slot cache stays bounded, the config knobs validate, and
-``report()`` surfaces the adaptive state.
+Every freeze numbers the plane's nodes in build order, but an image
+written in the retired hot-first node order (layout byte 1) still
+loads.  Node order is a *representation* choice, so a plane in either
+order must return verdict-identical answers to every other matcher
+kind over the same table, including after a PLMF v2 save/load round
+trip.  On top of that: corrupt extensions and the retired stride-plan
+codes fail closed as :class:`FormatError`, the ternary slot cache stays
+bounded, no engine knob picks a node order, and an engine refreezes a
+loaded plane in build order.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from helpers import (
     KINDS,
     assert_same_result,
     build_kind,
+    in_another_node_order,
     oracle_lookup,
     random_entries,
     table1_entries,
 )
 
 from repro import ClassificationEngine, EngineConfig, TernaryEntry, TernaryKey
-from repro.core.frozen import FrozenMatcher, _ternary_slots
+from repro.core.frozen import FrozenMatcher, _ternary_slots, freeze
 from repro.core.serialize import (
     _FROZEN_EXT,
     _FROZEN_HEADER,
@@ -64,17 +66,14 @@ def _trace(entries, count: int, seed: int = 7) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Differential: either layout must be verdict-invariant
+# Differential: either node order must be verdict-invariant
 # ----------------------------------------------------------------------
 
 def _variants(entries, trace):
-    """Frozen planes of the same table under both node layouts."""
-    return {
-        "build": FrozenMatcher.build(entries, KEY_LENGTH, stride=4),
-        "hot": FrozenMatcher.build(
-            entries, KEY_LENGTH, stride=4, layout="hot", layout_trace=trace
-        ),
-    }
+    """Frozen planes of the same table in build order and in another
+    node order, as a hot-first image loads."""
+    plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=4)
+    return {"build": plane, "hot": in_another_node_order(plane)}
 
 
 class TestLayoutPlanInvariance:
@@ -99,19 +98,15 @@ class TestLayoutPlanInvariance:
     @given(
         seed=st.integers(0, 10_000),
         count=st.integers(1, 40),
-        layout=st.sampled_from(["build", "hot"]),
+        hot=st.booleans(),
         stride=st.sampled_from([1, 2, 4, 6, 8]),
     )
-    def test_property_verdicts_match_oracle(self, seed, count, layout, stride):
+    def test_property_verdicts_match_oracle(self, seed, count, hot, stride):
         entries = _unique_priorities(random_entries(count, KEY_LENGTH, seed=seed))
         trace = _trace(entries, 60, seed=seed)
-        plane = FrozenMatcher.build(
-            entries,
-            KEY_LENGTH,
-            stride=stride,
-            layout=layout,
-            layout_trace=trace if layout == "hot" else None,
-        )
+        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=stride)
+        if hot:
+            plane = in_another_node_order(plane)
         for query in trace:
             assert_same_result(oracle_lookup(entries, query), plane.lookup(query))
 
@@ -131,7 +126,6 @@ class TestPlmfV2:
         entries, trace, variants = self._planes()
         for label, plane in variants.items():
             restored = deserialize_frozen(serialize_frozen(plane))
-            assert restored.layout_applied == plane.layout_applied, label
             assert restored.node_count() == plane.node_count(), label
             for query in trace:
                 assert_same_result(plane.lookup(query), restored.lookup(query))
@@ -155,7 +149,6 @@ class TestPlmfV2:
         v1 = data[:h] + data[h + _FROZEN_EXT.size :]
         v1[4:6] = (1).to_bytes(2, "little")
         restored = deserialize_frozen(bytes(v1))
-        assert restored.layout_applied == "build"
         for query in _queries(200, seed=2):
             assert_same_result(plane.lookup(query), restored.lookup(query))
 
@@ -186,7 +179,8 @@ class TestPlmfV2:
             except FormatError:
                 continue
             # A flip that still decodes (the layout byte turning 0 into
-            # 1 only relabels the node order) must not change any verdict.
+            # 1, which the loader accepts from older images) must not
+            # change any verdict.
             survived += 1
             for query in queries:
                 assert_same_result(plane.lookup(query), restored.lookup(query))
@@ -239,24 +233,23 @@ class TestSlotCache:
 
 class TestConfigKnobs:
     def test_the_layout_is_not_an_engine_knob(self):
-        """The hot layout is an offline compile option: the engine
-        always freezes in build order."""
+        """No knob picks the plane's node order: every freeze numbers
+        the nodes in build order."""
         with pytest.raises(TypeError):
             EngineConfig(frozen_layout="hot")
 
     def test_engine_report_surfaces_adaptive_state(self):
+        """An engine serves a plane loaded in another node order as it
+        is, reports no layout, and refreezes in build order."""
         entries = _unique_priorities(random_entries(30, KEY_LENGTH, seed=2))
-        trace = _trace(entries, 100)
-        config = EngineConfig()
-        hot = FrozenMatcher.build(
-            entries, KEY_LENGTH, stride=4, layout="hot", layout_trace=trace
-        )
-        engine = ClassificationEngine(hot, config)
+        hot = in_another_node_order(FrozenMatcher.build(entries, KEY_LENGTH, stride=4))
+        engine = ClassificationEngine(hot, EngineConfig())
         for query in _queries(50, seed=3):
             engine.lookup(query)
         report = engine.report()
-        assert report["plane_layout"] == "hot"
-        assert "frozen_layout" not in report and "stride_plan" not in report
+        assert engine._plane is hot
+        for label in ("plane_layout", "frozen_layout", "stride_plan"):
+            assert label not in report
         engine.insert(TernaryEntry(TernaryKey(0, (1 << KEY_LENGTH) - 1, KEY_LENGTH), "all", 0))
         engine.refresh()
-        assert engine.report()["plane_layout"] == "build"
+        assert serialize_frozen(engine._plane) == serialize_frozen(freeze(engine.matcher))

@@ -149,44 +149,34 @@ class TestCompileCommand:
         assert plane.lookup(q80) is not None
         assert plane.lookup(q81) is not None
 
-    @pytest.mark.parametrize("layout", ["build", "hot"])
-    def test_compile_writes_the_library_build(self, tmp_path, layout, capsys):
+    def test_compile_writes_the_library_build(self, tmp_path, capsys):
         """``compile`` emits exactly the bytes the library's own builder
-        serializes: a build-order plane, or a hot-layout plane ordered
-        by ``--trace``."""
+        serializes: the build-order plane."""
         from repro.acl.compiler import compile_acl
         from repro.acl.parser import parse_acl
         from repro.core.frozen import FrozenMatcher
         from repro.core.serialize import serialize_frozen
-        from repro.workloads.io import load_trace
 
         acl_path = str(tmp_path / "campus.acl")
-        trace_path = str(tmp_path / "campus.trace")
-        assert main(["generate", "campus", "--q", "1", "-o", acl_path,
-                     "--trace", trace_path, "--trace-count", "600"]) == 0
+        assert main(["generate", "campus", "--q", "1", "-o", acl_path]) == 0
         out = str(tmp_path / "out.plmf")
-        argv = ["compile", acl_path, "-o", out, "--stride", "6"]
-        if layout == "hot":
-            argv += ["--layout", "hot", "--trace", trace_path]
-        assert main(argv) == 0
+        assert main(["compile", acl_path, "-o", out, "--stride", "6"]) == 0
         with open(acl_path, encoding="utf-8") as handle:
             compiled = compile_acl(parse_acl(handle.read()))
-        entries, length = compiled.entries, compiled.layout.length
-        trace, _ = load_trace(trace_path)
         expected = serialize_frozen(
-            FrozenMatcher.build(
-                entries,
-                length,
-                stride=6,
-                layout=layout,
-                layout_trace=trace if layout == "hot" else None,
-            )
+            FrozenMatcher.build(compiled.entries, compiled.layout.length, stride=6)
         )
-        if layout == "hot":  # the trace really reorders the plane
-            build_order = FrozenMatcher.build(entries, length, stride=6)
-            assert expected != serialize_frozen(build_order)
         with open(out, "rb") as handle:
             assert handle.read() == expected
+
+    @pytest.mark.parametrize("flag", ["--layout", "--trace"])
+    def test_layout_flags_are_gone(self, acl_file, tmp_path, capsys, flag):
+        """Every compile lays the plane out in build order; the retired
+        hot-layout flags are an argparse error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", acl_file, "-o", str(tmp_path / "t.plmf"), flag, "hot"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_frozen_flag_is_gone(self, acl_file, tmp_path, capsys):
         """Every compile writes a frozen plane; the old switch is an
@@ -335,14 +325,13 @@ class TestBinaryPolicyReplay:
     def test_inspect_describes_the_plane(self, dataset, tmp_path, capsys):
         acl_path, trace_path = dataset
         plmf = str(tmp_path / "p.plmf")
-        assert main(["compile", acl_path, "-o", plmf, "--stride", "6",
-                     "--layout", "hot", "--trace", trace_path]) == 0
+        assert main(["compile", acl_path, "-o", plmf, "--stride", "6"]) == 0
         capsys.readouterr()
         assert main(["inspect", plmf]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"{plmf}: frozen plane")
         assert "key length: 128 bits" in out
-        assert "layout:     hot" in out
+        assert "layout" not in out
         assert "stride:     6 (uniform)" in out
 
     @pytest.mark.parametrize("command", ["replay", "health"])

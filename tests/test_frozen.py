@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     assert_same_result,
     build_kind,
+    in_another_node_order,
     oracle_lookup,
     random_entries,
     table1_entries,
@@ -31,12 +32,7 @@ from helpers import (
 
 from repro import ClassificationEngine, EngineConfig, SortedListMatcher
 from repro.bench.memory import palmtrie_plus_bytes
-from repro.core.frozen import (
-    _COUNT_BITS,
-    FrozenMatcher,
-    FrozenPoptrie,
-    freeze,
-)
+from repro.core.frozen import _COUNT_BITS, FrozenMatcher, freeze
 from repro.core.multibit import MultibitPalmtrie
 from repro.core.poptrie import Poptrie
 from repro.core.serialize import (
@@ -55,6 +51,13 @@ KEY_LENGTH = 32
 def _queries(count: int, seed: int = 0, bits: int = KEY_LENGTH) -> list[int]:
     rng = random.Random(seed)
     return [rng.getrandbits(bits) for _ in range(count)]
+
+
+#: node order -> the plane as served in it: "build" is what every freeze
+#: emits, "hot" an image written in the retired hot-first node order
+#: (the loader still accepts one), here the plane renumbered out of build
+#: order and read back from a layout-byte-1 PLMF image
+_ORDERS = {"build": lambda plane: plane, "hot": in_another_node_order}
 
 
 def _biased_queries(entries, count: int, seed: int = 0) -> list[int]:
@@ -90,20 +93,24 @@ class TestConstruction:
         assert len(frozen) == len(entries)
 
     def test_freeze_poptrie(self):
+        """The Palmtrie_k is the one trie a plane is frozen from; the
+        Poptrie serves LPM unfrozen."""
         pt = Poptrie(key_length=32)
         pt.insert(0b1010, 4, "a")
-        assert isinstance(freeze(pt), FrozenPoptrie)
+        with pytest.raises(TypeError):
+            freeze(pt)
 
     def test_freeze_rejects_non_trie(self):
         with pytest.raises(TypeError):
             freeze(SortedListMatcher.build(table1_entries(), 8))
 
     def test_freeze_of_frozen_is_idempotent(self):
-        """A plane is laid out once: freezing it again, in any layout,
-        returns it unchanged."""
+        """A plane is laid out once: freezing it again returns it
+        unchanged, in whatever node order it was loaded."""
         frozen = FrozenMatcher.build(table1_entries(), 8)
         assert freeze(frozen) is frozen
-        assert freeze(frozen, layout="hot", trace=[1, 2, 3]) is frozen
+        loaded = in_another_node_order(frozen)
+        assert freeze(loaded) is loaded
 
     def test_stride_bounds(self):
         with pytest.raises(ValueError):
@@ -223,18 +230,15 @@ _WALK_PLANES = {
 
 class TestBatchPaths:
     @pytest.mark.parametrize("size", [1, 63, 511, 512, 2048])
-    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
     @pytest.mark.parametrize("plane", sorted(_WALK_PLANES))
-    def test_walks_agree_across_crossover(self, plane, layout, size):
+    def test_walks_agree_across_crossover(self, plane, order, size):
         """One walk at every batch size: the sizes straddle 512 unique
         queries, where a node-major NumPy walk used to take over and
         report no masks."""
         entries, key_length, stride = _WALK_PLANES[plane]()
         queries = _unique_queries(entries, size, seed=8)
-        frozen = FrozenMatcher.build(
-            entries, key_length, stride=stride, layout=layout,
-            layout_trace=queries[:64] if layout == "hot" else None,
-        )
+        frozen = _ORDERS[order](FrozenMatcher.build(entries, key_length, stride=stride))
         if plane != "ties":
             assert min(frozen._bit) < 0  # the walks shift chunks left
         leaves = frozen.lookup_batch_indices(queries)
@@ -272,27 +276,19 @@ class TestBatchPaths:
 _REAL_EMIT = FrozenMatcher._emit
 
 
-def _per_chunk_emit(self, internals, leaves, kids, hot, win_mass=None):
+def _per_chunk_emit(self, internals, leaves, kids):
     """The oracle: the freeze compiler's emit pass with the dispatch
     table and push list rebuilt by the direct per-chunk loop.
 
     For every internal node and every chunk value, the run is the exact
     child first, then the don't-care children from the shortest prefix
-    up, hot-sorted by (win mass, max_priority) or max_priority alone;
-    single survivors are inlined and multi-child runs are pooled in
+    up; single survivors are inlined and multi-child runs are pooled in
     first-seen order.  The rest of the plane (ids, ``bit``/``maxp``,
-    leaf tables) is what the compiler emits, so the hot layout's second
-    pass replays its trace over the oracle's dispatch table.
+    leaf tables) is what the compiler emits.
     """
-    _REAL_EMIT(self, internals, leaves, kids, hot, win_mass)
+    _REAL_EMIT(self, internals, leaves, kids)
     stride = self.stride
-    maxp = self._maxp
     ids = {id(node): x for x, node in enumerate(internals + leaves)}
-    mass = None
-    if hot and win_mass is not None:
-        mass = [0] * len(ids)
-        for node in internals + leaves:
-            mass[ids[id(node)]] = win_mass.get(id(node), 0)
     dispatch: list[int] = []
     push: list[int] = []
     pool: dict[tuple[int, ...], int] = {}
@@ -307,10 +303,6 @@ def _per_chunk_emit(self, internals, leaves, kids, hot, win_mass=None):
             if len(run) < 2:
                 dispatch.append((run[0] << _COUNT_BITS) | 1 if run else 0)
                 continue
-            if hot and mass is not None:
-                run.sort(key=lambda n: (mass[n], maxp[n]))
-            elif hot:
-                run.sort(key=lambda n: maxp[n])
             base = pool.setdefault(tuple(run), len(push))
             if base == len(push):
                 push.extend(run)
@@ -332,48 +324,50 @@ def _assert_same_plane(got: FrozenMatcher, want: FrozenMatcher) -> None:
     assert serialize_frozen(got) == serialize_frozen(want)
 
 
-def _check_emitter(source, layout, trace, monkeypatch) -> None:
-    got = freeze(source, layout=layout, trace=trace)
+def _check_emitter(source, order, monkeypatch) -> None:
+    """The interval emitter's plane is the per-chunk oracle's.  A plane
+    loaded in another node order ("hot") rebuilds a Palmtrie_k that
+    freezes back to that same build-order plane."""
+    got = freeze(source)
     with monkeypatch.context() as patch:
         patch.setattr(FrozenMatcher, "_emit", _per_chunk_emit)
-        want = freeze(source, layout=layout, trace=trace)
-    assert got.layout_applied == want.layout_applied == layout
+        want = freeze(source)
     _assert_same_plane(got, want)
+    if order == "hot":
+        again = freeze(in_another_node_order(got).rebuild_source())
+        assert serialize_frozen(again) == serialize_frozen(want)
 
 
 class TestIntervalEmitter:
     # ``source_kind`` is the trie the plane is frozen from
     @pytest.mark.parametrize("source_kind", [MultibitPalmtrie])
-    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
     @pytest.mark.parametrize("stride", [3, 4, 6, 8, 11])
     @pytest.mark.parametrize("profile", ["acl", "fw", "ipc"])
     def test_classbench_matches_per_chunk_oracle(
-        self, profile, stride, layout, source_kind, monkeypatch
+        self, profile, stride, order, source_kind, monkeypatch
     ):
         from repro.workloads.classbench import classbench_acl
-        from repro.workloads.traffic import pareto_trace
 
         acl = classbench_acl(profile, 60 if stride == 11 else 150)
         source = source_kind.build(acl.entries, acl.layout.length, stride=stride)
-        trace = pareto_trace(acl.entries, 400) if layout == "hot" else None
-        _check_emitter(source, layout, trace, monkeypatch)
+        _check_emitter(source, order, monkeypatch)
 
     @pytest.mark.parametrize("source_kind", [MultibitPalmtrie])
-    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
     @pytest.mark.parametrize(
         "key_length, stride",
         # 7 % 3 and 33 % 4 leave a short last chunk; 70 bits is two lanes
         [(7, 3), (33, 4), (33, 8), (70, 6)],
     )
     def test_random_equal_priority_tables_match_oracle(
-        self, key_length, stride, layout, source_kind, monkeypatch
+        self, key_length, stride, order, source_kind, monkeypatch
     ):
         # four priorities over 60 rules: equal-priority runs are common,
-        # so the stable hot sort's tie order is exercised too
+        # so the emitter's run order (and a rebuild's tie order) matters
         entries = random_entries(60, key_length, seed=key_length + stride, priority_range=4)
         source = source_kind.build(entries, key_length, stride=stride)
-        trace = _biased_queries(entries, 300, seed=5) if layout == "hot" else None
-        _check_emitter(source, layout, trace, monkeypatch)
+        _check_emitter(source, order, monkeypatch)
 
 
 def _assert_walks_agree(plane: FrozenMatcher, queries: list[int]) -> None:
@@ -398,35 +392,33 @@ class TestMasklessWalk:
     without the mask ORs, pinned over the emitter matrix's planes."""
 
     @pytest.mark.parametrize("skipping", [True, False])
-    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
     @pytest.mark.parametrize("stride", [3, 4, 6, 8, 11])
     @pytest.mark.parametrize("profile", ["acl", "fw", "ipc"])
-    def test_classbench_planes(self, profile, stride, layout, skipping):
+    def test_classbench_planes(self, profile, stride, order, skipping):
         from repro.workloads.classbench import classbench_acl
         from repro.workloads.traffic import pareto_trace
 
         acl = classbench_acl(profile, 60 if stride == 11 else 150)
         trace = pareto_trace(acl.entries, 400)
-        plane = FrozenMatcher.build(
-            acl.entries, acl.layout.length, stride=stride, subtree_skipping=skipping,
-            layout=layout, layout_trace=trace if layout == "hot" else None,
-        )
+        plane = _ORDERS[order](FrozenMatcher.build(
+            acl.entries, acl.layout.length, stride=stride, subtree_skipping=skipping
+        ))
         _assert_walks_agree(plane, trace)
 
     @pytest.mark.parametrize("skipping", [True, False])
-    @pytest.mark.parametrize("layout", ["build", "hot"])
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
     @pytest.mark.parametrize(
         "key_length, stride",
         # 7 % 3 and 33 % 4 leave a short last chunk; 70 bits is two lanes
         [(7, 3), (33, 4), (33, 8), (70, 6)],
     )
-    def test_random_equal_priority_tables(self, key_length, stride, layout, skipping):
+    def test_random_equal_priority_tables(self, key_length, stride, order, skipping):
         entries = random_entries(60, key_length, seed=key_length + stride, priority_range=4)
         queries = _biased_queries(entries, 300, seed=5)
-        plane = FrozenMatcher.build(
-            entries, key_length, stride=stride, subtree_skipping=skipping,
-            layout=layout, layout_trace=queries if layout == "hot" else None,
-        )
+        plane = _ORDERS[order](FrozenMatcher.build(
+            entries, key_length, stride=stride, subtree_skipping=skipping
+        ))
         _assert_walks_agree(plane, queries + queries[:40])
 
     @pytest.mark.parametrize("skipping", [True, False])
@@ -552,15 +544,16 @@ class TestLazyRefreeze:
             frozen.delete(entries[5].key)
         assert len(frozen) == 20
 
-    @pytest.mark.parametrize("layout", ["build", "hot"])
-    def test_a_rebuilt_source_freezes_to_the_same_plane(self, layout):
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
+    def test_a_rebuilt_source_freezes_to_the_same_plane(self, order):
+        """A loaded plane, in either node order, rebuilds a Palmtrie_k
+        that freezes to the build-order plane."""
         entries = random_entries(60, KEY_LENGTH, seed=21, priority_range=8)
-        trace = _biased_queries(entries, 200, seed=22) if layout == "hot" else None
-        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=5, layout=layout, layout_trace=trace)
-        loaded = deserialize_frozen(serialize_frozen(plane))
+        plane = FrozenMatcher.build(entries, KEY_LENGTH, stride=5)
+        loaded = _ORDERS[order](deserialize_frozen(serialize_frozen(plane)))
         source = loaded.rebuild_source()
         assert isinstance(source, MultibitPalmtrie) and len(source) == len(entries)
-        again = freeze(source, layout=layout, trace=trace)
+        again = freeze(source)
         assert serialize_frozen(again) == serialize_frozen(plane)
         # every served entry is the loaded plane's own object
         for query in _biased_queries(entries, 300, seed=23):
@@ -683,22 +676,23 @@ class TestEngineAutoFreeze:
             assert_same_result(oracle_lookup(entries, query), got)
 
     def test_a_hot_plane_refreezes_in_build_order(self):
-        """An installed hot plane serves as laid out until its first
-        refreeze; the engine freezes its Palmtrie_k in build order."""
+        """A plane loaded from an image in the retired hot-first node
+        order serves as laid out until its first refreeze; the engine
+        freezes its Palmtrie_k in build order."""
         from repro.workloads.classbench import classbench_acl
         from repro.workloads.traffic import zipf_trace
 
         acl = classbench_acl("acl", 150)
         queries = zipf_trace(acl.entries, 2000, flows=256)
-        hot = FrozenMatcher.build(
-            acl.entries, acl.layout.length, layout="hot", layout_trace=queries
-        )
+        built = FrozenMatcher.build(acl.entries, acl.layout.length)
+        hot = in_another_node_order(built)
+        assert serialize_frozen(hot) != serialize_frozen(built)
         engine = ClassificationEngine(hot, EngineConfig(cache_size=0))
         engine.lookup_batch(queries[:64])
-        assert engine._plane is hot and engine.report()["plane_layout"] == "hot"
+        assert engine._plane is hot and "plane_layout" not in engine.report()
         engine.apply_updates([("delete", acl.entries[7].key)])
         engine.refresh()
-        assert engine.freezes == 1 and engine.report()["plane_layout"] == "build"
+        assert engine.freezes == 1
         source = engine.matcher
         assert serialize_frozen(engine._plane) == serialize_frozen(freeze(source))
         for query, got in zip(queries, engine.lookup_batch(queries)):
@@ -728,28 +722,3 @@ class TestObservability:
             random_entries(80, KEY_LENGTH, seed=50), KEY_LENGTH, stride=6
         )
         assert bigger.memory_bytes() > frozen.memory_bytes()
-
-
-# ----------------------------------------------------------------------
-# FrozenPoptrie
-# ----------------------------------------------------------------------
-
-class TestFrozenPoptrie:
-    def test_matches_source_on_random_prefixes(self):
-        rng = random.Random(60)
-        pt = Poptrie(key_length=32)
-        for i in range(200):
-            plen = rng.randrange(1, 25)
-            pt.insert(rng.getrandbits(plen), plen, i)
-        frozen = freeze(pt)
-        for _ in range(2000):
-            q = rng.getrandbits(32)
-            assert frozen.lookup(q) == pt.lookup(q)
-
-    def test_memory_model_matches_source(self):
-        rng = random.Random(61)
-        pt = Poptrie(key_length=32)
-        for i in range(50):
-            plen = rng.randrange(1, 20)
-            pt.insert(rng.getrandbits(plen), plen, i)
-        assert freeze(pt).memory_bytes() <= pt.memory_bytes() * 2

@@ -399,6 +399,45 @@ class TestEngineIntegration:
         assert len(registry._collectors) == before
         assert "engine_batch_seconds" in render_prometheus(registry)
 
+    @pytest.mark.parametrize(
+        "owner", ["firewall", "flow-monitor", "stateful-firewall", "l3-forwarder", "tenant-router"]
+    )
+    def test_shared_registry_does_not_keep_apps_alive(self, owner):
+        """An app registers its own bound-method collector; the registry
+        holds it weakly, so a dropped app (with its engine and plane) is
+        freed, and the next collect drops every collector it left."""
+        import gc
+        import weakref
+
+        from repro import EngineConfig
+        from repro.tenant import TenantRouter, TenantSpec
+        from repro.acl.compiler import compile_acl
+        from repro.acl.parser import parse_acl
+        from repro.apps import Firewall, FlowMonitor, L3Forwarder, StatefulFirewall
+
+        text = "permit ip 192.0.2.0/24 0.0.0.0/0\ndeny ip 0.0.0.0/0 0.0.0.0/0\n"
+        registry = MetricsRegistry()
+        config = EngineConfig(metrics=registry)
+        acl = compile_acl(parse_acl(text))
+        build = {
+            "firewall": lambda: Firewall(acl, config),
+            "flow-monitor": lambda: FlowMonitor(acl.entries, acl.layout.length, config=config),
+            "stateful-firewall": lambda: StatefulFirewall(acl, config=config),
+            "l3-forwarder": lambda: L3Forwarder(acl, [(0, 0, 1)], config=config),
+            "tenant-router": lambda: TenantRouter(
+                [TenantSpec(name="t", acl=text)], metrics=registry
+            ),
+        }
+        app = build[owner]()
+        registry.collect()
+        assert registry._collectors
+        ref = weakref.ref(app)
+        del app
+        gc.collect()
+        assert ref() is None
+        registry.collect()
+        assert registry._collectors == []
+
 
 class TestCliMetrics:
     @pytest.fixture()

@@ -18,18 +18,13 @@ from repro.core.frozen import freeze
 from repro.core.multibit import MultibitPalmtrie
 from repro.core.serialize import serialize_frozen
 from repro.workloads.classbench import classbench_acl
-from repro.workloads.traffic import zipf_trace
 
-#: sha256 of ``serialize_frozen`` per (profile, stride, layout)
+#: sha256 of ``serialize_frozen`` per (profile, stride, node order)
 DIGESTS = {
     ("acl", 4, "build"): "0efd277ab412bfcd013c91b93005c0bdfd4df543a0bdbe384458b304cb6e526c",
-    ("acl", 4, "hot"): "8877f81902f3d75ee05a185d6fd40669ab350cf797f833848251226062fe3ce5",
     ("acl", 8, "build"): "40a2a2c8fd01e12a4ffc6d9b598ec3ddab060d3cebc954e321707eed8ff8ed73",
-    ("acl", 8, "hot"): "575c8f06728d72263087c9a5d22ab3901234cb429054110c7c2cc07ed0992e12",
     ("fw", 4, "build"): "6fcd01e3916b39791f256c44462e998ba66821e9645f47d0e021e2c73269a203",
-    ("fw", 4, "hot"): "cc6495d1706446ef6612edcbda2c7fc92a6e9e38084e7f0edb21b5cb5607f8b9",
     ("fw", 8, "build"): "933695929b89c56fe74470ee11553a11f7ffd31a558690d27ad6d1b704a5b20f",
-    ("fw", 8, "hot"): "2d177fefa61836632f45a5a33bb73106f332459ddc8fd6c34a73f852af0aae4f",
 }
 
 
@@ -39,15 +34,14 @@ def _policy(profile: str):
 
 
 # The ``source`` id names what the plane is frozen from: a Palmtrie_k,
-# the only source a FrozenMatcher takes.
+# the only source a FrozenMatcher takes; the ``order`` id names the one
+# node order a freeze emits.
 @pytest.mark.parametrize("source", ["palmtrie"])
-@pytest.mark.parametrize("layout", ["build", "hot"])
+@pytest.mark.parametrize("order", ["build"])
 @pytest.mark.parametrize("stride", [4, 8])
 @pytest.mark.parametrize("profile", ["acl", "fw"])
-def test_plmf_digest(profile, stride, layout, source):
+def test_plmf_digest(profile, stride, order, source):
     acl = _policy(profile)
     trie = MultibitPalmtrie.build(acl.entries, acl.layout.length, stride=stride)
-    trace = zipf_trace(acl.entries, 2000, flows=256, seed=7) if layout == "hot" else None
-    plane = freeze(trie, layout=layout, trace=trace)
-    digest = hashlib.sha256(serialize_frozen(plane)).hexdigest()
-    assert digest == DIGESTS[profile, stride, layout]
+    digest = hashlib.sha256(serialize_frozen(freeze(trie))).hexdigest()
+    assert digest == DIGESTS[profile, stride, order]

@@ -1,10 +1,11 @@
-"""The PLMF loader's one pass over the dispatch rows.
+"""The PLMF loader's one pass over the dispatch rows, and its layout byte.
 
 ``deserialize_frozen`` range-checks each distinct dispatch word of a
 row and collects the internal successors the cycle walk then runs
 over.  These corrupt one word (or one push target) of a well-formed
 campus plane and check the load still fails closed at each spot that
-pass reads.
+pass reads.  The v2 layout byte is written as 0, and an older image
+marked 1 (the retired hot-first node order) still loads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import struct
 
 import pytest
 
+from helpers import assert_same_result
+from repro.baselines.sorted_list import SortedListMatcher
 from repro.core.frozen import _COUNT_BITS, _COUNT_MASK, freeze
 from repro.core.multibit import MultibitPalmtrie
 from repro.core.serialize import (
@@ -23,6 +26,7 @@ from repro.core.serialize import (
     serialize_frozen,
 )
 from repro.workloads.campus import campus_acl
+from repro.workloads.traffic import uniform_traffic
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +84,25 @@ def test_a_cycle_through_a_push_run_fails(plane):
     struct.pack_into("<Q", corrupt, push_off + 8 * (run >> _COUNT_BITS), 0)
     with pytest.raises(FormatError, match="cycle"):
         deserialize_frozen(bytes(corrupt))
+
+
+def test_an_image_with_layout_byte_one_serves_the_oracle():
+    """Layout byte 1 marked the retired hot-first node order.  A build
+    image carrying it loads, serves the sorted-list oracle's verdicts
+    and is written back with byte 0; any other value fails closed."""
+    acl = campus_acl(2)
+    blob = serialize_frozen(
+        freeze(MultibitPalmtrie.build(acl.entries, acl.layout.length, stride=4))
+    )
+    image = bytearray(blob)
+    image[_FROZEN_HEADER.size] = 1
+    loaded = deserialize_frozen(bytes(image))
+    assert serialize_frozen(loaded) == blob
+    oracle = SortedListMatcher.build(acl.entries, acl.layout.length)
+    queries = uniform_traffic(acl.entries, 2000, seed=5)
+    for query, got in zip(queries, loaded.lookup_batch(queries)):
+        assert_same_result(oracle.lookup(query), got)
+        assert_same_result(oracle.lookup(query), loaded.lookup(query))
+    image[_FROZEN_HEADER.size] = 2
+    with pytest.raises(FormatError, match="extension"):
+        deserialize_frozen(bytes(image))

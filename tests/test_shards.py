@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from helpers import random_entries
+from helpers import in_another_node_order, random_entries
 from repro.config import EngineConfig
 from repro.core.frozen import FrozenMatcher, freeze
 from repro.core.multibit import MultibitPalmtrie
@@ -166,22 +166,20 @@ class TestShardedDifferential:
             assert sharded.pool.shards_alive == 2
 
     def test_hot_layout_cross_process(self, policy):
-        """The hot layout survives the PLMS hop: the workers serve from
-        hot-ordered planes, and the verdicts still match a plain
-        single-process engine."""
+        """A plane loaded from an image in the retired hot-first node
+        order survives the PLMS hop: the workers serve leaf indices of
+        that order, and the verdicts still match a plain single-process
+        engine."""
         queries = _trace(4_000, seed=23)
         config = EngineConfig(cache_size=0, shards=2)
         matcher_a = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
-        hot = FrozenMatcher.build(
-            policy, KEY_LENGTH, stride=8, layout="hot", layout_trace=queries
-        )
+        hot = in_another_node_order(FrozenMatcher.build(policy, KEY_LENGTH, stride=8))
         single = ClassificationEngine(
             matcher_a, EngineConfig(cache_size=0)
         )
         with ClassificationEngine(hot, config) as sharded:
             assert _values(sharded.lookup_batch(queries)) == \
                 _values(single.lookup_batch(queries))
-            assert sharded.report()["plane_layout"] == "hot"
             assert sharded.health == "ok"
 
     def test_replay_counts_match_lookup_batch(self, policy):
