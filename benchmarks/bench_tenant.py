@@ -30,13 +30,13 @@ roller must refreeze nothing: the stable engine's plane, untouched by
 the rollback, keeps serving behind the changed-key overlay (a work
 count, not a ratio).  ``--soak`` runs repeated canary cycles (alternating
 promote and rollback) at 10x volume with the roller sharded across
-worker processes, and asserts the PLMS retire path leaked zero
-shared-memory segments.
+worker processes, and asserts that no shard worker process outlives
+``router.close()``.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import time
 
 from repro.acl.compiler import compile_acl
@@ -210,17 +210,10 @@ def _updates_after_rollback(roller) -> dict[str, int]:
     }
 
 
-def _shm_segments() -> int:
-    try:
-        return sum(1 for n in os.listdir("/dev/shm") if n.startswith("psm_"))
-    except OSError:  # pragma: no cover - non-Linux fallback
-        return 0
-
-
 def soak_churn(cycles: int, packets: int) -> dict[str, int]:
     """Repeated canary cycles (alternating promote/rollback) against a
-    sharded roller; the PLMS retire path must leak nothing."""
-    before = _shm_segments()
+    sharded roller; closing the router must stop every shard worker it
+    spawned, respawns included."""
     guards = SLOGuards(
         warmup_packets=64,
         observe_packets=512,
@@ -272,13 +265,13 @@ def soak_churn(cycles: int, packets: int) -> dict[str, int]:
             rollbacks += state == "rolled_back"
     finally:
         router.close()
-    after = _shm_segments()
-    if after > before:
+    survivors = multiprocessing.active_children()
+    if survivors:
         raise SystemExit(
-            f"tenant soak: {after - before} shared-memory segments leaked "
-            f"across {cycles} canary cycles (PLMS retire path)"
+            f"tenant soak: {len(survivors)} shard workers outlived router.close() "
+            f"across {cycles} canary cycles: {[p.name for p in survivors]}"
         )
-    return {"promotes": promotes, "rollbacks": rollbacks, "leaked": after - before}
+    return {"promotes": promotes, "rollbacks": rollbacks, "survivors": len(survivors)}
 
 
 def main(smoke: bool = False, soak: bool = False) -> dict[str, float]:
@@ -332,7 +325,7 @@ def main(smoke: bool = False, soak: bool = False) -> dict[str, float]:
         churn = soak_churn(cycles=8, packets=packets)
         print(
             f"tenant soak: {churn['promotes']} promotes + {churn['rollbacks']} "
-            f"rollbacks across 8 canary cycles, {churn['leaked']} SHM segments leaked"
+            f"rollbacks across 8 canary cycles, {churn['survivors']} workers left running"
         )
 
     print(

@@ -55,7 +55,7 @@ from .core import (
     save_frozen,
 )
 from .config import DEFAULT_CONFIG, EngineConfig, serve
-from .engine import BatchReport, ClassificationEngine, FlowCache, UpdateReport
+from .engine import ClassificationEngine, FlowCache, UpdateReport
 from .packet import PacketHeader, decode_packet, encode_packet
 from .resilience import (
     CircuitBreaker,
@@ -75,7 +75,6 @@ __all__ = [
     "Action",
     "AdaptiveMatcher",
     "BasicPalmtrie",
-    "BatchReport",
     "CircuitBreaker",
     "ClassificationEngine",
     "CompiledAcl",

@@ -27,7 +27,7 @@ Subcommands:
     ``.plmf`` policy) and report verdicts and the sustained
     lookup rate; ``--metrics-out`` writes a JSON metrics snapshot of
     the run; ``--shards N`` resolves the cache misses in N worker
-    processes sharing one shared-memory plane; ``--stream`` serves
+    processes, each sent the plane's PLMF image; ``--stream`` serves
     through the bounded-queue pipeline (``--policy``/``--max-inflight``), and
     ``--scenario NAME`` replays a registered attack scenario with its
     rule churn from a seed.
@@ -661,7 +661,7 @@ def _run_replay(args, engine, compiled, layout, key_length) -> int:
         shards = report["shards"]
         print(
             f"  shards         {shards['alive']}/{shards['count']} alive, "
-            f"plane stamp {shards['stamp']} ({shards['plane_bytes']} bytes shared), "
+            f"plane stamp {shards['stamp']} ({shards['plane_bytes']}-byte image), "
             f"{shards['worker_deaths']} deaths / {shards['respawns']} respawns, "
             f"{shards['local_fallback_lookups']} local-fallback lookups"
         )
@@ -669,7 +669,7 @@ def _run_replay(args, engine, compiled, layout, key_length) -> int:
             print(
                 f"    shard {worker['shard']:3}  pid {worker['pid']}  "
                 f"{worker['lookups']:8} lookups, "
-                f"{worker['remaps']} remaps"
+                f"{worker['loads']} plane loads"
             )
     if args.update_rate:
         print(
@@ -1128,7 +1128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument(
         "--shards", type=int, default=0,
         help="worker processes of the sharded data plane (0 = in-process): "
-             "the policy is published once into shared memory and the "
+             "each worker decodes the policy's PLMF image and the "
              "flow cache's misses are split across the workers",
     )
     p_replay.add_argument(

@@ -35,8 +35,9 @@ class EngineConfig:
     constructor, which receives an already-built matcher.
 
     ``shards = 0`` (the default) serves in-process; ``shards = N``
-    resolves the engine's cache misses in N worker processes over one
-    shared-memory frozen plane (:mod:`repro.shard`).  The engine then
+    resolves the engine's cache misses in N worker processes, each
+    serving its own copy of the frozen plane decoded from one PLMF
+    image (:mod:`repro.shard`).  The engine then
     attaches a guard rail and sizes its one flow cache at
     ``cache_size × shards`` rows.
 

@@ -7,16 +7,16 @@ one cache-aware flattened forwarding structures and computational
 classifiers make across the literature — is that the hot path belongs in
 contiguous arrays.  :func:`freeze` is that compiler for Python: it takes
 a *built* :class:`~repro.core.multibit.MultibitPalmtrie` and emits the
-whole trie as flat parallel integer arrays:
+whole trie as flat parallel integer lists:
 
 * ``bit`` / ``max_priority`` — per-node chunk index and priority
-  ceiling (the §3.5 subtree-skipping bound), in :mod:`array` arrays;
+  ceiling (the §3.5 subtree-skipping bound);
 * a *dispatch table* — for every (internal node, chunk value) pair one
-  packed ``array('I')`` word: ``(target << 5) | 1`` when exactly one
+  packed word: ``(target << 5) | 1`` when exactly one
   child survives that chunk (the overwhelmingly common case — the walk
   follows these chains without touching its stack), otherwise
   ``(base << 5) | count`` locating the surviving children inside one
-  shared ``array('Q')`` push list.  This is the Palmtrie+ popcount
+  shared push list.  This is the Palmtrie+ popcount
   child indexing with the popcounts taken **once at freeze time**: the
   per-lookup ``offset + popcount(bitmap & (1 << i) - 1)`` arithmetic
   and the §3.4 ternary-slot loop both collapse into a single indexed
@@ -41,11 +41,11 @@ order, so the image is the one the per-chunk loop would emit.
 ``lookup`` is then an allocation-free iterative loop over integer node
 ids (internals first, leaves above ``first_leaf``).  ``lookup_batch``
 deduplicates the batch and runs that same loop once per unique query,
-at every batch size.  The arrays are the canonical plane — what
-:meth:`memory_bytes` measures and :mod:`repro.core.serialize` writes;
-because indexing an :mod:`array` boxes a fresh int on every access, each
-freeze also keeps plain-list mirrors of the hot arrays for the
-interpreter loop.
+at every batch size.  The walks read the lists directly: they are the
+one in-memory form of the plane.  :mod:`repro.core.serialize` packs
+them at fixed item widths (``_SECTION_CODES``), and
+:meth:`memory_bytes` counts them at those widths, the footprint of the
+same layout in C.
 
 A frozen plane is immutable.  Updates go to the Palmtrie_k it was
 compiled from (paper §3.6), and the serving engine refreezes a new
@@ -67,8 +67,8 @@ footprint.
 
 from __future__ import annotations
 
+import struct
 import time
-from array import array
 from functools import lru_cache
 from itertools import compress
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -83,6 +83,18 @@ __all__ = ["FrozenMatcher", "freeze"]
 #: count <= stride + 1, so any stride up to 30 fits.
 _COUNT_BITS = 5
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
+
+#: the flat sections of a plane and their PLMF item types (:mod:`struct`
+#: codes, little-endian on the wire): what ``serialize_frozen`` packs
+#: and ``memory_bytes`` counts
+_SECTION_CODES = {
+    "_bit": "i",
+    "_maxp": "q",
+    "_dispatch": "I",
+    "_push": "Q",
+    "_leaf_entry_base": "Q",
+    "_leaf_entry_count": "Q",
+}
 
 
 @lru_cache(maxsize=8)
@@ -109,7 +121,7 @@ def _ternary_slots(stride: int) -> list[tuple[int, ...]]:
 
 
 class FrozenMatcher(TernaryMatcher):
-    """A Palmtrie compiled into flat parallel arrays (struct-of-arrays).
+    """A Palmtrie compiled into flat parallel lists (struct-of-arrays).
 
     Build one with :func:`freeze` (from an existing trie), the usual
     ``FrozenMatcher.build(entries, key_length, stride=8)``, or
@@ -200,7 +212,7 @@ class FrozenMatcher(TernaryMatcher):
     # -- the freeze compiler --------------------------------------------
 
     def _compile(self, source: MultibitPalmtrie) -> None:
-        """Compile the arrays from the Palmtrie_k ``source``."""
+        """Compile the flat lists from the Palmtrie_k ``source``."""
         freeze_start = time.perf_counter()
         TernaryMatcher.__init__(self, source.key_length)
         self.stride = source.stride
@@ -242,22 +254,20 @@ class FrozenMatcher(TernaryMatcher):
         leaves: list[Any],
         kids: dict[int, tuple[dict[int, Any], dict[int, Any]]],
     ) -> None:
-        """Pass 2: emit the flat arrays, node ids in list order (internals
+        """Pass 2: emit the flat lists, node ids in list order (internals
         first, then leaves)."""
         stride = self.stride
         first_leaf = len(internals)
         ids: dict[int, int] = {id(n): x for x, n in enumerate(internals)}
         ids.update({id(n): first_leaf + j for j, n in enumerate(leaves)})
 
-        dispatch = array("I", bytes(4 * (first_leaf << stride)))
-
-        bit_arr = array("i", bytes(4 * first_leaf))
-        maxp_arr = array("q", bytes(8 * (first_leaf + len(leaves))))
-        for x, node in enumerate(internals):
-            bit_arr[x] = node.bit
-            maxp_arr[x] = node.max_priority
-        for j, leaf in enumerate(leaves):
-            maxp_arr[first_leaf + j] = leaf.max_priority
+        # One int object per distinct word: a dispatch interval repeats
+        # its word, and the list holds that one object n times.
+        dispatch = [0] * (first_leaf << stride)
+        self._bit = [node.bit for node in internals]
+        self._maxp = [node.max_priority for node in internals] + [
+            leaf.max_priority for leaf in leaves
+        ]
 
         push: list[int] = []
         run_pool: dict[tuple[int, ...], int] = {}
@@ -310,9 +320,7 @@ class FrozenMatcher(TernaryMatcher):
                     free += 1
                     chunk = next(exact_chunks, chunks)
                 if tail and free < hi:
-                    dispatch[base_slot + free : base_slot + hi] = array(
-                        "I", [word(tail)]
-                    ) * (hi - free)
+                    dispatch[base_slot + free : base_slot + hi] = [word(tail)] * (hi - free)
                 while chunk < hi:
                     dispatch[base_slot + chunk] = word([ids[id(exact[chunk])]] + tail)
                     chunk = next(exact_chunks, chunks)
@@ -320,21 +328,19 @@ class FrozenMatcher(TernaryMatcher):
         leaf_data: list[int] = []
         leaf_care: list[int] = []
         leaf_best: list[TernaryEntry] = []
-        entry_base = array("Q", bytes(8 * len(leaves)))
-        entry_count = array("Q", bytes(8 * len(leaves)))
+        entry_base: list[int] = []
+        entry_count: list[int] = []
         entry_table: list[TernaryEntry] = []
-        for j, leaf in enumerate(leaves):
+        for leaf in leaves:
             leaf_data.append(leaf.data)
             leaf_care.append(leaf.care_mask)
             leaf_best.append(leaf.entries[0])
-            entry_base[j] = len(entry_table)
-            entry_count[j] = len(leaf.entries)
+            entry_base.append(len(entry_table))
+            entry_count.append(len(leaf.entries))
             entry_table.extend(leaf.entries)
 
-        self._bit = bit_arr
-        self._maxp = maxp_arr
         self._dispatch = dispatch
-        self._push = array("Q", push)
+        self._push = push
         self._leaf_data = leaf_data
         self._leaf_care = leaf_care
         self._leaf_best = leaf_best
@@ -345,27 +351,25 @@ class FrozenMatcher(TernaryMatcher):
         self._build_hot()
 
     def _build_hot(self) -> None:
-        """Derive the scalar loop's hot mirrors from the canonical arrays.
+        """Pack the scalar loop's ``_hot`` tuple from the plane's lists.
 
-        Indexing an ``array`` boxes a fresh int on every access; these
-        lists hold the already-boxed values, and one attribute load +
-        unpack per lookup replaces a dozen.  Both the freeze compiler
-        and :func:`repro.core.serialize.load_frozen` call this, so a
-        loaded plane carries every mirror a freshly compiled one does.
+        One attribute load + unpack per lookup replaces a dozen.  Both
+        the freeze compiler and :func:`repro.core.serialize.load_frozen`
+        call this, so a loaded plane carries everything a freshly
+        compiled one does.
 
-        ``_node_bits`` is the other mirror: per internal node, the query
+        ``_node_bits`` is derived here too: per internal node, the query
         bits its dispatch reads (its whole chunk), which the masked walk
-        ORs into the bits a query's verdict depends on.  Like ``_hot`` it
-        is derived, never serialized.
+        ORs into the bits a query's verdict depends on.  It is never
+        serialized.
         """
         stride = self.stride
         chunk_mask = (1 << stride) - 1
-        bits = list(self._bit)
         self._hot = (
-            list(self._maxp),
-            bits,
-            list(self._dispatch),
-            list(self._push),
+            self._maxp,
+            self._bit,
+            self._dispatch,
+            self._push,
             self._leaf_data,
             self._leaf_care,
             self._leaf_best,
@@ -375,11 +379,11 @@ class FrozenMatcher(TernaryMatcher):
             self.subtree_skipping,
         )
         self._node_bits = [
-            chunk_mask << b if b >= 0 else chunk_mask >> -b for b in bits
+            chunk_mask << b if b >= 0 else chunk_mask >> -b for b in self._bit
         ]
 
     # ------------------------------------------------------------------
-    # Lookup: an iterative loop over array indices
+    # Lookup: an iterative loop over list indices
     # ------------------------------------------------------------------
 
     def lookup(self, query: int) -> Optional[TernaryEntry]:
@@ -711,19 +715,16 @@ class FrozenMatcher(TernaryMatcher):
         return self._first_leaf, len(self._leaf_best)
 
     def memory_bytes(self) -> int:
-        """The flat plane's true footprint: the array buffers as
-        allocated, plus the modeled leaf-key words (2L bits each) and
-        entry slots (8-byte value, 4-byte priority) — the quantity a C
-        port of this layout would allocate, and what
-        ``serialize_frozen`` writes (header and value encoding aside).
+        """The flat plane's C-layout footprint: each flat section at its
+        PLMF item width (:data:`_SECTION_CODES`), plus the modeled
+        leaf-key words (2L bits each) and entry slots (8-byte value,
+        4-byte priority) — the quantity a C port of this layout would
+        allocate, and what ``serialize_frozen`` writes (header and value
+        encoding aside).
         """
-        buffers = (
-            len(self._bit) * self._bit.itemsize
-            + len(self._maxp) * self._maxp.itemsize
-            + len(self._dispatch) * self._dispatch.itemsize
-            + len(self._push) * self._push.itemsize
-            + len(self._leaf_entry_base) * self._leaf_entry_base.itemsize
-            + len(self._leaf_entry_count) * self._leaf_entry_count.itemsize
+        buffers = sum(
+            len(getattr(self, name)) * struct.calcsize("<" + code)
+            for name, code in _SECTION_CODES.items()
         )
         key_bytes = 2 * ((self.key_length + 7) // 8)
         return buffers + len(self._leaf_best) * key_bytes + len(self._entry_table) * 12

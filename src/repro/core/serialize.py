@@ -3,13 +3,13 @@
 A deployment compiles ACLs on a control plane and ships the compiled
 policy to data-plane processes; that requires a stable wire format.
 ``PLMF`` (:func:`serialize_frozen` / :func:`deserialize_frozen`) is the
-only one: it writes a :class:`~repro.core.frozen.FrozenMatcher`'s
-parallel arrays verbatim, so loading is a handful of zero-copy buffer
-views rather than a per-node parse, and a loaded plane serves at once
-without any trie rebuild.  Its Palmtrie_k (the paper's §3.6 update
-source) is rebuilt from the plane's entries only when an update needs
-it.  Checkpoints (``PLMC``) and shard planes (``PLMS``) wrap the same
-image.
+only one: it writes a :class:`~repro.core.frozen.FrozenMatcher`'s flat
+sections little-endian, so loading decodes each section once into the
+list the walks read rather than parsing node by node, and a loaded
+plane serves at once without any trie rebuild.  Its Palmtrie_k (the
+paper's §3.6 update source) is rebuilt from the plane's entries only
+when an update needs it.  Checkpoints (``PLMC``) wrap the same image,
+and shard workers receive it as is.
 
 The section layout is documented on :func:`serialize_frozen` and in
 ``docs/formats.md``.  Entry values must be ints/bools/strings/None (the
@@ -91,39 +91,30 @@ def _decode_value(blob: bytes) -> Any:
     raise FormatError(f"unknown value tag {tag!r}")
 
 
-def _array_bytes(arr: array) -> bytes:
-    """The array's buffer, little-endian regardless of host order."""
+def _pack(code: str, values: list[int]) -> bytes:
+    """One flat section: ``values`` as little-endian ``code`` items."""
+    packed = array(code, values)
     if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
-        arr = array(arr.typecode, arr)
-        arr.byteswap()
-    return arr.tobytes()
+        packed.byteswap()
+    return packed.tobytes()
 
 
-def _array_from(typecode: str, data: bytes) -> array:
-    arr = array(typecode)
-    arr.frombytes(data)
-    if sys.byteorder != "little":  # pragma: no cover
-        arr.byteswap()
-    return arr
+def _unpack(code: str, section: memoryview) -> array:
+    """One flat section copied into a host-order typed array.
 
-
-def _typed_view(typecode: str, section: memoryview) -> Any:
-    """Reinterpret one wire section as a typed sequence of ints.
-
-    Little-endian hosts get a zero-copy ``memoryview.cast`` over the
-    caller's buffer — this is what lets shard workers serve straight
-    out of a shared-memory PLMF mapping without duplicating the arrays
-    per process.  Big-endian hosts fall back to a byte-swapped
-    :mod:`array` copy.  Both results index, slice, iterate and
-    ``tobytes()`` the same way.
+    The loader validates the arrays and keeps their ``tolist()``, taken
+    last: a list of millions of ints made earlier would be walked by
+    every young-generation collection the rest of the decode triggers.
     """
-    if sys.byteorder == "little":
-        return section.cast(typecode)
-    return _array_from(typecode, bytes(section))  # pragma: no cover
+    items = array(code)
+    items.frombytes(section)
+    if sys.byteorder != "little":  # pragma: no cover
+        items.byteswap()
+    return items
 
 
 def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
-    """Pack a frozen plane's arrays into the ``PLMF`` v2 wire form.
+    """Pack a frozen plane's flat lists into the ``PLMF`` v2 wire form.
 
     After the header comes the v2 extension (layout byte 0, plan byte 0,
     reserved, plan-blob length 0).  Section order after that: bit
@@ -135,7 +126,7 @@ def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
     little-endian signed int, ``S`` UTF-8 string).  v1 images (no extension,
     build-order layout) still load.
     """
-    from .frozen import FrozenMatcher
+    from .frozen import _SECTION_CODES, FrozenMatcher
 
     if not isinstance(matcher, FrozenMatcher):
         raise FormatError(f"expected FrozenMatcher, got {type(matcher).__name__}")
@@ -166,17 +157,18 @@ def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
         len(entry_blob),
     )
     ext = _FROZEN_EXT.pack(0, 0, 0, 0)
+    codes = _SECTION_CODES
     return b"".join(
         (
             header,
             ext,
-            _array_bytes(matcher._bit),
-            _array_bytes(matcher._maxp),
-            _array_bytes(matcher._dispatch),
-            _array_bytes(matcher._push),
+            _pack(codes["_bit"], matcher._bit),
+            _pack(codes["_maxp"], matcher._maxp),
+            _pack(codes["_dispatch"], matcher._dispatch),
+            _pack(codes["_push"], matcher._push),
             bytes(key_blob),
-            _array_bytes(matcher._leaf_entry_base),
-            _array_bytes(matcher._leaf_entry_count),
+            _pack(codes["_leaf_entry_base"], matcher._leaf_entry_base),
+            _pack(codes["_leaf_entry_count"], matcher._leaf_entry_count),
             bytes(entry_blob),
         )
     )
@@ -185,13 +177,10 @@ def serialize_frozen(matcher: "TernaryMatcher") -> bytes:
 def deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatcher":
     """Rebuild a :class:`~repro.core.frozen.FrozenMatcher` from a buffer.
 
-    ``data`` may be ``bytes`` or any read-only buffer — in particular a
-    ``memoryview`` over a ``multiprocessing.shared_memory`` mapping.
-    The plane's flat arrays become zero-copy typed views over the
-    caller's buffer (no wholesale copy is taken; the buffer must stay
-    alive and unchanged for the plane's lifetime), so N processes
-    mapping one PLMF image share one copy of the arrays.  No trie is
-    built: a serving engine rebuilds the plane's Palmtrie_k
+    ``data`` may be ``bytes`` or any buffer.  Each section is decoded
+    once into a list, so the plane keeps no view of ``data``: the
+    caller may reuse or free the buffer as soon as this returns.  No
+    trie is built: a serving engine rebuilds the plane's Palmtrie_k
     (:meth:`~repro.core.frozen.FrozenMatcher.rebuild_source`) only when
     an update needs it, so pure-lookup data planes never pay for it.
 
@@ -214,7 +203,7 @@ def deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatche
 
 
 def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatcher":
-    from .frozen import _COUNT_BITS, _COUNT_MASK, FrozenMatcher
+    from .frozen import _COUNT_BITS, _COUNT_MASK, _SECTION_CODES, FrozenMatcher
 
     data = memoryview(data)
     if data.format != "B":  # normalize exotic buffers to a byte view
@@ -279,17 +268,18 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     for size in sizes:
         sections.append(data[cursor : cursor + size])
         cursor += size
-    bit_arr = _typed_view("i", sections[0])
-    maxp_arr = _typed_view("q", sections[1])
-    dispatch = _typed_view("I", sections[2])
-    push = _typed_view("Q", sections[3])
-    entry_base = _typed_view("Q", sections[5])
-    entry_count_arr = _typed_view("Q", sections[6])
+    codes = _SECTION_CODES
+    bits = _unpack(codes["_bit"], sections[0])
+    maxp = _unpack(codes["_maxp"], sections[1])
+    dispatch = _unpack(codes["_dispatch"], sections[2])
+    push = _unpack(codes["_push"], sections[3])
+    entry_base = _unpack(codes["_leaf_entry_base"], sections[5])
+    entry_counts = _unpack(codes["_leaf_entry_count"], sections[6])
 
     # A corrupted chunk shift turns ``query << -b`` in the walk into a
     # gigabyte-sized big-int allocation; reject shifts outside what the
     # freezer can emit (length - stride down to -(stride - 1)).
-    for b in bit_arr:
+    for b in bits:
         if not -stride < b <= key_length:
             raise FormatError(f"chunk shift {b} out of range")
     for target in push:
@@ -355,7 +345,7 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     blob = sections[7]
     running_base = 0
     for j in range(leaf_count):
-        count = entry_count_arr[j]
+        count = entry_counts[j]
         if count == 0:
             raise FormatError("leaf without entries")
         # The writer emits entry slices leaf-major and contiguous; the
@@ -370,7 +360,7 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     # order, which is leaf-major).
     entry_table: list[TernaryEntry] = []
     cursor = 0
-    per_leaf_remaining = list(entry_count_arr)
+    per_leaf_remaining = list(entry_counts)
     leaf_index = 0
     leaf_best: list[TernaryEntry] = []
     key_cache: TernaryKey | None = None
@@ -399,22 +389,22 @@ def _deserialize_frozen(data: "bytes | bytearray | memoryview") -> "TernaryMatch
     if cursor != len(blob):
         raise FormatError("trailing bytes in entry blob")
     for j in range(leaf_count):
-        if maxp_arr[first_leaf + j] != leaf_best[j].priority:
+        if maxp[first_leaf + j] != leaf_best[j].priority:
             raise FormatError("leaf max_priority inconsistent with entries")
 
     frozen = FrozenMatcher.__new__(FrozenMatcher)
     TernaryMatcher.__init__(frozen, key_length)
     frozen.stride = stride
     frozen.subtree_skipping = bool(flags & 1)
-    frozen._bit = bit_arr
-    frozen._maxp = maxp_arr
-    frozen._dispatch = dispatch
-    frozen._push = push
+    frozen._bit = bits.tolist()
+    frozen._maxp = maxp.tolist()
+    frozen._dispatch = dispatch.tolist()
+    frozen._push = push.tolist()
     frozen._leaf_data = leaf_data
     frozen._leaf_care = leaf_care
     frozen._leaf_best = leaf_best
-    frozen._leaf_entry_base = entry_base
-    frozen._leaf_entry_count = entry_count_arr
+    frozen._leaf_entry_base = entry_base.tolist()
+    frozen._leaf_entry_count = entry_counts.tolist()
     frozen._entry_table = entry_table
     frozen._first_leaf = first_leaf
     frozen._build_hot()

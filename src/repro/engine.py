@@ -106,7 +106,7 @@ from .core.ternary import TernaryKey
 from .obs.metrics import MetricsRegistry, geometric_buckets
 from .obs.timing import TIMER_RESOLUTION as _TIMER_TICK
 
-__all__ = ["FlowCache", "RegionCache", "BatchReport", "UpdateReport", "ClassificationEngine"]
+__all__ = ["FlowCache", "RegionCache", "UpdateReport", "ClassificationEngine"]
 
 #: what an engine serves: a Palmtrie_k, or the frozen plane (the
 #: Palmtrie+) compiled from one (see :class:`ClassificationEngine`)
@@ -637,32 +637,6 @@ def _intersects(
 
 
 @dataclass(frozen=True)
-class BatchReport:
-    """Observability record of one ``lookup_batch`` call."""
-
-    #: queries in the batch
-    queries: int
-    #: distinct queries after flow-cache hits were removed
-    matcher_queries: int
-    #: queries answered from the flow cache
-    cache_hits: int
-    #: wall-clock seconds spent resolving the batch
-    seconds: float
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.cache_hits / self.queries if self.queries else 0.0
-
-    @property
-    def queries_per_second(self) -> float:
-        if not self.queries:
-            return 0.0
-        # Sub-tick batches (tiny bursts on a hot cache) read as 0.0
-        # seconds; clamp so the rate stays finite instead of zero.
-        return self.queries / max(self.seconds, _TIMER_TICK)
-
-
-@dataclass(frozen=True)
 class UpdateReport:
     """Observability record of one ``apply_updates`` transaction.
 
@@ -1010,7 +984,6 @@ class ClassificationEngine:
         self.batches = 0
         self.batched_queries = 0
         self.elapsed_seconds = 0.0
-        self.last_batch: Optional[BatchReport] = None
         self.updates_applied = 0
         self.update_batches = 0
         self.cache_rows_invalidated = 0
@@ -1441,8 +1414,7 @@ class ClassificationEngine:
             stats.cache_misses += n - hits
             if behind:
                 gate.judge(n, hits)
-            distinct = len(miss_positions)
-            if distinct:
+            if miss_positions:
                 unique = list(miss_positions)
                 resolved = self._resolve_misses(unique)
                 stats.cache_evictions += self.cache.fill(unique, resolved)
@@ -1462,7 +1434,6 @@ class ClassificationEngine:
                 hits = sum(map(queries.count, held))
             stats.cache_hits += hits
             stats.cache_misses += n - hits
-            distinct = len(unique) - len(held)
         if guard is not None and guard.shadow_sample > 0.0:
             self._shadow_pass(queries, results)
         seconds = time.perf_counter() - start
@@ -1476,12 +1447,6 @@ class ClassificationEngine:
             instruments.batch_seconds.observe(seconds)
             instruments.batch_size.observe(n)
             instruments.query_seconds.observe(seconds / n, n)
-        self.last_batch = BatchReport(
-            queries=n,
-            matcher_queries=distinct,
-            cache_hits=hits,
-            seconds=seconds,
-        )
         return results
 
     # -- miss resolution --------------------------------------------------
@@ -1953,9 +1918,8 @@ class ClassificationEngine:
         return dropped
 
     def close(self) -> None:
-        """Stop the shard pool's workers and unlink its shared planes;
-        the engine keeps serving in-process afterwards.  A no-op
-        without a pool, and idempotent."""
+        """Stop the shard pool's workers; the engine keeps serving
+        in-process afterwards.  A no-op without a pool, and idempotent."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
@@ -2057,7 +2021,6 @@ class ClassificationEngine:
         self.batches = 0
         self.batched_queries = 0
         self.elapsed_seconds = 0.0
-        self.last_batch = None
         self.updates_applied = 0
         self.update_batches = 0
         self.cache_rows_invalidated = 0

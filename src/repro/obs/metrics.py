@@ -332,7 +332,7 @@ class MetricsRegistry:
         self._metrics: dict[tuple[str, LabelPairs], Metric] = {}
         #: one reference per collector: calling it returns the collector,
         #: or None once a bound method's owner is gone
-        self._collectors: list[Callable[[], Optional[Callable[[], Optional[bool]]]]] = []
+        self._collectors: list[Callable[[], Optional[Callable[[], None]]]] = []
 
     # -- registration ---------------------------------------------------
 
@@ -381,13 +381,13 @@ class MetricsRegistry:
 
     # -- collection -----------------------------------------------------
 
-    def add_collector(self, collector: Callable[[], Optional[bool]]) -> None:
+    def add_collector(self, collector: Callable[[], None]) -> None:
         """Register a callback run before every collect/export.
 
         A bound method is held weakly (:class:`weakref.WeakMethod`), so
         a shared registry does not keep its owner (an engine, an app, a
         pipeline) alive; the next collect after the owner is gone drops
-        it.  A collector that returns ``False`` is dropped too.
+        it.
         """
         if any(ref() == collector for ref in self._collectors):
             return
@@ -401,7 +401,8 @@ class MetricsRegistry:
         kept = []
         for ref in self._collectors:
             collector = ref()
-            if collector is not None and collector() is not False:
+            if collector is not None:
+                collector()
                 kept.append(ref)
         self._collectors = kept
         return sorted(self._metrics.values(), key=lambda m: m.key)

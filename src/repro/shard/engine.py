@@ -8,18 +8,20 @@ cache missed, where an in-process engine would walk its frozen plane::
 
     parent                                         workers
     ──────────────────────────────────────         ──────────────────
-    ClassificationEngine                            shard 0 ─┐
-      · flow cache, GuardRail, updates              shard 1 ─┼── one
-      · misses ─▶ ShardedEngine.lookup_batch          ...    │  shared
-    frozen plane ── serialize_frozen ──▶  PLMF in shared memory ◀┘  mapping
+    ClassificationEngine                            shard 0: own plane
+      · flow cache, GuardRail, updates              shard 1: own plane
+      · misses ─▶ ShardedEngine.lookup_batch          ...
+    frozen plane ── serialize_frozen ──▶ PLMF image ──▶ each worker, once
+                                                       per stamp, over its pipe
 
-The pool cuts the misses into N contiguous slices, one per worker; the
-workers walk the *same* PLMF image zero-copy (:mod:`repro.shard.plane`)
-and answer with leaf indices, which the pool maps back to entries
-through the parent's copy of that plane.  Whenever the engine's plane
-object changes (a refreeze after an update, a policy swap, a restore)
-the pool publishes it under a new stamp before the next slice goes out,
-and workers remap lazily when a request names the new stamp.
+The pool cuts the misses into N contiguous slices, one per worker; each
+worker walks its own plane, decoded from the pool's PLMF image, and
+answers with leaf indices, which the pool maps back to entries through
+the parent's plane.  Whenever the engine's plane object changes (a
+refreeze after an update, a policy swap, a restore) the pool serializes
+it under a new stamp before the next slice goes out, and each worker
+gets the image with its first request that names the new stamp (a
+respawned worker gets the current one in its spawn arguments).
 
 Worker death is degradation, not an outage: the dead worker's slice is
 answered from the parent's plane (``local_fallback_lookups``, a
@@ -37,8 +39,8 @@ from itertools import islice
 from typing import Any, Iterable, Optional, Sequence
 
 from ..core.frozen import FrozenMatcher
+from ..core.serialize import serialize_frozen
 from ..core.table import TernaryEntry
-from .plane import PublishedPlane, publish_plane
 from .worker import shard_worker_main
 
 __all__ = ["ShardedEngine", "flow_shard"]
@@ -118,10 +120,11 @@ class ShardedEngine:
         self._engine = weakref.ref(engine)
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        self._publish_seq = 0
-        self._planes: dict[int, PublishedPlane] = {}
         self._plane: Optional[FrozenMatcher] = None
-        self._stamp = -1
+        #: the PLMF image of ``_plane`` and its stamp, which grows by one
+        #: per plane served
+        self._image = b""
+        self._stamp = 0
         self._closed = False
         self._shards: list[_ShardHandle] = []
         self.worker_deaths = 0
@@ -131,29 +134,18 @@ class ShardedEngine:
         self.serve(plane)
         self._shards = [self._spawn(i) for i in range(self.config.shards)]
 
-    # -- plane publishing (the atomic swap half) ------------------------
+    # -- serving a plane (the swap half) ---------------------------------
 
     def serve(self, plane: FrozenMatcher) -> None:
-        """Make ``plane`` the one misses resolve against: publish it
-        under a new stamp when it is not the plane published last (a
-        plane never changes in place).  Workers keep answering from the
-        old image until a request names the new stamp."""
+        """Make ``plane`` the one misses resolve against: serialize it
+        under a new stamp when it is not the plane served last (a plane
+        never changes in place).  Each worker loads the new image with
+        its next request."""
         if plane is self._plane:
             return
-        self._publish_seq += 1
-        self._planes[self._publish_seq] = publish_plane(plane, self._publish_seq)
+        self._image = serialize_frozen(plane)
         self._plane = plane
-        self._stamp = self._publish_seq
-        self._retire_stale()
-
-    def _retire_stale(self) -> None:
-        """Unlink images every live worker has moved past."""
-        floor = self._stamp
-        for handle in self._shards:
-            if handle.alive:
-                floor = min(floor, handle.last_stamp)
-        for stamp in [s for s in self._planes if s < floor]:
-            self._planes.pop(stamp).retire()
+        self._stamp += 1
 
     # -- worker lifecycle ------------------------------------------------
 
@@ -163,7 +155,7 @@ class ShardedEngine:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=shard_worker_main,
-            args=(child_conn, index, self._stamp, self._planes[self._stamp].name),
+            args=(child_conn, index, self._stamp, self._image),
             name=f"palmtrie-shard-{index}",
             daemon=True,
         )
@@ -248,13 +240,13 @@ class ShardedEngine:
         size = -(-len(queries) // len(self._shards))
         slices = [queries[i : i + size] for i in range(0, len(queries), size)]
         stamp = self._stamp
-        name = self._planes[stamp].name
         pending: list[Optional[_ShardHandle]] = []
         for index, part in enumerate(slices):
             handle = self._ensure_alive(self._shards[index])
             if handle is not None:
+                image = self._image if handle.last_stamp != stamp else None
                 try:
-                    handle.conn.send((op, stamp, name, part))
+                    handle.conn.send((op, stamp, image, part))
                 except (BrokenPipeError, OSError) as exc:
                     self._mark_dead(handle, exc)
                     handle = None
@@ -271,7 +263,6 @@ class ShardedEngine:
                     handle.last_stamp = stamp
                     handle.routed += len(part)
             gathered.append((part, reply))
-        self._retire_stale()
         return gathered
 
     def _local_indices(self, queries: Sequence[int]) -> list[int]:
@@ -399,13 +390,11 @@ class ShardedEngine:
 
     def report(self) -> dict[str, Any]:
         """The ``shards`` section of the engine's report."""
-        current = self._planes.get(self._stamp)
         return {
             "count": len(self._shards),
             "alive": self.shards_alive,
             "stamp": self._stamp,
-            "published_planes": len(self._planes),
-            "plane_bytes": current.size_bytes if current is not None else 0,
+            "plane_bytes": len(self._image),
             "worker_deaths": self.worker_deaths,
             "respawns": self.respawns,
             "local_fallback_lookups": self.local_fallback_lookups,
@@ -416,7 +405,7 @@ class ShardedEngine:
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the workers and unlink every shared segment (idempotent)."""
+        """Stop the workers (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -438,9 +427,6 @@ class ShardedEngine:
                 handle.conn.close()
             except OSError:  # pragma: no cover
                 pass
-        for published in self._planes.values():
-            published.retire()
-        self._planes.clear()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         try:

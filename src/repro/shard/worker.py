@@ -1,33 +1,35 @@
-"""The shard worker: one process, one pipe, one mapped plane.
+"""The shard worker: one process, one pipe, one decoded plane.
 
-A worker holds no state beyond its mapping of the shared frozen plane.
-It answers in *leaf indices* into that plane — entries never cross the
-process boundary; the parent resolves indices against its own copy of
-the same PLMF image (leaf numbering is a pure function of the wire
-bytes, so the processes agree by construction).  The flow cache lives
-in the parent engine, so a worker only ever sees cache misses.
+A worker holds no state beyond its own copy of the frozen plane, decoded
+from the PLMF image the pool sends it.  It answers in *leaf indices*
+into that plane — entries never cross the process boundary; the parent
+resolves indices against its own plane, from which the image was
+serialized (leaf numbering is a pure function of the wire bytes, so the
+processes agree by construction).  The flow cache lives in the parent
+engine, so a worker only ever sees cache misses.
 
 The protocol is a tuple per message, strictly request/reply from the
 worker's point of view:
 
-``("batch", stamp, name, queries)``
+``("batch", stamp, image, queries)``
     Walk ``queries`` (one contiguous slice of the parent's misses) and
     reply ``("ok", indices)`` with one leaf index per query, ``-1`` for
     no match.
 
-``("count", stamp, name, queries)``
+``("count", stamp, image, queries)``
     The replay fast path: same walk, but the reply aggregates to
     ``("ok", {leaf_index: occurrences})`` so a multi-million-packet
     replay ships back a dict the size of the rule set, not the trace.
 
-``("report",)`` / ``("ping", token)`` / ``("stop",)``
-    Introspection, liveness and orderly shutdown.
+``("report",)`` / ``("stop",)``
+    Introspection and orderly shutdown.
 
-Every ``batch``/``count`` carries the publisher's ``(stamp, name)`` for
-the plane it must be answered from.  A worker holding an older plane
-**remaps lazily right here** — attach the new segment, drop the old
-mapping — which is the worker half of the atomic cross-shard swap:
-publish new PLMF → bump stamp → workers remap on next touch.
+Every ``batch``/``count`` carries the stamp of the plane it must be
+answered from, and the PLMF image of that plane when the worker has not
+acknowledged the stamp yet (``None`` otherwise).  A worker decodes a
+new image **lazily right here**, before the walk, which is the worker
+half of the cross-shard swap: serialize the new plane → bump the stamp
+→ each worker loads it with its next request.
 
 Faults inside a request are reported as ``("err", site, repr)`` and the
 worker keeps serving; only ``stop``, a closed pipe, or SIGKILL end it
@@ -36,37 +38,36 @@ worker keeps serving; only ``stop``, a closed pipe, or SIGKILL end it
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from typing import Any, Optional
 
-from .plane import attach_plane, detach_plane
+from ..core.serialize import deserialize_frozen
 
 __all__ = ["shard_worker_main"]
 
 
 class _WorkerState:
-    """Mutable per-process serving state (the plane mapping)."""
+    """Mutable per-process serving state (the decoded plane)."""
 
-    __slots__ = ("shard_index", "stamp", "matcher", "shm", "lookups", "remaps", "batches")
+    __slots__ = ("shard_index", "stamp", "matcher", "lookups", "loads", "batches")
 
     def __init__(self, shard_index: int) -> None:
         self.shard_index = shard_index
         self.stamp = -1
         self.matcher: Optional[Any] = None
-        self.shm: Optional[Any] = None
         self.lookups = 0
-        self.remaps = 0
+        self.loads = 0
         self.batches = 0
 
-    def remap(self, stamp: int, name: str) -> None:
-        if stamp == self.stamp and self.matcher is not None:
-            return
-        matcher, shm = attach_plane(name)
-        old_shm = self.shm
-        self.matcher = None  # drop plane views before closing the mapping
-        detach_plane(old_shm)
-        self.matcher, self.shm, self.stamp = matcher, shm, stamp
-        self.remaps += 1
+    def load(self, stamp: int, image: Optional[bytes]) -> None:
+        """Serve plane ``stamp``: decode ``image`` when one is sent."""
+        if image is not None:
+            self.matcher = deserialize_frozen(image)
+            self.stamp = stamp
+            self.loads += 1
+        elif stamp != self.stamp:
+            raise LookupError(f"plane {stamp} requested, plane {self.stamp} held")
 
     def resolve(self, queries: list[int]) -> list[int]:
         """Leaf indices for ``queries``, one batch walk."""
@@ -75,28 +76,24 @@ class _WorkerState:
         return self.matcher.lookup_batch_indices(queries)
 
     def report(self) -> dict[str, Any]:
-        import os
-
         return {
             "shard": self.shard_index,
             "pid": os.getpid(),
             "stamp": self.stamp,
             "lookups": self.lookups,
-            "remaps": self.remaps,
+            "loads": self.loads,
             "batches": self.batches,
         }
 
 
-def shard_worker_main(
-    conn: Any, shard_index: int, plane_stamp: int, plane_name: str
-) -> None:
+def shard_worker_main(conn: Any, shard_index: int, plane_stamp: int, image: bytes) -> None:
     """Entry point of one worker process (module-level: spawn-picklable)."""
     state = _WorkerState(shard_index)
     try:
-        state.remap(plane_stamp, plane_name)
+        state.load(plane_stamp, image)
     except Exception as exc:  # parent sees the error, then EOF
         try:
-            conn.send(("err", "shard_attach", repr(exc)))
+            conn.send(("err", "shard_load", repr(exc)))
         except (BrokenPipeError, OSError):
             pass
         return
@@ -112,8 +109,8 @@ def shard_worker_main(
                 # empty) must be a bad *request*, not a dead worker.
                 op = msg[0]
                 if op == "batch" or op == "count":
-                    _, stamp, name, queries = msg
-                    state.remap(stamp, name)
+                    _, stamp, image, queries = msg
+                    state.load(stamp, image)
                     indices = state.resolve(queries)
                     if op == "count":
                         conn.send(("ok", dict(Counter(indices))))
@@ -121,8 +118,6 @@ def shard_worker_main(
                         conn.send(("ok", indices))
                 elif op == "report":
                     conn.send(("ok", state.report()))
-                elif op == "ping":
-                    conn.send(("ok", msg[1]))
                 elif op == "stop":
                     conn.send(("ok", None))
                     break
@@ -137,8 +132,6 @@ def shard_worker_main(
                 except (BrokenPipeError, OSError):
                     break
     finally:
-        state.matcher = None
-        detach_plane(state.shm)
         try:
             conn.close()
         except OSError:  # pragma: no cover

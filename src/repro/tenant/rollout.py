@@ -76,7 +76,8 @@ ROLLOUT_STATES = ("idle", "staged", "canary", "promoted", "rolled_back")
 #: schema stamp of the persisted rollout-state sidecar
 STATE_SCHEMA = "palmtrie-repro/rollout-state/v1"
 
-#: seed perturbation so the canary slice is independent of shard choice
+#: odd multiplier that spreads a rollout seed over the query's bits, so
+#: each seed canaries a different set of flows
 _CANARY_SALT = 0x9E3779B97F4A7C15
 
 
@@ -97,8 +98,8 @@ def canary_member(query: int, seed: int, canary_pct: float) -> bool:
     slice on every process and every run (no ``PYTHONHASHSEED``
     dependence), and the slice is *flow-stable* — a flow is either
     canaried for the whole window or not at all.  Routes through the
-    same avalanched fold as :func:`repro.shard.flow_shard`, salted so
-    slice membership is independent of shard placement.
+    same avalanched fold as :func:`repro.shard.flow_shard`, salted with
+    the rollout seed so each rollout canaries a different set of flows.
     """
     return flow_shard(
         query ^ ((seed & 0xFFFFFFFF) * _CANARY_SALT), _CANARY_BUCKETS

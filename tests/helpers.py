@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import random
-from array import array
 from typing import Sequence
 
 from repro.baselines.dpdk_acl import DpdkStyleAcl
@@ -131,17 +130,17 @@ def in_another_node_order(plane: FrozenMatcher) -> FrozenMatcher:
     perm = [0] + list(range(first_leaf - 1, 0, -1)) if first_leaf else []
     perm += range(first_leaf + leaves - 1, first_leaf - 1, -1)
     width = 1 << plane.stride
-    dispatch = array("I")
+    dispatch = []
     for x in perm[:first_leaf]:
         for word in plane._dispatch[x * width : (x + 1) * width]:
             if word & _COUNT_MASK == 1:
                 word = (perm[word >> _COUNT_BITS] << _COUNT_BITS) | 1
             dispatch.append(word)
     moved = copy.copy(plane)
-    moved._bit = array("i", [plane._bit[x] for x in perm[:first_leaf]])
-    moved._maxp = array("q", [plane._maxp[x] for x in perm])
+    moved._bit = [plane._bit[x] for x in perm[:first_leaf]]
+    moved._maxp = [plane._maxp[x] for x in perm]
     moved._dispatch = dispatch
-    moved._push = array("Q", [perm[t] for t in plane._push])
+    moved._push = [perm[t] for t in plane._push]
     order = [x - first_leaf for x in perm[first_leaf:]]
     moved._leaf_data = [plane._leaf_data[j] for j in order]
     moved._leaf_care = [plane._leaf_care[j] for j in order]
@@ -152,8 +151,8 @@ def in_another_node_order(plane: FrozenMatcher) -> FrozenMatcher:
         base, count = plane._leaf_entry_base[j], plane._leaf_entry_count[j]
         moved._entry_table.extend(plane._entry_table[base : base + count])
         counts.append(count)
-    moved._leaf_entry_count = array("Q", counts)
-    moved._leaf_entry_base = array("Q", [sum(counts[:k]) for k in range(len(counts))])
+    moved._leaf_entry_count = counts
+    moved._leaf_entry_base = [sum(counts[:k]) for k in range(len(counts))]
     image = bytearray(serialize_frozen(moved))
     image[_FROZEN_HEADER.size] = 1  # the v2 extension's layout byte
     return deserialize_frozen(bytes(image))

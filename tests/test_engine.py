@@ -171,8 +171,10 @@ class TestEveryKind:
             served_matcher(kind, entries, KEY_LENGTH), EngineConfig(cache_size=8)
         )
         assert engine.lookup_batch([]) == []
-        assert engine.last_batch.queries == 0
-        assert engine.last_batch.hit_ratio == 0.0
+        report = engine.report()
+        assert report["batches"] == 1
+        assert report["lookups"] == 0
+        assert report["cache_hit_ratio"] == 0.0
 
     def test_all_duplicate_batch(self, kind):
         entries = random_entries(30, KEY_LENGTH, seed=9)
@@ -185,11 +187,13 @@ class TestEveryKind:
         for got in engine.lookup_batch([query] * 64):
             assert_same_result(expected, got)
         # one distinct query: the matcher is asked exactly once
-        assert engine.last_batch.matcher_queries == 1
+        assert engine.report()["plane_walks"] == 1
         # a second identical burst is answered entirely from the cache
+        hits = engine.stats.cache_hits
         for got in engine.lookup_batch([query] * 64):
             assert_same_result(expected, got)
-        assert engine.last_batch.cache_hits == 64
+        assert engine.stats.cache_hits - hits == 64
+        assert engine.report()["plane_walks"] == 1
 
     def test_batch_equal_to_cache_size(self, kind):
         entries = random_entries(30, KEY_LENGTH, seed=12)
@@ -203,10 +207,11 @@ class TestEveryKind:
         assert engine.stats.cache_evictions == 0
         # the same burst again is answered entirely from the cache
         expected = reference.lookup_batch(queries)
+        hits = engine.stats.cache_hits
         for query, got, want in zip(queries, engine.lookup_batch(queries), expected):
             assert_same_result(oracle_lookup(entries, query), got)
             assert_same_result(want, got)
-        assert engine.last_batch.cache_hits == size
+        assert engine.stats.cache_hits - hits == size
 
     def test_batches_interleaved_with_updates(self, kind):
         if kind in BUILD_ONLY:
@@ -419,16 +424,16 @@ class TestEngineObservability:
         assert report["cache_entries"] == 16
         assert 0.0 <= report["cache_hit_ratio"] <= 1.0
         assert report["queries_per_second"] == engine.queries_per_second()
-        assert engine.last_batch is not None
-        assert engine.last_batch.queries == 32
+        assert engine.batched_queries == 64
         engine.reset_stats()
         assert engine.stats.lookups == 0 and engine.batches == 0
 
     def test_batch_report_dedupes_repeats(self):
         engine = ClassificationEngine(MultibitPalmtrie.build(table1_entries(), 8), EngineConfig(cache_size=0))
         engine.lookup_batch([5, 5, 5, 9, 9])
-        assert engine.last_batch.matcher_queries == 2  # 5 and 9, deduplicated
-        assert engine.last_batch.cache_hits == 0       # cache disabled
+        report = engine.report()
+        assert report["plane_walks"] == 2  # 5 and 9, deduplicated
+        assert report["cache_hits"] == 0   # cache disabled
 
     def test_rejects_non_matcher(self):
         with pytest.raises(TypeError):
@@ -555,11 +560,11 @@ class TestUpdatePlane:
         queries = _queries(40, seed=35)
         engine.lookup_batch(queries)
         lookups_before = engine.stats.lookups
-        last_batch = engine.last_batch
+        batches_before = engine.batches
         replacement = random_entries(10, KEY_LENGTH, seed=36)
         engine.replace_matcher(MultibitPalmtrie.build(replacement, KEY_LENGTH))
         assert engine.stats.lookups == lookups_before
-        assert engine.last_batch is last_batch
+        assert engine.batches == batches_before
         assert engine.policy_swaps == 1
         assert len(engine.cache) == 0
         for query in queries:
@@ -633,12 +638,6 @@ class TestUpdatePlane:
         assert matcher.generation == generation + 2
 
     def test_qps_clamps_instead_of_reporting_zero(self):
-        from repro.engine import BatchReport
-
-        sub_tick = BatchReport(queries=100, matcher_queries=1, cache_hits=99, seconds=0.0)
-        assert sub_tick.queries_per_second > 0
-        empty = BatchReport(queries=0, matcher_queries=0, cache_hits=0, seconds=0.0)
-        assert empty.queries_per_second == 0.0
         engine = ClassificationEngine(MultibitPalmtrie.build(table1_entries(), 8))
         assert engine.queries_per_second() == 0.0  # nothing batched yet
         engine.lookup_batch([1])

@@ -16,7 +16,6 @@ plane, which is the repository's one compiled form of Algorithm 3.
 from __future__ import annotations
 
 import random
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -307,9 +306,9 @@ def _per_chunk_emit(self, internals, leaves, kids):
             if base == len(push):
                 push.extend(run)
             dispatch.append((base << _COUNT_BITS) | len(run))
-    self._dispatch = array("I", dispatch)
-    self._push = array("Q", push)
-    self._hot = self._hot[:2] + (dispatch, push) + self._hot[4:]
+    self._dispatch = dispatch
+    self._push = push
+    self._build_hot()
 
 
 def _assert_same_plane(got: FrozenMatcher, want: FrozenMatcher) -> None:
@@ -713,6 +712,24 @@ class TestObservability:
         assert frozen.stats.lookups == 1
         assert frozen.stats.node_visits > 0
         assert frozen.stats.key_comparisons > 0
+
+    @pytest.mark.parametrize("stride", [4, 8])
+    @pytest.mark.parametrize("profile", ["acl", "fw"])
+    def test_memory_bytes_is_the_plmf_sections(self, profile, stride):
+        """``memory_bytes`` is the byte length of the PLMF bit, maxp,
+        dispatch, push, leaf-key, entry-base and entry-count sections,
+        plus 12 modeled bytes per entry slot."""
+        from repro.core.serialize import _FROZEN_EXT, _FROZEN_HEADER
+        from repro.workloads.classbench import classbench_acl
+
+        acl = classbench_acl(profile, 150)
+        frozen = FrozenMatcher.build(acl.entries, acl.layout.length, stride=stride)
+        blob = serialize_frozen(frozen)
+        header = _FROZEN_HEADER.unpack_from(blob)
+        entry_count, blob_len = header[-2], header[-1]
+        sections = len(blob) - _FROZEN_HEADER.size - _FROZEN_EXT.size - blob_len
+        assert frozen.memory_bytes() == sections + 12 * entry_count
+        assert deserialize_frozen(blob).memory_bytes() == frozen.memory_bytes()
 
     def test_memory_bytes_positive_and_tracks_arrays(self):
         entries = random_entries(40, KEY_LENGTH, seed=50)

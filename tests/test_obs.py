@@ -194,15 +194,6 @@ class TestRegistry:
         registry.collect()
         assert len(calls) == 2
 
-    def test_collector_returning_false_is_dropped(self):
-        registry = MetricsRegistry()
-        calls = []
-        registry.add_collector(lambda: calls.append("kept"))
-        registry.add_collector(lambda: calls.append("dropped") or False)
-        registry.collect()
-        registry.collect()
-        assert calls == ["kept", "dropped", "kept"]
-
     def test_invalid_metric_name_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):

@@ -5,12 +5,14 @@ row and collects the internal successors the cycle walk then runs
 over.  These corrupt one word (or one push target) of a well-formed
 campus plane and check the load still fails closed at each spot that
 pass reads.  The v2 layout byte is written as 0, and an older image
-marked 1 (the retired hot-first node order) still loads.
+marked 1 (the retired hot-first node order) still loads.  A loaded
+plane holds lists decoded from the image, never a view of it.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 
 import pytest
 
@@ -106,3 +108,23 @@ def test_an_image_with_layout_byte_one_serves_the_oracle():
     image[_FROZEN_HEADER.size] = 2
     with pytest.raises(FormatError, match="extension"):
         deserialize_frozen(bytes(image))
+
+
+def test_a_loaded_plane_keeps_no_view_of_its_buffer():
+    """Each section is decoded once into a list: a plane loaded from a
+    ``bytearray`` still serves, and writes the same image back, after
+    the caller clears the buffer (which raises ``BufferError`` while
+    any view of it is alive).  Neither a loaded nor a freshly frozen
+    plane holds an ``array`` or a ``memoryview``."""
+    acl = campus_acl(2)
+    fresh = freeze(MultibitPalmtrie.build(acl.entries, acl.layout.length, stride=4))
+    blob = serialize_frozen(fresh)
+    buffer = bytearray(blob)
+    loaded = deserialize_frozen(buffer)
+    buffer.clear()
+    assert serialize_frozen(loaded) == blob
+    queries = uniform_traffic(acl.entries, 500, seed=7)
+    assert loaded.lookup_batch_indices(queries) == fresh.lookup_batch_indices(queries)
+    for plane in (fresh, loaded):
+        held = list(vars(plane).values()) + list(plane._hot)
+        assert not any(isinstance(value, (array, memoryview)) for value in held)

@@ -23,13 +23,12 @@ import pytest
 
 from helpers import in_another_node_order, random_entries
 from repro.config import EngineConfig
-from repro.core.frozen import FrozenMatcher, freeze
+from repro.core.frozen import FrozenMatcher
 from repro.core.multibit import MultibitPalmtrie
-from repro.core.serialize import serialize_frozen
 from repro.core.table import TernaryEntry
 from repro.core.ternary import TernaryKey
 from repro.engine import ClassificationEngine
-from repro.shard import ShardedEngine, attach_plane, detach_plane, flow_shard, publish_plane
+from repro.shard import ShardedEngine, flow_shard
 
 KEY_LENGTH = 128
 
@@ -51,31 +50,11 @@ def policy():
 
 
 # ----------------------------------------------------------------------
-# The shared-memory plane
+# The flow-to-bucket hash
 # ----------------------------------------------------------------------
 
 
 class TestPlane:
-    def test_publish_attach_round_trip(self, policy):
-        frozen = freeze(MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8))
-        plane = publish_plane(frozen, stamp=1)
-        try:
-            mapped, shm = attach_plane(plane.name)
-            try:
-                assert serialize_frozen(mapped) == serialize_frozen(frozen)
-                queries = _trace(200, seed=2)
-                assert mapped.lookup_batch_indices(queries) == \
-                    frozen.lookup_batch_indices(queries)
-            finally:
-                mapped = None
-                detach_plane(shm)
-        finally:
-            plane.retire()
-
-    def test_attach_unknown_name_raises(self):
-        with pytest.raises(FileNotFoundError):
-            attach_plane("psm_does_not_exist_xyzzy")
-
     def test_flow_shard_is_stable_and_balanced(self):
         queries = _trace(4000, seed=3)
         first = [flow_shard(q, 4) for q in queries]
@@ -167,7 +146,7 @@ class TestShardedDifferential:
 
     def test_hot_layout_cross_process(self, policy):
         """A plane loaded from an image in the retired hot-first node
-        order survives the PLMS hop: the workers serve leaf indices of
+        order survives the process hop: the workers serve leaf indices of
         that order, and the verdicts still match a plain single-process
         engine."""
         queries = _trace(4_000, seed=23)
@@ -269,6 +248,36 @@ class TestWorkerRecovery:
             assert guard is not None
             assert guard.faults.get("shard_worker", 0) >= 1
 
+    def test_worker_killed_after_an_update_respawns_on_the_new_policy(self, policy):
+        """A worker respawned after a policy update starts from the
+        current image, not the one the pool was built with; the
+        survivor loads the new image once, with its first request."""
+        queries = _trace(2000, seed=53)
+        override = TernaryEntry(
+            key=TernaryKey.wildcard(KEY_LENGTH), value=999, priority=10_000
+        )
+        config = EngineConfig(cache_size=0, shards=2, shard_timeout=10.0)
+        matcher = MultibitPalmtrie.build(policy, KEY_LENGTH, stride=8)
+        with ClassificationEngine(matcher, config) as sharded:
+            pool = sharded.pool
+            sharded.lookup_batch(queries[:200])
+            sharded.apply_updates([("insert", override)])
+            sharded.refresh()  # refreeze and serve the new plane
+            victim = pool._shards[0]
+            os.kill(victim.proc.pid, signal.SIGKILL)
+            victim.proc.join(timeout=10)
+            deadline = time.monotonic() + 10.0
+            got = sharded.lookup_batch(queries)
+            while pool.shards_alive < 2 and time.monotonic() < deadline:
+                got = sharded.lookup_batch(queries)  # respawn happens lazily
+            assert pool.shards_alive == 2 and pool.respawns == 1
+            got = sharded.lookup_batch(queries)
+            assert all(e is not None and e.value == 999 for e in got)
+            reborn, survivor = pool.worker_reports()
+            assert reborn["stamp"] == survivor["stamp"] == pool.report()["stamp"]
+            assert reborn["loads"] == 1 and reborn["lookups"] > 0
+            assert survivor["loads"] == 2
+
     def test_worker_survives_malformed_messages(self, policy):
         """Garbage on the control socket is a bad *request*, not a dead
         worker: the worker answers ``("err", ...)`` and keeps serving.
@@ -294,8 +303,9 @@ class TestWorkerRecovery:
                 assert kind == "err", (msg, kind, detail)
                 assert site in ("shard_protocol", "shard_batch"), (msg, site)
             # still alive and still exact after every insult
-            handle.conn.send(("ping", "still-there"))
-            assert handle.conn.recv() == ("ok", "still-there")
+            handle.conn.send(("report",))
+            kind, report = handle.conn.recv()
+            assert kind == "ok" and report["shard"] == 0
             assert _values(sharded.lookup_batch(queries)) == \
                 _values(single.lookup_batch(queries))
             assert sharded.pool.shards_alive == 1
